@@ -122,8 +122,11 @@ def _context(cfg: RunConfig, r: int) -> FieldContext:
 
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {cfg.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -224,7 +227,10 @@ def cmd_weights(cfg: RunConfig) -> int:
                     f"full distribution at r={r} is too large; pass --jmax to truncate"
                 )
             j_max = n if cfg.j_max is None else min(cfg.j_max, n)
-            dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
+            # at r = 2 the totals check below already shows the larger code
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
             block = {
                 "r": r,
                 "code": i,
@@ -279,10 +285,9 @@ def cmd_weights(cfg: RunConfig) -> int:
 # verify
 
 
-def _verify_checks(ctx: FieldContext, i: int, h_max: int):
+def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable | None):
     """Yield (check_name, passed, note) for one (context, code) pair."""
     r, q = ctx.r, ctx.q
-    table = kl.kloosterman_table(ctx) if r <= kl.MAX_TABLE_DEGREE else None
 
     if table is not None and r <= 8:
         ok = all(
@@ -326,9 +331,9 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int):
 
     n = codes_mod.code_length(ctx, i)
     if n - r <= 16:
-        dp = codes_mod.weight_distribution(ctx, i)
+        dist = codes_mod.weight_distribution(ctx, i)
         brute = codes_mod.weight_distribution_exhaustive(ctx, i)
-        yield "distribution_vs_enumeration", dp.counts == brute.counts, None
+        yield "distribution_vs_enumeration", dist.counts == brute.counts, None
 
     # where the dual map is not injective (codes 1, 2 at r = 2) the code is
     # larger than 2^(N-r); compare against the nullspace dimension instead
@@ -362,10 +367,9 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int):
             yield "moment_recursion", ok, None
 
 
-def _field_checks(ctx: FieldContext):
-    if ctx.r > kl.MAX_TABLE_DEGREE:
+def _field_checks(ctx: FieldContext, table: kl.KloostermanTable | None):
+    if table is None:
         return
-    table = kl.kloosterman_table(ctx)
     weil = all(k * k <= 4 * ctx.q for k in table.values.values())
     yield "kloosterman_weil_bound", weil, None
     if ctx.r >= 2:
@@ -380,14 +384,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     results = []
     for r in cfg.r_values:
         ctx = _context(cfg, r)
-        for name, passed, note in _field_checks(ctx):
+        table = kl.kloosterman_table(ctx) if r <= kl.MAX_TABLE_DEGREE else None
+        for name, passed, note in _field_checks(ctx, table):
             results.append({"r": r, "code": None, "check": name, "passed": passed, "note": note})
         for i in cfg.codes:
             if i in (1, 2) and r < 2:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                for name, passed, note in _verify_checks(ctx, i, cfg.h_max):
+                for name, passed, note in _verify_checks(ctx, i, cfg.h_max, table):
                     results.append(
                         {"r": r, "code": i, "check": name, "passed": passed, "note": note}
                     )

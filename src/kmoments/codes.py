@@ -16,16 +16,20 @@ c_i(a) = (tr(a * entry_l))_l over a in the field; c_i(a) has Hamming
 weight (q-1-K(a))/2, (q-1-K(a))/4, (q+1+K(a))/2, (q+1+K(a))/4 for
 i = 1, 2, 3, 4.
 
-Weight distributions are computed two independent ways: a dynamic
-program over the group algebra of (F_q, XOR) tracking (weight, running
-sum), and an exhaustive enumeration oracle that walks the codeword
-space from a nullspace basis.
+Weight distributions come from the dual side: one Walsh-Hadamard
+transform of vector i gives the weight of every c_i(a), and the
+MacWilliams identity turns that weight histogram into the codeword
+counts through Krawtchouk polynomials.  No K(a) value is used, so the
+counts stay independent of the Kloosterman table they are checked
+against.  An exhaustive enumeration oracle walks the codeword space
+from a nullspace basis.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .gf2r import FieldContext
@@ -54,8 +58,10 @@ CODE_INDICES = (1, 2, 3, 4)
 # exhaustive enumeration walks 2^(N-r) codewords
 ENUMERATION_BUDGET = 24
 
-# distribution DP and whole-dual scans cost O(q^2) and up; past this
-# degree only the O(q)-per-call operations stay desk-scale
+# whole-dual scans cost O(q^2); past this degree only the O(q)-per-call
+# operations stay desk-scale.  Weight distributions and cardinalities
+# (O(q r) plus O(sqrt(q) j_max) Krawtchouk terms) still keep the same
+# limit, which the CLI enforces for every subcommand
 MAX_QUADRATIC_DEGREE = 12
 
 
@@ -208,16 +214,43 @@ class WeightDistribution:
         return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
 
+def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
+    """How many of the q dual words c_i(a) have each Hamming weight.
+
+    With f[beta] the multiplicity of beta in vector i, the integer
+    Walsh-Hadamard transform F(u) = sum_beta f[beta] (-1)^popcount(u & beta)
+    is N - 2 wt(c), where c is the word with bit l = popcount(u & entry_l)
+    mod 2.  The maps x -> popcount(u & x) mod 2 over all u are exactly the
+    maps x -> tr(a x), so the q values of u give the dual words with
+    multiplicity (twice each for codes 1 and 2 at r = 2).
+    """
+    q = ctx.q
+    mult = 2 if i in (1, 3) else 1
+    f = [0] * q
+    for beta in _base_entries(ctx, i):
+        f[beta] += mult
+    h = 1
+    while h < q:
+        for lo in range(0, q, 2 * h):
+            mid, hi = lo + h, lo + 2 * h
+            xs, ys = f[lo:mid], f[mid:hi]
+            f[lo:mid] = [x + y for x, y in zip(xs, ys)]
+            f[mid:hi] = [x - y for x, y in zip(xs, ys)]
+        h *= 2
+    n = code_length(ctx, i)
+    return Counter((n - F) >> 1 for F in f)
+
+
 def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> WeightDistribution:
     """Counts of codewords of weight j = 0..j_max in code i.
 
-    A codeword is a choice of nu_beta coordinates among the
-    multiplicity(beta) holding each value beta, subject to the XOR of
-    the chosen values (with multiplicity) being 0.  The counts are the
-    X^0 coefficients of prod_beta sum_nu C(mult, nu) z^nu X^(nu*beta)
-    over the group algebra of (F_q, XOR); the z-degree is capped at
-    j_max.  In characteristic 2 a doubled pick contributes X^0, which
-    the recurrence uses directly.
+    The dual of code i is the set of trace words c_i(a), whose weights
+    one Walsh-Hadamard transform of vector i gives (see
+    ``_dual_weight_histogram``).  The MacWilliams identity then yields
+    C_j = q^-1 sum_w n_w K_j(w), where n_w counts the a with
+    wt(c_i(a)) = w and K_j is the binary Krawtchouk polynomial of
+    length N, evaluated exactly by its three-term recurrence.  No K(a)
+    value is read.
     """
     _check_code(ctx, i)
     _check_quadratic_budget(ctx, "the weight-distribution DP")
@@ -226,43 +259,35 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
         j_max = n
     if not 0 <= j_max <= n:
         raise ValueError(f"j_max must be in 0..{n}, got {j_max}")
-    q = ctx.q
-    mult = 2 if i in (1, 3) else 1
-    rows = [[0] * q for _ in range(j_max + 1)]
-    rows[0][0] = 1
-    top = 0
-    for beta in _base_entries(ctx, i):
-        perm = [g ^ beta for g in range(q)]
-        top = min(top + mult, j_max)
-        for j in range(top, 0, -1):
-            shifted = list(map(rows[j - 1].__getitem__, perm))
-            if mult == 2:
-                if j >= 2:
-                    rows[j] = [
-                        c + 2 * s + d for c, s, d in zip(rows[j], shifted, rows[j - 2])
-                    ]
-                else:
-                    rows[j] = [c + 2 * s for c, s in zip(rows[j], shifted)]
-            else:
-                rows[j] = [c + s for c, s in zip(rows[j], shifted)]
-    return WeightDistribution(code=i, length=n, counts=tuple(row[0] for row in rows))
+    totals = [0] * (j_max + 1)
+    for w, count in _dual_weight_histogram(ctx, i).items():
+        # (j+1) K_{j+1} = (N-2w) K_j - (N-j+1) K_{j-1}, K_0 = 1, K_1 = N-2w
+        prev, cur = 0, 1
+        totals[0] += count
+        for j in range(j_max):
+            nxt, rem = divmod((n - 2 * w) * cur - (n - j + 1) * prev, j + 1)
+            assert rem == 0, f"Krawtchouk K_{j + 1}({w}) not integral"
+            prev, cur = cur, nxt
+            totals[j + 1] += count * cur
+    counts = []
+    for j, total in enumerate(totals):
+        c, rem = divmod(total, ctx.q)
+        assert rem == 0, f"MacWilliams sum for j={j} not divisible by q"
+        counts.append(c)
+    return WeightDistribution(code=i, length=n, counts=tuple(counts))
 
 
 def code_cardinality(ctx: FieldContext, i: int) -> int:
-    """Total number of codewords, via the same group-algebra product at z=1."""
+    """Total number of codewords, n_0 * 2^N / q by MacWilliams at z=1.
+
+    n_0 is the number of a with c_i(a) = 0, the kernel of the dual map.
+    """
     _check_code(ctx, i)
     _check_quadratic_budget(ctx, "the group-algebra count")
-    q = ctx.q
-    mult = 2 if i in (1, 3) else 1
-    vec = [0] * q
-    vec[0] = 1
-    for beta in _base_entries(ctx, i):
-        shifted = [vec[g ^ beta] for g in range(q)]
-        if mult == 2:
-            vec = [2 * (c + s) for c, s in zip(vec, shifted)]
-        else:
-            vec = [c + s for c, s in zip(vec, shifted)]
-    return vec[0]
+    n0 = _dual_weight_histogram(ctx, i)[0]
+    size, rem = divmod(n0 << code_length(ctx, i), ctx.q)
+    assert rem == 0, f"cardinality {n0}*2^N/q not integral"
+    return size
 
 
 def parity_check_rows(ctx: FieldContext, i: int) -> list[int]:

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the package: schoolbook
 carry-less arithmetic with explicit long-division reduction, traces by
 repeated squaring, inverses by exhaustive search, Kloosterman sums by
-literal summation, and codeword counting by scanning the full binary
-cube.  Slow on purpose; only used at desk scale.
+literal summation, codeword counting by scanning the full binary cube,
+and weight counts by a dynamic program over the group algebra of
+(F_q, XOR).  Slow on purpose; only used at desk scale.
 """
 
 
@@ -84,3 +85,34 @@ def scan_weight_counts(entries, n: int) -> list[int]:
         if acc == 0:
             counts[bin(u).count("1")] += 1
     return counts
+
+
+def group_algebra_weight_counts(base, mult: int, q: int, j_max: int) -> list[int]:
+    """Codeword counts of weight 0..j_max by a DP over the group algebra of (F_q, XOR).
+
+    ``base`` is the defining block (one copy), each entry listed ``mult``
+    times in the code's vector.  A codeword is a choice of nu_beta
+    coordinates among the mult holding each value beta, subject to the
+    XOR of the chosen values (with multiplicity) being 0.  The counts are
+    the X^0 coefficients of prod_beta sum_nu C(mult, nu) z^nu X^(nu*beta);
+    the z-degree is capped at j_max.  In characteristic 2 a doubled pick
+    contributes X^0, which the recurrence uses directly.  O(q * N * j_max).
+    """
+    rows = [[0] * q for _ in range(j_max + 1)]
+    rows[0][0] = 1
+    top = 0
+    for beta in base:
+        perm = [g ^ beta for g in range(q)]
+        top = min(top + mult, j_max)
+        for j in range(top, 0, -1):
+            shifted = list(map(rows[j - 1].__getitem__, perm))
+            if mult == 2:
+                if j >= 2:
+                    rows[j] = [
+                        c + 2 * s + d for c, s, d in zip(rows[j], shifted, rows[j - 2])
+                    ]
+                else:
+                    rows[j] = [c + 2 * s for c, s in zip(rows[j], shifted)]
+            else:
+                rows[j] = [c + s for c, s in zip(rows[j], shifted)]
+    return [row[0] for row in rows]

@@ -82,6 +82,15 @@ def test_weights_full_refused_large_field(capsys):
     assert "--jmax" in err
 
 
+def test_weights_r2_degenerate_code_quiet(capsys, recwarn):
+    code, out, err = run(capsys, "weights", "--r", "2", "--code", "1", "--format", "json")
+    assert code == 0
+    assert err == "" and not recwarn.list
+    blk = json.loads(out)["distributions"][0]
+    assert blk["counts"] == [1, 0, 1]
+    assert blk["checks"]["cardinality_ok"] is True
+
+
 def test_weights_csv(capsys):
     code, out, _ = run(capsys, "weights", "--r", "3", "--code", "4", "--format", "csv")
     assert code == 0
@@ -162,3 +171,13 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert target.read_text().startswith("r,modulus,code,h,")
+
+
+def test_out_missing_directory_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "moments.csv"
+    code = main(["moments", "--r", "3", "--hmax", "1", "--code", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(target) in captured.err
+    assert len(captured.err.splitlines()) == 1

@@ -18,6 +18,7 @@ from kmoments.codes import (
     weight_distribution,
     weight_distribution_exhaustive,
 )
+from kmoments.gf2r import irreducible_polys
 
 import oracles
 
@@ -167,6 +168,42 @@ def test_distribution_r3_vs_cube_scan(i, ctx3):
 def test_dp_equals_exhaustive(r, i, contexts):
     ctx = contexts[r]
     assert weight_distribution(ctx, i).counts == weight_distribution_exhaustive(ctx, i).counts
+
+
+def _group_algebra_counts(ctx, i, j_max):
+    v = build_vector(ctx, i)
+    mult = 2 if i in (1, 3) else 1
+    return tuple(oracles.group_algebra_weight_counts(v[: len(v) // mult], mult, ctx.q, j_max))
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("i", CODE_INDICES)
+def test_full_distribution_equals_group_algebra_dp(r, i, contexts, recwarn):
+    ctx = contexts[r]
+    n = code_length(ctx, i)
+    dp = _group_algebra_counts(ctx, i, n)
+    assert weight_distribution(ctx, i).counts == dp
+    assert code_cardinality(ctx, i) == sum(dp)
+
+
+@pytest.mark.parametrize("r", [9, 10])
+@pytest.mark.parametrize("i", CODE_INDICES)
+def test_truncated_distribution_equals_group_algebra_dp(r, i):
+    ctx = build_field(r)
+    assert weight_distribution(ctx, i, j_max=10).counts == _group_algebra_counts(ctx, i, 10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), r=st.integers(3, 8), i=st.sampled_from(CODE_INDICES))
+def test_distribution_equals_group_algebra_dp_any_representation(data, r, i):
+    modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
+    field = build_field(r, modulus=modulus)
+    b = data.draw(
+        st.sampled_from([x for x in field.elements() if field.trace(x) == 1]), label="b"
+    )
+    ctx = build_field(r, modulus=modulus, b=b)
+    n = code_length(ctx, i)
+    assert weight_distribution(ctx, i).counts == _group_algebra_counts(ctx, i, n)
 
 
 @pytest.mark.parametrize("r", range(2, 7))
