@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from kmoments.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
 
 
 def run(capsys, *argv):
@@ -181,3 +184,21 @@ def test_out_missing_directory_is_usage_error(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error:") and str(target) in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+# -- golden outputs ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("csv", "csv"), ("pretty", "txt")])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("moments", ("moments", "--r", "3..4", "--hmax", "4")),
+        ("weights", ("weights", "--r", "2..4")),
+        ("verify", ("verify", "--r", "2..4", "--hmax", "4")),
+    ],
+)
+def test_golden_output(capsys, name, argv, fmt, ext):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{name}.{ext}").read_bytes()
