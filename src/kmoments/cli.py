@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-moments : recursive MK^h per code, with the brute-force oracle column
-          and a match flag wherever the oracle is affordable (r <= 12).
+moments : recursive MK^h per code, beside the brute-force oracle column
+          and a match flag (the K table reaches every r accepted here).
 weights : weight distribution rows per code, full or truncated.
 verify  : the whole identity suite per (r, code) with pass/fail lines.
 
@@ -71,9 +71,12 @@ def _parse_r_range(text: str) -> tuple[int, ...]:
         lo = hi = int(text)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
+    # every subcommand builds a K table or a whole-dual scan, which are
+    # quadratic in q, so this one bound covers them all
+    top = codes_mod.MAX_QUADRATIC_DEGREE
     for r in (lo, hi):
-        if not 1 <= r <= 16:
-            raise ValueError(f"r must be within 1..16, got {r}")
+        if not 1 <= r <= top:
+            raise ValueError(f"r must be within 1..{top} (work is quadratic in q), got {r}")
     return tuple(range(lo, hi + 1))
 
 
@@ -105,22 +108,45 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("jmax must be nonnegative")
     if cfg.modulus is not None and len(cfg.r_values) > 1:
         raise ValueError("--modulus applies to a single r, not a range")
-    if cfg.r_values[-1] > codes_mod.MAX_QUADRATIC_DEGREE:
-        raise ValueError(
-            "every subcommand needs distribution or table work that is quadratic "
-            f"in q; r is limited to {codes_mod.MAX_QUADRATIC_DEGREE} here"
-        )
     # surface bad overrides (reducible modulus, trace-zero b, ...) as usage
     # errors before any command runs
     cfg.contexts = {r: build_field(r, modulus=cfg.modulus, b=cfg.b) for r in cfg.r_values}
     return cfg
 
 
-def _context(cfg: RunConfig, r: int) -> FieldContext:
-    return cfg.contexts[r]
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _render(
+    cfg: RunConfig,
+    command: str,
+    payload: dict,
+    header: list[str],
+    rows: list[dict],
+    lines: list[str],
+) -> None:
+    """Write one command's output in the configured format.
+
+    json is the payload under the schema and command keys; csv is the
+    header, then the values of each row dict in key order (None as an
+    empty cell, booleans in lower case); pretty is the lines.
+    """
+    if cfg.fmt == "json":
+        doc = {"schema": SCHEMA_VERSION, "command": command, **payload}
+        text = json.dumps(doc, indent=2) + "\n"
+    elif cfg.fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
@@ -131,39 +157,21 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(command: str, payload: dict) -> str:
-    doc = {"schema": SCHEMA_VERSION, "command": command}
-    doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # moments
 
 
 def cmd_moments(cfg: RunConfig) -> int:
     rows = []
-    mismatch = False
     for r in cfg.r_values:
-        ctx = _context(cfg, r)
-        table = kl.kloosterman_table(ctx) if r <= kl.MAX_TABLE_DEGREE else None
+        ctx = cfg.contexts[r]
+        table = kl.kloosterman_table(ctx)
         for i in cfg.codes:
             if i in (1, 2) and r < 3:
                 continue
             seq = mo.moment_sequence(ctx, i, cfg.h_max)
             for h in range(cfg.h_max + 1):
-                brute = kl.moment_bruteforce(ctx, h, table) if table else None
-                match = None if brute is None else seq.mk[h] == brute
-                if match is False:
-                    mismatch = True
+                brute = kl.moment_bruteforce(ctx, h, table)
                 rows.append(
                     {
                         "r": r,
@@ -172,42 +180,20 @@ def cmd_moments(cfg: RunConfig) -> int:
                         "h": h,
                         "mk_recursive": seq.mk[h],
                         "mk_bruteforce": brute,
-                        "match": match,
+                        "match": seq.mk[h] == brute,
                     }
                 )
     if not rows:
         raise _UsageError("no (r, code) combination selected is admissible")
 
-    if cfg.fmt == "json":
-        text = _json_text("moments", {"rows": rows})
-    elif cfg.fmt == "csv":
-        text = _csv_text(
-            ["r", "modulus", "code", "h", "mk_recursive", "mk_bruteforce", "match"],
-            [
-                [
-                    w["r"],
-                    w["modulus_hex"],
-                    w["code"],
-                    w["h"],
-                    w["mk_recursive"],
-                    "" if w["mk_bruteforce"] is None else w["mk_bruteforce"],
-                    "" if w["match"] is None else str(w["match"]).lower(),
-                ]
-                for w in rows
-            ],
-        )
-    else:
-        lines = []
-        for w in rows:
-            flag = "?" if w["match"] is None else ("ok" if w["match"] else "MISMATCH")
-            brute = "-" if w["mk_bruteforce"] is None else w["mk_bruteforce"]
-            lines.append(
-                f"r={w['r']} code={w['code']} h={w['h']:>2} "
-                f"mk={w['mk_recursive']} brute={brute} [{flag}]"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
-    return MISMATCH_ERROR if mismatch else 0
+    lines = [
+        f"r={w['r']} code={w['code']} h={w['h']:>2} mk={w['mk_recursive']} "
+        f"brute={w['mk_bruteforce']} [{'ok' if w['match'] else 'MISMATCH'}]"
+        for w in rows
+    ]
+    header = ["r", "modulus", "code", "h", "mk_recursive", "mk_bruteforce", "match"]
+    _render(cfg, "moments", {"rows": rows}, header, rows, lines)
+    return 0 if all(w["match"] for w in rows) else MISMATCH_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +203,7 @@ def cmd_moments(cfg: RunConfig) -> int:
 def cmd_weights(cfg: RunConfig) -> int:
     blocks = []
     for r in cfg.r_values:
-        ctx = _context(cfg, r)
+        ctx = cfg.contexts[r]
         for i in cfg.codes:
             if i in (1, 2) and r < 2:
                 continue
@@ -254,30 +240,24 @@ def cmd_weights(cfg: RunConfig) -> int:
     if not blocks:
         raise _UsageError("no (r, code) combination selected is admissible")
 
-    if cfg.fmt == "json":
-        text = _json_text("weights", {"distributions": blocks})
-    elif cfg.fmt == "csv":
-        rows = [
-            [blk["r"], blk["code"], j, c]
-            for blk in blocks
-            for j, c in enumerate(blk["counts"])
-        ]
-        text = _csv_text(["r", "code", "j", "count"], rows)
-    else:
-        lines = []
-        for blk in blocks:
-            lines.append(
-                f"r={blk['r']} code={blk['code']} length={blk['length']}: "
-                + ",".join(str(c) for c in blk["counts"])
-            )
-            if "checks" in blk:
-                checks = blk["checks"]
-                extra = f"  total={checks['total']} (2^(N-r): {checks['cardinality_ok']})"
-                if "palindrome" in checks:
-                    extra += f" palindrome={checks['palindrome']}"
-                lines.append(extra)
-        text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
+    rows = [
+        {"r": blk["r"], "code": blk["code"], "j": j, "count": c}
+        for blk in blocks
+        for j, c in enumerate(blk["counts"])
+    ]
+    lines = []
+    for blk in blocks:
+        lines.append(
+            f"r={blk['r']} code={blk['code']} length={blk['length']}: "
+            + ",".join(str(c) for c in blk["counts"])
+        )
+        if "checks" in blk:
+            checks = blk["checks"]
+            extra = f"  total={checks['total']} (2^(N-r): {checks['cardinality_ok']})"
+            if "palindrome" in checks:
+                extra += f" palindrome={checks['palindrome']}"
+            lines.append(extra)
+    _render(cfg, "weights", {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines)
     return 0
 
 
@@ -285,11 +265,11 @@ def cmd_weights(cfg: RunConfig) -> int:
 # verify
 
 
-def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable | None):
+def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable):
     """Yield (check_name, passed, note) for one (context, code) pair."""
     r, q = ctx.r, ctx.q
 
-    if table is not None and r <= 8:
+    if r <= 8:
         ok = all(
             kl.split_quadratic_char_sum(ctx, a) == table[a] - 1 for a in ctx.nonzero()
         )
@@ -305,7 +285,6 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
         note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
         yield "irreducible_char_sum", ok, note
 
-    if table is not None and r <= 8:
         ok = all(
             codes_mod.dual_codeword(ctx, i, a).weight
             == codes_mod.dual_weight_closed_form(ctx, i, a)
@@ -330,11 +309,6 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
     yield "dual_cardinality_product", report["product_check"], None
 
     n = codes_mod.code_length(ctx, i)
-    if n - r <= 16:
-        dist = codes_mod.weight_distribution(ctx, i)
-        brute = codes_mod.weight_distribution_exhaustive(ctx, i)
-        yield "distribution_vs_enumeration", dist.counts == brute.counts, None
-
     # where the dual map is not injective (codes 1, 2 at r = 2) the code is
     # larger than 2^(N-r); compare against the nullspace dimension instead
     expected_total = (
@@ -343,8 +317,11 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
     size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
     if r <= 6:
         full = codes_mod.weight_distribution(ctx, i)
-        total = sum(full.counts)
-        yield "distribution_cardinality", total == expected_total, size_note
+        # n - r <= 16 needs r <= 6: from r = 7 on, n - r >= q/2 - 1 - r >= 56
+        if n - r <= 16:
+            brute = codes_mod.weight_distribution_exhaustive(ctx, i)
+            yield "distribution_vs_enumeration", full.counts == brute.counts, None
+        yield "distribution_cardinality", sum(full.counts) == expected_total, size_note
         if i in (1, 3):
             ok = all(full.counts[j] == full.counts[n - j] for j in range(n + 1))
             yield "distribution_palindrome", ok, None
@@ -356,20 +333,17 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
         )
 
     if i in (3, 4) or r >= 3:
-        ok = all(mo.pless_check(ctx, i, h)[2] for h in range(min(h_max, 10) + 1))
+        ok = all(equal for _, _, equal in mo.pless_check(ctx, i, min(h_max, 10)))
         yield "pless_identity", ok, None
-        if table is not None:
-            seq = mo.moment_sequence(ctx, i, h_max)
-            ok = all(
-                seq.mk[h] == kl.moment_bruteforce(ctx, h, table)
-                for h in range(h_max + 1)
-            )
-            yield "moment_recursion", ok, None
+        seq = mo.moment_sequence(ctx, i, h_max)
+        ok = all(
+            seq.mk[h] == kl.moment_bruteforce(ctx, h, table)
+            for h in range(h_max + 1)
+        )
+        yield "moment_recursion", ok, None
 
 
-def _field_checks(ctx: FieldContext, table: kl.KloostermanTable | None):
-    if table is None:
-        return
+def _field_checks(ctx: FieldContext, table: kl.KloostermanTable):
     weil = all(k * k <= 4 * ctx.q for k in table.values.values())
     yield "kloosterman_weil_bound", weil, None
     if ctx.r >= 2:
@@ -383,8 +357,8 @@ def _field_checks(ctx: FieldContext, table: kl.KloostermanTable | None):
 def cmd_verify(cfg: RunConfig) -> int:
     results = []
     for r in cfg.r_values:
-        ctx = _context(cfg, r)
-        table = kl.kloosterman_table(ctx) if r <= kl.MAX_TABLE_DEGREE else None
+        ctx = cfg.contexts[r]
+        table = kl.kloosterman_table(ctx)
         for name, passed, note in _field_checks(ctx, table):
             results.append({"r": r, "code": None, "check": name, "passed": passed, "note": note})
         for i in cfg.codes:
@@ -398,32 +372,15 @@ def cmd_verify(cfg: RunConfig) -> int:
                     )
     all_passed = all(w["passed"] for w in results)
 
-    if cfg.fmt == "json":
-        text = _json_text("verify", {"all_passed": all_passed, "results": results})
-    elif cfg.fmt == "csv":
-        text = _csv_text(
-            ["r", "code", "check", "passed", "note"],
-            [
-                [
-                    w["r"],
-                    "" if w["code"] is None else w["code"],
-                    w["check"],
-                    str(w["passed"]).lower(),
-                    w["note"] or "",
-                ]
-                for w in results
-            ],
-        )
-    else:
-        lines = []
-        for w in results:
-            code = "-" if w["code"] is None else w["code"]
-            status = "pass" if w["passed"] else "FAIL"
-            note = f" ({w['note']})" if w["note"] else ""
-            lines.append(f"r={w['r']} code={code} {w['check']}: {status}{note}")
-        lines.append(f"all: {'pass' if all_passed else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
+    lines = []
+    for w in results:
+        code = "-" if w["code"] is None else w["code"]
+        status = "pass" if w["passed"] else "FAIL"
+        note = f" ({w['note']})" if w["note"] else ""
+        lines.append(f"r={w['r']} code={code} {w['check']}: {status}{note}")
+    lines.append(f"all: {'pass' if all_passed else 'FAIL'}")
+    header = ["r", "code", "check", "passed", "note"]
+    _render(cfg, "verify", {"all_passed": all_passed, "results": results}, header, results, lines)
     return 0 if all_passed else MISMATCH_ERROR
 
 

@@ -27,7 +27,6 @@ from a nullspace basis.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -83,9 +82,7 @@ def _check_code(ctx: FieldContext, i: int, warn: bool = True) -> None:
 
 def _check_quadratic_budget(ctx: FieldContext, what: str) -> None:
     if ctx.r > MAX_QUADRATIC_DEGREE:
-        raise ValueError(
-            f"{what} is quadratic in q; refusing r={ctx.r} > {MAX_QUADRATIC_DEGREE}"
-        )
+        raise ValueError(f"{what}; refusing r={ctx.r} > {MAX_QUADRATIC_DEGREE}")
 
 
 def code_length(ctx: FieldContext, i: int) -> int:
@@ -197,22 +194,6 @@ class WeightDistribution:
     def __getitem__(self, j: int) -> int:
         return self.counts[j]
 
-    def to_csv_text(self) -> str:
-        lines = ["j,count"]
-        lines += [f"{j},{c}" for j, c in enumerate(self.counts)]
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "code": self.code,
-            "length": self.length,
-            "j_max": len(self.counts) - 1,
-            "counts": list(self.counts),
-        }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
-
 
 def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
     """How many of the q dual words c_i(a) have each Hamming weight.
@@ -253,7 +234,7 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
     value is read.
     """
     _check_code(ctx, i)
-    _check_quadratic_budget(ctx, "the weight-distribution DP")
+    _check_quadratic_budget(ctx, "the weight distribution shares the quadratic-in-q limit")
     n = code_length(ctx, i)
     if j_max is None:
         j_max = n
@@ -283,7 +264,7 @@ def code_cardinality(ctx: FieldContext, i: int) -> int:
     n_0 is the number of a with c_i(a) = 0, the kernel of the dual map.
     """
     _check_code(ctx, i)
-    _check_quadratic_budget(ctx, "the group-algebra count")
+    _check_quadratic_budget(ctx, "the code cardinality shares the quadratic-in-q limit")
     n0 = _dual_weight_histogram(ctx, i)[0]
     size, rem = divmod(n0 << code_length(ctx, i), ctx.q)
     assert rem == 0, f"cardinality {n0}*2^N/q not integral"
@@ -359,7 +340,7 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     """
     if i not in CODE_INDICES:
         raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
-    _check_quadratic_budget(ctx, "the whole-dual scan")
+    _check_quadratic_budget(ctx, "the whole-dual scan is quadratic in q")
     n = code_length(ctx, i)
     basis = kernel_basis(parity_check_rows(ctx, i), n)
     duals = [dual_codeword(ctx, i, a) for a in ctx.elements()]

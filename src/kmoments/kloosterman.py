@@ -15,7 +15,9 @@ identity underlying the dual-codeword weights in :mod:`kmoments.codes`.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .gf2r import FieldContext
 
@@ -35,11 +37,11 @@ MAX_TABLE_DEGREE = 12
 
 @dataclass(frozen=True)
 class KloostermanTable:
-    """All q-1 values K(a), exact, for one field context."""
+    """All q-1 values K(a), exact, for one field context (read-only)."""
 
     r: int
     modulus: int
-    values: dict[int, int]
+    values: Mapping[int, int]
 
     def __getitem__(self, a: int) -> int:
         return self.values[a]
@@ -80,7 +82,7 @@ def kloosterman_table(ctx: FieldContext) -> KloostermanTable:
         raise ValueError(
             f"full Kloosterman table is O(q^2); refusing r={ctx.r} > {MAX_TABLE_DEGREE}"
         )
-    values = {a: kloosterman_sum(ctx, a) for a in ctx.nonzero()}
+    values = MappingProxyType({a: kloosterman_sum(ctx, a) for a in ctx.nonzero()})
     return KloostermanTable(r=ctx.r, modulus=ctx.modulus, values=values)
 
 

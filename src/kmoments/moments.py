@@ -16,6 +16,7 @@ is never produced by the recursion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -133,29 +134,34 @@ def moment_sequence(ctx: FieldContext, i: int, h_max: int) -> MomentSequence:
     return MomentSequence(h_max=h_max, mk=tuple(mk))
 
 
-def pless_check(ctx: FieldContext, i: int, h: int):
+def pless_check(
+    ctx: FieldContext, i: int, h_max: int
+) -> tuple[tuple[int, Fraction, bool], ...]:
     """Both sides of the Pless power moment identity for the dual of code i.
 
+    Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
     Left side: sum of weight^h over the dual codewords c_i(a), the zero
-    word counting 1 when h = 0.  Right side: the Stirling-number
+    word counting 1 when h = 0; the words are built once, from their
+    trace bits, and never from the Walsh-Hadamard weight histogram that
+    the weight counts come from.  Right side: the Stirling-number
     expansion over the code's weight counts, with alphabet size 2 and
-    dual dimension r.  Returns (lhs, rhs, equal); both sides are exact,
-    and rhs is produced over the rationals because the 2^(r-t) factor
-    has t ranging past r (it is integral whenever the identity holds).
+    dual dimension r, always a Fraction because the 2^(r-t) factor has
+    t ranging past r (it is integral whenever the identity holds).  The
+    weight distribution is built once, up to weight min(N, h_max).
     """
-    _check_moment_args(ctx, i, h)
+    _check_moment_args(ctx, i, h_max)
     n = code_length(ctx, i)
-    j_top = min(n, h)
-    dist = weight_distribution(ctx, i, j_max=j_top).counts
-    lhs = 1 if h == 0 else 0
-    for a in ctx.nonzero():
-        lhs += dual_codeword(ctx, i, a).weight ** h
-    rhs = Fraction(0)
-    for j in range(j_top + 1):
-        inner = sum(
-            factorial(t) * stirling2(h, t) * Fraction(2) ** (ctx.r - t) * binom(n - j, n - t)
-            for t in range(j, h + 1)
-        )
-        rhs += (-1) ** j * dist[j] * inner
-    equal = rhs == lhs
-    return lhs, int(rhs) if rhs.denominator == 1 else rhs, equal
+    dist = weight_distribution(ctx, i, j_max=min(n, h_max)).counts
+    dual_weights = Counter(dual_codeword(ctx, i, a).weight for a in ctx.nonzero())
+    checks = []
+    for h in range(h_max + 1):
+        lhs = (1 if h == 0 else 0) + sum(c * w**h for w, c in dual_weights.items())
+        rhs = Fraction(0)
+        for j in range(min(n, h) + 1):
+            inner = sum(
+                factorial(t) * stirling2(h, t) * Fraction(2) ** (ctx.r - t) * binom(n - j, n - t)
+                for t in range(j, h + 1)
+            )
+            rhs += (-1) ** j * dist[j] * inner
+        checks.append((lhs, rhs, rhs == lhs))
+    return tuple(checks)

@@ -122,7 +122,7 @@ def test_verify_r2_kernel_reported_not_failed(capsys):
 def test_verify_detects_breakage(capsys, monkeypatch):
     import kmoments.cli as cli
 
-    monkeypatch.setattr(cli.mo, "pless_check", lambda ctx, i, h: (0, 1, False))
+    monkeypatch.setattr(cli.mo, "pless_check", lambda ctx, i, h_max: ((0, 1, False),))
     code, out, _ = run(capsys, "verify", "--r", "3", "--code", "3", "--hmax", "2", "--format", "json")
     assert code == 2
     assert json.loads(out)["all_passed"] is False

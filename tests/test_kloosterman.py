@@ -71,6 +71,13 @@ def test_weil_bound_and_mod4(r, tables):
         assert k % 4 == 3
 
 
+def test_table_values_read_only():
+    table = kloosterman_table(build_field(3))
+    with pytest.raises(TypeError):
+        table.values[1] = 99
+    assert table[1] == -5
+
+
 def test_table_refused_past_quadratic_budget():
     with pytest.raises(ValueError, match="O\\(q\\^2\\)"):
         kloosterman_table(build_field(13))

@@ -1,5 +1,6 @@
 import copy
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -163,13 +164,13 @@ def test_moment_sequence_type(ctx3):
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_pless_h0_counts_codewords(i, ctx3):
-    lhs, rhs, equal = pless_check(ctx3, i, 0)
+    lhs, rhs, equal = pless_check(ctx3, i, 0)[0]
     assert (lhs, rhs, equal) == (8, 8, True)
 
 
 def test_pless_hand_values(ctx3):
-    assert pless_check(ctx3, 1, 1) == (24, 24, True)
-    assert pless_check(ctx3, 4, 1) == (16, 16, True)
+    assert pless_check(ctx3, 1, 1)[1] == (24, 24, True)
+    assert pless_check(ctx3, 4, 1)[1] == (16, 16, True)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -177,7 +178,7 @@ def test_pless_hand_values(ctx3):
 def test_pless_identity(r, i, contexts):
     ctx = contexts[r]
     for h in range(9):
-        lhs, rhs, equal = pless_check(ctx, i, h)
+        lhs, rhs, equal = pless_check(ctx, i, h)[h]
         assert equal and lhs == rhs
 
 
@@ -185,4 +186,28 @@ def test_pless_identity(r, i, contexts):
 def test_pless_small_fields(i, contexts):
     for r in (1, 2):
         for h in range(6):
-            assert pless_check(contexts[r], i, h)[2]
+            assert pless_check(contexts[r], i, h)[h][2]
+
+
+def test_pless_one_pass(monkeypatch, contexts):
+    import kmoments.moments as mo
+
+    calls = {"dual_codeword": 0, "weight_distribution": 0}
+
+    def counting(name):
+        original = getattr(mo, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mo, name, counting(name))
+    ctx = contexts[5]
+    checks = pless_check(ctx, 3, 10)
+    assert calls == {"dual_codeword": ctx.q - 1, "weight_distribution": 1}
+    assert len(checks) == 11
+    assert all(equal for _, _, equal in checks)
+    assert all(isinstance(rhs, Fraction) for _, rhs, _ in checks)
