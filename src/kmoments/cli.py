@@ -71,8 +71,9 @@ def _parse_r_range(text: str) -> tuple[int, ...]:
         lo = hi = int(text)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    # every subcommand builds a K table or a whole-dual scan, which are
-    # quadratic in q, so this one bound covers them all
+    # the K table reaches the field's MAX_DEGREE, but the weight
+    # distribution budget and verify's whole-dual scan (quadratic in q)
+    # stop at MAX_QUADRATIC_DEGREE, so this one bound covers every subcommand
     top = codes_mod.MAX_QUADRATIC_DEGREE
     for r in (lo, hi):
         if not 1 <= r <= top:

@@ -6,6 +6,19 @@ table of all K(a) and the moments sum_a K(a)^h computed from it are the
 ground-truth oracle against which the recursive moment formulas in
 :mod:`kmoments.moments` are verified.
 
+The table is one cyclic self-convolution.  lambda is an additive
+character, so lambda(alpha + a/alpha) = lambda(alpha) lambda(a/alpha).
+With g the primitive element behind ``ctx.exp``, f(t) = lambda(g^t) and
+alpha = g^t, a = g^s, this gives K(g^s) = sum_t f(t) f(s - t mod q-1).
+Write f = 2u - 1 with u(t) = 1 - tr(g^t) in {0, 1}; u marks the q/2 - 1
+nonzero trace-zero elements, so sum_t u(t) = q/2 - 1 and
+
+    K(g^s) = 4 c_s - 4 (q/2 - 1) + (q - 1) = 4 c_s - q + 3,
+    c_s = sum_t u(t) u(s - t mod q-1).
+
+All c_s come from one exact bigint square (Kronecker substitution); the
+literal :func:`kloosterman_sum` stays as the per-a oracle.
+
 Two further character sums are provided, with quadratic denominators
 that are split (x^2 + x) or irreducible (x^2 + x + b, trace-one b).
 They evaluate to K(a) - 1 and -K(a) - 1 respectively, which is the
@@ -15,6 +28,8 @@ identity underlying the dual-codeword weights in :mod:`kmoments.codes`.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -30,9 +45,11 @@ __all__ = [
     "irreducible_quadratic_char_sum",
 ]
 
-# a full table costs O(q^2) field operations; past this degree only the
-# O(q)-per-call operations stay desk-scale
-MAX_TABLE_DEGREE = 12
+# bytes per coefficient slot of the packed convolution.  Every linear
+# coefficient lin[k] = sum_{i+j=k} u(i) u(j), and every folded c_s, is at
+# most sum_t u(t) = q/2 - 1 < 2^15 for r <= 16 (the field's MAX_DEGREE),
+# so two bytes never carry into the next slot
+_SLOT_BYTES = 2
 
 
 @dataclass(frozen=True)
@@ -77,12 +94,34 @@ def kloosterman_sum(ctx: FieldContext, a: int) -> int:
 
 
 def kloosterman_table(ctx: FieldContext) -> KloostermanTable:
-    """Evaluate K(a) directly for every nonzero a."""
-    if ctx.r > MAX_TABLE_DEGREE:
-        raise ValueError(
-            f"full Kloosterman table is O(q^2); refusing r={ctx.r} > {MAX_TABLE_DEGREE}"
-        )
-    values = MappingProxyType({a: kloosterman_sum(ctx, a) for a in ctx.nonzero()})
+    """Every K(a), from one cyclic self-convolution of length q - 1.
+
+    K(g^s) = 4 c_s - q + 3 with c_s = sum_t u(t) u(s - t mod q-1) and
+    u(t) = 1 - tr(g^t), g the primitive element behind ``ctx.exp`` (the
+    derivation is in the module docstring).  u is packed into one int,
+    one ``_SLOT_BYTES``-byte slot per t, so squaring that int leaves the
+    linear convolution lin[0..2q-4] in the slots of the product, and
+    c_s = lin[s] + lin[s + q - 1] folds it into the cyclic one.  One
+    exact bigint square (Karatsuba in CPython) replaces q - 1 calls to
+    :func:`kloosterman_sum`.  Reads only ``ctx.exp`` and
+    ``ctx.trace_table``, never the codes.
+    """
+    q, qm1, exp, trace = ctx.q, ctx.q - 1, ctx.exp, ctx.trace_table
+    ones = q // 2 - 1
+    assert ones < 1 << (8 * _SLOT_BYTES) and array("H").itemsize == _SLOT_BYTES
+    packed = bytearray(2 * qm1 * _SLOT_BYTES)
+    packed[: qm1 * _SLOT_BYTES : _SLOT_BYTES] = bytes(1 - trace[exp[t]] for t in range(qm1))
+    u = int.from_bytes(packed, "little")
+    lin = array("H", (u * u).to_bytes(len(packed), "little"))
+    if sys.byteorder == "big":
+        lin.byteswap()
+    # sum_k lin[k] = (sum_t u(t))^2 holds only if no slot carried into
+    # the next and the slots were read in the right byte order
+    assert sum(lin) == ones * ones
+    k = [0] * q
+    for s in range(qm1):
+        k[exp[s]] = 4 * (lin[s] + lin[s + qm1]) - q + 3
+    values = MappingProxyType({a: k[a] for a in ctx.nonzero()})
     return KloostermanTable(r=ctx.r, modulus=ctx.modulus, values=values)
 
 

@@ -42,16 +42,21 @@ def binom(b: int, a: int) -> int:
     return comb(b, a)
 
 
-def stirling2(h: int, t: int) -> int:
-    """Stirling number of the second kind, by the additive recurrence."""
-    if t < 0 or t > h:
-        return 0
+def _stirling2_row(h: int) -> list[int]:
+    """S(h, 0..h), by the additive recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
     row = [1]  # S(0, *)
     for n in range(1, h + 1):
         row = [0] + [
             k * (row[k] if k < len(row) else 0) + row[k - 1] for k in range(1, n + 1)
         ]
-    return row[t]
+    return row
+
+
+def stirling2(h: int, t: int) -> int:
+    """Stirling number of the second kind, by the additive recurrence."""
+    if t < 0 or t > h:
+        return 0
+    return _stirling2_row(h)[t]
 
 
 def stirling2_explicit(h: int, t: int) -> int:
@@ -73,6 +78,19 @@ class MomentSequence:
 
     def __getitem__(self, h: int) -> int:
         return self.mk[h]
+
+
+def _pless_sum(h: int, n: int, dist) -> int:
+    """sum_{j <= min(N, h)} (-1)^j C_j sum_{t=j..h} t! S(h, t) 2^(h-t) binom(N-j, N-t).
+
+    The Stirling row S(h, 0..h) and the t-only factors are built once.
+    """
+    row = _stirling2_row(h)
+    weights = [factorial(t) * row[t] << (h - t) for t in range(h + 1)]
+    return sum(
+        (-1) ** j * dist[j] * sum(weights[t] * binom(n - j, n - t) for t in range(j, h + 1))
+        for j in range(min(n, h) + 1)
+    )
 
 
 def _check_moment_args(ctx: FieldContext, i: int, h: int) -> None:
@@ -110,16 +128,13 @@ def moment_recursive(ctx: FieldContext, i: int, h: int, lower, dist) -> int:
     else:
         first = -sum(binom(h, l) * (q + 1) ** (h - l) * lower[l] for l in range(h))
 
-    # codes with doubled coordinates halve the power of two in each term
-    pow2 = (lambda t: h - t) if i in (1, 3) else (lambda t: 2 * h - t)
-    second = 0
-    for j in range(j_top + 1):
-        inner = sum(
-            factorial(t) * stirling2(h, t) * (1 << pow2(t)) * binom(n - j, n - t)
-            for t in range(j, h + 1)
-        )
-        sign = (-1) ** (h + j) if i in (1, 2) else (-1) ** j
-        second += sign * dist[j] * inner
+    second = _pless_sum(h, n, dist)
+    if i in (1, 2):
+        second *= (-1) ** h
+    # codes with doubled coordinates halve the power of two in each term:
+    # 2^(h-t) for codes 1 and 3, 2^(2h-t) for codes 2 and 4
+    if i in (2, 4):
+        second <<= h
     return first + q * second
 
 
@@ -156,12 +171,7 @@ def pless_check(
     checks = []
     for h in range(h_max + 1):
         lhs = (1 if h == 0 else 0) + sum(c * w**h for w, c in dual_weights.items())
-        rhs = Fraction(0)
-        for j in range(min(n, h) + 1):
-            inner = sum(
-                factorial(t) * stirling2(h, t) * Fraction(2) ** (ctx.r - t) * binom(n - j, n - t)
-                for t in range(j, h + 1)
-            )
-            rhs += (-1) ** j * dist[j] * inner
+        # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
+        rhs = Fraction(_pless_sum(h, n, dist) << ctx.r, 1 << h)
         checks.append((lhs, rhs, rhs == lhs))
     return tuple(checks)

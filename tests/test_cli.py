@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,3 +205,29 @@ def test_golden_output(capsys, name, argv, fmt, ext):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{name}.{ext}").read_bytes()
+
+
+# -- runtime dependencies ------------------------------------------------------------
+
+
+def test_cli_imports_only_the_standard_library():
+    # numpy and friends may be installed; the package must not load them
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import kmoments.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "kmoments.kloosterman" in loaded
+    foreign = [
+        m for m in loaded
+        if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "kmoments"
+    ]
+    assert foreign == []

@@ -1,8 +1,12 @@
 import itertools
 import json
+import random
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmoments import build_field
 from kmoments.gf2r import irreducible_polys
@@ -78,9 +82,78 @@ def test_table_values_read_only():
     assert table[1] == -5
 
 
-def test_table_refused_past_quadratic_budget():
-    with pytest.raises(ValueError, match="O\\(q\\^2\\)"):
-        kloosterman_table(build_field(13))
+@pytest.fixture(scope="module")
+def wide_tables():
+    """Canonical contexts and tables for r = 9..16 (the field's MAX_DEGREE)."""
+    return {r: (ctx := build_field(r), kloosterman_table(ctx)) for r in range(9, 17)}
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_table_equals_literal_sum_everywhere(r, contexts, tables, wide_tables):
+    ctx, table = (contexts[r], tables[r]) if r <= 8 else wide_tables[r]
+    assert list(table.values) == list(ctx.nonzero())
+    for a in ctx.nonzero():
+        assert table[a] == kloosterman_sum(ctx, a), a
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), r=st.integers(3, 10))
+def test_table_equals_literal_sum_any_representation(data, r):
+    modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
+    field = build_field(r, modulus=modulus)
+    b = data.draw(
+        st.sampled_from([x for x in field.elements() if field.trace(x) == 1]), label="b"
+    )
+    ctx = build_field(r, modulus=modulus, b=b)
+    table = kloosterman_table(ctx)
+    for a in ctx.nonzero():
+        assert table[a] == kloosterman_sum(ctx, a), a
+
+
+@pytest.mark.parametrize("r", range(13, 17))
+def test_table_past_degree_12(r, wide_tables):
+    ctx, table = wide_tables[r]
+    q = ctx.q
+    assert len(table.values) == q - 1
+    assert sum(table.values.values()) == 1
+    for k in table.values.values():
+        assert k * k <= 4 * q
+        assert k % 4 == 3
+    for a in [1, 2, q - 1] + random.Random(r).sample(range(3, q - 1), 5):
+        assert table[a] == kloosterman_sum(ctx, a), a
+
+
+@pytest.mark.parametrize("r", range(2, 17))
+def test_value_set_lachaud_wolfmann(r, tables, wide_tables):
+    # the values of K are exactly the k = -1 (mod 4) with k^2 <= 4q
+    table = tables[r] if r <= 8 else wide_tables[r][1]
+    q = 1 << r
+    bound = isqrt(4 * q)
+    expected = {k for k in range(-bound, bound + 1) if k % 4 == 3}
+    assert set(table.values.values()) == expected
+
+
+def test_table_never_calls_the_per_a_sum(monkeypatch):
+    import kmoments.codes as codes
+    import kmoments.kloosterman as kl
+
+    calls = {"kloosterman_sum": 0, "dual_codeword": 0, "_dual_weight_histogram": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(kl, "kloosterman_sum", counting(kl, "kloosterman_sum"))
+    for name in ("dual_codeword", "_dual_weight_histogram"):
+        monkeypatch.setattr(codes, name, counting(codes, name))
+    table = kl.kloosterman_table(build_field(6))
+    assert calls == {"kloosterman_sum": 0, "dual_codeword": 0, "_dual_weight_histogram": 0}
+    assert len(table.values) == 63
 
 
 @pytest.mark.parametrize("r", [3, 4])
