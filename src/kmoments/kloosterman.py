@@ -96,10 +96,12 @@ def kloosterman_sum(ctx: FieldContext, a: int) -> int:
 def kloosterman_table(ctx: FieldContext) -> KloostermanTable:
     """Every K(a), from one cyclic self-convolution of length q - 1.
 
-    K(g^s) = 4 c_s - q + 3 with c_s = sum_t u(t) u(s - t mod q-1) and
-    u(t) = 1 - tr(g^t), g the primitive element behind ``ctx.exp`` (the
-    derivation is in the module docstring).  u is packed into one int,
-    one ``_SLOT_BYTES``-byte slot per t, so squaring that int leaves the
+    K(g^s) = sum_t f(t) f(s - t mod q-1) with f(t) = lambda(g^t), g the
+    primitive element behind ``ctx.exp``.  Substituting f = 2u - 1, with
+    u(t) = 1 - tr(g^t) in {0, 1} and sum_t u(t) = q/2 - 1, gives
+    K(g^s) = 4 c_s - q + 3 with c_s = sum_t u(t) u(s - t mod q-1) (see
+    the module docstring).  u is packed into one int, one
+    ``_SLOT_BYTES``-byte slot per t, so squaring that int leaves the
     linear convolution lin[0..2q-4] in the slots of the product, and
     c_s = lin[s] + lin[s + q - 1] folds it into the cyclic one.  One
     exact bigint square (Karatsuba in CPython) replaces q - 1 calls to
