@@ -199,6 +199,10 @@ def test_out_missing_directory_is_usage_error(capsys, tmp_path):
         ("moments", ("moments", "--r", "3..4", "--hmax", "4")),
         ("weights", ("weights", "--r", "2..4")),
         ("verify", ("verify", "--r", "2..4", "--hmax", "4")),
+        # past r = 4: the dual-word scans at r >= 5, the sampled b values
+        # of irreducible_char_sum at r = 7, 8 and a non-canonical field
+        ("verify_r5_9", ("verify", "--r", "5..9", "--hmax", "10")),
+        ("verify_r7_modulus", ("verify", "--r", "7", "--modulus", "0x9d", "--b", "0x2b")),
     ],
 )
 def test_golden_output(capsys, name, argv, fmt, ext):
