@@ -19,6 +19,7 @@ from .codes import (
     code_length,
     dual_codeword,
     dual_weight_closed_form,
+    dual_words,
     is_codeword,
     multiplicity,
     verify_dual_structure,
@@ -56,6 +57,7 @@ __all__ = [
     "code_length",
     "dual_codeword",
     "dual_weight_closed_form",
+    "dual_words",
     "is_codeword",
     "multiplicity",
     "verify_dual_structure",

@@ -266,36 +266,45 @@ def cmd_weights(cfg: RunConfig) -> int:
 # verify
 
 
+def _char_sum_checks(ctx: FieldContext, table: kl.KloostermanTable):
+    """The two quadratic character sums against the table, for r <= 8.
+
+    They do not depend on the code, so ``cmd_verify`` evaluates them
+    once per r and repeats the rows under each code.
+    """
+    if ctx.r > 8:
+        return []
+    ok = all(kl.split_quadratic_char_sum(ctx, a) == table[a] - 1 for a in ctx.nonzero())
+    checks = [("split_char_sum", ok, None)]
+
+    trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
+    bs = trace_one if ctx.r <= 6 else [trace_one[0], trace_one[-1]]
+    ok = all(
+        kl.irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1
+        for b in bs
+        for a in ctx.nonzero()
+    )
+    note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
+    checks.append(("irreducible_char_sum", ok, note))
+    return checks
+
+
 def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable):
     """Yield (check_name, passed, note) for one (context, code) pair."""
     r, q = ctx.r, ctx.q
 
     if r <= 8:
+        # the literal trace words against the closed forms in the table's K(a)
+        words = codes_mod.dual_words(ctx, i)
         ok = all(
-            kl.split_quadratic_char_sum(ctx, a) == table[a] - 1 for a in ctx.nonzero()
-        )
-        yield "split_char_sum", ok, None
-
-        trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
-        bs = trace_one if r <= 6 else [trace_one[0], trace_one[-1]]
-        ok = all(
-            kl.irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1
-            for b in bs
-            for a in ctx.nonzero()
-        )
-        note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
-        yield "irreducible_char_sum", ok, note
-
-        ok = all(
-            codes_mod.dual_codeword(ctx, i, a).weight
-            == codes_mod.dual_weight_closed_form(ctx, i, a)
+            words[a].bit_count() == codes_mod.dual_weight_from_k(q, i, table[a])
             for a in ctx.nonzero()
         )
         yield "dual_weight_formula", ok, None
         if i in (2, 4):
             ok = all(
-                2 * codes_mod.dual_weight_closed_form(ctx, i, a)
-                == codes_mod.dual_weight_closed_form(ctx, i - 1, a)
+                2 * codes_mod.dual_weight_from_k(q, i, table[a])
+                == codes_mod.dual_weight_from_k(q, i - 1, table[a])
                 for a in ctx.nonzero()
             )
             yield "dual_weight_halving", ok, None
@@ -362,12 +371,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         table = kl.kloosterman_table(ctx)
         for name, passed, note in _field_checks(ctx, table):
             results.append({"r": r, "code": None, "check": name, "passed": passed, "note": note})
+        char_sums = _char_sum_checks(ctx, table)
         for i in cfg.codes:
             if i in (1, 2) and r < 2:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                for name, passed, note in _verify_checks(ctx, i, cfg.h_max, table):
+                checks = [*char_sums, *_verify_checks(ctx, i, cfg.h_max, table)]
+                for name, passed, note in checks:
                     results.append(
                         {"r": r, "code": i, "check": name, "passed": passed, "note": note}
                     )

@@ -16,6 +16,11 @@ c_i(a) = (tr(a * entry_l))_l over a in the field; c_i(a) has Hamming
 weight (q-1-K(a))/2, (q-1-K(a))/4, (q+1+K(a))/2, (q+1+K(a))/4 for
 i = 1, 2, 3, 4.
 
+The map a -> c_i(a) is GF(2)-linear, so all q dual words come from the
+r words of a = 2^k: every other word is the XOR of one earlier word and
+one generator (``dual_words``).  ``dual_codeword`` builds a single word
+from its trace bits and stays as the per-a oracle.
+
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
 MacWilliams identity turns that weight histogram into the codeword
@@ -43,6 +48,8 @@ __all__ = [
     "multiplicity",
     "is_codeword",
     "dual_codeword",
+    "dual_words",
+    "dual_weight_from_k",
     "dual_weight_closed_form",
     "weight_distribution",
     "weight_distribution_exhaustive",
@@ -165,18 +172,44 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> DualCodeword:
     return DualCodeword(code=i, a=a, bits=tuple(tt[exp[la + log[g]]] for g in v))
 
 
+def dual_words(ctx: FieldContext, i: int) -> tuple[int, ...]:
+    """Every trace word c_i(a) as a length-N bitmask, indexed by a.
+
+    c_i(a) is GF(2)-linear in a, so the r words of a = 2^k are built bit
+    by bit from the trace table and every other word is one XOR:
+    c_i(a) = c_i(a & (a-1)) ^ c_i(lowest bit of a).  Reads only the trace
+    and exp/log tables, never a Kloosterman value or the Walsh-Hadamard
+    weight histogram; ``dual_codeword`` is the per-a oracle.
+    """
+    _check_code(ctx, i, warn=False)
+    tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
+    logs = [log[g] for g in _vector(ctx, i)]
+    gens = []
+    for k in range(ctx.r):
+        lk = log[1 << k]
+        gens.append(sum(tt[exp[lk + lg]] << l for l, lg in enumerate(logs)))
+    words = [0] * ctx.q
+    for a in range(1, ctx.q):
+        words[a] = words[a & (a - 1)] ^ gens[(a & -a).bit_length() - 1]
+    return tuple(words)
+
+
+def dual_weight_from_k(q: int, i: int, k: int) -> int:
+    """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0."""
+    num = q - 1 - k if i in (1, 2) else q + 1 + k
+    den = 2 if i in (1, 3) else 4
+    w, rem = divmod(num, den)
+    assert rem == 0, f"weight {num}/{den} not integral; K(a)={k}"
+    return w
+
+
 def dual_weight_closed_form(ctx: FieldContext, i: int, a: int) -> int:
     """Hamming weight of c_i(a) as a function of K(a), for nonzero a."""
     if i not in CODE_INDICES:
         raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
     if a == 0:
         raise ValueError("closed form holds for nonzero a")
-    k = kloosterman_sum(ctx, a)
-    num = ctx.q - 1 - k if i in (1, 2) else ctx.q + 1 + k
-    den = 2 if i in (1, 3) else 4
-    w, rem = divmod(num, den)
-    assert rem == 0, f"weight {num}/{den} not integral; K(a)={k}"
-    return w
+    return dual_weight_from_k(ctx.q, i, kloosterman_sum(ctx, a))
 
 
 @dataclass(frozen=True)
@@ -329,6 +362,28 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> WeightDistribut
     return WeightDistribution(code=i, length=n, counts=tuple(counts))
 
 
+def _all_orthogonal(masks, basis, n: int) -> bool:
+    """Whether popcount(m & bv) is even for every mask m and basis vector bv.
+
+    Bit-parallel over the masks: bit a of cols[l] is bit l of masks[a],
+    a transpose done by strided slices of one string of binary digits.
+    For each bv the XOR of cols[l] over its support then has bit a equal
+    to the parity of masks[a] & bv, so every pair (m, bv) is tested.
+    """
+    # character a*n + l of flat is bit l of masks[a]
+    flat = "".join(format(m, f"0{n}b")[::-1] for m in masks)
+    cols = [int(flat[l::n][::-1], 2) for l in range(n)]
+    for bv in basis:
+        acc = 0
+        while bv:
+            low = bv & -bv
+            acc ^= cols[low.bit_length() - 1]
+            bv ^= low
+        if acc:
+            return False
+    return True
+
+
 def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     """Check that {c_i(a)} really is the dual of code i.
 
@@ -343,11 +398,8 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     _check_quadratic_budget(ctx, "the whole-dual scan is quadratic in q")
     n = code_length(ctx, i)
     basis = kernel_basis(parity_check_rows(ctx, i), n)
-    duals = [dual_codeword(ctx, i, a) for a in ctx.elements()]
-    masks = [d.mask for d in duals]
-    orthogonal = all(
-        (m & bv).bit_count() & 1 == 0 for m in masks for bv in basis
-    )
+    masks = dual_words(ctx, i)
+    orthogonal = _all_orthogonal(masks, basis, n)
     kernel_size = sum(1 for m in masks if m == 0)
     image_size = len(set(masks))
     cardinality = 1 << len(basis)

@@ -144,12 +144,13 @@ def split_quadratic_char_sum(ctx: FieldContext, a: int) -> int:
     """
     if a == 0:
         raise ValueError("requires nonzero a")
-    lam, inv, mul = ctx.lam_table, ctx.inv_table, ctx.mul
-    total = 0
-    for alpha in range(2, ctx.q):
-        theta = mul(alpha, alpha) ^ alpha
-        total += lam[mul(a, inv[theta])]
-    return total
+    lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
+    qm1 = ctx.q - 1
+    la = log[a]
+    # alpha^2 = exp[2 log alpha] and a/d = exp[log a - log d + q-1]
+    return sum(
+        lam[exp[la - log[exp[2 * log[alpha]] ^ alpha] + qm1]] for alpha in range(2, ctx.q)
+    )
 
 
 def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
@@ -164,9 +165,11 @@ def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
         raise ValueError("requires nonzero a")
     if ctx.trace_table[b] != 1:
         raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
-    lam, inv, mul = ctx.lam_table, ctx.inv_table, ctx.mul
-    total = 0
-    for alpha in range(ctx.q):
-        d = mul(alpha, alpha) ^ alpha ^ b
-        total += lam[mul(a, inv[d])]
-    return total
+    lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
+    qm1 = ctx.q - 1
+    la = log[a]
+    squares = [0] + [exp[2 * log[alpha]] for alpha in range(1, ctx.q)]
+    # a/d = exp[log a - log d + q-1], with d = alpha^2 + alpha + b != 0
+    return sum(
+        lam[exp[la - log[sq ^ alpha ^ b] + qm1]] for alpha, sq in enumerate(squares)
+    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .codes import code_length, dual_codeword, weight_distribution
+from .codes import code_length, dual_words, weight_distribution
 from .gf2r import FieldContext
 
 __all__ = [
@@ -155,22 +155,23 @@ def pless_check(
     """Both sides of the Pless power moment identity for the dual of code i.
 
     Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
-    Left side: sum of weight^h over the dual codewords c_i(a), the zero
-    word counting 1 when h = 0; the words are built once, from their
-    trace bits, and never from the Walsh-Hadamard weight histogram that
-    the weight counts come from.  Right side: the Stirling-number
-    expansion over the code's weight counts, with alphabet size 2 and
-    dual dimension r, always a Fraction because the 2^(r-t) factor has
-    t ranging past r (it is integral whenever the identity holds).  The
-    weight distribution is built once, up to weight min(N, h_max).
+    Left side: sum of weight^h over the q dual codewords c_i(a), the
+    zero word counting 1 when h = 0 (0**0 == 1); the words are built
+    once, by linearity from their trace bits (``dual_words``), and never
+    from the Walsh-Hadamard weight histogram that the weight counts come
+    from.  Right side: the Stirling-number expansion over the code's
+    weight counts, with alphabet size 2 and dual dimension r, always a
+    Fraction because the 2^(r-t) factor has t ranging past r (it is
+    integral whenever the identity holds).  The weight distribution is
+    built once, up to weight min(N, h_max).
     """
     _check_moment_args(ctx, i, h_max)
     n = code_length(ctx, i)
     dist = weight_distribution(ctx, i, j_max=min(n, h_max)).counts
-    dual_weights = Counter(dual_codeword(ctx, i, a).weight for a in ctx.nonzero())
+    dual_weights = Counter(word.bit_count() for word in dual_words(ctx, i))
     checks = []
     for h in range(h_max + 1):
-        lhs = (1 if h == 0 else 0) + sum(c * w**h for w, c in dual_weights.items())
+        lhs = sum(c * w**h for w, c in dual_weights.items())
         # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
         rhs = Fraction(_pless_sum(h, n, dist) << ctx.r, 1 << h)
         checks.append((lhs, rhs, rhs == lhs))

@@ -6,6 +6,10 @@ repeated squaring, inverses by exhaustive search, Kloosterman sums by
 literal summation, codeword counting by scanning the full binary cube,
 and weight counts by a dynamic program over the group algebra of
 (F_q, XOR).  Slow on purpose; only used at desk scale.
+
+The two quadratic character sums are the exception: they take a field
+context and evaluate each term through its ``mul`` and inverse table,
+where the package indexes exp/log directly.
 """
 
 
@@ -116,3 +120,23 @@ def group_algebra_weight_counts(base, mult: int, q: int, j_max: int) -> list[int
             else:
                 rows[j] = [c + s for c, s in zip(rows[j], shifted)]
     return [row[0] for row in rows]
+
+
+def split_char_sum_by_mul(ctx, a: int) -> int:
+    """sum over alpha outside {0, 1} of lambda(a/(alpha^2 + alpha)), by field mul and inverse."""
+    lam, inv, mul = ctx.lam_table, ctx.inv_table, ctx.mul
+    total = 0
+    for alpha in range(2, ctx.q):
+        theta = mul(alpha, alpha) ^ alpha
+        total += lam[mul(a, inv[theta])]
+    return total
+
+
+def irreducible_char_sum_by_mul(ctx, a: int, b: int) -> int:
+    """sum over alpha of lambda(a/(alpha^2 + alpha + b)), tr(b) = 1, by field mul and inverse."""
+    lam, inv, mul = ctx.lam_table, ctx.inv_table, ctx.mul
+    total = 0
+    for alpha in range(ctx.q):
+        d = mul(alpha, alpha) ^ alpha ^ b
+        total += lam[mul(a, inv[d])]
+    return total

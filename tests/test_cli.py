@@ -131,6 +131,59 @@ def test_verify_detects_breakage(capsys, monkeypatch):
     assert json.loads(out)["all_passed"] is False
 
 
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) so the returned dict counts its calls by name."""
+    calls = {name: 0 for _, name in targets}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(module, name))
+    return calls
+
+
+def _per_a_targets():
+    import kmoments.codes as codes
+    import kmoments.kloosterman as kl
+
+    return [
+        (kl, "split_quadratic_char_sum"),
+        (kl, "irreducible_quadratic_char_sum"),
+        (kl, "kloosterman_sum"),
+        (codes, "kloosterman_sum"),
+        (codes, "dual_codeword"),
+        (codes, "dual_words"),
+    ]
+
+
+def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, _per_a_targets())
+    code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
+    assert code == 0
+    # q - 1 = 63 values of a, and 63 * 32 (a, trace-one b) pairs, for all four codes
+    assert calls["split_quadratic_char_sum"] == 63
+    assert calls["irreducible_quadratic_char_sum"] == 2016
+    assert calls["kloosterman_sum"] == 0
+    assert calls["dual_codeword"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("moments", "--r", "3..6", "--hmax", "4"), ("weights", "--r", "2..6")],
+)
+def test_moments_and_weights_build_no_dual_word_or_char_sum(capsys, monkeypatch, argv):
+    calls = _count_calls(monkeypatch, _per_a_targets())
+    assert run(capsys, *argv)[0] == 0
+    assert all(count == 0 for count in calls.values()), calls
+
+
 # -- usage errors -------------------------------------------------------------------
 
 

@@ -1,15 +1,20 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmoments import build_field
+from kmoments import build_field, kloosterman_sum
 from kmoments.codes import (
     CODE_INDICES,
+    _all_orthogonal,
     build_vector,
     code_cardinality,
     code_length,
     dual_codeword,
     dual_weight_closed_form,
+    dual_weight_from_k,
+    dual_words,
     is_codeword,
     kernel_basis,
     multiplicity,
@@ -144,6 +149,63 @@ def test_weight_halving(r, contexts, recwarn):
         assert 2 * dual_weight_closed_form(ctx, 4, a) == dual_weight_closed_form(ctx, 3, a)
         if ctx.q >= 4:
             assert 2 * dual_weight_closed_form(ctx, 2, a) == dual_weight_closed_form(ctx, 1, a)
+
+
+def test_dual_weight_from_k_is_the_closed_form(ctx3):
+    for i in CODE_INDICES:
+        for a in ctx3.nonzero():
+            k = kloosterman_sum(ctx3, a)
+            assert dual_weight_from_k(ctx3.q, i, k) == dual_weight_closed_form(ctx3, i, a)
+    with pytest.raises(AssertionError, match="not integral"):
+        dual_weight_from_k(8, 3, 0)
+
+
+# -- all dual words at once, by linearity ---------------------------------------------
+
+
+def _assert_dual_words_match_oracle(ctx, i):
+    words = dual_words(ctx, i)
+    assert len(words) == ctx.q
+    for a in ctx.elements():
+        assert words[a] == dual_codeword(ctx, i, a).mask, (i, a)
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_dual_words_equal_dual_codeword_everywhere(r, contexts):
+    # r = 2 includes the 2-to-1 maps of codes 1 and 2
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    for i in CODE_INDICES:
+        if i in (1, 2) and ctx.q < 4:
+            continue
+        _assert_dual_words_match_oracle(ctx, i)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), r=st.integers(3, 8), i=st.sampled_from(CODE_INDICES))
+def test_dual_words_equal_dual_codeword_any_representation(data, r, i):
+    modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
+    field = build_field(r, modulus=modulus)
+    b = data.draw(
+        st.sampled_from([x for x in field.elements() if field.trace(x) == 1]), label="b"
+    )
+    _assert_dual_words_match_oracle(build_field(r, modulus=modulus, b=b), i)
+
+
+def test_dual_words_read_no_kloosterman_value(monkeypatch):
+    # the Pless left side must stay independent of K and of the WHT counts
+    import kmoments.codes as codes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dual_words read a K value or the WHT histogram")
+
+    field = build_field(5)
+    expected = {i: dual_words(field, i) for i in CODE_INDICES}
+    for name in ("kloosterman_sum", "_dual_weight_histogram"):
+        monkeypatch.setattr(codes, name, forbidden)
+    ctx = copy.copy(field)
+    ctx.lam_table = None
+    for i in CODE_INDICES:
+        assert dual_words(ctx, i) == expected[i]
 
 
 # -- weight distributions -----------------------------------------------------------
@@ -311,6 +373,39 @@ def test_verify_dual_structure_r3(ctx3):
     assert report["dual_image_size"] == 8
     assert report["dual_image_size"] * report["code_cardinality"] == 1 << 6
     assert report["product_check"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_all_orthogonal_equals_pairwise_parity(n, data):
+    basis = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8), label="basis")
+    # words orthogonal to every basis vector, then a few arbitrary ones
+    complement = kernel_basis(basis, n)
+    masks = []
+    for pick in data.draw(st.lists(st.integers(0, (1 << len(complement)) - 1), min_size=1)):
+        word = 0
+        for k, v in enumerate(complement):
+            if pick >> k & 1:
+                word ^= v
+        masks.append(word)
+    masks += data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2), label="extra")
+    expected = all((m & bv).bit_count() % 2 == 0 for m in masks for bv in basis)
+    assert _all_orthogonal(masks, basis, n) == expected
+
+
+@pytest.mark.parametrize("i", CODE_INDICES)
+def test_orthogonality_catches_one_flipped_bit(i, contexts, monkeypatch):
+    import kmoments.codes as codes
+
+    ctx = contexts[5]
+    words = dual_words(ctx, i)
+    n = code_length(ctx, i)
+    assert verify_dual_structure(ctx, i)["orthogonal"] is True
+    for a, l in [(0, 0), (1, n - 1), (17, 3), (ctx.q - 1, n // 2)]:
+        bad = list(words)
+        bad[a] ^= 1 << l
+        monkeypatch.setattr(codes, "dual_words", lambda ctx, i, bad=tuple(bad): bad)
+        assert verify_dual_structure(ctx, i)["orthogonal"] is False, (a, l)
 
 
 def test_kernel_at_q4():

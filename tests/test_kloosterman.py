@@ -137,7 +137,7 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
     import kmoments.codes as codes
     import kmoments.kloosterman as kl
 
-    calls = {"kloosterman_sum": 0, "dual_codeword": 0, "_dual_weight_histogram": 0}
+    calls = {"kloosterman_sum": 0, "dual_codeword": 0, "dual_words": 0, "_dual_weight_histogram": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -149,10 +149,10 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(kl, "kloosterman_sum", counting(kl, "kloosterman_sum"))
-    for name in ("dual_codeword", "_dual_weight_histogram"):
+    for name in ("dual_codeword", "dual_words", "_dual_weight_histogram"):
         monkeypatch.setattr(codes, name, counting(codes, name))
     table = kl.kloosterman_table(build_field(6))
-    assert calls == {"kloosterman_sum": 0, "dual_codeword": 0, "_dual_weight_histogram": 0}
+    assert all(count == 0 for count in calls.values()), calls
     assert len(table.values) == 63
 
 
@@ -221,6 +221,18 @@ def test_irreducible_sum_identity_all_b(r, contexts, tables):
     for b in trace_one:
         for a in ctx.nonzero():
             assert irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_char_sums_equal_mul_inverse_oracles(r, contexts):
+    ctx = contexts[r]
+    trace_one = [b for b in ctx.elements() if ctx.trace(b) == 1]
+    for a in ctx.nonzero():
+        assert split_quadratic_char_sum(ctx, a) == oracles.split_char_sum_by_mul(ctx, a), a
+        for b in trace_one:
+            assert irreducible_quadratic_char_sum(ctx, a, b) == (
+                oracles.irreducible_char_sum_by_mul(ctx, a, b)
+            ), (a, b)
 
 
 def test_char_sum_domain_errors(ctx3):

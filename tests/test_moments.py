@@ -190,12 +190,13 @@ def test_pless_small_fields(i, contexts):
 
 
 def test_pless_one_pass(monkeypatch, contexts):
+    import kmoments.codes as codes
     import kmoments.moments as mo
 
-    calls = {"dual_codeword": 0, "weight_distribution": 0}
+    calls = {"dual_words": 0, "dual_codeword": 0, "weight_distribution": 0}
 
-    def counting(name):
-        original = getattr(mo, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -203,11 +204,15 @@ def test_pless_one_pass(monkeypatch, contexts):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(mo, name, counting(name))
+    for module, name in (
+        (mo, "dual_words"),
+        (mo, "weight_distribution"),
+        (codes, "dual_codeword"),
+    ):
+        monkeypatch.setattr(module, name, counting(module, name))
     ctx = contexts[5]
     checks = pless_check(ctx, 3, 10)
-    assert calls == {"dual_codeword": ctx.q - 1, "weight_distribution": 1}
+    assert calls == {"dual_words": 1, "dual_codeword": 0, "weight_distribution": 1}
     assert len(checks) == 11
     assert all(equal for _, _, equal in checks)
     assert all(isinstance(rhs, Fraction) for _, rhs, _ in checks)
