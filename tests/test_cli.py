@@ -152,7 +152,9 @@ def _count_calls(monkeypatch, targets):
 def _per_a_targets():
     import kmoments.codes as codes
     import kmoments.kloosterman as kl
+    import kmoments.moments as mo
 
+    # moments imports dual_words by name, so pless_check calls it there
     return [
         (kl, "split_quadratic_char_sum"),
         (kl, "irreducible_quadratic_char_sum"),
@@ -160,6 +162,7 @@ def _per_a_targets():
         (codes, "kloosterman_sum"),
         (codes, "dual_codeword"),
         (codes, "dual_words"),
+        (mo, "dual_words"),
     ]
 
 
@@ -172,6 +175,8 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     assert calls["irreducible_quadratic_char_sum"] == 2016
     assert calls["kloosterman_sum"] == 0
     assert calls["dual_codeword"] == 0
+    # per code: dual_weight_formula, verify_dual_structure and pless_check
+    assert calls["dual_words"] == 12
 
 
 @pytest.mark.parametrize(
