@@ -71,9 +71,9 @@ def _parse_r_range(text: str) -> tuple[int, ...]:
         lo = hi = int(text)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    # the K table reaches the field's MAX_DEGREE, but the weight
-    # distribution budget and verify's whole-dual scan (quadratic in q)
-    # stop at MAX_QUADRATIC_DEGREE, so this one bound covers every subcommand
+    # the K table and the dual-structure report reach the field's
+    # MAX_DEGREE, but the weight distribution budget stops at
+    # MAX_QUADRATIC_DEGREE, so this one bound covers every subcommand
     top = codes_mod.MAX_QUADRATIC_DEGREE
     for r in (lo, hi):
         if not 1 <= r <= top:
@@ -227,7 +227,7 @@ def cmd_weights(cfg: RunConfig) -> int:
             }
             if dist.is_full:
                 total = sum(dist.counts)
-                dim = len(codes_mod.kernel_basis(codes_mod.parity_check_rows(ctx, i), n))
+                dim = n - codes_mod.gf2_rank(codes_mod.parity_check_rows(ctx, i))
                 block["checks"] = {
                     "total": total,
                     "expected_total": 1 << dim,

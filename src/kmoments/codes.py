@@ -19,7 +19,9 @@ i = 1, 2, 3, 4.
 The map a -> c_i(a) is GF(2)-linear, so all q dual words come from the
 r words of a = 2^k: every other word is the XOR of one earlier word and
 one generator (``dual_words``).  ``dual_codeword`` builds a single word
-from its trace bits and stays as the per-a oracle.
+from its trace bits and stays as the per-a oracle.  So the dual
+structure comes down to GF(2) ranks of these r generators and of the r
+parity rows of code i (``verify_dual_structure``).
 
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
@@ -55,6 +57,7 @@ __all__ = [
     "weight_distribution_exhaustive",
     "code_cardinality",
     "parity_check_rows",
+    "gf2_rank",
     "kernel_basis",
     "verify_dual_structure",
 ]
@@ -64,11 +67,12 @@ CODE_INDICES = (1, 2, 3, 4)
 # exhaustive enumeration walks 2^(N-r) codewords
 ENUMERATION_BUDGET = 24
 
-# whole-dual scans cost O(q^2); past this degree only the O(q)-per-call
-# operations stay desk-scale.  Weight distributions and cardinalities
-# (O(q r) plus O(sqrt(q) j_max) Krawtchouk terms) still keep the same
-# limit, which the CLI enforces for every subcommand
+# weight distributions and cardinalities (O(q r) plus O(sqrt(q) j_max)
+# Krawtchouk terms) stop at this degree, as does the CLI; the O(q)-per-call
+# operations and the O(r N) dual-structure report reach the field's MAX_DEGREE
 MAX_QUADRATIC_DEGREE = 12
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _check_code(ctx: FieldContext, i: int, warn: bool = True) -> None:
@@ -96,6 +100,11 @@ def code_length(ctx: FieldContext, i: int) -> int:
     """Block length: q-2, q/2-1, q, q/2 for codes 1..4."""
     q = ctx.q
     return (q - 2, q // 2 - 1, q, q // 2)[i - 1]
+
+
+def _bitmask(bits) -> int:
+    """The integer whose bit l is bits[l], read from one string of binary digits."""
+    return int(bytes(bits)[::-1].translate(_DIGITS), 2)
 
 
 def _base_entries(ctx: FieldContext, i: int) -> tuple[int, ...]:
@@ -172,6 +181,13 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> DualCodeword:
     return DualCodeword(code=i, a=a, bits=tuple(tt[exp[la + log[g]]] for g in v))
 
 
+def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
+    # the r words c_i(2^k) as length-N bitmasks, from the trace table
+    tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
+    logs = [log[g] for g in _vector(ctx, i)]
+    return [_bitmask([tt[exp[log[1 << k] + lg]] for lg in logs]) for k in range(ctx.r)]
+
+
 def dual_words(ctx: FieldContext, i: int) -> tuple[int, ...]:
     """Every trace word c_i(a) as a length-N bitmask, indexed by a.
 
@@ -182,12 +198,7 @@ def dual_words(ctx: FieldContext, i: int) -> tuple[int, ...]:
     weight histogram; ``dual_codeword`` is the per-a oracle.
     """
     _check_code(ctx, i, warn=False)
-    tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
-    logs = [log[g] for g in _vector(ctx, i)]
-    gens = []
-    for k in range(ctx.r):
-        lk = log[1 << k]
-        gens.append(sum(tt[exp[lk + lg]] << l for l, lg in enumerate(logs)))
+    gens = _generator_rows(ctx, i)
     words = [0] * ctx.q
     for a in range(1, ctx.q):
         words[a] = words[a & (a - 1)] ^ gens[(a & -a).bit_length() - 1]
@@ -308,17 +319,11 @@ def parity_check_rows(ctx: FieldContext, i: int) -> list[int]:
     """r binary parity rows (as length-N bitmasks) cutting out code i."""
     _check_code(ctx, i, warn=False)
     v = _vector(ctx, i)
-    rows = []
-    for k in range(ctx.r):
-        row = 0
-        for l, entry in enumerate(v):
-            row |= (entry >> k & 1) << l
-        rows.append(row)
-    return rows
+    return [_bitmask([entry >> k & 1 for entry in v]) for k in range(ctx.r)]
 
 
-def kernel_basis(rows: list[int], n: int) -> list[int]:
-    """Basis of the GF(2) nullspace of the given bitmask rows in dimension n."""
+def _pivots(rows) -> dict[int, int]:
+    """GF(2) echelon form of bitmask rows: leading column -> reduced row."""
     pivots: dict[int, int] = {}
     for row in rows:
         cur = row
@@ -329,6 +334,17 @@ def kernel_basis(rows: list[int], n: int) -> list[int]:
             else:
                 pivots[c] = cur
                 break
+    return pivots
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of the given bitmask rows."""
+    return len(_pivots(rows))
+
+
+def kernel_basis(rows: list[int], n: int) -> list[int]:
+    """Basis of the GF(2) nullspace of the given bitmask rows in dimension n."""
+    pivots = _pivots(rows)
     basis = []
     pivot_cols = sorted(pivots)
     for f in range(n):
@@ -362,55 +378,37 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> WeightDistribut
     return WeightDistribution(code=i, length=n, counts=tuple(counts))
 
 
-def _all_orthogonal(masks, basis, n: int) -> bool:
-    """Whether popcount(m & bv) is even for every mask m and basis vector bv.
-
-    Bit-parallel over the masks: bit a of cols[l] is bit l of masks[a],
-    a transpose done by strided slices of one string of binary digits.
-    For each bv the XOR of cols[l] over its support then has bit a equal
-    to the parity of masks[a] & bv, so every pair (m, bv) is tested.
-    """
-    # character a*n + l of flat is bit l of masks[a]
-    flat = "".join(format(m, f"0{n}b")[::-1] for m in masks)
-    cols = [int(flat[l::n][::-1], 2) for l in range(n)]
-    for bv in basis:
-        acc = 0
-        while bv:
-            low = bv & -bv
-            acc ^= cols[low.bit_length() - 1]
-            bv ^= low
-        if acc:
-            return False
-    return True
-
-
 def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     """Check that {c_i(a)} really is the dual of code i.
 
-    Returns a JSON-ready report: orthogonality of every c_i(a) against
-    a nullspace basis of the code, injectivity (with kernel size) of
-    a -> c_i(a), and the cardinality product |dual image| * |code| =
-    2^length.  The dual map is injective for i in {3, 4} at every r and
-    for i in {1, 2} once r >= 3; at r = 2 its kernel has size 2.
+    Returns a JSON-ready report: orthogonality of every c_i(a) to the
+    whole code, injectivity (with kernel size) of a -> c_i(a), and the
+    cardinality product |dual image| * |code| = 2^length.  The dual map
+    is injective for i in {3, 4} at every r and for i in {1, 2} once
+    r >= 3; at r = 2 its kernel has size 2.
+
+    Every value is a GF(2) rank of at most 2r rows of N bits: of the r
+    parity rows H, of the r generators G = c_i(2^k) and of [H; G].  By
+    linearity the dual words are the row space of G, so the map has
+    2^(r - rank G) zeros and 2^rank G images.  The code is ker H, of size
+    2^(N - rank H), and its orthogonal complement is the row space of H;
+    so every c_i(a) is orthogonal to every codeword iff
+    rank [H; G] = rank H.
     """
-    if i not in CODE_INDICES:
-        raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
-    _check_quadratic_budget(ctx, "the whole-dual scan is quadratic in q")
+    _check_code(ctx, i, warn=False)
     n = code_length(ctx, i)
-    basis = kernel_basis(parity_check_rows(ctx, i), n)
-    masks = dual_words(ctx, i)
-    orthogonal = _all_orthogonal(masks, basis, n)
-    kernel_size = sum(1 for m in masks if m == 0)
-    image_size = len(set(masks))
-    cardinality = 1 << len(basis)
+    h_rows, g_rows = parity_check_rows(ctx, i), _generator_rows(ctx, i)
+    rank_h, rank_g = gf2_rank(h_rows), gf2_rank(g_rows)
+    image_size = 1 << rank_g
+    cardinality = 1 << (n - rank_h)
     return {
         "code": i,
         "r": ctx.r,
         "length": n,
-        "orthogonal": orthogonal,
+        "orthogonal": gf2_rank(h_rows + g_rows) == rank_h,
         "dual_image_size": image_size,
-        "kernel_size": kernel_size,
-        "injective": image_size == ctx.q,
+        "kernel_size": 1 << (ctx.r - rank_g),
+        "injective": rank_g == ctx.r,
         "code_cardinality": cardinality,
         "product_check": image_size * cardinality == 1 << n,
     }

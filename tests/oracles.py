@@ -4,8 +4,8 @@ Everything here is deliberately independent of the package: schoolbook
 carry-less arithmetic with explicit long-division reduction, traces by
 repeated squaring, inverses by exhaustive search, Kloosterman sums by
 literal summation, codeword counting by scanning the full binary cube,
-and weight counts by a dynamic program over the group algebra of
-(F_q, XOR).  Slow on purpose; only used at desk scale.
+weight counts by a dynamic program over the group algebra of
+(F_q, XOR), and the dual structure of a code by a pairwise parity scan.  Slow on purpose; only used at desk scale.
 
 The two quadratic character sums are the exception: they take a field
 context and evaluate each term through its ``mul`` and inverse table,
@@ -120,6 +120,25 @@ def group_algebra_weight_counts(base, mult: int, q: int, j_max: int) -> list[int
             else:
                 rows[j] = [c + s for c, s in zip(rows[j], shifted)]
     return [row[0] for row in rows]
+
+
+def dual_structure_by_scan(words, basis, n: int) -> dict:
+    """The dual-structure report, from every dual word against every code basis vector.
+
+    ``words`` lists the q dual words c_i(a) (one per a, zero included)
+    and ``basis`` a basis of the code, both as length-n bitmasks.
+    """
+    image = len(set(words))
+    cardinality = 1 << len(basis)
+    return {
+        "length": n,
+        "orthogonal": all((m & bv).bit_count() % 2 == 0 for m in words for bv in basis),
+        "dual_image_size": image,
+        "kernel_size": words.count(0),
+        "injective": image == len(words),
+        "code_cardinality": cardinality,
+        "product_check": image * cardinality == 1 << n,
+    }
 
 
 def split_char_sum_by_mul(ctx, a: int) -> int:

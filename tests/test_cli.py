@@ -175,8 +175,18 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     assert calls["irreducible_quadratic_char_sum"] == 2016
     assert calls["kloosterman_sum"] == 0
     assert calls["dual_codeword"] == 0
-    # per code: dual_weight_formula, verify_dual_structure and pless_check
-    assert calls["dual_words"] == 12
+    # per code: dual_weight_formula and pless_check
+    assert calls["dual_words"] == 8
+
+
+def test_verify_builds_no_kernel_basis(capsys, monkeypatch):
+    import kmoments.codes as codes
+
+    # the dual-structure report works from ranks, and r = 7 is past the enumeration
+    calls = _count_calls(monkeypatch, [(codes, "kernel_basis")])
+    code, _, _ = run(capsys, "verify", "--r", "7", "--hmax", "4")
+    assert code == 0
+    assert calls["kernel_basis"] == 0
 
 
 @pytest.mark.parametrize(

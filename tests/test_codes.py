@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from kmoments import build_field, kloosterman_sum
 from kmoments.codes import (
     CODE_INDICES,
-    _all_orthogonal,
     build_vector,
     code_cardinality,
     code_length,
@@ -339,10 +338,18 @@ def test_quadratic_ops_refused_past_degree_12():
         weight_distribution(ctx, 3, j_max=4)
     with pytest.raises(ValueError, match="quadratic"):
         code_cardinality(ctx, 3)
-    with pytest.raises(ValueError, match="quadratic"):
-        verify_dual_structure(ctx, 3)
     # O(q)-per-call operations still work at this degree
     assert dual_weight_closed_form(ctx, 3, 1) == dual_codeword(ctx, 3, 1).weight
+
+
+@pytest.mark.parametrize("r", [13, 14])
+def test_dual_structure_past_degree_12(r):
+    # the rank report costs O(r N), so it runs past the quadratic limit
+    ctx = build_field(r)
+    for i in CODE_INDICES:
+        report = verify_dual_structure(ctx, i)
+        assert report["orthogonal"] and report["injective"] and report["product_check"], i
+        assert report["code_cardinality"] == 1 << (report["length"] - r), i
 
 
 # -- linear algebra helper -----------------------------------------------------------
@@ -375,37 +382,64 @@ def test_verify_dual_structure_r3(ctx3):
     assert report["product_check"]
 
 
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 40), data=st.data())
-def test_all_orthogonal_equals_pairwise_parity(n, data):
-    basis = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8), label="basis")
-    # words orthogonal to every basis vector, then a few arbitrary ones
-    complement = kernel_basis(basis, n)
-    masks = []
-    for pick in data.draw(st.lists(st.integers(0, (1 << len(complement)) - 1), min_size=1)):
-        word = 0
-        for k, v in enumerate(complement):
-            if pick >> k & 1:
-                word ^= v
-        masks.append(word)
-    masks += data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2), label="extra")
-    expected = all((m & bv).bit_count() % 2 == 0 for m in masks for bv in basis)
-    assert _all_orthogonal(masks, basis, n) == expected
+def _scan_report(ctx, i):
+    # the per-word statement: every dual word against every kernel basis vector
+    n = code_length(ctx, i)
+    words = [dual_codeword(ctx, i, a).mask for a in ctx.elements()]
+    basis = kernel_basis(parity_check_rows(ctx, i), n)
+    return {"code": i, "r": ctx.r, **oracles.dual_structure_by_scan(words, basis, n)}
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_rank_report_equals_scan_oracle(r, contexts):
+    # r = 2 includes the size-2 kernel of codes 1 and 2
+    ctx = contexts[r]
+    for i in CODE_INDICES:
+        if i in (1, 2) and ctx.q < 4:
+            continue
+        assert verify_dual_structure(ctx, i) == _scan_report(ctx, i), i
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), r=st.integers(3, 8), i=st.sampled_from(CODE_INDICES))
+def test_rank_report_equals_scan_oracle_any_representation(data, r, i):
+    modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
+    field = build_field(r, modulus=modulus)
+    b = data.draw(
+        st.sampled_from([x for x in field.elements() if field.trace(x) == 1]), label="b"
+    )
+    ctx = build_field(r, modulus=modulus, b=b)
+    assert verify_dual_structure(ctx, i) == _scan_report(ctx, i)
+
+
+def _one_bit_mutants(rows, n):
+    # flip one bit of one row, at a few (row, bit) positions
+    for k, l in [(0, 0), (1, n - 1), (2, 3), (len(rows) - 1, n // 2)]:
+        bad = list(rows)
+        bad[k] ^= 1 << l
+        yield bad
 
 
 @pytest.mark.parametrize("i", CODE_INDICES)
-def test_orthogonality_catches_one_flipped_bit(i, contexts, monkeypatch):
+def test_orthogonality_catches_one_flipped_generator_bit(i, contexts, monkeypatch):
     import kmoments.codes as codes
 
     ctx = contexts[5]
-    words = dual_words(ctx, i)
-    n = code_length(ctx, i)
     assert verify_dual_structure(ctx, i)["orthogonal"] is True
-    for a, l in [(0, 0), (1, n - 1), (17, 3), (ctx.q - 1, n // 2)]:
-        bad = list(words)
-        bad[a] ^= 1 << l
-        monkeypatch.setattr(codes, "dual_words", lambda ctx, i, bad=tuple(bad): bad)
-        assert verify_dual_structure(ctx, i)["orthogonal"] is False, (a, l)
+    for bad in _one_bit_mutants(codes._generator_rows(ctx, i), code_length(ctx, i)):
+        monkeypatch.setattr(codes, "_generator_rows", lambda ctx, i, bad=bad: bad)
+        assert verify_dual_structure(ctx, i)["orthogonal"] is False
+
+
+@pytest.mark.parametrize("i", CODE_INDICES)
+def test_orthogonality_catches_one_flipped_parity_bit(i, contexts, monkeypatch):
+    import kmoments.codes as codes
+
+    ctx = contexts[5]
+    assert verify_dual_structure(ctx, i)["orthogonal"] is True
+    for bad in _one_bit_mutants(parity_check_rows(ctx, i), code_length(ctx, i)):
+        monkeypatch.setattr(codes, "parity_check_rows", lambda ctx, i, bad=bad: bad)
+        assert verify_dual_structure(ctx, i)["orthogonal"] is False
 
 
 def test_kernel_at_q4():
