@@ -34,9 +34,17 @@ MISMATCH_ERROR = 2
 
 SCHEMA_VERSION = 1
 
-MAX_HMAX = 32
-# full weight distributions on demand only up to this degree
-FULL_DISTRIBUTION_MAX_R = 8
+# Cost model: every work limit of a run, the largest value it allows, and why.
+# README.md shows it as a table; enumeration reads codes.ENUMERATION_BUDGET.
+MAX_R = 12  # --r, every subcommand: past 12 no check independent of the K table yet
+MAX_HMAX = 32  # --hmax: the recursion sums O(h^2) exact terms per order
+FULL_DISTRIBUTION_MAX_R = 8  # weights without --jmax: N + 1 counts of up to N - r bits
+CHAR_SUM_MAX_R = 8  # split_char_sum, irreducible_char_sum: literal sums, O(q^2) per r
+ALL_B_MAX_R = 6  # irreducible_char_sum at every trace-one b, O(q^3); above, 2 sampled b
+DUAL_WEIGHT_MAX_R = 8  # dual_weight_formula, dual_weight_halving: q dual words of N bits
+VERIFY_DISTRIBUTION_MAX_R = 6  # verify's full distribution: O(N sqrt(q)) Krawtchouk terms
+CARDINALITY_MAX_R = 8  # then distribution_cardinality by code_cardinality, O(q r)
+PLESS_MAX_H = 10  # pless_identity checks orders 0..min(--hmax, PLESS_MAX_H)
 
 
 @dataclass
@@ -71,13 +79,9 @@ def _parse_r_range(text: str) -> tuple[int, ...]:
         lo = hi = int(text)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    # the K table and the dual-structure report reach the field's
-    # MAX_DEGREE, but the weight distribution budget stops at
-    # MAX_QUADRATIC_DEGREE, so this one bound covers every subcommand
-    top = codes_mod.MAX_QUADRATIC_DEGREE
     for r in (lo, hi):
-        if not 1 <= r <= top:
-            raise ValueError(f"r must be within 1..{top} (work is quadratic in q), got {r}")
+        if not 1 <= r <= MAX_R:
+            raise ValueError(f"r must be within 1..{MAX_R} (the CLI's MAX_R), got {r}")
     return tuple(range(lo, hi + 1))
 
 
@@ -267,18 +271,18 @@ def cmd_weights(cfg: RunConfig) -> int:
 
 
 def _char_sum_checks(ctx: FieldContext, table: kl.KloostermanTable):
-    """The two quadratic character sums against the table, for r <= 8.
+    """The two quadratic character sums against the table, up to CHAR_SUM_MAX_R.
 
     They do not depend on the code, so ``cmd_verify`` evaluates them
     once per r and repeats the rows under each code.
     """
-    if ctx.r > 8:
+    if ctx.r > CHAR_SUM_MAX_R:
         return []
     ok = all(kl.split_quadratic_char_sum(ctx, a) == table[a] - 1 for a in ctx.nonzero())
     checks = [("split_char_sum", ok, None)]
 
     trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
-    bs = trace_one if ctx.r <= 6 else [trace_one[0], trace_one[-1]]
+    bs = trace_one if ctx.r <= ALL_B_MAX_R else [trace_one[0], trace_one[-1]]
     ok = all(
         kl.irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1
         for b in bs
@@ -289,23 +293,27 @@ def _char_sum_checks(ctx: FieldContext, table: kl.KloostermanTable):
     return checks
 
 
+def _whole_weight(q: int, i: int, k: int) -> int | None:
+    # the closed-form weight of c_i(a) from k = K(a); None where a wrong k
+    # makes it a fraction, so the check fails instead of raising
+    num, den = codes_mod.dual_weight_fraction(q, i, k)
+    return None if num % den else num // den
+
+
 def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable):
     """Yield (check_name, passed, note) for one (context, code) pair."""
     r, q = ctx.r, ctx.q
 
-    if r <= 8:
+    if r <= DUAL_WEIGHT_MAX_R:
         # the literal trace words against the closed forms in the table's K(a)
         words = codes_mod.dual_words(ctx, i)
-        ok = all(
-            words[a].bit_count() == codes_mod.dual_weight_from_k(q, i, table[a])
-            for a in ctx.nonzero()
-        )
+        weights = {a: _whole_weight(q, i, table[a]) for a in ctx.nonzero()}
+        ok = all(w == words[a].bit_count() for a, w in weights.items())
         yield "dual_weight_formula", ok, None
         if i in (2, 4):
             ok = all(
-                2 * codes_mod.dual_weight_from_k(q, i, table[a])
-                == codes_mod.dual_weight_from_k(q, i - 1, table[a])
-                for a in ctx.nonzero()
+                w is not None and 2 * w == _whole_weight(q, i - 1, table[a])
+                for a, w in weights.items()
             )
             yield "dual_weight_halving", ok, None
 
@@ -325,17 +333,18 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
         1 << (n - r) if report["injective"] else report["code_cardinality"]
     )
     size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
-    if r <= 6:
+    if r <= VERIFY_DISTRIBUTION_MAX_R:
         full = codes_mod.weight_distribution(ctx, i)
-        # n - r <= 16 needs r <= 6: from r = 7 on, n - r >= q/2 - 1 - r >= 56
-        if n - r <= 16:
+        if n - r <= codes_mod.ENUMERATION_BUDGET:
             brute = codes_mod.weight_distribution_exhaustive(ctx, i)
             yield "distribution_vs_enumeration", full.counts == brute.counts, None
         yield "distribution_cardinality", sum(full.counts) == expected_total, size_note
         if i in (1, 3):
             ok = all(full.counts[j] == full.counts[n - j] for j in range(n + 1))
             yield "distribution_palindrome", ok, None
-    elif r <= 8:
+    elif r <= CARDINALITY_MAX_R:
+        # the note is kept for byte-identical output; the count is the
+        # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
         yield (
             "distribution_cardinality",
             codes_mod.code_cardinality(ctx, i) == expected_total,
@@ -343,7 +352,7 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
         )
 
     if i in (3, 4) or r >= 3:
-        ok = all(equal for _, _, equal in mo.pless_check(ctx, i, min(h_max, 10)))
+        ok = all(equal for _, _, equal in mo.pless_check(ctx, i, min(h_max, PLESS_MAX_H)))
         yield "pless_identity", ok, None
         seq = mo.moment_sequence(ctx, i, h_max)
         ok = all(

@@ -51,6 +51,7 @@ __all__ = [
     "is_codeword",
     "dual_codeword",
     "dual_words",
+    "dual_weight_fraction",
     "dual_weight_from_k",
     "dual_weight_closed_form",
     "weight_distribution",
@@ -66,11 +67,6 @@ CODE_INDICES = (1, 2, 3, 4)
 
 # exhaustive enumeration walks 2^(N-r) codewords
 ENUMERATION_BUDGET = 24
-
-# weight distributions and cardinalities (O(q r) plus O(sqrt(q) j_max)
-# Krawtchouk terms) stop at this degree, as does the CLI; the O(q)-per-call
-# operations and the O(r N) dual-structure report reach the field's MAX_DEGREE
-MAX_QUADRATIC_DEGREE = 12
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -89,11 +85,6 @@ def _check_code(ctx: FieldContext, i: int, warn: bool = True) -> None:
                 f"code {i} at r=2 is degenerate: the dual map a -> c_i(a) is 2-to-1",
                 stacklevel=3,
             )
-
-
-def _check_quadratic_budget(ctx: FieldContext, what: str) -> None:
-    if ctx.r > MAX_QUADRATIC_DEGREE:
-        raise ValueError(f"{what}; refusing r={ctx.r} > {MAX_QUADRATIC_DEGREE}")
 
 
 def code_length(ctx: FieldContext, i: int) -> int:
@@ -205,10 +196,15 @@ def dual_words(ctx: FieldContext, i: int) -> tuple[int, ...]:
     return tuple(words)
 
 
+def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
+    """wt(c_i(a)) over GF(q) as num / den, given k = K(a); den divides num if k is true."""
+    num = q - 1 - k if i in (1, 2) else q + 1 + k
+    return num, 2 if i in (1, 3) else 4
+
+
 def dual_weight_from_k(q: int, i: int, k: int) -> int:
     """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0."""
-    num = q - 1 - k if i in (1, 2) else q + 1 + k
-    den = 2 if i in (1, 3) else 4
+    num, den = dual_weight_fraction(q, i, k)
     w, rem = divmod(num, den)
     assert rem == 0, f"weight {num}/{den} not integral; K(a)={k}"
     return w
@@ -275,10 +271,10 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
     C_j = q^-1 sum_w n_w K_j(w), where n_w counts the a with
     wt(c_i(a)) = w and K_j is the binary Krawtchouk polynomial of
     length N, evaluated exactly by its three-term recurrence.  No K(a)
-    value is read.
+    value is read.  The cost is O(q r) for the transform plus O(j_max)
+    Krawtchouk terms per distinct weight, of which there are O(sqrt(q)).
     """
     _check_code(ctx, i)
-    _check_quadratic_budget(ctx, "the weight distribution shares the quadratic-in-q limit")
     n = code_length(ctx, i)
     if j_max is None:
         j_max = n
@@ -305,10 +301,10 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
 def code_cardinality(ctx: FieldContext, i: int) -> int:
     """Total number of codewords, n_0 * 2^N / q by MacWilliams at z=1.
 
-    n_0 is the number of a with c_i(a) = 0, the kernel of the dual map.
+    n_0 is the number of a with c_i(a) = 0, the kernel of the dual map,
+    read from the same O(q r) transform as ``weight_distribution``.
     """
     _check_code(ctx, i)
-    _check_quadratic_budget(ctx, "the code cardinality shares the quadratic-in-q limit")
     n0 = _dual_weight_histogram(ctx, i)[0]
     size, rem = divmod(n0 << code_length(ctx, i), ctx.q)
     assert rem == 0, f"cardinality {n0}*2^N/q not integral"

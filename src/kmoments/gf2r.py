@@ -237,12 +237,6 @@ class FieldContext:
             raise ValueError("0 has no multiplicative inverse")
         return self.inv_table[x]
 
-    def pow(self, x: int, n: int) -> int:
-        """x raised to an integer power n >= 0."""
-        if x == 0:
-            return 0 if n else 1
-        return self.exp[self.log[x] * n % (self.q - 1)]
-
     def trace(self, x: int) -> int:
         """Trace to GF(2): x + x^2 + ... + x^(2^(r-1)), as 0 or 1."""
         return self.trace_table[x]

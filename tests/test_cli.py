@@ -131,6 +131,46 @@ def test_verify_detects_breakage(capsys, monkeypatch):
     assert json.loads(out)["all_passed"] is False
 
 
+_WRONG_K_PROBE = """
+import dataclasses, sys
+from types import MappingProxyType
+import kmoments.cli as cli
+
+real = cli.kl.kloosterman_table
+
+
+def off_by_two(ctx):
+    # K(1) moved by 2 is no longer 3 mod 4, so its closed-form weights are fractions
+    table = real(ctx)
+    values = dict(table.values)
+    values[1] += 2
+    return dataclasses.replace(table, values=MappingProxyType(values))
+
+
+cli.kl.kloosterman_table = off_by_two
+sys.exit(cli.main(["verify", "--r", "4", "--code", "2", "--hmax", "4"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["asserts", "optimized"])
+def test_verify_fails_on_a_wrong_k_value(flags):
+    # a wrong K(a) makes a closed form a fraction, which no weight equals:
+    # the checks fail whether or not asserts run, and no weight is floored
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_K_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (2, "")
+    lines = done.stdout.splitlines()
+    assert "r=4 code=2 dual_weight_formula: FAIL" in lines
+    assert "r=4 code=2 dual_weight_halving: FAIL" in lines
+    assert lines[-1] == "all: FAIL"
+
+
 def _count_calls(monkeypatch, targets):
     """Wrap each (module, name) so the returned dict counts its calls by name."""
     calls = {name: 0 for _, name in targets}

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmoments import build_field, kloosterman_sum
+from kmoments import (
+    build_field,
+    kloosterman_sum,
+    kloosterman_table,
+    moment_bruteforce,
+    moment_sequence,
+)
 from kmoments.codes import (
     CODE_INDICES,
     build_vector,
@@ -12,6 +18,7 @@ from kmoments.codes import (
     code_length,
     dual_codeword,
     dual_weight_closed_form,
+    dual_weight_fraction,
     dual_weight_from_k,
     dual_words,
     is_codeword,
@@ -157,6 +164,16 @@ def test_dual_weight_from_k_is_the_closed_form(ctx3):
             assert dual_weight_from_k(ctx3.q, i, k) == dual_weight_closed_form(ctx3, i, a)
     with pytest.raises(AssertionError, match="not integral"):
         dual_weight_from_k(8, 3, 0)
+
+
+def test_dual_weight_fraction_is_exact(ctx3):
+    for i in CODE_INDICES:
+        for a in ctx3.nonzero():
+            num, den = dual_weight_fraction(ctx3.q, i, kloosterman_sum(ctx3, a))
+            assert den * dual_codeword(ctx3, i, a).weight == num
+    # a K value off by 2 leaves a fraction, with nothing floored or raised
+    assert dual_weight_fraction(8, 3, 0) == (9, 2)
+    assert dual_weight_fraction(8, 2, -3) == (10, 4)
 
 
 # -- all dual words at once, by linearity ---------------------------------------------
@@ -332,24 +349,20 @@ def test_enumeration_budget():
         weight_distribution_exhaustive(ctx, 3)
 
 
-def test_quadratic_ops_refused_past_degree_12():
-    ctx = build_field(13)
-    with pytest.raises(ValueError, match="quadratic"):
-        weight_distribution(ctx, 3, j_max=4)
-    with pytest.raises(ValueError, match="quadratic"):
-        code_cardinality(ctx, 3)
-    # O(q)-per-call operations still work at this degree
-    assert dual_weight_closed_form(ctx, 3, 1) == dual_codeword(ctx, 3, 1).weight
-
-
 @pytest.mark.parametrize("r", [13, 14])
 def test_dual_structure_past_degree_12(r):
-    # the rank report costs O(r N), so it runs past the quadratic limit
+    # the library has no limit below the field's MAX_DEGREE: the rank report
+    # is O(r N), the distribution and cardinality O(q r), the K table one square
     ctx = build_field(r)
+    table = kloosterman_table(ctx)
+    assert dual_weight_closed_form(ctx, 3, 1) == dual_codeword(ctx, 3, 1).weight
     for i in CODE_INDICES:
         report = verify_dual_structure(ctx, i)
         assert report["orthogonal"] and report["injective"] and report["product_check"], i
         assert report["code_cardinality"] == 1 << (report["length"] - r), i
+        assert code_cardinality(ctx, i) == 1 << (code_length(ctx, i) - r), i
+        mk = moment_sequence(ctx, i, 4).mk
+        assert list(mk) == [moment_bruteforce(ctx, h, table) for h in range(5)], i
 
 
 # -- linear algebra helper -----------------------------------------------------------
