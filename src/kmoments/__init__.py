@@ -6,10 +6,12 @@ from .gf2r import FieldContext, build_field, irreducible_polys, parse_poly, poly
 from .kloosterman import (
     KloostermanTable,
     irreducible_quadratic_char_sum,
+    irreducible_quadratic_char_sums,
     kloosterman_sum,
     kloosterman_table,
     moment_bruteforce,
     split_quadratic_char_sum,
+    split_quadratic_char_sums,
 )
 from .codes import (
     CODE_INDICES,
@@ -50,6 +52,8 @@ __all__ = [
     "moment_bruteforce",
     "split_quadratic_char_sum",
     "irreducible_quadratic_char_sum",
+    "split_quadratic_char_sums",
+    "irreducible_quadratic_char_sums",
     "CODE_INDICES",
     "DualCodeword",
     "WeightDistribution",

@@ -15,12 +15,8 @@ timestamps), in json, csv or pretty form.  Exit status: 0 all good,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 from . import codes as codes_mod
 from . import kloosterman as kl
@@ -47,19 +43,32 @@ CARDINALITY_MAX_R = 8  # then distribution_cardinality by code_cardinality, O(q 
 PLESS_MAX_H = 10  # pless_identity checks orders 0..min(--hmax, PLESS_MAX_H)
 
 
-@dataclass
 class RunConfig:
     """Validated options shared by the subcommands."""
 
-    r_values: tuple[int, ...]
-    modulus: int | None = None
-    b: int | None = None
-    h_max: int = 10
-    codes: tuple[int, ...] = (1, 2, 3, 4)
-    j_max: int | None = None
-    fmt: str = "pretty"
-    out: str | None = None
-    contexts: dict[int, FieldContext] | None = None
+    __slots__ = ("r_values", "modulus", "b", "h_max", "codes", "j_max", "fmt", "out", "contexts")
+
+    def __init__(
+        self,
+        r_values: tuple[int, ...],
+        modulus: int | None = None,
+        b: int | None = None,
+        h_max: int = 10,
+        codes: tuple[int, ...] = (1, 2, 3, 4),
+        j_max: int | None = None,
+        fmt: str = "pretty",
+        out: str | None = None,
+        contexts: dict[int, FieldContext] | None = None,
+    ):
+        self.r_values = r_values
+        self.modulus = modulus
+        self.b = b
+        self.h_max = h_max
+        self.codes = codes
+        self.j_max = j_max
+        self.fmt = fmt
+        self.out = out
+        self.contexts = contexts
 
 
 class _UsageError(Exception):
@@ -139,12 +148,18 @@ def _render(
 
     json is the payload under the schema and command keys; csv is the
     header, then the values of each row dict in key order (None as an
-    empty cell, booleans in lower case); pretty is the lines.
+    empty cell, booleans in lower case); pretty is the lines.  json and
+    csv are imported here, by the one run that writes them.
     """
     if cfg.fmt == "json":
+        import json
+
         doc = {"schema": SCHEMA_VERSION, "command": command, **payload}
         text = json.dumps(doc, indent=2) + "\n"
     elif cfg.fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -274,20 +289,19 @@ def _char_sum_checks(ctx: FieldContext, table: kl.KloostermanTable):
     """The two quadratic character sums against the table, up to CHAR_SUM_MAX_R.
 
     They do not depend on the code, so ``cmd_verify`` evaluates them
-    once per r and repeats the rows under each code.
+    once per r and repeats the rows under each code.  Each sum comes as
+    one row over every a: one split row, and one irreducible row per b.
     """
     if ctx.r > CHAR_SUM_MAX_R:
         return []
-    ok = all(kl.split_quadratic_char_sum(ctx, a) == table[a] - 1 for a in ctx.nonzero())
+    split = kl.split_quadratic_char_sums(ctx)
+    ok = all(split[a] == table[a] - 1 for a in ctx.nonzero())
     checks = [("split_char_sum", ok, None)]
 
     trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
     bs = trace_one if ctx.r <= ALL_B_MAX_R else [trace_one[0], trace_one[-1]]
-    ok = all(
-        kl.irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1
-        for b in bs
-        for a in ctx.nonzero()
-    )
+    rows = (kl.irreducible_quadratic_char_sums(ctx, b) for b in bs)
+    ok = all(row[a] == -table[a] - 1 for row in rows for a in ctx.nonzero())
     note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
     checks.append(("irreducible_char_sum", ok, note))
     return checks

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .gf2r import FieldContext
 from .kloosterman import kloosterman_sum
 
@@ -141,10 +141,10 @@ def is_codeword(ctx: FieldContext, i: int, u) -> bool:
     return acc == 0
 
 
-@dataclass(frozen=True)
-class DualCodeword:
+class DualCodeword(Record):
     """The trace word c_i(a); its weight is pinned down by K(a)."""
 
+    __slots__ = ("code", "a", "bits")
     code: int
     a: int
     bits: tuple[int, ...]
@@ -206,7 +206,8 @@ def dual_weight_from_k(q: int, i: int, k: int) -> int:
     """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0."""
     num, den = dual_weight_fraction(q, i, k)
     w, rem = divmod(num, den)
-    assert rem == 0, f"weight {num}/{den} not integral; K(a)={k}"
+    if rem:
+        raise ArithmeticError(f"weight {num}/{den} not integral; K(a)={k}")
     return w
 
 
@@ -219,10 +220,10 @@ def dual_weight_closed_form(ctx: FieldContext, i: int, a: int) -> int:
     return dual_weight_from_k(ctx.q, i, kloosterman_sum(ctx, a))
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(Record):
     """Exact codeword counts by weight, possibly truncated to a prefix."""
 
+    __slots__ = ("code", "length", "counts")
     code: int
     length: int
     counts: tuple[int, ...]
@@ -287,13 +288,15 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
         totals[0] += count
         for j in range(j_max):
             nxt, rem = divmod((n - 2 * w) * cur - (n - j + 1) * prev, j + 1)
-            assert rem == 0, f"Krawtchouk K_{j + 1}({w}) not integral"
+            if rem:
+                raise ArithmeticError(f"Krawtchouk K_{j + 1}({w}) not integral")
             prev, cur = cur, nxt
             totals[j + 1] += count * cur
     counts = []
     for j, total in enumerate(totals):
         c, rem = divmod(total, ctx.q)
-        assert rem == 0, f"MacWilliams sum for j={j} not divisible by q"
+        if rem:
+            raise ArithmeticError(f"MacWilliams sum for j={j} not divisible by q")
         counts.append(c)
     return WeightDistribution(code=i, length=n, counts=tuple(counts))
 
@@ -307,7 +310,8 @@ def code_cardinality(ctx: FieldContext, i: int) -> int:
     _check_code(ctx, i)
     n0 = _dual_weight_histogram(ctx, i)[0]
     size, rem = divmod(n0 << code_length(ctx, i), ctx.q)
-    assert rem == 0, f"cardinality {n0}*2^N/q not integral"
+    if rem:
+        raise ArithmeticError(f"cardinality {n0}*2^N/q not integral")
     return size
 
 

@@ -23,17 +23,26 @@ Two further character sums are provided, with quadratic denominators
 that are split (x^2 + x) or irreducible (x^2 + x + b, trace-one b).
 They evaluate to K(a) - 1 and -K(a) - 1 respectively, which is the
 identity underlying the dual-codeword weights in :mod:`kmoments.codes`.
+``split_quadratic_char_sums`` and ``irreducible_quadratic_char_sums``
+give every a at once, as a row indexed by a.  The character row
+f(t) = lambda(g^t) over two periods of ``ctx.exp`` is built once, and so
+is the list of q-1 - log d(alpha) over the denominators d(alpha); the
+term lambda(a/d) is then f(log a + q-1 - log d), so the sum for one a is
+one ``operator.itemgetter`` call over f[log a:] and one ``sum``, both in
+C.  Every term is still a literal lookup: the rows read no K value and
+do no convolution, so they stay independent of ``kloosterman_table``.
+The per-a functions are their oracles.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 
+from ._record import Record
 from .gf2r import FieldContext
 
 __all__ = [
@@ -43,6 +52,8 @@ __all__ = [
     "moment_bruteforce",
     "split_quadratic_char_sum",
     "irreducible_quadratic_char_sum",
+    "split_quadratic_char_sums",
+    "irreducible_quadratic_char_sums",
 ]
 
 # bytes per coefficient slot of the packed convolution.  Every linear
@@ -52,10 +63,10 @@ __all__ = [
 _SLOT_BYTES = 2
 
 
-@dataclass(frozen=True)
-class KloostermanTable:
+class KloostermanTable(Record):
     """All q-1 values K(a), exact, for one field context (read-only)."""
 
+    __slots__ = ("r", "modulus", "values")
     r: int
     modulus: int
     values: Mapping[int, int]
@@ -79,6 +90,8 @@ class KloostermanTable:
         }
 
     def to_json_text(self) -> str:
+        import json
+
         return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
 
@@ -110,7 +123,10 @@ def kloosterman_table(ctx: FieldContext) -> KloostermanTable:
     """
     q, qm1, exp, trace = ctx.q, ctx.q - 1, ctx.exp, ctx.trace_table
     ones = q // 2 - 1
-    assert ones < 1 << (8 * _SLOT_BYTES) and array("H").itemsize == _SLOT_BYTES
+    if ones >= 1 << (8 * _SLOT_BYTES) or array("H").itemsize != _SLOT_BYTES:
+        raise ArithmeticError(
+            f"{_SLOT_BYTES}-byte array('H') slots cannot hold counts up to {ones}"
+        )
     packed = bytearray(2 * qm1 * _SLOT_BYTES)
     packed[: qm1 * _SLOT_BYTES : _SLOT_BYTES] = bytes(1 - trace[exp[t]] for t in range(qm1))
     u = int.from_bytes(packed, "little")
@@ -119,7 +135,8 @@ def kloosterman_table(ctx: FieldContext) -> KloostermanTable:
         lin.byteswap()
     # sum_k lin[k] = (sum_t u(t))^2 holds only if no slot carried into
     # the next and the slots were read in the right byte order
-    assert sum(lin) == ones * ones
+    if sum(lin) != ones * ones:
+        raise ArithmeticError(f"convolution slots sum to {sum(lin)}, not {ones}^2")
     k = [0] * q
     for s in range(qm1):
         k[exp[s]] = 4 * (lin[s] + lin[s + qm1]) - q + 3
@@ -173,3 +190,42 @@ def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
     return sum(
         lam[exp[la - log[sq ^ alpha ^ b] + qm1]] for alpha, sq in enumerate(squares)
     )
+
+
+def _char_sum_row(ctx: FieldContext, denominators) -> list[int | None]:
+    """Entry a is the sum over d in ``denominators`` of lambda(a/d); entry 0 is None.
+
+    With row[t] = lambda(g^t) over the two periods of ``ctx.exp`` and
+    n_d = q-1 - log d, the term for d is row[log a + n_d].  So the sum
+    for a is one ``itemgetter`` of every n_d over row[log a:], and each
+    term is still a literal lookup of lambda(a/d): no K value is read.
+    """
+    lam, log = ctx.lam_table, ctx.log
+    row = [lam[x] for x in ctx.exp]
+    neg = [ctx.q - 1 - log[d] for d in denominators]
+    # itemgetter of one index returns the item, not a 1-tuple
+    terms = itemgetter(*neg) if len(neg) > 1 else lambda s: [s[n] for n in neg]
+    return [None] + [sum(terms(row[la:])) for la in log[1:]]
+
+
+def split_quadratic_char_sums(ctx: FieldContext) -> list[int | None]:
+    """``split_quadratic_char_sum`` at every nonzero a, as a list indexed by a.
+
+    The same terms, a/(alpha^2 + alpha) for alpha outside {0, 1}, summed
+    for each a by :func:`_char_sum_row`; the per-a sum is its oracle.
+    """
+    exp, log = ctx.exp, ctx.log
+    return _char_sum_row(ctx, [exp[2 * log[alpha]] ^ alpha for alpha in range(2, ctx.q)])
+
+
+def irreducible_quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
+    """``irreducible_quadratic_char_sum`` at every nonzero a, as a list indexed by a.
+
+    The same terms, a/(alpha^2 + alpha + b) for every alpha, summed for
+    each a by :func:`_char_sum_row`; the per-a sum is its oracle.
+    """
+    if ctx.trace_table[b] != 1:
+        raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
+    exp, log = ctx.exp, ctx.log
+    denominators = [exp[2 * log[alpha]] ^ alpha ^ b for alpha in range(1, ctx.q)]
+    return _char_sum_row(ctx, [b, *denominators])

@@ -17,10 +17,10 @@ is never produced by the recursion.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from ._record import Record
 from .codes import code_length, dual_words, weight_distribution
 from .gf2r import FieldContext
 
@@ -65,14 +65,15 @@ def stirling2_explicit(h: int, t: int) -> int:
         return 0
     total = sum((-1) ** (t - j) * comb(t, j) * j**h for j in range(t + 1))
     s, rem = divmod(total, factorial(t))
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"alternating sum for S({h}, {t}) not divisible by {t}!")
     return s
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Record):
     """MK^0 .. MK^h_max as exact integers."""
 
+    __slots__ = ("h_max", "mk")
     h_max: int
     mk: tuple[int, ...]
 

@@ -9,6 +9,7 @@ import pytest
 from kmoments.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -132,7 +133,7 @@ def test_verify_detects_breakage(capsys, monkeypatch):
 
 
 _WRONG_K_PROBE = """
-import dataclasses, sys
+import sys
 from types import MappingProxyType
 import kmoments.cli as cli
 
@@ -144,7 +145,7 @@ def off_by_two(ctx):
     table = real(ctx)
     values = dict(table.values)
     values[1] += 2
-    return dataclasses.replace(table, values=MappingProxyType(values))
+    return cli.kl.KloostermanTable(table.r, table.modulus, MappingProxyType(values))
 
 
 cli.kl.kloosterman_table = off_by_two
@@ -196,6 +197,8 @@ def _per_a_targets():
 
     # moments imports dual_words by name, so pless_check calls it there
     return [
+        (kl, "split_quadratic_char_sums"),
+        (kl, "irreducible_quadratic_char_sums"),
         (kl, "split_quadratic_char_sum"),
         (kl, "irreducible_quadratic_char_sum"),
         (kl, "kloosterman_sum"),
@@ -210,9 +213,12 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     calls = _count_calls(monkeypatch, _per_a_targets())
     code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
     assert code == 0
-    # q - 1 = 63 values of a, and 63 * 32 (a, trace-one b) pairs, for all four codes
-    assert calls["split_quadratic_char_sum"] == 63
-    assert calls["irreducible_quadratic_char_sum"] == 2016
+    # for all four codes: one split row over the q - 1 = 63 values of a, and
+    # one irreducible row per trace-one b (32 of them); no per-a sum
+    assert calls["split_quadratic_char_sums"] == 1
+    assert calls["irreducible_quadratic_char_sums"] == 32
+    assert calls["split_quadratic_char_sum"] == 0
+    assert calls["irreducible_quadratic_char_sum"] == 0
     assert calls["kloosterman_sum"] == 0
     assert calls["dual_codeword"] == 0
     # per code: dual_weight_formula and pless_check
@@ -300,8 +306,10 @@ def test_out_missing_directory_is_usage_error(capsys, tmp_path):
 # -- golden outputs ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("csv", "csv"), ("pretty", "txt")])
-@pytest.mark.parametrize(
+GOLDEN_FORMATS = pytest.mark.parametrize(
+    "fmt, ext", [("json", "json"), ("csv", "csv"), ("pretty", "txt")]
+)
+GOLDEN_CASES = pytest.mark.parametrize(
     "name, argv",
     [
         ("moments", ("moments", "--r", "3..4", "--hmax", "4")),
@@ -313,10 +321,34 @@ def test_out_missing_directory_is_usage_error(capsys, tmp_path):
         ("verify_r7_modulus", ("verify", "--r", "7", "--modulus", "0x9d", "--b", "0x2b")),
     ],
 )
+
+
+def run_process(*argv, flags=()):
+    """Run ``python [flags] -m kmoments.cli argv``: (exit code, stdout bytes, stderr text)."""
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "kmoments.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+@GOLDEN_FORMATS
+@GOLDEN_CASES
 def test_golden_output(capsys, name, argv, fmt, ext):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{name}.{ext}").read_bytes()
+
+
+@GOLDEN_FORMATS
+@GOLDEN_CASES
+def test_golden_output_optimized(name, argv, fmt, ext):
+    # python -O drops every assert; no output may depend on one
+    code, out, err = run_process(*argv, "--format", fmt, flags=("-O",))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{ext}").read_bytes()
 
 
 # -- runtime dependencies ------------------------------------------------------------
@@ -343,3 +375,25 @@ def test_cli_imports_only_the_standard_library():
         if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "kmoments"
     ]
     assert foreign == []
+
+
+def test_cli_import_loads_no_dataclasses_json_or_csv():
+    # dataclasses pulls in inspect, ast, dis and tokenize; json and csv are
+    # imported by the renderer only for the format that needs them
+    probe = (
+        "import sys\n"
+        "import kmoments.cli\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'json', 'csv') if m in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "\n")
+    # json is still there when a run renders it
+    code, out, err = run_process("verify", "--r", "2..4", "--hmax", "4", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "verify.json").read_bytes()

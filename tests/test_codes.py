@@ -162,7 +162,7 @@ def test_dual_weight_from_k_is_the_closed_form(ctx3):
         for a in ctx3.nonzero():
             k = kloosterman_sum(ctx3, a)
             assert dual_weight_from_k(ctx3.q, i, k) == dual_weight_closed_form(ctx3, i, a)
-    with pytest.raises(AssertionError, match="not integral"):
+    with pytest.raises(ArithmeticError, match="not integral"):
         dual_weight_from_k(8, 3, 0)
 
 

@@ -12,10 +12,12 @@ from kmoments import build_field
 from kmoments.gf2r import irreducible_polys
 from kmoments.kloosterman import (
     irreducible_quadratic_char_sum,
+    irreducible_quadratic_char_sums,
     kloosterman_sum,
     kloosterman_table,
     moment_bruteforce,
     split_quadratic_char_sum,
+    split_quadratic_char_sums,
 )
 
 import oracles
@@ -233,6 +235,61 @@ def test_char_sums_equal_mul_inverse_oracles(r, contexts):
             assert irreducible_quadratic_char_sum(ctx, a, b) == (
                 oracles.irreducible_char_sum_by_mul(ctx, a, b)
             ), (a, b)
+
+
+def _assert_rows_equal_per_a_sums(ctx, bs):
+    assert split_quadratic_char_sums(ctx)[1:] == [
+        split_quadratic_char_sum(ctx, a) for a in ctx.nonzero()
+    ]
+    for b in bs:
+        assert irreducible_quadratic_char_sums(ctx, b)[1:] == [
+            irreducible_quadratic_char_sum(ctx, a, b) for a in ctx.nonzero()
+        ], b
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_char_sum_rows_equal_the_per_a_sums(r, contexts):
+    # every trace-one b up to r = 6, as verify reads them; above, the first and last
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    trace_one = [b for b in ctx.elements() if ctx.trace(b) == 1]
+    _assert_rows_equal_per_a_sums(ctx, trace_one if r <= 6 else [trace_one[0], trace_one[-1]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), r=st.integers(2, 8))
+def test_char_sum_rows_equal_the_per_a_sums_any_representation(data, r):
+    modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
+    ctx = build_field(r, modulus=modulus)
+    trace_one = [x for x in ctx.elements() if ctx.trace(x) == 1]
+    _assert_rows_equal_per_a_sums(ctx, [data.draw(st.sampled_from(trace_one), label="b")])
+
+
+def test_char_sum_rows_index_by_a_and_check_b(ctx3):
+    assert split_quadratic_char_sums(ctx3)[:4] == [None, -6, split_quadratic_char_sum(ctx3, 2), 2]
+    assert irreducible_quadratic_char_sums(ctx3, 1)[1] == 4
+    with pytest.raises(ValueError, match="trace 1"):
+        irreducible_quadratic_char_sums(ctx3, 2)
+
+
+def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
+    import kmoments.cli as cli
+    import kmoments.kloosterman as kl
+
+    real = kl._char_sum_row
+
+    def neighbour(ctx, denominators):
+        # the first denominator d becomes g d, its neighbour in exp order
+        # (its neighbour in alpha order is d itself, as d(alpha) = d(alpha + 1))
+        d, *rest = denominators
+        return real(ctx, [ctx.exp[ctx.log[d] + 1], *rest])
+
+    monkeypatch.setattr(kl, "_char_sum_row", neighbour)
+    assert cli.main(["verify", "--r", "3..4", "--hmax", "2"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    for r in (3, 4):
+        assert f"r={r} code=3 split_char_sum: FAIL" in lines
+        assert f"r={r} code=3 irreducible_char_sum: FAIL" in lines
+    assert lines[-1] == "all: FAIL"
 
 
 def test_char_sum_domain_errors(ctx3):
