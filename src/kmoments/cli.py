@@ -1,7 +1,9 @@
 """Batch front-end: moment tables, weight distributions, verification runs.
 
-Subcommands
------------
+Commands
+--------
+The first argument names the command; every option applies to all three.
+
 moments : recursive MK^h per code, beside the brute-force oracle column
           and a match flag (the K table reaches every r accepted here).
 weights : weight distribution rows per code, full or truncated.
@@ -9,7 +11,8 @@ verify  : the whole identity suite per (r, code) with pass/fail lines.
 
 Output is deterministic (sorted by r, code, then h or j; no
 timestamps), in json, csv or pretty form.  Exit status: 0 all good,
-1 usage error, 2 verification mismatch.
+1 usage error, 2 verification mismatch (a failed check, or an exact
+arithmetic guard that raised, reported as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -314,13 +317,23 @@ def _whole_weight(q: int, i: int, k: int) -> int | None:
     return None if num % den else num // den
 
 
-def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable):
-    """Yield (check_name, passed, note) for one (context, code) pair."""
+def _verify_checks(
+    ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable, brute: list[int]
+):
+    """Yield (check_name, passed, note) for one (context, code) pair.
+
+    ``brute`` holds MK^0..MK^h_max (at least) from the table.  The dual
+    words and the weight distribution are built once here and shared by
+    every check that reads them.
+    """
     r, q = ctx.r, ctx.q
+    n = codes_mod.code_length(ctx, i)
+    words = codes_mod.dual_words(ctx, i)
+    full_distribution = r <= VERIFY_DISTRIBUTION_MAX_R
+    dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
 
     if r <= DUAL_WEIGHT_MAX_R:
         # the literal trace words against the closed forms in the table's K(a)
-        words = codes_mod.dual_words(ctx, i)
         weights = {a: _whole_weight(q, i, table[a]) for a in ctx.nonzero()}
         ok = all(w == words[a].bit_count() for a, w in weights.items())
         yield "dual_weight_formula", ok, None
@@ -340,21 +353,19 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
         yield "dual_map_injective", report["injective"], None
     yield "dual_cardinality_product", report["product_check"], None
 
-    n = codes_mod.code_length(ctx, i)
     # where the dual map is not injective (codes 1, 2 at r = 2) the code is
     # larger than 2^(N-r); compare against the nullspace dimension instead
     expected_total = (
         1 << (n - r) if report["injective"] else report["code_cardinality"]
     )
     size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
-    if r <= VERIFY_DISTRIBUTION_MAX_R:
-        full = codes_mod.weight_distribution(ctx, i)
+    if full_distribution:
         if n - r <= codes_mod.ENUMERATION_BUDGET:
-            brute = codes_mod.weight_distribution_exhaustive(ctx, i)
-            yield "distribution_vs_enumeration", full.counts == brute.counts, None
-        yield "distribution_cardinality", sum(full.counts) == expected_total, size_note
+            enumerated = codes_mod.weight_distribution_exhaustive(ctx, i)
+            yield "distribution_vs_enumeration", dist.counts == enumerated.counts, None
+        yield "distribution_cardinality", sum(dist.counts) == expected_total, size_note
         if i in (1, 3):
-            ok = all(full.counts[j] == full.counts[n - j] for j in range(n + 1))
+            ok = all(dist.counts[j] == dist.counts[n - j] for j in range(n + 1))
             yield "distribution_palindrome", ok, None
     elif r <= CARDINALITY_MAX_R:
         # the note is kept for byte-identical output; the count is the
@@ -366,17 +377,16 @@ def _verify_checks(ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanT
         )
 
     if i in (3, 4) or r >= 3:
-        ok = all(equal for _, _, equal in mo.pless_check(ctx, i, min(h_max, PLESS_MAX_H)))
-        yield "pless_identity", ok, None
-        seq = mo.moment_sequence(ctx, i, h_max)
-        ok = all(
-            seq.mk[h] == kl.moment_bruteforce(ctx, h, table)
-            for h in range(h_max + 1)
+        pless = mo.pless_check(
+            ctx, i, min(h_max, PLESS_MAX_H), counts=dist.counts, words=words
         )
+        yield "pless_identity", all(equal for _, _, equal in pless), None
+        seq = mo.moment_sequence(ctx, i, h_max, counts=dist.counts)
+        ok = all(seq.mk[h] == brute[h] for h in range(h_max + 1))
         yield "moment_recursion", ok, None
 
 
-def _field_checks(ctx: FieldContext, table: kl.KloostermanTable):
+def _field_checks(ctx: FieldContext, table: kl.KloostermanTable, brute: list[int]):
     weil = all(k * k <= 4 * ctx.q for k in table.values.values())
     yield "kloosterman_weil_bound", weil, None
     if ctx.r >= 2:
@@ -384,7 +394,7 @@ def _field_checks(ctx: FieldContext, table: kl.KloostermanTable):
         yield "kloosterman_mod4", ok, None
     frob = all(table[ctx.mul(a, a)] == table[a] for a in ctx.nonzero())
     yield "kloosterman_frobenius", frob, None
-    yield "moment_first", kl.moment_bruteforce(ctx, 1, table) == 1, None
+    yield "moment_first", brute[1] == 1, None
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -392,7 +402,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     for r in cfg.r_values:
         ctx = cfg.contexts[r]
         table = kl.kloosterman_table(ctx)
-        for name, passed, note in _field_checks(ctx, table):
+        # MK^h once per r, for moment_first and every code's moment_recursion
+        brute = [kl.moment_bruteforce(ctx, h, table) for h in range(max(cfg.h_max, 1) + 1)]
+        for name, passed, note in _field_checks(ctx, table, brute):
             results.append({"r": r, "code": None, "check": name, "passed": passed, "note": note})
         char_sums = _char_sum_checks(ctx, table)
         for i in cfg.codes:
@@ -400,7 +412,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                checks = [*char_sums, *_verify_checks(ctx, i, cfg.h_max, table)]
+                checks = [*char_sums, *_verify_checks(ctx, i, cfg.h_max, table, brute)]
                 for name, passed, note in checks:
                     results.append(
                         {"r": r, "code": i, "check": name, "passed": passed, "note": note}
@@ -424,22 +436,27 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _make_parser() -> _Parser:
-    parser = _Parser(prog="kmoments", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("moments", "recursive vs brute-force power moments"),
-        ("weights", "code weight distributions"),
-        ("verify", "run the full identity suite"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--r", required=True, help="degree, or inclusive range a..b")
-        p.add_argument("--modulus", help="irreducible modulus override (hex or x^k+... form)")
-        p.add_argument("--b", help="trace-one element override (hex)")
-        p.add_argument("--hmax", type=int, default=10, help="largest moment order (default 10)")
-        p.add_argument("--code", default="1,2,3,4", help="comma list from 1..4")
-        p.add_argument("--jmax", type=int, default=None, help="truncate distributions at this weight")
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    # one parser for all three commands, which take the same options; a
+    # subparser each would build and scan the same eight options three times
+    parser = _Parser(
+        prog="kmoments",
+        usage="%(prog)s {moments,weights,verify} --r R [options]",
+        description=__doc__.splitlines()[0] + " Every option applies to all three commands.",
+    )
+    parser.add_argument(
+        "command",
+        choices=("moments", "weights", "verify"),
+        help="moments: recursive vs brute-force power moments; "
+        "weights: code weight distributions; verify: run the full identity suite",
+    )
+    parser.add_argument("--r", required=True, help="degree, or inclusive range a..b")
+    parser.add_argument("--modulus", help="irreducible modulus override (hex or x^k+... form)")
+    parser.add_argument("--b", help="trace-one element override (hex)")
+    parser.add_argument("--hmax", type=int, default=10, help="largest moment order (default 10)")
+    parser.add_argument("--code", default="1,2,3,4", help="comma list from 1..4")
+    parser.add_argument("--jmax", type=int, default=None, help="truncate distributions at this weight")
+    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
     return parser
 
 
@@ -460,6 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ArithmeticError as exc:
+        # an exact-arithmetic guard failed: the numbers do not check out
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return MISMATCH_ERROR
 
 
 if __name__ == "__main__":

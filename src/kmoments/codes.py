@@ -26,15 +26,21 @@ parity rows of code i (``verify_dual_structure``).
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
 MacWilliams identity turns that weight histogram into the codeword
-counts through Krawtchouk polynomials.  No K(a) value is used, so the
-counts stay independent of the Kloosterman table they are checked
-against.  An exhaustive enumeration oracle walks the codeword space
-from a nullspace basis.
+counts through Krawtchouk polynomials.  The transform runs on one
+packed int, q biased fixed-width slots, so each of its r butterfly
+stages is a few whole-integer masks, shifts and sums rather than q
+list operations (``_dual_weight_histogram``); a list butterfly is its
+oracle in the tests.  No K(a) value is used, so the counts stay
+independent of the Kloosterman table they are checked against.  An
+exhaustive enumeration oracle walks the codeword space from a
+nullspace basis.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
+from array import array
 from collections import Counter
 
 from ._record import Record
@@ -67,6 +73,11 @@ CODE_INDICES = (1, 2, 3, 4)
 
 # exhaustive enumeration walks 2^(N-r) codewords
 ENUMERATION_BUDGET = 24
+
+# byte widths a Walsh-Hadamard slot may take, narrowest first; a slot
+# holds F(u) + 2^(8w-1) with |F(u)| <= N, so it needs N < 2^(8w-1), and
+# four bytes hold every N up to the field's MAX_DEGREE
+_WHT_SLOT_BYTES = (1, 2, 4)
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -236,6 +247,28 @@ class WeightDistribution(Record):
         return self.counts[j]
 
 
+def _slots(q: int, width: int, h: int, fill: bytes) -> int:
+    """The packed int whose slots k with k & h == 0 hold ``fill``; the rest are 0."""
+    return int.from_bytes((fill * h + bytes(width * h)) * (q // (2 * h)), "little")
+
+
+def _wht_stages(q: int, width: int) -> list[tuple[int, int, int]]:
+    """(shift, mask, bias) for the stages h = 1, 2, 4, .., q/2 of the packed transform.
+
+    mask selects the slots k with k & h == 0, bias holds the slot bias
+    2^(8 width - 1) in exactly those slots, and shift is the bit distance
+    from slot k to slot k + h.
+    """
+    ones = b"\xff" * width
+    half = (1 << (8 * width - 1)).to_bytes(width, "little")
+    stages = []
+    h = 1
+    while h < q:
+        stages.append((8 * width * h, _slots(q, width, h, ones), _slots(q, width, h, half)))
+        h *= 2
+    return stages
+
+
 def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
     """How many of the q dual words c_i(a) have each Hamming weight.
 
@@ -245,22 +278,48 @@ def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
     mod 2.  The maps x -> popcount(u & x) mod 2 over all u are exactly the
     maps x -> tr(a x), so the q values of u give the dual words with
     multiplicity (twice each for codes 1 and 2 at r = 2).
+
+    The q values live in one int, slot k holding F_k + B in ``width``
+    little-endian bytes, B = 2^(8 width - 1).  Every partial sum of the
+    butterflies is bounded by sum_beta f[beta] = N, so the narrowest
+    width with N < B keeps every slot in 0..2^(8 width) - 1.  Stage h
+    pairs slot k with slot k + h for each k with k & h = 0:
+
+        lo = x & M_h,  hi = (x >> shift_h) & M_h,
+        x = (lo + hi - B_h) | ((lo - hi + B_h) << shift_h),
+
+    with M_h and B_h from ``_wht_stages``.  Each slot of the two terms
+    ends in range, so the exact integer sums leave every value in its
+    own slot, whatever carries or borrows happen on the way.  The slots
+    are read back with one ``array``, and two invariants are checked:
+    F(0) = N, and sum_u F(u) = q f[0] = 0, since no entry of vector i is
+    zero.  The list butterfly is the oracle in the tests.
     """
-    q = ctx.q
+    q, n = ctx.q, code_length(ctx, i)
+    width = next((w for w in _WHT_SLOT_BYTES if n < 1 << (8 * w - 1)), None)
+    typecode = next((t for t in "BHILQ" if array(t).itemsize == width), None)
+    if typecode is None:
+        raise ArithmeticError(f"no slot of {_WHT_SLOT_BYTES} bytes holds transform values up to {n}")
+    bias = 1 << (8 * width - 1)
     mult = 2 if i in (1, 3) else 1
-    f = [0] * q
+    # f[beta] + B in every slot; B's low byte is 0 (or 0x80 in one-byte slots)
+    f = bytearray(bias.to_bytes(width, "little") * q)
     for beta in _base_entries(ctx, i):
-        f[beta] += mult
-    h = 1
-    while h < q:
-        for lo in range(0, q, 2 * h):
-            mid, hi = lo + h, lo + 2 * h
-            xs, ys = f[lo:mid], f[mid:hi]
-            f[lo:mid] = [x + y for x, y in zip(xs, ys)]
-            f[mid:hi] = [x - y for x, y in zip(xs, ys)]
-        h *= 2
-    n = code_length(ctx, i)
-    return Counter((n - F) >> 1 for F in f)
+        f[beta * width] += mult
+    x = int.from_bytes(f, "little")
+    for shift, mask, stage_bias in _wht_stages(q, width):
+        lo = x & mask
+        hi = (x >> shift) & mask
+        x = (lo + hi - stage_bias) | ((lo - hi + stage_bias) << shift)
+    values = array(typecode, x.to_bytes(q * width, "little"))
+    if sys.byteorder == "big":
+        values.byteswap()
+    if values[0] - bias != n or sum(values) != q * bias:
+        raise ArithmeticError(
+            f"transform gives F(0) = {values[0] - bias} and sum F = {sum(values) - q * bias}, "
+            f"not {n} and 0"
+        )
+    return Counter({(n + bias - v) >> 1: c for v, c in Counter(values).items()})
 
 
 def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> WeightDistribution:

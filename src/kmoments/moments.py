@@ -17,7 +17,6 @@ is never produced by the recursion.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, factorial
 
 from ._record import Record
@@ -42,13 +41,17 @@ def binom(b: int, a: int) -> int:
     return comb(b, a)
 
 
+def _next_stirling2_row(row: list[int]) -> list[int]:
+    """S(n, 0..n) from S(n-1, 0..n-1), by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    n = len(row)
+    return [0] + [k * (row[k] if k < n else 0) + row[k - 1] for k in range(1, n + 1)]
+
+
 def _stirling2_row(h: int) -> list[int]:
-    """S(h, 0..h), by the additive recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    """S(h, 0..h), by the additive recurrence."""
     row = [1]  # S(0, *)
-    for n in range(1, h + 1):
-        row = [0] + [
-            k * (row[k] if k < len(row) else 0) + row[k - 1] for k in range(1, n + 1)
-        ]
+    for _ in range(h):
+        row = _next_stirling2_row(row)
     return row
 
 
@@ -81,17 +84,27 @@ class MomentSequence(Record):
         return self.mk[h]
 
 
-def _pless_sum(h: int, n: int, dist) -> int:
-    """sum_{j <= min(N, h)} (-1)^j C_j sum_{t=j..h} t! S(h, t) 2^(h-t) binom(N-j, N-t).
+def _pless_sums(h_max: int, n: int, dist) -> list[int]:
+    """P_h for h = 0..h_max, in one pass over the Stirling rows S(h, *).
 
-    The Stirling row S(h, 0..h) and the t-only factors are built once.
+    P_h = sum_{j <= min(N, h)} (-1)^j C_j sum_{t=j..h} t! S(h, t) 2^(h-t) binom(N-j, N-t),
+    the Pless right side over the counts C_j in ``dist`` with the 2^r
+    dual size left out.  Row h comes from row h - 1, and the t-only
+    factors are built once per h.
     """
-    row = _stirling2_row(h)
-    weights = [factorial(t) * row[t] << (h - t) for t in range(h + 1)]
-    return sum(
-        (-1) ** j * dist[j] * sum(weights[t] * binom(n - j, n - t) for t in range(j, h + 1))
-        for j in range(min(n, h) + 1)
-    )
+    sums = []
+    row = [1]  # S(0, *)
+    for h in range(h_max + 1):
+        if h:
+            row = _next_stirling2_row(row)
+        weights = [factorial(t) * row[t] << (h - t) for t in range(h + 1)]
+        sums.append(
+            sum(
+                (-1) ** j * dist[j] * sum(weights[t] * binom(n - j, n - t) for t in range(j, h + 1))
+                for j in range(min(n, h) + 1)
+            )
+        )
+    return sums
 
 
 def _check_moment_args(ctx: FieldContext, i: int, h: int) -> None:
@@ -101,6 +114,32 @@ def _check_moment_args(ctx: FieldContext, i: int, h: int) -> None:
         raise ValueError(f"the code-{i} recursion needs r >= 3, got r={ctx.r}")
     if h < 0:
         raise ValueError("moment order must be nonnegative")
+
+
+def _recursion_step(q: int, i: int, h: int, lower, pless: int) -> int:
+    """MK^h from MK^0..MK^(h-1) in ``lower`` and P_h of ``_pless_sums``."""
+    if i in (1, 2):
+        first = sum(
+            (-1) ** (h + l + 1) * binom(h, l) * (q - 1) ** (h - l) * lower[l]
+            for l in range(h)
+        )
+        pless *= (-1) ** h
+    else:
+        first = -sum(binom(h, l) * (q + 1) ** (h - l) * lower[l] for l in range(h))
+    # codes with doubled coordinates halve the power of two in each term:
+    # 2^(h-t) for codes 1 and 3, 2^(2h-t) for codes 2 and 4
+    if i in (2, 4):
+        pless <<= h
+    return first + q * pless
+
+
+def _counts(ctx: FieldContext, i: int, j_top: int, counts) -> tuple[int, ...]:
+    # the weight counts C_0..C_j_top at least: the given ones, or one distribution build
+    if counts is None:
+        return weight_distribution(ctx, i, j_max=j_top).counts
+    if len(counts) < j_top + 1:
+        raise ValueError(f"need weight counts up to j={j_top}, got {len(counts)}")
+    return counts
 
 
 def moment_recursive(ctx: FieldContext, i: int, h: int, lower, dist) -> int:
@@ -113,46 +152,32 @@ def moment_recursive(ctx: FieldContext, i: int, h: int, lower, dist) -> int:
     _check_moment_args(ctx, i, h)
     if h == 0:
         raise ValueError("MK^0 = q - 1 is the seed, not a recursion output")
-    q = ctx.q
     n = code_length(ctx, i)
     j_top = min(n, h)
     if len(lower) < h:
         raise ValueError(f"need MK^0..MK^{h - 1}, got {len(lower)} values")
     if len(dist) < j_top + 1:
         raise ValueError(f"need weight counts up to j={j_top}, got {len(dist)}")
-
-    if i in (1, 2):
-        first = sum(
-            (-1) ** (h + l + 1) * binom(h, l) * (q - 1) ** (h - l) * lower[l]
-            for l in range(h)
-        )
-    else:
-        first = -sum(binom(h, l) * (q + 1) ** (h - l) * lower[l] for l in range(h))
-
-    second = _pless_sum(h, n, dist)
-    if i in (1, 2):
-        second *= (-1) ** h
-    # codes with doubled coordinates halve the power of two in each term:
-    # 2^(h-t) for codes 1 and 3, 2^(2h-t) for codes 2 and 4
-    if i in (2, 4):
-        second <<= h
-    return first + q * second
+    return _recursion_step(ctx.q, i, h, lower, _pless_sums(h, n, dist)[h])
 
 
-def moment_sequence(ctx: FieldContext, i: int, h_max: int) -> MomentSequence:
-    """Iterate the code-i recursion from the seed MK^0 = q - 1 up to h_max."""
+def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> MomentSequence:
+    """Iterate the code-i recursion from the seed MK^0 = q - 1 up to h_max.
+
+    ``counts`` may give the weight counts C_0..C_j of code i for some
+    j >= min(N, h_max); without it the distribution is built up to there.
+    """
     _check_moment_args(ctx, i, h_max)
-    j_max = min(code_length(ctx, i), h_max)
-    dist = weight_distribution(ctx, i, j_max=j_max).counts
+    n = code_length(ctx, i)
+    dist = _counts(ctx, i, min(n, h_max), counts)
+    sums = _pless_sums(h_max, n, dist)
     mk = [ctx.q - 1]
     for h in range(1, h_max + 1):
-        mk.append(moment_recursive(ctx, i, h, mk, dist))
+        mk.append(_recursion_step(ctx.q, i, h, mk, sums[h]))
     return MomentSequence(h_max=h_max, mk=tuple(mk))
 
 
-def pless_check(
-    ctx: FieldContext, i: int, h_max: int
-) -> tuple[tuple[int, Fraction, bool], ...]:
+def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, words=None) -> tuple:
     """Both sides of the Pless power moment identity for the dual of code i.
 
     Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
@@ -165,15 +190,26 @@ def pless_check(
     Fraction because the 2^(r-t) factor has t ranging past r (it is
     integral whenever the identity holds).  The weight distribution is
     built once, up to weight min(N, h_max).
+
+    ``counts`` (C_0..C_j, j >= min(N, h_max)) and ``words`` (all q words
+    as ``dual_words`` returns them) may be passed in by a caller that
+    has already built them; they are then used as given.
     """
+    # fractions pulls in decimal: imported here, by the one check that needs it
+    from fractions import Fraction
+
     _check_moment_args(ctx, i, h_max)
     n = code_length(ctx, i)
-    dist = weight_distribution(ctx, i, j_max=min(n, h_max)).counts
-    dual_weights = Counter(word.bit_count() for word in dual_words(ctx, i))
+    dist = _counts(ctx, i, min(n, h_max), counts)
+    if words is None:
+        words = dual_words(ctx, i)
+    elif len(words) != ctx.q:
+        raise ValueError(f"need the q = {ctx.q} dual words, got {len(words)}")
+    dual_weights = Counter(word.bit_count() for word in words)
     checks = []
-    for h in range(h_max + 1):
+    for h, pless in enumerate(_pless_sums(h_max, n, dist)):
         lhs = sum(c * w**h for w, c in dual_weights.items())
         # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
-        rhs = Fraction(_pless_sum(h, n, dist) << ctx.r, 1 << h)
+        rhs = Fraction(pless << ctx.r, 1 << h)
         checks.append((lhs, rhs, rhs == lhs))
     return tuple(checks)

@@ -5,7 +5,8 @@ carry-less arithmetic with explicit long-division reduction, traces by
 repeated squaring, inverses by exhaustive search, Kloosterman sums by
 literal summation, codeword counting by scanning the full binary cube,
 weight counts by a dynamic program over the group algebra of
-(F_q, XOR), and the dual structure of a code by a pairwise parity scan.  Slow on purpose; only used at desk scale.
+(F_q, XOR), dual weights by a list Walsh-Hadamard butterfly, and the
+dual structure of a code by a pairwise parity scan.  Slow on purpose; only used at desk scale.
 
 The two quadratic character sums are the exception: they take a field
 context and evaluate each term through its ``mul`` and inverse table,
@@ -120,6 +121,30 @@ def group_algebra_weight_counts(base, mult: int, q: int, j_max: int) -> list[int
             else:
                 rows[j] = [c + s for c, s in zip(rows[j], shifted)]
     return [row[0] for row in rows]
+
+
+def wht_weight_histogram(base, mult: int, q: int, n: int) -> dict[int, int]:
+    """Weights of the q dual words by a list butterfly over the multiplicities.
+
+    f[beta] counts beta in the code's vector (each entry of ``base``
+    listed ``mult`` times); its integer Walsh-Hadamard transform F(u) is
+    n - 2 wt, one value per u.  Two list slices per block and stage.
+    """
+    f = [0] * q
+    for beta in base:
+        f[beta] += mult
+    h = 1
+    while h < q:
+        for lo in range(0, q, 2 * h):
+            mid, hi = lo + h, lo + 2 * h
+            xs, ys = f[lo:mid], f[mid:hi]
+            f[lo:mid] = [x + y for x, y in zip(xs, ys)]
+            f[mid:hi] = [x - y for x, y in zip(xs, ys)]
+        h *= 2
+    hist: dict[int, int] = {}
+    for F in f:
+        hist[(n - F) // 2] = hist.get((n - F) // 2, 0) + 1
+    return hist
 
 
 def dual_structure_by_scan(words, basis, n: int) -> dict:

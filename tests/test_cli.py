@@ -126,7 +126,9 @@ def test_verify_r2_kernel_reported_not_failed(capsys):
 def test_verify_detects_breakage(capsys, monkeypatch):
     import kmoments.cli as cli
 
-    monkeypatch.setattr(cli.mo, "pless_check", lambda ctx, i, h_max: ((0, 1, False),))
+    monkeypatch.setattr(
+        cli.mo, "pless_check", lambda ctx, i, h_max, counts=None, words=None: ((0, 1, False),)
+    )
     code, out, _ = run(capsys, "verify", "--r", "3", "--code", "3", "--hmax", "2", "--format", "json")
     assert code == 2
     assert json.loads(out)["all_passed"] is False
@@ -210,7 +212,18 @@ def _per_a_targets():
 
 
 def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
+    import kmoments.codes as codes
+    import kmoments.kloosterman as kl
+    import kmoments.moments as mo
+
+    # moments binds weight_distribution by name, so a call from there is seen there
+    shared = [
+        (codes, "weight_distribution"),
+        (mo, "weight_distribution"),
+        (kl, "moment_bruteforce"),
+    ]
     calls = _count_calls(monkeypatch, _per_a_targets())
+    built = _count_calls(monkeypatch, shared)
     code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
     assert code == 0
     # for all four codes: one split row over the q - 1 = 63 values of a, and
@@ -221,8 +234,11 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     assert calls["irreducible_quadratic_char_sum"] == 0
     assert calls["kloosterman_sum"] == 0
     assert calls["dual_codeword"] == 0
-    # per code: dual_weight_formula and pless_check
-    assert calls["dual_words"] == 8
+    # one build per code, shared by dual_weight_formula and pless_check
+    assert calls["dual_words"] == 4
+    # one distribution per code, shared by the distribution checks, pless_check
+    # and moment_sequence; MK^0..MK^4 once for the r, shared by the four codes
+    assert built == {"weight_distribution": 4, "moment_bruteforce": 5}
 
 
 def test_verify_builds_no_kernel_basis(capsys, monkeypatch):
@@ -271,6 +287,21 @@ def test_usage_errors(capsys, argv):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert run(capsys, "moments", "--r", "3", "--frobnicate")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("frobnicate", "--r", "3"), ("--r", "3"), ("moments",)]
+)
+def test_missing_or_unknown_command_is_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_help_names_every_command():
+    code, out, err = run_process("--help")
+    assert (code, err) == (0, "")
+    assert all(name in out.decode() for name in ("moments", "weights", "verify"))
 
 
 # -- determinism and --out -----------------------------------------------------------
@@ -379,11 +410,13 @@ def test_cli_imports_only_the_standard_library():
 
 def test_cli_import_loads_no_dataclasses_json_or_csv():
     # dataclasses pulls in inspect, ast, dis and tokenize; json and csv are
-    # imported by the renderer only for the format that needs them
+    # imported by the renderer only for the format that needs them, and
+    # fractions (which loads decimal) by pless_check only
     probe = (
         "import sys\n"
         "import kmoments.cli\n"
-        "print(*[m for m in ('dataclasses', 'inspect', 'json', 'csv') if m in sys.modules])\n"
+        "names = ('dataclasses', 'inspect', 'json', 'csv', 'fractions', 'decimal')\n"
+        "print(*[m for m in names if m in sys.modules])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,91 @@ def test_dual_structure_past_degree_12(r):
         assert code_cardinality(ctx, i) == 1 << (code_length(ctx, i) - r), i
         mk = moment_sequence(ctx, i, 4).mk
         assert list(mk) == [moment_bruteforce(ctx, h, table) for h in range(5)], i
+
+
+# -- the packed Walsh-Hadamard transform ------------------------------------------------
+
+
+def _packed_and_oracle(ctx, i):
+    import kmoments.codes as codes
+
+    mult = 2 if i in (1, 3) else 1
+    oracle = oracles.wht_weight_histogram(
+        codes._base_entries(ctx, i), mult, ctx.q, code_length(ctx, i)
+    )
+    return dict(codes._dual_weight_histogram(ctx, i)), oracle
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_packed_histogram_equals_list_butterfly(r, contexts):
+    # r = 8 has N = 256 for code 3, the first two-byte slots; r = 2 the 2-to-1 maps
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    for i in CODE_INDICES:
+        if i in (1, 2) and ctx.q < 4:
+            continue
+        packed, oracle = _packed_and_oracle(ctx, i)
+        assert packed == oracle, i
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), r=st.integers(2, 9), i=st.sampled_from(CODE_INDICES))
+def test_packed_histogram_equals_list_butterfly_any_representation(data, r, i):
+    modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
+    field = build_field(r, modulus=modulus)
+    b = data.draw(
+        st.sampled_from([x for x in field.elements() if field.trace(x) == 1]), label="b"
+    )
+    packed, oracle = _packed_and_oracle(build_field(r, modulus=modulus, b=b), i)
+    assert packed == oracle
+
+
+def _extra_slot(stage, k):
+    # the mask and bias of one stage also select slot k, which has k & h != 0
+    def mutate(stages, width):
+        shift, mask, bias = stages[stage]
+        at = 8 * width * k
+        stages[stage] = (shift, mask | ((1 << 8 * width) - 1) << at, bias | (1 << 8 * width - 1) << at)
+
+    return mutate
+
+
+def _swap_first_two(stages, width):
+    (s0, m0, b0), (s1, m1, b1) = stages[:2]
+    stages[:2] = [(s0, m1, b1), (s1, m0, b0)]
+
+
+# name -> (mutation of the stage list, codes whose verify rows fail; None: the kernel raises)
+MASK_MUTANTS = {
+    # both slip past the kernel's invariants and the exact guards downstream
+    "h1_slot3": (_extra_slot(0, 3), {3, 4}),
+    "h4_slot15": (_extra_slot(2, 15), {1, 2}),
+    # the h = 1 and h = 2 masks exchanged: F(0) != N
+    "swapped_h1_h2": (_swap_first_two, None),
+}
+
+
+@pytest.mark.parametrize("name", MASK_MUTANTS)
+def test_verify_catches_a_wrong_stage_mask(name, capsys, monkeypatch):
+    import kmoments.cli as cli
+    import kmoments.codes as codes
+
+    mutate, failing = MASK_MUTANTS[name]
+    real = codes._wht_stages
+
+    def stages(q, width):
+        out = real(q, width)
+        mutate(out, width)
+        return out
+
+    monkeypatch.setattr(codes, "_wht_stages", stages)
+    assert cli.main(["verify", "--r", "4"]) == 2
+    out, err = capsys.readouterr()
+    if failing is None:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ArithmeticError: transform gives F(0) = ")
+    else:
+        failed = {int(m[1]) for m in re.finditer(r"^r=4 code=(\d) \S+: FAIL", out, flags=re.M)}
+        assert failed == failing and out.endswith("all: FAIL\n") and err == ""
 
 
 # -- linear algebra helper -----------------------------------------------------------

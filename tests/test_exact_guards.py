@@ -70,6 +70,29 @@ GUARDS = {
         "kl.kloosterman_table(build_field(3))\n",
         "convolution slots sum to 2304, not 3^2",
     ),
+    # code 4 at r = 8 has N = 128, past one-byte slots (|F| <= 127)
+    "wht_slot_width": (
+        "import kmoments.codes as codes\n"
+        "codes._WHT_SLOT_BYTES = (1,)\n"
+        "codes.weight_distribution(build_field(8), 4, j_max=1)\n",
+        "no slot of (1,) bytes holds transform values up to 128",
+    ),
+    # one entry of vector 4 lost: F(0) = sum f = N - 1
+    "wht_f0": (
+        "import kmoments.codes as codes\n"
+        "real = codes._base_entries\n"
+        "codes._base_entries = lambda ctx, i: real(ctx, i)[1:]\n"
+        "codes.weight_distribution(build_field(3), 4)\n",
+        "transform gives F(0) = 3 and sum F = 0, not 4 and 0",
+    ),
+    # one entry of vector 4 replaced by 0: sum_u F(u) = q f(0) = 8
+    "wht_sum": (
+        "import kmoments.codes as codes\n"
+        "real = codes._base_entries\n"
+        "codes._base_entries = lambda ctx, i: (0,) + real(ctx, i)[1:]\n"
+        "codes.code_cardinality(build_field(3), 4)\n",
+        "transform gives F(0) = 4 and sum F = 8, not 4 and 0",
+    ),
 }
 
 

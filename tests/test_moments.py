@@ -216,3 +216,47 @@ def test_pless_one_pass(monkeypatch, contexts):
     assert len(checks) == 11
     assert all(equal for _, _, equal in checks)
     assert all(isinstance(rhs, Fraction) for _, rhs, _ in checks)
+
+
+def test_given_counts_and_words_are_used_as_built(monkeypatch, contexts):
+    import kmoments.moments as mo
+    from kmoments.codes import dual_words, weight_distribution
+
+    ctx = contexts[5]
+    counts = weight_distribution(ctx, 3).counts
+    words = dual_words(ctx, 3)
+    expected = (pless_check(ctx, 3, 10), moment_sequence(ctx, 3, 10))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built again")
+
+    monkeypatch.setattr(mo, "dual_words", forbidden)
+    monkeypatch.setattr(mo, "weight_distribution", forbidden)
+    # the full distribution, or just the prefix up to min(N, h_max)
+    for given in (counts, counts[:11]):
+        assert pless_check(ctx, 3, 10, counts=given, words=words) == expected[0]
+        assert moment_sequence(ctx, 3, 10, counts=given) == expected[1]
+
+
+def test_given_counts_and_words_are_length_checked(ctx3):
+    from kmoments.codes import dual_words, weight_distribution
+
+    counts = weight_distribution(ctx3, 3).counts  # N = 8, so 9 counts
+    words = dual_words(ctx3, 3)
+    with pytest.raises(ValueError, match="weight counts up to j=4"):
+        moment_sequence(ctx3, 3, 4, counts=counts[:4])
+    with pytest.raises(ValueError, match="weight counts up to j=8"):
+        pless_check(ctx3, 3, 10, counts=counts[:8], words=words)
+    with pytest.raises(ValueError, match="q = 8 dual words"):
+        pless_check(ctx3, 3, 2, counts=counts, words=words[:7])
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_recursive_step_equals_sequence(i, contexts):
+    # moment_recursive and moment_sequence read the same Pless sums
+    from kmoments.codes import weight_distribution
+
+    ctx = contexts[4]
+    dist = weight_distribution(ctx, i).counts
+    mk = moment_sequence(ctx, i, 12).mk
+    assert [moment_recursive(ctx, i, h, mk[:h], dist) for h in range(1, 13)] == list(mk[1:])
