@@ -350,6 +350,9 @@ GOLDEN_CASES = pytest.mark.parametrize(
         # of irreducible_char_sum at r = 7, 8 and a non-canonical field
         ("verify_r5_9", ("verify", "--r", "5..9", "--hmax", "10")),
         ("verify_r7_modulus", ("verify", "--r", "7", "--modulus", "0x9d", "--b", "0x2b")),
+        # --code order and de-duplication, codes 1 and 2 from r = 3, --jmax truncation
+        ("moments_codes", ("moments", "--r", "3..5", "--code", "4,1", "--hmax", "6")),
+        ("weights_codes", ("weights", "--r", "3..4", "--code", "3,1,3", "--jmax", "5")),
     ],
 )
 

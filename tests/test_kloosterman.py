@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import random
@@ -301,21 +302,25 @@ def test_char_sum_domain_errors(ctx3):
         irreducible_quadratic_char_sum(ctx3, 1, 2)  # tr(2) = 0 at r=3
 
 
-# -- serialization and golden files ------------------------------------------------
+# -- golden files ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_golden_csv(r, tables):
-    assert tables[r].to_csv_text() == (GOLDEN / f"kloosterman_r{r}.csv").read_text()
+    with open(GOLDEN / f"kloosterman_r{r}.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["a", "K"]
+    assert [(int(a), int(k)) for a, k in rows] == list(tables[r].values.items())
 
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_golden_json(r, tables):
-    text = (GOLDEN / f"kloosterman_r{r}.json").read_text()
-    assert tables[r].to_json_text() == text
-    doc = json.loads(text)
-    ctx = build_field(r)
-    assert doc["r"] == r and doc["modulus_hex"] == ctx.modulus_hex
+    doc = json.loads((GOLDEN / f"kloosterman_r{r}.json").read_text())
+    table = tables[r]
+    assert doc["r"] == table.r == r
+    assert doc["modulus_hex"] == format(table.modulus, "#x")
+    pairs = [(row["a"], row["k"]) for row in doc["values"]]
+    assert pairs == list(table.values.items())
     # the committed values are pinned to the schoolbook oracle too
     for row in doc["values"]:
-        assert row["k"] == oracles.naive_kloosterman(row["a"], ctx.modulus, r)
+        assert row["k"] == oracles.naive_kloosterman(row["a"], table.modulus, r)
