@@ -3,6 +3,8 @@
 Commands
 --------
 The first argument names the command; every option applies to all three.
+Each option is declared once, in the parser, and each command reads the
+validated argparse namespace.
 
 moments : recursive MK^h per code, beside the brute-force oracle column
           and a match flag (the K table reaches every r accepted here).
@@ -26,7 +28,7 @@ from . import kloosterman as kl
 from . import moments as mo
 from .gf2r import FieldContext, build_field, parse_poly
 
-__all__ = ["RunConfig", "main", "cmd_moments", "cmd_weights", "cmd_verify"]
+__all__ = ["main", "cmd_moments", "cmd_weights", "cmd_verify"]
 
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
@@ -44,34 +46,6 @@ DUAL_WEIGHT_MAX_R = 8  # dual_weight_formula, dual_weight_halving: q dual words 
 VERIFY_DISTRIBUTION_MAX_R = 6  # verify's full distribution: O(N sqrt(q)) Krawtchouk terms
 CARDINALITY_MAX_R = 8  # then distribution_cardinality by code_cardinality, O(q r)
 PLESS_MAX_H = 10  # pless_identity checks orders 0..min(--hmax, PLESS_MAX_H)
-
-
-class RunConfig:
-    """Validated options shared by the subcommands."""
-
-    __slots__ = ("r_values", "modulus", "b", "h_max", "codes", "j_max", "fmt", "out", "contexts")
-
-    def __init__(
-        self,
-        r_values: tuple[int, ...],
-        modulus: int | None = None,
-        b: int | None = None,
-        h_max: int = 10,
-        codes: tuple[int, ...] = (1, 2, 3, 4),
-        j_max: int | None = None,
-        fmt: str = "pretty",
-        out: str | None = None,
-        contexts: dict[int, FieldContext] | None = None,
-    ):
-        self.r_values = r_values
-        self.modulus = modulus
-        self.b = b
-        self.h_max = h_max
-        self.codes = codes
-        self.j_max = j_max
-        self.fmt = fmt
-        self.out = out
-        self.contexts = contexts
 
 
 class _UsageError(Exception):
@@ -108,27 +82,22 @@ def _parse_codes(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        r_values=_parse_r_range(args.r),
-        modulus=parse_poly(args.modulus) if args.modulus else None,
-        b=parse_poly(args.b) if args.b else None,
-        h_max=args.hmax,
-        codes=_parse_codes(args.code),
-        j_max=args.jmax,
-        fmt=args.format,
-        out=args.out,
-    )
-    if not 0 <= cfg.h_max <= MAX_HMAX:
+def _build_config(args: argparse.Namespace) -> None:
+    """Check the options; set ``args.code`` to a tuple without repeats and
+    ``args.contexts`` to the field context of each r, in ascending order."""
+    r_values = _parse_r_range(args.r)
+    modulus = parse_poly(args.modulus) if args.modulus else None
+    b = parse_poly(args.b) if args.b else None
+    args.code = _parse_codes(args.code)
+    if not 0 <= args.hmax <= MAX_HMAX:
         raise ValueError(f"hmax must be within 0..{MAX_HMAX}")
-    if cfg.j_max is not None and cfg.j_max < 0:
+    if args.jmax is not None and args.jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    if cfg.modulus is not None and len(cfg.r_values) > 1:
+    if modulus is not None and len(r_values) > 1:
         raise ValueError("--modulus applies to a single r, not a range")
     # surface bad overrides (reducible modulus, trace-zero b, ...) as usage
     # errors before any command runs
-    cfg.contexts = {r: build_field(r, modulus=cfg.modulus, b=cfg.b) for r in cfg.r_values}
-    return cfg
+    args.contexts = {r: build_field(r, modulus=modulus, b=b) for r in r_values}
 
 
 def _csv_cell(value):
@@ -140,26 +109,26 @@ def _csv_cell(value):
 
 
 def _render(
-    cfg: RunConfig,
+    args: argparse.Namespace,
     command: str,
     payload: dict,
     header: list[str],
     rows: list[dict],
     lines: list[str],
 ) -> None:
-    """Write one command's output in the configured format.
+    """Write one command's output in the format ``args.format`` names.
 
     json is the payload under the schema and command keys; csv is the
     header, then the values of each row dict in key order (None as an
     empty cell, booleans in lower case); pretty is the lines.  json and
     csv are imported here, by the one run that writes them.
     """
-    if cfg.fmt == "json":
+    if args.format == "json":
         import json
 
         doc = {"schema": SCHEMA_VERSION, "command": command, **payload}
         text = json.dumps(doc, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         import csv
         import io
 
@@ -170,12 +139,12 @@ def _render(
         text = buf.getvalue()
     else:
         text = "\n".join(lines) + "\n"
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {cfg.out}: {exc.strerror}") from exc
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -184,17 +153,17 @@ def _render(
 # moments
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(args: argparse.Namespace) -> int:
     rows = []
-    for r in cfg.r_values:
-        ctx = cfg.contexts[r]
+    for r, ctx in args.contexts.items():
         table = kl.kloosterman_table(ctx)
-        for i in cfg.codes:
+        # MK^h depends on r alone: one column, shared by every code
+        brute = [kl.moment_bruteforce(ctx, h, table) for h in range(args.hmax + 1)]
+        for i in args.code:
             if i in (1, 2) and r < 3:
                 continue
-            seq = mo.moment_sequence(ctx, i, cfg.h_max)
-            for h in range(cfg.h_max + 1):
-                brute = kl.moment_bruteforce(ctx, h, table)
+            seq = mo.moment_sequence(ctx, i, args.hmax)
+            for h in range(args.hmax + 1):
                 rows.append(
                     {
                         "r": r,
@@ -202,8 +171,8 @@ def cmd_moments(cfg: RunConfig) -> int:
                         "code": i,
                         "h": h,
                         "mk_recursive": seq.mk[h],
-                        "mk_bruteforce": brute,
-                        "match": seq.mk[h] == brute,
+                        "mk_bruteforce": brute[h],
+                        "match": seq.mk[h] == brute[h],
                     }
                 )
     if not rows:
@@ -215,7 +184,7 @@ def cmd_moments(cfg: RunConfig) -> int:
         for w in rows
     ]
     header = ["r", "modulus", "code", "h", "mk_recursive", "mk_bruteforce", "match"]
-    _render(cfg, "moments", {"rows": rows}, header, rows, lines)
+    _render(args, "moments", {"rows": rows}, header, rows, lines)
     return 0 if all(w["match"] for w in rows) else MISMATCH_ERROR
 
 
@@ -223,19 +192,18 @@ def cmd_moments(cfg: RunConfig) -> int:
 # weights
 
 
-def cmd_weights(cfg: RunConfig) -> int:
+def cmd_weights(args: argparse.Namespace) -> int:
     blocks = []
-    for r in cfg.r_values:
-        ctx = cfg.contexts[r]
-        for i in cfg.codes:
+    for r, ctx in args.contexts.items():
+        for i in args.code:
             if i in (1, 2) and r < 2:
                 continue
             n = codes_mod.code_length(ctx, i)
-            if cfg.j_max is None and r > FULL_DISTRIBUTION_MAX_R:
+            if args.jmax is None and r > FULL_DISTRIBUTION_MAX_R:
                 raise _UsageError(
                     f"full distribution at r={r} is too large; pass --jmax to truncate"
                 )
-            j_max = n if cfg.j_max is None else min(cfg.j_max, n)
+            j_max = n if args.jmax is None else min(args.jmax, n)
             # at r = 2 the totals check below already shows the larger code
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -280,7 +248,7 @@ def cmd_weights(cfg: RunConfig) -> int:
             if "palindrome" in checks:
                 extra += f" palindrome={checks['palindrome']}"
             lines.append(extra)
-    _render(cfg, "weights", {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines)
+    _render(args, "weights", {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines)
     return 0
 
 
@@ -397,22 +365,21 @@ def _field_checks(ctx: FieldContext, table: kl.KloostermanTable, brute: list[int
     yield "moment_first", brute[1] == 1, None
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = []
-    for r in cfg.r_values:
-        ctx = cfg.contexts[r]
+    for r, ctx in args.contexts.items():
         table = kl.kloosterman_table(ctx)
         # MK^h once per r, for moment_first and every code's moment_recursion
-        brute = [kl.moment_bruteforce(ctx, h, table) for h in range(max(cfg.h_max, 1) + 1)]
+        brute = [kl.moment_bruteforce(ctx, h, table) for h in range(max(args.hmax, 1) + 1)]
         for name, passed, note in _field_checks(ctx, table, brute):
             results.append({"r": r, "code": None, "check": name, "passed": passed, "note": note})
         char_sums = _char_sum_checks(ctx, table)
-        for i in cfg.codes:
+        for i in args.code:
             if i in (1, 2) and r < 2:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                checks = [*char_sums, *_verify_checks(ctx, i, cfg.h_max, table, brute)]
+                checks = [*char_sums, *_verify_checks(ctx, i, args.hmax, table, brute)]
                 for name, passed, note in checks:
                     results.append(
                         {"r": r, "code": i, "check": name, "passed": passed, "note": note}
@@ -427,7 +394,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"r={w['r']} code={code} {w['check']}: {status}{note}")
     lines.append(f"all: {'pass' if all_passed else 'FAIL'}")
     header = ["r", "code", "check", "passed", "note"]
-    _render(cfg, "verify", {"all_passed": all_passed, "results": results}, header, results, lines)
+    _render(args, "verify", {"all_passed": all_passed, "results": results}, header, results, lines)
     return 0 if all_passed else MISMATCH_ERROR
 
 
@@ -464,16 +431,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _build_config(args)
+        _build_config(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
         if args.command == "moments":
-            return cmd_moments(cfg)
+            return cmd_moments(args)
         if args.command == "weights":
-            return cmd_weights(cfg)
-        return cmd_verify(cfg)
+            return cmd_weights(args)
+        return cmd_verify(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -166,10 +166,7 @@ class DualCodeword(Record):
 
     @property
     def mask(self) -> int:
-        m = 0
-        for l, bit in enumerate(self.bits):
-            m |= bit << l
-        return m
+        return _bitmask(self.bits)
 
 
 def dual_codeword(ctx: FieldContext, i: int, a: int) -> DualCodeword:

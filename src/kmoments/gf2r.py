@@ -80,24 +80,34 @@ def poly_str(f: int) -> str:
 
 
 def parse_poly(s: str) -> int:
-    """Parse a polynomial given as hex (0x..), binary (0b..), decimal, or 'x^3+x+1'."""
+    """Parse a polynomial given as hex (0x..), binary (0b..), decimal, or 'x^3+x+1'.
+
+    Exponents must lie in 0..MAX_DEGREE; x^k is checked before it shifts.
+    """
     s = s.strip().replace(" ", "")
+    out_of_range = f"polynomial exponents must be within 0..{MAX_DEGREE} (gf2r.MAX_DEGREE)"
     if s.lower().startswith("0x"):
-        return int(s, 16)
-    if s.lower().startswith("0b"):
-        return int(s, 2)
-    if s.isdigit():
-        return int(s)
-    f = 0
-    for term in s.lower().split("+"):
-        if term == "1":
-            f ^= 1
-        elif term == "x":
-            f ^= 2
-        elif term.startswith("x^"):
-            f ^= 1 << int(term[2:])
-        else:
-            raise ValueError(f"cannot parse polynomial term {term!r}")
+        f = int(s, 16)
+    elif s.lower().startswith("0b"):
+        f = int(s, 2)
+    elif s.isdigit():
+        f = int(s)
+    else:
+        f = 0
+        for term in s.lower().split("+"):
+            if term == "1":
+                f ^= 1
+            elif term == "x":
+                f ^= 2
+            elif term.startswith("x^"):
+                k = int(term[2:])
+                if not 0 <= k <= MAX_DEGREE:
+                    raise ValueError(out_of_range)
+                f ^= 1 << k
+            else:
+                raise ValueError(f"cannot parse polynomial term {term!r}")
+    if not 0 <= f < 1 << (MAX_DEGREE + 1):
+        raise ValueError(out_of_range)
     return f
 
 

@@ -77,23 +77,6 @@ class KloostermanTable(Record):
     def multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self.values.values()))
 
-    def to_csv_text(self) -> str:
-        lines = ["a,K"]
-        lines += [f"{a},{self.values[a]}" for a in sorted(self.values)]
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "r": self.r,
-            "modulus_hex": format(self.modulus, "#x"),
-            "values": [{"a": a, "k": self.values[a]} for a in sorted(self.values)],
-        }
-
-    def to_json_text(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
-
 
 def kloosterman_sum(ctx: FieldContext, a: int) -> int:
     """K(a) = sum over nonzero alpha of (-1)^tr(alpha + a/alpha)."""

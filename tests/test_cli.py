@@ -241,6 +241,16 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     assert built == {"weight_distribution": 4, "moment_bruteforce": 5}
 
 
+def test_moments_brute_force_column_once_per_r(capsys, monkeypatch):
+    import kmoments.kloosterman as kl
+
+    # MK^0..MK^4 at r = 5, shared by the four codes
+    calls = _count_calls(monkeypatch, [(kl, "moment_bruteforce")])
+    code, _, _ = run(capsys, "moments", "--r", "5", "--hmax", "4")
+    assert code == 0
+    assert calls == {"moment_bruteforce": 5}
+
+
 def test_verify_builds_no_kernel_basis(capsys, monkeypatch):
     import kmoments.codes as codes
 
@@ -283,6 +293,15 @@ def test_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--b", "--modulus"])
+def test_out_of_range_polynomial_is_one_short_line(capsys, flag):
+    # the exponent is refused before any shift, and the message does not
+    # spell out a million-term polynomial
+    code, out, err = run(capsys, "moments", "--r", "3", flag, "x^1000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and len(err) < 200
 
 
 def test_unknown_flag_is_usage_error(capsys):

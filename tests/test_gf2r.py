@@ -212,6 +212,14 @@ def test_parse_poly():
         parse_poly("x^3+y")
 
 
+def test_parse_poly_degree_limit():
+    assert parse_poly("x^16+x^5+x^3+x^2+1") == 0x1002D
+    assert parse_poly(hex((1 << 17) - 1)) == (1 << 17) - 1
+    for text in ("x^17", "x^-1", "0x" + "f" * 5, "0b1" + "0" * 17, str(1 << 17), "x^10000000000"):
+        with pytest.raises(ValueError, match=r"0\.\.16"):
+            parse_poly(text)
+
+
 def test_modulus_presentation(ctx3):
     assert ctx3.modulus_hex == "0xb"
     assert ctx3.modulus_str == "x^3+x+1"
