@@ -2,9 +2,9 @@
 
 Commands
 --------
-The first argument names the command; every option applies to all three.
-Each option is declared once, in the parser, and each command reads the
-validated argparse namespace.
+The command may stand anywhere among the options; every option applies to
+all three.  Each option is declared once, in ``OPTIONS``, which both the
+parser and ``--help`` read, and each command reads the checked values.
 
 moments : recursive MK^h per code, beside the brute-force oracle column
           and a match flag (the K table reaches every r accepted here).
@@ -19,9 +19,9 @@ arithmetic guard that raised, reported as one ``error:`` line).
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
+from types import SimpleNamespace
 
 from . import codes as codes_mod
 from . import kloosterman as kl
@@ -48,13 +48,28 @@ CARDINALITY_MAX_R = 8  # then distribution_cardinality by code_cardinality, O(q 
 PLESS_MAX_H = 10  # pless_identity checks orders 0..min(--hmax, PLESS_MAX_H)
 
 
+COMMANDS = {
+    "moments": "recursive vs brute-force power moments",
+    "weights": "code weight distributions",
+    "verify": "run the full identity suite",
+}
+
+# Every option of every command: name, default, the values it takes (int,
+# str, or a tuple of choices) and its --help text.  --r is required.
+OPTIONS = (
+    ("r", None, str, "degree, or inclusive range a..b (required)"),
+    ("modulus", None, str, "irreducible modulus override (hex or x^k+... form)"),
+    ("b", None, str, "trace-one element override (hex)"),
+    ("hmax", 10, int, "largest moment order"),
+    ("code", "1,2,3,4", str, "comma list from 1..4"),
+    ("jmax", None, int, "truncate distributions at this weight"),
+    ("format", "pretty", ("json", "csv", "pretty"), "output form"),
+    ("out", None, str, "write output to this path instead of stdout"),
+)
+
+
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _parse_r_range(text: str) -> tuple[int, ...]:
@@ -82,8 +97,8 @@ def _parse_codes(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _build_config(args: argparse.Namespace) -> None:
-    """Check the options; set ``args.code`` to a tuple without repeats and
+def _build_config(args: SimpleNamespace) -> None:
+    """Check the parsed options; set ``args.code`` to a tuple without repeats and
     ``args.contexts`` to the field context of each r, in ascending order."""
     r_values = _parse_r_range(args.r)
     modulus = parse_poly(args.modulus) if args.modulus else None
@@ -109,7 +124,7 @@ def _csv_cell(value):
 
 
 def _render(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     command: str,
     payload: dict,
     header: list[str],
@@ -153,7 +168,7 @@ def _render(
 # moments
 
 
-def cmd_moments(args: argparse.Namespace) -> int:
+def cmd_moments(args: SimpleNamespace) -> int:
     rows = []
     for r, ctx in args.contexts.items():
         table = kl.kloosterman_table(ctx)
@@ -192,7 +207,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 # weights
 
 
-def cmd_weights(args: argparse.Namespace) -> int:
+def cmd_weights(args: SimpleNamespace) -> int:
     blocks = []
     for r, ctx in args.contexts.items():
         for i in args.code:
@@ -365,7 +380,7 @@ def _field_checks(ctx: FieldContext, table: kl.KloostermanTable, brute: list[int
     yield "moment_first", brute[1] == 1, None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     results = []
     for r, ctx in args.contexts.items():
         table = kl.kloosterman_table(ctx)
@@ -402,39 +417,117 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # entry point
 
 
-def _make_parser() -> _Parser:
-    # one parser for all three commands, which take the same options; a
-    # subparser each would build and scan the same eight options three times
-    parser = _Parser(
-        prog="kmoments",
-        usage="%(prog)s {moments,weights,verify} --r R [options]",
-        description=__doc__.splitlines()[0] + " Every option applies to all three commands.",
-    )
-    parser.add_argument(
-        "command",
-        choices=("moments", "weights", "verify"),
-        help="moments: recursive vs brute-force power moments; "
-        "weights: code weight distributions; verify: run the full identity suite",
-    )
-    parser.add_argument("--r", required=True, help="degree, or inclusive range a..b")
-    parser.add_argument("--modulus", help="irreducible modulus override (hex or x^k+... form)")
-    parser.add_argument("--b", help="trace-one element override (hex)")
-    parser.add_argument("--hmax", type=int, default=10, help="largest moment order (default 10)")
-    parser.add_argument("--code", default="1,2,3,4", help="comma list from 1..4")
-    parser.add_argument("--jmax", type=int, default=None, help="truncate distributions at this weight")
-    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    return parser
+def _convert(name: str, kind, value: str):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _UsageError(f"argument --{name}: invalid choice: {value!r} (choose from {choices})")
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise _UsageError(f"argument --{name}: invalid {kind.__name__} value: {value!r}") from None
+
+
+def _option(arg: str, known: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """(name, inline value) of an option argument, the name None if unknown; None for a word.
+
+    A word is a value or the command: no leading dash, "-", a negative
+    number (-5, -.5, -5.5), or a string with a space that names no option.
+    """
+    whole, _, frac = arg[1:].rpartition(".")
+    if not arg.startswith("-") or arg == "-" or frac.isdecimal() and (not whole or whole.isdecimal()):
+        return None
+    if arg[:2] == "-h":  # -h, or -h with an attached value
+        return "help", arg[2:] or None
+    flag, eq, value = arg.partition("=")
+    names = [n for n in known if "--" + n == flag] or [
+        n for n in known if flag[:2] == "--" and ("--" + n).startswith(flag)
+    ]
+    if len(names) > 1:
+        raise _UsageError(f"ambiguous option: {flag} could match --{', --'.join(names)}")
+    if not names and " " in arg:
+        return None
+    return (names[0] if names else None), (value if eq else None)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command and the value of every option in ``argv``; None for --help.
+
+    The command may come anywhere.  An option is ``--name value`` or
+    ``--name=value``, with the name cut to any unique prefix; a repeated
+    option keeps its last value, and ``--`` makes every later argument a word.
+    """
+    values = {name: default for name, default, _, _ in OPTIONS}
+    kinds = {name: kind for name, _, kind, _ in OPTIONS}
+    known = (*kinds, "help")
+    # every option is read before any acts, so an ambiguous one is refused even after --help
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    options = {arg: _option(arg, known) for arg in head}
+    words, unknown, after_word = [], [], False
+    args = iter(argv)
+    for arg in args:
+        option = options.get(arg)
+        if arg == "--":
+            # the command slot takes a "--" right next to it; any other is a stray word
+            words += [arg, *args] if words and not after_word else args
+        elif option is None:
+            words.append(arg)
+        else:
+            name, value = option
+            if name is None:
+                unknown.append(arg)
+            elif name == "help":
+                if value is not None:
+                    raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+                return None
+            else:
+                if value is None:
+                    value = next(args, None)
+                    if value in (None, "--") or options[value]:
+                        raise _UsageError(f"argument --{name}: expected one argument")
+                values[name] = _convert(name, kinds[name], value)
+        after_word = option is None
+        if words and words[0] not in COMMANDS:
+            choices = ", ".join(map(repr, COMMANDS))
+            raise _UsageError(f"argument command: invalid choice: {words[0]!r} (choose from {choices})")
+    missing = [name for name, given in (("command", words), ("--r", values["r"] is not None)) if not given]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if unknown or words[1:]:
+        raise _UsageError("unrecognized arguments: " + " ".join(unknown + words[1:]))
+    return SimpleNamespace(command=words[0], **values)
+
+
+def _help() -> str:
+    lines = [
+        f"usage: kmoments {{{','.join(COMMANDS)}}} --r R [options]",
+        "",
+        __doc__.splitlines()[0] + " Every option applies to all three commands.",
+        "",
+        "commands:",
+        *(f"  {name:<28}{text}" for name, text in COMMANDS.items()),
+        "",
+        "options:",
+        f"  {'-h, --help':<28}show this help and exit",
+    ]
+    for name, default, kind, text in OPTIONS:
+        spec = f"--{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper())
+        lines.append(f"  {spec:<28}{text}" + ("" if default is None else f" (default {default})"))
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-        _build_config(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is not None:
+            _build_config(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if args is None:
+        sys.stdout.write(_help())
+        return 0
     try:
         if args.command == "moments":
             return cmd_moments(args)

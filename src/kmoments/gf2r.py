@@ -72,10 +72,13 @@ def poly_str(f: int) -> str:
     """Render a polynomial bitmask as e.g. 'x^3+x+1'."""
     if f == 0:
         return "0"
-    terms = []
-    for k in range(f.bit_length() - 1, -1, -1):
-        if f >> k & 1:
-            terms.append("1" if k == 0 else "x" if k == 1 else f"x^{k}")
+    # one pass over the binary digits, highest first: linear in the bit length
+    top = f.bit_length() - 1
+    terms = [
+        "1" if k == 0 else "x" if k == 1 else f"x^{k}"
+        for k, digit in zip(range(top, -1, -1), format(f, "b"))
+        if digit == "1"
+    ]
     return "+".join(terms)
 
 
@@ -149,6 +152,9 @@ class FieldContext:
         if modulus is None:
             modulus = smallest_irreducible(r)
         else:
+            if modulus < 0:
+                # a negative int is no polynomial, and the factor search never ends on one
+                raise ValueError("modulus must be a nonnegative polynomial bitmask")
             if modulus.bit_length() - 1 != r:
                 raise ValueError(
                     f"modulus {poly_str(modulus)} has degree {modulus.bit_length() - 1}, need {r}"
@@ -168,7 +174,11 @@ class FieldContext:
         self.trace_table = self._build_trace_table()
         self.lam_table = tuple(1 - 2 * t for t in self.trace_table)
         self.theta = tuple(sorted({self.mul(a, a) ^ a for a in range(self.q)}))
-        assert len(self.theta) == self.q // 2 and self.theta[0] == 0
+        if len(self.theta) != self.q // 2 or self.theta[0] != 0:
+            raise ArithmeticError(
+                f"x^2 + x takes {len(self.theta)} values, least {self.theta[0]}; "
+                f"need q/2 = {self.q // 2}, least 0"
+            )
 
         if b is None:
             b = self.trace_table.index(1)
@@ -217,7 +227,8 @@ class FieldContext:
             exp[i] = exp[i + qm1] = v
             log[v] = i
             v = self._mul_raw(v, g)
-        assert v == 1
+        if v != 1:
+            raise ArithmeticError(f"g^(q-1) = {v:#x} for g = {g:#x}, not 1")
         return tuple(exp), tuple(log)
 
     def _build_trace_table(self) -> bytes:
@@ -229,7 +240,8 @@ class FieldContext:
             for _ in range(self.r - 1):
                 e = self._mul_raw(e, e)
                 acc ^= e
-            assert acc <= 1
+            if acc > 1:
+                raise ArithmeticError(f"tr(x^{k}) = {acc:#x}, not in GF(2)")
             mask |= acc << k
         return bytes((v & mask).bit_count() & 1 for v in range(self.q))
 

@@ -186,18 +186,17 @@ def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, words=None) 
     once, by linearity from their trace bits (``dual_words``), and never
     from the Walsh-Hadamard weight histogram that the weight counts come
     from.  Right side: the Stirling-number expansion over the code's
-    weight counts, with alphabet size 2 and dual dimension r, always a
-    Fraction because the 2^(r-t) factor has t ranging past r (it is
-    integral whenever the identity holds).  The weight distribution is
-    built once, up to weight min(N, h_max).
+    weight counts, with alphabet size 2 and dual dimension r, as an int:
+    its terms t! S(h, t) 2^(r-t) are integers for any integer counts,
+    since binom(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r
+    and 2^(t - popcount(t)) divides t!.  A remainder raises
+    ArithmeticError.  The weight distribution is built once, up to
+    weight min(N, h_max).
 
     ``counts`` (C_0..C_j, j >= min(N, h_max)) and ``words`` (all q words
     as ``dual_words`` returns them) may be passed in by a caller that
     has already built them; they are then used as given.
     """
-    # fractions pulls in decimal: imported here, by the one check that needs it
-    from fractions import Fraction
-
     _check_moment_args(ctx, i, h_max)
     n = code_length(ctx, i)
     dist = _counts(ctx, i, min(n, h_max), counts)
@@ -210,6 +209,8 @@ def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, words=None) 
     for h, pless in enumerate(_pless_sums(h_max, n, dist)):
         lhs = sum(c * w**h for w, c in dual_weights.items())
         # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
-        rhs = Fraction(pless << ctx.r, 1 << h)
+        rhs, rem = divmod(pless << ctx.r, 1 << h)
+        if rem:
+            raise ArithmeticError(f"Pless sum P_{h} * 2^{ctx.r} not divisible by 2^{h}")
         checks.append((lhs, rhs, rhs == lhs))
     return tuple(checks)

@@ -5,13 +5,16 @@ carry-less arithmetic with explicit long-division reduction, traces by
 repeated squaring, inverses by exhaustive search, Kloosterman sums by
 literal summation, codeword counting by scanning the full binary cube,
 weight counts by a dynamic program over the group algebra of
-(F_q, XOR), dual weights by a list Walsh-Hadamard butterfly, and the
-dual structure of a code by a pairwise parity scan.  Slow on purpose; only used at desk scale.
+(F_q, XOR), dual weights by a list Walsh-Hadamard butterfly, the
+dual structure of a code by a pairwise parity scan, and the command
+line by argparse.  Slow on purpose; only used at desk scale.
 
 The two quadratic character sums are the exception: they take a field
 context and evaluate each term through its ``mul`` and inverse table,
 where the package indexes exp/log directly.
 """
+
+import argparse
 
 
 def xmul(a: int, b: int) -> int:
@@ -184,3 +187,40 @@ def irreducible_char_sum_by_mul(ctx, a: int, b: int) -> int:
         d = mul(alpha, alpha) ^ alpha ^ b
         total += lam[mul(a, inv[d])]
     return total
+
+
+class ArgparseUsageError(Exception):
+    """A command line that the argparse oracle refuses."""
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseUsageError(message)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The CLI's command and eight options declared to argparse: the oracle of its parser.
+
+    ``parse_args`` gives a namespace with the command and every option,
+    or raises ArgparseUsageError where argparse would print usage and exit.
+    """
+    parser = _ArgparseParser(
+        prog="kmoments",
+        usage="%(prog)s {moments,weights,verify} --r R [options]",
+        description="Batch front-end. Every option applies to all three commands.",
+    )
+    parser.add_argument(
+        "command",
+        choices=("moments", "weights", "verify"),
+        help="moments: recursive vs brute-force power moments; "
+        "weights: code weight distributions; verify: run the full identity suite",
+    )
+    parser.add_argument("--r", required=True, help="degree, or inclusive range a..b")
+    parser.add_argument("--modulus", help="irreducible modulus override (hex or x^k+... form)")
+    parser.add_argument("--b", help="trace-one element override (hex)")
+    parser.add_argument("--hmax", type=int, default=10, help="largest moment order (default 10)")
+    parser.add_argument("--code", default="1,2,3,4", help="comma list from 1..4")
+    parser.add_argument("--jmax", type=int, default=None, help="truncate distributions at this weight")
+    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    return parser

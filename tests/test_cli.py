@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from kmoments import cli
 from kmoments.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -323,6 +325,98 @@ def test_help_names_every_command():
     assert all(name in out.decode() for name in ("moments", "weights", "verify"))
 
 
+@pytest.mark.parametrize("argv", [("-h",), ("verify", "--r", "3", "--he"), ("--frob", "--help")])
+def test_help_lists_every_command_and_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert all(f"  {name} " in out for name in ("moments", "weights", "verify"))
+    assert all(f"  --{name} " in out for name in ("r", "modulus", "b", "hmax", "code", "jmax", "format", "out"))
+
+
+# -- the option parser against argparse ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--r", "3"),
+        ("--r", "3", "--hmax", "4", "verify"),
+        ("--code", "1", "weights", "--r", "3..5", "--format", "csv"),
+        ("moments", "--r=3", "--format=json", "--jmax=-2", "--out=-", "--modulus=x^3+x+1"),
+        ("verify", "--r", "3", "--hm", "4", "--fo", "json", "--c", "2", "--j", "3", "--mod", "0x0B", "--o", "x.csv"),
+        ("moments", "--r", "3", "--r", "4", "--hmax", "1", "--hmax=2", "--format", "csv", "--format", "json"),
+        ("weights", "--r", "3", "--jmax", "-2"),
+        ("verify", "--r", "3..5"),
+        ("--r", "3", "--", "moments"),
+        ("moments", "--r", "-3", "--out", "a b", "--b", "0x2"),
+    ],
+    ids=[
+        "plain",
+        "options_first",
+        "command_between",
+        "equals",
+        "abbreviations",
+        "repeated",
+        "negative",
+        "range",
+        "end_of_options",
+        "odd_values",
+    ],
+)
+def test_parser_agrees_with_argparse(argv):
+    expected = vars(oracles.argparse_parser().parse_args(list(argv)))
+    assert vars(cli._parse_args(list(argv))) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("--r", "3"),
+        ("frobnicate", "--r", "3"),
+        ("moments",),
+        ("moments", "--hmax", "3"),
+        ("moments", "--r", "3", "--frobnicate"),
+        ("moments", "--r", "3", "-x"),
+        ("moments", "--r"),
+        ("moments", "--r", "--hmax", "3"),
+        ("moments", "--r", "3", "--h", "3"),
+        ("moments", "--r", "3", "--hmax", "x"),
+        ("moments", "--r", "3", "--format", "xml"),
+        ("moments", "verify", "--r", "3"),
+        ("moments", "--r", "3", "--help=1"),
+        ("moments", "--r", "3", "--"),
+        ("moments", "--r", "-3..5"),
+    ],
+    ids=[
+        "nothing",
+        "no_command",
+        "unknown_command",
+        "no_r",
+        "no_r_with_options",
+        "unknown_flag",
+        "unknown_short_flag",
+        "missing_value_at_end",
+        "missing_value",
+        "ambiguous_prefix",
+        "hmax_not_int",
+        "format_xml",
+        "two_commands",
+        "help_with_value",
+        "stray_end_of_options",
+        "range_with_leading_dash",
+    ],
+)
+def test_parser_rejects_what_argparse_rejects(capsys, argv):
+    with pytest.raises(oracles.ArgparseUsageError):
+        oracles.argparse_parser().parse_args(list(argv))
+    with pytest.raises(cli._UsageError):
+        cli._parse_args(list(argv))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # -- determinism and --out -----------------------------------------------------------
 
 
@@ -431,13 +525,13 @@ def test_cli_imports_only_the_standard_library():
 
 
 def test_cli_import_loads_no_dataclasses_json_or_csv():
-    # dataclasses pulls in inspect, ast, dis and tokenize; json and csv are
-    # imported by the renderer only for the format that needs them, and
-    # fractions (which loads decimal) by pless_check only
+    # dataclasses pulls in inspect, ast, dis and tokenize, and argparse pulls
+    # in gettext and locale; json and csv are imported by the renderer only
+    # for the format that needs them, and nothing imports fractions (decimal)
     probe = (
         "import sys\n"
         "import kmoments.cli\n"
-        "names = ('dataclasses', 'inspect', 'json', 'csv', 'fractions', 'decimal')\n"
+        "names = ('dataclasses', 'inspect', 'json', 'csv', 'argparse', 'gettext', 'locale', 'fractions', 'decimal')\n"
         "print(*[m for m in names if m in sys.modules])\n"
     )
     done = subprocess.run(
@@ -452,3 +546,28 @@ def test_cli_import_loads_no_dataclasses_json_or_csv():
     code, out, err = run_process("verify", "--r", "2..4", "--hmax", "4", "--format", "json")
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "verify.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--r", "3..9", "--hmax", "10"), ("moments", "--r", "3", "--format", "csv")],
+    ids=["verify", "moments_csv"],
+)
+def test_cli_run_loads_no_argparse_or_fractions(argv):
+    # the option table replaces argparse, and the Pless right side is an int
+    probe = (
+        "import sys\n"
+        "import kmoments.cli\n"
+        f"code = kmoments.cli.main({list(argv)!r})\n"
+        "names = ('argparse', 'gettext', 'locale', 'fractions', 'decimal')\n"
+        "print(code, *[m for m in names if m in sys.modules], file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "0\n")
+    assert done.stdout

@@ -93,6 +93,40 @@ GUARDS = {
         "codes.code_cardinality(build_field(3), 4)\n",
         "transform gives F(0) = 4 and sum F = 8, not 4 and 0",
     ),
+    # a field product that is always 0: x^2 + x = x takes all q values
+    "field_theta": (
+        "import kmoments.gf2r as gf2r\n"
+        "gf2r.FieldContext.mul = lambda self, x, y: 0\n"
+        "build_field(3)\n",
+        "x^2 + x takes 8 values, least 0; need q/2 = 4, least 0",
+    ),
+    # a reducible modulus let through: x^4 = 1 modulo x^3+x^2+x+1, so x^7 = x^3
+    "field_exp_cycle": (
+        "import kmoments.gf2r as gf2r\n"
+        "gf2r._find_factor = lambda f: None\n"
+        "build_field(3, modulus=0b1111)\n",
+        "g^(q-1) = 0x7 for g = 0x2, not 1",
+    ),
+    # squaring that XORs once the exp/log tables are built: x^2 reads as 0
+    "field_trace_mask": (
+        "import kmoments.gf2r as gf2r\n"
+        "real = gf2r.FieldContext._build_exp_log\n"
+        "def tables_then_wrong_mul(self):\n"
+        "    tables = real(self)\n"
+        "    self._mul_raw = lambda x, y: x ^ y\n"
+        "    return tables\n"
+        "gf2r.FieldContext._build_exp_log = tables_then_wrong_mul\n"
+        "build_field(3)\n",
+        "tr(x^1) = 0x2, not in GF(2)",
+    ),
+    # a Pless sum off by one: P_4 * 2^3 leaves a remainder modulo 2^4
+    "pless_scale": (
+        "import kmoments.moments as mo\n"
+        "real = mo._pless_sums\n"
+        "mo._pless_sums = lambda h_max, n, dist: [p + 1 for p in real(h_max, n, dist)]\n"
+        "mo.pless_check(build_field(3), 3, 4)\n",
+        "Pless sum P_4 * 2^3 not divisible by 2^4",
+    ),
 }
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +203,39 @@ def test_poly_str():
     assert poly_str(0b10) == "x"
     assert poly_str(1) == "1"
     assert poly_str(0) == "0"
+
+
+def _poly_str_by_bits(f: int) -> str:
+    # the per-bit definition: bit k of f, for each k from the top down
+    if f == 0:
+        return "0"
+    return "+".join(
+        "1" if k == 0 else "x" if k == 1 else f"x^{k}"
+        for k in range(f.bit_length() - 1, -1, -1)
+        if f >> k & 1
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+def test_poly_str_matches_per_bit_definition(f):
+    assert poly_str(f) == _poly_str_by_bits(f)
+
+
+@pytest.mark.parametrize("f", [1 << 100_000 | 1, random.Random(0).getrandbits(100_000)], ids=["sparse", "dense"])
+def test_poly_str_at_100k_bits(f):
+    assert poly_str(f) == _poly_str_by_bits(f)
+
+
+def test_negative_modulus_rejected():
+    # -9 has bit length 4, so only the sign check stops it before the factor search
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_field(3, modulus=-9)
+
+
+def test_long_modulus_message_names_its_degree():
+    with pytest.raises(ValueError, match=r"^modulus x\^100000 has degree 100000, need 3$"):
+        build_field(3, modulus=1 << 100_000)
 
 
 def test_parse_poly():

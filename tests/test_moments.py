@@ -215,7 +215,36 @@ def test_pless_one_pass(monkeypatch, contexts):
     assert calls == {"dual_words": 1, "dual_codeword": 0, "weight_distribution": 1}
     assert len(checks) == 11
     assert all(equal for _, _, equal in checks)
-    assert all(isinstance(rhs, Fraction) for _, rhs, _ in checks)
+    assert all(type(rhs) is int and rhs == lhs for lhs, rhs, _ in checks)
+
+
+def _pless_right_side(r: int, n: int, counts, h: int) -> Fraction:
+    """sum_j (-1)^j C_j sum_t t! S(h, t) 2^(r-t) binom(N-j, N-t), term by term in Fractions."""
+    return sum(
+        (-1) ** j
+        * counts[j]
+        * sum(
+            math.factorial(t) * stirling2_explicit(h, t) * Fraction(2) ** (r - t) * math.comb(n - j, n - t)
+            for t in range(j, min(n, h) + 1)
+        )
+        for j in range(min(n, h) + 1)
+    )
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_pless_corrupted_count_is_exact_and_unequal(i, contexts):
+    # one weight count off by one: from h = 2 on the right side is no longer
+    # the left side, and it is still the exact literal sum, an int (every term
+    # t! S(h, t) 2^(r-t) is one, since t <= N <= 2^r)
+    from kmoments.codes import weight_distribution
+
+    ctx = contexts[4]
+    counts = list(weight_distribution(ctx, i).counts)
+    counts[2] += 1
+    n = len(counts) - 1
+    for h, (lhs, rhs, equal) in enumerate(pless_check(ctx, i, 10, counts=counts)):
+        assert type(rhs) is int and rhs == _pless_right_side(ctx.r, n, counts, h)
+        assert equal == (rhs == lhs) == (h < 2)
 
 
 def test_given_counts_and_words_are_used_as_built(monkeypatch, contexts):
