@@ -21,7 +21,7 @@ from .codes import (
     code_length,
     dual_codeword,
     dual_weight_closed_form,
-    dual_words,
+    dual_weights,
     is_codeword,
     multiplicity,
     verify_dual_structure,
@@ -61,7 +61,7 @@ __all__ = [
     "code_length",
     "dual_codeword",
     "dual_weight_closed_form",
-    "dual_words",
+    "dual_weights",
     "is_codeword",
     "multiplicity",
     "verify_dual_structure",

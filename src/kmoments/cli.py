@@ -42,7 +42,7 @@ MAX_HMAX = 32  # --hmax: the recursion sums O(h^2) exact terms per order
 FULL_DISTRIBUTION_MAX_R = 8  # weights without --jmax: N + 1 counts of up to N - r bits
 CHAR_SUM_MAX_R = 8  # split_char_sum, irreducible_char_sum: literal sums, O(q^2) per r
 ALL_B_MAX_R = 6  # irreducible_char_sum at every trace-one b, O(q^3); above, 2 sampled b
-DUAL_WEIGHT_MAX_R = 8  # dual_weight_formula, dual_weight_halving: q dual words of N bits
+DUAL_WEIGHT_MAX_R = 8  # dual_weight_formula, dual_weight_halving: O(q); kept so verify's rows stay
 VERIFY_DISTRIBUTION_MAX_R = 6  # verify's full distribution: O(N sqrt(q)) Krawtchouk terms
 CARDINALITY_MAX_R = 8  # then distribution_cardinality by code_cardinality, O(q r)
 PLESS_MAX_H = 10  # pless_identity checks orders 0..min(--hmax, PLESS_MAX_H)
@@ -101,8 +101,8 @@ def _build_config(args: SimpleNamespace) -> None:
     """Check the parsed options; set ``args.code`` to a tuple without repeats and
     ``args.contexts`` to the field context of each r, in ascending order."""
     r_values = _parse_r_range(args.r)
-    modulus = parse_poly(args.modulus) if args.modulus else None
-    b = parse_poly(args.b) if args.b else None
+    modulus = None if args.modulus is None else parse_poly(args.modulus)
+    b = None if args.b is None else parse_poly(args.b)
     args.code = _parse_codes(args.code)
     if not 0 <= args.hmax <= MAX_HMAX:
         raise ValueError(f"hmax must be within 0..{MAX_HMAX}")
@@ -305,25 +305,25 @@ def _verify_checks(
 ):
     """Yield (check_name, passed, note) for one (context, code) pair.
 
-    ``brute`` holds MK^0..MK^h_max (at least) from the table.  The dual
-    words and the weight distribution are built once here and shared by
-    every check that reads them.
+    ``brute`` holds MK^0..MK^h_max (at least) from the table.  The q dual
+    weights and the weight distribution are built once here and shared
+    by every check that reads them.
     """
     r, q = ctx.r, ctx.q
     n = codes_mod.code_length(ctx, i)
-    words = codes_mod.dual_words(ctx, i)
+    weights = codes_mod.dual_weights(ctx, i)
     full_distribution = r <= VERIFY_DISTRIBUTION_MAX_R
     dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
 
     if r <= DUAL_WEIGHT_MAX_R:
-        # the literal trace words against the closed forms in the table's K(a)
-        weights = {a: _whole_weight(q, i, table[a]) for a in ctx.nonzero()}
-        ok = all(w == words[a].bit_count() for a, w in weights.items())
+        # the literal trace words' weights against the closed forms in the table's K(a)
+        closed = {a: _whole_weight(q, i, table[a]) for a in ctx.nonzero()}
+        ok = all(w == weights[a] for a, w in closed.items())
         yield "dual_weight_formula", ok, None
         if i in (2, 4):
             ok = all(
                 w is not None and 2 * w == _whole_weight(q, i - 1, table[a])
-                for a, w in weights.items()
+                for a, w in closed.items()
             )
             yield "dual_weight_halving", ok, None
 
@@ -361,7 +361,7 @@ def _verify_checks(
 
     if i in (3, 4) or r >= 3:
         pless = mo.pless_check(
-            ctx, i, min(h_max, PLESS_MAX_H), counts=dist.counts, words=words
+            ctx, i, min(h_max, PLESS_MAX_H), counts=dist.counts, weights=weights
         )
         yield "pless_identity", all(equal for _, _, equal in pless), None
         seq = mo.moment_sequence(ctx, i, h_max, counts=dist.counts)

@@ -16,12 +16,12 @@ c_i(a) = (tr(a * entry_l))_l over a in the field; c_i(a) has Hamming
 weight (q-1-K(a))/2, (q-1-K(a))/4, (q+1+K(a))/2, (q+1+K(a))/4 for
 i = 1, 2, 3, 4.
 
-The map a -> c_i(a) is GF(2)-linear, so all q dual words come from the
-r words of a = 2^k: every other word is the XOR of one earlier word and
-one generator (``dual_words``).  ``dual_codeword`` builds a single word
-from its trace bits and stays as the per-a oracle.  So the dual
-structure comes down to GF(2) ranks of these r generators and of the r
-parity rows of code i (``verify_dual_structure``).
+The map a -> c_i(a) is GF(2)-linear, so one Gray-code walk over the r
+words of a = 2^k, one running word and one XOR per step, gives the
+weights of all q dual words (``dual_weights``).  ``dual_codeword`` builds
+a single word from its trace bits and stays as the per-a oracle.  So the
+dual structure comes down to GF(2) ranks of these r generators and of
+the r parity rows of code i (``verify_dual_structure``).
 
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
@@ -56,7 +56,7 @@ __all__ = [
     "multiplicity",
     "is_codeword",
     "dual_codeword",
-    "dual_words",
+    "dual_weights",
     "dual_weight_fraction",
     "dual_weight_from_k",
     "dual_weight_closed_form",
@@ -187,21 +187,22 @@ def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
     return [_bitmask([tt[exp[log[1 << k] + lg]] for lg in logs]) for k in range(ctx.r)]
 
 
-def dual_words(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    """Every trace word c_i(a) as a length-N bitmask, indexed by a.
+def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
+    """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
 
-    c_i(a) is GF(2)-linear in a, so the r words of a = 2^k are built bit
-    by bit from the trace table and every other word is one XOR:
-    c_i(a) = c_i(a & (a-1)) ^ c_i(lowest bit of a).  Reads only the trace
-    and exp/log tables, never a Kloosterman value or the Walsh-Hadamard
-    weight histogram; ``dual_codeword`` is the per-a oracle.
+    c_i(a) is GF(2)-linear in a, so a Gray-code walk over the r words of
+    a = 2^k visits every word with one running word: step s XORs in the
+    word of the lowest set bit of s and lands on a = s ^ (s >> 1).  Reads
+    only the trace and exp/log tables, never a Kloosterman value or the
+    Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
     """
     _check_code(ctx, i, warn=False)
     gens = _generator_rows(ctx, i)
-    words = [0] * ctx.q
-    for a in range(1, ctx.q):
-        words[a] = words[a & (a - 1)] ^ gens[(a & -a).bit_length() - 1]
-    return tuple(words)
+    weights, word = [0] * ctx.q, 0
+    for s in range(1, ctx.q):
+        word ^= gens[(s & -s).bit_length() - 1]
+        weights[s ^ (s >> 1)] = word.bit_count()
+    return tuple(weights)
 
 
 def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:

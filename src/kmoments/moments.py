@@ -20,7 +20,7 @@ from collections import Counter
 from math import comb, factorial
 
 from ._record import Record
-from .codes import code_length, dual_words, weight_distribution
+from .codes import code_length, dual_weights, weight_distribution
 from .gf2r import FieldContext
 
 __all__ = [
@@ -177,37 +177,36 @@ def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> Momen
     return MomentSequence(h_max=h_max, mk=tuple(mk))
 
 
-def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, words=None) -> tuple:
+def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None) -> tuple:
     """Both sides of the Pless power moment identity for the dual of code i.
 
     Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
     Left side: sum of weight^h over the q dual codewords c_i(a), the
-    zero word counting 1 when h = 0 (0**0 == 1); the words are built
-    once, by linearity from their trace bits (``dual_words``), and never
-    from the Walsh-Hadamard weight histogram that the weight counts come
-    from.  Right side: the Stirling-number expansion over the code's
-    weight counts, with alphabet size 2 and dual dimension r, as an int:
-    its terms t! S(h, t) 2^(r-t) are integers for any integer counts,
-    since binom(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r
-    and 2^(t - popcount(t)) divides t!.  A remainder raises
-    ArithmeticError.  The weight distribution is built once, up to
-    weight min(N, h_max).
+    zero word counting 1 when h = 0 (0**0 == 1); the q weights come from
+    one walk over the trace words (``dual_weights``), never from the
+    Walsh-Hadamard weight histogram that the weight counts come from.
+    Right side: the Stirling-number expansion over the code's weight
+    counts, with alphabet size 2 and dual dimension r, as an int: its
+    terms t! S(h, t) 2^(r-t) are integers for any integer counts, since
+    binom(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r and
+    2^(t - popcount(t)) divides t!.  A remainder raises ArithmeticError.
+    The weight distribution is built once, up to weight min(N, h_max).
 
-    ``counts`` (C_0..C_j, j >= min(N, h_max)) and ``words`` (all q words
-    as ``dual_words`` returns them) may be passed in by a caller that
-    has already built them; they are then used as given.
+    ``counts`` (C_0..C_j, j >= min(N, h_max)) and ``weights`` (all q
+    weights as ``dual_weights`` returns them) may be passed in by a
+    caller that has already built them; they are then used as given.
     """
     _check_moment_args(ctx, i, h_max)
     n = code_length(ctx, i)
     dist = _counts(ctx, i, min(n, h_max), counts)
-    if words is None:
-        words = dual_words(ctx, i)
-    elif len(words) != ctx.q:
-        raise ValueError(f"need the q = {ctx.q} dual words, got {len(words)}")
-    dual_weights = Counter(word.bit_count() for word in words)
+    if weights is None:
+        weights = dual_weights(ctx, i)
+    elif len(weights) != ctx.q:
+        raise ValueError(f"need the q = {ctx.q} dual weights, got {len(weights)}")
+    histogram = Counter(weights)
     checks = []
     for h, pless in enumerate(_pless_sums(h_max, n, dist)):
-        lhs = sum(c * w**h for w, c in dual_weights.items())
+        lhs = sum(c * w**h for w, c in histogram.items())
         # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
         rhs, rem = divmod(pless << ctx.r, 1 << h)
         if rem:

@@ -5,9 +5,10 @@ carry-less arithmetic with explicit long-division reduction, traces by
 repeated squaring, inverses by exhaustive search, Kloosterman sums by
 literal summation, codeword counting by scanning the full binary cube,
 weight counts by a dynamic program over the group algebra of
-(F_q, XOR), dual weights by a list Walsh-Hadamard butterfly, the
-dual structure of a code by a pairwise parity scan, and the command
-line by argparse.  Slow on purpose; only used at desk scale.
+(F_q, XOR), dual weights by a list Walsh-Hadamard butterfly, every
+dual word stored by linearity from its r generators, the dual
+structure of a code by a pairwise parity scan, and the command line by
+argparse.  Slow on purpose; only used at desk scale.
 
 The two quadratic character sums are the exception: they take a field
 context and evaluate each term through its ``mul`` and inverse table,
@@ -148,6 +149,18 @@ def wht_weight_histogram(base, mult: int, q: int, n: int) -> dict[int, int]:
     for F in f:
         hist[(n - F) // 2] = hist.get((n - F) // 2, 0) + 1
     return hist
+
+
+def dual_words(generators, q: int) -> list[int]:
+    """The q words of a GF(2)-linear map a -> c(a), indexed by a, all stored.
+
+    ``generators`` lists c(2^k) for k = 0..r-1 as bitmasks; every other
+    word is one XOR: c(a) = c(a & (a-1)) ^ c(lowest bit of a).
+    """
+    words = [0] * q
+    for a in range(1, q):
+        words[a] = words[a & (a - 1)] ^ generators[(a & -a).bit_length() - 1]
+    return words
 
 
 def dual_structure_by_scan(words, basis, n: int) -> dict:

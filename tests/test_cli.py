@@ -129,7 +129,7 @@ def test_verify_detects_breakage(capsys, monkeypatch):
     import kmoments.cli as cli
 
     monkeypatch.setattr(
-        cli.mo, "pless_check", lambda ctx, i, h_max, counts=None, words=None: ((0, 1, False),)
+        cli.mo, "pless_check", lambda ctx, i, h_max, counts=None, weights=None: ((0, 1, False),)
     )
     code, out, _ = run(capsys, "verify", "--r", "3", "--code", "3", "--hmax", "2", "--format", "json")
     assert code == 2
@@ -199,7 +199,7 @@ def _per_a_targets():
     import kmoments.kloosterman as kl
     import kmoments.moments as mo
 
-    # moments imports dual_words by name, so pless_check calls it there
+    # moments imports dual_weights by name, so pless_check calls it there
     return [
         (kl, "split_quadratic_char_sums"),
         (kl, "irreducible_quadratic_char_sums"),
@@ -208,8 +208,8 @@ def _per_a_targets():
         (kl, "kloosterman_sum"),
         (codes, "kloosterman_sum"),
         (codes, "dual_codeword"),
-        (codes, "dual_words"),
-        (mo, "dual_words"),
+        (codes, "dual_weights"),
+        (mo, "dual_weights"),
     ]
 
 
@@ -237,7 +237,7 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     assert calls["kloosterman_sum"] == 0
     assert calls["dual_codeword"] == 0
     # one build per code, shared by dual_weight_formula and pless_check
-    assert calls["dual_words"] == 4
+    assert calls["dual_weights"] == 4
     # one distribution per code, shared by the distribution checks, pless_check
     # and moment_sequence; MK^0..MK^4 once for the r, shared by the four codes
     assert built == {"weight_distribution": 4, "moment_bruteforce": 5}
@@ -289,6 +289,8 @@ def test_moments_and_weights_build_no_dual_word_or_char_sum(capsys, monkeypatch,
         ("moments", "--r", "3", "--b", "0x2"),
         ("weights", "--r", "3", "--jmax", "-2"),
         ("verify", "--r", "13"),
+        ("moments", "--r", "3", "--modulus", ""),
+        ("moments", "--r", "3", "--b", ""),
     ],
 )
 def test_usage_errors(capsys, argv):

@@ -11,6 +11,7 @@ from kmoments import (
     kloosterman_table,
     moment_bruteforce,
     moment_sequence,
+    pless_check,
 )
 from kmoments.codes import (
     CODE_INDICES,
@@ -21,7 +22,7 @@ from kmoments.codes import (
     dual_weight_closed_form,
     dual_weight_fraction,
     dual_weight_from_k,
-    dual_words,
+    dual_weights,
     is_codeword,
     kernel_basis,
     multiplicity,
@@ -177,14 +178,18 @@ def test_dual_weight_fraction_is_exact(ctx3):
     assert dual_weight_fraction(8, 2, -3) == (10, 4)
 
 
-# -- all dual words at once, by linearity ---------------------------------------------
+# -- every dual weight by one Gray-code walk ------------------------------------------
 
 
-def _assert_dual_words_match_oracle(ctx, i):
-    words = dual_words(ctx, i)
-    assert len(words) == ctx.q
+def _assert_dual_weights_match_oracles(ctx, i):
+    # the stored words come from generators built bit by bit by dual_codeword
+    words = oracles.dual_words([dual_codeword(ctx, i, 1 << k).mask for k in range(ctx.r)], ctx.q)
+    weights = dual_weights(ctx, i)
+    assert len(weights) == ctx.q
     for a in ctx.elements():
-        assert words[a] == dual_codeword(ctx, i, a).mask, (i, a)
+        word = dual_codeword(ctx, i, a)
+        assert words[a] == word.mask, (i, a)
+        assert weights[a] == words[a].bit_count() == word.weight, (i, a)
 
 
 @pytest.mark.parametrize("r", range(1, 11))
@@ -194,7 +199,7 @@ def test_dual_words_equal_dual_codeword_everywhere(r, contexts):
     for i in CODE_INDICES:
         if i in (1, 2) and ctx.q < 4:
             continue
-        _assert_dual_words_match_oracle(ctx, i)
+        _assert_dual_weights_match_oracles(ctx, i)
 
 
 @settings(max_examples=20, deadline=None)
@@ -205,24 +210,38 @@ def test_dual_words_equal_dual_codeword_any_representation(data, r, i):
     b = data.draw(
         st.sampled_from([x for x in field.elements() if field.trace(x) == 1]), label="b"
     )
-    _assert_dual_words_match_oracle(build_field(r, modulus=modulus, b=b), i)
+    _assert_dual_weights_match_oracles(build_field(r, modulus=modulus, b=b), i)
 
 
-def test_dual_words_read_no_kloosterman_value(monkeypatch):
+def test_dual_weights_read_no_kloosterman_value(monkeypatch):
     # the Pless left side must stay independent of K and of the WHT counts
     import kmoments.codes as codes
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dual_words read a K value or the WHT histogram")
+        raise AssertionError("dual_weights read a K value or the WHT histogram")
 
     field = build_field(5)
-    expected = {i: dual_words(field, i) for i in CODE_INDICES}
+    expected = {i: dual_weights(field, i) for i in CODE_INDICES}
     for name in ("kloosterman_sum", "_dual_weight_histogram"):
         monkeypatch.setattr(codes, name, forbidden)
     ctx = copy.copy(field)
     ctx.lam_table = None
     for i in CODE_INDICES:
-        assert dual_words(ctx, i) == expected[i]
+        assert dual_weights(ctx, i) == expected[i]
+
+
+def test_dual_weights_keep_one_word_at_a_time():
+    # the q = 16384 stored words of 16384 bits each would peak near 35 MiB
+    import tracemalloc
+
+    ctx = build_field(14)
+    tracemalloc.start()
+    try:
+        dual_weights(ctx, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 # -- weight distributions -----------------------------------------------------------
@@ -525,9 +544,12 @@ def test_orthogonality_catches_one_flipped_generator_bit(i, contexts, monkeypatc
 
     ctx = contexts[5]
     assert verify_dual_structure(ctx, i)["orthogonal"] is True
+    assert all(equal for _, _, equal in pless_check(ctx, i, 10))
     for bad in _one_bit_mutants(codes._generator_rows(ctx, i), code_length(ctx, i)):
         monkeypatch.setattr(codes, "_generator_rows", lambda ctx, i, bad=bad: bad)
         assert verify_dual_structure(ctx, i)["orthogonal"] is False
+        # the walk reads the same rows, so the Pless left side moves off the right
+        assert not all(equal for _, _, equal in pless_check(ctx, i, 10))
 
 
 @pytest.mark.parametrize("i", CODE_INDICES)

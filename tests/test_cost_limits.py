@@ -80,9 +80,9 @@ def _pless_orders(capsys, monkeypatch, h_max):
     seen = []
     real = cli.mo.pless_check
 
-    def recording(ctx, i, h, counts=None, words=None):
+    def recording(ctx, i, h, counts=None, weights=None):
         seen.append(h)
-        return real(ctx, i, h, counts=counts, words=words)
+        return real(ctx, i, h, counts=counts, weights=weights)
 
     monkeypatch.setattr(cli.mo, "pless_check", recording)
     _verify_rows(capsys, 3, h_max=h_max)

@@ -140,7 +140,7 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
     import kmoments.codes as codes
     import kmoments.kloosterman as kl
 
-    calls = {"kloosterman_sum": 0, "dual_codeword": 0, "dual_words": 0, "_dual_weight_histogram": 0}
+    calls = {"kloosterman_sum": 0, "dual_codeword": 0, "dual_weights": 0, "_dual_weight_histogram": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -152,7 +152,7 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(kl, "kloosterman_sum", counting(kl, "kloosterman_sum"))
-    for name in ("dual_codeword", "dual_words", "_dual_weight_histogram"):
+    for name in ("dual_codeword", "dual_weights", "_dual_weight_histogram"):
         monkeypatch.setattr(codes, name, counting(codes, name))
     table = kl.kloosterman_table(build_field(6))
     assert all(count == 0 for count in calls.values()), calls

@@ -193,7 +193,7 @@ def test_pless_one_pass(monkeypatch, contexts):
     import kmoments.codes as codes
     import kmoments.moments as mo
 
-    calls = {"dual_words": 0, "dual_codeword": 0, "weight_distribution": 0}
+    calls = {"dual_weights": 0, "dual_codeword": 0, "weight_distribution": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -205,14 +205,14 @@ def test_pless_one_pass(monkeypatch, contexts):
         return wrapper
 
     for module, name in (
-        (mo, "dual_words"),
+        (mo, "dual_weights"),
         (mo, "weight_distribution"),
         (codes, "dual_codeword"),
     ):
         monkeypatch.setattr(module, name, counting(module, name))
     ctx = contexts[5]
     checks = pless_check(ctx, 3, 10)
-    assert calls == {"dual_words": 1, "dual_codeword": 0, "weight_distribution": 1}
+    assert calls == {"dual_weights": 1, "dual_codeword": 0, "weight_distribution": 1}
     assert len(checks) == 11
     assert all(equal for _, _, equal in checks)
     assert all(type(rhs) is int and rhs == lhs for lhs, rhs, _ in checks)
@@ -247,37 +247,37 @@ def test_pless_corrupted_count_is_exact_and_unequal(i, contexts):
         assert equal == (rhs == lhs) == (h < 2)
 
 
-def test_given_counts_and_words_are_used_as_built(monkeypatch, contexts):
+def test_given_counts_and_weights_are_used_as_built(monkeypatch, contexts):
     import kmoments.moments as mo
-    from kmoments.codes import dual_words, weight_distribution
+    from kmoments.codes import dual_weights, weight_distribution
 
     ctx = contexts[5]
     counts = weight_distribution(ctx, 3).counts
-    words = dual_words(ctx, 3)
+    weights = dual_weights(ctx, 3)
     expected = (pless_check(ctx, 3, 10), moment_sequence(ctx, 3, 10))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("built again")
 
-    monkeypatch.setattr(mo, "dual_words", forbidden)
+    monkeypatch.setattr(mo, "dual_weights", forbidden)
     monkeypatch.setattr(mo, "weight_distribution", forbidden)
     # the full distribution, or just the prefix up to min(N, h_max)
     for given in (counts, counts[:11]):
-        assert pless_check(ctx, 3, 10, counts=given, words=words) == expected[0]
+        assert pless_check(ctx, 3, 10, counts=given, weights=weights) == expected[0]
         assert moment_sequence(ctx, 3, 10, counts=given) == expected[1]
 
 
-def test_given_counts_and_words_are_length_checked(ctx3):
-    from kmoments.codes import dual_words, weight_distribution
+def test_given_counts_and_weights_are_length_checked(ctx3):
+    from kmoments.codes import dual_weights, weight_distribution
 
     counts = weight_distribution(ctx3, 3).counts  # N = 8, so 9 counts
-    words = dual_words(ctx3, 3)
+    weights = dual_weights(ctx3, 3)
     with pytest.raises(ValueError, match="weight counts up to j=4"):
         moment_sequence(ctx3, 3, 4, counts=counts[:4])
     with pytest.raises(ValueError, match="weight counts up to j=8"):
-        pless_check(ctx3, 3, 10, counts=counts[:8], words=words)
-    with pytest.raises(ValueError, match="q = 8 dual words"):
-        pless_check(ctx3, 3, 2, counts=counts, words=words[:7])
+        pless_check(ctx3, 3, 10, counts=counts[:8], weights=weights)
+    with pytest.raises(ValueError, match="q = 8 dual weights"):
+        pless_check(ctx3, 3, 2, counts=counts, weights=weights[:7])
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
