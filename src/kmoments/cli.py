@@ -2,8 +2,9 @@
 
 Commands
 --------
-The command may stand anywhere among the options; every option applies to
-all three.  Each option is declared once, in ``OPTIONS``, which both the
+The command may stand anywhere among the options.  Every command accepts
+every option; --jmax shapes only weights, and --hmax only moments and
+verify.  Each option is declared once, in ``OPTIONS``, which both the
 parser and ``--help`` read, and each command reads the checked values.
 
 moments : recursive MK^h per code, beside the brute-force oracle column
@@ -20,7 +21,6 @@ arithmetic guard that raised, reported as one ``error:`` line).
 from __future__ import annotations
 
 import sys
-import warnings
 from types import SimpleNamespace
 
 from . import codes as codes_mod
@@ -72,12 +72,16 @@ class _UsageError(Exception):
     pass
 
 
+def _ints(name: str, text: str, parts: list[str]) -> list[int]:
+    try:
+        return [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"argument --{name}: invalid value: {text!r}") from None
+
+
 def _parse_r_range(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    bounds = _ints("r", text, text.split("..", 1))
+    lo, hi = bounds[0], bounds[-1]
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     for r in (lo, hi):
@@ -87,14 +91,11 @@ def _parse_r_range(text: str) -> tuple[int, ...]:
 
 
 def _parse_codes(text: str) -> tuple[int, ...]:
-    out = []
-    for part in text.split(","):
-        i = int(part)
+    codes = _ints("code", text, text.split(","))
+    for i in codes:
         if i not in codes_mod.CODE_INDICES:
             raise ValueError(f"code index must be in 1..4, got {i}")
-        if i not in out:
-            out.append(i)
-    return tuple(out)
+    return tuple(dict.fromkeys(codes))
 
 
 def _build_config(args: SimpleNamespace) -> None:
@@ -219,10 +220,7 @@ def cmd_weights(args: SimpleNamespace) -> int:
                     f"full distribution at r={r} is too large; pass --jmax to truncate"
                 )
             j_max = n if args.jmax is None else min(args.jmax, n)
-            # at r = 2 the totals check below already shows the larger code
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
+            dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
             block = {
                 "r": r,
                 "code": i,
@@ -293,13 +291,6 @@ def _char_sum_checks(ctx: FieldContext, table: kl.KloostermanTable):
     return checks
 
 
-def _whole_weight(q: int, i: int, k: int) -> int | None:
-    # the closed-form weight of c_i(a) from k = K(a); None where a wrong k
-    # makes it a fraction, so the check fails instead of raising
-    num, den = codes_mod.dual_weight_fraction(q, i, k)
-    return None if num % den else num // den
-
-
 def _verify_checks(
     ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable, brute: list[int]
 ):
@@ -316,15 +307,13 @@ def _verify_checks(
     dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
 
     if r <= DUAL_WEIGHT_MAX_R:
-        # the literal trace words' weights against the closed forms in the table's K(a)
-        closed = {a: _whole_weight(q, i, table[a]) for a in ctx.nonzero()}
-        ok = all(w == weights[a] for a, w in closed.items())
+        # the literal trace words' weights against the closed forms num / den in the table's K(a)
+        fractions = {a: codes_mod.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
+        ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
         yield "dual_weight_formula", ok, None
         if i in (2, 4):
-            ok = all(
-                w is not None and 2 * w == _whole_weight(q, i - 1, table[a])
-                for a, w in closed.items()
-            )
+            # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
+            ok = all(num % 4 == 0 for num, _ in fractions.values())
             yield "dual_weight_halving", ok, None
 
     report = codes_mod.verify_dual_structure(ctx, i)
@@ -392,13 +381,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
         for i in args.code:
             if i in (1, 2) and r < 2:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                checks = [*char_sums, *_verify_checks(ctx, i, args.hmax, table, brute)]
-                for name, passed, note in checks:
-                    results.append(
-                        {"r": r, "code": i, "check": name, "passed": passed, "note": note}
-                    )
+            for name, passed, note in [*char_sums, *_verify_checks(ctx, i, args.hmax, table, brute)]:
+                results.append({"r": r, "code": i, "check": name, "passed": passed, "note": note})
     all_passed = all(w["passed"] for w in results)
 
     lines = []
@@ -503,7 +487,9 @@ def _help() -> str:
     lines = [
         f"usage: kmoments {{{','.join(COMMANDS)}}} --r R [options]",
         "",
-        __doc__.splitlines()[0] + " Every option applies to all three commands.",
+        __doc__.splitlines()[0],
+        "Every command accepts every option; --jmax shapes only weights,",
+        "and --hmax only moments and verify.",
         "",
         "commands:",
         *(f"  {name:<28}{text}" for name, text in COMMANDS.items()),

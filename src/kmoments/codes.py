@@ -18,10 +18,12 @@ i = 1, 2, 3, 4.
 
 The map a -> c_i(a) is GF(2)-linear, so one Gray-code walk over the r
 words of a = 2^k, one running word and one XOR per step, gives the
-weights of all q dual words (``dual_weights``).  ``dual_codeword`` builds
-a single word from its trace bits and stays as the per-a oracle.  So the
-dual structure comes down to GF(2) ranks of these r generators and of
-the r parity rows of code i (``verify_dual_structure``).
+weights of all q dual words (``dual_weights``).  One row builder makes
+these r generators and the r parity rows of code i: bit l of a row is
+the parity of entry_l & m, with m = 2^k for parity row k and bit j of m
+tr(2^k 2^j) for generator k.  ``dual_codeword``, from exp/log products,
+is the per-a oracle.  The dual structure is GF(2) ranks of these rows
+(``verify_dual_structure``).
 
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
@@ -39,7 +41,6 @@ nullspace basis.
 from __future__ import annotations
 
 import sys
-import warnings
 from array import array
 from collections import Counter
 
@@ -82,20 +83,12 @@ _WHT_SLOT_BYTES = (1, 2, 4)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _check_code(ctx: FieldContext, i: int, warn: bool = True) -> None:
-    # the r=2 degeneracy warning fires when *constructing* codes 1 and 2;
-    # dual-side diagnostics stay quiet since examining the degenerate dual
-    # map is exactly their job
+def _check_code(ctx: FieldContext, i: int) -> None:
+    # codes 1 and 2 are admitted at r = 2; verify_dual_structure reports their kernel of size 2
     if i not in CODE_INDICES:
         raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
-    if i in (1, 2):
-        if ctx.q < 4:
-            raise ValueError(f"code {i} needs q >= 4 (length would be {code_length(ctx, i)})")
-        if warn and ctx.r == 2:
-            warnings.warn(
-                f"code {i} at r=2 is degenerate: the dual map a -> c_i(a) is 2-to-1",
-                stacklevel=3,
-            )
+    if i in (1, 2) and ctx.q < 4:
+        raise ValueError(f"code {i} needs q >= 4 (length would be {code_length(ctx, i)})")
 
 
 def code_length(ctx: FieldContext, i: int) -> int:
@@ -141,7 +134,7 @@ def multiplicity(ctx: FieldContext, i: int, beta: int) -> int:
 
 def is_codeword(ctx: FieldContext, i: int, u) -> bool:
     """Whether the binary word u is orthogonal to vector i over GF(2^r)."""
-    _check_code(ctx, i, warn=False)
+    _check_code(ctx, i)
     v = _vector(ctx, i)
     if len(u) != len(v):
         raise ValueError(f"word length {len(u)} != code length {len(v)}")
@@ -171,7 +164,7 @@ class DualCodeword(Record):
 
 def dual_codeword(ctx: FieldContext, i: int, a: int) -> DualCodeword:
     """c_i(a): bit l is the trace of a times entry l of vector i."""
-    _check_code(ctx, i, warn=False)
+    _check_code(ctx, i)
     v = _vector(ctx, i)
     if a == 0:
         return DualCodeword(code=i, a=0, bits=(0,) * len(v))
@@ -180,11 +173,16 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> DualCodeword:
     return DualCodeword(code=i, a=a, bits=tuple(tt[exp[la + log[g]]] for g in v))
 
 
+def _rows(ctx: FieldContext, i: int, masks) -> list[int]:
+    # one length-N bitmask per mask: bit l of row k is the parity of entry_l & masks[k]
+    v = _vector(ctx, i)
+    return [_bitmask([(entry & mask).bit_count() & 1 for entry in v]) for mask in masks]
+
+
 def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
-    # the r words c_i(2^k) as length-N bitmasks, from the trace table
-    tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
-    logs = [log[g] for g in _vector(ctx, i)]
-    return [_bitmask([tt[exp[log[1 << k] + lg]] for lg in logs]) for k in range(ctx.r)]
+    # the r words c_i(2^k): tr(2^k x) is the parity of x & m_k, bit j of m_k being tr(2^k 2^j)
+    tt, mul, r = ctx.trace_table, ctx.mul, ctx.r
+    return _rows(ctx, i, [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)])
 
 
 def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
@@ -196,7 +194,7 @@ def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
     only the trace and exp/log tables, never a Kloosterman value or the
     Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
     """
-    _check_code(ctx, i, warn=False)
+    _check_code(ctx, i)
     gens = _generator_rows(ctx, i)
     weights, word = [0] * ctx.q, 0
     for s in range(1, ctx.q):
@@ -374,9 +372,8 @@ def code_cardinality(ctx: FieldContext, i: int) -> int:
 
 def parity_check_rows(ctx: FieldContext, i: int) -> list[int]:
     """r binary parity rows (as length-N bitmasks) cutting out code i."""
-    _check_code(ctx, i, warn=False)
-    v = _vector(ctx, i)
-    return [_bitmask([entry >> k & 1 for entry in v]) for k in range(ctx.r)]
+    _check_code(ctx, i)
+    return _rows(ctx, i, [1 << k for k in range(ctx.r)])
 
 
 def _pivots(rows) -> dict[int, int]:
@@ -452,7 +449,7 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     so every c_i(a) is orthogonal to every codeword iff
     rank [H; G] = rank H.
     """
-    _check_code(ctx, i, warn=False)
+    _check_code(ctx, i)
     n = code_length(ctx, i)
     h_rows, g_rows = parity_check_rows(ctx, i), _generator_rows(ctx, i)
     rank_h, rank_g = gf2_rank(h_rows), gf2_rank(g_rows)

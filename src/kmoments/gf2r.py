@@ -211,11 +211,10 @@ class FieldContext:
 
     def _build_exp_log(self):
         q = self.q
-        if q == 2:
-            return (1, 1), (None, 0)
         qm1 = q - 1
         primes = _factor_int(qm1)
-        for g in range(2, q):
+        # g = 1 passes only in GF(2), where q - 1 = 1 has no prime factor
+        for g in range(1, q):
             if all(self._pow_raw(g, qm1 // p) != 1 for p in primes):
                 break
         else:  # pragma: no cover - every field has a primitive element

@@ -20,7 +20,7 @@ from collections import Counter
 from math import comb, factorial
 
 from ._record import Record
-from .codes import code_length, dual_weights, weight_distribution
+from .codes import CODE_INDICES, code_length, dual_weights, weight_distribution
 from .gf2r import FieldContext
 
 __all__ = [
@@ -108,7 +108,7 @@ def _pless_sums(h_max: int, n: int, dist) -> list[int]:
 
 
 def _check_moment_args(ctx: FieldContext, i: int, h: int) -> None:
-    if i not in (1, 2, 3, 4):
+    if i not in CODE_INDICES:
         raise ValueError(f"code index must be 1..4, got {i}")
     if i in (1, 2) and ctx.r < 3:
         raise ValueError(f"the code-{i} recursion needs r >= 3, got r={ctx.r}")

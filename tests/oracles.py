@@ -220,7 +220,8 @@ def argparse_parser() -> argparse.ArgumentParser:
     parser = _ArgparseParser(
         prog="kmoments",
         usage="%(prog)s {moments,weights,verify} --r R [options]",
-        description="Batch front-end. Every option applies to all three commands.",
+        description="Batch front-end. Every command accepts every option; --jmax shapes only "
+        "weights, and --hmax only moments and verify.",
     )
     parser.add_argument(
         "command",

@@ -80,7 +80,7 @@ def test_03_quadratic_denominator_char_sums(contexts, tables):
                     assert irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1, (r, a, b)
 
 
-def test_04_dual_weights_closed_form(contexts, recwarn):
+def test_04_dual_weights_closed_form(contexts):
     with criterion("04 dual weight closed forms + halving (r<=8, all a)"):
         for r in range(1, 9):
             ctx = contexts[r]
@@ -134,7 +134,7 @@ def test_07_pless_identity(contexts):
                     assert equal and lhs == rhs, (r, i, h)
 
 
-def test_08_dual_map_and_cardinalities(contexts, recwarn):
+def test_08_dual_map_and_cardinalities(contexts):
     with criterion("08 dual map injectivity, q=4 kernel, distribution totals"):
         for r in range(1, 9):
             ctx = contexts[r]

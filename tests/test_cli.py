@@ -176,6 +176,29 @@ def test_verify_fails_on_a_wrong_k_value(flags):
     assert lines[-1] == "all: FAIL"
 
 
+@pytest.mark.parametrize("shift", [2, 4])
+def test_verify_dual_weight_rows_catch_a_shifted_k(capsys, monkeypatch, shift):
+    # K(1) + 2 moves every closed form off its weight and leaves num / 4 a
+    # fraction; K(1) + 4 keeps num divisible by 4, so the halving rows pass
+    from types import MappingProxyType
+
+    real = cli.kl.kloosterman_table
+
+    def shifted(ctx):
+        table = real(ctx)
+        values = dict(table.values)
+        values[1] += shift
+        return cli.kl.KloostermanTable(table.r, table.modulus, MappingProxyType(values))
+
+    monkeypatch.setattr(cli.kl, "kloosterman_table", shifted)
+    code, out, _ = run(capsys, "verify", "--r", "3..6", "--format", "json")
+    assert code == 2
+    passed = {(w["r"], w["code"], w["check"]): w["passed"] for w in json.loads(out)["results"]}
+    for r in range(3, 7):
+        assert not any(passed[r, i, "dual_weight_formula"] for i in (1, 2, 3, 4)), r
+        assert all(passed[r, i, "dual_weight_halving"] is (shift == 4) for i in (2, 4)), r
+
+
 def _count_calls(monkeypatch, targets):
     """Wrap each (module, name) so the returned dict counts its calls by name."""
     calls = {name: 0 for _, name in targets}
@@ -275,6 +298,15 @@ def test_moments_and_weights_build_no_dual_word_or_char_sum(capsys, monkeypatch,
 
 # -- usage errors -------------------------------------------------------------------
 
+# values int() cannot read, which the error names with their option
+_UNREADABLE = [
+    ("moments", "--r", ""),
+    ("moments", "--r", "3.."),
+    ("moments", "--r", "3..4..5"),
+    ("moments", "--r", "3", "--code", "1,,2"),
+    ("moments", "--r", "3", "--code", "x"),
+]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -291,12 +323,15 @@ def test_moments_and_weights_build_no_dual_word_or_char_sum(capsys, monkeypatch,
         ("verify", "--r", "13"),
         ("moments", "--r", "3", "--modulus", ""),
         ("moments", "--r", "3", "--b", ""),
+        *_UNREADABLE,
     ],
 )
 def test_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+    if argv in _UNREADABLE:
+        assert err == f"error: argument {argv[-2]}: invalid value: {argv[-1]!r}\n"
 
 
 @pytest.mark.parametrize("flag", ["--b", "--modulus"])

@@ -48,7 +48,7 @@ def test_vectors_r3(ctx3):
 
 @pytest.mark.parametrize("r", range(2, 8))
 @pytest.mark.parametrize("i", CODE_INDICES)
-def test_vector_lengths(r, i, contexts, recwarn):
+def test_vector_lengths(r, i, contexts):
     ctx = contexts[r]
     q = ctx.q
     expected = {1: q - 2, 2: q // 2 - 1, 3: q, 4: q // 2}[i]
@@ -60,13 +60,6 @@ def test_small_field_rejected_for_codes_12():
     ctx = build_field(1)
     for i in (1, 2):
         with pytest.raises(ValueError, match="q >= 4"):
-            build_vector(ctx, i)
-
-
-def test_r2_warns_for_codes_12():
-    ctx = build_field(2)
-    for i in (1, 2):
-        with pytest.warns(UserWarning, match="2-to-1"):
             build_vector(ctx, i)
 
 
@@ -90,7 +83,7 @@ def test_multiplicity_examples(ctx3):
 
 @pytest.mark.parametrize("r", range(2, 7))
 @pytest.mark.parametrize("i", CODE_INDICES)
-def test_multiplicity_counts_vector_entries(r, i, contexts, recwarn):
+def test_multiplicity_counts_vector_entries(r, i, contexts):
     ctx = contexts[r]
     if i in (1, 2) and ctx.q < 4:
         return
@@ -141,7 +134,7 @@ def test_dual_weight_closed_form_examples(ctx3):
 
 
 @pytest.mark.parametrize("r", range(1, 7))
-def test_closed_form_matches_actual_weight(r, contexts, recwarn):
+def test_closed_form_matches_actual_weight(r, contexts):
     ctx = contexts[r]
     for i in CODE_INDICES:
         if i in (1, 2) and ctx.q < 4:
@@ -151,7 +144,7 @@ def test_closed_form_matches_actual_weight(r, contexts, recwarn):
 
 
 @pytest.mark.parametrize("r", range(1, 7))
-def test_weight_halving(r, contexts, recwarn):
+def test_weight_halving(r, contexts):
     ctx = contexts[r]
     for a in ctx.nonzero():
         assert 2 * dual_weight_closed_form(ctx, 4, a) == dual_weight_closed_form(ctx, 3, a)
@@ -176,6 +169,28 @@ def test_dual_weight_fraction_is_exact(ctx3):
     # a K value off by 2 leaves a fraction, with nothing floored or raised
     assert dual_weight_fraction(8, 3, 0) == (9, 2)
     assert dual_weight_fraction(8, 2, -3) == (10, 4)
+
+
+# -- the generator and parity rows ----------------------------------------------------
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_rows_equal_independent_builds(r):
+    # every irreducible modulus up to r = 7, the canonical one above
+    import kmoments.codes as codes
+
+    fields = [build_field(r, modulus=m) for m in irreducible_polys(r)] if r <= 7 else [build_field(r)]
+    for ctx in fields:
+        for i in CODE_INDICES:
+            if i in (1, 2) and ctx.q < 4:
+                continue
+            # generator k is c_i(2^k), which dual_codeword builds from exp/log products
+            gens = [dual_codeword(ctx, i, 1 << k).mask for k in range(r)]
+            assert codes._generator_rows(ctx, i) == gens, (ctx, i)
+            # parity row k holds bit k of every entry of vector i
+            v = build_vector(ctx, i)
+            rows = [sum((entry >> k & 1) << l for l, entry in enumerate(v)) for k in range(r)]
+            assert parity_check_rows(ctx, i) == rows, (ctx, i)
 
 
 # -- every dual weight by one Gray-code walk ------------------------------------------
@@ -276,7 +291,7 @@ def _group_algebra_counts(ctx, i, j_max):
 
 @pytest.mark.parametrize("r", range(2, 9))
 @pytest.mark.parametrize("i", CODE_INDICES)
-def test_full_distribution_equals_group_algebra_dp(r, i, contexts, recwarn):
+def test_full_distribution_equals_group_algebra_dp(r, i, contexts):
     ctx = contexts[r]
     n = code_length(ctx, i)
     dp = _group_algebra_counts(ctx, i, n)
@@ -306,7 +321,7 @@ def test_distribution_equals_group_algebra_dp_any_representation(data, r, i):
 
 @pytest.mark.parametrize("r", range(2, 7))
 @pytest.mark.parametrize("i", CODE_INDICES)
-def test_no_single_weight_words(r, i, contexts, recwarn):
+def test_no_single_weight_words(r, i, contexts):
     ctx = contexts[r]
     if i in (1, 2) and ctx.q < 4:
         return
@@ -407,6 +422,15 @@ def test_packed_histogram_equals_list_butterfly(r, contexts):
             continue
         packed, oracle = _packed_and_oracle(ctx, i)
         assert packed == oracle, i
+
+
+@pytest.mark.parametrize("r, i", [(15, 3), (16, 1), (16, 3)])
+def test_packed_histogram_four_byte_slots(r, i):
+    # N >= 2^15 leaves only the four-byte slots
+    ctx = build_field(r)
+    assert code_length(ctx, i) >= 1 << 15
+    packed, oracle = _packed_and_oracle(ctx, i)
+    assert packed == oracle
 
 
 @settings(max_examples=30, deadline=None)

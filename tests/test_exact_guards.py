@@ -41,10 +41,8 @@ GUARDS = {
     ),
     # code 2 at r = 2 has N = 1, so one zero word gives 2^1 / 4 codewords
     "cardinality": (
-        "import warnings\n"
         "from collections import Counter\n"
         "import kmoments.codes as codes\n"
-        "warnings.simplefilter('ignore')\n"
         "codes._dual_weight_histogram = lambda ctx, i: Counter({0: 1})\n"
         "codes.code_cardinality(build_field(2), 2)\n",
         "cardinality 1*2^N/q not integral",

@@ -83,6 +83,13 @@ def test_inv_roundtrip(r):
         assert ctx.inv(ctx.inv(x)) == x
 
 
+@pytest.mark.parametrize("modulus", [0b10, 0b11])
+def test_gf2_tables(modulus):
+    # the primitive search takes g = 1, the only generator of GF(2)*
+    ctx = build_field(1, modulus=modulus)
+    assert (ctx.exp, ctx.log, ctx.inv_table) == ((1, 1), (None, 0), (0, 1))
+
+
 def test_inv_zero_rejected(ctx3):
     with pytest.raises(ValueError):
         ctx3.inv(0)

@@ -1,9 +1,9 @@
 """Every private helper of the package is used somewhere in the package.
 
-A private helper is a module-level function or class, or a method of a
-module-level class, whose name starts with one underscore.  It counts as
-used when some ``ast.Name`` or ``ast.Attribute`` outside its own
-definition names it; a mention in a docstring or comment does not.
+A private helper is a module-level function, class or constant, or a
+method of a module-level class, whose name starts with one underscore.
+It counts as used when some ``ast.Name`` or ``ast.Attribute`` outside
+its own definition names it; a mention in a docstring or comment does not.
 """
 
 import ast
@@ -13,13 +13,18 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
 
 
 def _definitions(tree: ast.Module):
-    """Yield the module-level functions and classes and the methods of those classes."""
+    """Yield (name, node) of the module-level functions, classes and assigned
+    names, and of the methods of those classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (n for n in node.body if isinstance(n, defs))
+            yield from ((n.name, n) for n in node.body if isinstance(n, defs))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
 def _orphans(sources: dict[str, str]) -> list[str]:
@@ -33,15 +38,15 @@ def _orphans(sources: dict[str, str]) -> list[str]:
     ]
     orphans = []
     for module, tree in trees.items():
-        for node in _definitions(tree):
-            if not node.name.startswith("_") or node.name.startswith("__"):
+        for defined, node in _definitions(tree):
+            if not defined.startswith("_") or defined.startswith("__"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(
-                name == node.name and not (where == module and line in own)
+                name == defined and not (where == module and line in own)
                 for name, where, line in refs
             ):
-                orphans.append(f"{module}:{node.lineno} {node.name}")
+                orphans.append(f"{module}:{node.lineno} {defined}")
     return orphans
 
 
@@ -73,3 +78,31 @@ def test_recursion_and_docstrings_do_not_count_as_use():
         "m.py:1 _orphan",
         "m.py:7 _unused",
     ]
+
+
+def test_private_constants_count():
+    # a constant named only in its own assignment is dead, whatever the target form
+    source = (
+        "_WIDTH = 2\n"
+        "_DEAD = _WIDTH + 1\n"
+        "_TABLE: dict = {}\n"
+        "_LO, _HI = 1, 2\n"
+        "__all__ = []\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        "    return _LO\n"
+    )
+    assert _orphans({"m.py": source, "n.py": "import m\nm._TABLE\n"}) == [
+        "m.py:2 _DEAD",
+        "m.py:4 _HI",
+    ]
+
+
+def test_a_deleted_reader_leaves_its_constant_flagged():
+    # cut the one reader of codes._DIGITS: the constant is left behind as dead code
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    reader = "int(bytes(bits)[::-1].translate(_DIGITS), 2)"
+    assert sources["codes.py"].count(reader) == 1
+    sources["codes.py"] = sources["codes.py"].replace(reader, "int(''.join(map(str, bits[::-1])), 2)")
+    assert [o.split()[1] for o in _orphans(sources)] == ["_DIGITS"]
