@@ -79,6 +79,13 @@ def _ints(name: str, text: str, parts: list[str]) -> list[int]:
         raise ValueError(f"argument --{name}: invalid value: {text!r}") from None
 
 
+def _poly(name: str, text: str) -> int:
+    try:
+        return parse_poly(text)
+    except ValueError as exc:
+        raise ValueError(f"argument --{name}: {exc}") from None
+
+
 def _parse_r_range(text: str) -> tuple[int, ...]:
     bounds = _ints("r", text, text.split("..", 1))
     lo, hi = bounds[0], bounds[-1]
@@ -93,8 +100,7 @@ def _parse_r_range(text: str) -> tuple[int, ...]:
 def _parse_codes(text: str) -> tuple[int, ...]:
     codes = _ints("code", text, text.split(","))
     for i in codes:
-        if i not in codes_mod.CODE_INDICES:
-            raise ValueError(f"code index must be in 1..4, got {i}")
+        codes_mod.code_shape(i)
     return tuple(dict.fromkeys(codes))
 
 
@@ -102,8 +108,8 @@ def _build_config(args: SimpleNamespace) -> None:
     """Check the parsed options; set ``args.code`` to a tuple without repeats and
     ``args.contexts`` to the field context of each r, in ascending order."""
     r_values = _parse_r_range(args.r)
-    modulus = None if args.modulus is None else parse_poly(args.modulus)
-    b = None if args.b is None else parse_poly(args.b)
+    modulus = None if args.modulus is None else _poly("modulus", args.modulus)
+    b = None if args.b is None else _poly("b", args.b)
     args.code = _parse_codes(args.code)
     if not 0 <= args.hmax <= MAX_HMAX:
         raise ValueError(f"hmax must be within 0..{MAX_HMAX}")

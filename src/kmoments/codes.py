@@ -10,11 +10,13 @@ vectors over GF(2^r) are
     code 4: the same block once                               length q/2
 
 and code i is the set of binary words orthogonal to vector i under the
-GF(2^r)-valued inner product (an XOR of selected entries).  By
+GF(2^r)-valued inner product (an XOR of selected entries); ``code_shape``
+gives its pair (trace of the inverted entries, copies of the block).  By
 Delsarte's theorem the dual of code i is the set of trace words
 c_i(a) = (tr(a * entry_l))_l over a in the field; c_i(a) has Hamming
 weight (q-1-K(a))/2, (q-1-K(a))/4, (q+1+K(a))/2, (q+1+K(a))/4 for
-i = 1, 2, 3, 4.
+i = 1, 2, 3, 4.  ``dual_weight_closed_form`` takes K(a) as an argument,
+so this module never imports the Kloosterman layer.
 
 The map a -> c_i(a) is GF(2)-linear, so one Gray-code walk over the r
 words of a = 2^k, one running word and one XOR per step, gives the
@@ -46,12 +48,12 @@ from collections import Counter
 
 from ._record import Record
 from .gf2r import FieldContext
-from .kloosterman import kloosterman_sum
 
 __all__ = [
     "CODE_INDICES",
     "DualCodeword",
     "WeightDistribution",
+    "code_shape",
     "code_length",
     "build_vector",
     "multiplicity",
@@ -59,7 +61,6 @@ __all__ = [
     "dual_codeword",
     "dual_weights",
     "dual_weight_fraction",
-    "dual_weight_from_k",
     "dual_weight_closed_form",
     "weight_distribution",
     "weight_distribution_exhaustive",
@@ -70,7 +71,9 @@ __all__ = [
     "verify_dual_structure",
 ]
 
-CODE_INDICES = (1, 2, 3, 4)
+# code -> (trace of the inverted entries, copies of the block)
+_SHAPES = {1: (0, 2), 2: (0, 1), 3: (1, 2), 4: (1, 1)}
+CODE_INDICES = tuple(_SHAPES)
 
 # exhaustive enumeration walks 2^(N-r) codewords
 ENUMERATION_BUDGET = 24
@@ -83,18 +86,25 @@ _WHT_SLOT_BYTES = (1, 2, 4)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def code_shape(i: int) -> tuple[int, int]:
+    """(trace of the inverted entries, copies of the block) of code i."""
+    try:
+        return _SHAPES[i]
+    except (KeyError, TypeError):
+        raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}") from None
+
+
 def _check_code(ctx: FieldContext, i: int) -> None:
     # codes 1 and 2 are admitted at r = 2; verify_dual_structure reports their kernel of size 2
-    if i not in CODE_INDICES:
-        raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
-    if i in (1, 2) and ctx.q < 4:
+    trace, _ = code_shape(i)
+    if not trace and ctx.q < 4:
         raise ValueError(f"code {i} needs q >= 4 (length would be {code_length(ctx, i)})")
 
 
 def code_length(ctx: FieldContext, i: int) -> int:
     """Block length: q-2, q/2-1, q, q/2 for codes 1..4."""
-    q = ctx.q
-    return (q - 2, q // 2 - 1, q, q // 2)[i - 1]
+    trace, copies = code_shape(i)
+    return copies * (ctx.q // 2 - 1 + trace)
 
 
 def _bitmask(bits) -> int:
@@ -103,15 +113,14 @@ def _bitmask(bits) -> int:
 
 
 def _base_entries(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    # single copy of the defining block, in theta order
-    if i in (1, 2):
-        return tuple(ctx.inv_table[g] for g in ctx.theta[1:])
-    return tuple(ctx.inv_table[ctx.b ^ g] for g in ctx.theta)
+    # one copy of the block, in theta order: 1/gamma (gamma != 0) or 1/(b + gamma)
+    trace, _ = code_shape(i)
+    shift = ctx.b if trace else 0
+    return tuple(ctx.inv_table[shift ^ g] for g in ctx.theta[1 - trace :])
 
 
 def _vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    base = _base_entries(ctx, i)
-    return base + base if i in (1, 3) else base
+    return _base_entries(ctx, i) * code_shape(i)[1]
 
 
 def build_vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
@@ -122,14 +131,10 @@ def build_vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
 
 def multiplicity(ctx: FieldContext, i: int, beta: int) -> int:
     """How many coordinates of vector i equal beta (0, 1 or 2)."""
-    if i not in CODE_INDICES:
-        raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
-    if beta == 0:
+    trace, copies = code_shape(i)
+    if beta == 0 or ctx.trace_table[ctx.inv_table[beta]] != trace:
         return 0
-    want = 0 if i in (1, 2) else 1
-    if ctx.trace_table[ctx.inv_table[beta]] != want:
-        return 0
-    return 2 if i in (1, 3) else 1
+    return copies
 
 
 def is_codeword(ctx: FieldContext, i: int, u) -> bool:
@@ -205,26 +210,17 @@ def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
 
 def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
     """wt(c_i(a)) over GF(q) as num / den, given k = K(a); den divides num if k is true."""
-    num = q - 1 - k if i in (1, 2) else q + 1 + k
-    return num, 2 if i in (1, 3) else 4
+    trace, copies = code_shape(i)
+    return (q + 1 + k if trace else q - 1 - k), 4 // copies
 
 
-def dual_weight_from_k(q: int, i: int, k: int) -> int:
+def dual_weight_closed_form(q: int, i: int, k: int) -> int:
     """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0."""
     num, den = dual_weight_fraction(q, i, k)
     w, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(f"weight {num}/{den} not integral; K(a)={k}")
     return w
-
-
-def dual_weight_closed_form(ctx: FieldContext, i: int, a: int) -> int:
-    """Hamming weight of c_i(a) as a function of K(a), for nonzero a."""
-    if i not in CODE_INDICES:
-        raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
-    if a == 0:
-        raise ValueError("closed form holds for nonzero a")
-    return dual_weight_from_k(ctx.q, i, kloosterman_sum(ctx, a))
 
 
 class WeightDistribution(Record):
@@ -297,11 +293,11 @@ def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
     if typecode is None:
         raise ArithmeticError(f"no slot of {_WHT_SLOT_BYTES} bytes holds transform values up to {n}")
     bias = 1 << (8 * width - 1)
-    mult = 2 if i in (1, 3) else 1
+    _, copies = code_shape(i)
     # f[beta] + B in every slot; B's low byte is 0 (or 0x80 in one-byte slots)
     f = bytearray(bias.to_bytes(width, "little") * q)
     for beta in _base_entries(ctx, i):
-        f[beta * width] += mult
+        f[beta * width] += copies
     x = int.from_bytes(f, "little")
     for shift, mask, stage_bias in _wht_stages(q, width):
         lo = x & mask

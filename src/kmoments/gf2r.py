@@ -86,29 +86,23 @@ def parse_poly(s: str) -> int:
     """Parse a polynomial given as hex (0x..), binary (0b..), decimal, or 'x^3+x+1'.
 
     Exponents must lie in 0..MAX_DEGREE; x^k is checked before it shifts.
+    Text in none of these forms raises ``invalid value: '<text>'``.
     """
-    s = s.strip().replace(" ", "")
+    text = s.strip().replace(" ", "").lower()
     out_of_range = f"polynomial exponents must be within 0..{MAX_DEGREE} (gf2r.MAX_DEGREE)"
-    if s.lower().startswith("0x"):
-        f = int(s, 16)
-    elif s.lower().startswith("0b"):
-        f = int(s, 2)
-    elif s.isdigit():
-        f = int(s)
-    else:
-        f = 0
-        for term in s.lower().split("+"):
-            if term == "1":
-                f ^= 1
-            elif term == "x":
-                f ^= 2
-            elif term.startswith("x^"):
-                k = int(term[2:])
-                if not 0 <= k <= MAX_DEGREE:
-                    raise ValueError(out_of_range)
-                f ^= 1 << k
-            else:
-                raise ValueError(f"cannot parse polynomial term {term!r}")
+    base = {"0x": 16, "0b": 2}.get(text[:2], 10)
+    f, exponents = 0, []
+    try:
+        if base != 10 or text.isdigit():
+            f = int(text, base)
+        else:  # x^k is k, 1 is 0 and x is 1
+            exponents = [int(t[2:]) if t[:2] == "x^" else ("1", "x").index(t) for t in text.split("+")]
+    except ValueError:
+        raise ValueError(f"invalid value: {s!r}") from None
+    for k in exponents:
+        if not 0 <= k <= MAX_DEGREE:
+            raise ValueError(out_of_range)
+        f ^= 1 << k
     if not 0 <= f < 1 << (MAX_DEGREE + 1):
         raise ValueError(out_of_range)
     return f

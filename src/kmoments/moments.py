@@ -20,7 +20,7 @@ from collections import Counter
 from math import comb, factorial
 
 from ._record import Record
-from .codes import CODE_INDICES, code_length, dual_weights, weight_distribution
+from .codes import code_length, code_shape, dual_weights, weight_distribution
 from .gf2r import FieldContext
 
 __all__ = [
@@ -108,29 +108,25 @@ def _pless_sums(h_max: int, n: int, dist) -> list[int]:
 
 
 def _check_moment_args(ctx: FieldContext, i: int, h: int) -> None:
-    if i not in CODE_INDICES:
-        raise ValueError(f"code index must be 1..4, got {i}")
-    if i in (1, 2) and ctx.r < 3:
+    trace, _ = code_shape(i)
+    if not trace and ctx.r < 3:
         raise ValueError(f"the code-{i} recursion needs r >= 3, got r={ctx.r}")
     if h < 0:
         raise ValueError("moment order must be nonnegative")
 
 
 def _recursion_step(q: int, i: int, h: int, lower, pless: int) -> int:
-    """MK^h from MK^0..MK^(h-1) in ``lower`` and P_h of ``_pless_sums``."""
-    if i in (1, 2):
-        first = sum(
-            (-1) ** (h + l + 1) * binom(h, l) * (q - 1) ** (h - l) * lower[l]
-            for l in range(h)
-        )
-        pless *= (-1) ** h
-    else:
-        first = -sum(binom(h, l) * (q + 1) ** (h - l) * lower[l] for l in range(h))
-    # codes with doubled coordinates halve the power of two in each term:
-    # 2^(h-t) for codes 1 and 3, 2^(2h-t) for codes 2 and 4
-    if i in (2, 4):
-        pless <<= h
-    return first + q * pless
+    """MK^h from MK^0..MK^(h-1) in ``lower`` and P_h of ``_pless_sums``.
+
+    With s K(a) = d wt(c_i(a)) - c (s = -1, c = q - 1 for the trace-zero codes,
+    s = 1, c = q + 1 for the trace-one codes, d = 4 / copies), the h-th powers
+    summed over a give MK^h = s^h (q P_h 2^(h [copies = 1]) - sum_{l<h} C(h, l) c^(h-l) s^l MK^l).
+    """
+    trace, copies = code_shape(i)
+    s = 1 if trace else -1
+    c = q + s
+    lower_terms = sum(binom(h, l) * c ** (h - l) * s**l * lower[l] for l in range(h))
+    return s**h * ((q * pless << (h if copies == 1 else 0)) - lower_terms)
 
 
 def _counts(ctx: FieldContext, i: int, j_top: int, counts) -> tuple[int, ...]:

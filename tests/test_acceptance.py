@@ -84,18 +84,15 @@ def test_04_dual_weights_closed_form(contexts):
     with criterion("04 dual weight closed forms + halving (r<=8, all a)"):
         for r in range(1, 9):
             ctx = contexts[r]
-            for i in ALL_CODES:
-                if i in (1, 2) and ctx.q < 4:
-                    continue
-                for a in ctx.nonzero():
-                    assert (
-                        dual_codeword(ctx, i, a).weight
-                        == dual_weight_closed_form(ctx, i, a)
-                    ), (r, i, a)
+            codes = ALL_CODES if ctx.q >= 4 else (3, 4)
             for a in ctx.nonzero():
-                assert 2 * dual_weight_closed_form(ctx, 4, a) == dual_weight_closed_form(ctx, 3, a)
+                k = kloosterman_sum(ctx, a)
+                weight = {i: dual_weight_closed_form(ctx.q, i, k) for i in codes}
+                for i in codes:
+                    assert dual_codeword(ctx, i, a).weight == weight[i], (r, i, a)
+                assert 2 * weight[4] == weight[3]
                 if ctx.q >= 4:
-                    assert 2 * dual_weight_closed_form(ctx, 2, a) == dual_weight_closed_form(ctx, 1, a)
+                    assert 2 * weight[2] == weight[1]
 
 
 def test_05_distribution_dp_vs_enumeration(contexts):

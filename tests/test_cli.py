@@ -229,7 +229,6 @@ def _per_a_targets():
         (kl, "split_quadratic_char_sum"),
         (kl, "irreducible_quadratic_char_sum"),
         (kl, "kloosterman_sum"),
-        (codes, "kloosterman_sum"),
         (codes, "dual_codeword"),
         (codes, "dual_weights"),
         (mo, "dual_weights"),
@@ -305,6 +304,13 @@ _UNREADABLE = [
     ("moments", "--r", "3..4..5"),
     ("moments", "--r", "3", "--code", "1,,2"),
     ("moments", "--r", "3", "--code", "x"),
+    ("moments", "--r", "3", "--modulus", ""),
+    ("moments", "--r", "3", "--modulus", "0xZZ"),
+    ("moments", "--r", "3", "--modulus", "0b102"),
+    ("moments", "--r", "3", "--modulus", "x^3+y"),
+    ("moments", "--r", "3", "--b", ""),
+    ("moments", "--r", "3", "--b", "x^a"),
+    ("moments", "--r", "3", "--b", "1e3"),
 ]
 
 
@@ -321,8 +327,6 @@ _UNREADABLE = [
         ("moments", "--r", "3", "--b", "0x2"),
         ("weights", "--r", "3", "--jmax", "-2"),
         ("verify", "--r", "13"),
-        ("moments", "--r", "3", "--modulus", ""),
-        ("moments", "--r", "3", "--b", ""),
         *_UNREADABLE,
     ],
 )
@@ -334,13 +338,20 @@ def test_usage_errors(capsys, argv):
         assert err == f"error: argument {argv[-2]}: invalid value: {argv[-1]!r}\n"
 
 
+@pytest.mark.parametrize("i", ["0", "5", "1,5"])
+def test_bad_code_index_message(capsys, i):
+    code, _, err = run(capsys, "verify", "--r", "3", "--code", i)
+    assert code == 1
+    assert err == f"error: code index must be one of (1, 2, 3, 4), got {i[-1]}\n"
+
+
 @pytest.mark.parametrize("flag", ["--b", "--modulus"])
 def test_out_of_range_polynomial_is_one_short_line(capsys, flag):
     # the exponent is refused before any shift, and the message does not
     # spell out a million-term polynomial
     code, out, err = run(capsys, "moments", "--r", "3", flag, "x^1000000")
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and len(err.splitlines()) == 1 and len(err) < 200
+    assert err == f"error: argument {flag}: polynomial exponents must be within 0..16 (gf2r.MAX_DEGREE)\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kmoments.codes as codes_mod
 from kmoments import (
     build_field,
     kloosterman_sum,
     kloosterman_table,
     moment_bruteforce,
+    moment_recursive,
     moment_sequence,
     pless_check,
 )
@@ -18,10 +20,10 @@ from kmoments.codes import (
     build_vector,
     code_cardinality,
     code_length,
+    code_shape,
     dual_codeword,
     dual_weight_closed_form,
     dual_weight_fraction,
-    dual_weight_from_k,
     dual_weights,
     is_codeword,
     kernel_basis,
@@ -68,6 +70,88 @@ def test_bad_code_index(ctx3):
         build_vector(ctx3, 5)
     with pytest.raises(ValueError):
         multiplicity(ctx3, 0, 1)
+
+
+def _inverse(ctx, x):
+    # x^(q-2) by square and multiply, without the exp/log or inverse tables
+    out, power, e = 1, x, ctx.q - 2
+    while e:
+        if e & 1:
+            out = ctx.mul(out, power)
+        power, e = ctx.mul(power, power), e >> 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "r, non_canonical", [(r, False) for r in range(2, 11)] + [(5, True), (8, True)]
+)
+def test_code_table_matches_the_definition(r, non_canonical):
+    # theta = {x^2 + x}, the trace-zero elements; code 1 is the inverses of
+    # its nonzero elements written twice, code 2 once; codes 3 and 4 the
+    # same for the inverses of b + theta
+    ctx = build_field(r)
+    if non_canonical:
+        ctx = build_field(r, modulus=max(irreducible_polys(r)))
+        assert ctx.modulus != build_field(r).modulus
+    q = ctx.q
+    theta = sorted({ctx.mul(x, x) ^ x for x in ctx.elements()})
+    zero_block = tuple(_inverse(ctx, g) for g in theta if g)
+    one_block = tuple(_inverse(ctx, ctx.b ^ g) for g in theta)
+    vectors = (zero_block + zero_block, zero_block, one_block + one_block, one_block)
+    for i in CODE_INDICES:
+        assert code_length(ctx, i) == (q - 2, q // 2 - 1, q, q // 2)[i - 1], i
+        assert build_vector(ctx, i) == vectors[i - 1], i
+
+
+# every public function taking a code index, with valid other arguments
+_BY_CODE = {
+    "code_shape": lambda ctx, i: code_shape(i),
+    "code_length": lambda ctx, i: code_length(ctx, i),
+    "build_vector": lambda ctx, i: build_vector(ctx, i),
+    "multiplicity": lambda ctx, i: multiplicity(ctx, i, 1),
+    "is_codeword": lambda ctx, i: is_codeword(ctx, i, []),
+    "dual_codeword": lambda ctx, i: dual_codeword(ctx, i, 1),
+    "dual_weights": lambda ctx, i: dual_weights(ctx, i),
+    "dual_weight_fraction": lambda ctx, i: dual_weight_fraction(ctx.q, i, -5),
+    "dual_weight_closed_form": lambda ctx, i: dual_weight_closed_form(ctx.q, i, -5),
+    "weight_distribution": lambda ctx, i: weight_distribution(ctx, i),
+    "weight_distribution_exhaustive": lambda ctx, i: weight_distribution_exhaustive(ctx, i),
+    "code_cardinality": lambda ctx, i: code_cardinality(ctx, i),
+    "parity_check_rows": lambda ctx, i: parity_check_rows(ctx, i),
+    "verify_dual_structure": lambda ctx, i: verify_dual_structure(ctx, i),
+    "moment_recursive": lambda ctx, i: moment_recursive(ctx, i, 1, [7], (1, 0)),
+    "moment_sequence": lambda ctx, i: moment_sequence(ctx, i, 2),
+    "pless_check": lambda ctx, i: pless_check(ctx, i, 2),
+}
+
+
+def test_every_code_taking_function_is_checked():
+    import inspect
+
+    import kmoments.moments as moments_mod
+
+    taking_i = {
+        name
+        for module in (codes_mod, moments_mod)
+        for name in module.__all__
+        if inspect.isfunction(obj := getattr(module, name))
+        and "i" in inspect.signature(obj).parameters
+    }
+    assert taking_i == set(_BY_CODE)
+
+
+@pytest.mark.parametrize("i", [0, -1, 5])
+@pytest.mark.parametrize("name", _BY_CODE)
+def test_bad_code_index_has_one_message(name, i, ctx3):
+    with pytest.raises(ValueError) as raised:
+        _BY_CODE[name](ctx3, i)
+    assert str(raised.value) == f"code index must be one of (1, 2, 3, 4), got {i}"
+
+
+@pytest.mark.parametrize("bad", [None, "1", [1]])
+def test_code_shape_refuses_a_value_of_another_type(bad):
+    with pytest.raises(ValueError, match="code index must be one of"):
+        code_shape(bad)
 
 
 # -- multiplicities ---------------------------------------------------------------
@@ -126,11 +210,10 @@ def test_dual_codeword_examples(ctx3):
     assert dual_codeword(ctx3, 1, 1).bits == (1,) * 6
 
 
-def test_dual_weight_closed_form_examples(ctx3):
-    assert dual_weight_closed_form(ctx3, 3, 1) == 2  # (8 + 1 - 5) / 2
-    assert dual_weight_closed_form(ctx3, 2, 1) == 3  # (8 - 1 + 5) / 4
-    with pytest.raises(ValueError):
-        dual_weight_closed_form(ctx3, 1, 0)
+def test_dual_weight_closed_form_examples():
+    # K(1) = -5 over GF(8)
+    assert dual_weight_closed_form(8, 3, -5) == 2  # (8 + 1 - 5) / 2
+    assert dual_weight_closed_form(8, 2, -5) == 3  # (8 - 1 + 5) / 4
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -140,25 +223,29 @@ def test_closed_form_matches_actual_weight(r, contexts):
         if i in (1, 2) and ctx.q < 4:
             continue
         for a in ctx.nonzero():
-            assert dual_codeword(ctx, i, a).weight == dual_weight_closed_form(ctx, i, a)
+            k = kloosterman_sum(ctx, a)
+            assert dual_codeword(ctx, i, a).weight == dual_weight_closed_form(ctx.q, i, k)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_weight_halving(r, contexts):
     ctx = contexts[r]
     for a in ctx.nonzero():
-        assert 2 * dual_weight_closed_form(ctx, 4, a) == dual_weight_closed_form(ctx, 3, a)
+        k = kloosterman_sum(ctx, a)
+        assert 2 * dual_weight_closed_form(ctx.q, 4, k) == dual_weight_closed_form(ctx.q, 3, k)
         if ctx.q >= 4:
-            assert 2 * dual_weight_closed_form(ctx, 2, a) == dual_weight_closed_form(ctx, 1, a)
+            assert 2 * dual_weight_closed_form(ctx.q, 2, k) == dual_weight_closed_form(ctx.q, 1, k)
 
 
-def test_dual_weight_from_k_is_the_closed_form(ctx3):
-    for i in CODE_INDICES:
-        for a in ctx3.nonzero():
-            k = kloosterman_sum(ctx3, a)
-            assert dual_weight_from_k(ctx3.q, i, k) == dual_weight_closed_form(ctx3, i, a)
+def test_closed_form_of_table_values_is_the_dual_codeword_weight(contexts, tables):
+    for r in (3, 8):
+        ctx, table = contexts[r], tables[r]
+        for i in CODE_INDICES:
+            for a in ctx.nonzero():
+                assert dual_weight_closed_form(ctx.q, i, table[a]) == dual_codeword(ctx, i, a).weight
+    # K(a) = 0 is not 3 mod 4: the remainder raises, nothing is floored
     with pytest.raises(ArithmeticError, match="not integral"):
-        dual_weight_from_k(8, 3, 0)
+        dual_weight_closed_form(8, 3, 0)
 
 
 def test_dual_weight_fraction_is_exact(ctx3):
@@ -229,16 +316,16 @@ def test_dual_words_equal_dual_codeword_any_representation(data, r, i):
 
 
 def test_dual_weights_read_no_kloosterman_value(monkeypatch):
-    # the Pless left side must stay independent of K and of the WHT counts
+    # the Pless left side must stay independent of the WHT counts (and of K,
+    # which codes cannot import: tests/test_import_graph.py)
     import kmoments.codes as codes
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dual_weights read a K value or the WHT histogram")
+        raise AssertionError("dual_weights read the WHT histogram")
 
     field = build_field(5)
     expected = {i: dual_weights(field, i) for i in CODE_INDICES}
-    for name in ("kloosterman_sum", "_dual_weight_histogram"):
-        monkeypatch.setattr(codes, name, forbidden)
+    monkeypatch.setattr(codes, "_dual_weight_histogram", forbidden)
     ctx = copy.copy(field)
     ctx.lam_table = None
     for i in CODE_INDICES:
@@ -390,7 +477,7 @@ def test_dual_structure_past_degree_12(r):
     # is O(r N), the distribution and cardinality O(q r), the K table one square
     ctx = build_field(r)
     table = kloosterman_table(ctx)
-    assert dual_weight_closed_form(ctx, 3, 1) == dual_codeword(ctx, 3, 1).weight
+    assert dual_weight_closed_form(ctx.q, 3, table[1]) == dual_codeword(ctx, 3, 1).weight
     for i in CODE_INDICES:
         report = verify_dual_structure(ctx, i)
         assert report["orthogonal"] and report["injective"] and report["product_check"], i

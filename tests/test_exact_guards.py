@@ -17,9 +17,9 @@ _PRELUDE = "assert False, 'asserts are on'\nfrom kmoments import build_field\n"
 
 GUARDS = {
     # K(a) = 0 is not 3 mod 4, so the code-3 weight (q + 1 + k) / 2 is 9/2
-    "dual_weight_from_k": (
-        "from kmoments.codes import dual_weight_from_k\n"
-        "dual_weight_from_k(8, 3, 0)\n",
+    "dual_weight_closed_form": (
+        "from kmoments.codes import dual_weight_closed_form\n"
+        "dual_weight_closed_form(8, 3, 0)\n",
         "weight 9/2 not integral; K(a)=0",
     ),
     # a half-integral dual weight makes K_2 = ((N - 1)^2 - N) / 2 odd over 2

@@ -250,8 +250,11 @@ def test_parse_poly():
     assert parse_poly("0x0B") == 0b1011
     assert parse_poly("0b1011") == 0b1011
     assert parse_poly("11") == 11
-    with pytest.raises(ValueError):
-        parse_poly("x^3+y")
+    assert parse_poly("X^3 + 1") == 0b1001
+    for text in ("x^3+y", "0xZZ", "0b102", "1e3", "", "x^", "x^3+", "²"):
+        with pytest.raises(ValueError) as raised:
+            parse_poly(text)
+        assert str(raised.value) == f"invalid value: {text!r}"
 
 
 def test_parse_poly_degree_limit():

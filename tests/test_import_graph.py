@@ -1,111 +1,110 @@
 """Which package modules may read which: the weight counts and the Pless
 left side must never come from the K values they are checked against.
 
-Three rules, read from the sources with ``ast``:
+Each rule lists every package module one module may import, read from
+the sources with ``ast``:
 
-* ``kloosterman`` imports only ``gf2r`` and ``_record`` from the package;
-* ``moments`` never imports ``kloosterman``;
-* inside ``codes``, only ``dual_weight_closed_form`` names anything
-  imported from ``kloosterman``.
+* ``kloosterman`` imports only ``gf2r`` and ``_record``;
+* ``codes`` imports only ``gf2r`` and ``_record``;
+* ``moments`` imports only ``gf2r``, ``codes`` and ``_record``.
+
+So neither weight-side module can reach a K value, by any name.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
 
-KLOOSTERMAN_MAY_IMPORT = {"gf2r", "_record"}
-CODES_MAY_READ_K = {"dual_weight_closed_form"}
+MAY_IMPORT = {
+    "kloosterman": {"gf2r", "_record"},
+    "codes": {"gf2r", "_record"},
+    "moments": {"gf2r", "codes", "_record"},
+}
 
 
-def _package_imports(tree: ast.Module) -> list[tuple[str, str]]:
-    """(package module, name it binds) for every import of a package module in ``tree``."""
+def _package_imports(tree: ast.Module) -> list[str]:
+    """The package module (or package-level name) behind every package import in ``tree``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level == 0:
-                if not module.startswith("kmoments"):
+                if module != "kmoments" and not module.startswith("kmoments."):
                     continue
                 module = module.removeprefix("kmoments").lstrip(".")
-            for alias in node.names:
-                # "from . import codes" imports the module codes itself
-                source = module or alias.name
-                found.append((source, alias.asname or alias.name))
+            # "from . import codes" imports the module codes itself
+            found += [module or alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("kmoments."):
-                    module = alias.name.removeprefix("kmoments.")
-                    found.append((module, alias.asname or "kmoments"))
+            # "import kmoments" reaches every module through the package
+            found += [
+                alias.name.removeprefix("kmoments.")
+                for alias in node.names
+                if alias.name == "kmoments" or alias.name.startswith("kmoments.")
+            ]
     return found
 
 
 def _violations(sources: dict[str, str]) -> list[str]:
     """One line per broken rule in ``sources`` (module name -> source text)."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
-    imports = {module: _package_imports(tree) for module, tree in trees.items()}
-    out = [
-        f"kloosterman imports {module}"
-        for module, _ in imports["kloosterman"]
-        if module not in KLOOSTERMAN_MAY_IMPORT
+    return [
+        f"{module} imports {source}"
+        for module, text in sources.items()
+        for source in _package_imports(ast.parse(text))
+        if source not in MAY_IMPORT[module]
     ]
-    out += [f"moments imports {module}" for module, _ in imports["moments"] if module == "kloosterman"]
-    from_k = {name for module, name in imports["codes"] if module == "kloosterman"}
-    allowed = [
-        range(node.lineno, node.end_lineno + 1)
-        for node in trees["codes"].body
-        if isinstance(node, ast.FunctionDef) and node.name in CODES_MAY_READ_K
-    ]
-    for node in ast.walk(trees["codes"]):
-        if isinstance(node, ast.Name) and node.id in from_k:
-            if not any(node.lineno in lines for lines in allowed):
-                out.append(f"codes:{node.lineno} reads {node.id}")
-    return out
 
 
 def _sources() -> dict[str, str]:
-    return {m: (PACKAGE / f"{m}.py").read_text() for m in ("codes", "kloosterman", "moments")}
+    return {m: (PACKAGE / f"{m}.py").read_text() for m in MAY_IMPORT}
 
 
-def _mutated(sources, module, old, new):
+def _with_import(sources, module, line):
+    anchor = "from .gf2r import FieldContext\n"
     text = sources[module]
-    assert text.count(old) == 1, (module, old)
-    return {**sources, module: text.replace(old, new)}
+    assert text.count(anchor) == 1, module
+    return {**sources, module: text.replace(anchor, anchor + line + "\n")}
 
 
 def test_import_graph_keeps_k_values_out_of_the_counts():
     assert _violations(_sources()) == []
 
 
+K_IMPORTS = [
+    "from .kloosterman import kloosterman_table",
+    "from . import kloosterman as kl",
+    "from . import kloosterman",
+    "import kmoments.kloosterman",
+    "import kmoments.kloosterman as kl",
+    "from kmoments.kloosterman import kloosterman_sum",
+    "from kmoments import kloosterman",
+]
+
+
+@pytest.mark.parametrize("module", ["codes", "moments"])
+@pytest.mark.parametrize("line", K_IMPORTS)
+def test_import_graph_rejects_each_way_to_reach_k(module, line):
+    assert _violations(_with_import(_sources(), module, line)) == [f"{module} imports kloosterman"]
+
+
+@pytest.mark.parametrize("module", ["codes", "moments"])
+@pytest.mark.parametrize(
+    "line, reached",
+    [
+        ("from kmoments import kloosterman_sum", "kloosterman_sum"),
+        ("import kmoments", "kmoments"),
+        ("from . import cli", "cli"),
+    ],
+)
+def test_import_graph_rejects_the_package_and_the_cli(module, line, reached):
+    assert _violations(_with_import(_sources(), module, line)) == [f"{module} imports {reached}"]
+
+
 def test_import_graph_rejects_each_mutant():
     sources = _sources()
-    # weight_distribution reading a K value
-    codes = _mutated(
-        sources, "codes", "    totals = [0] * (j_max + 1)\n",
-        "    totals = [0] * (j_max + 1)\n    kloosterman_sum(ctx, 1)\n",
-    )
-    (line,) = _violations(codes)
-    assert line.startswith("codes:") and line.endswith("reads kloosterman_sum")
-    # the whole module bound under another name
-    aliased = _mutated(
-        codes, "codes", "from .kloosterman import kloosterman_sum\n",
-        "from . import kloosterman as kl\nfrom .kloosterman import kloosterman_sum\n",
-    )
-    aliased = _mutated(aliased, "codes", "    kloosterman_sum(ctx, 1)\n", "    kl.kloosterman_sum(ctx, 1)\n")
-    (line,) = _violations(aliased)
-    assert line.endswith("reads kl")
-    moments = _mutated(
-        sources, "moments", "from .gf2r import FieldContext\n",
-        "from .gf2r import FieldContext\nfrom .kloosterman import kloosterman_table\n",
-    )
-    assert _violations(moments) == ["moments imports kloosterman"]
-    absolute = _mutated(
-        sources, "moments", "from .gf2r import FieldContext\n",
-        "from .gf2r import FieldContext\nimport kmoments.kloosterman\n",
-    )
-    assert _violations(absolute) == ["moments imports kloosterman"]
-    kloosterman = _mutated(
-        sources, "kloosterman", "from .gf2r import FieldContext\n",
-        "from .gf2r import FieldContext\nfrom . import codes\n",
-    )
+    codes = _with_import(sources, "codes", "from .moments import binom")
+    assert _violations(codes) == ["codes imports moments"]
+    kloosterman = _with_import(sources, "kloosterman", "from . import codes")
     assert _violations(kloosterman) == ["kloosterman imports codes"]

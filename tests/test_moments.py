@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmoments import build_field
-from kmoments.kloosterman import moment_bruteforce
+from kmoments.kloosterman import kloosterman_table, moment_bruteforce
 from kmoments.moments import (
     MomentSequence,
     binom,
@@ -92,6 +92,17 @@ def test_recursion_equals_bruteforce(r, i, contexts, tables):
     seq = moment_sequence(ctx, i, 12)
     for h in range(13):
         assert seq.mk[h] == moment_bruteforce(ctx, h, tables[r])
+
+
+def test_recursion_equals_bruteforce_to_the_cli_hmax():
+    # all four codes at r = 3..11, h up to the CLI's MAX_HMAX = 32: a flipped
+    # sign s, a lost 2^h or q - 1 and q + 1 swapped in the step shows at some h
+    for r in range(3, 12):
+        ctx = build_field(r)
+        table = kloosterman_table(ctx)
+        brute = tuple(moment_bruteforce(ctx, h, table) for h in range(33))
+        for i in (1, 2, 3, 4):
+            assert moment_sequence(ctx, i, 32).mk == brute, (r, i)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
