@@ -514,6 +514,11 @@ GOLDEN_CASES = pytest.mark.parametrize(
         # --code order and de-duplication, codes 1 and 2 from r = 3, --jmax truncation
         ("moments_codes", ("moments", "--r", "3..5", "--code", "4,1", "--hmax", "6")),
         ("weights_codes", ("weights", "--r", "3..4", "--code", "3,1,3", "--jmax", "5")),
+        # below r = 3: codes 1 and 2 skipped by moments at r = 1, 2 and by
+        # weights and verify at r = 1, and no kloosterman_mod4 row at r = 1
+        ("moments_r1_3", ("moments", "--r", "1..3", "--hmax", "3")),
+        ("weights_r1", ("weights", "--r", "1")),
+        ("verify_r1", ("verify", "--r", "1", "--hmax", "3")),
     ],
 )
 
