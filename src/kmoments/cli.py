@@ -39,7 +39,7 @@ SCHEMA_VERSION = 1
 # README.md shows it as a table; enumeration reads codes.ENUMERATION_BUDGET.
 MAX_R = 12  # --r, every subcommand: past 12 no check independent of the K table yet
 MAX_HMAX = 32  # --hmax: the recursion sums O(h^2) exact terms per order
-FULL_DISTRIBUTION_MAX_R = 8  # weights without --jmax: N + 1 counts of up to N - r bits
+FULL_DISTRIBUTION_MAX_R = 8  # weights reaching weight N: N + 1 counts of up to N - r bits
 CHAR_SUM_MAX_R = 8  # split_char_sum, irreducible_char_sum: literal sums, O(q^2) per r
 ALL_B_MAX_R = 6  # irreducible_char_sum at every trace-one b, O(q^3); above, 2 sampled b
 DUAL_WEIGHT_MAX_R = 8  # dual_weight_formula, dual_weight_halving: O(q); kept so verify's rows stay
@@ -161,12 +161,12 @@ def _render(
         text = buf.getvalue()
     else:
         text = "\n".join(lines) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
+            raise _UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -182,7 +182,8 @@ def cmd_moments(args: SimpleNamespace) -> int:
         # MK^h depends on r alone: one column, shared by every code
         brute = [kl.moment_bruteforce(ctx, h, table) for h in range(args.hmax + 1)]
         for i in args.code:
-            if i in (1, 2) and r < 3:
+            trace, _ = codes_mod.code_shape(i)
+            if not trace and r < 3:
                 continue
             seq = mo.moment_sequence(ctx, i, args.hmax)
             for h in range(args.hmax + 1):
@@ -218,14 +219,15 @@ def cmd_weights(args: SimpleNamespace) -> int:
     blocks = []
     for r, ctx in args.contexts.items():
         for i in args.code:
-            if i in (1, 2) and r < 2:
+            trace, copies = codes_mod.code_shape(i)
+            if not trace and r < 2:
                 continue
             n = codes_mod.code_length(ctx, i)
-            if args.jmax is None and r > FULL_DISTRIBUTION_MAX_R:
+            j_max = n if args.jmax is None else min(args.jmax, n)
+            if j_max == n and r > FULL_DISTRIBUTION_MAX_R:
                 raise _UsageError(
                     f"full distribution at r={r} is too large; pass --jmax to truncate"
                 )
-            j_max = n if args.jmax is None else min(args.jmax, n)
             dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
             block = {
                 "r": r,
@@ -242,7 +244,7 @@ def cmd_weights(args: SimpleNamespace) -> int:
                     "expected_total": 1 << dim,
                     "cardinality_ok": total == 1 << dim,
                 }
-                if i in (1, 3):
+                if copies == 2:
                     block["checks"]["palindrome"] = all(
                         dist.counts[j] == dist.counts[n - j] for j in range(n + 1)
                     )
@@ -275,120 +277,104 @@ def cmd_weights(args: SimpleNamespace) -> int:
 # verify
 
 
-def _char_sum_checks(ctx: FieldContext, table: kl.KloostermanTable):
-    """The two quadratic character sums against the table, up to CHAR_SUM_MAX_R.
+def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
+    """Yield (code, check, passed, note) for every verify row of one r, in output order.
 
-    They do not depend on the code, so ``cmd_verify`` evaluates them
-    once per r and repeats the rows under each code.  Each sum comes as
-    one row over every a: one split row, and one irreducible row per b.
-    """
-    if ctx.r > CHAR_SUM_MAX_R:
-        return []
-    split = kl.split_quadratic_char_sums(ctx)
-    ok = all(split[a] == table[a] - 1 for a in ctx.nonzero())
-    checks = [("split_char_sum", ok, None)]
-
-    trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
-    bs = trace_one if ctx.r <= ALL_B_MAX_R else [trace_one[0], trace_one[-1]]
-    rows = (kl.irreducible_quadratic_char_sums(ctx, b) for b in bs)
-    ok = all(row[a] == -table[a] - 1 for row in rows for a in ctx.nonzero())
-    note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
-    checks.append(("irreducible_char_sum", ok, note))
-    return checks
-
-
-def _verify_checks(
-    ctx: FieldContext, i: int, h_max: int, table: kl.KloostermanTable, brute: list[int]
-):
-    """Yield (check_name, passed, note) for one (context, code) pair.
-
-    ``brute`` holds MK^0..MK^h_max (at least) from the table.  The q dual
-    weights and the weight distribution are built once here and shared
-    by every check that reads them.
+    Once per r: the K table, MK^0..MK^max(h_max, 1) from it (for
+    moment_first and every code's moment_recursion), and up to
+    CHAR_SUM_MAX_R the two quadratic character sums, whose rows repeat
+    under each code (one split row over every a, one irreducible row
+    over every a per b).  The field rows come first, under code None.
+    Once per code: the q dual weights, the weight distribution and the
+    dual-structure report, each shared by every row that reads it.
     """
     r, q = ctx.r, ctx.q
-    n = codes_mod.code_length(ctx, i)
-    weights = codes_mod.dual_weights(ctx, i)
-    full_distribution = r <= VERIFY_DISTRIBUTION_MAX_R
-    dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
-
-    if r <= DUAL_WEIGHT_MAX_R:
-        # the literal trace words' weights against the closed forms num / den in the table's K(a)
-        fractions = {a: codes_mod.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
-        ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
-        yield "dual_weight_formula", ok, None
-        if i in (2, 4):
-            # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
-            ok = all(num % 4 == 0 for num, _ in fractions.values())
-            yield "dual_weight_halving", ok, None
-
-    report = codes_mod.verify_dual_structure(ctx, i)
-    yield "dual_orthogonality", report["orthogonal"], None
-    if i in (1, 2) and q == 4:
-        ok = report["kernel_size"] == 2
-        yield "dual_map_kernel", ok, "kernel of size 2 expected at q=4"
-    else:
-        yield "dual_map_injective", report["injective"], None
-    yield "dual_cardinality_product", report["product_check"], None
-
-    # where the dual map is not injective (codes 1, 2 at r = 2) the code is
-    # larger than 2^(N-r); compare against the nullspace dimension instead
-    expected_total = (
-        1 << (n - r) if report["injective"] else report["code_cardinality"]
-    )
-    size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
-    if full_distribution:
-        if n - r <= codes_mod.ENUMERATION_BUDGET:
-            enumerated = codes_mod.weight_distribution_exhaustive(ctx, i)
-            yield "distribution_vs_enumeration", dist.counts == enumerated.counts, None
-        yield "distribution_cardinality", sum(dist.counts) == expected_total, size_note
-        if i in (1, 3):
-            ok = all(dist.counts[j] == dist.counts[n - j] for j in range(n + 1))
-            yield "distribution_palindrome", ok, None
-    elif r <= CARDINALITY_MAX_R:
-        # the note is kept for byte-identical output; the count is the
-        # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
-        yield (
-            "distribution_cardinality",
-            codes_mod.code_cardinality(ctx, i) == expected_total,
-            "via group-algebra count",
-        )
-
-    if i in (3, 4) or r >= 3:
-        pless = mo.pless_check(
-            ctx, i, min(h_max, PLESS_MAX_H), counts=dist.counts, weights=weights
-        )
-        yield "pless_identity", all(equal for _, _, equal in pless), None
-        seq = mo.moment_sequence(ctx, i, h_max, counts=dist.counts)
-        ok = all(seq.mk[h] == brute[h] for h in range(h_max + 1))
-        yield "moment_recursion", ok, None
-
-
-def _field_checks(ctx: FieldContext, table: kl.KloostermanTable, brute: list[int]):
-    weil = all(k * k <= 4 * ctx.q for k in table.values.values())
-    yield "kloosterman_weil_bound", weil, None
-    if ctx.r >= 2:
-        ok = all(k % 4 == 3 for k in table.values.values())
-        yield "kloosterman_mod4", ok, None
+    table = kl.kloosterman_table(ctx)
+    brute = [kl.moment_bruteforce(ctx, h, table) for h in range(max(h_max, 1) + 1)]
+    values = table.values.values()
+    yield None, "kloosterman_weil_bound", all(k * k <= 4 * q for k in values), None
+    if r >= 2:
+        yield None, "kloosterman_mod4", all(k % 4 == 3 for k in values), None
     frob = all(table[ctx.mul(a, a)] == table[a] for a in ctx.nonzero())
-    yield "kloosterman_frobenius", frob, None
-    yield "moment_first", brute[1] == 1, None
+    yield None, "kloosterman_frobenius", frob, None
+    yield None, "moment_first", brute[1] == 1, None
+
+    char_sums = []
+    if r <= CHAR_SUM_MAX_R:
+        split = kl.split_quadratic_char_sums(ctx)
+        ok = all(split[a] == table[a] - 1 for a in ctx.nonzero())
+        char_sums.append(("split_char_sum", ok, None))
+        trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
+        bs = trace_one if r <= ALL_B_MAX_R else [trace_one[0], trace_one[-1]]
+        sums = (kl.irreducible_quadratic_char_sums(ctx, b) for b in bs)
+        ok = all(row[a] == -table[a] - 1 for row in sums for a in ctx.nonzero())
+        note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
+        char_sums.append(("irreducible_char_sum", ok, note))
+    full_distribution = r <= VERIFY_DISTRIBUTION_MAX_R
+
+    for i in codes:
+        trace, copies = codes_mod.code_shape(i)
+        if not trace and r < 2:
+            continue
+        for name, ok, note in char_sums:
+            yield i, name, ok, note
+        n = codes_mod.code_length(ctx, i)
+        weights = codes_mod.dual_weights(ctx, i)
+        dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
+
+        if r <= DUAL_WEIGHT_MAX_R:
+            # the literal trace words' weights against the closed forms num / den in the table's K(a)
+            fractions = {a: codes_mod.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
+            ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
+            yield i, "dual_weight_formula", ok, None
+            if copies == 1:
+                # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
+                ok = all(num % 4 == 0 for num, _ in fractions.values())
+                yield i, "dual_weight_halving", ok, None
+
+        report = codes_mod.verify_dual_structure(ctx, i)
+        yield i, "dual_orthogonality", report["orthogonal"], None
+        if not trace and q == 4:
+            ok = report["kernel_size"] == 2
+            yield i, "dual_map_kernel", ok, "kernel of size 2 expected at q=4"
+        else:
+            yield i, "dual_map_injective", report["injective"], None
+        yield i, "dual_cardinality_product", report["product_check"], None
+
+        # where the dual map is not injective (codes 1, 2 at r = 2) the code is
+        # larger than 2^(N-r); compare against the nullspace dimension instead
+        expected_total = 1 << (n - r) if report["injective"] else report["code_cardinality"]
+        size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
+        if full_distribution:
+            if n - r <= codes_mod.ENUMERATION_BUDGET:
+                enumerated = codes_mod.weight_distribution_exhaustive(ctx, i)
+                yield i, "distribution_vs_enumeration", dist.counts == enumerated.counts, None
+            yield i, "distribution_cardinality", sum(dist.counts) == expected_total, size_note
+            if copies == 2:
+                ok = all(dist.counts[j] == dist.counts[n - j] for j in range(n + 1))
+                yield i, "distribution_palindrome", ok, None
+        elif r <= CARDINALITY_MAX_R:
+            # the note is kept for byte-identical output; the count is the
+            # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
+            ok = codes_mod.code_cardinality(ctx, i) == expected_total
+            yield i, "distribution_cardinality", ok, "via group-algebra count"
+
+        if trace or r >= 3:
+            pless = mo.pless_check(
+                ctx, i, min(h_max, PLESS_MAX_H), counts=dist.counts, weights=weights
+            )
+            yield i, "pless_identity", all(equal for _, _, equal in pless), None
+            seq = mo.moment_sequence(ctx, i, h_max, counts=dist.counts)
+            ok = all(seq.mk[h] == brute[h] for h in range(h_max + 1))
+            yield i, "moment_recursion", ok, None
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    results = []
-    for r, ctx in args.contexts.items():
-        table = kl.kloosterman_table(ctx)
-        # MK^h once per r, for moment_first and every code's moment_recursion
-        brute = [kl.moment_bruteforce(ctx, h, table) for h in range(max(args.hmax, 1) + 1)]
-        for name, passed, note in _field_checks(ctx, table, brute):
-            results.append({"r": r, "code": None, "check": name, "passed": passed, "note": note})
-        char_sums = _char_sum_checks(ctx, table)
-        for i in args.code:
-            if i in (1, 2) and r < 2:
-                continue
-            for name, passed, note in [*char_sums, *_verify_checks(ctx, i, args.hmax, table, brute)]:
-                results.append({"r": r, "code": i, "check": name, "passed": passed, "note": note})
+    results = [
+        {"r": r, "code": i, "check": name, "passed": passed, "note": note}
+        for r, ctx in args.contexts.items()
+        for i, name, passed, note in _verify_rows(ctx, args.code, args.hmax)
+    ]
     all_passed = all(w["passed"] for w in results)
 
     lines = []

@@ -486,13 +486,15 @@ def test_out_writes_file(capsys, tmp_path):
 
 
 def test_out_missing_directory_is_usage_error(capsys, tmp_path):
-    target = tmp_path / "missing" / "moments.csv"
-    code = main(["moments", "--r", "3", "--hmax", "1", "--code", "3", "--out", str(target)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and str(target) in captured.err
-    assert len(captured.err.splitlines()) == 1
+    # an empty --out names no file: refused like any path that cannot be written
+    missing = str(tmp_path / "missing" / "moments.csv")
+    for out, target in ((("--out", missing), missing), (("--out", ""), ""), (("--out=",), "")):
+        code = main(["moments", "--r", "3", "--hmax", "1", "--code", "3", *out])
+        captured = capsys.readouterr()
+        assert code == 1, out
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target!r}: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 # -- golden outputs ------------------------------------------------------------------

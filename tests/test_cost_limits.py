@@ -65,9 +65,15 @@ def _verify_rows(capsys, r: int, code: int = 3, h_max: int = 2) -> dict[str, str
 
 
 def _full_distribution(capsys, r):
-    code, _, err = _run(capsys, "weights", "--r", str(r), "--code", "4")
-    assert code == 0 or "--jmax" in err, err
-    return code == 0
+    # code 4 has N = q/2: with no --jmax, --jmax N or --jmax past N the run reaches
+    # weight N, and all three are accepted or all three refused
+    accepted = set()
+    for jmax in ((), ("--jmax", str(2 ** (r - 1))), ("--jmax", "100000")):
+        code, _, err = _run(capsys, "weights", "--r", str(r), "--code", "4", *jmax)
+        assert code == 0 or "--jmax" in err, err
+        accepted.add(code == 0)
+    assert len(accepted) == 1, r
+    return accepted.pop()
 
 
 def _all_b(capsys, r):
