@@ -4,7 +4,6 @@ integer arithmetic with brute-force oracles for verification."""
 
 from .gf2r import FieldContext, build_field, irreducible_polys, parse_poly, poly_str
 from .kloosterman import (
-    KloostermanTable,
     irreducible_quadratic_char_sum,
     irreducible_quadratic_char_sums,
     kloosterman_sum,
@@ -23,7 +22,6 @@ from .codes import (
     dual_weight_closed_form,
     dual_weights,
     is_codeword,
-    multiplicity,
     verify_dual_structure,
     weight_distribution,
     weight_distribution_exhaustive,
@@ -31,10 +29,8 @@ from .codes import (
 from .moments import (
     MomentSequence,
     binom,
-    moment_recursive,
     moment_sequence,
     pless_check,
-    stirling2,
     stirling2_explicit,
 )
 
@@ -46,7 +42,6 @@ __all__ = [
     "irreducible_polys",
     "parse_poly",
     "poly_str",
-    "KloostermanTable",
     "kloosterman_sum",
     "kloosterman_table",
     "moment_bruteforce",
@@ -63,15 +58,12 @@ __all__ = [
     "dual_weight_closed_form",
     "dual_weights",
     "is_codeword",
-    "multiplicity",
     "verify_dual_structure",
     "weight_distribution",
     "weight_distribution_exhaustive",
     "MomentSequence",
     "binom",
-    "moment_recursive",
     "moment_sequence",
     "pless_check",
-    "stirling2",
     "stirling2_explicit",
 ]

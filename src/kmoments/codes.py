@@ -56,7 +56,6 @@ __all__ = [
     "code_shape",
     "code_length",
     "build_vector",
-    "multiplicity",
     "is_codeword",
     "dual_codeword",
     "dual_weights",
@@ -129,14 +128,6 @@ def build_vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
     return _vector(ctx, i)
 
 
-def multiplicity(ctx: FieldContext, i: int, beta: int) -> int:
-    """How many coordinates of vector i equal beta (0, 1 or 2)."""
-    trace, copies = code_shape(i)
-    if beta == 0 or ctx.trace_table[ctx.inv_table[beta]] != trace:
-        return 0
-    return copies
-
-
 def is_codeword(ctx: FieldContext, i: int, u) -> bool:
     """Whether the binary word u is orthogonal to vector i over GF(2^r)."""
     _check_code(ctx, i)
@@ -171,6 +162,8 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> DualCodeword:
     """c_i(a): bit l is the trace of a times entry l of vector i."""
     _check_code(ctx, i)
     v = _vector(ctx, i)
+    if a not in ctx.elements():
+        raise ValueError(f"a must be a field element in 0..{ctx.q - 1}, got {a}")
     if a == 0:
         return DualCodeword(code=i, a=0, bits=(0,) * len(v))
     tt, exp, log = ctx.trace_table, ctx.exp, ctx.log

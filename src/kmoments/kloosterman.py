@@ -4,7 +4,8 @@ K(a) is the exact integer sum of the canonical additive character over
 alpha + a/alpha, alpha ranging over the nonzero field elements.  The
 table of all K(a) and the moments sum_a K(a)^h computed from it are the
 ground-truth oracle against which the recursive moment formulas in
-:mod:`kmoments.moments` are verified.
+:mod:`kmoments.moments` are verified.  The table is a tuple indexed by
+a with entry 0 None, the shape of the character-sum rows below.
 
 The table is one cyclic self-convolution.  lambda is an additive
 character, so lambda(alpha + a/alpha) = lambda(alpha) lambda(a/alpha).
@@ -38,15 +39,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Mapping
 from operator import itemgetter
-from types import MappingProxyType
 
-from ._record import Record
 from .gf2r import FieldContext
 
 __all__ = [
-    "KloostermanTable",
     "kloosterman_sum",
     "kloosterman_table",
     "moment_bruteforce",
@@ -63,25 +60,21 @@ __all__ = [
 _SLOT_BYTES = 2
 
 
-class KloostermanTable(Record):
-    """All q-1 values K(a), exact, for one field context (read-only)."""
+def _check_a(ctx: FieldContext, a: int) -> None:
+    if a not in ctx.nonzero():
+        raise ValueError(f"a must be a nonzero field element in 1..{ctx.q - 1}, got {a}")
 
-    __slots__ = ("r", "modulus", "values")
-    r: int
-    modulus: int
-    values: Mapping[int, int]
 
-    def __getitem__(self, a: int) -> int:
-        return self.values[a]
-
-    def multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values.values()))
+def _check_b(ctx: FieldContext, b: int) -> None:
+    if b not in ctx.elements():
+        raise ValueError(f"b must be a field element in 0..{ctx.q - 1}, got {b}")
+    if ctx.trace_table[b] != 1:
+        raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
 
 
 def kloosterman_sum(ctx: FieldContext, a: int) -> int:
     """K(a) = sum over nonzero alpha of (-1)^tr(alpha + a/alpha)."""
-    if a == 0:
-        raise ValueError("Kloosterman sums are defined for nonzero a")
+    _check_a(ctx, a)
     lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
@@ -89,9 +82,10 @@ def kloosterman_sum(ctx: FieldContext, a: int) -> int:
     return sum(lam[alpha ^ exp[la - log[alpha] + qm1]] for alpha in range(1, ctx.q))
 
 
-def kloosterman_table(ctx: FieldContext) -> KloostermanTable:
-    """Every K(a), from one cyclic self-convolution of length q - 1.
+def kloosterman_table(ctx: FieldContext) -> tuple[int | None, ...]:
+    """Every K(a), as a tuple indexed by a with entry 0 None.
 
+    The values come from one cyclic self-convolution of length q - 1.
     K(g^s) = sum_t f(t) f(s - t mod q-1) with f(t) = lambda(g^t), g the
     primitive element behind ``ctx.exp``.  Substituting f = 2u - 1, with
     u(t) = 1 - tr(g^t) in {0, 1} and sum_t u(t) = q/2 - 1, gives
@@ -120,20 +114,19 @@ def kloosterman_table(ctx: FieldContext) -> KloostermanTable:
     # the next and the slots were read in the right byte order
     if sum(lin) != ones * ones:
         raise ArithmeticError(f"convolution slots sum to {sum(lin)}, not {ones}^2")
-    k = [0] * q
+    k = [None] * q
     for s in range(qm1):
         k[exp[s]] = 4 * (lin[s] + lin[s + qm1]) - q + 3
-    values = MappingProxyType({a: k[a] for a in ctx.nonzero()})
-    return KloostermanTable(r=ctx.r, modulus=ctx.modulus, values=values)
+    return tuple(k)
 
 
-def moment_bruteforce(ctx: FieldContext, h: int, table: KloostermanTable | None = None) -> int:
-    """sum over nonzero a of K(a)^h, exact (h >= 0)."""
+def moment_bruteforce(ctx: FieldContext, h: int, table: tuple[int | None, ...]) -> int:
+    """sum over nonzero a of K(a)^h, exact (h >= 0), from ``kloosterman_table(ctx)``."""
     if h < 0:
         raise ValueError("moment order must be nonnegative")
-    if table is None:
-        table = kloosterman_table(ctx)
-    return sum(k**h for k in table.values.values())
+    if len(table) != ctx.q:
+        raise ValueError(f"need the table of the q = {ctx.q} field, got {len(table)} entries")
+    return sum(k**h for k in table[1:])
 
 
 def split_quadratic_char_sum(ctx: FieldContext, a: int) -> int:
@@ -142,8 +135,7 @@ def split_quadratic_char_sum(ctx: FieldContext, a: int) -> int:
     The denominator is the Artin-Schreier polynomial, split over GF(2);
     its q-2 nonroots contribute, and the sum equals K(a) - 1.
     """
-    if a == 0:
-        raise ValueError("requires nonzero a")
+    _check_a(ctx, a)
     lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
@@ -161,10 +153,8 @@ def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
     The sum equals -K(a) - 1 and does not depend on which trace-one
     b is supplied.
     """
-    if a == 0:
-        raise ValueError("requires nonzero a")
-    if ctx.trace_table[b] != 1:
-        raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
+    _check_a(ctx, a)
+    _check_b(ctx, b)
     lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
@@ -207,8 +197,7 @@ def irreducible_quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | Non
     The same terms, a/(alpha^2 + alpha + b) for every alpha, summed for
     each a by :func:`_char_sum_row`; the per-a sum is its oracle.
     """
-    if ctx.trace_table[b] != 1:
-        raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
+    _check_b(ctx, b)
     exp, log = ctx.exp, ctx.log
     denominators = [exp[2 * log[alpha]] ^ alpha ^ b for alpha in range(1, ctx.q)]
     return _char_sum_row(ctx, [b, *denominators])

@@ -26,9 +26,7 @@ from .gf2r import FieldContext
 __all__ = [
     "MomentSequence",
     "binom",
-    "stirling2",
     "stirling2_explicit",
-    "moment_recursive",
     "moment_sequence",
     "pless_check",
 ]
@@ -45,21 +43,6 @@ def _next_stirling2_row(row: list[int]) -> list[int]:
     """S(n, 0..n) from S(n-1, 0..n-1), by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
     n = len(row)
     return [0] + [k * (row[k] if k < n else 0) + row[k - 1] for k in range(1, n + 1)]
-
-
-def _stirling2_row(h: int) -> list[int]:
-    """S(h, 0..h), by the additive recurrence."""
-    row = [1]  # S(0, *)
-    for _ in range(h):
-        row = _next_stirling2_row(row)
-    return row
-
-
-def stirling2(h: int, t: int) -> int:
-    """Stirling number of the second kind, by the additive recurrence."""
-    if t < 0 or t > h:
-        return 0
-    return _stirling2_row(h)[t]
 
 
 def stirling2_explicit(h: int, t: int) -> int:
@@ -136,25 +119,6 @@ def _counts(ctx: FieldContext, i: int, j_top: int, counts) -> tuple[int, ...]:
     if len(counts) < j_top + 1:
         raise ValueError(f"need weight counts up to j={j_top}, got {len(counts)}")
     return counts
-
-
-def moment_recursive(ctx: FieldContext, i: int, h: int, lower, dist) -> int:
-    """MK^h from lower moments and the weight counts of code i.
-
-    ``lower`` must hold MK^0..MK^(h-1) and ``dist`` the counts
-    C_{i,0}..C_{i,min(N_i,h)} at least; counts beyond weight h cannot
-    contribute (their binomial factor vanishes).  Requires h >= 1.
-    """
-    _check_moment_args(ctx, i, h)
-    if h == 0:
-        raise ValueError("MK^0 = q - 1 is the seed, not a recursion output")
-    n = code_length(ctx, i)
-    j_top = min(n, h)
-    if len(lower) < h:
-        raise ValueError(f"need MK^0..MK^{h - 1}, got {len(lower)} values")
-    if len(dist) < j_top + 1:
-        raise ValueError(f"need weight counts up to j={j_top}, got {len(dist)}")
-    return _recursion_step(ctx.q, i, h, lower, _pless_sums(h, n, dist)[h])
 
 
 def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> MomentSequence:

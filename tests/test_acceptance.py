@@ -62,7 +62,7 @@ def test_02_golden_values_q8(ctx3, tables):
     with criterion("02 golden values at q=8"):
         assert ctx3.modulus == 0b1011
         assert kloosterman_sum(ctx3, 1) == -5
-        assert tables[3].multiset() == (-5, -1, -1, -1, 3, 3, 3)
+        assert sorted(tables[3][1:]) == [-5, -1, -1, -1, 3, 3, 3]
         assert [moment_bruteforce(ctx3, h, tables[3]) for h in range(4)] == [7, 1, 55, -47]
         assert weight_distribution(ctx3, 1).counts == (1, 0, 3, 0, 3, 0, 1)
         assert weight_distribution(ctx3, 2).counts == (1, 0, 0, 0)
@@ -185,7 +185,7 @@ def test_10_kloosterman_sanity_bounds(contexts, tables):
         for r in range(1, 11):
             table = tables[r] if r <= 8 else kloosterman_table(build_field(r))
             q = 1 << r
-            for k in table.values.values():
+            for k in table[1:]:
                 assert k * k <= 4 * q, (r, k)
                 if r >= 2:
                     assert k % 4 == 3, (r, k)

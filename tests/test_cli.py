@@ -58,7 +58,7 @@ def test_moments_mismatch_exit_code(capsys, monkeypatch):
     # force a bogus oracle value to confirm the mismatch path exits 2
     import kmoments.kloosterman as kl
 
-    monkeypatch.setattr(kl, "moment_bruteforce", lambda ctx, h, table=None: 12345)
+    monkeypatch.setattr(kl, "moment_bruteforce", lambda ctx, h, table: 12345)
     code, out, _ = run(capsys, "moments", "--r", "3", "--hmax", "1", "--code", "1", "--format", "json")
     assert code == 2
     assert not json.loads(out)["rows"][0]["match"]
@@ -138,7 +138,6 @@ def test_verify_detects_breakage(capsys, monkeypatch):
 
 _WRONG_K_PROBE = """
 import sys
-from types import MappingProxyType
 import kmoments.cli as cli
 
 real = cli.kl.kloosterman_table
@@ -146,10 +145,9 @@ real = cli.kl.kloosterman_table
 
 def off_by_two(ctx):
     # K(1) moved by 2 is no longer 3 mod 4, so its closed-form weights are fractions
-    table = real(ctx)
-    values = dict(table.values)
-    values[1] += 2
-    return cli.kl.KloostermanTable(table.r, table.modulus, MappingProxyType(values))
+    table = list(real(ctx))
+    table[1] += 2
+    return tuple(table)
 
 
 cli.kl.kloosterman_table = off_by_two
@@ -180,15 +178,12 @@ def test_verify_fails_on_a_wrong_k_value(flags):
 def test_verify_dual_weight_rows_catch_a_shifted_k(capsys, monkeypatch, shift):
     # K(1) + 2 moves every closed form off its weight and leaves num / 4 a
     # fraction; K(1) + 4 keeps num divisible by 4, so the halving rows pass
-    from types import MappingProxyType
-
     real = cli.kl.kloosterman_table
 
     def shifted(ctx):
-        table = real(ctx)
-        values = dict(table.values)
-        values[1] += shift
-        return cli.kl.KloostermanTable(table.r, table.modulus, MappingProxyType(values))
+        table = list(real(ctx))
+        table[1] += shift
+        return tuple(table)
 
     monkeypatch.setattr(cli.kl, "kloosterman_table", shifted)
     code, out, _ = run(capsys, "verify", "--r", "3..6", "--format", "json")

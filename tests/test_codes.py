@@ -11,7 +11,6 @@ from kmoments import (
     kloosterman_sum,
     kloosterman_table,
     moment_bruteforce,
-    moment_recursive,
     moment_sequence,
     pless_check,
 )
@@ -27,7 +26,6 @@ from kmoments.codes import (
     dual_weights,
     is_codeword,
     kernel_basis,
-    multiplicity,
     parity_check_rows,
     verify_dual_structure,
     weight_distribution,
@@ -68,8 +66,6 @@ def test_small_field_rejected_for_codes_12():
 def test_bad_code_index(ctx3):
     with pytest.raises(ValueError):
         build_vector(ctx3, 5)
-    with pytest.raises(ValueError):
-        multiplicity(ctx3, 0, 1)
 
 
 def _inverse(ctx, x):
@@ -108,7 +104,6 @@ _BY_CODE = {
     "code_shape": lambda ctx, i: code_shape(i),
     "code_length": lambda ctx, i: code_length(ctx, i),
     "build_vector": lambda ctx, i: build_vector(ctx, i),
-    "multiplicity": lambda ctx, i: multiplicity(ctx, i, 1),
     "is_codeword": lambda ctx, i: is_codeword(ctx, i, []),
     "dual_codeword": lambda ctx, i: dual_codeword(ctx, i, 1),
     "dual_weights": lambda ctx, i: dual_weights(ctx, i),
@@ -119,7 +114,6 @@ _BY_CODE = {
     "code_cardinality": lambda ctx, i: code_cardinality(ctx, i),
     "parity_check_rows": lambda ctx, i: parity_check_rows(ctx, i),
     "verify_dual_structure": lambda ctx, i: verify_dual_structure(ctx, i),
-    "moment_recursive": lambda ctx, i: moment_recursive(ctx, i, 1, [7], (1, 0)),
     "moment_sequence": lambda ctx, i: moment_sequence(ctx, i, 2),
     "pless_check": lambda ctx, i: pless_check(ctx, i, 2),
 }
@@ -159,10 +153,10 @@ def test_code_shape_refuses_a_value_of_another_type(bad):
 
 def test_multiplicity_examples(ctx3):
     # 5 = inv(2) and tr(2) = 0, so 5 appears twice in vector 1
-    assert multiplicity(ctx3, 1, 5) == 2
-    assert multiplicity(ctx3, 4, 1) == 1  # tr(1/1) = 1
+    assert build_vector(ctx3, 1).count(5) == 2
+    assert build_vector(ctx3, 4).count(1) == 1  # tr(1/1) = 1
     for i in CODE_INDICES:
-        assert multiplicity(ctx3, i, 0) == 0
+        assert 0 not in build_vector(ctx3, i)
 
 
 @pytest.mark.parametrize("r", range(2, 7))
@@ -171,10 +165,11 @@ def test_multiplicity_counts_vector_entries(r, i, contexts):
     ctx = contexts[r]
     if i in (1, 2) and ctx.q < 4:
         return
+    # beta is an entry iff it is nonzero with tr(1/beta) the code's trace, once per block copy
+    trace, copies = code_shape(i)
     v = build_vector(ctx, i)
     for beta in ctx.elements():
-        assert multiplicity(ctx, i, beta) == v.count(beta)
-    assert sum(multiplicity(ctx, i, beta) for beta in ctx.elements()) == code_length(ctx, i)
+        assert v.count(beta) == (copies if beta and ctx.trace(ctx.inv(beta)) == trace else 0)
 
 
 # -- membership -------------------------------------------------------------------
@@ -208,6 +203,13 @@ def test_dual_codeword_examples(ctx3):
         assert z.bits == (0,) * code_length(ctx3, i) and z.weight == 0
     assert dual_codeword(ctx3, 4, 1).bits == (1, 0, 0, 0)
     assert dual_codeword(ctx3, 1, 1).bits == (1,) * 6
+
+
+@pytest.mark.parametrize("a", [-1, 8])
+def test_dual_codeword_refuses_an_out_of_range_a(a, ctx3):
+    # unchecked, -1 reads the tables at a = 7 and returns a DualCodeword with a=-1
+    with pytest.raises(ValueError, match=rf"in 0\.\.7, got {a}$"):
+        dual_codeword(ctx3, 1, a)
 
 
 def test_dual_weight_closed_form_examples():

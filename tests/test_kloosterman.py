@@ -59,21 +59,21 @@ def test_k_frobenius_invariance(r, contexts, tables):
 
 
 def test_table_r3_multiset(tables):
-    assert tables[3].multiset() == (-5, -1, -1, -1, 3, 3, 3)
+    assert sorted(tables[3][1:]) == [-5, -1, -1, -1, 3, 3, 3]
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_table_size_and_first_moment(r, tables):
     table = tables[r]
-    assert len(table.values) == (1 << r) - 1
+    assert len(table) == 1 << r and table[0] is None
     # character orthogonality: the K values sum to 1 at every degree
-    assert sum(table.values.values()) == 1
+    assert sum(table[1:]) == 1
 
 
 @pytest.mark.parametrize("r", range(2, 9))
 def test_weil_bound_and_mod4(r, tables):
     q = 1 << r
-    for k in tables[r].values.values():
+    for k in tables[r][1:]:
         assert k * k <= 4 * q
         assert k % 4 == 3
 
@@ -81,7 +81,7 @@ def test_weil_bound_and_mod4(r, tables):
 def test_table_values_read_only():
     table = kloosterman_table(build_field(3))
     with pytest.raises(TypeError):
-        table.values[1] = 99
+        table[1] = 99
     assert table[1] == -5
 
 
@@ -94,7 +94,7 @@ def wide_tables():
 @pytest.mark.parametrize("r", range(1, 11))
 def test_table_equals_literal_sum_everywhere(r, contexts, tables, wide_tables):
     ctx, table = (contexts[r], tables[r]) if r <= 8 else wide_tables[r]
-    assert list(table.values) == list(ctx.nonzero())
+    assert len(table) == ctx.q and table[0] is None
     for a in ctx.nonzero():
         assert table[a] == kloosterman_sum(ctx, a), a
 
@@ -117,9 +117,9 @@ def test_table_equals_literal_sum_any_representation(data, r):
 def test_table_past_degree_12(r, wide_tables):
     ctx, table = wide_tables[r]
     q = ctx.q
-    assert len(table.values) == q - 1
-    assert sum(table.values.values()) == 1
-    for k in table.values.values():
+    assert len(table) == q
+    assert sum(table[1:]) == 1
+    for k in table[1:]:
         assert k * k <= 4 * q
         assert k % 4 == 3
     for a in [1, 2, q - 1] + random.Random(r).sample(range(3, q - 1), 5):
@@ -133,7 +133,7 @@ def test_value_set_lachaud_wolfmann(r, tables, wide_tables):
     q = 1 << r
     bound = isqrt(4 * q)
     expected = {k for k in range(-bound, bound + 1) if k % 4 == 3}
-    assert set(table.values.values()) == expected
+    assert set(table[1:]) == expected
 
 
 def test_table_never_calls_the_per_a_sum(monkeypatch):
@@ -156,13 +156,13 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
         monkeypatch.setattr(codes, name, counting(codes, name))
     table = kl.kloosterman_table(build_field(6))
     assert all(count == 0 for count in calls.values()), calls
-    assert len(table.values) == 63
+    assert len(table) == 64
 
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_multiset_invariant_across_moduli(r):
     multisets = {
-        kloosterman_table(build_field(r, modulus=m)).multiset()
+        tuple(sorted(kloosterman_table(build_field(r, modulus=m))[1:]))
         for m in itertools.islice(irreducible_polys(r), 2)
     }
     assert len(multisets) == 1
@@ -192,9 +192,15 @@ def test_second_moment_classical_value(r, contexts, tables):
     assert moment_bruteforce(contexts[r], 2, tables[r]) == q * q - q - 1
 
 
-def test_moment_rejects_negative_order(ctx3):
+def test_moment_rejects_negative_order(ctx3, tables):
     with pytest.raises(ValueError):
-        moment_bruteforce(ctx3, -1)
+        moment_bruteforce(ctx3, -1, tables[3])
+
+
+def test_moment_refuses_a_table_of_another_field(tables):
+    # the r = 3 table summed as if it were r = 4's would give the r = 3 moment, 55
+    with pytest.raises(ValueError, match="q = 16 field, got 8 entries"):
+        moment_bruteforce(build_field(4), 2, tables[3])
 
 
 # -- the two auxiliary character sums --------------------------------------------
@@ -302,6 +308,23 @@ def test_char_sum_domain_errors(ctx3):
         irreducible_quadratic_char_sum(ctx3, 1, 2)  # tr(2) = 0 at r=3
 
 
+_BY_ELEMENT = {
+    "kloosterman_sum": lambda ctx, x: kloosterman_sum(ctx, x),
+    "split_quadratic_char_sum": lambda ctx, x: split_quadratic_char_sum(ctx, x),
+    "irreducible_quadratic_char_sum:a": lambda ctx, x: irreducible_quadratic_char_sum(ctx, x, ctx.b),
+    "irreducible_quadratic_char_sum:b": lambda ctx, x: irreducible_quadratic_char_sum(ctx, 1, x),
+    "irreducible_quadratic_char_sums:b": lambda ctx, x: irreducible_quadratic_char_sums(ctx, x),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 8])
+@pytest.mark.parametrize("name", _BY_ELEMENT)
+def test_out_of_range_elements_are_refused(name, x, ctx3):
+    # unchecked, -1 reads the tables at a = 7 (and passes the trace check as b = 7)
+    with pytest.raises(ValueError, match=rf"in [01]\.\.7, got {x}$"):
+        _BY_ELEMENT[name](ctx3, x)
+
+
 # -- golden files ---------------------------------------------------------------
 
 
@@ -310,17 +333,17 @@ def test_golden_csv(r, tables):
     with open(GOLDEN / f"kloosterman_r{r}.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["a", "K"]
-    assert [(int(a), int(k)) for a, k in rows] == list(tables[r].values.items())
+    assert [(int(a), int(k)) for a, k in rows] == list(enumerate(tables[r]))[1:]
 
 
 @pytest.mark.parametrize("r", [3, 4])
-def test_golden_json(r, tables):
+def test_golden_json(r, contexts, tables):
     doc = json.loads((GOLDEN / f"kloosterman_r{r}.json").read_text())
-    table = tables[r]
-    assert doc["r"] == table.r == r
-    assert doc["modulus_hex"] == format(table.modulus, "#x")
+    ctx = contexts[r]
+    assert doc["r"] == ctx.r == r
+    assert doc["modulus_hex"] == format(ctx.modulus, "#x")
     pairs = [(row["a"], row["k"]) for row in doc["values"]]
-    assert pairs == list(table.values.items())
+    assert pairs == list(enumerate(tables[r]))[1:]
     # the committed values are pinned to the schoolbook oracle too
     for row in doc["values"]:
-        assert row["k"] == oracles.naive_kloosterman(row["a"], table.modulus, r)
+        assert row["k"] == oracles.naive_kloosterman(row["a"], ctx.modulus, r)

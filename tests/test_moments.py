@@ -10,11 +10,10 @@ from kmoments import build_field
 from kmoments.kloosterman import kloosterman_table, moment_bruteforce
 from kmoments.moments import (
     MomentSequence,
+    _next_stirling2_row,
     binom,
-    moment_recursive,
     moment_sequence,
     pless_check,
-    stirling2,
     stirling2_explicit,
 )
 
@@ -37,18 +36,21 @@ def test_binom_matches_comb_in_range(b, a):
 
 
 def test_stirling_examples():
-    assert stirling2(0, 0) == 1
-    assert all(stirling2(h, 1) == 1 for h in range(1, 12))
-    assert stirling2(3, 2) == 3
-    assert stirling2(2, 3) == 0
-    assert stirling2(4, 2) == 7
-    assert stirling2(5, 3) == 25
+    assert stirling2_explicit(0, 0) == 1
+    assert all(stirling2_explicit(h, 1) == 1 for h in range(1, 12))
+    assert stirling2_explicit(3, 2) == 3
+    assert stirling2_explicit(2, 3) == 0
+    assert stirling2_explicit(4, 2) == 7
+    assert stirling2_explicit(5, 3) == 25
 
 
 def test_stirling_recurrence_vs_alternating_sum():
+    # the rows _pless_sums steps through, S(h, 0..h) for h = 0..30
+    row = [1]
     for h in range(31):
-        for t in range(h + 1):
-            assert stirling2(h, t) == stirling2_explicit(h, t)
+        if h:
+            row = _next_stirling2_row(row)
+        assert row == [stirling2_explicit(h, t) for t in range(h + 1)], h
 
 
 # -- the four recursions ---------------------------------------------------------
@@ -56,9 +58,9 @@ def test_stirling_recurrence_vs_alternating_sum():
 
 def test_recursion_hand_cases(ctx3):
     # code 1, h=1: (q-1) MK^0 = 49, correction q * 6 = 48
-    assert moment_recursive(ctx3, 1, 1, [7], (1, 0)) == 1
+    assert moment_sequence(ctx3, 1, 1, counts=(1, 0)).mk == (7, 1)
     # code 3, h=1: -(q+1) MK^0 = -63, correction q * 8 = 64
-    assert moment_recursive(ctx3, 3, 1, [7], (1, 0)) == 1
+    assert moment_sequence(ctx3, 3, 1, counts=(1, 0)).mk == (7, 1)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -66,7 +68,7 @@ def test_recursion_second_moment(i, ctx3):
     from kmoments.codes import weight_distribution
 
     dist = weight_distribution(ctx3, i, j_max=2).counts
-    assert moment_recursive(ctx3, i, 2, [7, 1], dist) == 55
+    assert moment_sequence(ctx3, i, 2, counts=dist).mk == (7, 1, 55)
 
 
 def test_sequence_r3(ctx3):
@@ -135,12 +137,8 @@ def test_codes_12_require_degree_3():
 
 
 def test_recursion_argument_validation(ctx3):
-    with pytest.raises(ValueError, match="seed"):
-        moment_recursive(ctx3, 1, 0, [], (1,))
-    with pytest.raises(ValueError, match="MK"):
-        moment_recursive(ctx3, 1, 2, [7], (1, 0, 3))
     with pytest.raises(ValueError, match="weight counts"):
-        moment_recursive(ctx3, 1, 2, [7, 1], (1, 0))
+        moment_sequence(ctx3, 1, 2, counts=(1, 0))
     with pytest.raises(ValueError):
         moment_sequence(ctx3, 6, 2)
 
@@ -150,9 +148,7 @@ def test_longer_prefix_changes_nothing(ctx3):
 
     short = weight_distribution(ctx3, 1, j_max=2).counts
     full = weight_distribution(ctx3, 1).counts
-    assert moment_recursive(ctx3, 1, 2, [7, 1], short) == moment_recursive(
-        ctx3, 1, 2, [7, 1], full
-    )
+    assert moment_sequence(ctx3, 1, 2, counts=short) == moment_sequence(ctx3, 1, 2, counts=full)
 
 
 def test_invariant_under_theta_reordering():
@@ -289,14 +285,3 @@ def test_given_counts_and_weights_are_length_checked(ctx3):
         pless_check(ctx3, 3, 10, counts=counts[:8], weights=weights)
     with pytest.raises(ValueError, match="q = 8 dual weights"):
         pless_check(ctx3, 3, 2, counts=counts, weights=weights[:7])
-
-
-@pytest.mark.parametrize("i", [1, 2, 3, 4])
-def test_recursive_step_equals_sequence(i, contexts):
-    # moment_recursive and moment_sequence read the same Pless sums
-    from kmoments.codes import weight_distribution
-
-    ctx = contexts[4]
-    dist = weight_distribution(ctx, i).counts
-    mk = moment_sequence(ctx, i, 12).mk
-    assert [moment_recursive(ctx, i, h, mk[:h], dist) for h in range(1, 13)] == list(mk[1:])

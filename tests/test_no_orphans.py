@@ -1,15 +1,31 @@
-"""Every private helper of the package is used somewhere in the package.
+"""Every private helper, and every public name but the oracles, is used in the package.
 
 A private helper is a module-level function, class or constant, or a
 method of a module-level class, whose name starts with one underscore.
-It counts as used when some ``ast.Name`` or ``ast.Attribute`` outside
-its own definition names it; a mention in a docstring or comment does not.
+A public name is an ``__all__`` entry defined in the module that lists
+it.  Either counts as used when some ``ast.Name`` or ``ast.Attribute``
+outside its own definition names it; a mention in a docstring or
+comment, an import or an ``__all__`` string does not.  A public name
+only the tests read is a second production path, unless it is one of
+``ORACLES``: the paper's definitions and the slow routes kept to check
+the fast ones.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
+
+ORACLES = {
+    "kloosterman_sum",
+    "split_quadratic_char_sum",
+    "irreducible_quadratic_char_sum",
+    "stirling2_explicit",
+    "build_vector",
+    "is_codeword",
+    "dual_codeword",
+    "dual_weight_closed_form",
+}
 
 
 def _definitions(tree: ast.Module):
@@ -27,8 +43,22 @@ def _definitions(tree: ast.Module):
                 yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
-def _orphans(sources: dict[str, str]) -> list[str]:
-    """'module:line name' of each private helper no Name or Attribute refers to."""
+def _public(tree: ast.Module) -> set[str]:
+    """The string entries of the module's ``__all__``."""
+    return {
+        entry.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for entry in ast.walk(node.value)
+        if isinstance(entry, ast.Constant)
+    }
+
+
+def _unread(sources: dict[str, str], wanted) -> list[str]:
+    """'module:line name' of each definition, picked by ``wanted(name, public)``
+    with ``public`` its module's ``__all__``, that no Name or Attribute outside
+    the definition refers to."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     refs = [
         (node.id if isinstance(node, ast.Name) else node.attr, module, node.lineno)
@@ -36,18 +66,29 @@ def _orphans(sources: dict[str, str]) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
-    orphans = []
+    unread = []
     for module, tree in trees.items():
+        public = _public(tree)
         for defined, node in _definitions(tree):
-            if not defined.startswith("_") or defined.startswith("__"):
+            if not wanted(defined, public):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(
                 name == defined and not (where == module and line in own)
                 for name, where, line in refs
             ):
-                orphans.append(f"{module}:{node.lineno} {defined}")
-    return orphans
+                unread.append(f"{module}:{node.lineno} {defined}")
+    return unread
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """'module:line name' of each private helper no Name or Attribute refers to."""
+    return _unread(sources, lambda name, public: name.startswith("_") and not name.startswith("__"))
+
+
+def _test_only_public(sources: dict[str, str]) -> list[str]:
+    """'module:line name' of each public name outside ``ORACLES`` that nothing reads."""
+    return _unread(sources, lambda name, public: name in public and name not in ORACLES)
 
 
 def test_every_private_helper_is_referenced():
@@ -106,3 +147,32 @@ def test_a_deleted_reader_leaves_its_constant_flagged():
     assert sources["codes.py"].count(reader) == 1
     sources["codes.py"] = sources["codes.py"].replace(reader, "int(''.join(map(str, bits[::-1])), 2)")
     assert [o.split()[1] for o in _orphans(sources)] == ["_DIGITS"]
+
+
+def test_every_public_name_but_the_oracles_is_read():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _test_only_public(sources) == []
+    # an oracle that the package starts to read needs no exemption
+    everything = _unread(sources, lambda name, public: name in public)
+    assert sorted(entry.split()[1] for entry in everything) == sorted(ORACLES)
+
+
+def test_a_public_name_only_its_own_body_reads_is_flagged():
+    source = (
+        "__all__ = ['step', 'sequence', 'kloosterman_sum', 'imported']\n"
+        "from n import imported\n"
+        "\n"
+        "\n"
+        "def step(h):\n"
+        "    return step(h - 1) if h else 0\n"
+        "\n"
+        "\n"
+        "def sequence(h):\n"
+        "    return h\n"
+        "\n"
+        "\n"
+        "def kloosterman_sum(a):\n"
+        "    return a\n"
+    )
+    package = "from .m import sequence\n__all__ = ['sequence']\nx = m.sequence(3)\n"
+    assert _test_only_public({"m.py": source, "__init__.py": package}) == ["m.py:5 step"]
