@@ -14,8 +14,6 @@ from .kloosterman import (
 )
 from .codes import (
     CODE_INDICES,
-    DualCodeword,
-    WeightDistribution,
     build_vector,
     code_length,
     dual_codeword,
@@ -27,7 +25,6 @@ from .codes import (
     weight_distribution_exhaustive,
 )
 from .moments import (
-    MomentSequence,
     binom,
     moment_sequence,
     pless_check,
@@ -50,8 +47,6 @@ __all__ = [
     "split_quadratic_char_sums",
     "irreducible_quadratic_char_sums",
     "CODE_INDICES",
-    "DualCodeword",
-    "WeightDistribution",
     "build_vector",
     "code_length",
     "dual_codeword",
@@ -61,7 +56,6 @@ __all__ = [
     "verify_dual_structure",
     "weight_distribution",
     "weight_distribution_exhaustive",
-    "MomentSequence",
     "binom",
     "moment_sequence",
     "pless_check",

@@ -193,9 +193,9 @@ def cmd_moments(args: SimpleNamespace) -> int:
                         "modulus_hex": ctx.modulus_hex,
                         "code": i,
                         "h": h,
-                        "mk_recursive": seq.mk[h],
+                        "mk_recursive": seq[h],
                         "mk_bruteforce": brute[h],
-                        "match": seq.mk[h] == brute[h],
+                        "match": seq[h] == brute[h],
                     }
                 )
     if not rows:
@@ -234,10 +234,10 @@ def cmd_weights(args: SimpleNamespace) -> int:
                 "code": i,
                 "length": n,
                 "j_max": j_max,
-                "counts": list(dist.counts),
+                "counts": list(dist),
             }
-            if dist.is_full:
-                total = sum(dist.counts)
+            if j_max == n:
+                total = sum(dist)
                 dim = n - codes_mod.gf2_rank(codes_mod.parity_check_rows(ctx, i))
                 block["checks"] = {
                     "total": total,
@@ -246,7 +246,7 @@ def cmd_weights(args: SimpleNamespace) -> int:
                 }
                 if copies == 2:
                     block["checks"]["palindrome"] = all(
-                        dist.counts[j] == dist.counts[n - j] for j in range(n + 1)
+                        dist[j] == dist[n - j] for j in range(n + 1)
                     )
             blocks.append(block)
     if not blocks:
@@ -348,10 +348,10 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         if full_distribution:
             if n - r <= codes_mod.ENUMERATION_BUDGET:
                 enumerated = codes_mod.weight_distribution_exhaustive(ctx, i)
-                yield i, "distribution_vs_enumeration", dist.counts == enumerated.counts, None
-            yield i, "distribution_cardinality", sum(dist.counts) == expected_total, size_note
+                yield i, "distribution_vs_enumeration", dist == enumerated, None
+            yield i, "distribution_cardinality", sum(dist) == expected_total, size_note
             if copies == 2:
-                ok = all(dist.counts[j] == dist.counts[n - j] for j in range(n + 1))
+                ok = all(dist[j] == dist[n - j] for j in range(n + 1))
                 yield i, "distribution_palindrome", ok, None
         elif r <= CARDINALITY_MAX_R:
             # the note is kept for byte-identical output; the count is the
@@ -361,11 +361,11 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
 
         if trace or r >= 3:
             pless = mo.pless_check(
-                ctx, i, min(h_max, PLESS_MAX_H), counts=dist.counts, weights=weights
+                ctx, i, min(h_max, PLESS_MAX_H), counts=dist, weights=weights
             )
             yield i, "pless_identity", all(equal for _, _, equal in pless), None
-            seq = mo.moment_sequence(ctx, i, h_max, counts=dist.counts)
-            ok = all(seq.mk[h] == brute[h] for h in range(h_max + 1))
+            seq = mo.moment_sequence(ctx, i, h_max, counts=dist)
+            ok = all(seq[h] == brute[h] for h in range(h_max + 1))
             yield i, "moment_recursion", ok, None
 
 

@@ -46,13 +46,10 @@ import sys
 from array import array
 from collections import Counter
 
-from ._record import Record
 from .gf2r import FieldContext
 
 __all__ = [
     "CODE_INDICES",
-    "DualCodeword",
-    "WeightDistribution",
     "code_shape",
     "code_length",
     "build_vector",
@@ -87,10 +84,10 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def code_shape(i: int) -> tuple[int, int]:
     """(trace of the inverted entries, copies of the block) of code i."""
-    try:
-        return _SHAPES[i]
-    except (KeyError, TypeError):
-        raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}") from None
+    # an int only: True and 1.0 hash as the key 1
+    if type(i) is not int or i not in _SHAPES:
+        raise ValueError(f"code index must be one of {CODE_INDICES}, got {i}")
+    return _SHAPES[i]
 
 
 def _check_code(ctx: FieldContext, i: int) -> None:
@@ -136,39 +133,27 @@ def is_codeword(ctx: FieldContext, i: int, u) -> bool:
         raise ValueError(f"word length {len(u)} != code length {len(v)}")
     acc = 0
     for bit, entry in zip(u, v):
+        if bit not in (0, 1):
+            raise ValueError(f"word entries must be 0 or 1, got {bit!r}")
         if bit:
             acc ^= entry
     return acc == 0
 
 
-class DualCodeword(Record):
-    """The trace word c_i(a); its weight is pinned down by K(a)."""
+def dual_codeword(ctx: FieldContext, i: int, a: int) -> tuple[int, ...]:
+    """The bits of c_i(a): bit l is the trace of a times entry l of vector i.
 
-    __slots__ = ("code", "a", "bits")
-    code: int
-    a: int
-    bits: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    @property
-    def mask(self) -> int:
-        return _bitmask(self.bits)
-
-
-def dual_codeword(ctx: FieldContext, i: int, a: int) -> DualCodeword:
-    """c_i(a): bit l is the trace of a times entry l of vector i."""
+    Its weight is pinned down by K(a) (``dual_weight_closed_form``).
+    """
     _check_code(ctx, i)
     v = _vector(ctx, i)
     if a not in ctx.elements():
         raise ValueError(f"a must be a field element in 0..{ctx.q - 1}, got {a}")
     if a == 0:
-        return DualCodeword(code=i, a=0, bits=(0,) * len(v))
+        return (0,) * len(v)
     tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
     la = log[a]
-    return DualCodeword(code=i, a=a, bits=tuple(tt[exp[la + log[g]]] for g in v))
+    return tuple(tt[exp[la + log[g]]] for g in v)
 
 
 def _rows(ctx: FieldContext, i: int, masks) -> list[int]:
@@ -214,22 +199,6 @@ def dual_weight_closed_form(q: int, i: int, k: int) -> int:
     if rem:
         raise ArithmeticError(f"weight {num}/{den} not integral; K(a)={k}")
     return w
-
-
-class WeightDistribution(Record):
-    """Exact codeword counts by weight, possibly truncated to a prefix."""
-
-    __slots__ = ("code", "length", "counts")
-    code: int
-    length: int
-    counts: tuple[int, ...]
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.counts) == self.length + 1
-
-    def __getitem__(self, j: int) -> int:
-        return self.counts[j]
 
 
 def _slots(q: int, width: int, h: int, fill: bytes) -> int:
@@ -307,8 +276,8 @@ def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
     return Counter({(n + bias - v) >> 1: c for v, c in Counter(values).items()})
 
 
-def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> WeightDistribution:
-    """Counts of codewords of weight j = 0..j_max in code i.
+def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> tuple[int, ...]:
+    """The exact counts C_0..C_j_max of codewords of weight j in code i.
 
     The dual of code i is the set of trace words c_i(a), whose weights
     one Walsh-Hadamard transform of vector i gives (see
@@ -342,7 +311,7 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
         if rem:
             raise ArithmeticError(f"MacWilliams sum for j={j} not divisible by q")
         counts.append(c)
-    return WeightDistribution(code=i, length=n, counts=tuple(counts))
+    return tuple(counts)
 
 
 def code_cardinality(ctx: FieldContext, i: int) -> int:
@@ -403,7 +372,7 @@ def kernel_basis(rows: list[int], n: int) -> list[int]:
     return basis
 
 
-def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> WeightDistribution:
+def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]:
     """Histogram of codeword weights by explicit enumeration (the slow oracle)."""
     _check_code(ctx, i)
     n = code_length(ctx, i)
@@ -418,7 +387,7 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> WeightDistribut
     for idx in range(1, 1 << len(basis)):
         word ^= basis[(idx & -idx).bit_length() - 1]
         counts[word.bit_count()] += 1
-    return WeightDistribution(code=i, length=n, counts=tuple(counts))
+    return tuple(counts)
 
 
 def verify_dual_structure(ctx: FieldContext, i: int) -> dict:

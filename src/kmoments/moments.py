@@ -19,12 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from math import comb, factorial
 
-from ._record import Record
 from .codes import code_length, code_shape, dual_weights, weight_distribution
 from .gf2r import FieldContext
 
 __all__ = [
-    "MomentSequence",
     "binom",
     "stirling2_explicit",
     "moment_sequence",
@@ -54,17 +52,6 @@ def stirling2_explicit(h: int, t: int) -> int:
     if rem:
         raise ArithmeticError(f"alternating sum for S({h}, {t}) not divisible by {t}!")
     return s
-
-
-class MomentSequence(Record):
-    """MK^0 .. MK^h_max as exact integers."""
-
-    __slots__ = ("h_max", "mk")
-    h_max: int
-    mk: tuple[int, ...]
-
-    def __getitem__(self, h: int) -> int:
-        return self.mk[h]
 
 
 def _pless_sums(h_max: int, n: int, dist) -> list[int]:
@@ -115,17 +102,18 @@ def _recursion_step(q: int, i: int, h: int, lower, pless: int) -> int:
 def _counts(ctx: FieldContext, i: int, j_top: int, counts) -> tuple[int, ...]:
     # the weight counts C_0..C_j_top at least: the given ones, or one distribution build
     if counts is None:
-        return weight_distribution(ctx, i, j_max=j_top).counts
+        return weight_distribution(ctx, i, j_max=j_top)
     if len(counts) < j_top + 1:
         raise ValueError(f"need weight counts up to j={j_top}, got {len(counts)}")
     return counts
 
 
-def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> MomentSequence:
-    """Iterate the code-i recursion from the seed MK^0 = q - 1 up to h_max.
+def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> tuple[int, ...]:
+    """MK^0..MK^h_max, iterating the code-i recursion from the seed MK^0 = q - 1.
 
-    ``counts`` may give the weight counts C_0..C_j of code i for some
-    j >= min(N, h_max); without it the distribution is built up to there.
+    ``counts``, the tuple ``weight_distribution`` returns, may give the
+    weight counts C_0..C_j of code i for some j >= min(N, h_max);
+    without it the distribution is built up to there.
     """
     _check_moment_args(ctx, i, h_max)
     n = code_length(ctx, i)
@@ -134,7 +122,7 @@ def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> Momen
     mk = [ctx.q - 1]
     for h in range(1, h_max + 1):
         mk.append(_recursion_step(ctx.q, i, h, mk, sums[h]))
-    return MomentSequence(h_max=h_max, mk=tuple(mk))
+    return tuple(mk)
 
 
 def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None) -> tuple:
@@ -152,9 +140,10 @@ def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None
     2^(t - popcount(t)) divides t!.  A remainder raises ArithmeticError.
     The weight distribution is built once, up to weight min(N, h_max).
 
-    ``counts`` (C_0..C_j, j >= min(N, h_max)) and ``weights`` (all q
-    weights as ``dual_weights`` returns them) may be passed in by a
-    caller that has already built them; they are then used as given.
+    ``counts`` (C_0..C_j, j >= min(N, h_max), the tuple
+    ``weight_distribution`` returns) and ``weights`` (all q weights as
+    ``dual_weights`` returns them) may be passed in by a caller that has
+    already built them; they are then used as given.
     """
     _check_moment_args(ctx, i, h_max)
     n = code_length(ctx, i)

@@ -142,7 +142,7 @@ def test_bad_code_index_has_one_message(name, i, ctx3):
     assert str(raised.value) == f"code index must be one of (1, 2, 3, 4), got {i}"
 
 
-@pytest.mark.parametrize("bad", [None, "1", [1]])
+@pytest.mark.parametrize("bad", [None, "1", [1], True, 1.0])
 def test_code_shape_refuses_a_value_of_another_type(bad):
     with pytest.raises(ValueError, match="code index must be one of"):
         code_shape(bad)
@@ -183,6 +183,13 @@ def test_is_codeword_examples(ctx3):
         is_codeword(ctx3, 2, [1, 1])
 
 
+@pytest.mark.parametrize("word", [[2, 2, 2], [-1, 0, 0]])
+def test_is_codeword_refuses_an_entry_other_than_0_or_1(word, ctx3):
+    # read as truthy, [2, 2, 2] would pass as [1, 1, 1] and -1 as a 1 bit
+    with pytest.raises(ValueError, match=rf"^word entries must be 0 or 1, got {word[0]}$"):
+        is_codeword(ctx3, 2, word)
+
+
 @settings(max_examples=100, deadline=None)
 @given(bits=st.lists(st.integers(0, 1), min_size=14, max_size=14))
 def test_is_codeword_matches_direct_inner_product(bits):
@@ -199,15 +206,14 @@ def test_is_codeword_matches_direct_inner_product(bits):
 
 def test_dual_codeword_examples(ctx3):
     for i in CODE_INDICES:
-        z = dual_codeword(ctx3, i, 0)
-        assert z.bits == (0,) * code_length(ctx3, i) and z.weight == 0
-    assert dual_codeword(ctx3, 4, 1).bits == (1, 0, 0, 0)
-    assert dual_codeword(ctx3, 1, 1).bits == (1,) * 6
+        assert dual_codeword(ctx3, i, 0) == (0,) * code_length(ctx3, i)
+    assert dual_codeword(ctx3, 4, 1) == (1, 0, 0, 0)
+    assert dual_codeword(ctx3, 1, 1) == (1,) * 6
 
 
 @pytest.mark.parametrize("a", [-1, 8])
 def test_dual_codeword_refuses_an_out_of_range_a(a, ctx3):
-    # unchecked, -1 reads the tables at a = 7 and returns a DualCodeword with a=-1
+    # unchecked, -1 reads the tables at a = 7 and returns the bits of c_1(7)
     with pytest.raises(ValueError, match=rf"in 0\.\.7, got {a}$"):
         dual_codeword(ctx3, 1, a)
 
@@ -226,7 +232,7 @@ def test_closed_form_matches_actual_weight(r, contexts):
             continue
         for a in ctx.nonzero():
             k = kloosterman_sum(ctx, a)
-            assert dual_codeword(ctx, i, a).weight == dual_weight_closed_form(ctx.q, i, k)
+            assert sum(dual_codeword(ctx, i, a)) == dual_weight_closed_form(ctx.q, i, k)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -244,7 +250,7 @@ def test_closed_form_of_table_values_is_the_dual_codeword_weight(contexts, table
         ctx, table = contexts[r], tables[r]
         for i in CODE_INDICES:
             for a in ctx.nonzero():
-                assert dual_weight_closed_form(ctx.q, i, table[a]) == dual_codeword(ctx, i, a).weight
+                assert dual_weight_closed_form(ctx.q, i, table[a]) == sum(dual_codeword(ctx, i, a))
     # K(a) = 0 is not 3 mod 4: the remainder raises, nothing is floored
     with pytest.raises(ArithmeticError, match="not integral"):
         dual_weight_closed_form(8, 3, 0)
@@ -254,7 +260,7 @@ def test_dual_weight_fraction_is_exact(ctx3):
     for i in CODE_INDICES:
         for a in ctx3.nonzero():
             num, den = dual_weight_fraction(ctx3.q, i, kloosterman_sum(ctx3, a))
-            assert den * dual_codeword(ctx3, i, a).weight == num
+            assert den * sum(dual_codeword(ctx3, i, a)) == num
     # a K value off by 2 leaves a fraction, with nothing floored or raised
     assert dual_weight_fraction(8, 3, 0) == (9, 2)
     assert dual_weight_fraction(8, 2, -3) == (10, 4)
@@ -274,7 +280,7 @@ def test_rows_equal_independent_builds(r):
             if i in (1, 2) and ctx.q < 4:
                 continue
             # generator k is c_i(2^k), which dual_codeword builds from exp/log products
-            gens = [dual_codeword(ctx, i, 1 << k).mask for k in range(r)]
+            gens = [codes._bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(r)]
             assert codes._generator_rows(ctx, i) == gens, (ctx, i)
             # parity row k holds bit k of every entry of vector i
             v = build_vector(ctx, i)
@@ -287,13 +293,13 @@ def test_rows_equal_independent_builds(r):
 
 def _assert_dual_weights_match_oracles(ctx, i):
     # the stored words come from generators built bit by bit by dual_codeword
-    words = oracles.dual_words([dual_codeword(ctx, i, 1 << k).mask for k in range(ctx.r)], ctx.q)
+    words = oracles.dual_words([codes_mod._bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(ctx.r)], ctx.q)
     weights = dual_weights(ctx, i)
     assert len(weights) == ctx.q
     for a in ctx.elements():
-        word = dual_codeword(ctx, i, a)
-        assert words[a] == word.mask, (i, a)
-        assert weights[a] == words[a].bit_count() == word.weight, (i, a)
+        bits = dual_codeword(ctx, i, a)
+        assert words[a] == codes_mod._bitmask(bits), (i, a)
+        assert weights[a] == words[a].bit_count() == sum(bits), (i, a)
 
 
 @pytest.mark.parametrize("r", range(1, 11))
@@ -352,24 +358,24 @@ def test_dual_weights_keep_one_word_at_a_time():
 
 
 def test_distributions_r3_frozen(ctx3):
-    assert weight_distribution(ctx3, 1).counts == (1, 0, 3, 0, 3, 0, 1)
-    assert weight_distribution(ctx3, 2).counts == (1, 0, 0, 0)
-    assert weight_distribution(ctx3, 4).counts == (1, 0, 0, 1, 0)
+    assert weight_distribution(ctx3, 1) == (1, 0, 3, 0, 3, 0, 1)
+    assert weight_distribution(ctx3, 2) == (1, 0, 0, 0)
+    assert weight_distribution(ctx3, 4) == (1, 0, 0, 1, 0)
 
 
 @pytest.mark.parametrize("i", CODE_INDICES)
 def test_distribution_r3_vs_cube_scan(i, ctx3):
     v = build_vector(ctx3, i)
     scan = oracles.scan_weight_counts(v, len(v))
-    assert list(weight_distribution(ctx3, i).counts) == scan
-    assert list(weight_distribution_exhaustive(ctx3, i).counts) == scan
+    assert list(weight_distribution(ctx3, i)) == scan
+    assert list(weight_distribution_exhaustive(ctx3, i)) == scan
 
 
 @pytest.mark.parametrize("r", [3, 4])
 @pytest.mark.parametrize("i", CODE_INDICES)
 def test_dp_equals_exhaustive(r, i, contexts):
     ctx = contexts[r]
-    assert weight_distribution(ctx, i).counts == weight_distribution_exhaustive(ctx, i).counts
+    assert weight_distribution(ctx, i) == weight_distribution_exhaustive(ctx, i)
 
 
 def _group_algebra_counts(ctx, i, j_max):
@@ -384,7 +390,7 @@ def test_full_distribution_equals_group_algebra_dp(r, i, contexts):
     ctx = contexts[r]
     n = code_length(ctx, i)
     dp = _group_algebra_counts(ctx, i, n)
-    assert weight_distribution(ctx, i).counts == dp
+    assert weight_distribution(ctx, i) == dp
     assert code_cardinality(ctx, i) == sum(dp)
 
 
@@ -392,7 +398,7 @@ def test_full_distribution_equals_group_algebra_dp(r, i, contexts):
 @pytest.mark.parametrize("i", CODE_INDICES)
 def test_truncated_distribution_equals_group_algebra_dp(r, i):
     ctx = build_field(r)
-    assert weight_distribution(ctx, i, j_max=10).counts == _group_algebra_counts(ctx, i, 10)
+    assert weight_distribution(ctx, i, j_max=10) == _group_algebra_counts(ctx, i, 10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -405,7 +411,7 @@ def test_distribution_equals_group_algebra_dp_any_representation(data, r, i):
     )
     ctx = build_field(r, modulus=modulus, b=b)
     n = code_length(ctx, i)
-    assert weight_distribution(ctx, i).counts == _group_algebra_counts(ctx, i, n)
+    assert weight_distribution(ctx, i) == _group_algebra_counts(ctx, i, n)
 
 
 @pytest.mark.parametrize("r", range(2, 7))
@@ -414,8 +420,7 @@ def test_no_single_weight_words(r, i, contexts):
     ctx = contexts[r]
     if i in (1, 2) and ctx.q < 4:
         return
-    dist = weight_distribution(ctx, i, j_max=1)
-    assert dist.counts == (1, 0)
+    assert weight_distribution(ctx, i, j_max=1) == (1, 0)
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
@@ -423,18 +428,18 @@ def test_no_single_weight_words(r, i, contexts):
 def test_prefix_consistent_with_full(r, i, contexts):
     ctx = contexts[r]
     full = weight_distribution(ctx, i)
-    assert full.is_full
+    assert len(full) == code_length(ctx, i) + 1
     j_max = min(7, code_length(ctx, i) - 1)
     pre = weight_distribution(ctx, i, j_max=j_max)
-    assert not pre.is_full
-    assert full.counts[: j_max + 1] == pre.counts
+    assert len(pre) == j_max + 1
+    assert full[: j_max + 1] == pre
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 @pytest.mark.parametrize("i", [1, 3])
 def test_palindrome_doubled_codes(r, i, contexts):
     ctx = contexts[r]
-    counts = weight_distribution(ctx, i).counts
+    counts = weight_distribution(ctx, i)
     n = code_length(ctx, i)
     assert all(counts[j] == counts[n - j] for j in range(n + 1))
 
@@ -444,7 +449,7 @@ def test_palindrome_doubled_codes(r, i, contexts):
 def test_distribution_total(r, i, contexts):
     ctx = contexts[r]
     n = code_length(ctx, i)
-    counts = weight_distribution(ctx, i).counts
+    counts = weight_distribution(ctx, i)
     assert counts[0] == 1
     assert sum(counts) == 1 << (n - r)
     assert code_cardinality(ctx, i) == 1 << (n - r)
@@ -455,7 +460,7 @@ def test_distribution_independent_of_b(i):
     ctx = build_field(5)
     trace_one = [x for x in ctx.elements() if ctx.trace(x) == 1]
     dists = {
-        weight_distribution(build_field(5, b=b), i).counts for b in trace_one[:3]
+        weight_distribution(build_field(5, b=b), i) for b in trace_one[:3]
     }
     assert len(dists) == 1
 
@@ -479,13 +484,13 @@ def test_dual_structure_past_degree_12(r):
     # is O(r N), the distribution and cardinality O(q r), the K table one square
     ctx = build_field(r)
     table = kloosterman_table(ctx)
-    assert dual_weight_closed_form(ctx.q, 3, table[1]) == dual_codeword(ctx, 3, 1).weight
+    assert dual_weight_closed_form(ctx.q, 3, table[1]) == sum(dual_codeword(ctx, 3, 1))
     for i in CODE_INDICES:
         report = verify_dual_structure(ctx, i)
         assert report["orthogonal"] and report["injective"] and report["product_check"], i
         assert report["code_cardinality"] == 1 << (report["length"] - r), i
         assert code_cardinality(ctx, i) == 1 << (code_length(ctx, i) - r), i
-        mk = moment_sequence(ctx, i, 4).mk
+        mk = moment_sequence(ctx, i, 4)
         assert list(mk) == [moment_bruteforce(ctx, h, table) for h in range(5)], i
 
 
@@ -616,7 +621,7 @@ def test_verify_dual_structure_r3(ctx3):
 def _scan_report(ctx, i):
     # the per-word statement: every dual word against every kernel basis vector
     n = code_length(ctx, i)
-    words = [dual_codeword(ctx, i, a).mask for a in ctx.elements()]
+    words = [codes_mod._bitmask(dual_codeword(ctx, i, a)) for a in ctx.elements()]
     basis = kernel_basis(parity_check_rows(ctx, i), n)
     return {"code": i, "r": ctx.r, **oracles.dual_structure_by_scan(words, basis, n)}
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kmoments import build_field
 from kmoments.kloosterman import kloosterman_table, moment_bruteforce
 from kmoments.moments import (
-    MomentSequence,
     _next_stirling2_row,
     binom,
     moment_sequence,
@@ -58,32 +57,32 @@ def test_stirling_recurrence_vs_alternating_sum():
 
 def test_recursion_hand_cases(ctx3):
     # code 1, h=1: (q-1) MK^0 = 49, correction q * 6 = 48
-    assert moment_sequence(ctx3, 1, 1, counts=(1, 0)).mk == (7, 1)
+    assert moment_sequence(ctx3, 1, 1, counts=(1, 0)) == (7, 1)
     # code 3, h=1: -(q+1) MK^0 = -63, correction q * 8 = 64
-    assert moment_sequence(ctx3, 3, 1, counts=(1, 0)).mk == (7, 1)
+    assert moment_sequence(ctx3, 3, 1, counts=(1, 0)) == (7, 1)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_recursion_second_moment(i, ctx3):
     from kmoments.codes import weight_distribution
 
-    dist = weight_distribution(ctx3, i, j_max=2).counts
-    assert moment_sequence(ctx3, i, 2, counts=dist).mk == (7, 1, 55)
+    dist = weight_distribution(ctx3, i, j_max=2)
+    assert moment_sequence(ctx3, i, 2, counts=dist) == (7, 1, 55)
 
 
 def test_sequence_r3(ctx3):
-    assert moment_sequence(ctx3, 2, 3).mk == (7, 1, 55, -47)
+    assert moment_sequence(ctx3, 2, 3) == (7, 1, 55, -47)
 
 
 def test_sequence_r4_first_moment(ctx4):
     seq = moment_sequence(ctx4, 3, 1)
-    assert seq.mk == (15, 1)
+    assert seq == (15, 1)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_all_codes_agree(r):
     ctx = build_field(r)
-    seqs = {moment_sequence(ctx, i, 8).mk for i in (1, 2, 3, 4)}
+    seqs = {moment_sequence(ctx, i, 8) for i in (1, 2, 3, 4)}
     assert len(seqs) == 1
 
 
@@ -93,7 +92,7 @@ def test_recursion_equals_bruteforce(r, i, contexts, tables):
     ctx = contexts[r]
     seq = moment_sequence(ctx, i, 12)
     for h in range(13):
-        assert seq.mk[h] == moment_bruteforce(ctx, h, tables[r])
+        assert seq[h] == moment_bruteforce(ctx, h, tables[r])
 
 
 def test_recursion_equals_bruteforce_to_the_cli_hmax():
@@ -104,7 +103,7 @@ def test_recursion_equals_bruteforce_to_the_cli_hmax():
         table = kloosterman_table(ctx)
         brute = tuple(moment_bruteforce(ctx, h, table) for h in range(33))
         for i in (1, 2, 3, 4):
-            assert moment_sequence(ctx, i, 32).mk == brute, (r, i)
+            assert moment_sequence(ctx, i, 32) == brute, (r, i)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -113,7 +112,7 @@ def test_moment_magnitude_bound(r, contexts):
     ctx = contexts[r]
     seq = moment_sequence(ctx, 4, 8)
     q = ctx.q
-    for h, mk in enumerate(seq.mk):
+    for h, mk in enumerate(seq):
         assert mk * mk <= (q - 1) ** 2 * (4 * q) ** h
 
 
@@ -124,7 +123,7 @@ def test_recursion_small_fields_codes_34(r, i, contexts, tables):
     ctx = contexts[r]
     seq = moment_sequence(ctx, i, 10)
     for h in range(11):
-        assert seq.mk[h] == moment_bruteforce(ctx, h, tables[r])
+        assert seq[h] == moment_bruteforce(ctx, h, tables[r])
 
 
 def test_codes_12_require_degree_3():
@@ -146,8 +145,8 @@ def test_recursion_argument_validation(ctx3):
 def test_longer_prefix_changes_nothing(ctx3):
     from kmoments.codes import weight_distribution
 
-    short = weight_distribution(ctx3, 1, j_max=2).counts
-    full = weight_distribution(ctx3, 1).counts
+    short = weight_distribution(ctx3, 1, j_max=2)
+    full = weight_distribution(ctx3, 1)
     assert moment_sequence(ctx3, 1, 2, counts=short) == moment_sequence(ctx3, 1, 2, counts=full)
 
 
@@ -156,13 +155,12 @@ def test_invariant_under_theta_reordering():
     reordered = copy.copy(ctx)
     reordered.theta = ctx.theta[:1] + ctx.theta[:0:-1]
     for i in (1, 2, 3, 4):
-        assert moment_sequence(ctx, i, 6).mk == moment_sequence(reordered, i, 6).mk
+        assert moment_sequence(ctx, i, 6) == moment_sequence(reordered, i, 6)
 
 
 def test_moment_sequence_type(ctx3):
     seq = moment_sequence(ctx3, 1, 4)
-    assert isinstance(seq, MomentSequence)
-    assert seq.h_max == 4 and len(seq.mk) == 5
+    assert type(seq) is tuple and len(seq) == 5
     assert seq[0] == 7
 
 
@@ -246,7 +244,7 @@ def test_pless_corrupted_count_is_exact_and_unequal(i, contexts):
     from kmoments.codes import weight_distribution
 
     ctx = contexts[4]
-    counts = list(weight_distribution(ctx, i).counts)
+    counts = list(weight_distribution(ctx, i))
     counts[2] += 1
     n = len(counts) - 1
     for h, (lhs, rhs, equal) in enumerate(pless_check(ctx, i, 10, counts=counts)):
@@ -259,7 +257,7 @@ def test_given_counts_and_weights_are_used_as_built(monkeypatch, contexts):
     from kmoments.codes import dual_weights, weight_distribution
 
     ctx = contexts[5]
-    counts = weight_distribution(ctx, 3).counts
+    counts = weight_distribution(ctx, 3)
     weights = dual_weights(ctx, 3)
     expected = (pless_check(ctx, 3, 10), moment_sequence(ctx, 3, 10))
 
@@ -277,7 +275,7 @@ def test_given_counts_and_weights_are_used_as_built(monkeypatch, contexts):
 def test_given_counts_and_weights_are_length_checked(ctx3):
     from kmoments.codes import dual_weights, weight_distribution
 
-    counts = weight_distribution(ctx3, 3).counts  # N = 8, so 9 counts
+    counts = weight_distribution(ctx3, 3)  # N = 8, so 9 counts
     weights = dual_weights(ctx3, 3)
     with pytest.raises(ValueError, match="weight counts up to j=4"):
         moment_sequence(ctx3, 3, 4, counts=counts[:4])

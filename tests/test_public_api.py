@@ -48,7 +48,8 @@ def test_readme_library_example_shows_the_real_reprs():
     checked = 0
     for line in block.splitlines():
         match = re.match(r"(\w+) = .*?  # (.*)$", line)
-        if match and match[2].startswith(type(namespace[match[1]]).__name__ + "("):
+        # a comment that opens with "(" shows a tuple, the K table's or the moments'
+        if match and match[2].startswith(("(", type(namespace[match[1]]).__name__ + "(")):
             assert repr(namespace[match[1]]) == match[2], line
             checked += 1
-    assert checked >= 1
+    assert checked >= 2
