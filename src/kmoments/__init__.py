@@ -25,7 +25,6 @@ from .codes import (
     weight_distribution_exhaustive,
 )
 from .moments import (
-    binom,
     moment_sequence,
     pless_check,
     stirling2_explicit,
@@ -56,7 +55,6 @@ __all__ = [
     "verify_dual_structure",
     "weight_distribution",
     "weight_distribution_exhaustive",
-    "binom",
     "moment_sequence",
     "pless_check",
     "stirling2_explicit",

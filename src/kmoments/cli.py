@@ -20,6 +20,7 @@ arithmetic guard that raised, reported as one ``error:`` line).
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -168,7 +169,13 @@ def _render(
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # send what is left in the buffer to the null device, or the flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _UsageError(f"cannot write to stdout: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> tuple[int, ...]:
     """
     _check_code(ctx, i)
     v = _vector(ctx, i)
-    if a not in ctx.elements():
+    if type(a) is not int or a not in ctx.elements():
         raise ValueError(f"a must be a field element in 0..{ctx.q - 1}, got {a}")
     if a == 0:
         return (0,) * len(v)

@@ -6,8 +6,9 @@ representative, so addition is XOR.  A :class:`FieldContext` fixes the
 extension degree, an irreducible modulus polynomial, exp/log and
 inverse tables, the trace table, the image of the Artin-Schreier map
 x -> x^2 + x (sorted ascending, 0 first), and a distinguished element
-b of trace 1.  Contexts are immutable after construction and safe to
-share; every operation is a pure function of (context, arguments).
+b of trace 1.  The tables are tuples and bytes, and no function of the
+package modifies a context, so one context may be shared; every
+operation is a pure function of (context, arguments).
 
 By default the modulus is the degree-r irreducible polynomial with the
 smallest integer encoding and b is the smallest trace-one element.
@@ -22,8 +23,6 @@ from __future__ import annotations
 __all__ = [
     "FieldContext",
     "build_field",
-    "is_irreducible",
-    "smallest_irreducible",
     "irreducible_polys",
     "poly_str",
     "parse_poly",
@@ -51,21 +50,11 @@ def _find_factor(f: int) -> int | None:
     return None
 
 
-def is_irreducible(f: int) -> bool:
-    """Trial-division irreducibility test for a GF(2)[x] polynomial."""
-    return f.bit_length() >= 2 and _find_factor(f) is None
-
-
 def irreducible_polys(r: int):
     """Yield the irreducible degree-r polynomials in increasing encoding order."""
     for f in range(1 << r, 1 << (r + 1)):
-        if is_irreducible(f):
+        if _find_factor(f) is None:
             yield f
-
-
-def smallest_irreducible(r: int) -> int:
-    """The canonical (smallest-encoding) irreducible polynomial of degree r."""
-    return next(irreducible_polys(r))
 
 
 def poly_str(f: int) -> str:
@@ -86,7 +75,8 @@ def parse_poly(s: str) -> int:
     """Parse a polynomial given as hex (0x..), binary (0b..), decimal, or 'x^3+x+1'.
 
     Exponents must lie in 0..MAX_DEGREE; x^k is checked before it shifts.
-    Text in none of these forms raises ``invalid value: '<text>'``.
+    Text in none of these forms, with a repeated term or with a digit
+    separator ``_``, raises ``invalid value: '<text>'``.
     """
     text = s.strip().replace(" ", "").lower()
     out_of_range = f"polynomial exponents must be within 0..{MAX_DEGREE} (gf2r.MAX_DEGREE)"
@@ -97,6 +87,9 @@ def parse_poly(s: str) -> int:
             f = int(text, base)
         else:  # x^k is k, 1 is 0 and x is 1
             exponents = [int(t[2:]) if t[:2] == "x^" else ("1", "x").index(t) for t in text.split("+")]
+        # int() reads some "_" separators, and XOR would cancel a repeated term
+        if "_" in text or len(set(exponents)) != len(exponents):
+            raise ValueError
     except ValueError:
         raise ValueError(f"invalid value: {s!r}") from None
     for k in exponents:
@@ -134,7 +127,6 @@ class FieldContext:
         holds two periods so ``exp[log[x] + log[y]]`` needs no reduction.
     inv_table : multiplicative inverses, index 0 unused.
     trace_table : bytes, entry a = tr(a) in {0, 1}.
-    lam_table : tuple, entry a = (-1)^tr(a) in {+1, -1}.
     theta : the image {a^2 + a}, sorted ascending (equals the trace-zero
         set; exactly q/2 elements, starting with 0).
     b : a fixed element outside theta, i.e. of trace 1.
@@ -144,7 +136,7 @@ class FieldContext:
         if not 1 <= r <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}, got {r}")
         if modulus is None:
-            modulus = smallest_irreducible(r)
+            modulus = next(irreducible_polys(r))
         else:
             if modulus < 0:
                 # a negative int is no polynomial, and the factor search never ends on one
@@ -166,7 +158,6 @@ class FieldContext:
         qm1 = self.q - 1
         self.inv_table = (0,) + tuple(self.exp[qm1 - self.log[x]] for x in range(1, self.q))
         self.trace_table = self._build_trace_table()
-        self.lam_table = tuple(1 - 2 * t for t in self.trace_table)
         self.theta = tuple(sorted({self.mul(a, a) ^ a for a in range(self.q)}))
         if len(self.theta) != self.q // 2 or self.theta[0] != 0:
             raise ArithmeticError(
@@ -246,20 +237,6 @@ class FieldContext:
             return 0
         return self.exp[self.log[x] + self.log[y]]
 
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of a nonzero element."""
-        if x == 0:
-            raise ValueError("0 has no multiplicative inverse")
-        return self.inv_table[x]
-
-    def trace(self, x: int) -> int:
-        """Trace to GF(2): x + x^2 + ... + x^(2^(r-1)), as 0 or 1."""
-        return self.trace_table[x]
-
-    def lam(self, x: int) -> int:
-        """Canonical additive character (-1)^tr(x), as +1 or -1."""
-        return self.lam_table[x]
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -272,12 +249,8 @@ class FieldContext:
     def modulus_hex(self) -> str:
         return format(self.modulus, "#x")
 
-    @property
-    def modulus_str(self) -> str:
-        return poly_str(self.modulus)
-
     def __repr__(self):
-        return f"FieldContext(r={self.r}, modulus={self.modulus_str}, b={self.b:#x})"
+        return f"FieldContext(r={self.r}, modulus={poly_str(self.modulus)}, b={self.b:#x})"
 
 
 def build_field(r: int, modulus: int | None = None, b: int | None = None) -> FieldContext:

@@ -1,6 +1,7 @@
 """Kloosterman sums over GF(2^r) and brute-force power moments.
 
-K(a) is the exact integer sum of the canonical additive character over
+K(a) is the exact integer sum of the canonical additive character
+lambda(x) = (-1)^tr(x) = 1 - 2 tr(x), read from ``ctx.trace_table``, over
 alpha + a/alpha, alpha ranging over the nonzero field elements.  The
 table of all K(a) and the moments sum_a K(a)^h computed from it are the
 ground-truth oracle against which the recursive moment formulas in
@@ -61,12 +62,13 @@ _SLOT_BYTES = 2
 
 
 def _check_a(ctx: FieldContext, a: int) -> None:
-    if a not in ctx.nonzero():
+    # an int only: True and 1.0 pass the range test as 1
+    if type(a) is not int or a not in ctx.nonzero():
         raise ValueError(f"a must be a nonzero field element in 1..{ctx.q - 1}, got {a}")
 
 
 def _check_b(ctx: FieldContext, b: int) -> None:
-    if b not in ctx.elements():
+    if type(b) is not int or b not in ctx.elements():
         raise ValueError(f"b must be a field element in 0..{ctx.q - 1}, got {b}")
     if ctx.trace_table[b] != 1:
         raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
@@ -75,11 +77,11 @@ def _check_b(ctx: FieldContext, b: int) -> None:
 def kloosterman_sum(ctx: FieldContext, a: int) -> int:
     """K(a) = sum over nonzero alpha of (-1)^tr(alpha + a/alpha)."""
     _check_a(ctx, a)
-    lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
+    trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
     # a/alpha via logs: log(a) - log(alpha) mod q-1, kept nonnegative
-    return sum(lam[alpha ^ exp[la - log[alpha] + qm1]] for alpha in range(1, ctx.q))
+    return sum(1 - 2 * trace[alpha ^ exp[la - log[alpha] + qm1]] for alpha in range(1, ctx.q))
 
 
 def kloosterman_table(ctx: FieldContext) -> tuple[int | None, ...]:
@@ -136,12 +138,12 @@ def split_quadratic_char_sum(ctx: FieldContext, a: int) -> int:
     its q-2 nonroots contribute, and the sum equals K(a) - 1.
     """
     _check_a(ctx, a)
-    lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
+    trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
     # alpha^2 = exp[2 log alpha] and a/d = exp[log a - log d + q-1]
     return sum(
-        lam[exp[la - log[exp[2 * log[alpha]] ^ alpha] + qm1]] for alpha in range(2, ctx.q)
+        1 - 2 * trace[exp[la - log[exp[2 * log[alpha]] ^ alpha] + qm1]] for alpha in range(2, ctx.q)
     )
 
 
@@ -155,13 +157,13 @@ def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
     """
     _check_a(ctx, a)
     _check_b(ctx, b)
-    lam, exp, log = ctx.lam_table, ctx.exp, ctx.log
+    trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
     squares = [0] + [exp[2 * log[alpha]] for alpha in range(1, ctx.q)]
     # a/d = exp[log a - log d + q-1], with d = alpha^2 + alpha + b != 0
     return sum(
-        lam[exp[la - log[sq ^ alpha ^ b] + qm1]] for alpha, sq in enumerate(squares)
+        1 - 2 * trace[exp[la - log[sq ^ alpha ^ b] + qm1]] for alpha, sq in enumerate(squares)
     )
 
 
@@ -173,8 +175,8 @@ def _char_sum_row(ctx: FieldContext, denominators) -> list[int | None]:
     for a is one ``itemgetter`` of every n_d over row[log a:], and each
     term is still a literal lookup of lambda(a/d): no K value is read.
     """
-    lam, log = ctx.lam_table, ctx.log
-    row = [lam[x] for x in ctx.exp]
+    trace, log = ctx.trace_table, ctx.log
+    row = [1 - 2 * trace[x] for x in ctx.exp]
     neg = [ctx.q - 1 - log[d] for d in denominators]
     # itemgetter of one index returns the item, not a 1-tuple
     terms = itemgetter(*neg) if len(neg) > 1 else lambda s: [s[n] for n in neg]

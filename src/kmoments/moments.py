@@ -23,18 +23,10 @@ from .codes import code_length, code_shape, dual_weights, weight_distribution
 from .gf2r import FieldContext
 
 __all__ = [
-    "binom",
     "stirling2_explicit",
     "moment_sequence",
     "pless_check",
 ]
-
-
-def binom(b: int, a: int) -> int:
-    """Binomial coefficient with C(b, a) = 0 whenever a < 0 or a > b."""
-    if a < 0 or a > b:
-        return 0
-    return comb(b, a)
 
 
 def _next_stirling2_row(row: list[int]) -> list[int]:
@@ -57,10 +49,10 @@ def stirling2_explicit(h: int, t: int) -> int:
 def _pless_sums(h_max: int, n: int, dist) -> list[int]:
     """P_h for h = 0..h_max, in one pass over the Stirling rows S(h, *).
 
-    P_h = sum_{j <= min(N, h)} (-1)^j C_j sum_{t=j..h} t! S(h, t) 2^(h-t) binom(N-j, N-t),
+    P_h = sum_{j <= min(N, h)} (-1)^j C_j sum_{t=j..min(h, N)} t! S(h, t) 2^(h-t) C(N-j, N-t),
     the Pless right side over the counts C_j in ``dist`` with the 2^r
-    dual size left out.  Row h comes from row h - 1, and the t-only
-    factors are built once per h.
+    dual size left out (C(N-j, N-t) would vanish past t = N).  Row h
+    comes from row h - 1, and the t-only factors are built once per h.
     """
     sums = []
     row = [1]  # S(0, *)
@@ -68,10 +60,11 @@ def _pless_sums(h_max: int, n: int, dist) -> list[int]:
         if h:
             row = _next_stirling2_row(row)
         weights = [factorial(t) * row[t] << (h - t) for t in range(h + 1)]
+        top = min(n, h)
         sums.append(
             sum(
-                (-1) ** j * dist[j] * sum(weights[t] * binom(n - j, n - t) for t in range(j, h + 1))
-                for j in range(min(n, h) + 1)
+                (-1) ** j * dist[j] * sum(weights[t] * comb(n - j, n - t) for t in range(j, top + 1))
+                for j in range(top + 1)
             )
         )
     return sums
@@ -95,7 +88,7 @@ def _recursion_step(q: int, i: int, h: int, lower, pless: int) -> int:
     trace, copies = code_shape(i)
     s = 1 if trace else -1
     c = q + s
-    lower_terms = sum(binom(h, l) * c ** (h - l) * s**l * lower[l] for l in range(h))
+    lower_terms = sum(comb(h, l) * c ** (h - l) * s**l * lower[l] for l in range(h))
     return s**h * ((q * pless << (h if copies == 1 else 0)) - lower_terms)
 
 
@@ -136,7 +129,7 @@ def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None
     Right side: the Stirling-number expansion over the code's weight
     counts, with alphabet size 2 and dual dimension r, as an int: its
     terms t! S(h, t) 2^(r-t) are integers for any integer counts, since
-    binom(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r and
+    C(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r and
     2^(t - popcount(t)) divides t!.  A remainder raises ArithmeticError.
     The weight distribution is built once, up to weight min(N, h_max).
 

@@ -184,21 +184,21 @@ def dual_structure_by_scan(words, basis, n: int) -> dict:
 
 def split_char_sum_by_mul(ctx, a: int) -> int:
     """sum over alpha outside {0, 1} of lambda(a/(alpha^2 + alpha)), by field mul and inverse."""
-    lam, inv, mul = ctx.lam_table, ctx.inv_table, ctx.mul
+    trace, inv, mul = ctx.trace_table, ctx.inv_table, ctx.mul
     total = 0
     for alpha in range(2, ctx.q):
         theta = mul(alpha, alpha) ^ alpha
-        total += lam[mul(a, inv[theta])]
+        total += 1 - 2 * trace[mul(a, inv[theta])]
     return total
 
 
 def irreducible_char_sum_by_mul(ctx, a: int, b: int) -> int:
     """sum over alpha of lambda(a/(alpha^2 + alpha + b)), tr(b) = 1, by field mul and inverse."""
-    lam, inv, mul = ctx.lam_table, ctx.inv_table, ctx.mul
+    trace, inv, mul = ctx.trace_table, ctx.inv_table, ctx.mul
     total = 0
     for alpha in range(ctx.q):
         d = mul(alpha, alpha) ^ alpha ^ b
-        total += lam[mul(a, inv[d])]
+        total += 1 - 2 * trace[mul(a, inv[d])]
     return total
 
 

@@ -74,7 +74,7 @@ def test_03_quadratic_denominator_char_sums(contexts, tables):
             ctx, table = contexts[r], tables[r]
             for a in ctx.nonzero():
                 assert split_quadratic_char_sum(ctx, a) == table[a] - 1, (r, a)
-            trace_one = [b for b in ctx.elements() if ctx.trace(b) == 1]
+            trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
             for b in trace_one:
                 for a in ctx.nonzero():
                     assert irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1, (r, a, b)
@@ -168,7 +168,7 @@ def test_09_representation_invariance():
             assert len(sequences) == len(ALL_CODES), (r, sequences)
             assert len({mk for _, mk in sequences}) == 1
             ctx = build_field(r)
-            trace_one = [x for x in ctx.elements() if ctx.trace(x) == 1]
+            trace_one = [x for x in ctx.elements() if ctx.trace_table[x] == 1]
             for i in (3, 4):
                 per_b = {
                     moment_sequence(build_field(r, b=b), i, 10)

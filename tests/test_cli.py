@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -306,6 +307,9 @@ _UNREADABLE = [
     ("moments", "--r", "3", "--b", ""),
     ("moments", "--r", "3", "--b", "x^a"),
     ("moments", "--r", "3", "--b", "1e3"),
+    ("moments", "--r", "3", "--modulus", "x^3+x^2+x^2+x+1"),
+    ("moments", "--r", "3", "--modulus", "x^3+x+1+1"),
+    ("moments", "--r", "4", "--modulus", "0x1_3"),
 ]
 
 
@@ -490,6 +494,42 @@ def test_out_missing_directory_is_usage_error(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target!r}: ")
         assert len(captured.err.splitlines()) == 1
+
+
+def _run_into(stdout, *argv, unbuffered=False):
+    """Run ``python -m kmoments.cli argv`` writing to ``stdout``: (exit code, stderr text)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "kmoments.cli", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+    return done.returncode, done.stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_stdout_is_one_line(unbuffered):
+    # buffered, the write lands in the buffer and only the flush fails
+    with open("/dev/full", "wb") as full:
+        code, err = _run_into(full, "verify", "--r", "3", unbuffered=unbuffered)
+    assert (code, err) == (1, f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_stdout_is_one_line(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = _run_into(write_end, "verify", "--r", "3", unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (1, f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 # -- golden outputs ------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmoments import build_field
+from kmoments.codes import dual_codeword
 from kmoments.gf2r import irreducible_polys
 from kmoments.kloosterman import (
     irreducible_quadratic_char_sum,
@@ -105,7 +106,7 @@ def test_table_equals_literal_sum_any_representation(data, r):
     modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
     field = build_field(r, modulus=modulus)
     b = data.draw(
-        st.sampled_from([x for x in field.elements() if field.trace(x) == 1]), label="b"
+        st.sampled_from([x for x in field.elements() if field.trace_table[x] == 1]), label="b"
     )
     ctx = build_field(r, modulus=modulus, b=b)
     table = kloosterman_table(ctx)
@@ -226,7 +227,7 @@ def test_irreducible_sum_r3(ctx3):
 @pytest.mark.parametrize("r", range(1, 7))
 def test_irreducible_sum_identity_all_b(r, contexts, tables):
     ctx, table = contexts[r], tables[r]
-    trace_one = [b for b in ctx.elements() if ctx.trace(b) == 1]
+    trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
     for b in trace_one:
         for a in ctx.nonzero():
             assert irreducible_quadratic_char_sum(ctx, a, b) == -table[a] - 1
@@ -235,7 +236,7 @@ def test_irreducible_sum_identity_all_b(r, contexts, tables):
 @pytest.mark.parametrize("r", range(2, 8))
 def test_char_sums_equal_mul_inverse_oracles(r, contexts):
     ctx = contexts[r]
-    trace_one = [b for b in ctx.elements() if ctx.trace(b) == 1]
+    trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
     for a in ctx.nonzero():
         assert split_quadratic_char_sum(ctx, a) == oracles.split_char_sum_by_mul(ctx, a), a
         for b in trace_one:
@@ -258,7 +259,7 @@ def _assert_rows_equal_per_a_sums(ctx, bs):
 def test_char_sum_rows_equal_the_per_a_sums(r, contexts):
     # every trace-one b up to r = 6, as verify reads them; above, the first and last
     ctx = contexts[r] if r <= 8 else build_field(r)
-    trace_one = [b for b in ctx.elements() if ctx.trace(b) == 1]
+    trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
     _assert_rows_equal_per_a_sums(ctx, trace_one if r <= 6 else [trace_one[0], trace_one[-1]])
 
 
@@ -267,7 +268,7 @@ def test_char_sum_rows_equal_the_per_a_sums(r, contexts):
 def test_char_sum_rows_equal_the_per_a_sums_any_representation(data, r):
     modulus = data.draw(st.sampled_from(list(irreducible_polys(r))), label="modulus")
     ctx = build_field(r, modulus=modulus)
-    trace_one = [x for x in ctx.elements() if ctx.trace(x) == 1]
+    trace_one = [x for x in ctx.elements() if ctx.trace_table[x] == 1]
     _assert_rows_equal_per_a_sums(ctx, [data.draw(st.sampled_from(trace_one), label="b")])
 
 
@@ -314,13 +315,15 @@ _BY_ELEMENT = {
     "irreducible_quadratic_char_sum:a": lambda ctx, x: irreducible_quadratic_char_sum(ctx, x, ctx.b),
     "irreducible_quadratic_char_sum:b": lambda ctx, x: irreducible_quadratic_char_sum(ctx, 1, x),
     "irreducible_quadratic_char_sums:b": lambda ctx, x: irreducible_quadratic_char_sums(ctx, x),
+    "dual_codeword:a": lambda ctx, x: dual_codeword(ctx, 1, x),
 }
 
 
-@pytest.mark.parametrize("x", [-1, 8])
+@pytest.mark.parametrize("x", [-1, 8, 1.0, True])
 @pytest.mark.parametrize("name", _BY_ELEMENT)
 def test_out_of_range_elements_are_refused(name, x, ctx3):
-    # unchecked, -1 reads the tables at a = 7 (and passes the trace check as b = 7)
+    # unchecked, -1 reads the tables at a = 7 (and passes the trace check as b = 7);
+    # 1.0 and True pass a range test as 1, where 1.0 cannot index a table and True reads a = 1
     with pytest.raises(ValueError, match=rf"in [01]\.\.7, got {x}$"):
         _BY_ELEMENT[name](ctx3, x)
 

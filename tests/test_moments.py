@@ -10,7 +10,6 @@ from kmoments import build_field
 from kmoments.kloosterman import kloosterman_table, moment_bruteforce
 from kmoments.moments import (
     _next_stirling2_row,
-    binom,
     moment_sequence,
     pless_check,
     stirling2_explicit,
@@ -18,20 +17,6 @@ from kmoments.moments import (
 
 
 # -- combinatorial helpers -------------------------------------------------------
-
-
-def test_binom_zero_conventions():
-    assert binom(5, 7) == 0
-    assert binom(5, -1) == 0
-    assert binom(6, 5) == 6
-    assert binom(0, 0) == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(b=st.integers(0, 60), a=st.integers(-10, 70))
-def test_binom_matches_comb_in_range(b, a):
-    expected = math.comb(b, a) if 0 <= a <= b else 0
-    assert binom(b, a) == expected
 
 
 def test_stirling_examples():
@@ -224,7 +209,7 @@ def test_pless_one_pass(monkeypatch, contexts):
 
 
 def _pless_right_side(r: int, n: int, counts, h: int) -> Fraction:
-    """sum_j (-1)^j C_j sum_t t! S(h, t) 2^(r-t) binom(N-j, N-t), term by term in Fractions."""
+    """sum_j (-1)^j C_j sum_t t! S(h, t) 2^(r-t) C(N-j, N-t), term by term in Fractions."""
     return sum(
         (-1) ** j
         * counts[j]

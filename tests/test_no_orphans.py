@@ -8,7 +8,9 @@ outside its own definition names it; a mention in a docstring or
 comment, an import or an ``__all__`` string does not.  A public name
 only the tests read is a second production path, unless it is one of
 ``ORACLES``: the paper's definitions and the slow routes kept to check
-the fast ones.
+the fast ones.  So is a public method or property of a public class
+that no ``ast.Attribute`` outside its own definition reads: a local
+variable of the same name is no use of the method.
 """
 
 import ast
@@ -60,25 +62,45 @@ def _unread(sources: dict[str, str], wanted) -> list[str]:
     with ``public`` its module's ``__all__``, that no Name or Attribute outside
     the definition refers to."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    refs = [
+    refs = _refs(trees, (ast.Name, ast.Attribute))
+    return [
+        f"{module}:{node.lineno} {defined}"
+        for module, tree in trees.items()
+        for defined, node in _definitions(tree)
+        if wanted(defined, _public(tree)) and not _read_outside(defined, module, node, refs)
+    ]
+
+
+def _refs(trees: dict[str, ast.Module], kinds) -> list[tuple[str, str, int]]:
+    """(name, module, line) of every node of ``kinds``, ast.Name or ast.Attribute."""
+    return [
         (node.id if isinstance(node, ast.Name) else node.attr, module, node.lineno)
         for module, tree in trees.items()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, kinds)
     ]
-    unread = []
-    for module, tree in trees.items():
-        public = _public(tree)
-        for defined, node in _definitions(tree):
-            if not wanted(defined, public):
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(
-                name == defined and not (where == module and line in own)
-                for name, where, line in refs
-            ):
-                unread.append(f"{module}:{node.lineno} {defined}")
-    return unread
+
+
+def _read_outside(defined: str, module: str, node: ast.AST, refs) -> bool:
+    own = range(node.lineno, node.end_lineno + 1)
+    return any(name == defined and not (where == module and line in own) for name, where, line in refs)
+
+
+def _unread_methods(sources: dict[str, str]) -> list[str]:
+    """'module:line Class.name' of each public method or property of a class in
+    its module's ``__all__`` that no ast.Attribute outside the definition reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = _refs(trees, ast.Attribute)
+    return [
+        f"{module}:{node.lineno} {cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in _public(tree)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and not _read_outside(node.name, module, node, reads)
+    ]
 
 
 def _orphans(sources: dict[str, str]) -> list[str]:
@@ -176,3 +198,47 @@ def test_a_public_name_only_its_own_body_reads_is_flagged():
     )
     package = "from .m import sequence\n__all__ = ['sequence']\nx = m.sequence(3)\n"
     assert _test_only_public({"m.py": source, "__init__.py": package}) == ["m.py:5 step"]
+
+
+def test_every_public_method_is_read():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_methods(sources) == []
+
+
+def test_a_method_only_a_local_name_spells_is_flagged():
+    source = (
+        "__all__ = ['Field']\n"
+        "\n"
+        "\n"
+        "class Field:\n"
+        "    def char(self, x):\n"
+        "        return self.char(x - 1) if x else 1\n"
+        "\n"
+        "    def mul(self, x, y):\n"
+        "        return x * y\n"
+        "\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "\n"
+        "    def __repr__(self):\n"
+        "        return 'Field()'\n"
+        "\n"
+        "\n"
+        "class Hidden:\n"
+        "    def unread(self):\n"
+        "        return 0\n"
+    )
+    reader = "char = 1\nf = m.Field()\nf.mul(char, f.size)\n"
+    assert _unread_methods({"m.py": source, "n.py": reader}) == ["m.py:5 Field.char"]
+
+
+def test_a_restored_trace_accessor_is_flagged():
+    # kloosterman names its local copy of ctx.trace_table ``trace``; that is no read of a method
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    anchor = "    def elements(self) -> range:\n"
+    assert sources["gf2r.py"].count(anchor) == 1
+    accessor = "    def trace(self, x: int) -> int:\n        return self.trace_table[x]\n\n"
+    sources["gf2r.py"] = sources["gf2r.py"].replace(anchor, accessor + anchor)
+    assert "trace, exp, log = ctx.trace_table" in sources["kloosterman.py"]
+    assert [o.split()[1] for o in _unread_methods(sources)] == ["FieldContext.trace"]
