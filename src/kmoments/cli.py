@@ -4,8 +4,9 @@ Commands
 --------
 The command may stand anywhere among the options.  Every command accepts
 every option; --jmax shapes only weights, and --hmax only moments and
-verify.  Each option is declared once, in ``OPTIONS``, which both the
-parser and ``--help`` read, and each command reads the checked values.
+verify.  Each option is declared once, in ``OPTIONS``, and each command
+in ``COMMANDS``; the parser and ``--help`` read both, and each command
+reads the checked values.
 
 moments : recursive MK^h per code, beside the brute-force oracle column
           and a match flag (the K table reaches every r accepted here).
@@ -14,8 +15,9 @@ verify  : the whole identity suite per (r, code) with pass/fail lines.
 
 Output is deterministic (sorted by r, code, then h or j; no
 timestamps), in json, csv or pretty form.  Exit status: 0 all good,
-1 usage error, 2 verification mismatch (a failed check, or an exact
-arithmetic guard that raised, reported as one ``error:`` line).
+1 usage error (a failed write of the output or of --help too),
+2 verification mismatch (a failed check, or an exact arithmetic guard
+that raised); each error is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -48,12 +50,6 @@ VERIFY_DISTRIBUTION_MAX_R = 6  # verify's full distribution: O(N sqrt(q)) Krawtc
 CARDINALITY_MAX_R = 8  # then distribution_cardinality by code_cardinality, O(q r)
 PLESS_MAX_H = 10  # pless_identity checks orders 0..min(--hmax, PLESS_MAX_H)
 
-
-COMMANDS = {
-    "moments": "recursive vs brute-force power moments",
-    "weights": "code weight distributions",
-    "verify": "run the full identity suite",
-}
 
 # Every option of every command: name, default, the values it takes (int,
 # str, or a tuple of choices) and its --help text.  --r is required.
@@ -124,11 +120,7 @@ def _build_config(args: SimpleNamespace) -> None:
 
 
 def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    return value
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def _render(
@@ -162,12 +154,17 @@ def _render(
         text = buf.getvalue()
     else:
         text = "\n".join(lines) + "\n"
-    if args.out is not None:
+    _write(text, args.out)
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout if it is None; a failure is a usage error."""
+    if path is not None:
         try:
-            with open(args.out, "w") as fh:
+            with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
+            raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
     else:
         try:
             sys.stdout.write(text)
@@ -399,6 +396,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+# command -> (function, --help text); the dispatch, the parser and --help read it
+COMMANDS = {
+    "moments": (cmd_moments, "recursive vs brute-force power moments"),
+    "weights": (cmd_weights, "code weight distributions"),
+    "verify": (cmd_verify, "run the full identity suite"),
+}
+
 
 def _convert(name: str, kind, value: str):
     if isinstance(kind, tuple):
@@ -491,7 +495,7 @@ def _help() -> str:
         "and --hmax only moments and verify.",
         "",
         "commands:",
-        *(f"  {name:<28}{text}" for name, text in COMMANDS.items()),
+        *(f"  {name:<28}{text}" for name, (_, text) in COMMANDS.items()),
         "",
         "options:",
         f"  {'-h, --help':<28}show this help and exit",
@@ -505,20 +509,15 @@ def _help() -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        if args is not None:
-            _build_config(args)
+        if args is None:
+            _write(_help(), None)
+            return 0
+        _build_config(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args is None:
-        sys.stdout.write(_help())
-        return 0
     try:
-        if args.command == "moments":
-            return cmd_moments(args)
-        if args.command == "weights":
-            return cmd_weights(args)
-        return cmd_verify(args)
+        return COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

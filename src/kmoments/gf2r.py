@@ -75,8 +75,8 @@ def parse_poly(s: str) -> int:
     """Parse a polynomial given as hex (0x..), binary (0b..), decimal, or 'x^3+x+1'.
 
     Exponents must lie in 0..MAX_DEGREE; x^k is checked before it shifts.
-    Text in none of these forms, with a repeated term or with a digit
-    separator ``_``, raises ``invalid value: '<text>'``.
+    Text in none of these forms, with a repeated term or with any character
+    but ASCII ``0-9 a-f x ^ + -``, raises ``invalid value: '<text>'``.
     """
     text = s.strip().replace(" ", "").lower()
     out_of_range = f"polynomial exponents must be within 0..{MAX_DEGREE} (gf2r.MAX_DEGREE)"
@@ -87,8 +87,8 @@ def parse_poly(s: str) -> int:
             f = int(text, base)
         else:  # x^k is k, 1 is 0 and x is 1
             exponents = [int(t[2:]) if t[:2] == "x^" else ("1", "x").index(t) for t in text.split("+")]
-        # int() reads some "_" separators, and XOR would cancel a repeated term
-        if "_" in text or len(set(exponents)) != len(exponents):
+        # int() reads "_", whitespace around digits and non-ASCII digits; XOR would cancel a repeated term
+        if not set(text) <= set("0123456789abcdefx^+-") or len(set(exponents)) != len(exponents):
             raise ValueError
     except ValueError:
         raise ValueError(f"invalid value: {s!r}") from None

@@ -310,6 +310,8 @@ _UNREADABLE = [
     ("moments", "--r", "3", "--modulus", "x^3+x^2+x^2+x+1"),
     ("moments", "--r", "3", "--modulus", "x^3+x+1+1"),
     ("moments", "--r", "4", "--modulus", "0x1_3"),
+    ("moments", "--r", "3", "--modulus", "1\u0663"),
+    ("moments", "--r", "3", "--b", "x^\u0663"),
 ]
 
 
@@ -512,21 +514,33 @@ def _run_into(stdout, *argv, unbuffered=False):
     return done.returncode, done.stderr.decode()
 
 
+# a command's output, then --help and -h, each buffered and unbuffered;
+# the ids of the command runs are [False] and [True]
+_STDOUT_RUNS = pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        pytest.param(argv, unbuffered, id=f"{prefix}{unbuffered}")
+        for prefix, argv in (("", ("verify", "--r", "3")), ("--help-", ("--help",)), ("-h-", ("-h",)))
+        for unbuffered in (False, True)
+    ],
+)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_full_stdout_is_one_line(unbuffered):
+@_STDOUT_RUNS
+def test_full_stdout_is_one_line(argv, unbuffered):
     # buffered, the write lands in the buffer and only the flush fails
     with open("/dev/full", "wb") as full:
-        code, err = _run_into(full, "verify", "--r", "3", unbuffered=unbuffered)
+        code, err = _run_into(full, *argv, unbuffered=unbuffered)
     assert (code, err) == (1, f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_pipe_stdout_is_one_line(unbuffered):
+@_STDOUT_RUNS
+def test_closed_pipe_stdout_is_one_line(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        code, err = _run_into(write_end, "verify", "--r", "3", unbuffered=unbuffered)
+        code, err = _run_into(write_end, *argv, unbuffered=unbuffered)
     finally:
         os.close(write_end)
     assert (code, err) == (1, f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n")

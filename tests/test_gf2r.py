@@ -242,6 +242,8 @@ def test_long_modulus_message_names_its_degree():
 # a repeated term would cancel under XOR, and int() reads some digit separators but not others
 _REPEATED = ("x^3+x^2+x^2+x+1", "x^3+x+1+1", "x+x^1", "x^03+x^3")
 _SEPARATED = ("0x1_3", "0b1_1", "x^1_0", "1_1")
+# int() also reads inner whitespace and non-ASCII digits (here Arabic-Indic three)
+_NON_ASCII = ("x^\t3+x+1", "x^\u0663+x+1", "0x\u0661\u0663", "1\u0663")
 
 
 def test_parse_poly():
@@ -250,7 +252,7 @@ def test_parse_poly():
     assert parse_poly("0b1011") == 0b1011
     assert parse_poly("11") == 11
     assert parse_poly("X^3 + 1") == 0b1001
-    for text in ("x^3+y", "0xZZ", "0b102", "1e3", "", "x^", "x^3+", "²", *_REPEATED, *_SEPARATED):
+    for text in ("x^3+y", "0xZZ", "0b102", "1e3", "", "x^", "x^3+", "²", *_REPEATED, *_SEPARATED, *_NON_ASCII):
         with pytest.raises(ValueError) as raised:
             parse_poly(text)
         assert str(raised.value) == f"invalid value: {text!r}"
