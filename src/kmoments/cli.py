@@ -48,7 +48,6 @@ ALL_B_MAX_R = 6  # irreducible_char_sum at every trace-one b, O(q^3); above, 2 s
 DUAL_WEIGHT_MAX_R = 8  # dual_weight_formula, dual_weight_halving: O(q); kept so verify's rows stay
 VERIFY_DISTRIBUTION_MAX_R = 6  # verify's full distribution: O(N sqrt(q)) Krawtchouk terms
 CARDINALITY_MAX_R = 8  # then distribution_cardinality by code_cardinality, O(q r)
-PLESS_MAX_H = 10  # pless_identity checks orders 0..min(--hmax, PLESS_MAX_H)
 
 
 # Every option of every command: name, default, the values it takes (int,
@@ -70,10 +69,12 @@ class _UsageError(Exception):
 
 
 def _ints(name: str, text: str, parts: list[str]) -> list[int]:
-    try:
-        return [int(part) for part in parts]
-    except ValueError:
-        raise ValueError(f"argument --{name}: invalid value: {text!r}") from None
+    # ASCII digits after an optional "-": int() would also read "٣", "+3", "1_1" and " 4"
+    for part in parts:
+        digits = part.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise _UsageError(f"argument --{name}: invalid value: {text!r}")
+    return [int(part) for part in parts]
 
 
 def _poly(name: str, text: str) -> int:
@@ -186,8 +187,7 @@ def cmd_moments(args: SimpleNamespace) -> int:
         # MK^h depends on r alone: one column, shared by every code
         brute = [kl.moment_bruteforce(ctx, h, table) for h in range(args.hmax + 1)]
         for i in args.code:
-            trace, _ = codes_mod.code_shape(i)
-            if not trace and r < 3:
+            if not codes_mod.code_length(ctx, i):
                 continue
             seq = mo.moment_sequence(ctx, i, args.hmax)
             for h in range(args.hmax + 1):
@@ -223,10 +223,10 @@ def cmd_weights(args: SimpleNamespace) -> int:
     blocks = []
     for r, ctx in args.contexts.items():
         for i in args.code:
-            trace, copies = codes_mod.code_shape(i)
-            if not trace and r < 2:
-                continue
             n = codes_mod.code_length(ctx, i)
+            if not n:
+                continue
+            _, copies = codes_mod.code_shape(i)
             j_max = n if args.jmax is None else min(args.jmax, n)
             if j_max == n and r > FULL_DISTRIBUTION_MAX_R:
                 raise _UsageError(
@@ -317,12 +317,12 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     full_distribution = r <= VERIFY_DISTRIBUTION_MAX_R
 
     for i in codes:
-        trace, copies = codes_mod.code_shape(i)
-        if not trace and r < 2:
+        n = codes_mod.code_length(ctx, i)
+        if not n:
             continue
+        trace, copies = codes_mod.code_shape(i)
         for name, ok, note in char_sums:
             yield i, name, ok, note
-        n = codes_mod.code_length(ctx, i)
         weights = codes_mod.dual_weights(ctx, i)
         dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
 
@@ -363,14 +363,11 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
             ok = codes_mod.code_cardinality(ctx, i) == expected_total
             yield i, "distribution_cardinality", ok, "via group-algebra count"
 
-        if trace or r >= 3:
-            pless = mo.pless_check(
-                ctx, i, min(h_max, PLESS_MAX_H), counts=dist, weights=weights
-            )
-            yield i, "pless_identity", all(equal for _, _, equal in pless), None
-            seq = mo.moment_sequence(ctx, i, h_max, counts=dist)
-            ok = all(seq[h] == brute[h] for h in range(h_max + 1))
-            yield i, "moment_recursion", ok, None
+        pless = mo.pless_check(ctx, i, h_max, counts=dist, weights=weights)
+        yield i, "pless_identity", all(equal for _, _, equal in pless), None
+        seq = mo.moment_sequence(ctx, i, h_max, counts=dist)
+        ok = all(seq[h] == brute[h] for h in range(h_max + 1))
+        yield i, "moment_recursion", ok, None
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
@@ -410,10 +407,7 @@ def _convert(name: str, kind, value: str):
             choices = ", ".join(map(repr, kind))
             raise _UsageError(f"argument --{name}: invalid choice: {value!r} (choose from {choices})")
         return value
-    try:
-        return kind(value)
-    except ValueError:
-        raise _UsageError(f"argument --{name}: invalid {kind.__name__} value: {value!r}") from None
+    return _ints(name, value, [value])[0] if kind is int else value
 
 
 def _option(arg: str, known: tuple[str, ...]) -> tuple[str | None, str | None] | None:

@@ -91,10 +91,11 @@ def code_shape(i: int) -> tuple[int, int]:
 
 
 def _check_code(ctx: FieldContext, i: int) -> None:
-    # codes 1 and 2 are admitted at r = 2; verify_dual_structure reports their kernel of size 2
-    trace, _ = code_shape(i)
-    if not trace and ctx.q < 4:
-        raise ValueError(f"code {i} needs q >= 4 (length would be {code_length(ctx, i)})")
+    # a code exists iff its length is positive: codes 1 and 2 from r = 2, where
+    # verify_dual_structure reports their kernel of size 2
+    n = code_length(ctx, i)
+    if not n:
+        raise ValueError(f"code {i} needs q >= 4 (length would be {n})")
 
 
 def code_length(ctx: FieldContext, i: int) -> int:
@@ -396,8 +397,8 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     Returns a JSON-ready report: orthogonality of every c_i(a) to the
     whole code, injectivity (with kernel size) of a -> c_i(a), and the
     cardinality product |dual image| * |code| = 2^length.  The dual map
-    is injective for i in {3, 4} at every r and for i in {1, 2} once
-    r >= 3; at r = 2 its kernel has size 2.
+    is injective for i in {3, 4} at every r and for i in {1, 2} from
+    r = 3 on; at r = 2 its kernel has size 2.
 
     Every value is a GF(2) rank of at most 2r rows of N bits: of the r
     parity rows H, of the r generators G = c_i(2^k) and of [H; G].  By

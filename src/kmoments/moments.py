@@ -4,9 +4,11 @@ The h-th moment MK^h = sum_a K(a)^h satisfies, for each of the four
 codes, a recursion expressing MK^h through MK^0..MK^(h-1) and the
 code's weight counts C_{i,j} for j <= h.  The recursions fall out of
 the Pless power moment identity applied to the dual codes, whose
-weights are the closed forms in :mod:`kmoments.codes`; codes 1 and 2
-require r >= 3 (where the dual map is injective), codes 3 and 4 work
-at every r.
+weights are the closed forms in :mod:`kmoments.codes`.  The identity
+holds for every code wherever it exists (codes 1 and 2 from r = 2,
+codes 3 and 4 at every r): at r = 2 the dual map of codes 1 and 2 is
+2-to-1, and both the sum over a and the weight counts count each dual
+word twice.
 
 Everything here is exact integer arithmetic: the leading terms are of
 order (q-1)^h or (q+1)^h and cancel down to O(q^(h/2+1)) results, so
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb, factorial
 
-from .codes import code_length, code_shape, dual_weights, weight_distribution
+from .codes import _check_code, code_length, code_shape, dual_weights, weight_distribution
 from .gf2r import FieldContext
 
 __all__ = [
@@ -71,9 +73,7 @@ def _pless_sums(h_max: int, n: int, dist) -> list[int]:
 
 
 def _check_moment_args(ctx: FieldContext, i: int, h: int) -> None:
-    trace, _ = code_shape(i)
-    if not trace and ctx.r < 3:
-        raise ValueError(f"the code-{i} recursion needs r >= 3, got r={ctx.r}")
+    _check_code(ctx, i)
     if h < 0:
         raise ValueError("moment order must be nonnegative")
 

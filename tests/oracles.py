@@ -216,6 +216,9 @@ def argparse_parser() -> argparse.ArgumentParser:
 
     ``parse_args`` gives a namespace with the command and every option,
     or raises ArgparseUsageError where argparse would print usage and exit.
+    It reads --hmax and --jmax with ``int()``, which also takes non-ASCII
+    digits, a "+", a "_" and surrounding spaces that the CLI refuses; the
+    argvs compared with it use ASCII digits only.
     """
     parser = _ArgparseParser(
         prog="kmoments",

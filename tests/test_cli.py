@@ -293,7 +293,9 @@ def test_moments_and_weights_build_no_dual_word_or_char_sum(capsys, monkeypatch,
 
 # -- usage errors -------------------------------------------------------------------
 
-# values int() cannot read, which the error names with their option
+# values no option reader takes, which the error names with their option; the
+# integer options take ASCII digits after an optional "-" only, where int()
+# would also read non-ASCII digits, a "+", a "_" or surrounding spaces
 _UNREADABLE = [
     ("moments", "--r", ""),
     ("moments", "--r", "3.."),
@@ -312,6 +314,14 @@ _UNREADABLE = [
     ("moments", "--r", "4", "--modulus", "0x1_3"),
     ("moments", "--r", "3", "--modulus", "1\u0663"),
     ("moments", "--r", "3", "--b", "x^\u0663"),
+    ("moments", "--r", "\u0663"),
+    ("moments", "--r", "\uff13"),
+    ("moments", "--r", "1_1"),
+    ("moments", "--r", "+3"),
+    ("moments", "--r", "3.. 4"),
+    ("moments", "--r", "3", "--code", " 4"),
+    ("moments", "--r", "3", "--hmax", "\u0661"),
+    ("weights", "--r", "3", "--jmax", "0_1"),
 ]
 
 
@@ -565,8 +575,8 @@ GOLDEN_CASES = pytest.mark.parametrize(
         # --code order and de-duplication, codes 1 and 2 from r = 3, --jmax truncation
         ("moments_codes", ("moments", "--r", "3..5", "--code", "4,1", "--hmax", "6")),
         ("weights_codes", ("weights", "--r", "3..4", "--code", "3,1,3", "--jmax", "5")),
-        # below r = 3: codes 1 and 2 skipped by moments at r = 1, 2 and by
-        # weights and verify at r = 1, and no kloosterman_mod4 row at r = 1
+        # below r = 3: codes 1 and 2 skipped at r = 1, where they are empty,
+        # run at r = 2 with their 2-to-1 dual map, and no kloosterman_mod4 row at r = 1
         ("moments_r1_3", ("moments", "--r", "1..3", "--hmax", "3")),
         ("weights_r1", ("weights", "--r", "1")),
         ("verify_r1", ("verify", "--r", "1", "--hmax", "3")),

@@ -111,7 +111,6 @@ PROBES = {
         "distribution_palindrome" in _verify_rows(capsys, r)
     ),
     "CARDINALITY_MAX_R": lambda capsys, mp, r: "distribution_cardinality" in _verify_rows(capsys, r),
-    "PLESS_MAX_H": lambda capsys, mp, h: _pless_orders(capsys, mp, h),
 }
 
 
@@ -130,6 +129,11 @@ def test_limit_bounds_its_run(name, capsys, monkeypatch):
     assert not probe(capsys, monkeypatch, limit + 1)
     monkeypatch.setattr(cli, name, limit - 1)
     assert not probe(capsys, monkeypatch, limit)
+
+
+def test_verify_checks_pless_to_hmax(capsys, monkeypatch):
+    # pless_identity covers every order --hmax asks for, as moment_recursion does
+    assert _pless_orders(capsys, monkeypatch, 12)
 
 
 def test_enumeration_reads_the_library_budget(capsys, monkeypatch):

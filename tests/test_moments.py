@@ -111,13 +111,25 @@ def test_recursion_small_fields_codes_34(r, i, contexts, tables):
         assert seq[h] == moment_bruteforce(ctx, h, tables[r])
 
 
-def test_codes_12_require_degree_3():
-    ctx = build_field(2)
+def test_codes_12_run_wherever_they_exist():
+    # at r = 2 the dual map of codes 1 and 2 is 2-to-1; the Pless sum over a
+    # and the weight counts both count each dual word twice, so both hold
+    canonical = build_field(2)
+    trace_one = [b for b in canonical.elements() if canonical.trace_table[b]]
+    assert len(trace_one) == 2
+    for b in trace_one:
+        ctx = build_field(2, b=b)
+        table = kloosterman_table(ctx)
+        brute = tuple(moment_bruteforce(ctx, h, table) for h in range(11))
+        for i in (1, 2):
+            assert moment_sequence(ctx, i, 10) == brute, (b, i)
+            assert all(equal for _, _, equal in pless_check(ctx, i, 10)), (b, i)
+    # at r = 1 codes 1 and 2 have length 0: no code, no recursion
     for i in (1, 2):
-        with pytest.raises(ValueError, match="r >= 3"):
-            moment_sequence(ctx, i, 2)
-        with pytest.raises(ValueError, match="r >= 3"):
-            pless_check(ctx, i, 1)
+        with pytest.raises(ValueError, match="needs q >= 4"):
+            moment_sequence(build_field(1), i, 2)
+        with pytest.raises(ValueError, match="needs q >= 4"):
+            pless_check(build_field(1), i, 1)
 
 
 def test_recursion_argument_validation(ctx3):

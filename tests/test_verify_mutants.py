@@ -34,6 +34,26 @@ def _shift_k1(shift):
     return lambda mp: _edit_k_table(mp, edit)
 
 
+def _k1_past_weil(mp):
+    # the least k = 3 mod 4 with k^2 > 4q: K(1) leaves the Weil bound, keeps mod 4
+    def edit(ctx, table):
+        k = 3
+        while k * k <= 4 * ctx.q:
+            k += 4
+        table[1] = k
+
+    _edit_k_table(mp, edit)
+
+
+def _swap_k1_first_other(mp):
+    # K(a) at the first a with K(a) != K(1): a and a^2 then disagree
+    def edit(ctx, table):
+        a = next(a for a in ctx.nonzero() if table[a] != table[1])
+        table[1], table[a] = table[a], table[1]
+
+    _edit_k_table(mp, edit)
+
+
 def _swap_k1_kg(mp):
     # 1 is fixed by the Frobenius map and the primitive element g is not
     def edit(ctx, table):
@@ -111,6 +131,8 @@ MUTANTS = {
     "K(1) - 4": _shift_k1(-4),
     "K(1) + 2": _shift_k1(2),
     "swap K(1), K(g)": _swap_k1_kg,
+    "K(1) past the Weil bound": _k1_past_weil,
+    "swap K(1) and the first K(a) != K(1)": _swap_k1_first_other,
     "flip a bit in _rows": _edit_rows("_rows", _flip_bit),
     "flip a bit in G": _edit_rows("_generator_rows", _flip_bit),
     "zero a row of G": _edit_rows("_generator_rows", _zero_row),
@@ -120,11 +142,11 @@ MUTANTS = {
     "swap C_3, C_4": _swap_c3_c4,
 }
 
-# check name -> the mutants that fail it at some r in 1..8
+# check name -> the mutants that fail it at some r of the parametrised test below
 REGISTRY = {
-    "kloosterman_weil_bound": ("K(1) + 4", "K(1) - 4"),
+    "kloosterman_weil_bound": ("K(1) + 4", "K(1) - 4", "K(1) past the Weil bound"),
     "kloosterman_mod4": ("K(1) + 2",),
-    "kloosterman_frobenius": ("swap K(1), K(g)",),
+    "kloosterman_frobenius": ("swap K(1), K(g)", "swap K(1) and the first K(a) != K(1)"),
     "moment_first": ("K(1) + 4", "K(1) - 4", "K(1) + 2"),
     "split_char_sum": ("K(1) + 4", "K(1) - 4", "swap K(1), K(g)"),
     "irreducible_char_sum": ("K(1) + 4", "K(1) - 4", "swap K(1), K(g)"),
@@ -162,11 +184,13 @@ def test_every_check_name_has_a_mutant(capsys):
 
 
 # r = 2 is the one r with dual_map_kernel rows.  r = 1 is left out: with one
-# nonzero element there is no K(g) to swap.  r = 9 and 12 are left out: there
-# K(1) +- 4 stays inside the Weil bound, and at r = 12 K(1) = K(g), so the swap
-# moves nothing.  A permutation of the K table, such as ROADMAP item 2's orbit
-# swap, passes every row there.
-@pytest.mark.parametrize("r", [2, 3, 8])
+# nonzero element there is no K(a) to swap.  At r = 9 and 12 K(1) +- 4 stays
+# inside the Weil bound, so K(1) past the bound fails kloosterman_weil_bound;
+# at r = 12 K(1) = K(g), so the swap with the first other value fails
+# kloosterman_frobenius.  A permutation of the K table that respects the
+# Frobenius orbits, such as ROADMAP item 2's orbit swap, still passes every
+# row above r = 8.
+@pytest.mark.parametrize("r", [2, 3, 8, 9, 12])
 def test_every_check_fails_under_one_of_its_mutants(capsys, monkeypatch, r):
     clean = _results(capsys, r)
     assert all(row["passed"] for row in clean)
