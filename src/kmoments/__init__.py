@@ -5,12 +5,11 @@ integer arithmetic with brute-force oracles for verification."""
 from .gf2r import FieldContext, build_field, irreducible_polys, parse_poly, poly_str
 from .kloosterman import (
     irreducible_quadratic_char_sum,
-    irreducible_quadratic_char_sums,
     kloosterman_sum,
     kloosterman_table,
     moment_bruteforce,
+    quadratic_char_sums,
     split_quadratic_char_sum,
-    split_quadratic_char_sums,
 )
 from .codes import (
     CODE_INDICES,
@@ -43,8 +42,7 @@ __all__ = [
     "moment_bruteforce",
     "split_quadratic_char_sum",
     "irreducible_quadratic_char_sum",
-    "split_quadratic_char_sums",
-    "irreducible_quadratic_char_sums",
+    "quadratic_char_sums",
     "CODE_INDICES",
     "build_vector",
     "code_length",

@@ -46,7 +46,7 @@ import sys
 from array import array
 from collections import Counter
 
-from .gf2r import FieldContext
+from .gf2r import FieldContext, _check_int
 
 __all__ = [
     "CODE_INDICES",
@@ -290,6 +290,7 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
     Krawtchouk terms per distinct weight, of which there are O(sqrt(q)).
     """
     _check_code(ctx, i)
+    _check_int("j_max", j_max, optional=True)
     n = code_length(ctx, i)
     if j_max is None:
         j_max = n

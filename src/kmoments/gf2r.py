@@ -32,6 +32,13 @@ __all__ = [
 MAX_DEGREE = 16
 
 
+def _check_int(name: str, value, optional: bool = False) -> None:
+    """Refuse an argument of any type but int (None too, unless ``optional``)."""
+    # True passes a range test as 1, and 3.0 equals 3 but indexes no table
+    if type(value) is not int and not (optional and value is None):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def polymod(a: int, b: int) -> int:
     """Remainder of carry-less division of GF(2)[x] polynomial a by b != 0."""
     bl = b.bit_length()
@@ -133,6 +140,9 @@ class FieldContext:
     """
 
     def __init__(self, r: int, modulus: int | None = None, b: int | None = None):
+        _check_int("r", r)
+        _check_int("modulus", modulus, optional=True)
+        _check_int("b", b, optional=True)
         if not 1 <= r <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}, got {r}")
         if modulus is None:
@@ -158,12 +168,16 @@ class FieldContext:
         qm1 = self.q - 1
         self.inv_table = (0,) + tuple(self.exp[qm1 - self.log[x]] for x in range(1, self.q))
         self.trace_table = self._build_trace_table()
-        self.theta = tuple(sorted({self.mul(a, a) ^ a for a in range(self.q)}))
-        if len(self.theta) != self.q // 2 or self.theta[0] != 0:
+        # x^2 + x maps onto the kernel of the trace: a wrong product or trace table breaks that
+        image = {self.mul(a, a) ^ a for a in range(self.q)}
+        zeros = {x for x, t in enumerate(self.trace_table) if not t}
+        if image != zeros:
+            x = min(image ^ zeros)
             raise ArithmeticError(
-                f"x^2 + x takes {len(self.theta)} values, least {self.theta[0]}; "
-                f"need q/2 = {self.q // 2}, least 0"
+                f"the image of x^2 + x ({len(image)} values) is not the trace-zero set "
+                f"({len(zeros)} values): {x:#x} is {'in the image' if x in image else 'of trace 0'} only"
             )
+        self.theta = tuple(sorted(image))
 
         if b is None:
             b = self.trace_table.index(1)

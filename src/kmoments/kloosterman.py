@@ -21,19 +21,22 @@ nonzero trace-zero elements, so sum_t u(t) = q/2 - 1 and
 All c_s come from one exact bigint square (Kronecker substitution); the
 literal :func:`kloosterman_sum` stays as the per-a oracle.
 
-Two further character sums are provided, with quadratic denominators
-that are split (x^2 + x) or irreducible (x^2 + x + b, trace-one b).
-They evaluate to K(a) - 1 and -K(a) - 1 respectively, which is the
-identity underlying the dual-codeword weights in :mod:`kmoments.codes`.
-``split_quadratic_char_sums`` and ``irreducible_quadratic_char_sums``
-give every a at once, as a row indexed by a.  The character row
-f(t) = lambda(g^t) over two periods of ``ctx.exp`` is built once, and so
-is the list of q-1 - log d(alpha) over the denominators d(alpha); the
-term lambda(a/d) is then f(log a + q-1 - log d), so the sum for one a is
-one ``operator.itemgetter`` call over f[log a:] and one ``sum``, both in
-C.  Every term is still a literal lookup: the rows read no K value and
-do no convolution, so they stay independent of ``kloosterman_table``.
-The per-a functions are their oracles.
+The two further character sums of the paper have quadratic
+denominators, split (x^2 + x over alpha outside {0, 1}) or irreducible
+(x^2 + x + b over every alpha, tr(b) = 1).  Both are one family in b:
+summed over the alpha with alpha^2 + alpha + b != 0, lambda(a/(alpha^2 +
+alpha + b)) gives (-1)^tr(b) K(a) - 1 for every b, which is the identity
+underlying the dual-codeword weights in :mod:`kmoments.codes`.  The
+denominator takes each value d in b + theta at exactly two alpha, alpha
+and alpha + 1, so ``quadratic_char_sums`` gives every a at once as twice
+a sum over the nonzero d: b = 0 is the split row, a trace-one b the
+irreducible row.  With f(t) = lambda(g^t) over two periods of ``ctx.exp``
+and n_d = q-1 - log d, the term lambda(a/d) is f(log a + n_d), so the
+sum for one a is one ``operator.itemgetter`` call over f[log a:] and one
+``sum``, both in C.  Every term is still a literal lookup: the row reads
+no K value and does no convolution, so it stays independent of
+``kloosterman_table``.  The per-a functions, literal sums over every
+alpha, are its oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import sys
 from array import array
 from operator import itemgetter
 
-from .gf2r import FieldContext
+from .gf2r import FieldContext, _check_int
 
 __all__ = [
     "kloosterman_sum",
@@ -50,8 +53,7 @@ __all__ = [
     "moment_bruteforce",
     "split_quadratic_char_sum",
     "irreducible_quadratic_char_sum",
-    "split_quadratic_char_sums",
-    "irreducible_quadratic_char_sums",
+    "quadratic_char_sums",
 ]
 
 # bytes per coefficient slot of the packed convolution.  Every linear
@@ -70,8 +72,6 @@ def _check_a(ctx: FieldContext, a: int) -> None:
 def _check_b(ctx: FieldContext, b: int) -> None:
     if type(b) is not int or b not in ctx.elements():
         raise ValueError(f"b must be a field element in 0..{ctx.q - 1}, got {b}")
-    if ctx.trace_table[b] != 1:
-        raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
 
 
 def kloosterman_sum(ctx: FieldContext, a: int) -> int:
@@ -124,6 +124,7 @@ def kloosterman_table(ctx: FieldContext) -> tuple[int | None, ...]:
 
 def moment_bruteforce(ctx: FieldContext, h: int, table: tuple[int | None, ...]) -> int:
     """sum over nonzero a of K(a)^h, exact (h >= 0), from ``kloosterman_table(ctx)``."""
+    _check_int("h", h)
     if h < 0:
         raise ValueError("moment order must be nonnegative")
     if len(table) != ctx.q:
@@ -157,6 +158,8 @@ def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
     """
     _check_a(ctx, a)
     _check_b(ctx, b)
+    if ctx.trace_table[b] != 1:
+        raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
     trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
@@ -167,39 +170,23 @@ def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
     )
 
 
-def _char_sum_row(ctx: FieldContext, denominators) -> list[int | None]:
-    """Entry a is the sum over d in ``denominators`` of lambda(a/d); entry 0 is None.
+def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
+    """Sum of lambda(a/(alpha^2 + alpha + b)) over the alpha where it is defined, at every a.
 
+    A list indexed by a, entry 0 None; any field element b is taken.
+    Entry a is (-1)^tr(b) K(a) - 1: b = 0 gives
+    ``split_quadratic_char_sum`` and a trace-one b
+    ``irreducible_quadratic_char_sum``, its oracles.  alpha and alpha + 1
+    give the same denominator, and the denominators are the nonzero d
+    in b + theta, so entry a is twice the sum of lambda(a/d) over them.
     With row[t] = lambda(g^t) over the two periods of ``ctx.exp`` and
-    n_d = q-1 - log d, the term for d is row[log a + n_d].  So the sum
-    for a is one ``itemgetter`` of every n_d over row[log a:], and each
-    term is still a literal lookup of lambda(a/d): no K value is read.
-    """
-    trace, log = ctx.trace_table, ctx.log
-    row = [1 - 2 * trace[x] for x in ctx.exp]
-    neg = [ctx.q - 1 - log[d] for d in denominators]
-    # itemgetter of one index returns the item, not a 1-tuple
-    terms = itemgetter(*neg) if len(neg) > 1 else lambda s: [s[n] for n in neg]
-    return [None] + [sum(terms(row[la:])) for la in log[1:]]
-
-
-def split_quadratic_char_sums(ctx: FieldContext) -> list[int | None]:
-    """``split_quadratic_char_sum`` at every nonzero a, as a list indexed by a.
-
-    The same terms, a/(alpha^2 + alpha) for alpha outside {0, 1}, summed
-    for each a by :func:`_char_sum_row`; the per-a sum is its oracle.
-    """
-    exp, log = ctx.exp, ctx.log
-    return _char_sum_row(ctx, [exp[2 * log[alpha]] ^ alpha for alpha in range(2, ctx.q)])
-
-
-def irreducible_quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
-    """``irreducible_quadratic_char_sum`` at every nonzero a, as a list indexed by a.
-
-    The same terms, a/(alpha^2 + alpha + b) for every alpha, summed for
-    each a by :func:`_char_sum_row`; the per-a sum is its oracle.
+    n_d = q-1 - log d, the term for d is row[log a + n_d]: the sum for a
+    is one ``itemgetter`` of every n_d over row[log a:].
     """
     _check_b(ctx, b)
-    exp, log = ctx.exp, ctx.log
-    denominators = [exp[2 * log[alpha]] ^ alpha ^ b for alpha in range(1, ctx.q)]
-    return _char_sum_row(ctx, [b, *denominators])
+    trace, log = ctx.trace_table, ctx.log
+    row = [1 - 2 * trace[x] for x in ctx.exp]
+    neg = [ctx.q - 1 - log[t ^ b] for t in ctx.theta if t != b]
+    # itemgetter of one index returns the item, not a 1-tuple, and of none raises
+    terms = itemgetter(*neg) if len(neg) > 1 else lambda s: [s[n] for n in neg]
+    return [None] + [2 * sum(terms(row[la:])) for la in log[1:]]

@@ -22,7 +22,7 @@ from collections import Counter
 from math import comb, factorial
 
 from .codes import _check_code, code_length, code_shape, dual_weights, weight_distribution
-from .gf2r import FieldContext
+from .gf2r import FieldContext, _check_int
 
 __all__ = [
     "stirling2_explicit",
@@ -39,6 +39,8 @@ def _next_stirling2_row(row: list[int]) -> list[int]:
 
 def stirling2_explicit(h: int, t: int) -> int:
     """Stirling number via the alternating binomial sum (cross-check route)."""
+    _check_int("h", h)
+    _check_int("t", t)
     if t < 0 or t > h:
         return 0
     total = sum((-1) ** (t - j) * comb(t, j) * j**h for j in range(t + 1))
@@ -72,9 +74,10 @@ def _pless_sums(h_max: int, n: int, dist) -> list[int]:
     return sums
 
 
-def _check_moment_args(ctx: FieldContext, i: int, h: int) -> None:
+def _check_moment_args(ctx: FieldContext, i: int, h_max: int) -> None:
     _check_code(ctx, i)
-    if h < 0:
+    _check_int("h_max", h_max)
+    if h_max < 0:
         raise ValueError("moment order must be nonnegative")
 
 

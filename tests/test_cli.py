@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from kmoments import cli
+from kmoments import build_field, cli
 from kmoments.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -63,6 +63,19 @@ def test_moments_mismatch_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "moments", "--r", "3", "--hmax", "1", "--code", "1", "--format", "json")
     assert code == 2
     assert not json.loads(out)["rows"][0]["match"]
+
+
+def test_a_guard_failing_while_fields_are_built_exits_2(capsys, monkeypatch):
+    import kmoments.gf2r as gf2r
+
+    # a field product that is always 0: x^2 + x = x takes all 8 values
+    monkeypatch.setattr(gf2r.FieldContext, "mul", lambda self, x, y: 0)
+    code, out, err = run(capsys, "moments", "--r", "3")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: ArithmeticError: the image of x^2 + x (8 values) is not the trace-zero set "
+        "(4 values): 0x1 is in the image only"
+    ]
 
 
 # -- weights ----------------------------------------------------------------------
@@ -220,8 +233,7 @@ def _per_a_targets():
 
     # moments imports dual_weights by name, so pless_check calls it there
     return [
-        (kl, "split_quadratic_char_sums"),
-        (kl, "irreducible_quadratic_char_sums"),
+        (kl, "quadratic_char_sums"),
         (kl, "split_quadratic_char_sum"),
         (kl, "irreducible_quadratic_char_sum"),
         (kl, "kloosterman_sum"),
@@ -244,12 +256,17 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     ]
     calls = _count_calls(monkeypatch, _per_a_targets())
     built = _count_calls(monkeypatch, shared)
+    seen = []
+    counted = kl.quadratic_char_sums
+    monkeypatch.setattr(kl, "quadratic_char_sums", lambda ctx, b: seen.append(b) or counted(ctx, b))
     code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
     assert code == 0
-    # for all four codes: one split row over the q - 1 = 63 values of a, and
-    # one irreducible row per trace-one b (32 of them); no per-a sum
-    assert calls["split_quadratic_char_sums"] == 1
-    assert calls["irreducible_quadratic_char_sums"] == 32
+    # for all four codes: one split row (b = 0) over the q - 1 = 63 values of a,
+    # and one irreducible row per trace-one b (32 of them); no per-a sum
+    assert calls["quadratic_char_sums"] == 33
+    ctx = build_field(6)
+    assert seen.count(0) == 1
+    assert sorted(b for b in seen if b) == [b for b in ctx.elements() if ctx.trace_table[b] == 1]
     assert calls["split_quadratic_char_sum"] == 0
     assert calls["irreducible_quadratic_char_sum"] == 0
     assert calls["kloosterman_sum"] == 0

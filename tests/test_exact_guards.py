@@ -96,7 +96,17 @@ GUARDS = {
         "import kmoments.gf2r as gf2r\n"
         "gf2r.FieldContext.mul = lambda self, x, y: 0\n"
         "build_field(3)\n",
-        "x^2 + x takes 8 values, least 0; need q/2 = 4, least 0",
+        "the image of x^2 + x (8 values) is not the trace-zero set (4 values): 0x1 is in the image only",
+    ),
+    # bit 0 of the trace mask flipped: tr(v) gains v & 1, a linear form with another kernel
+    "field_trace_theta": (
+        "import kmoments.gf2r as gf2r\n"
+        "real = gf2r.FieldContext._build_trace_table\n"
+        "gf2r.FieldContext._build_trace_table = lambda self: bytes(\n"
+        "    t ^ (v & 1) for v, t in enumerate(real(self))\n"
+        ")\n"
+        "build_field(8)\n",
+        "the image of x^2 + x (128 values) is not the trace-zero set (128 values): 0x1 is in the image only",
     ),
     # a reducible modulus let through: x^4 = 1 modulo x^3+x^2+x+1, so x^7 = x^3
     "field_exp_cycle": (

@@ -14,12 +14,11 @@ from kmoments.codes import dual_codeword
 from kmoments.gf2r import irreducible_polys
 from kmoments.kloosterman import (
     irreducible_quadratic_char_sum,
-    irreducible_quadratic_char_sums,
     kloosterman_sum,
     kloosterman_table,
     moment_bruteforce,
+    quadratic_char_sums,
     split_quadratic_char_sum,
-    split_quadratic_char_sums,
 )
 
 import oracles
@@ -246,11 +245,11 @@ def test_char_sums_equal_mul_inverse_oracles(r, contexts):
 
 
 def _assert_rows_equal_per_a_sums(ctx, bs):
-    assert split_quadratic_char_sums(ctx)[1:] == [
+    assert quadratic_char_sums(ctx, 0)[1:] == [
         split_quadratic_char_sum(ctx, a) for a in ctx.nonzero()
     ]
     for b in bs:
-        assert irreducible_quadratic_char_sums(ctx, b)[1:] == [
+        assert quadratic_char_sums(ctx, b)[1:] == [
             irreducible_quadratic_char_sum(ctx, a, b) for a in ctx.nonzero()
         ], b
 
@@ -272,26 +271,40 @@ def test_char_sum_rows_equal_the_per_a_sums_any_representation(data, r):
     _assert_rows_equal_per_a_sums(ctx, [data.draw(st.sampled_from(trace_one), label="b")])
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_char_sum_row_identity_at_every_b(r, contexts, tables):
+    # the denominators alpha^2 + alpha + b, b of either trace, give (-1)^tr(b) K(a) - 1
+    ctx, table = contexts[r], tables[r]
+    for b in ctx.elements():
+        sign = 1 - 2 * ctx.trace_table[b]
+        assert quadratic_char_sums(ctx, b) == [None] + [sign * table[a] - 1 for a in ctx.nonzero()], b
+
+
 def test_char_sum_rows_index_by_a_and_check_b(ctx3):
-    assert split_quadratic_char_sums(ctx3)[:4] == [None, -6, split_quadratic_char_sum(ctx3, 2), 2]
-    assert irreducible_quadratic_char_sums(ctx3, 1)[1] == 4
-    with pytest.raises(ValueError, match="trace 1"):
-        irreducible_quadratic_char_sums(ctx3, 2)
+    assert quadratic_char_sums(ctx3, 0)[:4] == [None, -6, split_quadratic_char_sum(ctx3, 2), 2]
+    assert quadratic_char_sums(ctx3, 1)[1] == 4
+    # tr(2) = 0 at r = 3: b + theta is theta, so the row is the split one
+    assert ctx3.trace_table[2] == 0
+    assert quadratic_char_sums(ctx3, 2) == quadratic_char_sums(ctx3, 0)
 
 
 def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
+    import copy
+
     import kmoments.cli as cli
     import kmoments.kloosterman as kl
 
-    real = kl._char_sum_row
+    real = kl.quadratic_char_sums
 
-    def neighbour(ctx, denominators):
-        # the first denominator d becomes g d, its neighbour in exp order
-        # (its neighbour in alpha order is d itself, as d(alpha) = d(alpha + 1))
-        d, *rest = denominators
-        return real(ctx, [ctx.exp[ctx.log[d] + 1], *rest])
+    def neighbour(ctx, b):
+        # the least nonzero t in theta becomes g t, its neighbour in exp order,
+        # so the denominator b + t of the row moves to b + g t
+        moved = copy.copy(ctx)
+        t = ctx.theta[1]
+        moved.theta = (0, ctx.exp[ctx.log[t] + 1], *ctx.theta[2:])
+        return real(moved, b)
 
-    monkeypatch.setattr(kl, "_char_sum_row", neighbour)
+    monkeypatch.setattr(kl, "quadratic_char_sums", neighbour)
     assert cli.main(["verify", "--r", "3..4", "--hmax", "2"]) == 2
     lines = capsys.readouterr().out.splitlines()
     for r in (3, 4):
@@ -314,7 +327,7 @@ _BY_ELEMENT = {
     "split_quadratic_char_sum": lambda ctx, x: split_quadratic_char_sum(ctx, x),
     "irreducible_quadratic_char_sum:a": lambda ctx, x: irreducible_quadratic_char_sum(ctx, x, ctx.b),
     "irreducible_quadratic_char_sum:b": lambda ctx, x: irreducible_quadratic_char_sum(ctx, 1, x),
-    "irreducible_quadratic_char_sums:b": lambda ctx, x: irreducible_quadratic_char_sums(ctx, x),
+    "quadratic_char_sums:b": lambda ctx, x: quadratic_char_sums(ctx, x),
     "dual_codeword:a": lambda ctx, x: dual_codeword(ctx, 1, x),
 }
 

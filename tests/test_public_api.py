@@ -1,5 +1,5 @@
-"""The public names: every ``__all__`` entry resolves once, and the README's
-library example prints what it says it does."""
+"""The public names: every ``__all__`` entry resolves once, the integer arguments refuse
+other types, and the README's library example prints what it says it does."""
 
 import importlib
 import re
@@ -8,6 +8,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import kmoments
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["kmoments"] + [f"kmoments.{p.stem}" for p in sorted((ROOT / "src" / "kmoments").glob("[!_]*.py"))]
@@ -53,3 +55,33 @@ def test_readme_library_example_shows_the_real_reprs():
             assert repr(namespace[match[1]]) == match[2], line
             checked += 1
     assert checked >= 2
+
+
+# argument -> calls that pass x as that argument; each refuses any type but int
+_INT_ARGUMENTS = {
+    "r": [lambda x: kmoments.build_field(x)],
+    "modulus": [lambda x: kmoments.build_field(3, modulus=x)],
+    "b": [lambda x: kmoments.build_field(3, b=x)],
+    "j_max": [lambda x: kmoments.weight_distribution(kmoments.build_field(3), 4, j_max=x)],
+    "h_max": [
+        lambda x: kmoments.moment_sequence(kmoments.build_field(3), 4, x),
+        lambda x: kmoments.pless_check(kmoments.build_field(3), 4, x),
+    ],
+    "h": [
+        lambda x: kmoments.moment_bruteforce(
+            kmoments.build_field(3), x, kmoments.kloosterman_table(kmoments.build_field(3))
+        ),
+        lambda x: kmoments.stirling2_explicit(x, 1),
+    ],
+    "t": [lambda x: kmoments.stirling2_explicit(3, x)],
+}
+
+
+@pytest.mark.parametrize("x", [True, 3.0, 11.0, "3"])
+@pytest.mark.parametrize("name", _INT_ARGUMENTS)
+def test_integer_arguments_refuse_other_types(name, x):
+    # unchecked, True ran as 1 (r = True, j_max = True gave (1, 0)), 2.0 gave a float
+    # moment, and 3.0 or 11.0 as r, modulus or b raised a bare TypeError or AttributeError
+    for call in _INT_ARGUMENTS[name]:
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {re.escape(repr(x))}$"):
+            call(x)
