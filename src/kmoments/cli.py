@@ -231,7 +231,8 @@ def cmd_weights(args: SimpleNamespace) -> int:
             j_max = n if args.jmax is None else min(args.jmax, n)
             if j_max == n and r > FULL_DISTRIBUTION_MAX_R:
                 raise _UsageError(
-                    f"full distribution at r={r} is too large; pass --jmax to truncate"
+                    f"full distribution of code {i} at r={r} is too large (N = {n}); "
+                    f"pass --jmax below {n}"
                 )
             dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
             block = {
@@ -291,7 +292,9 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     under each code (one ``quadratic_char_sums`` row over every a at
     b = 0, and one per trace-one b).  The field rows come first, under code None.
     Once per code: the q dual weights, the weight distribution and the
-    dual-structure report, each shared by every row that reads it.
+    dual-structure report, each shared by every row that reads it.  At
+    r = 7..8 the distribution stops at h_max, and the cardinality row's
+    ``code_cardinality`` runs the Walsh-Hadamard histogram a second time.
     """
     r, q = ctx.r, ctx.q
     table = kl.kloosterman_table(ctx)

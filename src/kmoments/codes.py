@@ -42,11 +42,9 @@ nullspace basis.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 
-from .gf2r import FieldContext, _check_int
+from .gf2r import FieldContext, _check_int, _unpack_slots
 
 __all__ = [
     "CODE_INDICES",
@@ -134,8 +132,7 @@ def is_codeword(ctx: FieldContext, i: int, u) -> bool:
         raise ValueError(f"word length {len(u)} != code length {len(v)}")
     acc = 0
     for bit, entry in zip(u, v):
-        if bit not in (0, 1):
-            raise ValueError(f"word entries must be 0 or 1, got {bit!r}")
+        _check_int("word entry", bit, 0, 1)
         if bit:
             acc ^= entry
     return acc == 0
@@ -147,9 +144,8 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> tuple[int, ...]:
     Its weight is pinned down by K(a) (``dual_weight_closed_form``).
     """
     _check_code(ctx, i)
+    _check_int("a", a, 0, ctx.q - 1)
     v = _vector(ctx, i)
-    if type(a) is not int or a not in ctx.elements():
-        raise ValueError(f"a must be a field element in 0..{ctx.q - 1}, got {a}")
     if a == 0:
         return (0,) * len(v)
     tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
@@ -189,6 +185,8 @@ def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
 
 def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
     """wt(c_i(a)) over GF(q) as num / den, given k = K(a); den divides num if k is true."""
+    _check_int("q", q, 2)
+    _check_int("k", k)
     trace, copies = code_shape(i)
     return (q + 1 + k if trace else q - 1 - k), 4 // copies
 
@@ -246,14 +244,13 @@ def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
     with M_h and B_h from ``_wht_stages``.  Each slot of the two terms
     ends in range, so the exact integer sums leave every value in its
     own slot, whatever carries or borrows happen on the way.  The slots
-    are read back with one ``array``, and two invariants are checked:
+    are read back by ``gf2r._unpack_slots``, and two invariants are checked:
     F(0) = N, and sum_u F(u) = q f[0] = 0, since no entry of vector i is
     zero.  The list butterfly is the oracle in the tests.
     """
     q, n = ctx.q, code_length(ctx, i)
     width = next((w for w in _WHT_SLOT_BYTES if n < 1 << (8 * w - 1)), None)
-    typecode = next((t for t in "BHILQ" if array(t).itemsize == width), None)
-    if typecode is None:
+    if width is None:
         raise ArithmeticError(f"no slot of {_WHT_SLOT_BYTES} bytes holds transform values up to {n}")
     bias = 1 << (8 * width - 1)
     _, copies = code_shape(i)
@@ -266,9 +263,7 @@ def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
         lo = x & mask
         hi = (x >> shift) & mask
         x = (lo + hi - stage_bias) | ((lo - hi + stage_bias) << shift)
-    values = array(typecode, x.to_bytes(q * width, "little"))
-    if sys.byteorder == "big":
-        values.byteswap()
+    values = _unpack_slots(x, q, width)
     if values[0] - bias != n or sum(values) != q * bias:
         raise ArithmeticError(
             f"transform gives F(0) = {values[0] - bias} and sum F = {sum(values) - q * bias}, "
@@ -290,12 +285,10 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
     Krawtchouk terms per distinct weight, of which there are O(sqrt(q)).
     """
     _check_code(ctx, i)
-    _check_int("j_max", j_max, optional=True)
     n = code_length(ctx, i)
     if j_max is None:
         j_max = n
-    if not 0 <= j_max <= n:
-        raise ValueError(f"j_max must be in 0..{n}, got {j_max}")
+    _check_int("j_max", j_max, 0, n)
     totals = [0] * (j_max + 1)
     for w, count in _dual_weight_histogram(ctx, i).items():
         # (j+1) K_{j+1} = (N-2w) K_j - (N-j+1) K_{j-1}, K_0 = 1, K_1 = N-2w

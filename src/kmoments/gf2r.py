@@ -20,6 +20,9 @@ built downstream is invariant under the choice.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 __all__ = [
     "FieldContext",
     "build_field",
@@ -32,11 +35,31 @@ __all__ = [
 MAX_DEGREE = 16
 
 
-def _check_int(name: str, value, optional: bool = False) -> None:
-    """Refuse an argument of any type but int (None too, unless ``optional``)."""
+def _check_int(name: str, value, lo=None, hi=None, optional: bool = False) -> None:
+    """Refuse an argument of any type but int, or an int outside lo..hi.
+
+    Both bounds are inclusive; hi is given only with lo.  None is
+    refused too, unless ``optional``.  A wrong type and a value out of
+    range get the same message: ``<name> must be an int``, then
+    `` in <lo>..<hi>`` or `` >= <lo>`` if bounded, then ``, got <repr>``.
+    """
+    if optional and value is None:
+        return
     # True passes a range test as 1, and 3.0 equals 3 but indexes no table
-    if type(value) is not int and not (optional and value is None):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+    if type(value) is not int or lo is not None and value < lo or hi is not None and value > hi:
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise ValueError(f"{name} must be an int{bounds}, got {value!r}")
+
+
+def _unpack_slots(value: int, count: int, width: int) -> array:
+    """The ``count`` little-endian ``width``-byte slots of ``value`` >= 0, as an unsigned array."""
+    typecode = next((t for t in "BHILQ" if array(t).itemsize == width), None)
+    if typecode is None:
+        raise ArithmeticError(f"no array typecode has {width}-byte items")
+    slots = array(typecode, value.to_bytes(count * width, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
 
 
 def polymod(a: int, b: int) -> int:
@@ -140,17 +163,13 @@ class FieldContext:
     """
 
     def __init__(self, r: int, modulus: int | None = None, b: int | None = None):
-        _check_int("r", r)
-        _check_int("modulus", modulus, optional=True)
+        _check_int("r", r, 1, MAX_DEGREE)
+        # a negative int is no polynomial, and the factor search never ends on one
+        _check_int("modulus", modulus, 0, optional=True)
         _check_int("b", b, optional=True)
-        if not 1 <= r <= MAX_DEGREE:
-            raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}, got {r}")
         if modulus is None:
             modulus = next(irreducible_polys(r))
         else:
-            if modulus < 0:
-                # a negative int is no polynomial, and the factor search never ends on one
-                raise ValueError("modulus must be a nonnegative polynomial bitmask")
             if modulus.bit_length() - 1 != r:
                 raise ValueError(
                     f"modulus {poly_str(modulus)} has degree {modulus.bit_length() - 1}, need {r}"

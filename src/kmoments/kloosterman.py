@@ -41,11 +41,9 @@ alpha, are its oracles.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from operator import itemgetter
 
-from .gf2r import FieldContext, _check_int
+from .gf2r import FieldContext, _check_int, _unpack_slots
 
 __all__ = [
     "kloosterman_sum",
@@ -63,20 +61,9 @@ __all__ = [
 _SLOT_BYTES = 2
 
 
-def _check_a(ctx: FieldContext, a: int) -> None:
-    # an int only: True and 1.0 pass the range test as 1
-    if type(a) is not int or a not in ctx.nonzero():
-        raise ValueError(f"a must be a nonzero field element in 1..{ctx.q - 1}, got {a}")
-
-
-def _check_b(ctx: FieldContext, b: int) -> None:
-    if type(b) is not int or b not in ctx.elements():
-        raise ValueError(f"b must be a field element in 0..{ctx.q - 1}, got {b}")
-
-
 def kloosterman_sum(ctx: FieldContext, a: int) -> int:
     """K(a) = sum over nonzero alpha of (-1)^tr(alpha + a/alpha)."""
-    _check_a(ctx, a)
+    _check_int("a", a, 1, ctx.q - 1)
     trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
@@ -102,16 +89,12 @@ def kloosterman_table(ctx: FieldContext) -> tuple[int | None, ...]:
     """
     q, qm1, exp, trace = ctx.q, ctx.q - 1, ctx.exp, ctx.trace_table
     ones = q // 2 - 1
-    if ones >= 1 << (8 * _SLOT_BYTES) or array("H").itemsize != _SLOT_BYTES:
-        raise ArithmeticError(
-            f"{_SLOT_BYTES}-byte array('H') slots cannot hold counts up to {ones}"
-        )
+    if ones >= 1 << (8 * _SLOT_BYTES):
+        raise ArithmeticError(f"{_SLOT_BYTES}-byte slots cannot hold counts up to {ones}")
     packed = bytearray(2 * qm1 * _SLOT_BYTES)
     packed[: qm1 * _SLOT_BYTES : _SLOT_BYTES] = bytes(1 - trace[exp[t]] for t in range(qm1))
     u = int.from_bytes(packed, "little")
-    lin = array("H", (u * u).to_bytes(len(packed), "little"))
-    if sys.byteorder == "big":
-        lin.byteswap()
+    lin = _unpack_slots(u * u, 2 * qm1, _SLOT_BYTES)
     # sum_k lin[k] = (sum_t u(t))^2 holds only if no slot carried into
     # the next and the slots were read in the right byte order
     if sum(lin) != ones * ones:
@@ -124,9 +107,7 @@ def kloosterman_table(ctx: FieldContext) -> tuple[int | None, ...]:
 
 def moment_bruteforce(ctx: FieldContext, h: int, table: tuple[int | None, ...]) -> int:
     """sum over nonzero a of K(a)^h, exact (h >= 0), from ``kloosterman_table(ctx)``."""
-    _check_int("h", h)
-    if h < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_int("h", h, 0)
     if len(table) != ctx.q:
         raise ValueError(f"need the table of the q = {ctx.q} field, got {len(table)} entries")
     return sum(k**h for k in table[1:])
@@ -138,7 +119,7 @@ def split_quadratic_char_sum(ctx: FieldContext, a: int) -> int:
     The denominator is the Artin-Schreier polynomial, split over GF(2);
     its q-2 nonroots contribute, and the sum equals K(a) - 1.
     """
-    _check_a(ctx, a)
+    _check_int("a", a, 1, ctx.q - 1)
     trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
     qm1 = ctx.q - 1
     la = log[a]
@@ -156,8 +137,8 @@ def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
     The sum equals -K(a) - 1 and does not depend on which trace-one
     b is supplied.
     """
-    _check_a(ctx, a)
-    _check_b(ctx, b)
+    _check_int("a", a, 1, ctx.q - 1)
+    _check_int("b", b, 0, ctx.q - 1)
     if ctx.trace_table[b] != 1:
         raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
     trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
@@ -183,7 +164,7 @@ def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
     n_d = q-1 - log d, the term for d is row[log a + n_d]: the sum for a
     is one ``itemgetter`` of every n_d over row[log a:].
     """
-    _check_b(ctx, b)
+    _check_int("b", b, 0, ctx.q - 1)
     trace, log = ctx.trace_table, ctx.log
     row = [1 - 2 * trace[x] for x in ctx.exp]
     neg = [ctx.q - 1 - log[t ^ b] for t in ctx.theta if t != b]

@@ -76,9 +76,7 @@ def _pless_sums(h_max: int, n: int, dist) -> list[int]:
 
 def _check_moment_args(ctx: FieldContext, i: int, h_max: int) -> None:
     _check_code(ctx, i)
-    _check_int("h_max", h_max)
-    if h_max < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_int("h_max", h_max, 0)
 
 
 def _recursion_step(q: int, i: int, h: int, lower, pless: int) -> int:

@@ -105,6 +105,14 @@ def test_weights_full_refused_large_field(capsys):
     assert "--jmax" in err
 
 
+@pytest.mark.parametrize("jmax", [(), ("--jmax", "256"), ("--jmax", "999")])
+def test_weights_full_refusal_names_the_length(capsys, jmax):
+    # with --jmax at or past N the hint once said "pass --jmax to truncate" all the same
+    code, out, err = run(capsys, "weights", "--r", "9", "--code", "4", *jmax)
+    assert (code, out) == (1, "")
+    assert err == "error: full distribution of code 4 at r=9 is too large (N = 256); pass --jmax below 256\n"
+
+
 def test_weights_r2_degenerate_code_quiet(capsys, recwarn):
     code, out, err = run(capsys, "weights", "--r", "2", "--code", "1", "--format", "json")
     assert code == 0

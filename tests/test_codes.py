@@ -182,10 +182,12 @@ def test_is_codeword_examples(ctx3):
         is_codeword(ctx3, 2, [1, 1])
 
 
-@pytest.mark.parametrize("word", [[2, 2, 2], [-1, 0, 0]])
+@pytest.mark.parametrize("word", [[2, 2, 2], [-1, 0, 0], [1.0, 0, 0], [True, 0, 0]])
 def test_is_codeword_refuses_an_entry_other_than_0_or_1(word, ctx3):
-    # read as truthy, [2, 2, 2] would pass as [1, 1, 1] and -1 as a 1 bit
-    with pytest.raises(ValueError, match=rf"^word entries must be 0 or 1, got {word[0]}$"):
+    # read as truthy, [2, 2, 2] would pass as [1, 1, 1] and -1 as a 1 bit; 1.0 and True
+    # equal 1, so a membership test in (0, 1) let them through
+    expected = rf"^word entry must be an int in 0\.\.1, got {re.escape(repr(word[0]))}$"
+    with pytest.raises(ValueError, match=expected):
         is_codeword(ctx3, 2, word)
 
 
@@ -213,7 +215,7 @@ def test_dual_codeword_examples(ctx3):
 @pytest.mark.parametrize("a", [-1, 8])
 def test_dual_codeword_refuses_an_out_of_range_a(a, ctx3):
     # unchecked, -1 reads the tables at a = 7 and returns the bits of c_1(7)
-    with pytest.raises(ValueError, match=rf"in 0\.\.7, got {a}$"):
+    with pytest.raises(ValueError, match=rf"^a must be an int in 0\.\.7, got {a}$"):
         dual_codeword(ctx3, 1, a)
 
 

@@ -54,11 +54,12 @@ GUARDS = {
         "mo.stirling2_explicit(3, 2)\n",
         "alternating sum for S(3, 2) not divisible by 2!",
     ),
+    # at r = 10 u marks 511 elements, past one byte
     "kloosterman_slot_width": (
         "import kmoments.kloosterman as kl\n"
         "kl._SLOT_BYTES = 1\n"
-        "kl.kloosterman_table(build_field(3))\n",
-        "1-byte array('H') slots cannot hold counts up to 3",
+        "kl.kloosterman_table(build_field(10))\n",
+        "1-byte slots cannot hold counts up to 511",
     ),
     # slots read in the wrong byte order hold 256 times their counts
     "kloosterman_carry": (
@@ -74,6 +75,13 @@ GUARDS = {
         "codes._WHT_SLOT_BYTES = (1,)\n"
         "codes.weight_distribution(build_field(8), 4, j_max=1)\n",
         "no slot of (1,) bytes holds transform values up to 128",
+    ),
+    # three bytes hold N = 4, but no array item is three bytes wide
+    "slot_typecode": (
+        "import kmoments.codes as codes\n"
+        "codes._WHT_SLOT_BYTES = (3,)\n"
+        "codes.code_cardinality(build_field(3), 4)\n",
+        "no array typecode has 3-byte items",
     ),
     # one entry of vector 4 lost: F(0) = sum f = N - 1
     "wht_f0": (

@@ -322,13 +322,18 @@ def test_char_sum_domain_errors(ctx3):
         irreducible_quadratic_char_sum(ctx3, 1, 2)  # tr(2) = 0 at r=3
 
 
+# call -> (argument, its least value at r = 3, the call passing x as that argument)
 _BY_ELEMENT = {
-    "kloosterman_sum": lambda ctx, x: kloosterman_sum(ctx, x),
-    "split_quadratic_char_sum": lambda ctx, x: split_quadratic_char_sum(ctx, x),
-    "irreducible_quadratic_char_sum:a": lambda ctx, x: irreducible_quadratic_char_sum(ctx, x, ctx.b),
-    "irreducible_quadratic_char_sum:b": lambda ctx, x: irreducible_quadratic_char_sum(ctx, 1, x),
-    "quadratic_char_sums:b": lambda ctx, x: quadratic_char_sums(ctx, x),
-    "dual_codeword:a": lambda ctx, x: dual_codeword(ctx, 1, x),
+    "kloosterman_sum": ("a", 1, lambda ctx, x: kloosterman_sum(ctx, x)),
+    "split_quadratic_char_sum": ("a", 1, lambda ctx, x: split_quadratic_char_sum(ctx, x)),
+    "irreducible_quadratic_char_sum:a": (
+        "a", 1, lambda ctx, x: irreducible_quadratic_char_sum(ctx, x, ctx.b)
+    ),
+    "irreducible_quadratic_char_sum:b": (
+        "b", 0, lambda ctx, x: irreducible_quadratic_char_sum(ctx, 1, x)
+    ),
+    "quadratic_char_sums:b": ("b", 0, lambda ctx, x: quadratic_char_sums(ctx, x)),
+    "dual_codeword:a": ("a", 0, lambda ctx, x: dual_codeword(ctx, 1, x)),
 }
 
 
@@ -337,8 +342,9 @@ _BY_ELEMENT = {
 def test_out_of_range_elements_are_refused(name, x, ctx3):
     # unchecked, -1 reads the tables at a = 7 (and passes the trace check as b = 7);
     # 1.0 and True pass a range test as 1, where 1.0 cannot index a table and True reads a = 1
-    with pytest.raises(ValueError, match=rf"in [01]\.\.7, got {x}$"):
-        _BY_ELEMENT[name](ctx3, x)
+    argument, lo, call = _BY_ELEMENT[name]
+    with pytest.raises(ValueError, match=rf"^{argument} must be an int in {lo}\.\.7, got {x}$"):
+        call(ctx3, x)
 
 
 # -- golden files ---------------------------------------------------------------

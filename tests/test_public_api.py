@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import kmoments
+from kmoments.codes import dual_weight_fraction
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["kmoments"] + [f"kmoments.{p.stem}" for p in sorted((ROOT / "src" / "kmoments").glob("[!_]*.py"))]
@@ -57,31 +58,71 @@ def test_readme_library_example_shows_the_real_reprs():
     assert checked >= 2
 
 
-# argument -> calls that pass x as that argument; each refuses any type but int
+_F3 = kmoments.build_field(3)
+_TABLE3 = kmoments.kloosterman_table(_F3)
+
+# argument -> (lo, hi, call) for every call that passes x as that argument: each refuses
+# any type but int, and an int outside the inclusive bounds lo..hi (None: no bound)
 _INT_ARGUMENTS = {
-    "r": [lambda x: kmoments.build_field(x)],
-    "modulus": [lambda x: kmoments.build_field(3, modulus=x)],
-    "b": [lambda x: kmoments.build_field(3, b=x)],
-    "j_max": [lambda x: kmoments.weight_distribution(kmoments.build_field(3), 4, j_max=x)],
+    "r": [(1, 16, lambda x: kmoments.build_field(x))],
+    "modulus": [(0, None, lambda x: kmoments.build_field(3, modulus=x))],
+    "b": [
+        (None, None, lambda x: kmoments.build_field(3, b=x)),
+        (0, 7, lambda x: kmoments.quadratic_char_sums(_F3, x)),
+        (0, 7, lambda x: kmoments.irreducible_quadratic_char_sum(_F3, 1, x)),
+    ],
+    "a": [
+        (1, 7, lambda x: kmoments.kloosterman_sum(_F3, x)),
+        (1, 7, lambda x: kmoments.split_quadratic_char_sum(_F3, x)),
+        (1, 7, lambda x: kmoments.irreducible_quadratic_char_sum(_F3, x, _F3.b)),
+        (0, 7, lambda x: kmoments.dual_codeword(_F3, 4, x)),
+    ],
+    "word entry": [(0, 1, lambda x: kmoments.is_codeword(_F3, 4, [x, 0, 0, 0]))],
+    "j_max": [(0, 4, lambda x: kmoments.weight_distribution(_F3, 4, j_max=x))],
     "h_max": [
-        lambda x: kmoments.moment_sequence(kmoments.build_field(3), 4, x),
-        lambda x: kmoments.pless_check(kmoments.build_field(3), 4, x),
+        (0, None, lambda x: kmoments.moment_sequence(_F3, 4, x)),
+        (0, None, lambda x: kmoments.pless_check(_F3, 4, x)),
     ],
     "h": [
-        lambda x: kmoments.moment_bruteforce(
-            kmoments.build_field(3), x, kmoments.kloosterman_table(kmoments.build_field(3))
-        ),
-        lambda x: kmoments.stirling2_explicit(x, 1),
+        (0, None, lambda x: kmoments.moment_bruteforce(_F3, x, _TABLE3)),
+        (None, None, lambda x: kmoments.stirling2_explicit(x, 1)),
     ],
-    "t": [lambda x: kmoments.stirling2_explicit(3, x)],
+    "t": [(None, None, lambda x: kmoments.stirling2_explicit(3, x))],
+    "q": [
+        (2, None, lambda x: dual_weight_fraction(x, 4, -5)),
+        (2, None, lambda x: kmoments.dual_weight_closed_form(x, 4, -5)),
+    ],
+    "k": [
+        (None, None, lambda x: dual_weight_fraction(8, 4, x)),
+        (None, None, lambda x: kmoments.dual_weight_closed_form(8, 4, x)),
+    ],
 }
 
 
-@pytest.mark.parametrize("x", [True, 3.0, 11.0, "3"])
+def _refusal(name, lo, hi, x) -> str:
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    return f"{name} must be an int{bounds}, got {x!r}"
+
+
+@pytest.mark.parametrize("x", [True, 1.0, 3.0, 11.0, "3"])
 @pytest.mark.parametrize("name", _INT_ARGUMENTS)
 def test_integer_arguments_refuse_other_types(name, x):
-    # unchecked, True ran as 1 (r = True, j_max = True gave (1, 0)), 2.0 gave a float
-    # moment, and 3.0 or 11.0 as r, modulus or b raised a bare TypeError or AttributeError
-    for call in _INT_ARGUMENTS[name]:
-        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {re.escape(repr(x))}$"):
+    # unchecked, True ran as 1 (r = True, j_max = True gave (1, 0); a word entry True or
+    # 1.0 passed as bit 1), 2.0 gave a float moment, q = 8.0 a float weight, and 3.0 or
+    # 11.0 as r, modulus or b raised a bare TypeError or AttributeError
+    for lo, hi, call in _INT_ARGUMENTS[name]:
+        with pytest.raises(ValueError) as raised:
             call(x)
+        assert str(raised.value) == _refusal(name, lo, hi, x)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, calls in _INT_ARGUMENTS.items() if any(lo is not None for lo, _, _ in calls)]
+)
+def test_integer_arguments_refuse_values_out_of_range(name):
+    # a bound's neighbour outside it gets the same message as a wrong type
+    for lo, hi, call in _INT_ARGUMENTS[name]:
+        for x in ([] if lo is None else [lo - 1]) + ([] if hi is None else [hi + 1]):
+            with pytest.raises(ValueError) as raised:
+                call(x)
+            assert str(raised.value) == _refusal(name, lo, hi, x)
