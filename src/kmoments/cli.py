@@ -186,7 +186,7 @@ def cmd_moments(args: SimpleNamespace) -> int:
     for r, ctx in args.contexts.items():
         table = kl.kloosterman_table(ctx)
         # MK^h depends on r alone: one column, shared by every code
-        brute = [kl.moment_bruteforce(ctx, h, table) for h in range(args.hmax + 1)]
+        brute = kl.moment_bruteforce(ctx, args.hmax, table)
         for i in args.code:
             if not codes_mod.code_length(ctx, i):
                 continue
@@ -195,7 +195,7 @@ def cmd_moments(args: SimpleNamespace) -> int:
                 rows.append(
                     {
                         "r": r,
-                        "modulus_hex": ctx.modulus_hex,
+                        "modulus_hex": f"{ctx.modulus:#x}",
                         "code": i,
                         "h": h,
                         "mk_recursive": seq[h],
@@ -221,7 +221,7 @@ def cmd_moments(args: SimpleNamespace) -> int:
 
 
 def cmd_weights(args: SimpleNamespace) -> int:
-    blocks = []
+    blocks, lines = [], []
     for r, ctx in args.contexts.items():
         for i in args.code:
             n = codes_mod.code_length(ctx, i)
@@ -235,26 +235,20 @@ def cmd_weights(args: SimpleNamespace) -> int:
                     f"pass --jmax below {n}"
                 )
             dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
-            block = {
-                "r": r,
-                "code": i,
-                "length": n,
-                "j_max": j_max,
-                "counts": list(dist),
-            }
+            blocks.append({"r": r, "code": i, "length": n, "j_max": j_max, "counts": list(dist)})
+            lines.append(f"r={r} code={i} length={n}: " + ",".join(str(c) for c in dist))
             if j_max == n:
                 total = sum(dist)
                 dim = n - codes_mod.gf2_rank(codes_mod.parity_check_rows(ctx, i))
-                block["checks"] = {
-                    "total": total,
-                    "expected_total": 1 << dim,
-                    "cardinality_ok": total == 1 << dim,
-                }
+                checks = {"total": total, "expected_total": 1 << dim, "cardinality_ok": total == 1 << dim}
+                # 2^(N - rank H) words, which is 2^(N - r) only where H has rank r
+                size = "N-r" if dim == n - r else "N-rank"
+                extra = f"  total={total} (2^({size}): {checks['cardinality_ok']})"
                 if copies == 2:
-                    block["checks"]["palindrome"] = all(
-                        dist[j] == dist[n - j] for j in range(n + 1)
-                    )
-            blocks.append(block)
+                    checks["palindrome"] = all(dist[j] == dist[n - j] for j in range(n + 1))
+                    extra += f" palindrome={checks['palindrome']}"
+                blocks[-1]["checks"] = checks
+                lines.append(extra)
     if not blocks:
         raise _UsageError("no (r, code) combination selected is admissible")
 
@@ -263,18 +257,6 @@ def cmd_weights(args: SimpleNamespace) -> int:
         for blk in blocks
         for j, c in enumerate(blk["counts"])
     ]
-    lines = []
-    for blk in blocks:
-        lines.append(
-            f"r={blk['r']} code={blk['code']} length={blk['length']}: "
-            + ",".join(str(c) for c in blk["counts"])
-        )
-        if "checks" in blk:
-            checks = blk["checks"]
-            extra = f"  total={checks['total']} (2^(N-r): {checks['cardinality_ok']})"
-            if "palindrome" in checks:
-                extra += f" palindrome={checks['palindrome']}"
-            lines.append(extra)
     _render(args, "weights", {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines)
     return 0
 
@@ -298,7 +280,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     """
     r, q = ctx.r, ctx.q
     table = kl.kloosterman_table(ctx)
-    brute = [kl.moment_bruteforce(ctx, h, table) for h in range(max(h_max, 1) + 1)]
+    brute = kl.moment_bruteforce(ctx, max(h_max, 1), table)
     values = table[1:]
     yield None, "kloosterman_weil_bound", all(k * k <= 4 * q for k in values), None
     if r >= 2:
@@ -371,8 +353,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         pless = mo.pless_check(ctx, i, h_max, counts=dist, weights=weights)
         yield i, "pless_identity", all(equal for _, _, equal in pless), None
         seq = mo.moment_sequence(ctx, i, h_max, counts=dist)
-        ok = all(seq[h] == brute[h] for h in range(h_max + 1))
-        yield i, "moment_recursion", ok, None
+        yield i, "moment_recursion", seq == brute[: h_max + 1], None
 
 
 def cmd_verify(args: SimpleNamespace) -> int:

@@ -43,6 +43,7 @@ nullspace basis.
 from __future__ import annotations
 
 from collections import Counter
+from math import isqrt
 
 from .gf2r import FieldContext, _check_int, _unpack_slots
 
@@ -192,7 +193,12 @@ def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
 
 
 def dual_weight_closed_form(q: int, i: int, k: int) -> int:
-    """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0."""
+    """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0.
+
+    k is held to the Weil bound k^2 <= 4q, which every K(a) meets.
+    """
+    _check_int("q", q, 2)
+    _check_int("k", k, -isqrt(4 * q), isqrt(4 * q))
     num, den = dual_weight_fraction(q, i, k)
     w, rem = divmod(num, den)
     if rem:
@@ -388,11 +394,13 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]
 def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     """Check that {c_i(a)} really is the dual of code i.
 
-    Returns a JSON-ready report: orthogonality of every c_i(a) to the
-    whole code, injectivity (with kernel size) of a -> c_i(a), and the
-    cardinality product |dual image| * |code| = 2^length.  The dual map
-    is injective for i in {3, 4} at every r and for i in {1, 2} from
-    r = 3 on; at r = 2 its kernel has size 2.
+    Returns five facts: ``orthogonal`` (every c_i(a) is orthogonal to
+    the whole code), ``kernel_size`` and ``injective`` of the dual map
+    a -> c_i(a), ``code_cardinality``, and ``product_check``, the
+    cardinality product |dual image| * |code| = 2^N, where the dual image
+    has q / kernel_size words.  The dual map is injective for i in {3, 4}
+    at every r and for i in {1, 2} from r = 3 on; at r = 2 its kernel
+    has size 2.
 
     Every value is a GF(2) rank of at most 2r rows of N bits: of the r
     parity rows H, of the r generators G = c_i(2^k) and of [H; G].  By
@@ -406,16 +414,11 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     n = code_length(ctx, i)
     h_rows, g_rows = parity_check_rows(ctx, i), _generator_rows(ctx, i)
     rank_h, rank_g = gf2_rank(h_rows), gf2_rank(g_rows)
-    image_size = 1 << rank_g
     cardinality = 1 << (n - rank_h)
     return {
-        "code": i,
-        "r": ctx.r,
-        "length": n,
         "orthogonal": gf2_rank(h_rows + g_rows) == rank_h,
-        "dual_image_size": image_size,
         "kernel_size": 1 << (ctx.r - rank_g),
         "injective": rank_g == ctx.r,
         "code_cardinality": cardinality,
-        "product_check": image_size * cardinality == 1 << n,
+        "product_check": (1 << rank_g) * cardinality == 1 << n,
     }

@@ -278,10 +278,6 @@ class FieldContext:
 
     # -- presentation ----------------------------------------------------------
 
-    @property
-    def modulus_hex(self) -> str:
-        return format(self.modulus, "#x")
-
     def __repr__(self):
         return f"FieldContext(r={self.r}, modulus={poly_str(self.modulus)}, b={self.b:#x})"
 

@@ -6,7 +6,9 @@ alpha + a/alpha, alpha ranging over the nonzero field elements.  The
 table of all K(a) and the moments sum_a K(a)^h computed from it are the
 ground-truth oracle against which the recursive moment formulas in
 :mod:`kmoments.moments` are verified.  The table is a tuple indexed by
-a with entry 0 None, the shape of the character-sum rows below.
+a with entry 0 None, the shape of the character-sum rows below;
+``moment_bruteforce`` gives the whole column MK^0..MK^h_max from it,
+the shape ``moment_sequence`` returns.
 
 The table is one cyclic self-convolution.  lambda is an additive
 character, so lambda(alpha + a/alpha) = lambda(alpha) lambda(a/alpha).
@@ -41,6 +43,7 @@ alpha, are its oracles.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 
 from .gf2r import FieldContext, _check_int, _unpack_slots
@@ -105,12 +108,18 @@ def kloosterman_table(ctx: FieldContext) -> tuple[int | None, ...]:
     return tuple(k)
 
 
-def moment_bruteforce(ctx: FieldContext, h: int, table: tuple[int | None, ...]) -> int:
-    """sum over nonzero a of K(a)^h, exact (h >= 0), from ``kloosterman_table(ctx)``."""
-    _check_int("h", h, 0)
+def moment_bruteforce(ctx: FieldContext, h_max: int, table: tuple[int | None, ...]) -> tuple[int, ...]:
+    """MK^0..MK^h_max, MK^h the exact sum over nonzero a of K(a)^h, from ``kloosterman_table(ctx)``.
+
+    The q - 1 values are counted once, and MK^h is the sum of n_k k^h
+    over the distinct values k, n_k the number of a with K(a) = k: the
+    same exact sums, grouped by value.
+    """
+    _check_int("h_max", h_max, 0)
     if len(table) != ctx.q:
         raise ValueError(f"need the table of the q = {ctx.q} field, got {len(table)} entries")
-    return sum(k**h for k in table[1:])
+    counts = Counter(table[1:]).items()
+    return tuple(sum(n * k**h for k, n in counts) for h in range(h_max + 1))
 
 
 def split_quadratic_char_sum(ctx: FieldContext, a: int) -> int:

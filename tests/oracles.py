@@ -172,9 +172,7 @@ def dual_structure_by_scan(words, basis, n: int) -> dict:
     image = len(set(words))
     cardinality = 1 << len(basis)
     return {
-        "length": n,
         "orthogonal": all((m & bv).bit_count() % 2 == 0 for m in words for bv in basis),
-        "dual_image_size": image,
         "kernel_size": words.count(0),
         "injective": image == len(words),
         "code_cardinality": cardinality,

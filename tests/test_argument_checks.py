@@ -3,10 +3,11 @@
 Every other module routes its type and range checks through it, so an
 int argument has one refusal with one message shape.  This guard reads
 every package module but ``gf2r`` with ``ast`` and finds each
-``type(...) is int`` or ``is not int`` test, and each comparison on an
-``int``-annotated parameter in the condition of an ``if`` that raises
-``ValueError``.  ``codes.code_shape`` is the one exemption: its message
-is the CLI's ``--code`` refusal.
+``type(...) is int`` or ``is not int`` test and, in the condition of an
+``if`` that raises ``ValueError``, each comparison on a parameter of the
+function or on a name that a ``for`` or comprehension target in it binds.
+Two functions are exempt, since their messages are CLI refusals:
+``codes.code_shape`` (``--code``) and ``cli._parse_r_range`` (``--r``).
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
 
-EXEMPT = {("codes", "code_shape")}
+EXEMPT = {("codes", "code_shape"), ("cli", "_parse_r_range")}
 
 
 def _is_type_test(node: ast.AST) -> bool:
@@ -39,14 +40,18 @@ def _raises_value_error(statements: list[ast.stmt]) -> bool:
     return any(isinstance(exc, ast.Name) and exc.id == "ValueError" for exc in raised)
 
 
-def _int_params(func: ast.FunctionDef) -> set[str]:
-    args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
-    return {a.arg for a in args if a.annotation and ast.unparse(a.annotation) in ("int", "int | None")}
+def _checked_names(func: ast.FunctionDef) -> set[str]:
+    """Every parameter of ``func``, and every name a ``for`` or comprehension target in it binds."""
+    names = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+    for node in ast.walk(func):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            names.update(n.id for n in ast.walk(node.target) if isinstance(n, ast.Name))
+    return names
 
 
 def _range_tests(func: ast.FunctionDef) -> list[int]:
-    """The line of each comparison on an int parameter of ``func`` that decides a raise ValueError."""
-    params = _int_params(func)
+    """The line of each comparison on a checked name of ``func`` that decides a raise ValueError."""
+    params = _checked_names(func)
     return [
         node.lineno
         for branch in ast.walk(func)
@@ -103,3 +108,28 @@ def test_guard_catches_a_range_check_without_a_type_test():
         '        raise ValueError("moment order must be nonnegative")\n'
     )
     assert _own_checks("moments", text) == [len(text.splitlines()) - 1]
+
+
+_OLD_IS_CODEWORD_LOOP = """
+
+def _old_is_codeword(ctx: FieldContext, i: int, u) -> bool:
+    acc = 0
+    for bit, entry in zip(u, _vector(ctx, i)):
+        if bit not in (0, 1):
+            raise ValueError(f"word entries must be 0 or 1, got {bit!r}")
+        if bit:
+            acc ^= entry
+    return acc == 0
+"""
+
+
+def test_guard_catches_a_range_check_on_a_loop_name():
+    # is_codeword once tested each entry of its unannotated word u this way
+    text = _sources()["codes"] + _OLD_IS_CODEWORD_LOOP
+    assert _own_checks("codes", text) == [len(text.splitlines()) - 4]
+
+
+def test_parse_r_range_is_found_but_for_its_exemption():
+    text = _sources()["cli"]
+    (line,) = _own_checks("unexempt", text)
+    assert "if not 1 <= r <= MAX_R:" in text.splitlines()[line - 1]

@@ -59,7 +59,7 @@ def test_moments_mismatch_exit_code(capsys, monkeypatch):
     # force a bogus oracle value to confirm the mismatch path exits 2
     import kmoments.kloosterman as kl
 
-    monkeypatch.setattr(kl, "moment_bruteforce", lambda ctx, h, table: 12345)
+    monkeypatch.setattr(kl, "moment_bruteforce", lambda ctx, h_max, table: (12345,) * (h_max + 1))
     code, out, _ = run(capsys, "moments", "--r", "3", "--hmax", "1", "--code", "1", "--format", "json")
     assert code == 2
     assert not json.loads(out)["rows"][0]["match"]
@@ -282,18 +282,18 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     # one build per code, shared by dual_weight_formula and pless_check
     assert calls["dual_weights"] == 4
     # one distribution per code, shared by the distribution checks, pless_check
-    # and moment_sequence; MK^0..MK^4 once for the r, shared by the four codes
-    assert built == {"weight_distribution": 4, "moment_bruteforce": 5}
+    # and moment_sequence; the column MK^0..MK^4 once for the r, shared by the four codes
+    assert built == {"weight_distribution": 4, "moment_bruteforce": 1}
 
 
 def test_moments_brute_force_column_once_per_r(capsys, monkeypatch):
     import kmoments.kloosterman as kl
 
-    # MK^0..MK^4 at r = 5, shared by the four codes
+    # the column MK^0..MK^4 at r = 5, in one call shared by the four codes
     calls = _count_calls(monkeypatch, [(kl, "moment_bruteforce")])
     code, _, _ = run(capsys, "moments", "--r", "5", "--hmax", "4")
     assert code == 0
-    assert calls == {"moment_bruteforce": 5}
+    assert calls == {"moment_bruteforce": 1}
 
 
 def test_verify_builds_no_kernel_basis(capsys, monkeypatch):

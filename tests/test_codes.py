@@ -487,10 +487,9 @@ def test_dual_structure_past_degree_12(r):
     for i in CODE_INDICES:
         report = verify_dual_structure(ctx, i)
         assert report["orthogonal"] and report["injective"] and report["product_check"], i
-        assert report["code_cardinality"] == 1 << (report["length"] - r), i
+        assert report["code_cardinality"] == 1 << (code_length(ctx, i) - r), i
         assert code_cardinality(ctx, i) == 1 << (code_length(ctx, i) - r), i
-        mk = moment_sequence(ctx, i, 4)
-        assert list(mk) == [moment_bruteforce(ctx, h, table) for h in range(5)], i
+        assert moment_sequence(ctx, i, 4) == moment_bruteforce(ctx, 4, table), i
 
 
 # -- the packed Walsh-Hadamard transform ------------------------------------------------
@@ -612,8 +611,8 @@ def test_kernel_vectors_are_codewords(r, i, contexts):
 def test_verify_dual_structure_r3(ctx3):
     report = verify_dual_structure(ctx3, 1)
     assert report["injective"] and report["orthogonal"]
-    assert report["dual_image_size"] == 8
-    assert report["dual_image_size"] * report["code_cardinality"] == 1 << 6
+    assert report["kernel_size"] == 1
+    assert 8 // report["kernel_size"] * report["code_cardinality"] == 1 << 6
     assert report["product_check"]
 
 
@@ -622,7 +621,7 @@ def _scan_report(ctx, i):
     n = code_length(ctx, i)
     words = [codes_mod._bitmask(dual_codeword(ctx, i, a)) for a in ctx.elements()]
     basis = kernel_basis(parity_check_rows(ctx, i), n)
-    return {"code": i, "r": ctx.r, **oracles.dual_structure_by_scan(words, basis, n)}
+    return oracles.dual_structure_by_scan(words, basis, n)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

@@ -267,7 +267,7 @@ def test_parse_poly_degree_limit():
 
 
 def test_modulus_presentation(ctx3):
-    assert ctx3.modulus_hex == "0xb"
+    assert f"{ctx3.modulus:#x}" == "0xb"
     assert poly_str(ctx3.modulus) == "x^3+x+1"
     assert repr(ctx3) == "FieldContext(r=3, modulus=x^3+x+1, b=0x1)"
 

@@ -172,28 +172,34 @@ def test_multiset_invariant_across_moduli(r):
 
 
 def test_moments_r3(ctx3, tables):
-    t = tables[3]
-    assert moment_bruteforce(ctx3, 0, t) == 7
-    assert moment_bruteforce(ctx3, 1, t) == 1
-    assert moment_bruteforce(ctx3, 2, t) == 55  # (-5)^2 + 3*1 + 3*9
-    assert moment_bruteforce(ctx3, 3, t) == -47
+    # MK^2 = (-5)^2 + 3*1 + 3*9
+    assert moment_bruteforce(ctx3, 3, tables[3]) == (7, 1, 55, -47)
+    assert moment_bruteforce(ctx3, 0, tables[3]) == (7,)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_moment_zeroth_and_first(r, contexts, tables):
-    ctx, t = contexts[r], tables[r]
-    assert moment_bruteforce(ctx, 0, t) == ctx.q - 1
-    assert moment_bruteforce(ctx, 1, t) == 1
+    ctx = contexts[r]
+    assert moment_bruteforce(ctx, 1, tables[r]) == (ctx.q - 1, 1)
 
 
 @pytest.mark.parametrize("r", range(2, 9))
 def test_second_moment_classical_value(r, contexts, tables):
     q = 1 << r
-    assert moment_bruteforce(contexts[r], 2, tables[r]) == q * q - q - 1
+    assert moment_bruteforce(contexts[r], 2, tables[r])[2] == q * q - q - 1
+
+
+def test_column_equals_the_ungrouped_sums():
+    # grouping the q - 1 values by K(a) changes no sum, to the CLI's MAX_HMAX = 32
+    for r in range(1, 13):
+        ctx = build_field(r)
+        table = kloosterman_table(ctx)
+        literal = tuple(sum(k**h for k in table[1:]) for h in range(33))
+        assert moment_bruteforce(ctx, 32, table) == literal, r
 
 
 def test_moment_rejects_negative_order(ctx3, tables):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^h_max must be an int >= 0, got -1$"):
         moment_bruteforce(ctx3, -1, tables[3])
 
 

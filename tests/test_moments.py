@@ -75,9 +75,7 @@ def test_all_codes_agree(r):
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_recursion_equals_bruteforce(r, i, contexts, tables):
     ctx = contexts[r]
-    seq = moment_sequence(ctx, i, 12)
-    for h in range(13):
-        assert seq[h] == moment_bruteforce(ctx, h, tables[r])
+    assert moment_sequence(ctx, i, 12) == moment_bruteforce(ctx, 12, tables[r])
 
 
 def test_recursion_equals_bruteforce_to_the_cli_hmax():
@@ -86,7 +84,7 @@ def test_recursion_equals_bruteforce_to_the_cli_hmax():
     for r in range(3, 12):
         ctx = build_field(r)
         table = kloosterman_table(ctx)
-        brute = tuple(moment_bruteforce(ctx, h, table) for h in range(33))
+        brute = moment_bruteforce(ctx, 32, table)
         for i in (1, 2, 3, 4):
             assert moment_sequence(ctx, i, 32) == brute, (r, i)
 
@@ -106,9 +104,7 @@ def test_moment_magnitude_bound(r, contexts):
 def test_recursion_small_fields_codes_34(r, i, contexts, tables):
     # no degree bound is claimed for codes 3 and 4; holds down to r = 1
     ctx = contexts[r]
-    seq = moment_sequence(ctx, i, 10)
-    for h in range(11):
-        assert seq[h] == moment_bruteforce(ctx, h, tables[r])
+    assert moment_sequence(ctx, i, 10) == moment_bruteforce(ctx, 10, tables[r])
 
 
 def test_codes_12_run_wherever_they_exist():
@@ -120,7 +116,7 @@ def test_codes_12_run_wherever_they_exist():
     for b in trace_one:
         ctx = build_field(2, b=b)
         table = kloosterman_table(ctx)
-        brute = tuple(moment_bruteforce(ctx, h, table) for h in range(11))
+        brute = moment_bruteforce(ctx, 10, table)
         for i in (1, 2):
             assert moment_sequence(ctx, i, 10) == brute, (b, i)
             assert all(equal for _, _, equal in pless_check(ctx, i, 10)), (b, i)

@@ -80,13 +80,11 @@ _INT_ARGUMENTS = {
     "word entry": [(0, 1, lambda x: kmoments.is_codeword(_F3, 4, [x, 0, 0, 0]))],
     "j_max": [(0, 4, lambda x: kmoments.weight_distribution(_F3, 4, j_max=x))],
     "h_max": [
+        (0, None, lambda x: kmoments.moment_bruteforce(_F3, x, _TABLE3)),
         (0, None, lambda x: kmoments.moment_sequence(_F3, 4, x)),
         (0, None, lambda x: kmoments.pless_check(_F3, 4, x)),
     ],
-    "h": [
-        (0, None, lambda x: kmoments.moment_bruteforce(_F3, x, _TABLE3)),
-        (None, None, lambda x: kmoments.stirling2_explicit(x, 1)),
-    ],
+    "h": [(None, None, lambda x: kmoments.stirling2_explicit(x, 1))],
     "t": [(None, None, lambda x: kmoments.stirling2_explicit(3, x))],
     "q": [
         (2, None, lambda x: dual_weight_fraction(x, 4, -5)),
@@ -94,7 +92,8 @@ _INT_ARGUMENTS = {
     ],
     "k": [
         (None, None, lambda x: dual_weight_fraction(8, 4, x)),
-        (None, None, lambda x: kmoments.dual_weight_closed_form(8, 4, x)),
+        # the Weil bound k^2 <= 4q: -5..5 at q = 8
+        (-5, 5, lambda x: kmoments.dual_weight_closed_form(8, 4, x)),
     ],
 }
 
