@@ -39,7 +39,7 @@ def _next_stirling2_row(row: list[int]) -> list[int]:
 
 def stirling2_explicit(h: int, t: int) -> int:
     """Stirling number via the alternating binomial sum (cross-check route)."""
-    _check_int("h", h)
+    _check_int("h", h, 0)
     _check_int("t", t)
     if t < 0 or t > h:
         return 0

@@ -84,7 +84,8 @@ _INT_ARGUMENTS = {
         (0, None, lambda x: kmoments.moment_sequence(_F3, 4, x)),
         (0, None, lambda x: kmoments.pless_check(_F3, 4, x)),
     ],
-    "h": [(None, None, lambda x: kmoments.stirling2_explicit(x, 1))],
+    # S(h, t) has no meaning at h < 0, which once gave 0
+    "h": [(0, None, lambda x: kmoments.stirling2_explicit(x, 1))],
     "t": [(None, None, lambda x: kmoments.stirling2_explicit(3, x))],
     "q": [
         (2, None, lambda x: dual_weight_fraction(x, 4, -5)),
