@@ -23,9 +23,11 @@ words of a = 2^k, one running word and one XOR per step, gives the
 weights of all q dual words (``dual_weights``).  One row builder makes
 these r generators and the r parity rows of code i: bit l of a row is
 the parity of entry_l & m, with m = 2^k for parity row k and bit j of m
-tr(2^k 2^j) for generator k.  ``dual_codeword``, from exp/log products,
-is the per-a oracle.  The dual structure is GF(2) ranks of these rows
-(``verify_dual_structure``).
+tr(2^k 2^j) for generator k (``generator_rows``); it translates the
+entries' bytes through 256-byte parity tables, so a row is a few
+``translate`` calls rather than N parities.  ``dual_codeword``, from
+exp/log products, is the per-a oracle.  The dual structure is GF(2)
+ranks of these rows (``verify_dual_structure``).
 
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
@@ -61,6 +63,7 @@ __all__ = [
     "weight_distribution_exhaustive",
     "code_cardinality",
     "parity_check_rows",
+    "generator_rows",
     "gf2_rank",
     "kernel_basis",
     "verify_dual_structure",
@@ -78,7 +81,7 @@ ENUMERATION_BUDGET = 24
 # four bytes hold every N up to the field's MAX_DEGREE
 _WHT_SLOT_BYTES = (1, 2, 4)
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLIP = bytes.maketrans(b"01", b"10")
 
 
 def code_shape(i: int) -> tuple[int, int]:
@@ -101,11 +104,6 @@ def code_length(ctx: FieldContext, i: int) -> int:
     """Block length: q-2, q/2-1, q, q/2 for codes 1..4."""
     trace, copies = code_shape(i)
     return copies * (ctx.q // 2 - 1 + trace)
-
-
-def _bitmask(bits) -> int:
-    """The integer whose bit l is bits[l], read from one string of binary digits."""
-    return int(bytes(bits)[::-1].translate(_DIGITS), 2)
 
 
 def _base_entries(ctx: FieldContext, i: int) -> tuple[int, ...]:
@@ -154,19 +152,48 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> tuple[int, ...]:
     return tuple(tt[exp[la + log[g]]] for g in v)
 
 
+def _parity_table(mask: int) -> bytes:
+    """Byte x of the table is the digit b"0" or b"1" of the parity of x & mask, for x < 256."""
+    table = b"0"
+    for k in range(8):
+        # the upper half is x with bit k set: the same parities, flipped where the mask has bit k
+        table += table.translate(_FLIP) if mask >> k & 1 else table
+    return table
+
+
 def _rows(ctx: FieldContext, i: int, masks) -> list[int]:
-    # one length-N bitmask per mask: bit l of row k is the parity of entry_l & masks[k]
+    """One length-N bitmask per mask: bit l of row k is the parity of entry_l & masks[k].
+
+    The entries are cut into byte planes, entry_l = sum_p plane_p[l] 2^(8p),
+    each reversed so that entry l lands on bit l.  The parity of
+    entry_l & mask is the XOR over the planes of the parity of
+    plane_p[l] & (byte p of mask), so a row is one ``translate`` of each
+    plane through a 256-byte parity table, read as binary digits, XORed.
+    """
     v = _vector(ctx, i)
-    return [_bitmask([(entry & mask).bit_count() & 1 for entry in v]) for mask in masks]
+    planes = [bytes(entry >> shift & 255 for entry in reversed(v)) for shift in range(0, ctx.r, 8)]
+    rows = []
+    for mask in masks:
+        row = 0
+        for p, plane in enumerate(planes):
+            row ^= int(plane.translate(_parity_table(mask >> 8 * p & 255)), 2)
+        rows.append(row)
+    return rows
 
 
-def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
-    # the r words c_i(2^k): tr(2^k x) is the parity of x & m_k, bit j of m_k being tr(2^k 2^j)
+def generator_rows(ctx: FieldContext, i: int) -> list[int]:
+    """The r words c_i(2^k) of the dual map of code i, as length-N bitmasks.
+
+    tr(2^k x) is the parity of x & m_k, bit j of m_k being tr(2^k 2^j).
+    ``dual_weights`` walks their span and ``verify_dual_structure`` ranks
+    them; a caller running both builds them once and passes them to each.
+    """
+    _check_code(ctx, i)
     tt, mul, r = ctx.trace_table, ctx.mul, ctx.r
     return _rows(ctx, i, [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)])
 
 
-def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
+def dual_weights(ctx: FieldContext, i: int, gens=None) -> tuple[int, ...]:
     """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
 
     c_i(a) is GF(2)-linear in a, so a Gray-code walk over the r words of
@@ -174,9 +201,12 @@ def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
     word of the lowest set bit of s and lands on a = s ^ (s >> 1).  Reads
     only the trace and exp/log tables, never a Kloosterman value or the
     Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
+    ``gens``, the list ``generator_rows`` returns, may be passed in by a
+    caller that has already built it.
     """
     _check_code(ctx, i)
-    gens = _generator_rows(ctx, i)
+    if gens is None:
+        gens = generator_rows(ctx, i)
     weights, word = [0] * ctx.q, 0
     for s in range(1, ctx.q):
         word ^= gens[(s & -s).bit_length() - 1]
@@ -391,7 +421,7 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]
     return tuple(counts)
 
 
-def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
+def verify_dual_structure(ctx: FieldContext, i: int, gens=None) -> dict:
     """Check that {c_i(a)} really is the dual of code i.
 
     Returns five facts: ``orthogonal`` (every c_i(a) is orthogonal to
@@ -408,11 +438,13 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     2^(r - rank G) zeros and 2^rank G images.  The code is ker H, of size
     2^(N - rank H), and its orthogonal complement is the row space of H;
     so every c_i(a) is orthogonal to every codeword iff
-    rank [H; G] = rank H.
+    rank [H; G] = rank H.  ``gens`` may give G as ``generator_rows``
+    returns it, from a caller that has already built it.
     """
     _check_code(ctx, i)
     n = code_length(ctx, i)
-    h_rows, g_rows = parity_check_rows(ctx, i), _generator_rows(ctx, i)
+    h_rows = parity_check_rows(ctx, i)
+    g_rows = generator_rows(ctx, i) if gens is None else gens
     rank_h, rank_g = gf2_rank(h_rows), gf2_rank(g_rows)
     cardinality = 1 << (n - rank_h)
     return {

@@ -29,14 +29,15 @@ denominators, split (x^2 + x over alpha outside {0, 1}) or irreducible
 summed over the alpha with alpha^2 + alpha + b != 0, lambda(a/(alpha^2 +
 alpha + b)) gives (-1)^tr(b) K(a) - 1 for every b, which is the identity
 underlying the dual-codeword weights in :mod:`kmoments.codes`.  The
-denominator takes each value d in b + theta at exactly two alpha, alpha
-and alpha + 1, so ``quadratic_char_sums`` gives every a at once as twice
-a sum over the nonzero d: b = 0 is the split row, a trace-one b the
-irreducible row.  With f(t) = lambda(g^t) over two periods of ``ctx.exp``
-and n_d = q-1 - log d, the term lambda(a/d) is f(log a + n_d), so the
-sum for one a is one ``operator.itemgetter`` call over f[log a:] and one
-``sum``, both in C.  Every term is still a literal lookup: the row reads
-no K value and does no convolution, so it stays independent of
+denominator takes each value d of D, the nonzero elements of b + theta,
+at exactly two alpha, alpha and alpha + 1, so ``quadratic_char_sums``
+gives every a at once as twice a sum over D: b = 0 is the split row, a
+trace-one b the irreducible row.  With a = g^s that sum is a cyclic
+convolution of u with the indicator of log D, so the whole row is one
+exact product of two packed ints, u and the indicator, in two-byte
+slots: no slot exceeds |D| <= q/2 <= 2^15, and the slot sum
+(q/2 - 1) |D| guards against a carry.  The row reads no K value and
+packs its own factors, so it stays independent of
 ``kloosterman_table``.  The per-a functions, literal sums over every
 alpha, are its oracles.
 """
@@ -44,7 +45,6 @@ alpha, are its oracles.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
 
 from .gf2r import FieldContext, _check_int, _unpack_slots
 
@@ -57,9 +57,10 @@ __all__ = [
     "quadratic_char_sums",
 ]
 
-# bytes per coefficient slot of the packed convolution.  Every linear
-# coefficient lin[k] = sum_{i+j=k} u(i) u(j), and every folded c_s, is at
-# most sum_t u(t) = q/2 - 1 < 2^15 for r <= 16 (the field's MAX_DEGREE),
+# bytes per coefficient slot of the packed convolutions.  Every linear
+# coefficient lin[k] = sum_{i+j=k} u(i) v(j), v = u for the K table and the
+# indicator of log D for a character-sum row, and every folded c_s, is at
+# most sum_t v(t) <= q/2 <= 2^15 for r <= 16 (the field's MAX_DEGREE),
 # so two bytes never carry into the next slot
 _SLOT_BYTES = 2
 
@@ -167,16 +168,29 @@ def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
     Entry a is (-1)^tr(b) K(a) - 1: b = 0 gives
     ``split_quadratic_char_sum`` and a trace-one b
     ``irreducible_quadratic_char_sum``, its oracles.  alpha and alpha + 1
-    give the same denominator, and the denominators are the nonzero d
-    in b + theta, so entry a is twice the sum of lambda(a/d) over them.
-    With row[t] = lambda(g^t) over the two periods of ``ctx.exp`` and
-    n_d = q-1 - log d, the term for d is row[log a + n_d]: the sum for a
-    is one ``itemgetter`` of every n_d over row[log a:].
+    give the same denominator, and the denominators are the set D of
+    nonzero d in b + theta, so entry a is twice the sum of lambda(a/d)
+    over D.  With a = g^s, lambda(g^t) = 2 u(t) - 1 and e(t) = [g^t in D],
+    that sum is 2 c_s - |D|, c_s = sum_t e(t) u(s - t mod q-1): one cyclic
+    convolution of u with e.  Each of u and e is packed into one int, one
+    ``_SLOT_BYTES``-byte slot per t, and their product leaves the linear
+    convolution lin[0..2q-4] in its slots; c_s = lin[s] + lin[s + q - 1].
+    A slot holds at most |D| <= q/2 <= 2^15 for r <= 16, so none carries,
+    and sum_k lin[k] = (q/2 - 1) |D| checks that.  The row reads no K
+    value, and shares no packing with ``kloosterman_table``.
     """
     _check_int("b", b, 0, ctx.q - 1)
-    trace, log = ctx.trace_table, ctx.log
-    row = [1 - 2 * trace[x] for x in ctx.exp]
-    neg = [ctx.q - 1 - log[t ^ b] for t in ctx.theta if t != b]
-    # itemgetter of one index returns the item, not a 1-tuple, and of none raises
-    terms = itemgetter(*neg) if len(neg) > 1 else lambda s: [s[n] for n in neg]
-    return [None] + [2 * sum(terms(row[la:])) for la in log[1:]]
+    q, qm1, exp, log, trace = ctx.q, ctx.q - 1, ctx.exp, ctx.log, ctx.trace_table
+    u = bytearray(qm1 * _SLOT_BYTES)
+    u[::_SLOT_BYTES] = bytes(1 - trace[x] for x in exp[:qm1])
+    logs = [log[t ^ b] for t in ctx.theta if t != b]
+    e = bytearray(qm1 * _SLOT_BYTES)
+    for s in logs:
+        e[s * _SLOT_BYTES] += 1
+    size = len(logs)
+    product = int.from_bytes(u, "little") * int.from_bytes(e, "little")
+    lin = _unpack_slots(product, 2 * qm1, _SLOT_BYTES)
+    # the slots sum to (sum_t u(t)) |D| only if none carried and the byte order was right
+    if sum(lin) != (q // 2 - 1) * size:
+        raise ArithmeticError(f"character-sum slots sum to {sum(lin)}, not {q // 2 - 1}*{size}")
+    return [None] + [4 * (lin[s] + lin[s + qm1]) - 2 * size for s in log[1:]]

@@ -51,26 +51,24 @@ def stirling2_explicit(h: int, t: int) -> int:
 
 
 def _pless_sums(h_max: int, n: int, dist) -> list[int]:
-    """P_h for h = 0..h_max, in one pass over the Stirling rows S(h, *).
+    """P_h for h = 0..h_max, in O(h_max^2) exact terms.
 
     P_h = sum_{j <= min(N, h)} (-1)^j C_j sum_{t=j..min(h, N)} t! S(h, t) 2^(h-t) C(N-j, N-t),
     the Pless right side over the counts C_j in ``dist`` with the 2^r
-    dual size left out (C(N-j, N-t) would vanish past t = N).  Row h
-    comes from row h - 1, and the t-only factors are built once per h.
+    dual size left out (C(N-j, N-t) would vanish past t = N).  Swapping
+    the sums gives P_h = sum_{t <= min(h, N)} t! S(h, t) 2^(h-t) B_t with
+    B_t = sum_{j <= t} (-1)^j C_j C(N-j, N-t), which does not depend on h:
+    the B_t are built once, and the Stirling row h comes from row h - 1.
     """
+    b_sums = [
+        sum((-1) ** j * dist[j] * comb(n - j, n - t) for j in range(t + 1)) for t in range(min(n, h_max) + 1)
+    ]
     sums = []
     row = [1]  # S(0, *)
     for h in range(h_max + 1):
         if h:
             row = _next_stirling2_row(row)
-        weights = [factorial(t) * row[t] << (h - t) for t in range(h + 1)]
-        top = min(n, h)
-        sums.append(
-            sum(
-                (-1) ** j * dist[j] * sum(weights[t] * comb(n - j, n - t) for t in range(j, top + 1))
-                for j in range(top + 1)
-            )
-        )
+        sums.append(sum(factorial(t) * row[t] * b_sums[t] << (h - t) for t in range(min(h, n) + 1)))
     return sums
 
 

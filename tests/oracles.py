@@ -7,15 +7,20 @@ literal summation, codeword counting by scanning the full binary cube,
 weight counts by a dynamic program over the group algebra of
 (F_q, XOR), dual weights by a list Walsh-Hadamard butterfly, every
 dual word stored by linearity from its r generators, the dual
-structure of a code by a pairwise parity scan, and the command line by
-argparse.  Slow on purpose; only used at desk scale.
+structure of a code by a pairwise parity scan, parity rows one entry
+at a time, the Pless sums order by order with t! S(h, t) as an
+alternating sum, and the command line by argparse.  Slow on purpose;
+only used at desk scale.
 
-The two quadratic character sums are the exception: they take a field
-context and evaluate each term through its ``mul`` and inverse table,
-where the package indexes exp/log directly.
+The quadratic character sums are the exception: they take a field
+context.  The per-a sums evaluate each term through its ``mul`` and
+inverse table, where the package indexes exp/log directly, and the row
+looks up every term lambda(a/d) in the exp table.
 """
 
 import argparse
+import math
+from operator import itemgetter
 
 
 def xmul(a: int, b: int) -> int:
@@ -151,6 +156,38 @@ def wht_weight_histogram(base, mult: int, q: int, n: int) -> dict[int, int]:
     return hist
 
 
+def bitmask(bits) -> int:
+    """The integer whose bit l is bits[l], read from one string of binary digits."""
+    return int("".join(map(str, bits))[::-1], 2)
+
+
+def rows_by_entry(entries, masks) -> list[int]:
+    """Bit l of row k is the parity of entries[l] & masks[k], one entry at a time."""
+    return [bitmask([(entry & mask).bit_count() & 1 for entry in entries]) for mask in masks]
+
+
+def pless_sums_by_order(h_max: int, n: int, dist) -> list[int]:
+    """P_h = sum_{j <= min(N, h)} (-1)^j C_j sum_{t=j..min(h, N)} t! S(h, t) 2^(h-t) C(N-j, N-t).
+
+    Each order on its own, in O(h^2) terms, with t! S(h, t) the number
+    of surjections sum_m (-1)^(t-m) C(t, m) m^h.
+    """
+    sums = []
+    for h in range(h_max + 1):
+        top = min(n, h)
+        weights = [
+            sum((-1) ** (t - m) * math.comb(t, m) * m**h for m in range(t + 1)) << (h - t)
+            for t in range(top + 1)
+        ]
+        sums.append(
+            sum(
+                (-1) ** j * dist[j] * sum(weights[t] * math.comb(n - j, n - t) for t in range(j, top + 1))
+                for j in range(top + 1)
+            )
+        )
+    return sums
+
+
 def dual_words(generators, q: int) -> list[int]:
     """The q words of a GF(2)-linear map a -> c(a), indexed by a, all stored.
 
@@ -198,6 +235,22 @@ def irreducible_char_sum_by_mul(ctx, a: int, b: int) -> int:
         d = mul(alpha, alpha) ^ alpha ^ b
         total += 1 - 2 * trace[mul(a, inv[d])]
     return total
+
+
+def char_sum_row_by_lookup(ctx, b: int) -> list:
+    """quadratic_char_sums(ctx, b) as twice a sum of literal lookups: O(q^2).
+
+    With row[t] = lambda(g^t) over the two periods of ``ctx.exp`` and
+    n_d = q-1 - log d, the term lambda(a/d) for a denominator d in
+    b + theta is row[log a + n_d], so the sum for a is one ``itemgetter``
+    of every n_d over row[log a:].
+    """
+    trace, log = ctx.trace_table, ctx.log
+    row = [1 - 2 * trace[x] for x in ctx.exp]
+    neg = [ctx.q - 1 - log[t ^ b] for t in ctx.theta if t != b]
+    # itemgetter of one index returns the item, not a 1-tuple, and of none raises
+    terms = itemgetter(*neg) if len(neg) > 1 else lambda s: [s[n] for n in neg]
+    return [None] + [2 * sum(terms(row[la:])) for la in log[1:]]
 
 
 class ArgparseUsageError(Exception):

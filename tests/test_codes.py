@@ -23,6 +23,7 @@ from kmoments.codes import (
     dual_weight_closed_form,
     dual_weight_fraction,
     dual_weights,
+    generator_rows,
     is_codeword,
     kernel_basis,
     parity_check_rows,
@@ -112,6 +113,7 @@ _BY_CODE = {
     "weight_distribution_exhaustive": lambda ctx, i: weight_distribution_exhaustive(ctx, i),
     "code_cardinality": lambda ctx, i: code_cardinality(ctx, i),
     "parity_check_rows": lambda ctx, i: parity_check_rows(ctx, i),
+    "generator_rows": lambda ctx, i: generator_rows(ctx, i),
     "verify_dual_structure": lambda ctx, i: verify_dual_structure(ctx, i),
     "moment_sequence": lambda ctx, i: moment_sequence(ctx, i, 2),
     "pless_check": lambda ctx, i: pless_check(ctx, i, 2),
@@ -273,20 +275,31 @@ def test_dual_weight_fraction_is_exact(ctx3):
 @pytest.mark.parametrize("r", range(1, 11))
 def test_rows_equal_independent_builds(r):
     # every irreducible modulus up to r = 7, the canonical one above
-    import kmoments.codes as codes
-
     fields = [build_field(r, modulus=m) for m in irreducible_polys(r)] if r <= 7 else [build_field(r)]
     for ctx in fields:
         for i in CODE_INDICES:
             if i in (1, 2) and ctx.q < 4:
                 continue
             # generator k is c_i(2^k), which dual_codeword builds from exp/log products
-            gens = [codes._bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(r)]
-            assert codes._generator_rows(ctx, i) == gens, (ctx, i)
+            gens = [oracles.bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(r)]
+            assert generator_rows(ctx, i) == gens, (ctx, i)
             # parity row k holds bit k of every entry of vector i
             v = build_vector(ctx, i)
             rows = [sum((entry >> k & 1) << l for l, entry in enumerate(v)) for k in range(r)]
             assert parity_check_rows(ctx, i) == rows, (ctx, i)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_rows_equal_the_per_entry_oracle(r, contexts):
+    # the unit masks of the parity rows and the trace-form masks of the generators
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    tt, mul = ctx.trace_table, ctx.mul
+    trace_forms = [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)]
+    for masks in ([1 << k for k in range(r)], trace_forms):
+        for i in CODE_INDICES:
+            if code_length(ctx, i):
+                expected = oracles.rows_by_entry(build_vector(ctx, i), masks)
+                assert codes_mod._rows(ctx, i, masks) == expected, (r, i, masks)
 
 
 # -- every dual weight by one Gray-code walk ------------------------------------------
@@ -294,12 +307,12 @@ def test_rows_equal_independent_builds(r):
 
 def _assert_dual_weights_match_oracles(ctx, i):
     # the stored words come from generators built bit by bit by dual_codeword
-    words = oracles.dual_words([codes_mod._bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(ctx.r)], ctx.q)
+    words = oracles.dual_words([oracles.bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(ctx.r)], ctx.q)
     weights = dual_weights(ctx, i)
     assert len(weights) == ctx.q
     for a in ctx.elements():
         bits = dual_codeword(ctx, i, a)
-        assert words[a] == codes_mod._bitmask(bits), (i, a)
+        assert words[a] == oracles.bitmask(bits), (i, a)
         assert weights[a] == words[a].bit_count() == sum(bits), (i, a)
 
 
@@ -619,7 +632,7 @@ def test_verify_dual_structure_r3(ctx3):
 def _scan_report(ctx, i):
     # the per-word statement: every dual word against every kernel basis vector
     n = code_length(ctx, i)
-    words = [codes_mod._bitmask(dual_codeword(ctx, i, a)) for a in ctx.elements()]
+    words = [oracles.bitmask(dual_codeword(ctx, i, a)) for a in ctx.elements()]
     basis = kernel_basis(parity_check_rows(ctx, i), n)
     return oracles.dual_structure_by_scan(words, basis, n)
 
@@ -661,8 +674,8 @@ def test_orthogonality_catches_one_flipped_generator_bit(i, contexts, monkeypatc
     ctx = contexts[5]
     assert verify_dual_structure(ctx, i)["orthogonal"] is True
     assert all(equal for _, _, equal in pless_check(ctx, i, 10))
-    for bad in _one_bit_mutants(codes._generator_rows(ctx, i), code_length(ctx, i)):
-        monkeypatch.setattr(codes, "_generator_rows", lambda ctx, i, bad=bad: bad)
+    for bad in _one_bit_mutants(generator_rows(ctx, i), code_length(ctx, i)):
+        monkeypatch.setattr(codes, "generator_rows", lambda ctx, i, bad=bad: bad)
         assert verify_dual_structure(ctx, i)["orthogonal"] is False
         # the walk reads the same rows, so the Pless left side moves off the right
         assert not all(equal for _, _, equal in pless_check(ctx, i, 10))

@@ -286,6 +286,25 @@ def test_char_sum_row_identity_at_every_b(r, contexts, tables):
         assert quadratic_char_sums(ctx, b) == [None] + [sign * table[a] - 1 for a in ctx.nonzero()], b
 
 
+@pytest.mark.parametrize("r", range(1, 13))
+def test_char_sum_rows_equal_the_lookup_oracle(r, contexts):
+    # b = 0, a nonzero trace-zero b where there is one, and the first and last trace-one b
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
+    for b in dict.fromkeys((0, ctx.theta[-1], trace_one[0], trace_one[-1])):
+        assert quadratic_char_sums(ctx, b) == oracles.char_sum_row_by_lookup(ctx, b), b
+
+
+@pytest.mark.parametrize("r", range(9, 17))
+def test_char_sum_row_identity_to_the_largest_field(r):
+    # (-1)^tr(b) K(a) - 1 at b = 0 and one trace-one b, past the lookup oracle's reach
+    ctx = build_field(r)
+    table = kloosterman_table(ctx)
+    for b in (0, ctx.b):
+        sign = 1 - 2 * ctx.trace_table[b]
+        assert quadratic_char_sums(ctx, b) == [None] + [sign * k - 1 for k in table[1:]], b
+
+
 def test_char_sum_rows_index_by_a_and_check_b(ctx3):
     assert quadratic_char_sums(ctx3, 0)[:4] == [None, -6, split_quadratic_char_sum(ctx3, 2), 2]
     assert quadratic_char_sums(ctx3, 1)[1] == 4

@@ -10,10 +10,13 @@ from kmoments import build_field
 from kmoments.kloosterman import kloosterman_table, moment_bruteforce
 from kmoments.moments import (
     _next_stirling2_row,
+    _pless_sums,
     moment_sequence,
     pless_check,
     stirling2_explicit,
 )
+
+import oracles
 
 
 # -- combinatorial helpers -------------------------------------------------------
@@ -35,6 +38,15 @@ def test_stirling_recurrence_vs_alternating_sum():
         if h:
             row = _next_stirling2_row(row)
         assert row == [stirling2_explicit(h, t) for t in range(h + 1)], h
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 300), h_max=st.integers(0, 32))
+def test_pless_sums_equal_the_order_by_order_oracle(data, n, h_max):
+    # any integer counts C_0..C_min(N, h_max), signed and past any code's size
+    size = min(n, h_max) + 1
+    dist = data.draw(st.lists(st.integers(-(2**80), 2**80), min_size=size, max_size=size), label="dist")
+    assert _pless_sums(h_max, n, dist) == oracles.pless_sums_by_order(h_max, n, dist)
 
 
 # -- the four recursions ---------------------------------------------------------

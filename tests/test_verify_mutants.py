@@ -1,9 +1,10 @@
 """Every ``verify`` check fails under some mutant of the stage it reads.
 
 A check that nothing can fail shows nothing.  ``MUTANTS`` breaks one
-stage each, as a monkeypatch of one function: the K table, the row
-builder ``codes._rows``, the generator rows G, the dual weights, the
-dual-weight histogram or the weight distribution.  ``REGISTRY`` maps every check name to the mutants
+stage each, as a monkeypatch of one function: the K table, the
+character-sum row, the row builder ``codes._rows``, the generator rows
+G, the dual weights, the dual-weight histogram or the weight
+distribution.  ``REGISTRY`` maps every check name to the mutants
 that fail it.  At each r below, every check the clean run prints must
 FAIL under at least one of its mutants, and a check name with no entry
 fails the test, as a new public name does in ``test_no_orphans.py``.
@@ -103,14 +104,25 @@ def _shift_dual_weight(shift):
     def apply(mp):
         real = codes.dual_weights
 
-        def mutant(ctx, i):
-            weights = list(real(ctx, i))
+        def mutant(ctx, i, gens=None):
+            weights = list(real(ctx, i, gens))
             weights[1] += shift
             return tuple(weights)
 
         mp.setattr(codes, "dual_weights", mutant)
 
     return apply
+
+
+def _rotate_char_sum_row(mp):
+    # entry g^s of every character-sum row takes the value of entry g^(s+1)
+    real = cli.kl.quadratic_char_sums
+
+    def mutant(ctx, b):
+        row = real(ctx, b)
+        return [None] + [row[ctx.exp[ctx.log[a] + 1]] for a in ctx.nonzero()]
+
+    mp.setattr(cli.kl, "quadratic_char_sums", mutant)
 
 
 def _swap_c3_c4(mp):
@@ -134,11 +146,12 @@ MUTANTS = {
     "K(1) past the Weil bound": _k1_past_weil,
     "swap K(1) and the first K(a) != K(1)": _swap_k1_first_other,
     "flip a bit in _rows": _edit_rows("_rows", _flip_bit),
-    "flip a bit in G": _edit_rows("_generator_rows", _flip_bit),
-    "zero a row of G": _edit_rows("_generator_rows", _zero_row),
+    "flip a bit in G": _edit_rows("generator_rows", _flip_bit),
+    "zero a row of G": _edit_rows("generator_rows", _zero_row),
     "q more zero dual words": _more_zero_words,
     "dual weight + 1": _shift_dual_weight(1),
     "dual weight - 1": _shift_dual_weight(-1),
+    "rotate the char-sum row": _rotate_char_sum_row,
     "swap C_3, C_4": _swap_c3_c4,
 }
 
@@ -148,8 +161,8 @@ REGISTRY = {
     "kloosterman_mod4": ("K(1) + 2",),
     "kloosterman_frobenius": ("swap K(1), K(g)", "swap K(1) and the first K(a) != K(1)"),
     "moment_first": ("K(1) + 4", "K(1) - 4", "K(1) + 2"),
-    "split_char_sum": ("K(1) + 4", "K(1) - 4", "swap K(1), K(g)"),
-    "irreducible_char_sum": ("K(1) + 4", "K(1) - 4", "swap K(1), K(g)"),
+    "split_char_sum": ("K(1) + 4", "K(1) - 4", "swap K(1), K(g)", "rotate the char-sum row"),
+    "irreducible_char_sum": ("K(1) + 4", "K(1) - 4", "swap K(1), K(g)", "rotate the char-sum row"),
     "dual_weight_formula": ("K(1) + 4", "flip a bit in G", "dual weight + 1"),
     "dual_weight_halving": ("K(1) + 2",),
     "dual_orthogonality": ("flip a bit in _rows", "flip a bit in G"),
