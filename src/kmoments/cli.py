@@ -44,7 +44,7 @@ MAX_R = 12  # --r, every subcommand: past 12 no check independent of the K table
 MAX_HMAX = 32  # --hmax: not a cost (O(h^2) exact terms); the orders the tests check by brute force
 FULL_DISTRIBUTION_MAX_R = 8  # weights reaching weight N: N + 1 counts of up to N - r bits
 VERIFY_DISTRIBUTION_MAX_R = 6  # verify's full distribution: O(N sqrt(q)) Krawtchouk terms
-# not costs (a character-sum row is one packed product, 0.1 ms at r = 8; the rest is O(q r)):
+# not costs (a character-sum row is one O(q r) transform, 0.14 ms at r = 8; the rest is O(q r)):
 # these rows stop where they do so that verify's output, and with it the seed-0 digests
 # in perfbench/reference.json, stays as recorded
 CHAR_SUM_MAX_R = 8  # split_char_sum, irreducible_char_sum
@@ -274,9 +274,8 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     CHAR_SUM_MAX_R the two quadratic character sums, whose rows repeat
     under each code (one ``quadratic_char_sums`` row over every a at
     b = 0, and one per trace-one b).  The field rows come first, under code None.
-    Once per code: the generator rows G (read by the dual weights and the
-    dual-structure report), the q dual weights, the weight distribution and
-    the dual-structure report, each shared by every row that reads it.  At
+    Once per code: the q dual weights, the weight distribution and the
+    dual-structure report, each shared by every row that reads it.  At
     r = 7..8 the distribution stops at h_max, and the cardinality row's
     ``code_cardinality`` runs the Walsh-Hadamard histogram a second time.
     """
@@ -312,22 +311,20 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         trace, copies = codes_mod.code_shape(i)
         for name, ok, note in char_sums:
             yield i, name, ok, note
-        gens = codes_mod.generator_rows(ctx, i)
-        weights = codes_mod.dual_weights(ctx, i, gens)
+        weights = codes_mod.dual_weights(ctx, i)
         dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
 
         if r <= DIGEST_ROWS_MAX_R:
-            # the literal trace words' weights against the closed forms num / den in the table's K(a),
-            # one fraction per distinct K value
-            fractions = {k: codes_mod.dual_weight_fraction(q, i, k) for k in set(values)}
-            pairs = zip(map(fractions.get, values), weights[1:])
-            yield i, "dual_weight_formula", all(num == den * w for (num, den), w in pairs), None
+            # the literal trace words' weights against the closed forms num / den in the table's K(a)
+            fractions = {a: codes_mod.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
+            ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
+            yield i, "dual_weight_formula", ok, None
             if copies == 1:
                 # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
                 ok = all(num % 4 == 0 for num, _ in fractions.values())
                 yield i, "dual_weight_halving", ok, None
 
-        report = codes_mod.verify_dual_structure(ctx, i, gens)
+        report = codes_mod.verify_dual_structure(ctx, i)
         yield i, "dual_orthogonality", report["orthogonal"], None
         if not trace and q == 4:
             ok = report["kernel_size"] == 2

@@ -23,11 +23,11 @@ words of a = 2^k, one running word and one XOR per step, gives the
 weights of all q dual words (``dual_weights``).  One row builder makes
 these r generators and the r parity rows of code i: bit l of a row is
 the parity of entry_l & m, with m = 2^k for parity row k and bit j of m
-tr(2^k 2^j) for generator k (``generator_rows``); it translates the
-entries' bytes through 256-byte parity tables, so a row is a few
-``translate`` calls rather than N parities.  ``dual_codeword``, from
-exp/log products, is the per-a oracle.  The dual structure is GF(2)
-ranks of these rows (``verify_dual_structure``).
+tr(2^k 2^j) for generator k; it translates the entries' bytes through
+256-byte parity tables, so a row is a few ``translate`` calls rather
+than N parities.  ``dual_codeword``, from exp/log products, is the
+per-a oracle.  The dual structure is GF(2) ranks of these rows
+(``verify_dual_structure``).
 
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
@@ -63,7 +63,6 @@ __all__ = [
     "weight_distribution_exhaustive",
     "code_cardinality",
     "parity_check_rows",
-    "generator_rows",
     "gf2_rank",
     "kernel_basis",
     "verify_dual_structure",
@@ -181,19 +180,13 @@ def _rows(ctx: FieldContext, i: int, masks) -> list[int]:
     return rows
 
 
-def generator_rows(ctx: FieldContext, i: int) -> list[int]:
-    """The r words c_i(2^k) of the dual map of code i, as length-N bitmasks.
-
-    tr(2^k x) is the parity of x & m_k, bit j of m_k being tr(2^k 2^j).
-    ``dual_weights`` walks their span and ``verify_dual_structure`` ranks
-    them; a caller running both builds them once and passes them to each.
-    """
-    _check_code(ctx, i)
+def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
+    # the r words c_i(2^k): tr(2^k x) is the parity of x & m_k, bit j of m_k being tr(2^k 2^j)
     tt, mul, r = ctx.trace_table, ctx.mul, ctx.r
     return _rows(ctx, i, [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)])
 
 
-def dual_weights(ctx: FieldContext, i: int, gens=None) -> tuple[int, ...]:
+def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
     """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
 
     c_i(a) is GF(2)-linear in a, so a Gray-code walk over the r words of
@@ -201,12 +194,9 @@ def dual_weights(ctx: FieldContext, i: int, gens=None) -> tuple[int, ...]:
     word of the lowest set bit of s and lands on a = s ^ (s >> 1).  Reads
     only the trace and exp/log tables, never a Kloosterman value or the
     Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
-    ``gens``, the list ``generator_rows`` returns, may be passed in by a
-    caller that has already built it.
     """
     _check_code(ctx, i)
-    if gens is None:
-        gens = generator_rows(ctx, i)
+    gens = _generator_rows(ctx, i)
     weights, word = [0] * ctx.q, 0
     for s in range(1, ctx.q):
         word ^= gens[(s & -s).bit_length() - 1]
@@ -421,7 +411,7 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]
     return tuple(counts)
 
 
-def verify_dual_structure(ctx: FieldContext, i: int, gens=None) -> dict:
+def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     """Check that {c_i(a)} really is the dual of code i.
 
     Returns five facts: ``orthogonal`` (every c_i(a) is orthogonal to
@@ -438,13 +428,11 @@ def verify_dual_structure(ctx: FieldContext, i: int, gens=None) -> dict:
     2^(r - rank G) zeros and 2^rank G images.  The code is ker H, of size
     2^(N - rank H), and its orthogonal complement is the row space of H;
     so every c_i(a) is orthogonal to every codeword iff
-    rank [H; G] = rank H.  ``gens`` may give G as ``generator_rows``
-    returns it, from a caller that has already built it.
+    rank [H; G] = rank H.
     """
     _check_code(ctx, i)
     n = code_length(ctx, i)
-    h_rows = parity_check_rows(ctx, i)
-    g_rows = generator_rows(ctx, i) if gens is None else gens
+    h_rows, g_rows = parity_check_rows(ctx, i), _generator_rows(ctx, i)
     rank_h, rank_g = gf2_rank(h_rows), gf2_rank(g_rows)
     cardinality = 1 << (n - rank_h)
     return {

@@ -32,14 +32,16 @@ underlying the dual-codeword weights in :mod:`kmoments.codes`.  The
 denominator takes each value d of D, the nonzero elements of b + theta,
 at exactly two alpha, alpha and alpha + 1, so ``quadratic_char_sums``
 gives every a at once as twice a sum over D: b = 0 is the split row, a
-trace-one b the irreducible row.  With a = g^s that sum is a cyclic
-convolution of u with the indicator of log D, so the whole row is one
-exact product of two packed ints, u and the indicator, in two-byte
-slots: no slot exceeds |D| <= q/2 <= 2^15, and the slot sum
-(q/2 - 1) |D| guards against a carry.  The row reads no K value and
-packs its own factors, so it stays independent of
-``kloosterman_table``.  The per-a functions, literal sums over every
-alpha, are its oracles.
+trace-one b the irreducible row.  The row uses the additive characters,
+not the multiplicative convolution: lambda(a/d) = (-1)^tr(a y) with
+y = 1/d, so the sum over D is the Walsh-Hadamard transform of the
+inverses of D, after the linear map phi(y) = sum_j tr(2^j y) 2^j that
+turns tr(a y) into the parity of a & phi(y).  That is O(q r) per b.  A
+packed product of u with the indicator of log D would be no check:
+b + theta is theta or its complement, so that product is the K table's
+own square u * u, or sum u minus it.  The row reads no K value and
+shares no arithmetic with ``kloosterman_table``; the per-a functions,
+literal sums over every alpha, are its oracles.
 """
 
 from __future__ import annotations
@@ -57,10 +59,9 @@ __all__ = [
     "quadratic_char_sums",
 ]
 
-# bytes per coefficient slot of the packed convolutions.  Every linear
-# coefficient lin[k] = sum_{i+j=k} u(i) v(j), v = u for the K table and the
-# indicator of log D for a character-sum row, and every folded c_s, is at
-# most sum_t v(t) <= q/2 <= 2^15 for r <= 16 (the field's MAX_DEGREE),
+# bytes per coefficient slot of the packed convolution.  Every linear
+# coefficient lin[k] = sum_{i+j=k} u(i) u(j), and every folded c_s, is at
+# most sum_t u(t) = q/2 - 1 < 2^15 for r <= 16 (the field's MAX_DEGREE),
 # so two bytes never carry into the next slot
 _SLOT_BYTES = 2
 
@@ -170,27 +171,26 @@ def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
     ``irreducible_quadratic_char_sum``, its oracles.  alpha and alpha + 1
     give the same denominator, and the denominators are the set D of
     nonzero d in b + theta, so entry a is twice the sum of lambda(a/d)
-    over D.  With a = g^s, lambda(g^t) = 2 u(t) - 1 and e(t) = [g^t in D],
-    that sum is 2 c_s - |D|, c_s = sum_t e(t) u(s - t mod q-1): one cyclic
-    convolution of u with e.  Each of u and e is packed into one int, one
-    ``_SLOT_BYTES``-byte slot per t, and their product leaves the linear
-    convolution lin[0..2q-4] in its slots; c_s = lin[s] + lin[s + q - 1].
-    A slot holds at most |D| <= q/2 <= 2^15 for r <= 16, so none carries,
-    and sum_k lin[k] = (q/2 - 1) |D| checks that.  The row reads no K
-    value, and shares no packing with ``kloosterman_table``.
+    over D.  With phi(y) = sum_j tr(2^j y) 2^j, GF(2)-linear and built by
+    doubling from phi(2^k), tr(a y) is the parity of a & phi(y); so the
+    sum is F(a) = sum_z f[z] (-1)^popcount(a & z), with f the indicator
+    of phi(1/d) over D: one Walsh-Hadamard transform of f.  Each of its
+    r stages adds and subtracts the even and odd entries into the two
+    halves, which leaves F in natural order after the r stages.
     """
     _check_int("b", b, 0, ctx.q - 1)
-    q, qm1, exp, log, trace = ctx.q, ctx.q - 1, ctx.exp, ctx.log, ctx.trace_table
-    u = bytearray(qm1 * _SLOT_BYTES)
-    u[::_SLOT_BYTES] = bytes(1 - trace[x] for x in exp[:qm1])
-    logs = [log[t ^ b] for t in ctx.theta if t != b]
-    e = bytearray(qm1 * _SLOT_BYTES)
-    for s in logs:
-        e[s * _SLOT_BYTES] += 1
-    size = len(logs)
-    product = int.from_bytes(u, "little") * int.from_bytes(e, "little")
-    lin = _unpack_slots(product, 2 * qm1, _SLOT_BYTES)
-    # the slots sum to (sum_t u(t)) |D| only if none carried and the byte order was right
-    if sum(lin) != (q // 2 - 1) * size:
-        raise ArithmeticError(f"character-sum slots sum to {sum(lin)}, not {q // 2 - 1}*{size}")
-    return [None] + [4 * (lin[s] + lin[s + qm1]) - 2 * size for s in log[1:]]
+    q, r, exp, log, trace = ctx.q, ctx.r, ctx.exp, ctx.log, ctx.trace_table
+    units = [log[1 << j] for j in range(r)]
+    phi = [0]
+    for lk in units:
+        # phi(2^k), bit j being tr(2^k 2^j)
+        m = sum(trace[exp[lk + lj]] << j for j, lj in enumerate(units))
+        phi += [x ^ m for x in phi]
+    f = [0] * q
+    for t in ctx.theta:
+        if t != b:
+            f[phi[exp[q - 1 - log[t ^ b]]]] = 1
+    for _ in range(r):
+        even, odd = f[0::2], f[1::2]
+        f = [x + y for x, y in zip(even, odd)] + [x - y for x, y in zip(even, odd)]
+    return [None] + [2 * x for x in f[1:]]

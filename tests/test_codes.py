@@ -23,7 +23,6 @@ from kmoments.codes import (
     dual_weight_closed_form,
     dual_weight_fraction,
     dual_weights,
-    generator_rows,
     is_codeword,
     kernel_basis,
     parity_check_rows,
@@ -113,7 +112,6 @@ _BY_CODE = {
     "weight_distribution_exhaustive": lambda ctx, i: weight_distribution_exhaustive(ctx, i),
     "code_cardinality": lambda ctx, i: code_cardinality(ctx, i),
     "parity_check_rows": lambda ctx, i: parity_check_rows(ctx, i),
-    "generator_rows": lambda ctx, i: generator_rows(ctx, i),
     "verify_dual_structure": lambda ctx, i: verify_dual_structure(ctx, i),
     "moment_sequence": lambda ctx, i: moment_sequence(ctx, i, 2),
     "pless_check": lambda ctx, i: pless_check(ctx, i, 2),
@@ -282,7 +280,7 @@ def test_rows_equal_independent_builds(r):
                 continue
             # generator k is c_i(2^k), which dual_codeword builds from exp/log products
             gens = [oracles.bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(r)]
-            assert generator_rows(ctx, i) == gens, (ctx, i)
+            assert codes_mod._generator_rows(ctx, i) == gens, (ctx, i)
             # parity row k holds bit k of every entry of vector i
             v = build_vector(ctx, i)
             rows = [sum((entry >> k & 1) << l for l, entry in enumerate(v)) for k in range(r)]
@@ -674,8 +672,8 @@ def test_orthogonality_catches_one_flipped_generator_bit(i, contexts, monkeypatc
     ctx = contexts[5]
     assert verify_dual_structure(ctx, i)["orthogonal"] is True
     assert all(equal for _, _, equal in pless_check(ctx, i, 10))
-    for bad in _one_bit_mutants(generator_rows(ctx, i), code_length(ctx, i)):
-        monkeypatch.setattr(codes, "generator_rows", lambda ctx, i, bad=bad: bad)
+    for bad in _one_bit_mutants(codes._generator_rows(ctx, i), code_length(ctx, i)):
+        monkeypatch.setattr(codes, "_generator_rows", lambda ctx, i, bad=bad: bad)
         assert verify_dual_structure(ctx, i)["orthogonal"] is False
         # the walk reads the same rows, so the Pless left side moves off the right
         assert not all(equal for _, _, equal in pless_check(ctx, i, 10))

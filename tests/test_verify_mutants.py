@@ -104,8 +104,8 @@ def _shift_dual_weight(shift):
     def apply(mp):
         real = codes.dual_weights
 
-        def mutant(ctx, i, gens=None):
-            weights = list(real(ctx, i, gens))
+        def mutant(ctx, i):
+            weights = list(real(ctx, i))
             weights[1] += shift
             return tuple(weights)
 
@@ -146,8 +146,8 @@ MUTANTS = {
     "K(1) past the Weil bound": _k1_past_weil,
     "swap K(1) and the first K(a) != K(1)": _swap_k1_first_other,
     "flip a bit in _rows": _edit_rows("_rows", _flip_bit),
-    "flip a bit in G": _edit_rows("generator_rows", _flip_bit),
-    "zero a row of G": _edit_rows("generator_rows", _zero_row),
+    "flip a bit in G": _edit_rows("_generator_rows", _flip_bit),
+    "zero a row of G": _edit_rows("_generator_rows", _zero_row),
     "q more zero dual words": _more_zero_words,
     "dual weight + 1": _shift_dual_weight(1),
     "dual weight - 1": _shift_dual_weight(-1),
