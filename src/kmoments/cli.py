@@ -43,13 +43,10 @@ SCHEMA_VERSION = 1
 MAX_R = 12  # --r, every subcommand: past 12 no check independent of the K table yet
 MAX_HMAX = 32  # --hmax: not a cost (O(h^2) exact terms); the orders the tests check by brute force
 FULL_DISTRIBUTION_MAX_R = 8  # weights reaching weight N: N + 1 counts of up to N - r bits
-VERIFY_DISTRIBUTION_MAX_R = 6  # verify's full distribution: O(N sqrt(q)) Krawtchouk terms
-# not costs (a character-sum row is one O(q r) transform, 0.14 ms at r = 8; the rest is O(q r)):
-# these rows stop where they do so that verify's output, and with it the seed-0 digests
-# in perfbench/reference.json, stays as recorded
-CHAR_SUM_MAX_R = 8  # split_char_sum, irreducible_char_sum
-ALL_B_MAX_R = 6  # irreducible_char_sum at every trace-one b; above, 2 sampled b
-DIGEST_ROWS_MAX_R = 8  # dual_weight_formula and _halving, distribution_cardinality by code_cardinality
+# not costs (at r = 8 a char-sum row takes 0.14 ms, a full distribution a few ms per code):
+# verify's rows stop here only to keep its output, and perfbench/reference.json's digests, as recorded
+DIGEST_ROWS_MAX_R = 8  # both char-sum rows, dual_weight_formula and _halving, code_cardinality's row
+DIGEST_FULL_ROWS_MAX_R = 6  # irreducible_char_sum at every trace-one b (above, 2), full distribution
 
 
 # Every option of every command: name, default, the values it takes (int,
@@ -271,13 +268,13 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
 
     Once per r: the K table, MK^0..MK^max(h_max, 1) from it (for
     moment_first and every code's moment_recursion), and up to
-    CHAR_SUM_MAX_R the two quadratic character sums, whose rows repeat
-    under each code (one ``quadratic_char_sums`` row over every a at
-    b = 0, and one per trace-one b).  The field rows come first, under code None.
-    Once per code: the q dual weights, the weight distribution and the
-    dual-structure report, each shared by every row that reads it.  At
-    r = 7..8 the distribution stops at h_max, and the cardinality row's
-    ``code_cardinality`` runs the Walsh-Hadamard histogram a second time.
+    DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
+    under each code (``quadratic_char_sums`` at b = 0 and at every
+    trace-one b, or two above DIGEST_FULL_ROWS_MAX_R).  The field rows come
+    first, under code None.  Once per code: the q dual weights, the weight
+    distribution (to h_max only above DIGEST_FULL_ROWS_MAX_R; there the
+    cardinality row's ``code_cardinality`` runs the histogram again) and
+    the dual-structure report, each shared by every row that reads it.
     """
     r, q = ctx.r, ctx.q
     table = kl.kloosterman_table(ctx)
@@ -295,14 +292,14 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         row, sign = kl.quadratic_char_sums(ctx, b), 1 - 2 * ctx.trace_table[b]
         return all(row[a] == sign * table[a] - 1 for a in ctx.nonzero())
 
+    full_rows = r <= DIGEST_FULL_ROWS_MAX_R
     char_sums = []
-    if r <= CHAR_SUM_MAX_R:
+    if r <= DIGEST_ROWS_MAX_R:
         char_sums.append(("split_char_sum", char_sums_hold(0), None))
         trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
-        bs = trace_one if r <= ALL_B_MAX_R else [trace_one[0], trace_one[-1]]
+        bs = trace_one if full_rows else [trace_one[0], trace_one[-1]]
         note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
         char_sums.append(("irreducible_char_sum", all(map(char_sums_hold, bs)), note))
-    full_distribution = r <= VERIFY_DISTRIBUTION_MAX_R
 
     for i in codes:
         n = codes_mod.code_length(ctx, i)
@@ -312,7 +309,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         for name, ok, note in char_sums:
             yield i, name, ok, note
         weights = codes_mod.dual_weights(ctx, i)
-        dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_distribution else min(n, h_max))
+        dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_rows else min(n, h_max))
 
         if r <= DIGEST_ROWS_MAX_R:
             # the literal trace words' weights against the closed forms num / den in the table's K(a)
@@ -337,7 +334,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         # larger than 2^(N-r); compare against the nullspace dimension instead
         expected_total = 1 << (n - r) if report["injective"] else report["code_cardinality"]
         size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
-        if full_distribution:
+        if full_rows:
             if n - r <= codes_mod.ENUMERATION_BUDGET:
                 enumerated = codes_mod.weight_distribution_exhaustive(ctx, i)
                 yield i, "distribution_vs_enumeration", dist == enumerated, None

@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from math import isqrt
 
-from .gf2r import FieldContext, _check_int, _unpack_slots
+from .gf2r import FieldContext, _check_int, _trace_form, _unpack_slots
 
 __all__ = [
     "CODE_INDICES",
@@ -181,9 +181,8 @@ def _rows(ctx: FieldContext, i: int, masks) -> list[int]:
 
 
 def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
-    # the r words c_i(2^k): tr(2^k x) is the parity of x & m_k, bit j of m_k being tr(2^k 2^j)
-    tt, mul, r = ctx.trace_table, ctx.mul, ctx.r
-    return _rows(ctx, i, [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)])
+    # the r words c_i(2^k): tr(2^k x) is the parity of x & m_k, m_k from the trace form
+    return _rows(ctx, i, _trace_form(ctx))
 
 
 def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:

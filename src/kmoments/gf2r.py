@@ -285,3 +285,9 @@ class FieldContext:
 def build_field(r: int, modulus: int | None = None, b: int | None = None) -> FieldContext:
     """Construct GF(2^r), with optional modulus and trace-one b overrides."""
     return FieldContext(r, modulus=modulus, b=b)
+
+
+def _trace_form(ctx: FieldContext) -> list[int]:
+    """The r masks m_k of the trace form, bit j of m_k being tr(2^k 2^j): tr(2^k x) = parity(x & m_k)."""
+    tt, mul, r = ctx.trace_table, ctx.mul, ctx.r
+    return [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)]

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .gf2r import FieldContext, _check_int, _unpack_slots
+from .gf2r import FieldContext, _check_int, _trace_form, _unpack_slots
 
 __all__ = [
     "kloosterman_sum",
@@ -179,12 +179,9 @@ def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
     halves, which leaves F in natural order after the r stages.
     """
     _check_int("b", b, 0, ctx.q - 1)
-    q, r, exp, log, trace = ctx.q, ctx.r, ctx.exp, ctx.log, ctx.trace_table
-    units = [log[1 << j] for j in range(r)]
+    q, r, exp, log = ctx.q, ctx.r, ctx.exp, ctx.log
     phi = [0]
-    for lk in units:
-        # phi(2^k), bit j being tr(2^k 2^j)
-        m = sum(trace[exp[lk + lj]] << j for j, lj in enumerate(units))
+    for m in _trace_form(ctx):  # phi(2^k) is the trace form's mask m_k
         phi += [x ^ m for x in phi]
     f = [0] * q
     for t in ctx.theta:

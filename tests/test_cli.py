@@ -605,6 +605,8 @@ GOLDEN_CASES = pytest.mark.parametrize(
         ("moments_r1_3", ("moments", "--r", "1..3", "--hmax", "3")),
         ("weights_r1", ("weights", "--r", "1")),
         ("verify_r1", ("verify", "--r", "1", "--hmax", "3")),
+        # above both digest limits, up to MAX_R: no character-sum, dual-weight or distribution row
+        ("verify_r10_12", ("verify", "--r", "10..12", "--hmax", "10")),
     ],
 )
 

@@ -116,9 +116,15 @@ PROBES = {
     ),
 }
 
-# DIGEST_ROWS_MAX_R holds back two rows, one per limit it replaced; each row keeps its
-# case under that limit's name
-LIMIT_OF = {"DUAL_WEIGHT_MAX_R": "DIGEST_ROWS_MAX_R", "CARDINALITY_MAX_R": "DIGEST_ROWS_MAX_R"}
+# verify's two digest limits each hold back the rows of several limits they replaced;
+# each row keeps its case under the name of the limit it had
+LIMIT_OF = {
+    "CHAR_SUM_MAX_R": "DIGEST_ROWS_MAX_R",
+    "DUAL_WEIGHT_MAX_R": "DIGEST_ROWS_MAX_R",
+    "CARDINALITY_MAX_R": "DIGEST_ROWS_MAX_R",
+    "ALL_B_MAX_R": "DIGEST_FULL_ROWS_MAX_R",
+    "VERIFY_DISTRIBUTION_MAX_R": "DIGEST_FULL_ROWS_MAX_R",
+}
 
 
 def _limit(case: str) -> str:

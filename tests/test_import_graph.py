@@ -9,6 +9,10 @@ the sources with ``ast``:
 * ``moments`` imports only ``gf2r`` and ``codes``.
 
 So neither weight-side module can reach a K value, by any name.
+
+One rule looks inside a function: ``kloosterman_table`` reads nothing
+from ``gf2r`` but ``_unpack_slots``.  So the K table shares neither the
+trace form nor any packing with the character-sum row checked against it.
 """
 
 import ast
@@ -109,3 +113,71 @@ def test_import_graph_rejects_each_mutant():
     assert _violations(codes) == ["codes imports moments"]
     kloosterman = _with_import(sources, "kloosterman", "from . import codes")
     assert _violations(kloosterman) == ["kloosterman imports codes"]
+
+
+# the gf2r names kloosterman_table may read
+K_TABLE_MAY_READ = {"_unpack_slots"}
+
+
+def _gf2r_reads(text: str, function: str) -> list[str]:
+    """The gf2r name behind every read in the body of ``function`` in ``text``.
+
+    A read is a name the module imports from gf2r, under any alias, or an
+    attribute of gf2r reached as a module (``gf2r.x``, ``kmoments.gf2r.x``).
+    """
+    tree = ast.parse(text)
+    names, modules = {}, {"kmoments.gf2r"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                module = module.removeprefix("kmoments").lstrip(".")
+            for alias in node.names:
+                if module == "gf2r":
+                    names[alias.asname or alias.name] = alias.name
+                elif not module and alias.name == "gf2r":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "kmoments.gf2r" and a.asname}
+    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return [
+        names[node.id] if isinstance(node, ast.Name) else node.attr
+        for stmt in body.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules
+    ]
+
+
+def _k_table_violations(sources: dict[str, str]) -> list[str]:
+    reads = _gf2r_reads(sources["kloosterman"], "kloosterman_table")
+    return [f"kloosterman_table reads gf2r.{name}" for name in reads if name not in K_TABLE_MAY_READ]
+
+
+def _with_k_table_line(sources, line):
+    # the line becomes the first statement of kloosterman_table's body
+    text = sources["kloosterman"]
+    (anchor,) = re.findall(r"^def kloosterman_table\(.*\n", text, flags=re.M)
+    return {**sources, "kloosterman": text.replace(anchor, anchor + f"    {line}\n")}
+
+
+def test_k_table_reads_no_gf2r_name_but_the_slot_reader():
+    assert _k_table_violations(_sources()) == []
+
+
+@pytest.mark.parametrize(
+    "imported, read",
+    [
+        (None, "_trace_form(ctx)"),
+        ("from .gf2r import _trace_form as masks", "masks(ctx)"),
+        ("from kmoments.gf2r import _trace_form", "_trace_form(ctx)"),
+        ("from . import gf2r", "gf2r._trace_form(ctx)"),
+        ("from kmoments import gf2r as g", "g._trace_form(ctx)"),
+        ("import kmoments.gf2r", "kmoments.gf2r._trace_form(ctx)"),
+        ("import kmoments.gf2r as g", "g._trace_form(ctx)"),
+    ],
+)
+def test_k_table_rule_rejects_a_read_of_the_trace_form(imported, read):
+    sources = _sources() if imported is None else _with_import(_sources(), "kloosterman", imported)
+    mutant = _with_k_table_line(sources, f"phi = {read}")
+    assert _k_table_violations(mutant) == ["kloosterman_table reads gf2r._trace_form"]
