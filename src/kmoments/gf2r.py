@@ -16,6 +16,11 @@ These canonical choices make outputs reproducible; any irreducible
 modulus of the right degree (and any trace-one b) may be supplied
 instead, since fields of equal order are isomorphic and everything
 built downstream is invariant under the choice.
+
+Two private helpers hold the packed-slot arithmetic of the layers above:
+``_unpack_slots`` reads the fixed-width slots of an int back, and
+``_walsh_hadamard`` is the one Walsh-Hadamard transform, on q slots of
+one int, that the character-sum row and the codes' weights both run on.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ __all__ = [
 ]
 
 MAX_DEGREE = 16
+
+# byte widths a Walsh-Hadamard slot may take, narrowest first; a slot
+# holds F(u) + 2^(8w-1) with |F(u)| <= n, so it needs n < 2^(8w-1), and
+# four bytes hold every n up to q at the field's MAX_DEGREE
+_WHT_SLOT_BYTES = (1, 2, 4)
 
 
 def _check_int(name: str, value, lo=None, hi=None, optional: bool = False) -> None:
@@ -60,6 +70,60 @@ def _unpack_slots(value: int, count: int, width: int) -> array:
     if sys.byteorder == "big":
         slots.byteswap()
     return slots
+
+
+def _wht_stages(q: int, width: int) -> list[tuple[int, int, int]]:
+    """(shift, mask, bias) for each stage h = 1, 2, 4, .., q/2 of the packed transform: mask
+    and bias hold 2^(8 width) - 1 and the slot bias 2^(8 width - 1) in exactly the slots k
+    with k & h == 0, and shift is the bit distance from slot k to slot k + h."""
+    one, stages = (1).to_bytes(width, "little"), []
+    h = 1
+    while h < q:
+        ones = int.from_bytes((one * h + bytes(width * h)) * (q // (2 * h)), "little")
+        stages.append((8 * width * h, ones * ((1 << 8 * width) - 1), ones << (8 * width - 1)))
+        h *= 2
+    return stages
+
+
+def _walsh_hadamard(q: int, points, copies: int, n: int) -> array:
+    """F(u) = sum_x f[x] (-1)^popcount(u & x) for every u < q, as a signed array.
+
+    f[x] is ``copies`` at each of the distinct nonzero ``points``, and n,
+    sum_x f[x], comes from a length the caller knows.  The q values live
+    in one int, slot k holding F_k + B in ``width`` little-endian bytes,
+    B = 2^(8 width - 1).  Every partial sum of the butterflies is bounded
+    by n, so the narrowest width with n < B keeps every slot in
+    0..2^(8 width) - 1.  Stage h pairs slot k with slot k + h for each k
+    with k & h = 0:
+
+        lo = x & M_h,  hi = (x >> shift_h) & M_h,
+        x = (lo + hi - B_h) | ((lo - hi + B_h) << shift_h),
+
+    with M_h and B_h from ``_wht_stages``.  Each slot of the two terms
+    ends in range, so the exact integer sums leave every value in its
+    own slot, whatever carries or borrows happen on the way.  XORing B
+    into every slot leaves F_k in two's complement.  Two invariants are
+    checked: F(0) = n, which a lost point breaks, and sum_u F(u) =
+    q f[0] = 0, which a zero point breaks.
+    """
+    width = next((w for w in _WHT_SLOT_BYTES if n < 1 << (8 * w - 1)), None)
+    if width is None:
+        raise ArithmeticError(f"no slot of {_WHT_SLOT_BYTES} bytes holds transform values up to {n}")
+    half = (1 << (8 * width - 1)).to_bytes(width, "little")
+    # f[x] + B in every slot; B's low byte is 0 (or 0x80 in one-byte slots)
+    f = bytearray(half * q)
+    for p in points:
+        f[p * width] += copies
+    x = int.from_bytes(f, "little")
+    for shift, mask, stage_bias in _wht_stages(q, width):
+        lo = x & mask
+        hi = (x >> shift) & mask
+        x = (lo + hi - stage_bias) | ((lo - hi + stage_bias) << shift)
+    unsigned = _unpack_slots(x ^ int.from_bytes(half * q, "little"), q, width)
+    values = array(unsigned.typecode.lower(), unsigned.tobytes())
+    if values[0] != n or sum(values):
+        raise ArithmeticError(f"transform gives F(0) = {values[0]} and sum F = {sum(values)}, not {n} and 0")
+    return values
 
 
 def polymod(a: int, b: int) -> int:

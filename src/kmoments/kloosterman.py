@@ -36,19 +36,20 @@ trace-one b the irreducible row.  The row uses the additive characters,
 not the multiplicative convolution: lambda(a/d) = (-1)^tr(a y) with
 y = 1/d, so the sum over D is the Walsh-Hadamard transform of the
 inverses of D, after the linear map phi(y) = sum_j tr(2^j y) 2^j that
-turns tr(a y) into the parity of a & phi(y).  That is O(q r) per b.  A
+turns tr(a y) into the parity of a & phi(y): ``gf2r._walsh_hadamard``,
+the packed transform behind the codes' dual weights, O(q r) per b.  A
 packed product of u with the indicator of log D would be no check:
 b + theta is theta or its complement, so that product is the K table's
 own square u * u, or sum u minus it.  The row reads no K value and
-shares no arithmetic with ``kloosterman_table``; the per-a functions,
-literal sums over every alpha, are its oracles.
+shares only the slot reader ``gf2r._unpack_slots`` with the K table;
+the per-a functions, literal sums over every alpha, are its oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .gf2r import FieldContext, _check_int, _trace_form, _unpack_slots
+from .gf2r import FieldContext, _check_int, _trace_form, _unpack_slots, _walsh_hadamard
 
 __all__ = [
     "kloosterman_sum",
@@ -174,20 +175,13 @@ def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
     over D.  With phi(y) = sum_j tr(2^j y) 2^j, GF(2)-linear and built by
     doubling from phi(2^k), tr(a y) is the parity of a & phi(y); so the
     sum is F(a) = sum_z f[z] (-1)^popcount(a & z), with f the indicator
-    of phi(1/d) over D: one Walsh-Hadamard transform of f.  Each of its
-    r stages adds and subtracts the even and odd entries into the two
-    halves, which leaves F in natural order after the r stages.
+    of phi(1/d) over D: one ``gf2r._walsh_hadamard`` of f, with
+    n = |D| = q/2 - 1 + tr(b).
     """
     _check_int("b", b, 0, ctx.q - 1)
-    q, r, exp, log = ctx.q, ctx.r, ctx.exp, ctx.log
     phi = [0]
     for m in _trace_form(ctx):  # phi(2^k) is the trace form's mask m_k
         phi += [x ^ m for x in phi]
-    f = [0] * q
-    for t in ctx.theta:
-        if t != b:
-            f[phi[exp[q - 1 - log[t ^ b]]]] = 1
-    for _ in range(r):
-        even, odd = f[0::2], f[1::2]
-        f = [x + y for x, y in zip(even, odd)] + [x - y for x, y in zip(even, odd)]
+    points = [phi[ctx.inv_table[t ^ b]] for t in ctx.theta if t != b]
+    f = _walsh_hadamard(ctx.q, points, 1, ctx.q // 2 - 1 + ctx.trace_table[b])
     return [None] + [2 * x for x in f[1:]]

@@ -5,11 +5,11 @@ carry-less arithmetic with explicit long-division reduction, traces by
 repeated squaring, inverses by exhaustive search, Kloosterman sums by
 literal summation, codeword counting by scanning the full binary cube,
 weight counts by a dynamic program over the group algebra of
-(F_q, XOR), dual weights by a list Walsh-Hadamard butterfly, every
-dual word stored by linearity from its r generators, the dual
-structure of a code by a pairwise parity scan, parity rows one entry
-at a time, the Pless sums order by order with t! S(h, t) as an
-alternating sum, and the command line by argparse.  Slow on purpose;
+(F_q, XOR), dual weights and any Walsh-Hadamard transform by a list
+butterfly, every dual word stored by linearity from its r generators,
+the dual structure of a code by a pairwise parity scan, parity rows
+one entry at a time, the Pless sums order by order with t! S(h, t) as
+an alternating sum, and the command line by argparse.  Slow on purpose;
 only used at desk scale.
 
 The quadratic character sums are the exception: they take a field
@@ -132,16 +132,15 @@ def group_algebra_weight_counts(base, mult: int, q: int, j_max: int) -> list[int
     return [row[0] for row in rows]
 
 
-def wht_weight_histogram(base, mult: int, q: int, n: int) -> dict[int, int]:
-    """Weights of the q dual words by a list butterfly over the multiplicities.
+def wht_values(points, copies: int, q: int) -> list[int]:
+    """F(u) = sum_x f[x] (-1)^popcount(u & x) for every u < q, by a list butterfly.
 
-    f[beta] counts beta in the code's vector (each entry of ``base``
-    listed ``mult`` times); its integer Walsh-Hadamard transform F(u) is
-    n - 2 wt, one value per u.  Two list slices per block and stage.
+    f[x] is ``copies`` times the number of listings of x in ``points``.
+    Two list slices per block and stage.
     """
     f = [0] * q
-    for beta in base:
-        f[beta] += mult
+    for x in points:
+        f[x] += copies
     h = 1
     while h < q:
         for lo in range(0, q, 2 * h):
@@ -150,8 +149,18 @@ def wht_weight_histogram(base, mult: int, q: int, n: int) -> dict[int, int]:
             f[lo:mid] = [x + y for x, y in zip(xs, ys)]
             f[mid:hi] = [x - y for x, y in zip(xs, ys)]
         h *= 2
+    return f
+
+
+def wht_weight_histogram(base, mult: int, q: int, n: int) -> dict[int, int]:
+    """Weights of the q dual words by a list butterfly over the multiplicities.
+
+    f[beta] counts beta in the code's vector (each entry of ``base``
+    listed ``mult`` times); its integer Walsh-Hadamard transform F(u) is
+    n - 2 wt, one value per u (``wht_values``).
+    """
     hist: dict[int, int] = {}
-    for F in f:
+    for F in wht_values(base, mult, q):
         hist[(n - F) // 2] = hist.get((n - F) // 2, 0) + 1
     return hist
 

@@ -565,8 +565,9 @@ def _swap_first_two(stages, width):
 
 # name -> (mutation of the stage list, codes whose verify rows fail; None: the kernel raises)
 MASK_MUTANTS = {
-    # both slip past the kernel's invariants and the exact guards downstream
-    "h1_slot3": (_extra_slot(0, 3), {3, 4}),
+    # the split row's transform, the first to run, gives F(0) = 6 for |D| = 7
+    "h1_slot3": (_extra_slot(0, 3), None),
+    # slips past the kernel's invariants and the exact guards downstream
     "h4_slot15": (_extra_slot(2, 15), {1, 2}),
     # the h = 1 and h = 2 masks exchanged: F(0) != N
     "swapped_h1_h2": (_swap_first_two, None),
@@ -576,17 +577,17 @@ MASK_MUTANTS = {
 @pytest.mark.parametrize("name", MASK_MUTANTS)
 def test_verify_catches_a_wrong_stage_mask(name, capsys, monkeypatch):
     import kmoments.cli as cli
-    import kmoments.codes as codes
+    import kmoments.gf2r as gf2r
 
     mutate, failing = MASK_MUTANTS[name]
-    real = codes._wht_stages
+    real = gf2r._wht_stages
 
     def stages(q, width):
         out = real(q, width)
         mutate(out, width)
         return out
 
-    monkeypatch.setattr(codes, "_wht_stages", stages)
+    monkeypatch.setattr(gf2r, "_wht_stages", stages)
     assert cli.main(["verify", "--r", "4"]) == 2
     out, err = capsys.readouterr()
     if failing is None:

@@ -72,14 +72,16 @@ GUARDS = {
     # code 4 at r = 8 has N = 128, past one-byte slots (|F| <= 127)
     "wht_slot_width": (
         "import kmoments.codes as codes\n"
-        "codes._WHT_SLOT_BYTES = (1,)\n"
+        "import kmoments.gf2r as gf2r\n"
+        "gf2r._WHT_SLOT_BYTES = (1,)\n"
         "codes.weight_distribution(build_field(8), 4, j_max=1)\n",
         "no slot of (1,) bytes holds transform values up to 128",
     ),
     # three bytes hold N = 4, but no array item is three bytes wide
     "slot_typecode": (
         "import kmoments.codes as codes\n"
-        "codes._WHT_SLOT_BYTES = (3,)\n"
+        "import kmoments.gf2r as gf2r\n"
+        "gf2r._WHT_SLOT_BYTES = (3,)\n"
         "codes.code_cardinality(build_field(3), 4)\n",
         "no array typecode has 3-byte items",
     ),
@@ -98,6 +100,32 @@ GUARDS = {
         "codes._base_entries = lambda ctx, i: (0,) + real(ctx, i)[1:]\n"
         "codes.code_cardinality(build_field(3), 4)\n",
         "transform gives F(0) = 4 and sum F = 8, not 4 and 0",
+    ),
+    # the trace-one row at r = 8 sums over |D| = 128 points, past one-byte slots
+    "char_sum_slot_width": (
+        "import kmoments.gf2r as gf2r\n"
+        "import kmoments.kloosterman as kl\n"
+        "gf2r._WHT_SLOT_BYTES = (1,)\n"
+        "ctx = build_field(8)\n"
+        "kl.quadratic_char_sums(ctx, ctx.b)\n",
+        "no slot of (1,) bytes holds transform values up to 128",
+    ),
+    # one trace-zero element lost: the split row sums over |D| - 1 points
+    "char_sum_f0": (
+        "import kmoments.kloosterman as kl\n"
+        "ctx = build_field(3)\n"
+        "ctx.theta = ctx.theta[:-1]\n"
+        "kl.quadratic_char_sums(ctx, 0)\n",
+        "transform gives F(0) = 2 and sum F = 0, not 3 and 0",
+    ),
+    # slots read in the wrong byte order: each two-byte value has its bytes swapped
+    "char_sum_byte_order": (
+        "import sys\n"
+        "import kmoments.kloosterman as kl\n"
+        "ctx = build_field(9)\n"
+        "sys.byteorder = {'little': 'big', 'big': 'little'}[sys.byteorder]\n"
+        "kl.quadratic_char_sums(ctx, 0)\n",
+        "transform gives F(0) = -256 and sum F = -2551, not 255 and 0",
     ),
     # a field product that is always 0: x^2 + x = x takes all q values
     "field_theta": (

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmoments.gf2r import (
+    _walsh_hadamard,
     build_field,
     irreducible_polys,
     parse_poly,
@@ -284,3 +285,29 @@ def test_build_deterministic():
     assert a.exp == b.exp
     assert a.trace_table == b.trace_table
     assert a.b == b.b
+
+
+# -- the packed Walsh-Hadamard transform ------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), r=st.integers(1, 10), copies=st.sampled_from([1, 2]))
+def test_walsh_hadamard_equals_list_butterfly(data, r, copies):
+    q = 1 << r
+    points = data.draw(st.lists(st.integers(1, q - 1), unique=True), label="points")
+    packed = _walsh_hadamard(q, points, copies, copies * len(points))
+    assert list(packed) == oracles.wht_values(points, copies, q)
+
+
+# n odd points give F(0) = n and F(1) = -n, the extremes a slot must hold: one-byte
+# slots up to n = 127, two-byte slots up to n = 2^15 - 1, four-byte slots past it
+@pytest.mark.parametrize(
+    "r, count, copies",
+    [(8, 127, 1), (8, 128, 1), (8, 64, 2), (16, (1 << 15) - 1, 1), (16, 1 << 15, 1)],
+)
+def test_walsh_hadamard_at_each_slot_width_edge(r, count, copies):
+    q = 1 << r
+    points = random.Random(count).sample(range(1, q, 2), count)
+    packed = _walsh_hadamard(q, points, copies, copies * count)
+    assert (packed[0], packed[1]) == (copies * count, -copies * count)
+    assert list(packed) == oracles.wht_values(points, copies, q)

@@ -12,7 +12,8 @@ So neither weight-side module can reach a K value, by any name.
 
 One rule looks inside a function: ``kloosterman_table`` reads nothing
 from ``gf2r`` but ``_unpack_slots``.  So the K table shares neither the
-trace form nor any packing with the character-sum row checked against it.
+trace form nor the Walsh-Hadamard transform, its stages or any other
+packing, with the character-sum row checked against it.
 """
 
 import ast
@@ -181,3 +182,19 @@ def test_k_table_rule_rejects_a_read_of_the_trace_form(imported, read):
     sources = _sources() if imported is None else _with_import(_sources(), "kloosterman", imported)
     mutant = _with_k_table_line(sources, f"phi = {read}")
     assert _k_table_violations(mutant) == ["kloosterman_table reads gf2r._trace_form"]
+
+
+@pytest.mark.parametrize(
+    "imported, read, name",
+    [
+        (None, "_walsh_hadamard(ctx.q, [], 1, 0)", "_walsh_hadamard"),
+        ("from . import gf2r", "gf2r._walsh_hadamard(ctx.q, [], 1, 0)", "_walsh_hadamard"),
+        ("from .gf2r import _wht_stages", "_wht_stages(ctx.q, 2)", "_wht_stages"),
+        ("from .gf2r import _wht_stages as stages", "stages(ctx.q, 2)", "_wht_stages"),
+        ("import kmoments.gf2r as g", "g._wht_stages(ctx.q, 2)", "_wht_stages"),
+    ],
+)
+def test_k_table_rule_rejects_a_read_of_the_transform(imported, read, name):
+    sources = _sources() if imported is None else _with_import(_sources(), "kloosterman", imported)
+    mutant = _with_k_table_line(sources, f"values = {read}")
+    assert _k_table_violations(mutant) == [f"kloosterman_table reads gf2r.{name}"]
