@@ -42,7 +42,7 @@ SCHEMA_VERSION = 1
 # README.md shows it as a table; enumeration reads codes.ENUMERATION_BUDGET.
 MAX_R = 12  # --r, every subcommand: past 12 no check independent of the K table yet
 MAX_HMAX = 32  # --hmax: not a cost (O(h^2) exact terms); the orders the tests check by brute force
-FULL_DISTRIBUTION_MAX_R = 8  # weights reaching weight N: N + 1 counts of up to N - r bits
+FULL_DISTRIBUTION_MAX_R = 8  # weights reaching weight N: not a cost, --jmax N - 1 prints almost as much
 # not costs (at r = 8 a char-sum row takes 0.14 ms, a full distribution a few ms per code):
 # verify's rows stop here only to keep its output, and perfbench/reference.json's digests, as recorded
 DIGEST_ROWS_MAX_R = 8  # both char-sum rows, dual_weight_formula and _halving, code_cardinality's row

@@ -21,12 +21,12 @@ so this module never imports the Kloosterman layer.
 The map a -> c_i(a) is GF(2)-linear, so one Gray-code walk over the r
 words of a = 2^k, one running word and one XOR per step, gives the
 weights of all q dual words (``dual_weights``).  One row builder makes
-these r generators and the r parity rows of code i: bit l of a row is
-the parity of entry_l & m, with m = 2^k for parity row k and bit j of m
-tr(2^k 2^j) for generator k; it translates the entries' bytes through
-256-byte parity tables, so a row is a few ``translate`` calls rather
-than N parities.  ``dual_codeword``, from exp/log products, is the
-per-a oracle.  The dual structure is GF(2) ranks of these rows
+these r generators and the r parity rows of code i: row k holds bit k
+of each entry for parity row k, and of each phi(entry) for generator k,
+phi the trace map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x));
+a row is one ``translate`` of a byte plane rather than N bit reads.
+``dual_codeword``, from exp/log products, is the per-a oracle.  The
+dual structure is GF(2) ranks of these rows
 (``verify_dual_structure``).
 
 Weight distributions come from the dual side: one Walsh-Hadamard
@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from math import isqrt
 
-from .gf2r import FieldContext, _check_int, _trace_form, _walsh_hadamard
+from .gf2r import FieldContext, _check_int, _trace_map, _walsh_hadamard
 
 __all__ = [
     "CODE_INDICES",
@@ -75,7 +75,8 @@ CODE_INDICES = tuple(_SHAPES)
 # exhaustive enumeration walks 2^(N-r) codewords
 ENUMERATION_BUDGET = 24
 
-_FLIP = bytes.maketrans(b"01", b"10")
+# table k maps a byte to the binary digit, b"0" or b"1", of its bit k
+_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
 
 
 def code_shape(i: int) -> tuple[int, int]:
@@ -146,38 +147,24 @@ def dual_codeword(ctx: FieldContext, i: int, a: int) -> tuple[int, ...]:
     return tuple(tt[exp[la + log[g]]] for g in v)
 
 
-def _parity_table(mask: int) -> bytes:
-    """Byte x of the table is the digit b"0" or b"1" of the parity of x & mask, for x < 256."""
-    table = b"0"
-    for k in range(8):
-        # the upper half is x with bit k set: the same parities, flipped where the mask has bit k
-        table += table.translate(_FLIP) if mask >> k & 1 else table
-    return table
+def _bit_rows(values, r: int) -> list[int]:
+    """r bitmasks of len(values) bits: bit l of row k is bit k of values[l].
 
-
-def _rows(ctx: FieldContext, i: int, masks) -> list[int]:
-    """One length-N bitmask per mask: bit l of row k is the parity of entry_l & masks[k].
-
-    The entries are cut into byte planes, entry_l = sum_p plane_p[l] 2^(8p),
-    each reversed so that entry l lands on bit l.  The parity of
-    entry_l & mask is the XOR over the planes of the parity of
-    plane_p[l] & (byte p of mask), so a row is one ``translate`` of each
-    plane through a 256-byte parity table, read as binary digits, XORed.
+    The values are cut into byte planes, each reversed so that value l
+    lands on bit l, and row 8p + k is plane p translated through the
+    digit table of bit k, read in base 2: one ``translate`` per row.
     """
-    v = _vector(ctx, i)
-    planes = [bytes(entry >> shift & 255 for entry in reversed(v)) for shift in range(0, ctx.r, 8)]
     rows = []
-    for mask in masks:
-        row = 0
-        for p, plane in enumerate(planes):
-            row ^= int(plane.translate(_parity_table(mask >> 8 * p & 255)), 2)
-        rows.append(row)
+    for shift in range(0, r, 8):
+        plane = bytes(v >> shift & 255 for v in reversed(values))
+        rows += [int(plane.translate(_BIT_DIGITS[k]), 2) for k in range(min(8, r - shift))]
     return rows
 
 
 def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
-    # the r words c_i(2^k): tr(2^k x) is the parity of x & m_k, m_k from the trace form
-    return _rows(ctx, i, _trace_form(ctx))
+    # the r words c_i(2^k): tr(2^k x) is bit k of phi(x), phi the trace map
+    phi = _trace_map(ctx)
+    return _bit_rows([phi[e] for e in _vector(ctx, i)], ctx.r)
 
 
 def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
@@ -293,7 +280,7 @@ def code_cardinality(ctx: FieldContext, i: int) -> int:
 def parity_check_rows(ctx: FieldContext, i: int) -> list[int]:
     """r binary parity rows (as length-N bitmasks) cutting out code i."""
     _check_code(ctx, i)
-    return _rows(ctx, i, [1 << k for k in range(ctx.r)])
+    return _bit_rows(_vector(ctx, i), ctx.r)
 
 
 def _pivots(rows) -> dict[int, int]:

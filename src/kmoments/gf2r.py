@@ -17,7 +17,11 @@ modulus of the right degree (and any trace-one b) may be supplied
 instead, since fields of equal order are isomorphic and everything
 built downstream is invariant under the choice.
 
-Two private helpers hold the packed-slot arithmetic of the layers above:
+exp/log come from one walk: the first g = 1, 2, .. whose powers return
+to 1 at step q - 1, not before, is primitive, and its walk is the table.
+Three private helpers serve the layers above: ``_trace_map`` is the
+table phi with tr(x y) = parity(x & phi(y)), the one form in which the
+codes' generator rows and the character-sum row read the trace;
 ``_unpack_slots`` reads the fixed-width slots of an int back, and
 ``_walsh_hadamard`` is the one Walsh-Hadamard transform, on q slots of
 one int, that the character-sum row and the codes' weights both run on.
@@ -34,7 +38,6 @@ __all__ = [
     "irreducible_polys",
     "poly_str",
     "parse_poly",
-    "polymod",
 ]
 
 MAX_DEGREE = 16
@@ -126,8 +129,8 @@ def _walsh_hadamard(q: int, points, copies: int, n: int) -> array:
     return values
 
 
-def polymod(a: int, b: int) -> int:
-    """Remainder of carry-less division of GF(2)[x] polynomial a by b != 0."""
+def _polymod(a: int, b: int) -> int:
+    """Remainder of carry-less division of GF(2)[x] polynomial a >= 0 by b > 0."""
     bl = b.bit_length()
     while a.bit_length() >= bl:
         a ^= b << (a.bit_length() - bl)
@@ -139,13 +142,14 @@ def _find_factor(f: int) -> int | None:
     deg = f.bit_length() - 1
     for d in range(1, deg // 2 + 1):
         for g in range(1 << d, 1 << (d + 1)):
-            if polymod(f, g) == 0:
+            if _polymod(f, g) == 0:
                 return g
     return None
 
 
 def irreducible_polys(r: int):
     """Yield the irreducible degree-r polynomials in increasing encoding order."""
+    _check_int("r", r, 1, MAX_DEGREE)
     for f in range(1 << r, 1 << (r + 1)):
         if _find_factor(f) is None:
             yield f
@@ -153,6 +157,7 @@ def irreducible_polys(r: int):
 
 def poly_str(f: int) -> str:
     """Render a polynomial bitmask as e.g. 'x^3+x+1'."""
+    _check_int("f", f, 0)
     if f == 0:
         return "0"
     # one pass over the binary digits, highest first: linear in the bit length
@@ -193,21 +198,6 @@ def parse_poly(s: str) -> int:
     if not 0 <= f < 1 << (MAX_DEGREE + 1):
         raise ValueError(out_of_range)
     return f
-
-
-def _factor_int(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n fits well below 2^17)."""
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
 
 
 class FieldContext:
@@ -282,35 +272,24 @@ class FieldContext:
                 x ^= self.modulus
         return p
 
-    def _pow_raw(self, x: int, n: int) -> int:
-        p = 1
-        while n:
-            if n & 1:
-                p = self._mul_raw(p, x)
-            x = self._mul_raw(x, x)
-            n >>= 1
-        return p
-
     def _build_exp_log(self):
+        # g^(q-1) = 1 makes g a unit, so a walk first back at 1 at step q - 1 has q - 1 distinct powers
         q = self.q
         qm1 = q - 1
-        primes = _factor_int(qm1)
-        # g = 1 passes only in GF(2), where q - 1 = 1 has no prime factor
-        for g in range(1, q):
-            if all(self._pow_raw(g, qm1 // p) != 1 for p in primes):
-                break
-        else:  # pragma: no cover - every field has a primitive element
-            raise AssertionError("no primitive element found")
         exp = [0] * (2 * qm1)
         log: list[int | None] = [None] * q
-        v = 1
-        for i in range(qm1):
-            exp[i] = exp[i + qm1] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
-        if v != 1:
-            raise ArithmeticError(f"g^(q-1) = {v:#x} for g = {g:#x}, not 1")
-        return tuple(exp), tuple(log)
+        for g in range(1, q):
+            v = 1
+            for i in range(qm1):
+                exp[i] = exp[i + qm1] = v
+                log[v] = i
+                v = self._mul_raw(v, g)
+                if v == 1:
+                    break
+            # a primitive walk writes every entry; in a field no walk writes log[0]
+            if v == 1 and i == qm1 - 1:
+                return tuple(exp), tuple(log)
+        raise ArithmeticError(f"no g has order q - 1 = {qm1} modulo {poly_str(self.modulus)}")
 
     def _build_trace_table(self) -> bytes:
         # tr is GF(2)-linear, so tr(v) is the parity of v & mask where
@@ -351,7 +330,15 @@ def build_field(r: int, modulus: int | None = None, b: int | None = None) -> Fie
     return FieldContext(r, modulus=modulus, b=b)
 
 
-def _trace_form(ctx: FieldContext) -> list[int]:
-    """The r masks m_k of the trace form, bit j of m_k being tr(2^k 2^j): tr(2^k x) = parity(x & m_k)."""
+def _trace_map(ctx: FieldContext) -> list[int]:
+    """phi(y) = sum_j tr(2^j y) 2^j for every y < q, indexed by y: tr(x y) = parity(x & phi(y)).
+
+    phi is GF(2)-linear, so the table doubles from phi(2^k), the mask with
+    bit j = tr(2^k 2^j): phi(y ^ 2^k) = phi(y) ^ phi(2^k) for y < 2^k.
+    """
     tt, mul, r = ctx.trace_table, ctx.mul, ctx.r
-    return [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)]
+    phi = [0]
+    for k in range(r):
+        m = sum(tt[mul(1 << k, 1 << j)] << j for j in range(r))
+        phi += [x ^ m for x in phi]
+    return phi

@@ -35,7 +35,7 @@ gives every a at once as twice a sum over D: b = 0 is the split row, a
 trace-one b the irreducible row.  The row uses the additive characters,
 not the multiplicative convolution: lambda(a/d) = (-1)^tr(a y) with
 y = 1/d, so the sum over D is the Walsh-Hadamard transform of the
-inverses of D, after the linear map phi(y) = sum_j tr(2^j y) 2^j that
+inverses of D, after the linear map phi = ``gf2r._trace_map`` that
 turns tr(a y) into the parity of a & phi(y): ``gf2r._walsh_hadamard``,
 the packed transform behind the codes' dual weights, O(q r) per b.  A
 packed product of u with the indicator of log D would be no check:
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .gf2r import FieldContext, _check_int, _trace_form, _unpack_slots, _walsh_hadamard
+from .gf2r import FieldContext, _check_int, _trace_map, _unpack_slots, _walsh_hadamard
 
 __all__ = [
     "kloosterman_sum",
@@ -172,16 +172,14 @@ def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:
     ``irreducible_quadratic_char_sum``, its oracles.  alpha and alpha + 1
     give the same denominator, and the denominators are the set D of
     nonzero d in b + theta, so entry a is twice the sum of lambda(a/d)
-    over D.  With phi(y) = sum_j tr(2^j y) 2^j, GF(2)-linear and built by
-    doubling from phi(2^k), tr(a y) is the parity of a & phi(y); so the
+    over D.  With phi(y) = sum_j tr(2^j y) 2^j, the table
+    ``gf2r._trace_map``, tr(a y) is the parity of a & phi(y); so the
     sum is F(a) = sum_z f[z] (-1)^popcount(a & z), with f the indicator
     of phi(1/d) over D: one ``gf2r._walsh_hadamard`` of f, with
     n = |D| = q/2 - 1 + tr(b).
     """
     _check_int("b", b, 0, ctx.q - 1)
-    phi = [0]
-    for m in _trace_form(ctx):  # phi(2^k) is the trace form's mask m_k
-        phi += [x ^ m for x in phi]
+    phi = _trace_map(ctx)
     points = [phi[ctx.inv_table[t ^ b]] for t in ctx.theta if t != b]
     f = _walsh_hadamard(ctx.q, points, 1, ctx.q // 2 - 1 + ctx.trace_table[b])
     return [None] + [2 * x for x in f[1:]]

@@ -8,9 +8,10 @@ weight counts by a dynamic program over the group algebra of
 (F_q, XOR), dual weights and any Walsh-Hadamard transform by a list
 butterfly, every dual word stored by linearity from its r generators,
 the dual structure of a code by a pairwise parity scan, parity rows
-one entry at a time, the Pless sums order by order with t! S(h, t) as
-an alternating sum, and the command line by argparse.  Slow on purpose;
-only used at desk scale.
+one entry at a time or one mask at a time through parity tables, a
+primitive element by factoring q - 1, the Pless sums order by order
+with t! S(h, t) as an alternating sum, and the command line by
+argparse.  Slow on purpose; only used at desk scale.
 
 The quadratic character sums are the exception: they take a field
 context.  The per-a sums evaluate each term through its ``mul`` and
@@ -86,6 +87,35 @@ def irreducible_by_scan(r: int) -> int:
         ):
             return f
     raise AssertionError
+
+
+def primitive_by_factoring(m: int, r: int) -> int:
+    """Smallest g with g^((q-1)/p) != 1 modulo m for every prime p dividing q - 1.
+
+    The primes come by trial division and the powers by square and
+    multiply; g = 1 passes only at r = 1, where q - 1 = 1 has no prime.
+    """
+    q = 1 << r
+    n, d, primes = q - 1, 2, []
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+
+    def power(x: int, e: int) -> int:
+        p = 1
+        while e:
+            if e & 1:
+                p = field_mul(p, x, m)
+            x = field_mul(x, x, m)
+            e >>= 1
+        return p
+
+    return next(g for g in range(1, q) if all(power(g, (q - 1) // p) != 1 for p in primes))
 
 
 def scan_weight_counts(entries, n: int) -> list[int]:
@@ -173,6 +203,34 @@ def bitmask(bits) -> int:
 def rows_by_entry(entries, masks) -> list[int]:
     """Bit l of row k is the parity of entries[l] & masks[k], one entry at a time."""
     return [bitmask([(entry & mask).bit_count() & 1 for entry in entries]) for mask in masks]
+
+
+def rows_by_parity_tables(entries, masks, r: int) -> list[int]:
+    """``rows_by_entry`` one mask at a time, by byte planes and 256-byte parity tables.
+
+    The entries (below 2^r) are cut into byte planes, each reversed so
+    that entry l lands on bit l.  The parity of entry & mask is the XOR
+    over the planes of the parity of the plane's byte & the mask's byte,
+    so a row is one ``translate`` of each plane through the parity table
+    of that mask byte, read in base 2, XORed over the planes.
+    """
+    flip = bytes.maketrans(b"01", b"10")
+
+    def parity_table(mask: int) -> bytes:
+        table = b"0"
+        for k in range(8):
+            # the upper half is x with bit k set: the same parities, flipped where the mask has bit k
+            table += table.translate(flip) if mask >> k & 1 else table
+        return table
+
+    planes = [bytes(entry >> shift & 255 for entry in reversed(entries)) for shift in range(0, r, 8)]
+    rows = []
+    for mask in masks:
+        row = 0
+        for p, plane in enumerate(planes):
+            row ^= int(plane.translate(parity_table(mask >> 8 * p & 255)), 2)
+        rows.append(row)
+    return rows
 
 
 def pless_sums_by_order(h_max: int, n: int, dist) -> list[int]:

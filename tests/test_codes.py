@@ -289,15 +289,18 @@ def test_rows_equal_independent_builds(r):
 
 @pytest.mark.parametrize("r", range(1, 17))
 def test_rows_equal_the_per_entry_oracle(r, contexts):
-    # the unit masks of the parity rows and the trace-form masks of the generators
+    # H against the unit masks, G against the trace-form masks, bit j of m_k = tr(2^k 2^j)
     ctx = contexts[r] if r <= 8 else build_field(r)
     tt, mul = ctx.trace_table, ctx.mul
+    units = [1 << k for k in range(r)]
     trace_forms = [sum(tt[mul(1 << k, 1 << j)] << j for j in range(r)) for k in range(r)]
-    for masks in ([1 << k for k in range(r)], trace_forms):
-        for i in CODE_INDICES:
-            if code_length(ctx, i):
-                expected = oracles.rows_by_entry(build_vector(ctx, i), masks)
-                assert codes_mod._rows(ctx, i, masks) == expected, (r, i, masks)
+    for i in CODE_INDICES:
+        if code_length(ctx, i):
+            v = build_vector(ctx, i)
+            for rows, masks in ((parity_check_rows(ctx, i), units), (codes_mod._generator_rows(ctx, i), trace_forms)):
+                expected = oracles.rows_by_entry(v, masks)
+                assert rows == expected, (r, i, masks)
+                assert oracles.rows_by_parity_tables(v, masks, r) == expected, (r, i, masks)
 
 
 # -- every dual weight by one Gray-code walk ------------------------------------------

@@ -144,12 +144,13 @@ GUARDS = {
         "build_field(8)\n",
         "the image of x^2 + x (128 values) is not the trace-zero set (128 values): 0x1 is in the image only",
     ),
-    # a reducible modulus let through: x^4 = 1 modulo x^3+x^2+x+1, so x^7 = x^3
+    # a reducible modulus let through: modulo x^3+x^2+x+1 = (x+1)^3 only 4 of the 7 nonzero
+    # elements are units, so no g has 7 distinct powers (x^4 = 1 already)
     "field_exp_cycle": (
         "import kmoments.gf2r as gf2r\n"
         "gf2r._find_factor = lambda f: None\n"
         "build_field(3, modulus=0b1111)\n",
-        "g^(q-1) = 0x7 for g = 0x2, not 1",
+        "no g has order q - 1 = 7 modulo x^3+x^2+x+1",
     ),
     # squaring that XORs once the exp/log tables are built: x^2 reads as 0
     "field_trace_mask": (

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kmoments.gf2r as gf2r
 from kmoments.gf2r import (
+    _trace_map,
     _walsh_hadamard,
     build_field,
     irreducible_polys,
@@ -82,9 +84,18 @@ def test_inv_roundtrip(r):
         assert ctx.inv_table[ctx.inv_table[x]] == x
 
 
+@pytest.mark.parametrize("r", range(1, 17))
+def test_exp_walk_picks_the_factoring_primitive(r):
+    # every irreducible modulus up to r = 8, the canonical one above
+    moduli = list(irreducible_polys(r)) if r <= 8 else [next(irreducible_polys(r))]
+    for modulus in moduli:
+        ctx = build_field(r, modulus=modulus)
+        assert ctx.exp[1] == oracles.primitive_by_factoring(modulus, r), poly_str(modulus)
+
+
 @pytest.mark.parametrize("modulus", [0b10, 0b11])
 def test_gf2_tables(modulus):
-    # the primitive search takes g = 1, the only generator of GF(2)*
+    # the exp walk takes g = 1, the only generator of GF(2)*
     ctx = build_field(1, modulus=modulus)
     assert (ctx.exp, ctx.log, ctx.inv_table) == ((1, 1), (None, 0), (0, 1))
 
@@ -110,6 +121,15 @@ def test_trace_against_frobenius_sum(r):
     ctx = build_field(r)
     for x in ctx.elements():
         assert ctx.trace_table[x] == oracles.naive_trace(x, ctx.modulus, r)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_trace_map_holds_the_trace_of_each_basis_product(r, contexts):
+    # bit j of phi(y) is tr(2^j y), so tr(x y) = parity(x & phi(y))
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    tt, mul = ctx.trace_table, ctx.mul
+    expected = [sum(tt[mul(1 << j, y)] << j for j in range(r)) for y in ctx.elements()]
+    assert _trace_map(ctx) == expected
 
 
 def test_trace_examples(ctx3):
@@ -271,6 +291,12 @@ def test_modulus_presentation(ctx3):
     assert f"{ctx3.modulus:#x}" == "0xb"
     assert poly_str(ctx3.modulus) == "x^3+x+1"
     assert repr(ctx3) == "FieldContext(r=3, modulus=x^3+x+1, b=0x1)"
+
+
+def test_polynomial_remainder_is_private():
+    # polymod(5, 0) and polymod(-5, 3) never returned; its one caller is the factor search
+    assert "polymod" not in gf2r.__all__ and not hasattr(gf2r, "polymod")
+    assert gf2r._polymod(0b1111, 0b11) == 0 and gf2r._polymod(0b1011, 0b11) == 1
 
 
 def test_irreducible_polys_basics():

@@ -169,19 +169,19 @@ def test_k_table_reads_no_gf2r_name_but_the_slot_reader():
 @pytest.mark.parametrize(
     "imported, read",
     [
-        (None, "_trace_form(ctx)"),
-        ("from .gf2r import _trace_form as masks", "masks(ctx)"),
-        ("from kmoments.gf2r import _trace_form", "_trace_form(ctx)"),
-        ("from . import gf2r", "gf2r._trace_form(ctx)"),
-        ("from kmoments import gf2r as g", "g._trace_form(ctx)"),
-        ("import kmoments.gf2r", "kmoments.gf2r._trace_form(ctx)"),
-        ("import kmoments.gf2r as g", "g._trace_form(ctx)"),
+        (None, "_trace_map(ctx)"),
+        ("from .gf2r import _trace_map as trace_map", "trace_map(ctx)"),
+        ("from kmoments.gf2r import _trace_map", "_trace_map(ctx)"),
+        ("from . import gf2r", "gf2r._trace_map(ctx)"),
+        ("from kmoments import gf2r as g", "g._trace_map(ctx)"),
+        ("import kmoments.gf2r", "kmoments.gf2r._trace_map(ctx)"),
+        ("import kmoments.gf2r as g", "g._trace_map(ctx)"),
     ],
 )
 def test_k_table_rule_rejects_a_read_of_the_trace_form(imported, read):
     sources = _sources() if imported is None else _with_import(_sources(), "kloosterman", imported)
     mutant = _with_k_table_line(sources, f"phi = {read}")
-    assert _k_table_violations(mutant) == ["kloosterman_table reads gf2r._trace_form"]
+    assert _k_table_violations(mutant) == ["kloosterman_table reads gf2r._trace_map"]
 
 
 @pytest.mark.parametrize(

@@ -163,13 +163,14 @@ def test_private_constants_count():
 
 
 def test_a_deleted_reader_leaves_its_constant_flagged():
-    # cut the one reader of codes._FLIP: the constant is left behind as dead code
+    # cut the one reader of codes._BIT_DIGITS: the constant is left behind as dead code
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    reader = "table.translate(_FLIP)"
-    assert sources["codes.py"].count("_FLIP") == 2
+    reader = "plane.translate(_BIT_DIGITS[k])"
+    assert sources["codes.py"].count("_BIT_DIGITS") == 2
     assert sources["codes.py"].count(reader) == 1
-    sources["codes.py"] = sources["codes.py"].replace(reader, 'table.translate(bytes.maketrans(b"01", b"10"))')
-    assert [o.split()[1] for o in _orphans(sources)] == ["_FLIP"]
+    inline = 'plane.translate((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k))'
+    sources["codes.py"] = sources["codes.py"].replace(reader, inline)
+    assert [o.split()[1] for o in _orphans(sources)] == ["_BIT_DIGITS"]
 
 
 def test_every_public_name_but_the_oracles_is_read():

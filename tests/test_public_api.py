@@ -64,8 +64,14 @@ _TABLE3 = kmoments.kloosterman_table(_F3)
 # argument -> (lo, hi, call) for every call that passes x as that argument: each refuses
 # any type but int, and an int outside the inclusive bounds lo..hi (None: no bound)
 _INT_ARGUMENTS = {
-    "r": [(1, 16, lambda x: kmoments.build_field(x))],
+    "r": [
+        (1, 16, lambda x: kmoments.build_field(x)),
+        # a generator: the check runs at the first next()
+        (1, 16, lambda x: next(kmoments.irreducible_polys(x))),
+    ],
     "modulus": [(0, None, lambda x: kmoments.build_field(3, modulus=x))],
+    # poly_str(-3) once gave '1'
+    "f": [(0, None, lambda x: kmoments.poly_str(x))],
     "b": [
         (None, None, lambda x: kmoments.build_field(3, b=x)),
         (0, 7, lambda x: kmoments.quadratic_char_sums(_F3, x)),

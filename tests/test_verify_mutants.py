@@ -2,7 +2,7 @@
 
 A check that nothing can fail shows nothing.  ``MUTANTS`` breaks one
 stage each, as a monkeypatch of one function: the K table, the
-character-sum row, the row builder ``codes._rows``, the generator rows
+character-sum row, the row builder ``codes._bit_rows``, the generator rows
 G, the dual weights, the dual-weight histogram or the weight
 distribution.  ``REGISTRY`` maps every check name to the mutants
 that fail it.  At each r below, every check the clean run prints must
@@ -145,7 +145,7 @@ MUTANTS = {
     "swap K(1), K(g)": _swap_k1_kg,
     "K(1) past the Weil bound": _k1_past_weil,
     "swap K(1) and the first K(a) != K(1)": _swap_k1_first_other,
-    "flip a bit in _rows": _edit_rows("_rows", _flip_bit),
+    "flip a bit in _bit_rows": _edit_rows("_bit_rows", _flip_bit),
     "flip a bit in G": _edit_rows("_generator_rows", _flip_bit),
     "zero a row of G": _edit_rows("_generator_rows", _zero_row),
     "q more zero dual words": _more_zero_words,
@@ -165,12 +165,12 @@ REGISTRY = {
     "irreducible_char_sum": ("K(1) + 4", "K(1) - 4", "swap K(1), K(g)", "rotate the char-sum row"),
     "dual_weight_formula": ("K(1) + 4", "flip a bit in G", "dual weight + 1"),
     "dual_weight_halving": ("K(1) + 2",),
-    "dual_orthogonality": ("flip a bit in _rows", "flip a bit in G"),
+    "dual_orthogonality": ("flip a bit in _bit_rows", "flip a bit in G"),
     "dual_map_injective": ("flip a bit in G", "zero a row of G"),
-    "dual_map_kernel": ("flip a bit in _rows", "flip a bit in G"),
+    "dual_map_kernel": ("flip a bit in _bit_rows", "flip a bit in G"),
     "dual_cardinality_product": ("flip a bit in G", "zero a row of G"),
-    "distribution_vs_enumeration": ("flip a bit in _rows", "swap C_3, C_4", "q more zero dual words"),
-    "distribution_cardinality": ("flip a bit in _rows", "q more zero dual words"),
+    "distribution_vs_enumeration": ("flip a bit in _bit_rows", "swap C_3, C_4", "q more zero dual words"),
+    "distribution_cardinality": ("flip a bit in _bit_rows", "q more zero dual words"),
     "distribution_palindrome": ("swap C_3, C_4",),
     "pless_identity": ("dual weight + 1", "dual weight - 1", "swap C_3, C_4"),
     "moment_recursion": ("K(1) + 4", "swap C_3, C_4"),
