@@ -22,6 +22,7 @@ that raised); each error is one ``error:`` line.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -283,7 +284,9 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     yield None, "kloosterman_weil_bound", all(k * k <= 4 * q for k in values), None
     if r >= 2:
         yield None, "kloosterman_mod4", all(k % 4 == 3 for k in values), None
-    frob = all(table[ctx.mul(a, a)] == table[a] for a in ctx.nonzero())
+    # K(a^2) = K(a), with a^2 read as exp[2 log a] (exp holds two periods)
+    exp, log = ctx.exp, ctx.log
+    frob = all(table[exp[2 * log[a]]] == table[a] for a in ctx.nonzero())
     yield None, "kloosterman_frobenius", frob, None
     yield None, "moment_first", brute[1] == 1, None
 
@@ -505,5 +508,18 @@ def main(argv: list[str] | None = None) -> int:
         return MISMATCH_ERROR
 
 
+def entry() -> None:
+    """The process entry, ``python -m kmoments.cli`` or the ``kmoments`` command.
+
+    It runs ``main``, then freezes the heap before exiting with its status,
+    so the interpreter's shutdown collections skip every object still alive.
+    ``main`` itself never freezes: in a longer-lived process a freeze would
+    pin every later garbage cycle.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

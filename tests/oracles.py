@@ -9,7 +9,8 @@ weight counts by a dynamic program over the group algebra of
 butterfly, every dual word stored by linearity from its r generators,
 the dual structure of a code by a pairwise parity scan, parity rows
 one entry at a time or one mask at a time through parity tables, a
-primitive element by factoring q - 1, the Pless sums order by order
+primitive element by factoring q - 1, the field's exp/log, inverse and
+trace tables one element at a time, the Pless sums order by order
 with t! S(h, t) as an alternating sum, and the command line by
 argparse.  Slow on purpose; only used at desk scale.
 
@@ -117,6 +118,38 @@ def primitive_by_factoring(m: int, r: int) -> int:
 
     return next(g for g in range(1, q) if all(power(g, (q - 1) // p) != 1 for p in primes))
 
+
+
+def exp_log_by_walk(m: int, r: int) -> tuple[tuple, tuple]:
+    """exp (two periods) and log of the first g = 1, 2, .. whose powers, one field_mul per
+    step, first return to 1 at step q - 1; every g is walked, and log[0] is None."""
+    q = 1 << r
+    qm1 = q - 1
+    exp, log = [0] * (2 * qm1), [None] * q
+    for g in range(1, q):
+        v = 1
+        for i in range(qm1):
+            exp[i] = exp[i + qm1] = v
+            log[v] = i
+            v = field_mul(v, g, m)
+            if v == 1:
+                break
+        if v == 1 and i == qm1 - 1:
+            return tuple(exp), tuple(log)
+    raise AssertionError(f"no primitive element modulo {m:#x}")
+
+
+def inverses_by_log(exp, log) -> tuple:
+    """1/x = exp[q - 1 - log x] for each x, one look-up per element; 0 at index 0."""
+    qm1 = len(log) - 1
+    return (0,) + tuple(exp[qm1 - log[x]] for x in range(1, qm1 + 1))
+
+
+def trace_table_by_mask(m: int, r: int) -> bytes:
+    """tr(v) for every v < q as the parity of v & mask, bit k of the mask the
+    trace of x^k by repeated squaring."""
+    mask = sum(naive_trace(1 << k, m, r) << k for k in range(r))
+    return bytes((v & mask).bit_count() & 1 for v in range(1 << r))
 
 def scan_weight_counts(entries, n: int) -> list[int]:
     """Codeword weights of {u : XOR of selected entries = 0} by full 2^n scan."""

@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -611,10 +612,16 @@ GOLDEN_CASES = pytest.mark.parametrize(
 )
 
 
-def run_process(*argv, flags=()):
-    """Run ``python [flags] -m kmoments.cli argv``: (exit code, stdout bytes, stderr text)."""
+# what ``python -m kmoments.cli`` runs, for a child that first runs a prelude
+_AS_MAIN = "import runpy\nrunpy.run_module('kmoments.cli', run_name='__main__', alter_sys=True)\n"
+
+
+def run_process(*argv, flags=(), prelude=None):
+    """Run ``python [flags] -m kmoments.cli argv``, or the ``prelude`` code and then the
+    module as ``-m`` would: (exit code, stdout bytes, stderr text)."""
+    entry = ["-m", "kmoments.cli"] if prelude is None else ["-c", prelude + _AS_MAIN]
     done = subprocess.run(
-        [sys.executable, *flags, "-m", "kmoments.cli", *argv],
+        [sys.executable, *flags, *entry, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         timeout=60,
@@ -637,6 +644,64 @@ def test_golden_output_optimized(name, argv, fmt, ext):
     code, out, err = run_process(*argv, "--format", fmt, flags=("-O",))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.{ext}").read_bytes()
+
+
+# -- the process entry ----------------------------------------------------------------
+
+# a field product that is always 0, as in test_a_guard_failing_while_fields_are_built_exits_2
+_ZERO_MUL = "import kmoments.gf2r as gf2r\ngf2r.FieldContext.mul = lambda self, x, y: 0\n"
+
+# name -> (exit code, argv with OUT for an --out path, patch the field product to 0)
+_ENTRY_CASES = {
+    "passing_run": (0, ("verify", "--r", "3", "--hmax", "4"), False),
+    "usage_error": (1, ("moments", "--r", "0"), False),
+    "guard_mismatch": (2, ("moments", "--r", "3"), True),
+    "out_file": (0, ("weights", "--r", "3", "--format", "csv", "--out", "OUT"), False),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRY_CASES)
+def test_the_process_entry_keeps_what_main_writes_and_returns(name, capsys, monkeypatch, tmp_path):
+    # the entry freezes the heap after main returns: no exit code, stream or file may change
+    status, argv, zero_mul = _ENTRY_CASES[name]
+    in_process, child = tmp_path / "in_process.csv", tmp_path / "child.csv"
+    with monkeypatch.context() as patch:
+        if zero_mul:
+            import kmoments.gf2r as gf2r
+
+            patch.setattr(gf2r.FieldContext, "mul", lambda self, x, y: 0)
+        expected = run(capsys, *[str(in_process) if a == "OUT" else a for a in argv])
+    code, out, err = run_process(
+        *[str(child) if a == "OUT" else a for a in argv], prelude=_ZERO_MUL if zero_mul else None
+    )
+    assert expected[0] == status
+    assert (code, out.decode(), err) == expected
+    if "OUT" in argv:
+        assert child.read_bytes() == in_process.read_bytes() != b""
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    # a freeze inside main would pin every later garbage cycle of this process
+    before = gc.get_freeze_count()
+    for argv in (("verify", "--r", "3", "--hmax", "4"), ("moments", "--r", "0")):
+        main(list(argv))
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_freezes_the_heap_before_it_exits():
+    # the child notes at sys.exit how many objects the collector no longer scans
+    note = (
+        "import gc, sys\n"
+        "real_exit = sys.exit\n"
+        "def noted_exit(status=None):\n"
+        "    print(gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "    real_exit(status)\n"
+        "sys.exit = noted_exit\n"
+    )
+    code, out, err = run_process("verify", "--r", "3", "--hmax", "4", prelude=note)
+    assert (code, err) == (0, "True\n")
+    assert out.endswith(b"all: pass\n")
 
 
 # -- runtime dependencies ------------------------------------------------------------

@@ -93,6 +93,41 @@ def test_exp_walk_picks_the_factoring_primitive(r):
         assert ctx.exp[1] == oracles.primitive_by_factoring(modulus, r), poly_str(modulus)
 
 
+@pytest.mark.parametrize("r", range(1, 17))
+def test_tables_equal_the_per_element_builders(r):
+    # the walk through byte tables, the inverses by one map and the trace table by doubling,
+    # against one field_mul per step, one look-up per inverse and one parity per trace
+    moduli = list(irreducible_polys(r)) if r <= 8 else [next(irreducible_polys(r))]
+    for modulus in moduli:
+        ctx = build_field(r, modulus=modulus)
+        exp, log = oracles.exp_log_by_walk(modulus, r)
+        assert (ctx.exp, ctx.log) == (exp, log), poly_str(modulus)
+        assert ctx.inv_table == oracles.inverses_by_log(exp, log), poly_str(modulus)
+        assert ctx.trace_table == oracles.trace_table_by_mask(modulus, r), poly_str(modulus)
+
+
+@pytest.mark.parametrize("r", [8, 12, 14])
+def test_exp_walk_skips_each_g_an_earlier_walk_visited(r, monkeypatch):
+    # a walk back at 1 before step q - 1 spans a proper subgroup: no g in it is primitive
+    walked = []
+    real = gf2r.FieldContext._times_tables
+    monkeypatch.setattr(gf2r.FieldContext, "_times_tables", lambda self, g: walked.append(g) or real(self, g))
+    ctx = build_field(r)
+    visited = set()
+    for g in walked[:-1]:
+        assert g not in visited
+        v = g
+        while v != 1:
+            visited.add(v)
+            v = oracles.field_mul(v, g, ctx.modulus)
+        visited.add(1)
+    chosen = walked[-1]
+    assert chosen == ctx.exp[1] and chosen not in visited
+    assert set(range(1, chosen)) <= visited
+    if r == 14:
+        assert walked == [1, 2, 7]  # 3 to 6 lie in the subgroup of 2
+
+
 @pytest.mark.parametrize("modulus", [0b10, 0b11])
 def test_gf2_tables(modulus):
     # the exp walk takes g = 1, the only generator of GF(2)*
