@@ -23,7 +23,7 @@ before, is primitive, and its walk is the table.  Each step multiplies
 by g through two tables of at most 256 entries, one per byte of the
 element, and a g that an earlier, shorter walk visited is never walked, since it lies
 in a proper subgroup.  log is one pass over exp, and the inverses one
-map of log over the reversed exp.  The trace table doubles r times,
+pass over exp beside exp reversed.  The trace table doubles r times,
 since tr(y ^ x^k) = tr(y) ^ tr(x^k) for y < 2^k: each step appends a
 copy, or a copy with every entry flipped.  The x^2 + x image is then
 checked against the trace's kernel through ``mul``, one product per
@@ -260,15 +260,19 @@ class FieldContext:
         self.modulus = modulus
 
         self.exp, self.log = self._build_exp_log()
-        # 1/x = g^(q - 1 - log x): the first period of exp, read backwards, at log x
-        self.inv_table = (0,) + tuple(map(self.exp[self.q - 1 : 0 : -1].__getitem__, self.log[1:]))
-        self.trace_table = self._build_trace_table()
-        # x^2 + x maps onto the kernel of the trace: a wrong product or trace table breaks that
-        # every a: 0, then the rest in the walk's order, which reads the tables nearly in
-        # sequence (at r = 16 a quarter faster than in the order of a)
-        image = {self.mul(a, a) ^ a for a in (0, *self.exp[: self.q - 1])}
-        zeros = {x for x, t in enumerate(self.trace_table) if not t}
-        if image != zeros:
+        # 1/g^k = g^(q-1-k): the walk's powers paired with the walk reversed, both read in
+        # sequence (at r = 16 a tenth of the time of a look-up at log x for each x)
+        walk = self.exp[: self.q - 1]
+        inverses = [0] * self.q
+        for x, y in zip(walk, self.exp[self.q - 1 : 0 : -1]):
+            inverses[x] = y
+        self.inv_table = tuple(inverses)
+        self.trace_table = tt = self._build_trace_table()
+        # x^2 + x maps onto the kernel of the trace: a wrong product or trace table breaks that;
+        # every a, 0 and then the walk's order, which reads the tables nearly in sequence
+        image = {self.mul(a, a) ^ a for a in (0, *walk)}
+        if len(image) != tt.count(0) or any(map(tt.__getitem__, image)):
+            zeros = {x for x, t in enumerate(tt) if not t}
             x = min(image ^ zeros)
             raise ArithmeticError(
                 f"the image of x^2 + x ({len(image)} values) is not the trace-zero set "
