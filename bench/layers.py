@@ -79,11 +79,9 @@ def _field_child(src: str, rs: list[int]) -> dict[str, float]:
             samples["build_field"].append(t1 - t0)
             samples["exp_log"].append(t2 - t1)
             samples["trace_table"].append(t3 - t2)
-        for name, values in samples.items():
-            out[f"field.r{r}.{name}"] = median(values)
-        out[f"field.r{r}.rest"] = out[f"field.r{r}.build_field"] - out[f"field.r{r}.exp_log"] - out[
-            f"field.r{r}.trace_table"
-        ]
+        medians = {name: median(values) for name, values in samples.items()}
+        medians["rest"] = medians["build_field"] - medians["exp_log"] - medians["trace_table"]
+        out.update((f"field.r{r}.{name}", value) for name, value in medians.items())
     return out
 
 
@@ -112,18 +110,14 @@ def _wall(src: str, k: int, hmax: int) -> float:
 
 def _shutdown(src: str, k: int, hmax: int) -> float:
     read_end, write_end = os.pipe()
-    try:
-        cmd = [sys.executable, "-c", SHUTDOWN_CHILD, str(write_end), *_verify_argv(k, hmax)]
-        _run(cmd, _env(src), pass_fds=(write_end,))
-        ended = time.monotonic()
-        os.close(write_end)
-        write_end = -1
-        noted = float(os.read(read_end, 64).decode())
-    finally:
-        os.close(read_end)
-        if write_end >= 0:
+    with os.fdopen(read_end, "rb") as reader:
+        try:
+            cmd = [sys.executable, "-c", SHUTDOWN_CHILD, str(write_end), *_verify_argv(k, hmax)]
+            _run(cmd, _env(src), pass_fds=(write_end,))
+            ended = time.monotonic()
+        finally:
             os.close(write_end)
-    return ended - noted
+        return ended - float(reader.read())
 
 
 def _one_round(src: str, args) -> dict[str, float]:
@@ -160,8 +154,7 @@ def _revision(src: str) -> dict:
             return None
         return done.stdout.strip() if done.returncode == 0 else None
 
-    status = git("status", "--porcelain", "--", ".")
-    return {"src": str(Path(src).resolve()), "sha": git("rev-parse", "HEAD"), "dirty": bool(status)}
+    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--", "."))}
 
 
 def measure(args) -> dict:

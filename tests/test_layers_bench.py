@@ -27,7 +27,7 @@ def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
         platform.python_version(), 1, [3, 4], [3], 2
     )
     (side,) = doc["sides"]
-    assert set(side) == {"src", "sha", "dirty"} and side["src"] == str(ROOT / "src")
+    assert set(side) == {"sha", "dirty"}
     passes = ("build_field", "exp_log", "trace_table", "rest")
     names = [f"field.r{r}.{p}" for r in (3, 4) for p in passes]
     names += [f"cli.verify{k}.{part}" for part in ("wall", "shutdown") for k in ("_r3", "")]
