@@ -13,9 +13,10 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   spends outside them (the modulus, the inverses and the x^2 + x
   guard).  Each figure is the median of a few calls;
 - for each ``--verify-r`` k, two whole-process runs of ``verify --r k
-  --hmax H``.  The first is ``python -m kmoments.cli`` as is, timed
-  from start to exit (``wall``).  The second runs the module the way
-  ``-m`` does, with ``sys.exit`` wrapped to note the monotonic clock;
+  --hmax 10``, perfbench's ``verify`` job at that r.  The first is
+  ``python -m kmoments.cli`` as is, timed from start to exit
+  (``wall``).  The second runs the module as ``-m`` does, through
+  ``runpy.run_module``, with ``sys.exit`` wrapped to note the monotonic clock;
   ``shutdown`` is the time from the ``sys.exit`` that follows ``main``
   to the end of the process.
 
@@ -55,7 +56,7 @@ def noted_exit(status=None):
     os.write(fd, repr(time.monotonic()).encode())
     real_exit(status)
 sys.exit = noted_exit
-runpy._run_module_as_main("kmoments.cli")
+runpy.run_module("kmoments.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -92,8 +93,8 @@ def _env(src: str) -> dict[str, str]:
     return env
 
 
-def _verify_argv(k: int, hmax: int) -> list[str]:
-    return ["verify", "--r", str(k), "--hmax", str(hmax)]
+def _verify_argv(k: int) -> list[str]:
+    return ["verify", "--r", str(k), "--hmax", str(HMAX)]
 
 
 def _run(cmd: list[str], env: dict[str, str], **kwargs) -> None:
@@ -102,17 +103,17 @@ def _run(cmd: list[str], env: dict[str, str], **kwargs) -> None:
         raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.decode().strip()}")
 
 
-def _wall(src: str, k: int, hmax: int) -> float:
+def _wall(src: str, k: int) -> float:
     t0 = time.perf_counter()
-    _run([sys.executable, "-m", "kmoments.cli", *_verify_argv(k, hmax)], _env(src))
+    _run([sys.executable, "-m", "kmoments.cli", *_verify_argv(k)], _env(src))
     return time.perf_counter() - t0
 
 
-def _shutdown(src: str, k: int, hmax: int) -> float:
+def _shutdown(src: str, k: int) -> float:
     read_end, write_end = os.pipe()
     with os.fdopen(read_end, "rb") as reader:
         try:
-            cmd = [sys.executable, "-c", SHUTDOWN_CHILD, str(write_end), *_verify_argv(k, hmax)]
+            cmd = [sys.executable, "-c", SHUTDOWN_CHILD, str(write_end), *_verify_argv(k)]
             _run(cmd, _env(src), pass_fds=(write_end,))
             ended = time.monotonic()
         finally:
@@ -127,7 +128,7 @@ def _one_round(src: str, args) -> dict[str, float]:
         done = subprocess.run(cmd, capture_output=True, text=True, check=True)
         figures.update(json.loads(done.stdout))
     for part, timer in (("wall", _wall), ("shutdown", _shutdown)):
-        per_k = {f"cli.verify_r{k}.{part}": timer(src, k, args.hmax) for k in args.verify_r}
+        per_k = {f"cli.verify_r{k}.{part}": timer(src, k) for k in args.verify_r}
         figures.update(per_k)
         if per_k:
             figures[f"cli.verify.{part}"] = sum(per_k.values())
@@ -160,7 +161,7 @@ def _revision(src: str) -> dict:
 def measure(args) -> dict:
     sides = [str(Path(src).resolve()) for src in args.src]
     for src in sides:
-        _wall(src, 3, 1)  # warm-up: write the bytecode cache
+        _wall(src, 3)  # warm-up: write the bytecode cache
     rounds: list[list[dict[str, float]]] = [[] for _ in sides]
     for i in range(args.rounds):
         order = range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))
@@ -178,7 +179,6 @@ def measure(args) -> dict:
         "rounds": args.rounds,
         "field_r": list(args.field_r),
         "verify_r": list(args.verify_r),
-        "hmax": args.hmax,
         "metrics": metrics,
     }
 
@@ -194,7 +194,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--field-r", type=int, nargs="*", default=list(FIELD_R))
     parser.add_argument("--verify-r", type=int, nargs="*", default=list(VERIFY_R))
-    parser.add_argument("--hmax", type=int, default=HMAX)
     args = parser.parse_args(argv)
     if len(args.src) > 2 or args.rounds < 1:
         parser.error("give one or two --src and at least one round")

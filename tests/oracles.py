@@ -119,7 +119,6 @@ def primitive_by_factoring(m: int, r: int) -> int:
     return next(g for g in range(1, q) if all(power(g, (q - 1) // p) != 1 for p in primes))
 
 
-
 def exp_log_by_walk(m: int, r: int) -> tuple[tuple, tuple]:
     """exp (two periods) and log of the first g = 1, 2, .. whose powers, one field_mul per
     step, first return to 1 at step q - 1; every g is walked, and log[0] is None."""
@@ -150,6 +149,7 @@ def trace_table_by_mask(m: int, r: int) -> bytes:
     trace of x^k by repeated squaring."""
     mask = sum(naive_trace(1 << k, m, r) << k for k in range(r))
     return bytes((v & mask).bit_count() & 1 for v in range(1 << r))
+
 
 def scan_weight_counts(entries, n: int) -> list[int]:
     """Codeword weights of {u : XOR of selected entries = 0} by full 2^n scan."""

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
     out = tmp_path / "bench.json"
     argv = ["--src", str(ROOT / "src"), "--out", str(out), "--rounds", "1"]
-    argv += ["--field-r", "3", "4", "--verify-r", "3", "--hmax", "2"]
+    argv += ["--field-r", "3", "4", "--verify-r", "3"]
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "layers.py"), *argv],
         capture_output=True,
@@ -22,9 +22,9 @@ def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
     )
     assert (done.returncode, done.stderr) == (0, "")
     doc = json.loads(out.read_text())
-    assert set(doc) == {"sides", "python", "rounds", "field_r", "verify_r", "hmax", "metrics"}
-    assert (doc["python"], doc["rounds"], doc["field_r"], doc["verify_r"], doc["hmax"]) == (
-        platform.python_version(), 1, [3, 4], [3], 2
+    assert set(doc) == {"sides", "python", "rounds", "field_r", "verify_r", "metrics"}
+    assert (doc["python"], doc["rounds"], doc["field_r"], doc["verify_r"]) == (
+        platform.python_version(), 1, [3, 4], [3]
     )
     (side,) = doc["sides"]
     assert set(side) == {"sha", "dirty"}
