@@ -18,16 +18,23 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   (``wall``).  The second runs the module as ``-m`` does, through
   ``runpy.run_module``, with ``sys.exit`` wrapped to note the monotonic clock;
   ``shutdown`` is the time from the ``sys.exit`` that follows ``main``
-  to the end of the process.
+  to the end of the process;
+- three rows that compile the package from source, as every perfbench
+  child does where ``PYTHONDONTWRITEBYTECODE`` is set: ``import_source``,
+  the seconds ``import kmoments.cli`` takes inside a fresh child, and for
+  each of perfbench's two ``ktable`` jobs, ``moments --r k --code 4
+  --hmax 1 --format csv`` at k = 11 and 12, its whole-process
+  ``source_wall``.  Each child runs with ``PYTHONDONTWRITEBYTECODE=1`` and
+  ``PYTHONPYCACHEPREFIX`` set to an empty temporary directory, so it
+  neither reads the bytecode cache nor writes one.
 
-One warm-up run per tree first writes its bytecode cache.  The JSON
+One warm-up run per tree first writes its bytecode cache, which every
+other row reads.  The JSON
 holds each tree's git SHA (with a ``dirty`` flag) and the Python
 version, then per metric each side's median, quartiles, extremes and
 count over the rounds, and with two trees the ratio of the medians.
 Nothing is gated; the figures are for a reader to compare.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -35,6 +42,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from statistics import median, quantiles
@@ -42,6 +50,8 @@ from statistics import median, quantiles
 FIELD_R = (8, 12, 14, 16)
 VERIFY_R = tuple(range(3, 10))
 HMAX = 10
+# perfbench's ktable jobs, one per r
+KTABLE_R = (11, 12)
 
 # calls per child of build_field and of each table builder; fewer where one call is long
 CALLS_SMALL_R, CALLS_LARGE_R, LARGE_R = 9, 5, 14
@@ -57,6 +67,15 @@ def noted_exit(status=None):
     real_exit(status)
 sys.exit = noted_exit
 runpy.run_module("kmoments.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+# run as `python -c`: the seconds `import kmoments.cli` takes, the interpreter's start-up left out
+IMPORT_CHILD = """\
+import time
+t0 = time.perf_counter()
+import kmoments.cli
+print(time.perf_counter() - t0)
 """
 
 
@@ -93,6 +112,11 @@ def _env(src: str) -> dict[str, str]:
     return env
 
 
+def _source_env(src: str, prefix: str) -> dict[str, str]:
+    # no bytecode cache is written, and none is read: the prefix names an empty directory
+    return {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
+
+
 def _verify_argv(k: int) -> list[str]:
     return ["verify", "--r", str(k), "--hmax", str(HMAX)]
 
@@ -103,10 +127,27 @@ def _run(cmd: list[str], env: dict[str, str], **kwargs) -> None:
         raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.decode().strip()}")
 
 
-def _wall(src: str, k: int) -> float:
+def _timed_cli(argv: list[str], env: dict[str, str]) -> float:
     t0 = time.perf_counter()
-    _run([sys.executable, "-m", "kmoments.cli", *_verify_argv(k)], _env(src))
+    _run([sys.executable, "-m", "kmoments.cli", *argv], env)
     return time.perf_counter() - t0
+
+
+def _wall(src: str, k: int) -> float:
+    return _timed_cli(_verify_argv(k), _env(src))
+
+
+def _from_source(src: str) -> dict[str, float]:
+    """``import kmoments.cli`` in a child, and each ktable job whole-process, compiled from source."""
+    with tempfile.TemporaryDirectory() as prefix:
+        env = _source_env(src, prefix)
+        done = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env, capture_output=True, check=True)
+        figures = {"cli.import_source": float(done.stdout)}
+        for k in KTABLE_R:
+            argv = ["moments", "--r", str(k), "--code", "4", "--hmax", "1", "--format", "csv"]
+            figures[f"cli.ktable_r{k}.source_wall"] = _timed_cli(argv, env)
+    figures["cli.ktable.source_wall"] = sum(figures[f"cli.ktable_r{k}.source_wall"] for k in KTABLE_R)
+    return figures
 
 
 def _shutdown(src: str, k: int) -> float:
@@ -132,6 +173,7 @@ def _one_round(src: str, args) -> dict[str, float]:
         figures.update(per_k)
         if per_k:
             figures[f"cli.verify.{part}"] = sum(per_k.values())
+    figures.update(_from_source(src))
     return figures
 
 

@@ -20,8 +20,6 @@ timestamps), in json, csv or pretty form.  Exit status: 0 all good,
 that raised); each error is one ``error:`` line.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -30,7 +28,7 @@ from types import SimpleNamespace
 from . import codes as codes_mod
 from . import kloosterman as kl
 from . import moments as mo
-from .gf2r import FieldContext, build_field, parse_poly
+from .gf2r import build_field, parse_poly
 
 __all__ = ["main", "cmd_moments", "cmd_weights", "cmd_verify"]
 
@@ -264,117 +262,12 @@ def cmd_weights(args: SimpleNamespace) -> int:
 # verify
 
 
-def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
-    """Yield (code, check, passed, note) for every verify row of one r, in output order.
-
-    Once per r: the K table, MK^0..MK^max(h_max, 1) from it (for
-    moment_first and every code's moment_recursion), and up to
-    DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
-    under each code (``quadratic_char_sums`` at b = 0 and at every
-    trace-one b, or two above DIGEST_FULL_ROWS_MAX_R).  The field rows come
-    first, under code None.  Once per code: the q dual weights, the weight
-    distribution (to h_max only above DIGEST_FULL_ROWS_MAX_R; there the
-    cardinality row's ``code_cardinality`` runs the histogram again) and
-    the dual-structure report, each shared by every row that reads it.
-    """
-    r, q = ctx.r, ctx.q
-    table = kl.kloosterman_table(ctx)
-    brute = kl.moment_bruteforce(ctx, max(h_max, 1), table)
-    values = table[1:]
-    yield None, "kloosterman_weil_bound", all(k * k <= 4 * q for k in values), None
-    if r >= 2:
-        yield None, "kloosterman_mod4", all(k % 4 == 3 for k in values), None
-    # K(a^2) = K(a), with a^2 read as exp[2 log a] (exp holds two periods)
-    exp, log = ctx.exp, ctx.log
-    frob = all(table[exp[2 * log[a]]] == table[a] for a in ctx.nonzero())
-    yield None, "kloosterman_frobenius", frob, None
-    yield None, "moment_first", brute[1] == 1, None
-
-    def char_sums_hold(b: int) -> bool:
-        # lambda(a/(alpha^2 + alpha + b)) summed over alpha is (-1)^tr(b) K(a) - 1
-        row, sign = kl.quadratic_char_sums(ctx, b), 1 - 2 * ctx.trace_table[b]
-        return all(row[a] == sign * table[a] - 1 for a in ctx.nonzero())
-
-    full_rows = r <= DIGEST_FULL_ROWS_MAX_R
-    char_sums = []
-    if r <= DIGEST_ROWS_MAX_R:
-        char_sums.append(("split_char_sum", char_sums_hold(0), None))
-        trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
-        bs = trace_one if full_rows else [trace_one[0], trace_one[-1]]
-        note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
-        char_sums.append(("irreducible_char_sum", all(map(char_sums_hold, bs)), note))
-
-    for i in codes:
-        n = codes_mod.code_length(ctx, i)
-        if not n:
-            continue
-        trace, copies = codes_mod.code_shape(i)
-        for name, ok, note in char_sums:
-            yield i, name, ok, note
-        weights = codes_mod.dual_weights(ctx, i)
-        dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_rows else min(n, h_max))
-
-        if r <= DIGEST_ROWS_MAX_R:
-            # the literal trace words' weights against the closed forms num / den in the table's K(a)
-            fractions = {a: codes_mod.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
-            ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
-            yield i, "dual_weight_formula", ok, None
-            if copies == 1:
-                # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
-                ok = all(num % 4 == 0 for num, _ in fractions.values())
-                yield i, "dual_weight_halving", ok, None
-
-        report = codes_mod.verify_dual_structure(ctx, i)
-        yield i, "dual_orthogonality", report["orthogonal"], None
-        if not trace and q == 4:
-            ok = report["kernel_size"] == 2
-            yield i, "dual_map_kernel", ok, "kernel of size 2 expected at q=4"
-        else:
-            yield i, "dual_map_injective", report["injective"], None
-        yield i, "dual_cardinality_product", report["product_check"], None
-
-        # where the dual map is not injective (codes 1, 2 at r = 2) the code is
-        # larger than 2^(N-r); compare against the nullspace dimension instead
-        expected_total = 1 << (n - r) if report["injective"] else report["code_cardinality"]
-        size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
-        if full_rows:
-            if n - r <= codes_mod.ENUMERATION_BUDGET:
-                enumerated = codes_mod.weight_distribution_exhaustive(ctx, i)
-                yield i, "distribution_vs_enumeration", dist == enumerated, None
-            yield i, "distribution_cardinality", sum(dist) == expected_total, size_note
-            if copies == 2:
-                ok = all(dist[j] == dist[n - j] for j in range(n + 1))
-                yield i, "distribution_palindrome", ok, None
-        elif r <= DIGEST_ROWS_MAX_R:
-            # the note is kept for byte-identical output; the count is the
-            # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
-            ok = codes_mod.code_cardinality(ctx, i) == expected_total
-            yield i, "distribution_cardinality", ok, "via group-algebra count"
-
-        pless = mo.pless_check(ctx, i, h_max, counts=dist, weights=weights)
-        yield i, "pless_identity", all(equal for _, _, equal in pless), None
-        seq = mo.moment_sequence(ctx, i, h_max, counts=dist)
-        yield i, "moment_recursion", seq == brute[: h_max + 1], None
-
-
 def cmd_verify(args: SimpleNamespace) -> int:
-    results = [
-        {"r": r, "code": i, "check": name, "passed": passed, "note": note}
-        for r, ctx in args.contexts.items()
-        for i, name, passed, note in _verify_rows(ctx, args.code, args.hmax)
-    ]
-    all_passed = all(w["passed"] for w in results)
+    # the suite lives in kmoments.verify: this first use compiles it, and with it every
+    # layer's checks, none of which a moments or weights run compiles
+    from . import verify
 
-    lines = []
-    for w in results:
-        code = "-" if w["code"] is None else w["code"]
-        status = "pass" if w["passed"] else "FAIL"
-        note = f" ({w['note']})" if w["note"] else ""
-        lines.append(f"r={w['r']} code={code} {w['check']}: {status}{note}")
-    lines.append(f"all: {'pass' if all_passed else 'FAIL'}")
-    header = ["r", "code", "check", "passed", "note"]
-    _render(args, "verify", {"all_passed": all_passed, "results": results}, header, results, lines)
-    return 0 if all_passed else MISMATCH_ERROR
+    return verify.run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -467,32 +360,14 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=words[0], **values)
 
 
-def _help() -> str:
-    lines = [
-        f"usage: kmoments {{{','.join(COMMANDS)}}} --r R [options]",
-        "",
-        __doc__.splitlines()[0],
-        "Every command accepts every option; --jmax shapes only weights,",
-        "and --hmax only moments and verify.",
-        "",
-        "commands:",
-        *(f"  {name:<28}{text}" for name, (_, text) in COMMANDS.items()),
-        "",
-        "options:",
-        f"  {'-h, --help':<28}show this help and exit",
-    ]
-    for name, default, kind, text in OPTIONS:
-        spec = f"--{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper())
-        lines.append(f"  {spec:<28}{text}" + ("" if default is None else f" (default {default})"))
-    return "\n".join(lines) + "\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = _parse_args(sys.argv[1:] if argv is None else argv)
             if args is None:
-                _write(_help(), None)
+                from .usage import help_text
+
+                _write(help_text(), None)
                 return 0
             _build_config(args)
         except ValueError as exc:
@@ -522,4 +397,8 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
+    # run by ``python -m``, this module is __main__: register it under its own name too,
+    # so that kmoments.verify and kmoments.usage, which import it, find this module and
+    # not a second copy
+    sys.modules[__spec__.name] = sys.modules[__name__]
     entry()

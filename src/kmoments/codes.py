@@ -15,39 +15,37 @@ gives its pair (trace of the inverted entries, copies of the block).  By
 Delsarte's theorem the dual of code i is the set of trace words
 c_i(a) = (tr(a * entry_l))_l over a in the field; c_i(a) has Hamming
 weight (q-1-K(a))/2, (q-1-K(a))/4, (q+1+K(a))/2, (q+1+K(a))/4 for
-i = 1, 2, 3, 4.  ``dual_weight_closed_form`` takes K(a) as an argument,
-so this module never imports the Kloosterman layer.
+i = 1, 2, 3, 4.
 
-The map a -> c_i(a) is GF(2)-linear, so one Gray-code walk over the r
-words of a = 2^k, one running word and one XOR per step, gives the
-weights of all q dual words (``dual_weights``).  One row builder makes
-these r generators and the r parity rows of code i: row k holds bit k
-of each entry for parity row k, and of each phi(entry) for generator k,
-phi the trace map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x));
-a row is one ``translate`` of a byte plane rather than N bit reads.
-``dual_codeword``, from exp/log products, is the per-a oracle.  The
-dual structure is GF(2) ranks of these rows
-(``verify_dual_structure``).
+The r parity rows of code i come from one row builder, ``_bit_rows``:
+row k holds bit k of each entry, and a row is one ``translate`` of a
+byte plane rather than N bit reads.  The generator rows of the dual
+are built by it too, in :mod:`kmoments.codes_checks`.
 
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of vector i gives the weight of every c_i(a), and the
 MacWilliams identity turns that weight histogram into the codeword
 counts through Krawtchouk polynomials (``_dual_weight_histogram``).
 The transform is ``gf2r._walsh_hadamard``, the packed one the
-character-sum row of :mod:`kmoments.kloosterman` runs on too; no check
-has it on both sides, since the row is checked against the K table and
-the counts against the K moments, the Gray-code walk and GF(2) ranks.
+character-sum row of :mod:`kmoments.kloosterman_checks` runs on too; no
+check has it on both sides, since the row is checked against the K table
+and the counts against the K moments, the Gray-code walk and GF(2) ranks.
 No K(a) value is used, so the counts stay independent of the
-Kloosterman table they are checked against.  An exhaustive enumeration
-oracle walks the codeword space from a nullspace basis.
+Kloosterman table they are checked against.
+
+Only ``verify`` and the tests run the rest of the layer: the dual words
+and their weights, the closed-form weight, which takes K(a) as an
+argument so that no weight-side module imports the Kloosterman layer,
+the dual-structure report, the cardinality count, and the oracles
+``build_vector``, ``is_codeword`` and ``weight_distribution_exhaustive``.
+They live in :mod:`kmoments.codes_checks`; ``__all__`` still lists them,
+and each is read here by name and compiled on first use (PEP 562
+``__getattr__``).
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from math import isqrt
 
-from .gf2r import FieldContext, _check_int, _trace_map, _walsh_hadamard
+from .gf2r import FieldContext, _check_int, _walsh_hadamard
 
 __all__ = [
     "CODE_INDICES",
@@ -112,41 +110,6 @@ def _vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
     return _base_entries(ctx, i) * code_shape(i)[1]
 
 
-def build_vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    """The defining vector of code i, entries in GF(2^r)."""
-    _check_code(ctx, i)
-    return _vector(ctx, i)
-
-
-def is_codeword(ctx: FieldContext, i: int, u) -> bool:
-    """Whether the binary word u is orthogonal to vector i over GF(2^r)."""
-    _check_code(ctx, i)
-    v = _vector(ctx, i)
-    if len(u) != len(v):
-        raise ValueError(f"word length {len(u)} != code length {len(v)}")
-    acc = 0
-    for bit, entry in zip(u, v):
-        _check_int("word entry", bit, 0, 1)
-        if bit:
-            acc ^= entry
-    return acc == 0
-
-
-def dual_codeword(ctx: FieldContext, i: int, a: int) -> tuple[int, ...]:
-    """The bits of c_i(a): bit l is the trace of a times entry l of vector i.
-
-    Its weight is pinned down by K(a) (``dual_weight_closed_form``).
-    """
-    _check_code(ctx, i)
-    _check_int("a", a, 0, ctx.q - 1)
-    v = _vector(ctx, i)
-    if a == 0:
-        return (0,) * len(v)
-    tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
-    la = log[a]
-    return tuple(tt[exp[la + log[g]]] for g in v)
-
-
 def _bit_rows(values, r: int) -> list[int]:
     """r bitmasks of len(values) bits: bit l of row k is bit k of values[l].
 
@@ -159,52 +122,6 @@ def _bit_rows(values, r: int) -> list[int]:
         plane = bytes(v >> shift & 255 for v in reversed(values))
         rows += [int(plane.translate(_BIT_DIGITS[k]), 2) for k in range(min(8, r - shift))]
     return rows
-
-
-def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
-    # the r words c_i(2^k): tr(2^k x) is bit k of phi(x), phi the trace map
-    phi = _trace_map(ctx)
-    return _bit_rows([phi[e] for e in _vector(ctx, i)], ctx.r)
-
-
-def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
-
-    c_i(a) is GF(2)-linear in a, so a Gray-code walk over the r words of
-    a = 2^k visits every word with one running word: step s XORs in the
-    word of the lowest set bit of s and lands on a = s ^ (s >> 1).  Reads
-    only the trace and exp/log tables, never a Kloosterman value or the
-    Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
-    """
-    _check_code(ctx, i)
-    gens = _generator_rows(ctx, i)
-    weights, word = [0] * ctx.q, 0
-    for s in range(1, ctx.q):
-        word ^= gens[(s & -s).bit_length() - 1]
-        weights[s ^ (s >> 1)] = word.bit_count()
-    return tuple(weights)
-
-
-def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
-    """wt(c_i(a)) over GF(q) as num / den, given k = K(a); den divides num if k is true."""
-    _check_int("q", q, 2)
-    _check_int("k", k)
-    trace, copies = code_shape(i)
-    return (q + 1 + k if trace else q - 1 - k), 4 // copies
-
-
-def dual_weight_closed_form(q: int, i: int, k: int) -> int:
-    """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0.
-
-    k is held to the Weil bound k^2 <= 4q, which every K(a) meets.
-    """
-    _check_int("q", q, 2)
-    _check_int("k", k, -isqrt(4 * q), isqrt(4 * q))
-    num, den = dual_weight_fraction(q, i, k)
-    w, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"weight {num}/{den} not integral; K(a)={k}")
-    return w
 
 
 def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
@@ -263,20 +180,6 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
     return tuple(counts)
 
 
-def code_cardinality(ctx: FieldContext, i: int) -> int:
-    """Total number of codewords, n_0 * 2^N / q by MacWilliams at z=1.
-
-    n_0 is the number of a with c_i(a) = 0, the kernel of the dual map,
-    read from the same O(q r) transform as ``weight_distribution``.
-    """
-    _check_code(ctx, i)
-    n0 = _dual_weight_histogram(ctx, i)[0]
-    size, rem = divmod(n0 << code_length(ctx, i), ctx.q)
-    if rem:
-        raise ArithmeticError(f"cardinality {n0}*2^N/q not integral")
-    return size
-
-
 def parity_check_rows(ctx: FieldContext, i: int) -> list[int]:
     """r binary parity rows (as length-N bitmasks) cutting out code i."""
     _check_code(ctx, i)
@@ -303,70 +206,11 @@ def gf2_rank(rows) -> int:
     return len(_pivots(rows))
 
 
-def kernel_basis(rows: list[int], n: int) -> list[int]:
-    """Basis of the GF(2) nullspace of the given bitmask rows in dimension n."""
-    pivots = _pivots(rows)
-    basis = []
-    pivot_cols = sorted(pivots)
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for c in pivot_cols:
-            # pivot rows lead at c with remaining support below c, so
-            # ascending order sees only settled bits of v
-            if ((pivots[c] & ~(1 << c)) & v).bit_count() & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
+def __getattr__(name: str):
+    # the __all__ names defined in codes_checks, compiled on first use and then bound here
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import codes_checks
 
-
-def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    """Histogram of codeword weights by explicit enumeration (the slow oracle)."""
-    _check_code(ctx, i)
-    n = code_length(ctx, i)
-    if n - ctx.r > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"enumeration would visit ~2^{n - ctx.r} codewords; budget is 2^{ENUMERATION_BUDGET}"
-        )
-    basis = kernel_basis(parity_check_rows(ctx, i), n)
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    word = 0
-    for idx in range(1, 1 << len(basis)):
-        word ^= basis[(idx & -idx).bit_length() - 1]
-        counts[word.bit_count()] += 1
-    return tuple(counts)
-
-
-def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
-    """Check that {c_i(a)} really is the dual of code i.
-
-    Returns five facts: ``orthogonal`` (every c_i(a) is orthogonal to
-    the whole code), ``kernel_size`` and ``injective`` of the dual map
-    a -> c_i(a), ``code_cardinality``, and ``product_check``, the
-    cardinality product |dual image| * |code| = 2^N, where the dual image
-    has q / kernel_size words.  The dual map is injective for i in {3, 4}
-    at every r and for i in {1, 2} from r = 3 on; at r = 2 its kernel
-    has size 2.
-
-    Every value is a GF(2) rank of at most 2r rows of N bits: of the r
-    parity rows H, of the r generators G = c_i(2^k) and of [H; G].  By
-    linearity the dual words are the row space of G, so the map has
-    2^(r - rank G) zeros and 2^rank G images.  The code is ker H, of size
-    2^(N - rank H), and its orthogonal complement is the row space of H;
-    so every c_i(a) is orthogonal to every codeword iff
-    rank [H; G] = rank H.
-    """
-    _check_code(ctx, i)
-    n = code_length(ctx, i)
-    h_rows, g_rows = parity_check_rows(ctx, i), _generator_rows(ctx, i)
-    rank_h, rank_g = gf2_rank(h_rows), gf2_rank(g_rows)
-    cardinality = 1 << (n - rank_h)
-    return {
-        "orthogonal": gf2_rank(h_rows + g_rows) == rank_h,
-        "kernel_size": 1 << (ctx.r - rank_g),
-        "injective": rank_g == ctx.r,
-        "code_cardinality": cardinality,
-        "product_check": (1 << rank_g) * cardinality == 1 << n,
-    }
+    value = globals()[name] = getattr(codes_checks, name)
+    return value

@@ -37,8 +37,6 @@ codes' generator rows and the character-sum row read the trace;
 one int, that the character-sum row and the codes' weights both run on.
 """
 
-from __future__ import annotations
-
 import sys
 from array import array
 

@@ -14,14 +14,17 @@ Everything here is exact integer arithmetic: the leading terms are of
 order (q-1)^h or (q+1)^h and cancel down to O(q^(h/2+1)) results, so
 approximate arithmetic would be useless.  MK^0 = q - 1 is the seed and
 is never produced by the recursion.
+
+``pless_check``, both sides of the Pless identity, and the explicit
+Stirling numbers ``stirling2_explicit`` are run only by ``verify`` and
+the tests.  They live in :mod:`kmoments.moments_checks`; ``__all__``
+still lists them, and each is read here by name and compiled on first
+use (PEP 562 ``__getattr__``).
 """
 
-from __future__ import annotations
-
-from collections import Counter
 from math import comb, factorial
 
-from .codes import _check_code, code_length, code_shape, dual_weights, weight_distribution
+from .codes import _check_code, code_length, code_shape, weight_distribution
 from .gf2r import FieldContext, _check_int
 
 __all__ = [
@@ -35,19 +38,6 @@ def _next_stirling2_row(row: list[int]) -> list[int]:
     """S(n, 0..n) from S(n-1, 0..n-1), by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
     n = len(row)
     return [0] + [k * (row[k] if k < n else 0) + row[k - 1] for k in range(1, n + 1)]
-
-
-def stirling2_explicit(h: int, t: int) -> int:
-    """Stirling number via the alternating binomial sum (cross-check route)."""
-    _check_int("h", h, 0)
-    _check_int("t", t)
-    if t < 0 or t > h:
-        return 0
-    total = sum((-1) ** (t - j) * comb(t, j) * j**h for j in range(t + 1))
-    s, rem = divmod(total, factorial(t))
-    if rem:
-        raise ArithmeticError(f"alternating sum for S({h}, {t}) not divisible by {t}!")
-    return s
 
 
 def _pless_sums(h_max: int, n: int, dist) -> list[int]:
@@ -117,40 +107,11 @@ def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> tuple
     return tuple(mk)
 
 
-def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None) -> tuple:
-    """Both sides of the Pless power moment identity for the dual of code i.
+def __getattr__(name: str):
+    # the __all__ names defined in moments_checks, compiled on first use and then bound here
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import moments_checks
 
-    Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
-    Left side: sum of weight^h over the q dual codewords c_i(a), the
-    zero word counting 1 when h = 0 (0**0 == 1); the q weights come from
-    one walk over the trace words (``dual_weights``), never from the
-    Walsh-Hadamard weight histogram that the weight counts come from.
-    Right side: the Stirling-number expansion over the code's weight
-    counts, with alphabet size 2 and dual dimension r, as an int: its
-    terms t! S(h, t) 2^(r-t) are integers for any integer counts, since
-    C(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r and
-    2^(t - popcount(t)) divides t!.  A remainder raises ArithmeticError.
-    The weight distribution is built once, up to weight min(N, h_max).
-
-    ``counts`` (C_0..C_j, j >= min(N, h_max), the tuple
-    ``weight_distribution`` returns) and ``weights`` (all q weights as
-    ``dual_weights`` returns them) may be passed in by a caller that has
-    already built them; they are then used as given.
-    """
-    _check_moment_args(ctx, i, h_max)
-    n = code_length(ctx, i)
-    dist = _counts(ctx, i, min(n, h_max), counts)
-    if weights is None:
-        weights = dual_weights(ctx, i)
-    elif len(weights) != ctx.q:
-        raise ValueError(f"need the q = {ctx.q} dual weights, got {len(weights)}")
-    histogram = Counter(weights)
-    checks = []
-    for h, pless in enumerate(_pless_sums(h_max, n, dist)):
-        lhs = sum(c * w**h for w, c in histogram.items())
-        # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
-        rhs, rem = divmod(pless << ctx.r, 1 << h)
-        if rem:
-            raise ArithmeticError(f"Pless sum P_{h} * 2^{ctx.r} not divisible by 2^{h}")
-        checks.append((lhs, rhs, rhs == lhs))
-    return tuple(checks)
+    value = globals()[name] = getattr(moments_checks, name)
+    return value

@@ -1,0 +1,138 @@
+"""The ``verify`` command: the whole identity suite per (r, code), with pass/fail rows.
+
+``cli.cmd_verify`` compiles this module, and through it the checks of
+every layer, on its first call, and runs ``run``: a ``moments`` or
+``weights`` run compiles none of them.
+
+Every function is read through a module at call time, so that a patched
+function reaches the suite.  A function that perfbench's tracer wraps
+(``codes.verify_dual_structure``, ``codes.weight_distribution_exhaustive``,
+``codes.code_cardinality``, ``moments.pless_check``) is read through its
+layer module, where the tracer binds its wrapper; every other function
+through the module that defines it.  The cost limits are read from
+:mod:`kmoments.cli`, which keeps them in one block.
+"""
+
+from types import SimpleNamespace
+
+from . import cli, codes_checks, kloosterman_checks
+from . import codes as codes_mod
+from . import kloosterman as kl
+from . import moments as mo
+from .gf2r import FieldContext
+
+__all__ = ["run"]
+
+
+def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
+    """Yield (code, check, passed, note) for every verify row of one r, in output order.
+
+    Once per r: the K table, MK^0..MK^max(h_max, 1) from it (for
+    moment_first and every code's moment_recursion), and up to
+    cli.DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
+    under each code (``quadratic_char_sums`` at b = 0 and at every
+    trace-one b, or two above cli.DIGEST_FULL_ROWS_MAX_R).  The field rows come
+    first, under code None.  Once per code: the q dual weights, the weight
+    distribution (to h_max only above cli.DIGEST_FULL_ROWS_MAX_R; there the
+    cardinality row's ``code_cardinality`` runs the histogram again) and
+    the dual-structure report, each shared by every row that reads it.
+    """
+    r, q = ctx.r, ctx.q
+    table = kl.kloosterman_table(ctx)
+    brute = kl.moment_bruteforce(ctx, max(h_max, 1), table)
+    values = table[1:]
+    yield None, "kloosterman_weil_bound", all(k * k <= 4 * q for k in values), None
+    if r >= 2:
+        yield None, "kloosterman_mod4", all(k % 4 == 3 for k in values), None
+    # K(a^2) = K(a), with a^2 read as exp[2 log a] (exp holds two periods)
+    exp, log = ctx.exp, ctx.log
+    frob = all(table[exp[2 * log[a]]] == table[a] for a in ctx.nonzero())
+    yield None, "kloosterman_frobenius", frob, None
+    yield None, "moment_first", brute[1] == 1, None
+
+    def char_sums_hold(b: int) -> bool:
+        # lambda(a/(alpha^2 + alpha + b)) summed over alpha is (-1)^tr(b) K(a) - 1
+        row, sign = kloosterman_checks.quadratic_char_sums(ctx, b), 1 - 2 * ctx.trace_table[b]
+        return all(row[a] == sign * table[a] - 1 for a in ctx.nonzero())
+
+    full_rows = r <= cli.DIGEST_FULL_ROWS_MAX_R
+    char_sums = []
+    if r <= cli.DIGEST_ROWS_MAX_R:
+        char_sums.append(("split_char_sum", char_sums_hold(0), None))
+        trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
+        bs = trace_one if full_rows else [trace_one[0], trace_one[-1]]
+        note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
+        char_sums.append(("irreducible_char_sum", all(map(char_sums_hold, bs)), note))
+
+    for i in codes:
+        n = codes_mod.code_length(ctx, i)
+        if not n:
+            continue
+        trace, copies = codes_mod.code_shape(i)
+        for name, ok, note in char_sums:
+            yield i, name, ok, note
+        weights = codes_checks.dual_weights(ctx, i)
+        dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_rows else min(n, h_max))
+
+        if r <= cli.DIGEST_ROWS_MAX_R:
+            # the literal trace words' weights against the closed forms num / den in the table's K(a)
+            fractions = {a: codes_checks.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
+            ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
+            yield i, "dual_weight_formula", ok, None
+            if copies == 1:
+                # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
+                ok = all(num % 4 == 0 for num, _ in fractions.values())
+                yield i, "dual_weight_halving", ok, None
+
+        report = codes_mod.verify_dual_structure(ctx, i)
+        yield i, "dual_orthogonality", report["orthogonal"], None
+        if not trace and q == 4:
+            ok = report["kernel_size"] == 2
+            yield i, "dual_map_kernel", ok, "kernel of size 2 expected at q=4"
+        else:
+            yield i, "dual_map_injective", report["injective"], None
+        yield i, "dual_cardinality_product", report["product_check"], None
+
+        # where the dual map is not injective (codes 1, 2 at r = 2) the code is
+        # larger than 2^(N-r); compare against the nullspace dimension instead
+        expected_total = 1 << (n - r) if report["injective"] else report["code_cardinality"]
+        size_note = None if report["injective"] else "dual map not injective; expecting 2^(N-rank)"
+        if full_rows:
+            if n - r <= codes_mod.ENUMERATION_BUDGET:
+                enumerated = codes_mod.weight_distribution_exhaustive(ctx, i)
+                yield i, "distribution_vs_enumeration", dist == enumerated, None
+            yield i, "distribution_cardinality", sum(dist) == expected_total, size_note
+            if copies == 2:
+                ok = all(dist[j] == dist[n - j] for j in range(n + 1))
+                yield i, "distribution_palindrome", ok, None
+        elif r <= cli.DIGEST_ROWS_MAX_R:
+            # the note is kept for byte-identical output; the count is the
+            # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
+            ok = codes_mod.code_cardinality(ctx, i) == expected_total
+            yield i, "distribution_cardinality", ok, "via group-algebra count"
+
+        pless = mo.pless_check(ctx, i, h_max, counts=dist, weights=weights)
+        yield i, "pless_identity", all(equal for _, _, equal in pless), None
+        seq = mo.moment_sequence(ctx, i, h_max, counts=dist)
+        yield i, "moment_recursion", seq == brute[: h_max + 1], None
+
+
+def run(args: SimpleNamespace) -> int:
+    """Check every r of ``args``, write the rows, and return the exit status."""
+    results = [
+        {"r": r, "code": i, "check": name, "passed": passed, "note": note}
+        for r, ctx in args.contexts.items()
+        for i, name, passed, note in _verify_rows(ctx, args.code, args.hmax)
+    ]
+    all_passed = all(w["passed"] for w in results)
+
+    lines = []
+    for w in results:
+        code = "-" if w["code"] is None else w["code"]
+        status = "pass" if w["passed"] else "FAIL"
+        note = f" ({w['note']})" if w["note"] else ""
+        lines.append(f"r={w['r']} code={code} {w['check']}: {status}{note}")
+    lines.append(f"all: {'pass' if all_passed else 'FAIL'}")
+    header = ["r", "code", "check", "passed", "note"]
+    cli._render(args, "verify", {"all_passed": all_passed, "results": results}, header, results, lines)
+    return 0 if all_passed else cli.MISMATCH_ERROR

@@ -236,25 +236,24 @@ def _count_calls(monkeypatch, targets):
 
 
 def _per_a_targets():
-    import kmoments.codes as codes
-    import kmoments.kloosterman as kl
-    import kmoments.moments as mo
+    import kmoments.codes_checks as codes_checks
+    import kmoments.kloosterman_checks as kloosterman_checks
 
-    # moments imports dual_weights by name, so pless_check calls it there
+    # each where it is defined, where verify and pless_check read it
     return [
-        (kl, "quadratic_char_sums"),
-        (kl, "split_quadratic_char_sum"),
-        (kl, "irreducible_quadratic_char_sum"),
-        (kl, "kloosterman_sum"),
-        (codes, "dual_codeword"),
-        (codes, "dual_weights"),
-        (mo, "dual_weights"),
+        (kloosterman_checks, "quadratic_char_sums"),
+        (kloosterman_checks, "split_quadratic_char_sum"),
+        (kloosterman_checks, "irreducible_quadratic_char_sum"),
+        (kloosterman_checks, "kloosterman_sum"),
+        (codes_checks, "dual_codeword"),
+        (codes_checks, "dual_weights"),
     ]
 
 
 def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     import kmoments.codes as codes
     import kmoments.kloosterman as kl
+    import kmoments.kloosterman_checks as kloosterman_checks
     import kmoments.moments as mo
 
     # moments binds weight_distribution by name, so a call from there is seen there
@@ -266,8 +265,10 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     calls = _count_calls(monkeypatch, _per_a_targets())
     built = _count_calls(monkeypatch, shared)
     seen = []
-    counted = kl.quadratic_char_sums
-    monkeypatch.setattr(kl, "quadratic_char_sums", lambda ctx, b: seen.append(b) or counted(ctx, b))
+    counted = kloosterman_checks.quadratic_char_sums
+    monkeypatch.setattr(
+        kloosterman_checks, "quadratic_char_sums", lambda ctx, b: seen.append(b) or counted(ctx, b)
+    )
     code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
     assert code == 0
     # for all four codes: one split row (b = 0) over the q - 1 = 63 values of a,
@@ -298,10 +299,10 @@ def test_moments_brute_force_column_once_per_r(capsys, monkeypatch):
 
 
 def test_verify_builds_no_kernel_basis(capsys, monkeypatch):
-    import kmoments.codes as codes
+    import kmoments.codes_checks as codes_checks
 
     # the dual-structure report works from ranks, and r = 7 is past the enumeration
-    calls = _count_calls(monkeypatch, [(codes, "kernel_basis")])
+    calls = _count_calls(monkeypatch, [(codes_checks, "kernel_basis")])
     code, _, _ = run(capsys, "verify", "--r", "7", "--hmax", "4")
     assert code == 0
     assert calls["kernel_basis"] == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kmoments.codes as codes_mod
+import kmoments.codes_checks as codes_checks
 from kmoments import (
     build_field,
     kloosterman_sum,
@@ -280,7 +281,7 @@ def test_rows_equal_independent_builds(r):
                 continue
             # generator k is c_i(2^k), which dual_codeword builds from exp/log products
             gens = [oracles.bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(r)]
-            assert codes_mod._generator_rows(ctx, i) == gens, (ctx, i)
+            assert codes_checks._generator_rows(ctx, i) == gens, (ctx, i)
             # parity row k holds bit k of every entry of vector i
             v = build_vector(ctx, i)
             rows = [sum((entry >> k & 1) << l for l, entry in enumerate(v)) for k in range(r)]
@@ -297,7 +298,8 @@ def test_rows_equal_the_per_entry_oracle(r, contexts):
     for i in CODE_INDICES:
         if code_length(ctx, i):
             v = build_vector(ctx, i)
-            for rows, masks in ((parity_check_rows(ctx, i), units), (codes_mod._generator_rows(ctx, i), trace_forms)):
+            generators = codes_checks._generator_rows(ctx, i)
+            for rows, masks in ((parity_check_rows(ctx, i), units), (generators, trace_forms)):
                 expected = oracles.rows_by_entry(v, masks)
                 assert rows == expected, (r, i, masks)
                 assert oracles.rows_by_parity_tables(v, masks, r) == expected, (r, i, masks)
@@ -671,13 +673,11 @@ def _one_bit_mutants(rows, n):
 
 @pytest.mark.parametrize("i", CODE_INDICES)
 def test_orthogonality_catches_one_flipped_generator_bit(i, contexts, monkeypatch):
-    import kmoments.codes as codes
-
     ctx = contexts[5]
     assert verify_dual_structure(ctx, i)["orthogonal"] is True
     assert all(equal for _, _, equal in pless_check(ctx, i, 10))
-    for bad in _one_bit_mutants(codes._generator_rows(ctx, i), code_length(ctx, i)):
-        monkeypatch.setattr(codes, "_generator_rows", lambda ctx, i, bad=bad: bad)
+    for bad in _one_bit_mutants(codes_checks._generator_rows(ctx, i), code_length(ctx, i)):
+        monkeypatch.setattr(codes_checks, "_generator_rows", lambda ctx, i, bad=bad: bad)
         assert verify_dual_structure(ctx, i)["orthogonal"] is False
         # the walk reads the same rows, so the Pless left side moves off the right
         assert not all(equal for _, _, equal in pless_check(ctx, i, 10))

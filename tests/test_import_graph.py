@@ -2,13 +2,18 @@
 left side must never come from the K values they are checked against.
 
 Each rule lists every package module one module may import, read from
-the sources with ``ast``:
+the sources with ``ast``, a lazy import inside a function included.
+Each layer imports its ``*_checks`` module, the half that only
+``verify`` and the tests run, on first use; beyond that:
 
-* ``kloosterman`` imports only ``gf2r``;
-* ``codes`` imports only ``gf2r``;
-* ``moments`` imports only ``gf2r`` and ``codes``.
+* ``kloosterman`` and ``kloosterman_checks`` import only ``gf2r``;
+* ``codes`` imports only ``gf2r``, and ``codes_checks`` ``gf2r`` and ``codes``;
+* ``moments`` imports only ``gf2r`` and ``codes``, and ``moments_checks``
+  those, ``codes_checks`` and ``moments``;
+* ``verify``, the one module that sets the two sides beside each other,
+  imports every layer and the CLI.
 
-So neither weight-side module can reach a K value, by any name.
+So no weight-side module can reach a K value, by any name.
 
 One rule looks inside a function: ``kloosterman_table`` reads nothing
 from ``gf2r`` but ``_unpack_slots``.  So the K table shares neither the
@@ -25,10 +30,17 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
 
 MAY_IMPORT = {
-    "kloosterman": {"gf2r"},
-    "codes": {"gf2r"},
-    "moments": {"gf2r", "codes"},
+    "kloosterman": {"gf2r", "kloosterman_checks"},
+    "kloosterman_checks": {"gf2r"},
+    "codes": {"gf2r", "codes_checks"},
+    "codes_checks": {"gf2r", "codes"},
+    "moments": {"gf2r", "codes", "moments_checks"},
+    "moments_checks": {"gf2r", "codes", "codes_checks", "moments"},
+    "verify": {"gf2r", "kloosterman", "kloosterman_checks", "codes", "codes_checks", "moments", "cli"},
 }
+
+# the modules that hold or read the weight counts and the dual weights
+WEIGHT_SIDE = ["codes", "codes_checks", "moments", "moments_checks"]
 
 
 def _package_imports(tree: ast.Module) -> list[str]:
@@ -89,13 +101,13 @@ K_IMPORTS = [
 ]
 
 
-@pytest.mark.parametrize("module", ["codes", "moments"])
+@pytest.mark.parametrize("module", WEIGHT_SIDE)
 @pytest.mark.parametrize("line", K_IMPORTS)
 def test_import_graph_rejects_each_way_to_reach_k(module, line):
     assert _violations(_with_import(_sources(), module, line)) == [f"{module} imports kloosterman"]
 
 
-@pytest.mark.parametrize("module", ["codes", "moments"])
+@pytest.mark.parametrize("module", WEIGHT_SIDE)
 @pytest.mark.parametrize(
     "line, reached",
     [
@@ -114,6 +126,10 @@ def test_import_graph_rejects_each_mutant():
     assert _violations(codes) == ["codes imports moments"]
     kloosterman = _with_import(sources, "kloosterman", "from . import codes")
     assert _violations(kloosterman) == ["kloosterman imports codes"]
+    row = _with_import(sources, "kloosterman_checks", "from .codes_checks import dual_weights")
+    assert _violations(row) == ["kloosterman_checks imports codes_checks"]
+    codes_checks = _with_import(sources, "codes_checks", "from . import moments")
+    assert _violations(codes_checks) == ["codes_checks imports moments"]
 
 
 # the gf2r names kloosterman_table may read
@@ -155,6 +171,13 @@ def _k_table_violations(sources: dict[str, str]) -> list[str]:
     return [f"kloosterman_table reads gf2r.{name}" for name in reads if name not in K_TABLE_MAY_READ]
 
 
+def _with_own_import(sources, name):
+    # the name joins kloosterman's own import from gf2r
+    text = sources["kloosterman"]
+    (anchor,) = re.findall(r"^from \.gf2r import .*\n", text, flags=re.M)
+    return {**sources, "kloosterman": text.replace(anchor, anchor[:-1] + f", {name}\n")}
+
+
 def _with_k_table_line(sources, line):
     # the line becomes the first statement of kloosterman_table's body
     text = sources["kloosterman"]
@@ -179,7 +202,11 @@ def test_k_table_reads_no_gf2r_name_but_the_slot_reader():
     ],
 )
 def test_k_table_rule_rejects_a_read_of_the_trace_form(imported, read):
-    sources = _sources() if imported is None else _with_import(_sources(), "kloosterman", imported)
+    # imported None: kloosterman imports the name with its other gf2r names
+    if imported is None:
+        sources = _with_own_import(_sources(), "_trace_map")
+    else:
+        sources = _with_import(_sources(), "kloosterman", imported)
     mutant = _with_k_table_line(sources, f"phi = {read}")
     assert _k_table_violations(mutant) == ["kloosterman_table reads gf2r._trace_map"]
 
@@ -195,6 +222,9 @@ def test_k_table_rule_rejects_a_read_of_the_trace_form(imported, read):
     ],
 )
 def test_k_table_rule_rejects_a_read_of_the_transform(imported, read, name):
-    sources = _sources() if imported is None else _with_import(_sources(), "kloosterman", imported)
+    if imported is None:
+        sources = _with_own_import(_sources(), name)
+    else:
+        sources = _with_import(_sources(), "kloosterman", imported)
     mutant = _with_k_table_line(sources, f"values = {read}")
     assert _k_table_violations(mutant) == [f"kloosterman_table reads gf2r.{name}"]

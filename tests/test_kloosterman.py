@@ -138,7 +138,9 @@ def test_value_set_lachaud_wolfmann(r, tables, wide_tables):
 
 def test_table_never_calls_the_per_a_sum(monkeypatch):
     import kmoments.codes as codes
+    import kmoments.codes_checks as codes_checks
     import kmoments.kloosterman as kl
+    import kmoments.kloosterman_checks as kloosterman_checks
 
     calls = {"kloosterman_sum": 0, "dual_codeword": 0, "dual_weights": 0, "_dual_weight_histogram": 0}
 
@@ -151,9 +153,13 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(kl, "kloosterman_sum", counting(kl, "kloosterman_sum"))
-    for name in ("dual_codeword", "dual_weights", "_dual_weight_histogram"):
-        monkeypatch.setattr(codes, name, counting(codes, name))
+    for module, name in (
+        (kloosterman_checks, "kloosterman_sum"),
+        (codes_checks, "dual_codeword"),
+        (codes_checks, "dual_weights"),
+        (codes, "_dual_weight_histogram"),
+    ):
+        monkeypatch.setattr(module, name, counting(module, name))
     table = kl.kloosterman_table(build_field(6))
     assert all(count == 0 for count in calls.values()), calls
     assert len(table) == 64
@@ -317,9 +323,9 @@ def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
     import copy
 
     import kmoments.cli as cli
-    import kmoments.kloosterman as kl
+    import kmoments.kloosterman_checks as kloosterman_checks
 
-    real = kl.quadratic_char_sums
+    real = kloosterman_checks.quadratic_char_sums
 
     def neighbour(ctx, b):
         # the least nonzero t in theta becomes g t, its neighbour in exp order,
@@ -329,7 +335,7 @@ def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
         moved.theta = (0, ctx.exp[ctx.log[t] + 1], *ctx.theta[2:])
         return real(moved, b)
 
-    monkeypatch.setattr(kl, "quadratic_char_sums", neighbour)
+    monkeypatch.setattr(kloosterman_checks, "quadratic_char_sums", neighbour)
     assert cli.main(["verify", "--r", "3..4", "--hmax", "2"]) == 2
     lines = capsys.readouterr().out.splitlines()
     for r in (3, 4):

@@ -1,5 +1,6 @@
-"""A smoke run of ``bench/layers.py`` at r <= 4: the JSON it writes has the shape
-its readers expect.  It sets no bound on any figure and gates nothing."""
+"""A smoke run of ``bench/layers.py`` at r <= 4, with its fixed ``ktable`` jobs at r = 11
+and 12: the JSON it writes has the shape its readers expect.  It sets no bound on any
+figure and gates nothing."""
 
 import json
 import platform
@@ -31,6 +32,7 @@ def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
     passes = ("build_field", "exp_log", "trace_table", "rest")
     names = [f"field.r{r}.{p}" for r in (3, 4) for p in passes]
     names += [f"cli.verify{k}.{part}" for part in ("wall", "shutdown") for k in ("_r3", "")]
+    names += ["cli.import_source"] + [f"cli.ktable{k}.source_wall" for k in ("_r11", "_r12", "")]
     assert sorted(doc["metrics"]) == sorted(names)
     for name, metric in doc["metrics"].items():
         (spread,) = metric["sides"]
@@ -38,3 +40,4 @@ def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
         assert set(spread) == {"median", "q1", "q3", "min", "max", "n"} and spread["n"] == 1, name
         assert spread["min"] <= spread["q1"] <= spread["median"] <= spread["q3"] <= spread["max"], name
     assert doc["metrics"]["cli.verify.wall"]["sides"][0]["median"] > 0
+    assert doc["metrics"]["cli.import_source"]["sides"][0]["median"] > 0

@@ -200,7 +200,7 @@ def test_pless_small_fields(i, contexts):
 
 
 def test_pless_one_pass(monkeypatch, contexts):
-    import kmoments.codes as codes
+    import kmoments.codes_checks as codes_checks
     import kmoments.moments as mo
 
     calls = {"dual_weights": 0, "dual_codeword": 0, "weight_distribution": 0}
@@ -215,9 +215,9 @@ def test_pless_one_pass(monkeypatch, contexts):
         return wrapper
 
     for module, name in (
-        (mo, "dual_weights"),
+        (codes_checks, "dual_weights"),
         (mo, "weight_distribution"),
-        (codes, "dual_codeword"),
+        (codes_checks, "dual_codeword"),
     ):
         monkeypatch.setattr(module, name, counting(module, name))
     ctx = contexts[5]
@@ -258,6 +258,7 @@ def test_pless_corrupted_count_is_exact_and_unequal(i, contexts):
 
 
 def test_given_counts_and_weights_are_used_as_built(monkeypatch, contexts):
+    import kmoments.codes_checks as codes_checks
     import kmoments.moments as mo
     from kmoments.codes import dual_weights, weight_distribution
 
@@ -269,7 +270,7 @@ def test_given_counts_and_weights_are_used_as_built(monkeypatch, contexts):
     def forbidden(*args, **kwargs):
         raise AssertionError("built again")
 
-    monkeypatch.setattr(mo, "dual_weights", forbidden)
+    monkeypatch.setattr(codes_checks, "dual_weights", forbidden)
     monkeypatch.setattr(mo, "weight_distribution", forbidden)
     # the full distribution, or just the prefix up to min(N, h_max)
     for given in (counts, counts[:11]):

@@ -1,10 +1,10 @@
 """Every ``verify`` check fails under some mutant of the stage it reads.
 
 A check that nothing can fail shows nothing.  ``MUTANTS`` breaks one
-stage each, as a monkeypatch of one function: the K table, the
-character-sum row, the row builder ``codes._bit_rows``, the generator rows
-G, the dual weights, the dual-weight histogram or the weight
-distribution.  ``REGISTRY`` maps every check name to the mutants
+stage each, as a monkeypatch of one function where it is defined: the
+K table, the character-sum row, the row builder ``codes._bit_rows``, the
+generator rows G, the dual weights, the dual-weight histogram or the
+weight distribution.  ``REGISTRY`` maps every check name to the mutants
 that fail it.  At each r below, every check the clean run prints must
 FAIL under at least one of its mutants, and a check name with no entry
 fails the test, as a new public name does in ``test_no_orphans.py``.
@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from kmoments import cli, codes
+from kmoments import cli, codes, codes_checks, kloosterman_checks
 
 
 def _edit_k_table(mp, edit):
@@ -64,17 +64,17 @@ def _swap_k1_kg(mp):
     _edit_k_table(mp, edit)
 
 
-def _edit_rows(name, edit):
-    # edit the list of bitmask rows that ``codes.<name>`` builds
+def _edit_rows(module, name, edit):
+    # edit the list of bitmask rows that ``<module>.<name>`` builds
     def apply(mp):
-        real = getattr(codes, name)
+        real = getattr(module, name)
 
         def mutant(*args):
             rows = list(real(*args))
             edit(rows)
             return rows
 
-        mp.setattr(codes, name, mutant)
+        mp.setattr(module, name, mutant)
 
     return apply
 
@@ -102,27 +102,27 @@ def _more_zero_words(mp):
 
 def _shift_dual_weight(shift):
     def apply(mp):
-        real = codes.dual_weights
+        real = codes_checks.dual_weights
 
         def mutant(ctx, i):
             weights = list(real(ctx, i))
             weights[1] += shift
             return tuple(weights)
 
-        mp.setattr(codes, "dual_weights", mutant)
+        mp.setattr(codes_checks, "dual_weights", mutant)
 
     return apply
 
 
 def _rotate_char_sum_row(mp):
     # entry g^s of every character-sum row takes the value of entry g^(s+1)
-    real = cli.kl.quadratic_char_sums
+    real = kloosterman_checks.quadratic_char_sums
 
     def mutant(ctx, b):
         row = real(ctx, b)
         return [None] + [row[ctx.exp[ctx.log[a] + 1]] for a in ctx.nonzero()]
 
-    mp.setattr(cli.kl, "quadratic_char_sums", mutant)
+    mp.setattr(kloosterman_checks, "quadratic_char_sums", mutant)
 
 
 def _swap_c3_c4(mp):
@@ -145,9 +145,9 @@ MUTANTS = {
     "swap K(1), K(g)": _swap_k1_kg,
     "K(1) past the Weil bound": _k1_past_weil,
     "swap K(1) and the first K(a) != K(1)": _swap_k1_first_other,
-    "flip a bit in _bit_rows": _edit_rows("_bit_rows", _flip_bit),
-    "flip a bit in G": _edit_rows("_generator_rows", _flip_bit),
-    "zero a row of G": _edit_rows("_generator_rows", _zero_row),
+    "flip a bit in _bit_rows": _edit_rows(codes, "_bit_rows", _flip_bit),
+    "flip a bit in G": _edit_rows(codes_checks, "_generator_rows", _flip_bit),
+    "zero a row of G": _edit_rows(codes_checks, "_generator_rows", _zero_row),
     "q more zero dual words": _more_zero_words,
     "dual weight + 1": _shift_dual_weight(1),
     "dual weight - 1": _shift_dual_weight(-1),
