@@ -24,9 +24,12 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   the seconds ``import kmoments.cli`` takes inside a fresh child, and for
   each of perfbench's two ``ktable`` jobs, ``moments --r k --code 4
   --hmax 1 --format csv`` at k = 11 and 12, its whole-process
-  ``source_wall``.  Each child runs with ``PYTHONDONTWRITEBYTECODE=1`` and
-  ``PYTHONPYCACHEPREFIX`` set to an empty temporary directory, so it
-  neither reads the bytecode cache nor writes one.
+  ``source_wall``.  These children run with ``PYTHONDONTWRITEBYTECODE=1``
+  on a copy of the tree's package without ``__pycache__``, so they read
+  no bytecode of kmoments and write none, while the standard library
+  still loads from its own cache.  (``PYTHONPYCACHEPREFIX`` would move
+  the standard library's cache lookups too, and every child would
+  compile ``site`` and what it imports from source as well.)
 
 One warm-up run per tree first writes its bytecode cache, which every
 other row reads.  The JSON
@@ -40,6 +43,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -112,11 +116,6 @@ def _env(src: str) -> dict[str, str]:
     return env
 
 
-def _source_env(src: str, prefix: str) -> dict[str, str]:
-    # no bytecode cache is written, and none is read: the prefix names an empty directory
-    return {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
-
-
 def _verify_argv(k: int) -> list[str]:
     return ["verify", "--r", str(k), "--hmax", str(HMAX)]
 
@@ -139,8 +138,10 @@ def _wall(src: str, k: int) -> float:
 
 def _from_source(src: str) -> dict[str, float]:
     """``import kmoments.cli`` in a child, and each ktable job whole-process, compiled from source."""
-    with tempfile.TemporaryDirectory() as prefix:
-        env = _source_env(src, prefix)
+    with tempfile.TemporaryDirectory() as copy:
+        ignore = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(Path(src, "kmoments"), Path(copy, "kmoments"), ignore=ignore)
+        env = {**os.environ, "PYTHONPATH": copy, "PYTHONDONTWRITEBYTECODE": "1"}
         done = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env, capture_output=True, check=True)
         figures = {"cli.import_source": float(done.stdout)}
         for k in KTABLE_R:
