@@ -33,13 +33,15 @@ and the counts against the K moments, the Gray-code walk and GF(2) ranks.
 No K(a) value is used, so the counts stay independent of the
 Kloosterman table they are checked against.
 
-Only ``verify`` and the tests run the rest of the layer: the dual words
-and their weights, the closed-form weight, which takes K(a) as an
-argument so that no weight-side module imports the Kloosterman layer,
-the dual-structure report, the cardinality count, and the oracles
-``build_vector``, ``is_codeword`` and ``weight_distribution_exhaustive``.
-They live in :mod:`kmoments.codes_checks`; ``__all__`` still lists them,
-and each is read here by name and compiled on first use (PEP 562
+Only ``verify`` and the tests run the rest of the layer.  What
+``verify`` runs, the dual weights, the dual-structure report, the
+cardinality count and the enumeration, lives in
+:mod:`kmoments.codes_checks`; the oracles that only the tests run, the
+defining vector, membership, the dual words one a at a time and their
+closed-form weight, which takes K(a) as an argument so that no
+weight-side module imports the Kloosterman layer, in
+:mod:`kmoments.codes_oracles`.  ``__all__`` still lists them, and each
+is read here by name and compiled on first use (PEP 562
 ``__getattr__``).
 """
 
@@ -207,10 +209,13 @@ def gf2_rank(rows) -> int:
 
 
 def __getattr__(name: str):
-    # the __all__ names defined in codes_checks, compiled on first use and then bound here
+    # an __all__ name that codes_checks defines, or one of the oracles in
+    # codes_oracles, which only the tests read: compiled on first use, then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import codes_checks
+    from . import codes_checks as home
 
-    value = globals()[name] = getattr(codes_checks, name)
+    if not hasattr(home, name):
+        from . import codes_oracles as home
+    value = globals()[name] = getattr(home, name)
     return value

@@ -1,7 +1,7 @@
-"""The dual words of the four codes, the checks on them, and the code oracles.
+"""The dual words of the four codes, and the checks that ``verify`` runs on them.
 
-This is the half of the codes layer that only ``verify`` and the tests
-run: :mod:`kmoments.codes` lists every name here in its ``__all__`` and
+This module holds what ``verify`` runs of the codes layer:
+:mod:`kmoments.codes` lists every name here in its ``__all__`` and
 compiles this module on the first read of one.  It reads the names of
 ``codes`` through the module at call time, so that a function patched
 there reaches both halves alike.
@@ -12,67 +12,23 @@ Gray-code walk over the r words of a = 2^k, one running word and one
 XOR per step, gives the weights of all q dual words (``dual_weights``).
 The r generators c_i(2^k) come from ``codes._bit_rows``, the builder of
 the parity rows: generator k holds bit k of each phi(entry), phi the
-trace map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).
-``dual_codeword``, from exp/log products, is the per-a oracle.  The
-dual structure is GF(2) ranks of these rows (``verify_dual_structure``).
-
-``dual_weight_closed_form`` takes K(a) as an argument, so this module,
-like ``codes``, never imports the Kloosterman layer.  An exhaustive
-enumeration oracle walks the codeword space from a nullspace basis.
+trace map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).  The
+dual structure is GF(2) ranks of these rows (``verify_dual_structure``),
+and the enumeration of the codewords walks a nullspace basis of the
+parity rows (``weight_distribution_exhaustive``).
 """
-
-from math import isqrt
 
 from . import codes
 from .gf2r import FieldContext, _check_int, _trace_map
 
 __all__ = [
-    "build_vector",
-    "is_codeword",
-    "dual_codeword",
     "dual_weights",
     "dual_weight_fraction",
-    "dual_weight_closed_form",
     "weight_distribution_exhaustive",
     "code_cardinality",
     "kernel_basis",
     "verify_dual_structure",
 ]
-
-
-def build_vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    """The defining vector of code i, entries in GF(2^r)."""
-    codes._check_code(ctx, i)
-    return codes._vector(ctx, i)
-
-
-def is_codeword(ctx: FieldContext, i: int, u) -> bool:
-    """Whether the binary word u is orthogonal to vector i over GF(2^r)."""
-    codes._check_code(ctx, i)
-    v = codes._vector(ctx, i)
-    if len(u) != len(v):
-        raise ValueError(f"word length {len(u)} != code length {len(v)}")
-    acc = 0
-    for bit, entry in zip(u, v):
-        _check_int("word entry", bit, 0, 1)
-        if bit:
-            acc ^= entry
-    return acc == 0
-
-
-def dual_codeword(ctx: FieldContext, i: int, a: int) -> tuple[int, ...]:
-    """The bits of c_i(a): bit l is the trace of a times entry l of vector i.
-
-    Its weight is pinned down by K(a) (``dual_weight_closed_form``).
-    """
-    codes._check_code(ctx, i)
-    _check_int("a", a, 0, ctx.q - 1)
-    v = codes._vector(ctx, i)
-    if a == 0:
-        return (0,) * len(v)
-    tt, exp, log = ctx.trace_table, ctx.exp, ctx.log
-    la = log[a]
-    return tuple(tt[exp[la + log[g]]] for g in v)
 
 
 def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
@@ -105,20 +61,6 @@ def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
     _check_int("k", k)
     trace, copies = codes.code_shape(i)
     return (q + 1 + k if trace else q - 1 - k), 4 // copies
-
-
-def dual_weight_closed_form(q: int, i: int, k: int) -> int:
-    """Hamming weight of c_i(a) for code i over GF(q), given k = K(a), a != 0.
-
-    k is held to the Weil bound k^2 <= 4q, which every K(a) meets.
-    """
-    _check_int("q", q, 2)
-    _check_int("k", k, -isqrt(4 * q), isqrt(4 * q))
-    num, den = dual_weight_fraction(q, i, k)
-    w, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"weight {num}/{den} not integral; K(a)={k}")
-    return w
 
 
 def code_cardinality(ctx: FieldContext, i: int) -> int:
@@ -202,4 +144,3 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
         "code_cardinality": cardinality,
         "product_check": (1 << rank_g) * cardinality == 1 << n,
     }
-

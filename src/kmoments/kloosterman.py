@@ -22,10 +22,11 @@ nonzero trace-zero elements, so sum_t u(t) = q/2 - 1 and
 
 All c_s come from one exact bigint square (Kronecker substitution).
 
-The literal per-a sums, K(a) and the two character sums with quadratic
-denominators, and the character-sum row that ``verify`` checks the
-table against live in :mod:`kmoments.kloosterman_checks`, which only
-``verify`` and the tests run.  They are still read here, by name, and
+The character-sum row that ``verify`` checks the table against lives in
+:mod:`kmoments.kloosterman_checks`, and the literal per-a sums, K(a)
+and the two character sums with quadratic denominators, in
+:mod:`kmoments.kloosterman_oracles`, which only the tests run.
+``__all__`` still lists them, and each is read here by name and
 compiled on first use (PEP 562 ``__getattr__``).
 """
 
@@ -98,10 +99,13 @@ def moment_bruteforce(ctx: FieldContext, h_max: int, table: tuple[int | None, ..
 
 
 def __getattr__(name: str):
-    # the __all__ names defined in kloosterman_checks, compiled on first use and then bound here
+    # an __all__ name that kloosterman_checks defines, or one of the oracles in
+    # kloosterman_oracles, which only the tests read: compiled on first use, then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import kloosterman_checks
+    from . import kloosterman_checks as home
 
-    value = globals()[name] = getattr(kloosterman_checks, name)
+    if not hasattr(home, name):
+        from . import kloosterman_oracles as home
+    value = globals()[name] = getattr(home, name)
     return value

@@ -1,13 +1,9 @@
-"""The literal Kloosterman and quadratic character sums, and the character-sum row.
+"""The character-sum row, which ``verify`` checks the K table against.
 
-This is the half of the Kloosterman layer that only ``verify`` and the
-tests run: :mod:`kmoments.kloosterman` lists every name here in its
-``__all__`` and compiles this module on the first read of one.  Like
-the K table, these functions read the field's tables alone, never a
-code.
-
-``kloosterman_sum`` is K(a) summed literally over every nonzero alpha,
-the per-a oracle of ``kloosterman.kloosterman_table``.
+This module holds what ``verify`` runs of the Kloosterman layer:
+:mod:`kmoments.kloosterman` lists its name in ``__all__`` and compiles
+this module on the first read.  Like the K table, it reads the field's
+tables alone, never a code.
 
 The two further character sums of the paper have quadratic
 denominators, split (x^2 + x over alpha outside {0, 1}) or irreducible
@@ -28,65 +24,12 @@ packed product of u with the indicator of log D would be no check:
 b + theta is theta or its complement, so that product is the K table's
 own square u * u, or sum u minus it.  The row reads no K value and
 shares only the slot reader ``gf2r._unpack_slots`` with the K table;
-the per-a functions, literal sums over every alpha, are its oracles.
+its oracles are the literal sums of :mod:`kmoments.kloosterman_oracles`.
 """
 
 from .gf2r import FieldContext, _check_int, _trace_map, _walsh_hadamard
 
-__all__ = [
-    "kloosterman_sum",
-    "split_quadratic_char_sum",
-    "irreducible_quadratic_char_sum",
-    "quadratic_char_sums",
-]
-
-
-def kloosterman_sum(ctx: FieldContext, a: int) -> int:
-    """K(a) = sum over nonzero alpha of (-1)^tr(alpha + a/alpha)."""
-    _check_int("a", a, 1, ctx.q - 1)
-    trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
-    qm1 = ctx.q - 1
-    la = log[a]
-    # a/alpha via logs: log(a) - log(alpha) mod q-1, kept nonnegative
-    return sum(1 - 2 * trace[alpha ^ exp[la - log[alpha] + qm1]] for alpha in range(1, ctx.q))
-
-
-def split_quadratic_char_sum(ctx: FieldContext, a: int) -> int:
-    """Character sum of a/(alpha^2 + alpha) over alpha outside {0, 1}.
-
-    The denominator is the Artin-Schreier polynomial, split over GF(2);
-    its q-2 nonroots contribute, and the sum equals K(a) - 1.
-    """
-    _check_int("a", a, 1, ctx.q - 1)
-    trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
-    qm1 = ctx.q - 1
-    la = log[a]
-    # alpha^2 = exp[2 log alpha] and a/d = exp[log a - log d + q-1]
-    return sum(
-        1 - 2 * trace[exp[la - log[exp[2 * log[alpha]] ^ alpha] + qm1]] for alpha in range(2, ctx.q)
-    )
-
-
-def irreducible_quadratic_char_sum(ctx: FieldContext, a: int, b: int) -> int:
-    """Character sum of a/(alpha^2 + alpha + b) over every alpha.
-
-    Requires tr(b) = 1, which is exactly the condition making
-    x^2 + x + b irreducible, so the denominator never vanishes.
-    The sum equals -K(a) - 1 and does not depend on which trace-one
-    b is supplied.
-    """
-    _check_int("a", a, 1, ctx.q - 1)
-    _check_int("b", b, 0, ctx.q - 1)
-    if ctx.trace_table[b] != 1:
-        raise ValueError("b must have trace 1 (x^2+x+b irreducible)")
-    trace, exp, log = ctx.trace_table, ctx.exp, ctx.log
-    qm1 = ctx.q - 1
-    la = log[a]
-    squares = [0] + [exp[2 * log[alpha]] for alpha in range(1, ctx.q)]
-    # a/d = exp[log a - log d + q-1], with d = alpha^2 + alpha + b != 0
-    return sum(
-        1 - 2 * trace[exp[la - log[sq ^ alpha ^ b] + qm1]] for alpha, sq in enumerate(squares)
-    )
+__all__ = ["quadratic_char_sums"]
 
 
 def quadratic_char_sums(ctx: FieldContext, b: int) -> list[int | None]:

@@ -15,11 +15,12 @@ order (q-1)^h or (q+1)^h and cancel down to O(q^(h/2+1)) results, so
 approximate arithmetic would be useless.  MK^0 = q - 1 is the seed and
 is never produced by the recursion.
 
-``pless_check``, both sides of the Pless identity, and the explicit
-Stirling numbers ``stirling2_explicit`` are run only by ``verify`` and
-the tests.  They live in :mod:`kmoments.moments_checks`; ``__all__``
-still lists them, and each is read here by name and compiled on first
-use (PEP 562 ``__getattr__``).
+``pless_check``, both sides of the Pless identity, which ``verify``
+runs, lives in :mod:`kmoments.moments_checks`, and the explicit
+Stirling numbers ``stirling2_explicit``, an oracle only the tests run,
+in :mod:`kmoments.moments_oracles`.  ``__all__`` still lists both, and
+each is read here by name and compiled on first use (PEP 562
+``__getattr__``).
 """
 
 from math import comb, factorial
@@ -108,10 +109,13 @@ def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> tuple
 
 
 def __getattr__(name: str):
-    # the __all__ names defined in moments_checks, compiled on first use and then bound here
+    # an __all__ name that moments_checks defines, or one of the oracles in
+    # moments_oracles, which only the tests read: compiled on first use, then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import moments_checks
+    from . import moments_checks as home
 
-    value = globals()[name] = getattr(moments_checks, name)
+    if not hasattr(home, name):
+        from . import moments_oracles as home
+    value = globals()[name] = getattr(home, name)
     return value

@@ -1,41 +1,22 @@
-"""The Pless power moment identity, both sides, and the explicit Stirling numbers.
+"""The Pless power moment identity, both sides, which ``verify`` checks.
 
-This is the half of the moments layer that only ``verify`` and the
-tests run: :mod:`kmoments.moments` lists both names in its ``__all__``
-and compiles this module on the first read of one.  It reads the
-functions of ``moments``, ``codes`` and ``codes_checks`` through their
-modules at call time, so that a function patched there reaches it too.
+This module holds what ``verify`` runs of the moments layer:
+:mod:`kmoments.moments` lists ``pless_check`` in its ``__all__`` and
+compiles this module on its first read.  It reads the functions of
+``moments``, ``codes`` and ``codes_checks`` through their modules at
+call time, so that a function patched there reaches it too.
 
 ``pless_check`` compares the power sums of the q dual weights, from the
 Gray-code walk of :mod:`kmoments.codes_checks`, with the Pless right
-side over the code's weight counts.  ``stirling2_explicit`` is the
-alternating binomial sum, the oracle of the Stirling rows that the
-recursion builds one from the last.
+side over the code's weight counts.
 """
 
 from collections import Counter
-from math import comb, factorial
 
 from . import codes, codes_checks, moments
-from .gf2r import FieldContext, _check_int
+from .gf2r import FieldContext
 
-__all__ = [
-    "stirling2_explicit",
-    "pless_check",
-]
-
-
-def stirling2_explicit(h: int, t: int) -> int:
-    """Stirling number via the alternating binomial sum (cross-check route)."""
-    _check_int("h", h, 0)
-    _check_int("t", t)
-    if t < 0 or t > h:
-        return 0
-    total = sum((-1) ** (t - j) * comb(t, j) * j**h for j in range(t + 1))
-    s, rem = divmod(total, factorial(t))
-    if rem:
-        raise ArithmeticError(f"alternating sum for S({h}, {t}) not divisible by {t}!")
-    return s
+__all__ = ["pless_check"]
 
 
 def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None) -> tuple:

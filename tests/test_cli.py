@@ -237,15 +237,17 @@ def _count_calls(monkeypatch, targets):
 
 def _per_a_targets():
     import kmoments.codes_checks as codes_checks
+    import kmoments.codes_oracles as codes_oracles
     import kmoments.kloosterman_checks as kloosterman_checks
+    import kmoments.kloosterman_oracles as kloosterman_oracles
 
     # each where it is defined, where verify and pless_check read it
     return [
         (kloosterman_checks, "quadratic_char_sums"),
-        (kloosterman_checks, "split_quadratic_char_sum"),
-        (kloosterman_checks, "irreducible_quadratic_char_sum"),
-        (kloosterman_checks, "kloosterman_sum"),
-        (codes_checks, "dual_codeword"),
+        (kloosterman_oracles, "split_quadratic_char_sum"),
+        (kloosterman_oracles, "irreducible_quadratic_char_sum"),
+        (kloosterman_oracles, "kloosterman_sum"),
+        (codes_oracles, "dual_codeword"),
         (codes_checks, "dual_weights"),
     ]
 

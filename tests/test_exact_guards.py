@@ -49,9 +49,9 @@ GUARDS = {
     ),
     # S(3, 2) = 6 / 2!; a wrong factorial leaves a remainder
     "stirling2_explicit": (
-        "import kmoments.moments_checks as mc\n"
-        "mc.factorial = lambda t: 7\n"
-        "mc.stirling2_explicit(3, 2)\n",
+        "import kmoments.moments_oracles as mo\n"
+        "mo.factorial = lambda t: 7\n"
+        "mo.stirling2_explicit(3, 2)\n",
         "alternating sum for S(3, 2) not divisible by 2!",
     ),
     # at r = 10 u marks 511 elements, past one byte

@@ -3,13 +3,17 @@ left side must never come from the K values they are checked against.
 
 Each rule lists every package module one module may import, read from
 the sources with ``ast``, a lazy import inside a function included.
-Each layer imports its ``*_checks`` module, the half that only
-``verify`` and the tests run, on first use; beyond that:
+Each layer imports, on first use, its ``*_checks`` module (what
+``verify`` runs) and its ``*_oracles`` module (what only the tests
+run); beyond that:
 
-* ``kloosterman`` and ``kloosterman_checks`` import only ``gf2r``;
-* ``codes`` imports only ``gf2r``, and ``codes_checks`` ``gf2r`` and ``codes``;
-* ``moments`` imports only ``gf2r`` and ``codes``, and ``moments_checks``
-  those, ``codes_checks`` and ``moments``;
+* ``kloosterman``, ``kloosterman_checks`` and ``kloosterman_oracles``
+  import only ``gf2r``;
+* ``codes`` imports only ``gf2r``, ``codes_checks`` ``gf2r`` and
+  ``codes``, and ``codes_oracles`` those and ``codes_checks``;
+* ``moments`` imports only ``gf2r`` and ``codes``, ``moments_checks``
+  those, ``codes_checks`` and ``moments``, and ``moments_oracles`` only
+  ``gf2r``;
 * ``verify``, the one module that sets the two sides beside each other,
   imports every layer and the CLI.
 
@@ -30,17 +34,20 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
 
 MAY_IMPORT = {
-    "kloosterman": {"gf2r", "kloosterman_checks"},
+    "kloosterman": {"gf2r", "kloosterman_checks", "kloosterman_oracles"},
     "kloosterman_checks": {"gf2r"},
-    "codes": {"gf2r", "codes_checks"},
+    "kloosterman_oracles": {"gf2r"},
+    "codes": {"gf2r", "codes_checks", "codes_oracles"},
     "codes_checks": {"gf2r", "codes"},
-    "moments": {"gf2r", "codes", "moments_checks"},
+    "codes_oracles": {"gf2r", "codes", "codes_checks"},
+    "moments": {"gf2r", "codes", "moments_checks", "moments_oracles"},
     "moments_checks": {"gf2r", "codes", "codes_checks", "moments"},
+    "moments_oracles": {"gf2r"},
     "verify": {"gf2r", "kloosterman", "kloosterman_checks", "codes", "codes_checks", "moments", "cli"},
 }
 
 # the modules that hold or read the weight counts and the dual weights
-WEIGHT_SIDE = ["codes", "codes_checks", "moments", "moments_checks"]
+WEIGHT_SIDE = ["codes", "codes_checks", "codes_oracles", "moments", "moments_checks", "moments_oracles"]
 
 
 def _package_imports(tree: ast.Module) -> list[str]:
@@ -128,6 +135,8 @@ def test_import_graph_rejects_each_mutant():
     assert _violations(kloosterman) == ["kloosterman imports codes"]
     row = _with_import(sources, "kloosterman_checks", "from .codes_checks import dual_weights")
     assert _violations(row) == ["kloosterman_checks imports codes_checks"]
+    per_a = _with_import(sources, "kloosterman_oracles", "from . import codes_oracles")
+    assert _violations(per_a) == ["kloosterman_oracles imports codes_oracles"]
     codes_checks = _with_import(sources, "codes_checks", "from . import moments")
     assert _violations(codes_checks) == ["codes_checks imports moments"]
 

@@ -139,8 +139,9 @@ def test_value_set_lachaud_wolfmann(r, tables, wide_tables):
 def test_table_never_calls_the_per_a_sum(monkeypatch):
     import kmoments.codes as codes
     import kmoments.codes_checks as codes_checks
+    import kmoments.codes_oracles as codes_oracles
     import kmoments.kloosterman as kl
-    import kmoments.kloosterman_checks as kloosterman_checks
+    import kmoments.kloosterman_oracles as kloosterman_oracles
 
     calls = {"kloosterman_sum": 0, "dual_codeword": 0, "dual_weights": 0, "_dual_weight_histogram": 0}
 
@@ -154,8 +155,8 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
         return wrapper
 
     for module, name in (
-        (kloosterman_checks, "kloosterman_sum"),
-        (codes_checks, "dual_codeword"),
+        (kloosterman_oracles, "kloosterman_sum"),
+        (codes_oracles, "dual_codeword"),
         (codes_checks, "dual_weights"),
         (codes, "_dual_weight_histogram"),
     ):

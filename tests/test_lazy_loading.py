@@ -1,11 +1,12 @@
 """A ``moments`` or ``weights`` run compiles only the package modules it runs.
 
-What only ``verify`` and the tests run lives in ``kloosterman_checks``,
-``codes_checks``, ``moments_checks`` and ``verify``, which each layer, and
-the CLI, load on first use.  The loading policy is read from
+What only ``verify`` runs lives in ``kloosterman_checks``,
+``codes_checks``, ``moments_checks`` and ``verify``, and what only the
+tests run in the ``*_oracles`` modules; each layer, and the CLI, loads
+them on first use.  The loading policy is read from
 ``python -X importtime`` in child interpreters: a ``moments`` or
-``weights`` run loads no package module beyond the six below, and no run
-imports ``__future__``.  perfbench's tracer, run unmodified, still wraps
+``weights`` run loads no package module beyond the six below, ``verify``
+loads no oracle module, and no run imports ``__future__``.  perfbench's tracer, run unmodified, still wraps
 the checks that ``verify`` reads through their layer modules.
 """
 
@@ -37,6 +38,7 @@ CHECKS = {
     "kmoments.moments_checks",
     "kmoments.verify",
 }
+ORACLES = {"kmoments.kloosterman_oracles", "kmoments.codes_oracles", "kmoments.moments_oracles"}
 
 MOMENTS = ("moments", "--r", "4", "--code", "4", "--hmax", "1", "--format", "csv")
 WEIGHTS = ("weights", "--r", "4", "--code", "2", "--jmax", "3")
@@ -73,8 +75,10 @@ def test_moments_and_weights_load_no_check_module():
     assert _beyond_every_command(SRC) == {"moments": set(), "weights": set()}
 
 
-def test_verify_loads_the_check_modules():
-    assert CHECKS <= _imported(SRC, ("verify", "--r", "4"))
+def test_verify_loads_the_check_modules_and_no_oracle_module():
+    imported = _imported(SRC, ("verify", "--r", "4"))
+    assert CHECKS <= imported
+    assert not ORACLES & imported
 
 
 def test_no_run_imports_future():

@@ -201,6 +201,7 @@ def test_pless_small_fields(i, contexts):
 
 def test_pless_one_pass(monkeypatch, contexts):
     import kmoments.codes_checks as codes_checks
+    import kmoments.codes_oracles as codes_oracles
     import kmoments.moments as mo
 
     calls = {"dual_weights": 0, "dual_codeword": 0, "weight_distribution": 0}
@@ -217,7 +218,7 @@ def test_pless_one_pass(monkeypatch, contexts):
     for module, name in (
         (codes_checks, "dual_weights"),
         (mo, "weight_distribution"),
-        (codes_checks, "dual_codeword"),
+        (codes_oracles, "dual_codeword"),
     ):
         monkeypatch.setattr(module, name, counting(module, name))
     ctx = contexts[5]

@@ -236,11 +236,11 @@ def test_a_method_only_a_local_name_spells_is_flagged():
 
 
 def test_a_restored_trace_accessor_is_flagged():
-    # kloosterman_checks names its local copy of ctx.trace_table ``trace``; that is no read of a method
+    # kloosterman_oracles names its local copy of ctx.trace_table ``trace``; that is no read of a method
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     anchor = "    def elements(self) -> range:\n"
     assert sources["gf2r.py"].count(anchor) == 1
     accessor = "    def trace(self, x: int) -> int:\n        return self.trace_table[x]\n\n"
     sources["gf2r.py"] = sources["gf2r.py"].replace(anchor, accessor + anchor)
-    assert "trace, exp, log = ctx.trace_table" in sources["kloosterman_checks.py"]
+    assert "trace, exp, log = ctx.trace_table" in sources["kloosterman_oracles.py"]
     assert [o.split()[1] for o in _unread_methods(sources)] == ["FieldContext.trace"]
