@@ -209,8 +209,8 @@ def gf2_rank(rows) -> int:
 
 
 def __getattr__(name: str):
-    # an __all__ name that codes_checks defines, or one of the oracles in
-    # codes_oracles, which only the tests read: compiled on first use, then bound here
+    # PEP 562: an __all__ name defined in codes_checks (what verify runs) or in
+    # codes_oracles (what only the tests run), imported on first use and then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import codes_checks as home

@@ -99,8 +99,8 @@ def moment_bruteforce(ctx: FieldContext, h_max: int, table: tuple[int | None, ..
 
 
 def __getattr__(name: str):
-    # an __all__ name that kloosterman_checks defines, or one of the oracles in
-    # kloosterman_oracles, which only the tests read: compiled on first use, then bound here
+    # PEP 562: an __all__ name defined in kloosterman_checks (what verify runs) or in
+    # kloosterman_oracles (what only the tests run), imported on first use and then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import kloosterman_checks as home

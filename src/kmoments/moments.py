@@ -109,8 +109,8 @@ def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> tuple
 
 
 def __getattr__(name: str):
-    # an __all__ name that moments_checks defines, or one of the oracles in
-    # moments_oracles, which only the tests read: compiled on first use, then bound here
+    # PEP 562: an __all__ name defined in moments_checks (what verify runs) or in
+    # moments_oracles (what only the tests run), imported on first use and then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import moments_checks as home
