@@ -10,6 +10,7 @@ loads no oracle module, and no run imports ``__future__``.  perfbench's tracer, 
 the checks that ``verify`` reads through their layer modules.
 """
 
+import importlib
 import json
 import os
 import shutil
@@ -96,6 +97,21 @@ def test_the_policy_catches_a_check_module_imported_at_module_level(tmp_path):
     codes.write_text(text.replace(anchor, "from . import codes_checks\n" + anchor))
     beyond = {"kmoments.codes_checks"}
     assert _beyond_every_command(tmp_path) == {"moments": beyond, "weights": beyond}
+
+
+def test_every_moved_name_is_one_function_object():
+    # the package, the layer and the module that defines the name give the same object
+    import kmoments
+
+    for layer in ("kloosterman", "codes", "moments"):
+        module = importlib.import_module(f"kmoments.{layer}")
+        for half in ("checks", "oracles"):
+            home = importlib.import_module(f"kmoments.{layer}_{half}")
+            for name in home.__all__:
+                assert name in module.__all__, (layer, name)
+                assert getattr(module, name) is getattr(home, name), (layer, name)
+                if name in kmoments.__all__:
+                    assert getattr(kmoments, name) is getattr(home, name), name
 
 
 def test_the_unmodified_tracer_wraps_the_checks_verify_reads():
