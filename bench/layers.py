@@ -11,7 +11,11 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   its passes at each ``--field-r``: ``exp_log`` and ``trace_table``
   (the context's two table builders) and ``rest``, what the build
   spends outside them (the modulus, the inverses and the x^2 + x
-  guard).  Each figure is the median of a few calls;
+  guard).  Each figure is the median of a few calls.  The same child
+  times ``verify_rows``: one ``list(verify._verify_rows(ctx, (1, 2, 3,
+  4), 10))`` at each r, every verify row of all four codes on a context
+  built outside the timed call; the median of a few calls, or one call
+  per round from r = 14, where a pass takes from 0.2 s to seconds;
 - for each ``--verify-r`` k, two whole-process runs of ``verify --r k
   --hmax 10``, perfbench's ``verify`` job at that r.  The first is
   ``python -m kmoments.cli`` as is, timed from start to exit
@@ -84,8 +88,10 @@ print(time.perf_counter() - t0)
 
 
 def _field_child(src: str, rs: list[int]) -> dict[str, float]:
-    """In this process: the median seconds of build_field and of each pass at each r."""
+    """In this process: the median seconds of build_field and of each pass at each r,
+    and of one verify rows pass."""
     sys.path.insert(0, src)
+    from kmoments import verify
     from kmoments.gf2r import build_field
 
     out = {}
@@ -106,6 +112,13 @@ def _field_child(src: str, rs: list[int]) -> dict[str, float]:
         medians = {name: median(values) for name, values in samples.items()}
         medians["rest"] = medians["build_field"] - medians["exp_log"] - medians["trace_table"]
         out.update((f"field.r{r}.{name}", value) for name, value in medians.items())
+        passes = []
+        for _ in range(1 if r >= LARGE_R else CALLS_SMALL_R):
+            ctx = build_field(r)
+            t0 = time.perf_counter()
+            list(verify._verify_rows(ctx, (1, 2, 3, 4), HMAX))
+            passes.append(time.perf_counter() - t0)
+        out[f"verify_rows.r{r}"] = median(passes)
     return out
 
 

@@ -5,8 +5,9 @@ Commands
 The command may stand anywhere among the options.  Every command accepts
 every option; --jmax shapes only weights, and --hmax only moments and
 verify.  Each option is declared once, in ``OPTIONS``, and each command
-in ``COMMANDS``; the parser and ``--help`` read both, and each command
-reads the checked values.
+in ``COMMANDS``; the parser and ``--help`` read both.  Each command reads
+the checked values and returns what it found; ``main`` renders it and
+picks the exit status.
 
 moments : recursive MK^h per code, beside the brute-force oracle column
           and a match flag (the K table reaches every r accepted here).
@@ -42,10 +43,6 @@ SCHEMA_VERSION = 1
 MAX_R = 12  # --r, every subcommand: past 12 no check independent of the K table yet
 MAX_HMAX = 32  # --hmax: not a cost (O(h^2) exact terms); the orders the tests check by brute force
 FULL_DISTRIBUTION_MAX_R = 8  # weights reaching weight N: not a cost, --jmax N - 1 prints almost as much
-# not costs (at r = 8 a char-sum row takes 0.14 ms, a full distribution a few ms per code):
-# verify's rows stop here only to keep its output, and perfbench/reference.json's digests, as recorded
-DIGEST_ROWS_MAX_R = 8  # both char-sum rows, dual_weight_formula and _halving, code_cardinality's row
-DIGEST_FULL_ROWS_MAX_R = 6  # irreducible_char_sum at every trace-one b (above, 2), full distribution
 
 
 # Every option of every command: name, default, the values it takes (int,
@@ -123,14 +120,9 @@ def _csv_cell(value):
 
 
 def _render(
-    args: SimpleNamespace,
-    command: str,
-    payload: dict,
-    header: list[str],
-    rows: list[dict],
-    lines: list[str],
+    args: SimpleNamespace, payload: dict, header: list[str], rows: list[dict], lines: list[str]
 ) -> None:
-    """Write one command's output in the format ``args.format`` names.
+    """Write the output of the command ``args.command`` in the format ``args.format`` names.
 
     json is the payload under the schema and command keys; csv is the
     header, then the values of each row dict in key order (None as an
@@ -140,7 +132,7 @@ def _render(
     if args.format == "json":
         import json
 
-        doc = {"schema": SCHEMA_VERSION, "command": command, **payload}
+        doc = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
         text = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
         import csv
@@ -178,7 +170,7 @@ def _write(text: str, path: str | None) -> None:
 # moments
 
 
-def cmd_moments(args: SimpleNamespace) -> int:
+def cmd_moments(args: SimpleNamespace) -> tuple:
     rows = []
     for r, ctx in args.contexts.items():
         table = kl.kloosterman_table(ctx)
@@ -200,24 +192,20 @@ def cmd_moments(args: SimpleNamespace) -> int:
                         "match": seq[h] == brute[h],
                     }
                 )
-    if not rows:
-        raise _UsageError("no (r, code) combination selected is admissible")
-
     lines = [
         f"r={w['r']} code={w['code']} h={w['h']:>2} mk={w['mk_recursive']} "
         f"brute={w['mk_bruteforce']} [{'ok' if w['match'] else 'MISMATCH'}]"
         for w in rows
     ]
     header = ["r", "modulus", "code", "h", "mk_recursive", "mk_bruteforce", "match"]
-    _render(args, "moments", {"rows": rows}, header, rows, lines)
-    return 0 if all(w["match"] for w in rows) else MISMATCH_ERROR
+    return {"rows": rows}, header, rows, lines, all(w["match"] for w in rows)
 
 
 # ---------------------------------------------------------------------------
 # weights
 
 
-def cmd_weights(args: SimpleNamespace) -> int:
+def cmd_weights(args: SimpleNamespace) -> tuple:
     blocks, lines = [], []
     for r, ctx in args.contexts.items():
         for i in args.code:
@@ -246,23 +234,19 @@ def cmd_weights(args: SimpleNamespace) -> int:
                     extra += f" palindrome={checks['palindrome']}"
                 blocks[-1]["checks"] = checks
                 lines.append(extra)
-    if not blocks:
-        raise _UsageError("no (r, code) combination selected is admissible")
-
     rows = [
         {"r": blk["r"], "code": blk["code"], "j": j, "count": c}
         for blk in blocks
         for j, c in enumerate(blk["counts"])
     ]
-    _render(args, "weights", {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines)
-    return 0
+    return {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines, True
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> tuple:
     # the suite lives in kmoments.verify: this first use compiles it, and with it every
     # layer's checks, none of which a moments or weights run compiles
     from . import verify
@@ -273,7 +257,9 @@ def cmd_verify(args: SimpleNamespace) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-# command -> (function, --help text); the dispatch, the parser and --help read it
+# command -> (function, --help text); the dispatch, the parser and --help read it.  A
+# command writes nothing: it returns (payload, header, rows, lines, ok), the json payload,
+# the csv header and rows, the pretty lines and whether every check held, and main renders it
 COMMANDS = {
     "moments": (cmd_moments, "recursive vs brute-force power moments"),
     "weights": (cmd_weights, "code weight distributions"),
@@ -367,13 +353,17 @@ def main(argv: list[str] | None = None) -> int:
             if args is None:
                 from .usage import help_text
 
-                _write(help_text(), None)
+                _write(help_text(__doc__, COMMANDS, OPTIONS), None)
                 return 0
             _build_config(args)
         except ValueError as exc:
             # a ValueError from a command would be a fault, so only set-up's is a usage error
             raise _UsageError(exc) from exc
-        return COMMANDS[args.command][0](args)
+        payload, header, rows, lines, ok = COMMANDS[args.command][0](args)
+        if not rows:
+            raise _UsageError("no (r, code) combination selected is admissible")
+        _render(args, payload, header, rows, lines)
+        return 0 if ok else MISMATCH_ERROR
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -397,8 +387,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    # run by ``python -m``, this module is __main__: register it under its own name too,
-    # so that kmoments.verify and kmoments.usage, which import it, find this module and
-    # not a second copy
-    sys.modules[__spec__.name] = sys.modules[__name__]
     entry()

@@ -2,20 +2,22 @@
 
 ``cli.cmd_verify`` compiles this module, and through it the checks of
 every layer, on its first call, and runs ``run``: a ``moments`` or
-``weights`` run compiles none of them.
+``weights`` run compiles none of them.  ``run`` returns the rows and
+writes nothing; ``cli.main`` renders them.  This module imports no
+part of the CLI.
 
 Every function is read through a module at call time, so that a patched
 function reaches the suite.  A function that perfbench's tracer wraps
 (``codes.verify_dual_structure``, ``codes.weight_distribution_exhaustive``,
 ``codes.code_cardinality``, ``moments.pless_check``) is read through its
 layer module, where the tracer binds its wrapper; every other function
-through the module that defines it.  The cost limits are read from
-:mod:`kmoments.cli`, which keeps them in one block.
+through the module that defines it.  The two row scopes below are
+verify's; the CLI's run limits are in :mod:`kmoments.cli`.
 """
 
 from types import SimpleNamespace
 
-from . import cli, codes_checks, kloosterman_checks
+from . import codes_checks, kloosterman_checks
 from . import codes as codes_mod
 from . import kloosterman as kl
 from . import moments as mo
@@ -23,17 +25,23 @@ from .gf2r import FieldContext
 
 __all__ = ["run"]
 
+# Row scopes: not costs (at r = 8 a char-sum row takes 0.14 ms, a full distribution a few ms
+# per code); verify's rows stop here only to keep its output, and perfbench/reference.json's
+# digests, as recorded
+DIGEST_ROWS_MAX_R = 8  # both char-sum rows, dual_weight_formula and _halving, code_cardinality's row
+DIGEST_FULL_ROWS_MAX_R = 6  # irreducible_char_sum at every trace-one b (above, 2), full distribution
+
 
 def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     """Yield (code, check, passed, note) for every verify row of one r, in output order.
 
     Once per r: the K table, MK^0..MK^max(h_max, 1) from it (for
     moment_first and every code's moment_recursion), and up to
-    cli.DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
+    DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
     under each code (``quadratic_char_sums`` at b = 0 and at every
-    trace-one b, or two above cli.DIGEST_FULL_ROWS_MAX_R).  The field rows come
+    trace-one b, or two above DIGEST_FULL_ROWS_MAX_R).  The field rows come
     first, under code None.  Once per code: the q dual weights, the weight
-    distribution (to h_max only above cli.DIGEST_FULL_ROWS_MAX_R; there the
+    distribution (to h_max only above DIGEST_FULL_ROWS_MAX_R; there the
     cardinality row's ``code_cardinality`` runs the histogram again) and
     the dual-structure report, each shared by every row that reads it.
     """
@@ -55,9 +63,9 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         row, sign = kloosterman_checks.quadratic_char_sums(ctx, b), 1 - 2 * ctx.trace_table[b]
         return all(row[a] == sign * table[a] - 1 for a in ctx.nonzero())
 
-    full_rows = r <= cli.DIGEST_FULL_ROWS_MAX_R
+    full_rows = r <= DIGEST_FULL_ROWS_MAX_R
     char_sums = []
-    if r <= cli.DIGEST_ROWS_MAX_R:
+    if r <= DIGEST_ROWS_MAX_R:
         char_sums.append(("split_char_sum", char_sums_hold(0), None))
         trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
         bs = trace_one if full_rows else [trace_one[0], trace_one[-1]]
@@ -74,7 +82,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         weights = codes_checks.dual_weights(ctx, i)
         dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_rows else min(n, h_max))
 
-        if r <= cli.DIGEST_ROWS_MAX_R:
+        if r <= DIGEST_ROWS_MAX_R:
             # the literal trace words' weights against the closed forms num / den in the table's K(a)
             fractions = {a: codes_checks.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
             ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
@@ -105,7 +113,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
             if copies == 2:
                 ok = all(dist[j] == dist[n - j] for j in range(n + 1))
                 yield i, "distribution_palindrome", ok, None
-        elif r <= cli.DIGEST_ROWS_MAX_R:
+        elif r <= DIGEST_ROWS_MAX_R:
             # the note is kept for byte-identical output; the count is the
             # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
             ok = codes_mod.code_cardinality(ctx, i) == expected_total
@@ -117,8 +125,8 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         yield i, "moment_recursion", seq == brute[: h_max + 1], None
 
 
-def run(args: SimpleNamespace) -> int:
-    """Check every r of ``args``, write the rows, and return the exit status."""
+def run(args: SimpleNamespace) -> tuple:
+    """Check every r of ``args``; return (payload, header, rows, lines, all passed)."""
     results = [
         {"r": r, "code": i, "check": name, "passed": passed, "note": note}
         for r, ctx in args.contexts.items()
@@ -134,5 +142,4 @@ def run(args: SimpleNamespace) -> int:
         lines.append(f"r={w['r']} code={code} {w['check']}: {status}{note}")
     lines.append(f"all: {'pass' if all_passed else 'FAIL'}")
     header = ["r", "code", "check", "passed", "note"]
-    cli._render(args, "verify", {"all_passed": all_passed, "results": results}, header, results, lines)
-    return 0 if all_passed else cli.MISMATCH_ERROR
+    return {"all_passed": all_passed, "results": results}, header, results, lines, all_passed

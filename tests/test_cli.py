@@ -649,6 +649,37 @@ def test_golden_output_optimized(name, argv, fmt, ext):
     assert out == (GOLDEN / f"{name}.{ext}").read_bytes()
 
 
+# -- commands compute, main renders ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("moments", "--r", "3", "--hmax", "2"), ("weights", "--r", "3"), ("verify", "--r", "3", "--hmax", "2")],
+    ids=["moments", "weights", "verify"],
+)
+def test_each_command_writes_nothing_and_returns_its_output(capsys, argv):
+    args = cli._parse_args(list(argv))
+    cli._build_config(args)
+    output = cli.COMMANDS[args.command][0](args)
+    assert capsys.readouterr() == ("", "")
+    assert type(output) is tuple and len(output) == 5
+    payload, header, rows, lines, ok = output
+    assert (type(payload), type(header), type(lines), ok) == (dict, list, list, True)
+    assert rows and all(type(row) is dict for row in rows)
+    # main writes what the command returned, and only that
+    assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
+
+
+@pytest.mark.parametrize("command", ["moments", "weights"])
+def test_an_empty_selection_is_one_usage_error(capsys, command):
+    # codes 1 and 2 are empty at r = 1; verify still has its field rows there
+    assert run(capsys, command, "--r", "1", "--code", "1,2") == (
+        1, "", "error: no (r, code) combination selected is admissible\n"
+    )
+    code, out, _ = run(capsys, "verify", "--r", "1", "--code", "1,2")
+    assert code == 0 and out.endswith("all: pass\n")
+
+
 # -- the process entry ----------------------------------------------------------------
 
 # a field product that is always 0, as in test_a_guard_failing_while_fields_are_built_exits_2

@@ -1,8 +1,11 @@
-"""The CLI's cost model: one block of limits in cli, and the README table of it.
+"""The CLI's cost model: the run limits in one block at the top of cli,
+verify's two row scopes in one block at the top of verify, and the README
+table of both.
 
 Each limit is probed by the run it bounds: inside at its value, outside
-one above, and outside at its value once the constant is lowered by one,
-so a literal left in a function body in place of the name fails here.
+one above, and outside at its value once the constant is lowered by one
+in the module that holds it, so a literal left in a function body in
+place of the name fails here.
 """
 
 import json
@@ -12,17 +15,21 @@ from pathlib import Path
 import pytest
 
 import kmoments.cli as cli
-from kmoments import codes, gf2r
+from kmoments import codes, gf2r, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 NOT_LIMITS = {"USAGE_ERROR", "MISMATCH_ERROR", "SCHEMA_VERSION"}
 
 
-def _cli_block() -> dict[str, int]:
-    """The constants under the "# Cost model" comment, up to the next blank line."""
-    lines = Path(cli.__file__).read_text().splitlines()
-    start = next(k for k, line in enumerate(lines) if line.startswith("# Cost model"))
+# module -> the comment that opens its block of limits
+BLOCKS = {cli: "# Cost model", verify: "# Row scopes"}
+
+
+def _block(module) -> dict[str, int]:
+    """The constants under the module's opening comment in BLOCKS, up to the next blank line."""
+    lines = Path(module.__file__).read_text().splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(BLOCKS[module]))
     block = {}
     for line in lines[start:]:
         if not line:
@@ -131,21 +138,29 @@ def _limit(case: str) -> str:
     return LIMIT_OF.get(case, case)
 
 
+def _home(name: str):
+    """The module whose block holds the limit ``name``."""
+    (module,) = [module for module in BLOCKS if name in _block(module)]
+    return module
+
+
 def test_every_limit_is_in_the_block_and_probed():
-    ints = {name for name, value in vars(cli).items() if name.isupper() and type(value) is int}
-    block = _cli_block()
-    assert ints - set(block) == NOT_LIMITS
-    assert {_limit(case) for case in PROBES} == set(block)
-    assert all(getattr(cli, name) == value for name, value in block.items())
+    for module, not_limits in ((cli, NOT_LIMITS), (verify, set())):
+        ints = {name for name, value in vars(module).items() if name.isupper() and type(value) is int}
+        block = _block(module)
+        assert ints - set(block) == not_limits, module
+        assert all(getattr(module, name) == value for name, value in block.items())
+    assert {_limit(case) for case in PROBES} == {*_block(cli), *_block(verify)}
 
 
 @pytest.mark.parametrize("case", sorted(PROBES))
 def test_limit_bounds_its_run(case, capsys, monkeypatch):
     probe, name = PROBES[case], _limit(case)
-    limit = getattr(cli, name)
+    module = _home(name)
+    limit = getattr(module, name)
     assert probe(capsys, monkeypatch, limit)
     assert not probe(capsys, monkeypatch, limit + 1)
-    monkeypatch.setattr(cli, name, limit - 1)
+    monkeypatch.setattr(module, name, limit - 1)
     assert not probe(capsys, monkeypatch, limit)
 
 
@@ -164,7 +179,8 @@ def test_enumeration_reads_the_library_budget(capsys, monkeypatch):
 
 def test_readme_cost_table_matches_the_code():
     expected = {
-        **_cli_block(),
+        **_block(cli),
+        **_block(verify),
         "codes.ENUMERATION_BUDGET": codes.ENUMERATION_BUDGET,
         "gf2r.MAX_DEGREE": gf2r.MAX_DEGREE,
     }

@@ -15,7 +15,9 @@ run); beyond that:
   those, ``codes_checks`` and ``moments``, and ``moments_oracles`` only
   ``gf2r``;
 * ``verify``, the one module that sets the two sides beside each other,
-  imports every layer and the CLI.
+  imports every layer and the checks it runs, and ``usage`` no package
+  module: neither imports the CLI back, which hands verify's rows to its
+  renderer and ``usage`` the text it prints.
 
 So no weight-side module can reach a K value, by any name.
 
@@ -43,7 +45,8 @@ MAY_IMPORT = {
     "moments": {"gf2r", "codes", "moments_checks", "moments_oracles"},
     "moments_checks": {"gf2r", "codes", "codes_checks", "moments"},
     "moments_oracles": {"gf2r"},
-    "verify": {"gf2r", "kloosterman", "kloosterman_checks", "codes", "codes_checks", "moments", "cli"},
+    "verify": {"gf2r", "kloosterman", "kloosterman_checks", "codes", "codes_checks", "moments"},
+    "usage": set(),
 }
 
 # the modules that hold or read the weight counts and the dual weights
@@ -125,6 +128,19 @@ def test_import_graph_rejects_each_way_to_reach_k(module, line):
 )
 def test_import_graph_rejects_the_package_and_the_cli(module, line, reached):
     assert _violations(_with_import(_sources(), module, line)) == [f"{module} imports {reached}"]
+
+
+@pytest.mark.parametrize("module", ["verify", "usage"])
+@pytest.mark.parametrize(
+    "line", ["from . import cli", "from .cli import MISMATCH_ERROR", "import kmoments.cli"]
+)
+def test_import_graph_rejects_a_command_module_that_imports_the_cli_back(module, line):
+    # the line goes right before the module's __all__; usage imports nothing to anchor on
+    sources = _sources()
+    anchor = "__all__ = "
+    assert sources[module].count(anchor) == 1
+    mutant = {**sources, module: sources[module].replace(anchor, line + "\n\n" + anchor)}
+    assert _violations(mutant) == [f"{module} imports cli"]
 
 
 def test_import_graph_rejects_each_mutant():

@@ -30,7 +30,7 @@ def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
     (side,) = doc["sides"]
     assert set(side) == {"sha", "dirty"}
     passes = ("build_field", "exp_log", "trace_table", "rest")
-    names = [f"field.r{r}.{p}" for r in (3, 4) for p in passes]
+    names = [f"field.r{r}.{p}" for r in (3, 4) for p in passes] + ["verify_rows.r3", "verify_rows.r4"]
     names += [f"cli.verify{k}.{part}" for part in ("wall", "shutdown") for k in ("_r3", "")]
     names += ["cli.import_source"] + [f"cli.ktable{k}.source_wall" for k in ("_r11", "_r12", "")]
     assert sorted(doc["metrics"]) == sorted(names)

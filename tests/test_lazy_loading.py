@@ -6,7 +6,9 @@ tests run in the ``*_oracles`` modules; each layer, and the CLI, loads
 them on first use.  The loading policy is read from
 ``python -X importtime`` in child interpreters: a ``moments`` or
 ``weights`` run loads no package module beyond the six below, ``verify``
-loads no oracle module, and no run imports ``__future__``.  perfbench's tracer, run unmodified, still wraps
+loads no oracle module, no run imports ``__future__``, and no ``verify``
+or ``--help`` run compiles ``kmoments.cli`` a second time beside the
+``__main__`` that ``-m`` runs.  perfbench's tracer, run unmodified, still wraps
 the checks that ``verify`` reads through their layer modules.
 """
 
@@ -97,6 +99,28 @@ def test_the_policy_catches_a_check_module_imported_at_module_level(tmp_path):
     codes.write_text(text.replace(anchor, "from . import codes_checks\n" + anchor))
     beyond = {"kmoments.codes_checks"}
     assert _beyond_every_command(tmp_path) == {"moments": beyond, "weights": beyond}
+
+
+# run by -m, the CLI is __main__: a package module that imported it back would compile a second copy
+VERIFY_AND_HELP = (("verify", "--r", "3", "--hmax", "2"), ("--help",))
+
+
+def test_no_run_imports_the_cli_a_second_time():
+    for argv in VERIFY_AND_HELP:
+        assert "kmoments.cli" not in _imported(SRC, argv), argv
+
+
+def test_a_check_module_that_imports_the_cli_back_loads_a_second_copy(tmp_path):
+    # a copy of the package whose verify and usage each import the CLI
+    shutil.copytree(SRC / "kmoments", tmp_path / "kmoments", ignore=shutil.ignore_patterns("__pycache__"))
+    for module in ("verify", "usage"):
+        path = tmp_path / "kmoments" / f"{module}.py"
+        text = path.read_text()
+        anchor = "__all__ = "
+        assert text.count(anchor) == 1
+        path.write_text(text.replace(anchor, "from . import cli\n\n" + anchor))
+    for argv in VERIFY_AND_HELP:
+        assert "kmoments.cli" in _imported(tmp_path, argv), argv
 
 
 def test_every_moved_name_is_one_function_object():
