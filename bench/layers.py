@@ -15,7 +15,17 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   times ``verify_rows``: one ``list(verify._verify_rows(ctx, (1, 2, 3,
   4), 10))`` at each r, every verify row of all four codes on a context
   built outside the timed call; the median of a few calls, or one call
-  per round from r = 14, where a pass takes from 0.2 s to seconds;
+  per round from r = 14, where a pass takes from 0.2 s to seconds.  It
+  also times, at each r, the stages that pass builds (``stages``): the
+  trace map phi, the generator rows G of each code, each code's dual
+  weights (the Gray-code walk with its G; codes 2 and 4 walk their
+  block alone) and the Pless sums of the four codes at h = 0..10 from
+  distributions built outside the timed call; each the median of a few
+  calls, and the walk one call per round from r = 14.  The calls,
+  ``gf2r._trace_map(ctx)``, ``codes_checks._generator_rows(ctx, i)``,
+  ``codes_checks.dual_weights(ctx, i)`` and ``moments._pless_sums(10, N,
+  counts)``, have kept their signatures since the package split, so
+  either tree of an A/B run takes them;
 - for each ``--verify-r`` k, two whole-process runs of ``verify --r k
   --hmax 10``, perfbench's ``verify`` job at that r.  The first is
   ``python -m kmoments.cli`` as is, timed from start to exit
@@ -87,9 +97,41 @@ print(time.perf_counter() - t0)
 """
 
 
+def _median_s(call, calls: int) -> float:
+    samples = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - t0)
+    return median(samples)
+
+
+def _stages(r: int) -> dict[str, float]:
+    """In this process: the median seconds of each stage a verify pass builds at r."""
+    from kmoments import codes, codes_checks, gf2r, moments
+
+    ctx = gf2r.build_field(r)
+    calls = CALLS_LARGE_R if r >= LARGE_R else CALLS_SMALL_R
+    lengths = {i: n for i in codes.CODE_INDICES if (n := codes.code_length(ctx, i))}
+    out = {f"stages.r{r}.trace_map": _median_s(lambda: gf2r._trace_map(ctx), calls)}
+    for i in lengths:
+        gens = _median_s(lambda: codes_checks._generator_rows(ctx, i), calls)
+        out[f"stages.r{r}.generator_rows.code{i}"] = gens
+    for i in lengths:
+        walk = _median_s(lambda: codes_checks.dual_weights(ctx, i), 1 if r >= LARGE_R else calls)
+        out[f"stages.r{r}.dual_weights.code{i}"] = walk
+    dists = {i: codes.weight_distribution(ctx, i, j_max=min(n, HMAX)) for i, n in lengths.items()}
+
+    def pless_sums():
+        return [moments._pless_sums(HMAX, n, dists[i]) for i, n in lengths.items()]
+
+    out[f"stages.r{r}.pless_sums"] = _median_s(pless_sums, calls)
+    return out
+
+
 def _field_child(src: str, rs: list[int]) -> dict[str, float]:
     """In this process: the median seconds of build_field and of each pass at each r,
-    and of one verify rows pass."""
+    of one verify rows pass and of each stage it builds."""
     sys.path.insert(0, src)
     from kmoments import verify
     from kmoments.gf2r import build_field
@@ -119,6 +161,7 @@ def _field_child(src: str, rs: list[int]) -> dict[str, float]:
             list(verify._verify_rows(ctx, (1, 2, 3, 4), HMAX))
             passes.append(time.perf_counter() - t0)
         out[f"verify_rows.r{r}"] = median(passes)
+        out.update(_stages(r))
     return out
 
 

@@ -5,9 +5,10 @@ Commands
 The command may stand anywhere among the options.  Every command accepts
 every option; --jmax shapes only weights, and --hmax only moments and
 verify.  Each option is declared once, in ``OPTIONS``, and each command
-in ``COMMANDS``; the parser and ``--help`` read both.  Each command reads
-the checked values and returns what it found; ``main`` renders it and
-picks the exit status.
+in ``COMMANDS``; the parser and ``--help`` read both.  Each command is a
+module of its own (``moments_cmd``, ``weights_cmd``, ``verify``) that only
+its own run compiles; it reads the checked values and returns what it
+found, and ``main`` renders it and picks the exit status.
 
 moments : recursive MK^h per code, beside the brute-force oracle column
           and a match flag (the K table reaches every r accepted here).
@@ -27,11 +28,9 @@ import sys
 from types import SimpleNamespace
 
 from . import codes as codes_mod
-from . import kloosterman as kl
-from . import moments as mo
 from .gf2r import build_field, parse_poly
 
-__all__ = ["main", "cmd_moments", "cmd_weights", "cmd_verify"]
+__all__ = ["main"]
 
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
@@ -113,6 +112,13 @@ def _build_config(args: SimpleNamespace) -> None:
     # surface bad overrides (reducible modulus, trace-zero b, ...) as usage
     # errors before any command runs
     args.contexts = {r: build_field(r, modulus=modulus, b=b) for r in r_values}
+    # a weights run that would reach weight N past FULL_DISTRIBUTION_MAX_R
+    for ctx in args.contexts.values() if args.command == "weights" else ():
+        for i in args.code:
+            n = codes_mod.code_length(ctx, i)
+            if n and ctx.r > FULL_DISTRIBUTION_MAX_R and (args.jmax is None or args.jmax >= n):
+                too_large = f"full distribution of code {i} at r={ctx.r} is too large (N = {n})"
+                raise ValueError(f"{too_large}; pass --jmax below {n}")
 
 
 def _csv_cell(value):
@@ -167,104 +173,20 @@ def _write(text: str, path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# moments
-
-
-def cmd_moments(args: SimpleNamespace) -> tuple:
-    rows = []
-    for r, ctx in args.contexts.items():
-        table = kl.kloosterman_table(ctx)
-        # MK^h depends on r alone: one column, shared by every code
-        brute = kl.moment_bruteforce(ctx, args.hmax, table)
-        for i in args.code:
-            if not codes_mod.code_length(ctx, i):
-                continue
-            seq = mo.moment_sequence(ctx, i, args.hmax)
-            for h in range(args.hmax + 1):
-                rows.append(
-                    {
-                        "r": r,
-                        "modulus_hex": f"{ctx.modulus:#x}",
-                        "code": i,
-                        "h": h,
-                        "mk_recursive": seq[h],
-                        "mk_bruteforce": brute[h],
-                        "match": seq[h] == brute[h],
-                    }
-                )
-    lines = [
-        f"r={w['r']} code={w['code']} h={w['h']:>2} mk={w['mk_recursive']} "
-        f"brute={w['mk_bruteforce']} [{'ok' if w['match'] else 'MISMATCH'}]"
-        for w in rows
-    ]
-    header = ["r", "modulus", "code", "h", "mk_recursive", "mk_bruteforce", "match"]
-    return {"rows": rows}, header, rows, lines, all(w["match"] for w in rows)
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-
-def cmd_weights(args: SimpleNamespace) -> tuple:
-    blocks, lines = [], []
-    for r, ctx in args.contexts.items():
-        for i in args.code:
-            n = codes_mod.code_length(ctx, i)
-            if not n:
-                continue
-            _, copies = codes_mod.code_shape(i)
-            j_max = n if args.jmax is None else min(args.jmax, n)
-            if j_max == n and r > FULL_DISTRIBUTION_MAX_R:
-                raise _UsageError(
-                    f"full distribution of code {i} at r={r} is too large (N = {n}); "
-                    f"pass --jmax below {n}"
-                )
-            dist = codes_mod.weight_distribution(ctx, i, j_max=j_max)
-            blocks.append({"r": r, "code": i, "length": n, "j_max": j_max, "counts": list(dist)})
-            lines.append(f"r={r} code={i} length={n}: " + ",".join(str(c) for c in dist))
-            if j_max == n:
-                total = sum(dist)
-                dim = n - codes_mod.gf2_rank(codes_mod.parity_check_rows(ctx, i))
-                checks = {"total": total, "expected_total": 1 << dim, "cardinality_ok": total == 1 << dim}
-                # 2^(N - rank H) words, which is 2^(N - r) only where H has rank r
-                size = "N-r" if dim == n - r else "N-rank"
-                extra = f"  total={total} (2^({size}): {checks['cardinality_ok']})"
-                if copies == 2:
-                    checks["palindrome"] = all(dist[j] == dist[n - j] for j in range(n + 1))
-                    extra += f" palindrome={checks['palindrome']}"
-                blocks[-1]["checks"] = checks
-                lines.append(extra)
-    rows = [
-        {"r": blk["r"], "code": blk["code"], "j": j, "count": c}
-        for blk in blocks
-        for j, c in enumerate(blk["counts"])
-    ]
-    return {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines, True
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def cmd_verify(args: SimpleNamespace) -> tuple:
-    # the suite lives in kmoments.verify: this first use compiles it, and with it every
-    # layer's checks, none of which a moments or weights run compiles
-    from . import verify
-
-    return verify.run(args)
-
-
-# ---------------------------------------------------------------------------
 # entry point
 
-# command -> (function, --help text); the dispatch, the parser and --help read it.  A
-# command writes nothing: it returns (payload, header, rows, lines, ok), the json payload,
-# the csv header and rows, the pretty lines and whether every check held, and main renders it
+# command -> (its module, --help text); the dispatch, the parser and --help read it.  Only a
+# run of the command compiles its module, whose run(args) writes nothing: it returns (payload,
+# header, rows, lines, ok), the json payload, the csv header and rows, the pretty lines and
+# whether every check held, and main renders it
 COMMANDS = {
-    "moments": (cmd_moments, "recursive vs brute-force power moments"),
-    "weights": (cmd_weights, "code weight distributions"),
-    "verify": (cmd_verify, "run the full identity suite"),
+    "moments": ("moments_cmd", "recursive vs brute-force power moments"),
+    "weights": ("weights_cmd", "code weight distributions"),
+    "verify": ("verify", "run the full identity suite"),
 }
+
+# the first line of --help; not read from __doc__, which python -OO drops
+SUMMARY = "Batch front-end: moment tables, weight distributions, verification runs."
 
 
 def _convert(name: str, kind, value: str):
@@ -353,13 +275,15 @@ def main(argv: list[str] | None = None) -> int:
             if args is None:
                 from .usage import help_text
 
-                _write(help_text(__doc__, COMMANDS, OPTIONS), None)
+                _write(help_text(SUMMARY, COMMANDS, OPTIONS), None)
                 return 0
             _build_config(args)
         except ValueError as exc:
             # a ValueError from a command would be a fault, so only set-up's is a usage error
             raise _UsageError(exc) from exc
-        payload, header, rows, lines, ok = COMMANDS[args.command][0](args)
+        # the import statement's own hook, which -X importtime logs (importlib.import_module is not)
+        command = __import__(f"{__package__}.{COMMANDS[args.command][0]}", fromlist=["run"])
+        payload, header, rows, lines, ok = command.run(args)
         if not rows:
             raise _UsageError("no (r, code) combination selected is admissible")
         _render(args, payload, header, rows, lines)

@@ -112,22 +112,23 @@ def _vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
     return _base_entries(ctx, i) * code_shape(i)[1]
 
 
-def _bit_rows(values, r: int) -> list[int]:
-    """r bitmasks of len(values) bits: bit l of row k is bit k of values[l].
+def _bit_rows(values, r: int, copies: int = 1) -> list[int]:
+    """r bitmasks of N = copies * len(values) bits: bit l of row k is bit k of entry l
+    of ``values`` written ``copies`` times.
 
     The values are cut into byte planes, each reversed so that value l
-    lands on bit l, and row 8p + k is plane p translated through the
-    digit table of bit k, read in base 2: one ``translate`` per row.
+    lands on bit l and then repeated, and row 8p + k is plane p translated
+    through the digit table of bit k, read in base 2: one ``translate`` per row.
     """
     rows = []
     for shift in range(0, r, 8):
-        plane = bytes(v >> shift & 255 for v in reversed(values))
+        plane = bytes(v >> shift & 255 for v in reversed(values)) * copies
         rows += [int(plane.translate(_BIT_DIGITS[k]), 2) for k in range(min(8, r - shift))]
     return rows
 
 
-def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
-    """How many of the q dual words c_i(a) have each Hamming weight.
+def _dual_weight_histogram(ctx: FieldContext, i: int, block=None) -> Counter:
+    """How many of the q dual words c_i(a) have each Hamming weight (``block``, as given).
 
     With f[beta] the multiplicity of beta in vector i, the integer
     Walsh-Hadamard transform F(u) = sum_beta f[beta] (-1)^popcount(u & beta)
@@ -141,11 +142,14 @@ def _dual_weight_histogram(ctx: FieldContext, i: int) -> Counter:
     in the tests is its oracle); each distinct F(u) maps to a weight once.
     """
     n = code_length(ctx, i)
-    values = _walsh_hadamard(ctx.q, _base_entries(ctx, i), code_shape(i)[1], n)
+    block = _base_entries(ctx, i) if block is None else block
+    values = _walsh_hadamard(ctx.q, block, code_shape(i)[1], n)
     return Counter({(n - v) >> 1: c for v, c in Counter(values).items()})
 
 
-def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> tuple[int, ...]:
+def weight_distribution(
+    ctx: FieldContext, i: int, j_max: int | None = None, histogram=None
+) -> tuple[int, ...]:
     """The exact counts C_0..C_j_max of codewords of weight j in code i.
 
     The dual of code i is the set of trace words c_i(a), whose weights
@@ -155,7 +159,8 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
     wt(c_i(a)) = w and K_j is the binary Krawtchouk polynomial of
     length N, evaluated exactly by its three-term recurrence.  No K(a)
     value is read.  The cost is O(q r) for the transform plus O(j_max)
-    Krawtchouk terms per distinct weight, of which there are O(sqrt(q)).
+    Krawtchouk terms per distinct weight, of which there are O(sqrt(q)),
+    none if the caller passes the histogram in.
     """
     _check_code(ctx, i)
     n = code_length(ctx, i)
@@ -163,7 +168,7 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
         j_max = n
     _check_int("j_max", j_max, 0, n)
     totals = [0] * (j_max + 1)
-    for w, count in _dual_weight_histogram(ctx, i).items():
+    for w, count in (_dual_weight_histogram(ctx, i) if histogram is None else histogram).items():
         # (j+1) K_{j+1} = (N-2w) K_j - (N-j+1) K_{j-1}, K_0 = 1, K_1 = N-2w
         prev, cur = 0, 1
         totals[0] += count
@@ -185,7 +190,7 @@ def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> 
 def parity_check_rows(ctx: FieldContext, i: int) -> list[int]:
     """r binary parity rows (as length-N bitmasks) cutting out code i."""
     _check_code(ctx, i)
-    return _bit_rows(_vector(ctx, i), ctx.r)
+    return _bit_rows(_base_entries(ctx, i), ctx.r, code_shape(i)[1])
 
 
 def _pivots(rows) -> dict[int, int]:

@@ -9,13 +9,15 @@ there reaches both halves alike.
 The dual of code i is the set of trace words c_i(a) (see
 :mod:`kmoments.codes`).  The map a -> c_i(a) is GF(2)-linear, so one
 Gray-code walk over the r words of a = 2^k, one running word and one
-XOR per step, gives the weights of all q dual words (``dual_weights``).
-The r generators c_i(2^k) come from ``codes._bit_rows``, the builder of
-the parity rows: generator k holds bit k of each phi(entry), phi the
-trace map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).  The
-dual structure is GF(2) ranks of these rows (``verify_dual_structure``),
-and the enumeration of the codewords walks a nullspace basis of the
-parity rows (``weight_distribution_exhaustive``).
+XOR per step, gives the weights of all q dual words (``dual_weights``);
+it reads one block, which codes 1 and 2 (3 and 4) share.  The r
+generators c_i(2^k) come from ``codes._bit_rows``, the builder of the
+parity rows: generator k holds bit k of each phi(entry), phi the trace
+map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).  The dual
+structure is GF(2) ranks of these rows (``verify_dual_structure``), and
+the enumeration of the codewords walks a nullspace basis of the parity
+rows (``weight_distribution_exhaustive``).  Each takes the stage values
+a caller has built, so ``verify`` builds each once.
 """
 
 from . import codes
@@ -31,28 +33,41 @@ __all__ = [
 ]
 
 
-def _generator_rows(ctx: FieldContext, i: int) -> list[int]:
-    # the r words c_i(2^k): tr(2^k x) is bit k of phi(x), phi the trace map
-    phi = _trace_map(ctx)
-    return codes._bit_rows([phi[e] for e in codes._vector(ctx, i)], ctx.r)
+def _generator_rows(ctx: FieldContext, i: int, phi=None, block=None) -> list[int]:
+    # the r words c_i(2^k): tr(2^k x) is bit k of phi(x), phi the trace map; phi and the
+    # block's entries (as codes._base_entries returns them) may be passed in
+    phi = _trace_map(ctx) if phi is None else phi
+    block = codes._base_entries(ctx, i) if block is None else block
+    return codes._bit_rows([phi[e] for e in block], ctx.r, codes.code_shape(i)[1])
 
 
-def dual_weights(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
-
-    c_i(a) is GF(2)-linear in a, so a Gray-code walk over the r words of
-    a = 2^k visits every word with one running word: step s XORs in the
-    word of the lowest set bit of s and lands on a = s ^ (s >> 1).  Reads
-    only the trace and exp/log tables, never a Kloosterman value or the
-    Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
-    """
-    codes._check_code(ctx, i)
-    gens = _generator_rows(ctx, i)
-    weights, word = [0] * ctx.q, 0
-    for s in range(1, ctx.q):
+def _block_walk(gens: list[int], m: int, q: int) -> tuple[int, ...]:
+    """The weight of the low m bits, a code's block, of the XOR of gens[k] over the bits k of a,
+    for every a: a Gray-code walk, whose step s XORs in the word of the lowest set bit of s
+    and lands on a = s ^ (s >> 1)."""
+    gens = [g & ((1 << m) - 1) for g in gens]
+    weights, word = [0] * q, 0
+    for s in range(1, q):
         word ^= gens[(s & -s).bit_length() - 1]
         weights[s ^ (s >> 1)] = word.bit_count()
     return tuple(weights)
+
+
+def dual_weights(ctx: FieldContext, i: int, block=None) -> tuple[int, ...]:
+    """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
+
+    c_i(a) is GF(2)-linear in a, so one walk over the generator rows G
+    gives every weight, ``copies`` times the weight of the block's word.
+    Reads only the trace and exp/log tables, never a Kloosterman value or
+    the Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
+    ``block``, the walk of code i's block as ``_block_walk`` returns it, may
+    be passed in: the other code on the block has the same one.
+    """
+    codes._check_code(ctx, i)
+    _, copies = codes.code_shape(i)
+    if block is None:
+        block = _block_walk(_generator_rows(ctx, i), codes.code_length(ctx, i) // copies, ctx.q)
+    return block if copies == 1 else tuple(copies * w for w in block)
 
 
 def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
@@ -63,14 +78,15 @@ def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
     return (q + 1 + k if trace else q - 1 - k), 4 // copies
 
 
-def code_cardinality(ctx: FieldContext, i: int) -> int:
+def code_cardinality(ctx: FieldContext, i: int, histogram=None) -> int:
     """Total number of codewords, n_0 * 2^N / q by MacWilliams at z=1.
 
     n_0 is the number of a with c_i(a) = 0, the kernel of the dual map,
-    read from the same O(q r) transform as ``weight_distribution``.
+    read from the same O(q r) transform as ``weight_distribution`` (or
+    passed in as ``histogram``).
     """
     codes._check_code(ctx, i)
-    n0 = codes._dual_weight_histogram(ctx, i)[0]
+    n0 = (codes._dual_weight_histogram(ctx, i) if histogram is None else histogram)[0]
     size, rem = divmod(n0 << codes.code_length(ctx, i), ctx.q)
     if rem:
         raise ArithmeticError(f"cardinality {n0}*2^N/q not integral")
@@ -113,7 +129,7 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]
     return tuple(counts)
 
 
-def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
+def verify_dual_structure(ctx: FieldContext, i: int, h_rows=None, g_rows=None) -> dict:
     """Check that {c_i(a)} really is the dual of code i.
 
     Returns five facts: ``orthogonal`` (every c_i(a) is orthogonal to
@@ -130,11 +146,12 @@ def verify_dual_structure(ctx: FieldContext, i: int) -> dict:
     2^(r - rank G) zeros and 2^rank G images.  The code is ker H, of size
     2^(N - rank H), and its orthogonal complement is the row space of H;
     so every c_i(a) is orthogonal to every codeword iff
-    rank [H; G] = rank H.
+    rank [H; G] = rank H.  H and G may be passed in.
     """
     codes._check_code(ctx, i)
     n = codes.code_length(ctx, i)
-    h_rows, g_rows = codes.parity_check_rows(ctx, i), _generator_rows(ctx, i)
+    h_rows = codes.parity_check_rows(ctx, i) if h_rows is None else h_rows
+    g_rows = _generator_rows(ctx, i) if g_rows is None else g_rows
     rank_h, rank_g = codes.gf2_rank(h_rows), codes.gf2_rank(g_rows)
     cardinality = 1 << (n - rank_h)
     return {

@@ -38,7 +38,6 @@ one int, that the character-sum row and the codes' weights both run on.
 """
 
 import sys
-from array import array
 
 __all__ = [
     "FieldContext",
@@ -75,15 +74,14 @@ def _check_int(name: str, value, lo=None, hi=None, optional: bool = False) -> No
         raise ValueError(f"{name} must be an int{bounds}, got {value!r}")
 
 
-def _unpack_slots(value: int, count: int, width: int) -> array:
-    """The ``count`` little-endian ``width``-byte slots of ``value`` >= 0, as an unsigned array."""
-    typecode = next((t for t in "BHILQ" if array(t).itemsize == width), None)
+def _unpack_slots(value: int, count: int, width: int) -> memoryview:
+    """The ``count`` little-endian ``width``-byte slots of ``value`` >= 0, as an unsigned view."""
+    # cast reads the host's byte order: big-endian bytes put the last slot first, so reverse them
+    typecode = next((t for t in "BHILQ" if memoryview(bytes(8)).cast(t).itemsize == width), None)
     if typecode is None:
         raise ArithmeticError(f"no array typecode has {width}-byte items")
-    slots = array(typecode, value.to_bytes(count * width, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots
+    slots = memoryview(value.to_bytes(count * width, sys.byteorder)).cast(typecode)
+    return slots if sys.byteorder == "little" else slots[::-1]
 
 
 def _wht_stages(q: int, width: int) -> list[tuple[int, int, int]]:
@@ -99,8 +97,8 @@ def _wht_stages(q: int, width: int) -> list[tuple[int, int, int]]:
     return stages
 
 
-def _walsh_hadamard(q: int, points, copies: int, n: int) -> array:
-    """F(u) = sum_x f[x] (-1)^popcount(u & x) for every u < q, as a signed array.
+def _walsh_hadamard(q: int, points, copies: int, n: int) -> memoryview:
+    """F(u) = sum_x f[x] (-1)^popcount(u & x) for every u < q, as a signed view.
 
     f[x] is ``copies`` at each of the distinct nonzero ``points``, and n,
     sum_x f[x], comes from a length the caller knows.  The q values live
@@ -134,7 +132,7 @@ def _walsh_hadamard(q: int, points, copies: int, n: int) -> array:
         hi = (x >> shift) & mask
         x = (lo + hi - stage_bias) | ((lo - hi + stage_bias) << shift)
     unsigned = _unpack_slots(x ^ int.from_bytes(half * q, "little"), q, width)
-    values = array(unsigned.typecode.lower(), unsigned.tobytes())
+    values = memoryview(unsigned.tobytes()).cast(unsigned.format.lower())
     if values[0] != n or sum(values):
         raise ArithmeticError(f"transform gives F(0) = {values[0]} and sum F = {sum(values)}, not {n} and 0")
     return values

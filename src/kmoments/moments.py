@@ -91,17 +91,25 @@ def _counts(ctx: FieldContext, i: int, j_top: int, counts) -> tuple[int, ...]:
     return counts
 
 
-def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None) -> tuple[int, ...]:
+def _sums(ctx: FieldContext, i: int, h_max: int, counts, sums) -> list[int]:
+    # P_0..P_h_max: the given ones, or _pless_sums over the counts of _counts
+    n = code_length(ctx, i)
+    sums = _pless_sums(h_max, n, _counts(ctx, i, min(n, h_max), counts)) if sums is None else sums
+    if len(sums) != h_max + 1:
+        raise ValueError(f"need the Pless sums P_0..P_{h_max}, got {len(sums)}")
+    return sums
+
+
+def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None, sums=None) -> tuple[int, ...]:
     """MK^0..MK^h_max, iterating the code-i recursion from the seed MK^0 = q - 1.
 
     ``counts``, the tuple ``weight_distribution`` returns, may give the
-    weight counts C_0..C_j of code i for some j >= min(N, h_max);
-    without it the distribution is built up to there.
+    weight counts C_0..C_j of code i for some j >= min(N, h_max), or
+    ``sums`` their Pless sums P_0..P_h_max; without either the
+    distribution is built up to there.
     """
     _check_moment_args(ctx, i, h_max)
-    n = code_length(ctx, i)
-    dist = _counts(ctx, i, min(n, h_max), counts)
-    sums = _pless_sums(h_max, n, dist)
+    sums = _sums(ctx, i, h_max, counts, sums)
     mk = [ctx.q - 1]
     for h in range(1, h_max + 1):
         mk.append(_recursion_step(ctx.q, i, h, mk, sums[h]))

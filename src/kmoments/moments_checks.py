@@ -3,8 +3,8 @@
 This module holds what ``verify`` runs of the moments layer:
 :mod:`kmoments.moments` lists ``pless_check`` in its ``__all__`` and
 compiles this module on its first read.  It reads the functions of
-``moments``, ``codes`` and ``codes_checks`` through their modules at
-call time, so that a function patched there reaches it too.
+``moments`` and ``codes_checks`` through their modules at call time, so
+that a function patched there reaches it too.
 
 ``pless_check`` compares the power sums of the q dual weights, from the
 Gray-code walk of :mod:`kmoments.codes_checks`, with the Pless right
@@ -13,13 +13,13 @@ side over the code's weight counts.
 
 from collections import Counter
 
-from . import codes, codes_checks, moments
+from . import codes_checks, moments
 from .gf2r import FieldContext
 
 __all__ = ["pless_check"]
 
 
-def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None) -> tuple:
+def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None, sums=None) -> tuple:
     """Both sides of the Pless power moment identity for the dual of code i.
 
     Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
@@ -35,20 +35,20 @@ def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None
     The weight distribution is built once, up to weight min(N, h_max).
 
     ``counts`` (C_0..C_j, j >= min(N, h_max), the tuple
-    ``weight_distribution`` returns) and ``weights`` (all q weights as
-    ``dual_weights`` returns them) may be passed in by a caller that has
+    ``weight_distribution`` returns), ``sums`` (the right sides over them,
+    as ``moments._pless_sums`` returns them) and ``weights`` (all q weights
+    as ``dual_weights`` returns them) may be passed in by a caller that has
     already built them; they are then used as given.
     """
     moments._check_moment_args(ctx, i, h_max)
-    n = codes.code_length(ctx, i)
-    dist = moments._counts(ctx, i, min(n, h_max), counts)
+    sums = moments._sums(ctx, i, h_max, counts, sums)
     if weights is None:
         weights = codes_checks.dual_weights(ctx, i)
     elif len(weights) != ctx.q:
         raise ValueError(f"need the q = {ctx.q} dual weights, got {len(weights)}")
     histogram = Counter(weights)
     checks = []
-    for h, pless in enumerate(moments._pless_sums(h_max, n, dist)):
+    for h, pless in enumerate(sums):
         lhs = sum(c * w**h for w, c in histogram.items())
         # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
         rhs, rem = divmod(pless << ctx.r, 1 << h)

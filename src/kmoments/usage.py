@@ -1,7 +1,8 @@
 """The ``--help`` text of the ``kmoments`` command.
 
 Only a run that asks for help compiles this module.  ``help_text`` is
-given what it prints: :mod:`kmoments.cli` passes its docstring and its
+given what it prints: :mod:`kmoments.cli` passes its ``SUMMARY`` line
+(a literal, since ``python -OO`` drops every docstring) and its
 ``COMMANDS`` and ``OPTIONS``, where each command and each option is
 declared once.
 """
@@ -9,13 +10,13 @@ declared once.
 __all__ = ["help_text"]
 
 
-def help_text(doc: str, commands: dict, options: tuple) -> str:
-    """The text ``--help`` writes: the usage line, the first line of ``doc``,
+def help_text(summary: str, commands: dict, options: tuple) -> str:
+    """The text ``--help`` writes: the usage line, the ``summary`` line,
     then each command and each option with its help text."""
     lines = [
         f"usage: kmoments {{{','.join(commands)}}} --r R [options]",
         "",
-        doc.splitlines()[0],
+        summary,
         "Every command accepts every option; --jmax shapes only weights,",
         "and --hmax only moments and verify.",
         "",

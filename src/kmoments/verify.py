@@ -1,8 +1,8 @@
 """The ``verify`` command: the whole identity suite per (r, code), with pass/fail rows.
 
-``cli.cmd_verify`` compiles this module, and through it the checks of
-every layer, on its first call, and runs ``run``: a ``moments`` or
-``weights`` run compiles none of them.  ``run`` returns the rows and
+``cli.main`` compiles this module, and through it the checks of every
+layer, on the first ``verify`` run only, and runs ``run``: a ``moments``
+or ``weights`` run compiles none of them.  ``run`` returns the rows and
 writes nothing; ``cli.main`` renders them.  This module imports no
 part of the CLI.
 
@@ -17,7 +17,7 @@ verify's; the CLI's run limits are in :mod:`kmoments.cli`.
 
 from types import SimpleNamespace
 
-from . import codes_checks, kloosterman_checks
+from . import codes_checks, gf2r, kloosterman_checks
 from . import codes as codes_mod
 from . import kloosterman as kl
 from . import moments as mo
@@ -35,15 +35,19 @@ DIGEST_FULL_ROWS_MAX_R = 6  # irreducible_char_sum at every trace-one b (above, 
 def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     """Yield (code, check, passed, note) for every verify row of one r, in output order.
 
+    Each stage value is built once and passed to every row that reads it.
     Once per r: the K table, MK^0..MK^max(h_max, 1) from it (for
-    moment_first and every code's moment_recursion), and up to
+    moment_first and every code's moment_recursion), the trace map phi
+    (for every G and every character-sum row), and up to
     DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
     under each code (``quadratic_char_sums`` at b = 0 and at every
     trace-one b, or two above DIGEST_FULL_ROWS_MAX_R).  The field rows come
-    first, under code None.  Once per code: the q dual weights, the weight
-    distribution (to h_max only above DIGEST_FULL_ROWS_MAX_R; there the
-    cardinality row's ``code_cardinality`` runs the histogram again) and
-    the dual-structure report, each shared by every row that reads it.
+    first, under code None.  Once per block: the Gray-code walk, shared by
+    the two codes on it (a word of a two-copy code is its block's word
+    twice, so its weights are twice the block's).  Once per code: the
+    entries, H and G, the dual-weight histogram, the weight distribution
+    (to h_max only above DIGEST_FULL_ROWS_MAX_R), the Pless sums and the
+    dual-structure report; and one closed form per distinct K value.
     """
     r, q = ctx.r, ctx.q
     table = kl.kloosterman_table(ctx)
@@ -57,10 +61,11 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     frob = all(table[exp[2 * log[a]]] == table[a] for a in ctx.nonzero())
     yield None, "kloosterman_frobenius", frob, None
     yield None, "moment_first", brute[1] == 1, None
+    phi = gf2r._trace_map(ctx)
 
     def char_sums_hold(b: int) -> bool:
         # lambda(a/(alpha^2 + alpha + b)) summed over alpha is (-1)^tr(b) K(a) - 1
-        row, sign = kloosterman_checks.quadratic_char_sums(ctx, b), 1 - 2 * ctx.trace_table[b]
+        row, sign = kloosterman_checks.quadratic_char_sums(ctx, b, phi), 1 - 2 * ctx.trace_table[b]
         return all(row[a] == sign * table[a] - 1 for a in ctx.nonzero())
 
     full_rows = r <= DIGEST_FULL_ROWS_MAX_R
@@ -72,6 +77,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
         char_sums.append(("irreducible_char_sum", all(map(char_sums_hold, bs)), note))
 
+    walks = {}  # trace -> the block's dual weights, from the first code on that block
     for i in codes:
         n = codes_mod.code_length(ctx, i)
         if not n:
@@ -79,20 +85,26 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         trace, copies = codes_mod.code_shape(i)
         for name, ok, note in char_sums:
             yield i, name, ok, note
-        weights = codes_checks.dual_weights(ctx, i)
-        dist = codes_mod.weight_distribution(ctx, i, j_max=n if full_rows else min(n, h_max))
+        block = codes_mod._base_entries(ctx, i)
+        h_rows, g_rows = codes_mod._bit_rows(block, r, copies), codes_checks._generator_rows(ctx, i, phi, block)
+        if trace not in walks:
+            walks[trace] = codes_checks._block_walk(g_rows, n // copies, q)
+        weights = codes_checks.dual_weights(ctx, i, walks[trace])
+        histogram = codes_mod._dual_weight_histogram(ctx, i, block)
+        j_max = n if full_rows else min(n, h_max)
+        dist = codes_mod.weight_distribution(ctx, i, j_max=j_max, histogram=histogram)
 
         if r <= DIGEST_ROWS_MAX_R:
             # the literal trace words' weights against the closed forms num / den in the table's K(a)
-            fractions = {a: codes_checks.dual_weight_fraction(q, i, table[a]) for a in ctx.nonzero()}
-            ok = all(num == den * weights[a] for a, (num, den) in fractions.items())
+            fraction = {k: codes_checks.dual_weight_fraction(q, i, k) for k in set(values)}
+            ok = all(fraction[table[a]][0] == fraction[table[a]][1] * weights[a] for a in ctx.nonzero())
             yield i, "dual_weight_formula", ok, None
             if copies == 1:
                 # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
-                ok = all(num % 4 == 0 for num, _ in fractions.values())
+                ok = all(num % 4 == 0 for num, _ in fraction.values())
                 yield i, "dual_weight_halving", ok, None
 
-        report = codes_mod.verify_dual_structure(ctx, i)
+        report = codes_mod.verify_dual_structure(ctx, i, h_rows, g_rows)
         yield i, "dual_orthogonality", report["orthogonal"], None
         if not trace and q == 4:
             ok = report["kernel_size"] == 2
@@ -116,13 +128,13 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         elif r <= DIGEST_ROWS_MAX_R:
             # the note is kept for byte-identical output; the count is the
             # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
-            ok = codes_mod.code_cardinality(ctx, i) == expected_total
+            ok = codes_mod.code_cardinality(ctx, i, histogram) == expected_total
             yield i, "distribution_cardinality", ok, "via group-algebra count"
 
-        pless = mo.pless_check(ctx, i, h_max, counts=dist, weights=weights)
+        sums = mo._pless_sums(h_max, n, dist)
+        pless = mo.pless_check(ctx, i, h_max, weights=weights, sums=sums)
         yield i, "pless_identity", all(equal for _, _, equal in pless), None
-        seq = mo.moment_sequence(ctx, i, h_max, counts=dist)
-        yield i, "moment_recursion", seq == brute[: h_max + 1], None
+        yield i, "moment_recursion", mo.moment_sequence(ctx, i, h_max, sums=sums) == brute[: h_max + 1], None
 
 
 def run(args: SimpleNamespace) -> tuple:

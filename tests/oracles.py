@@ -300,6 +300,21 @@ def dual_words(generators, q: int) -> list[int]:
     return words
 
 
+def whole_word_walk(generators, q: int) -> tuple[int, ...]:
+    """The weight of every word of a GF(2)-linear map a -> c(a), indexed by a, every bit counted.
+
+    The reference for ``codes_checks.dual_weights``, which walks only the
+    block of a two-copy code and doubles its weights: a Gray-code walk over
+    the whole words, whose step s XORs in c(2^k), k the lowest set bit of s,
+    and lands on a = s ^ (s >> 1).
+    """
+    weights, word = [0] * q, 0
+    for s in range(1, q):
+        word ^= generators[(s & -s).bit_length() - 1]
+        weights[s ^ (s >> 1)] = word.bit_count()
+    return tuple(weights)
+
+
 def dual_structure_by_scan(words, basis, n: int) -> dict:
     """The dual-structure report, from every dual word against every code basis vector.
 

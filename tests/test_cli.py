@@ -1,5 +1,6 @@
 import errno
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -149,10 +150,10 @@ def test_verify_r2_kernel_reported_not_failed(capsys):
 
 
 def test_verify_detects_breakage(capsys, monkeypatch):
-    import kmoments.cli as cli
+    import kmoments.moments as mo
 
     monkeypatch.setattr(
-        cli.mo, "pless_check", lambda ctx, i, h_max, counts=None, weights=None: ((0, 1, False),)
+        mo, "pless_check", lambda ctx, i, h_max, counts=None, weights=None, sums=None: ((0, 1, False),)
     )
     code, out, _ = run(capsys, "verify", "--r", "3", "--code", "3", "--hmax", "2", "--format", "json")
     assert code == 2
@@ -162,8 +163,9 @@ def test_verify_detects_breakage(capsys, monkeypatch):
 _WRONG_K_PROBE = """
 import sys
 import kmoments.cli as cli
+import kmoments.kloosterman as kl
 
-real = cli.kl.kloosterman_table
+real = kl.kloosterman_table
 
 
 def off_by_two(ctx):
@@ -173,7 +175,7 @@ def off_by_two(ctx):
     return tuple(table)
 
 
-cli.kl.kloosterman_table = off_by_two
+kl.kloosterman_table = off_by_two
 sys.exit(cli.main(["verify", "--r", "4", "--code", "2", "--hmax", "4"]))
 """
 
@@ -201,14 +203,16 @@ def test_verify_fails_on_a_wrong_k_value(flags):
 def test_verify_dual_weight_rows_catch_a_shifted_k(capsys, monkeypatch, shift):
     # K(1) + 2 moves every closed form off its weight and leaves num / 4 a
     # fraction; K(1) + 4 keeps num divisible by 4, so the halving rows pass
-    real = cli.kl.kloosterman_table
+    import kmoments.kloosterman as kl
+
+    real = kl.kloosterman_table
 
     def shifted(ctx):
         table = list(real(ctx))
         table[1] += shift
         return tuple(table)
 
-    monkeypatch.setattr(cli.kl, "kloosterman_table", shifted)
+    monkeypatch.setattr(kl, "kloosterman_table", shifted)
     code, out, _ = run(capsys, "verify", "--r", "3..6", "--format", "json")
     assert code == 2
     passed = {(w["r"], w["code"], w["check"]): w["passed"] for w in json.loads(out)["results"]}
@@ -269,7 +273,9 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     seen = []
     counted = kloosterman_checks.quadratic_char_sums
     monkeypatch.setattr(
-        kloosterman_checks, "quadratic_char_sums", lambda ctx, b: seen.append(b) or counted(ctx, b)
+        kloosterman_checks,
+        "quadratic_char_sums",
+        lambda ctx, b, phi=None: seen.append(b) or counted(ctx, b, phi),
     )
     code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
     assert code == 0
@@ -288,6 +294,42 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     # one distribution per code, shared by the distribution checks, pless_check
     # and moment_sequence; the column MK^0..MK^4 once for the r, shared by the four codes
     assert built == {"weight_distribution": 4, "moment_bruteforce": 1}
+
+
+def test_verify_builds_each_stage_once(capsys, monkeypatch):
+    import kmoments.codes as codes
+    import kmoments.codes_checks as codes_checks
+    import kmoments.gf2r as gf2r
+    import kmoments.kloosterman_checks as kloosterman_checks
+    import kmoments.moments as mo
+
+    # each module that binds a stage builder by name, where verify or a check reads it
+    stages = [
+        (gf2r, "_trace_map"),
+        (codes_checks, "_trace_map"),
+        (kloosterman_checks, "_trace_map"),
+        (codes, "_base_entries"),
+        (codes, "_bit_rows"),
+        (codes_checks, "_generator_rows"),
+        (codes_checks, "_block_walk"),
+        (codes, "_dual_weight_histogram"),
+        (mo, "_pless_sums"),
+    ]
+    calls = _count_calls(monkeypatch, stages)
+    code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
+    assert code == 0
+    # phi once for the r, shared by the 33 character-sum rows and the four G; per code the
+    # entries, H and G, the histogram and the Pless sums once; one walk per block, which
+    # codes 1 and 2 (3 and 4) share
+    assert calls == {
+        "_trace_map": 1,
+        "_base_entries": 4,
+        "_bit_rows": 8,
+        "_generator_rows": 4,
+        "_block_walk": 2,
+        "_dual_weight_histogram": 4,
+        "_pless_sums": 4,
+    }
 
 
 def test_moments_brute_force_column_once_per_r(capsys, monkeypatch):
@@ -411,6 +453,13 @@ def test_help_names_every_command():
     code, out, err = run_process("--help")
     assert (code, err) == (0, "")
     assert all(name in out.decode() for name in ("moments", "weights", "verify"))
+
+
+def test_help_is_the_same_under_optimized_mode():
+    # python -OO drops every docstring; the help's summary line is a literal, not the CLI's __doc__
+    plain = run_process("--help")
+    assert plain[0] == 0 and plain[2] == ""
+    assert run_process("--help", flags=("-OO",)) == plain
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("verify", "--r", "3", "--he"), ("--frob", "--help")])
@@ -660,7 +709,7 @@ def test_golden_output_optimized(name, argv, fmt, ext):
 def test_each_command_writes_nothing_and_returns_its_output(capsys, argv):
     args = cli._parse_args(list(argv))
     cli._build_config(args)
-    output = cli.COMMANDS[args.command][0](args)
+    output = importlib.import_module(f"kmoments.{cli.COMMANDS[args.command][0]}").run(args)
     assert capsys.readouterr() == ("", "")
     assert type(output) is tuple and len(output) == 5
     payload, header, rows, lines, ok = output

@@ -340,6 +340,16 @@ def test_dual_words_equal_dual_codeword_any_representation(data, r, i):
     _assert_dual_weights_match_oracles(build_field(r, modulus=modulus, b=b), i)
 
 
+@pytest.mark.parametrize("r", range(2, 13))
+def test_two_copy_dual_weights_equal_a_walk_of_the_whole_vector(r, contexts):
+    # codes 1 and 3 walk their block and double its weights; the reference walks every bit
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    for i in (1, 3):
+        whole = oracles.whole_word_walk(codes_checks._generator_rows(ctx, i), ctx.q)
+        assert dual_weights(ctx, i) == whole, (r, i)
+        assert whole == tuple(2 * w for w in dual_weights(ctx, i + 1)), (r, i)
+
+
 def test_dual_weights_read_no_kloosterman_value(monkeypatch):
     # the Pless left side must stay independent of the WHT counts (and of K,
     # which codes cannot import: tests/test_import_graph.py)
@@ -676,11 +686,15 @@ def test_orthogonality_catches_one_flipped_generator_bit(i, contexts, monkeypatc
     ctx = contexts[5]
     assert verify_dual_structure(ctx, i)["orthogonal"] is True
     assert all(equal for _, _, equal in pless_check(ctx, i, 10))
-    for bad in _one_bit_mutants(codes_checks._generator_rows(ctx, i), code_length(ctx, i)):
+    n, good = code_length(ctx, i), codes_checks._generator_rows(ctx, i)
+    for bad in _one_bit_mutants(good, n):
         monkeypatch.setattr(codes_checks, "_generator_rows", lambda ctx, i, bad=bad: bad)
         assert verify_dual_structure(ctx, i)["orthogonal"] is False
-        # the walk reads the same rows, so the Pless left side moves off the right
-        assert not all(equal for _, _, equal in pless_check(ctx, i, 10))
+        # the walk reads the same rows, so the Pless left side moves off the right; it reads
+        # only the block, the low N / copies bits, so a flip in the second copy of codes 1
+        # and 3 moves the rank alone
+        in_block = all(row ^ kept < 1 << n // code_shape(i)[1] for row, kept in zip(bad, good))
+        assert all(equal for _, _, equal in pless_check(ctx, i, 10)) is not in_block
 
 
 @pytest.mark.parametrize("i", CODE_INDICES)

@@ -16,6 +16,7 @@ import pytest
 
 import kmoments.cli as cli
 from kmoments import codes, gf2r, verify
+from kmoments import moments as mo
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -91,13 +92,13 @@ def _all_b(capsys, r):
 
 def _pless_orders(capsys, monkeypatch, h_max):
     seen = []
-    real = cli.mo.pless_check
+    real = mo.pless_check
 
-    def recording(ctx, i, h, counts=None, weights=None):
+    def recording(ctx, i, h, counts=None, weights=None, sums=None):
         seen.append(h)
-        return real(ctx, i, h, counts=counts, weights=weights)
+        return real(ctx, i, h, counts=counts, weights=weights, sums=sums)
 
-    monkeypatch.setattr(cli.mo, "pless_check", recording)
+    monkeypatch.setattr(mo, "pless_check", recording)
     _verify_rows(capsys, 3, h_max=h_max)
     return seen == [h_max]
 

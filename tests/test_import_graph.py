@@ -7,6 +7,7 @@ Each layer imports, on first use, its ``*_checks`` module (what
 ``verify`` runs) and its ``*_oracles`` module (what only the tests
 run); beyond that:
 
+* ``gf2r`` imports no package module;
 * ``kloosterman``, ``kloosterman_checks`` and ``kloosterman_oracles``
   import only ``gf2r``;
 * ``codes`` imports only ``gf2r``, ``codes_checks`` ``gf2r`` and
@@ -15,11 +16,15 @@ run); beyond that:
   those, ``codes_checks`` and ``moments``, and ``moments_oracles`` only
   ``gf2r``;
 * ``verify``, the one module that sets the two sides beside each other,
-  imports every layer and the checks it runs, and ``usage`` no package
-  module: neither imports the CLI back, which hands verify's rows to its
-  renderer and ``usage`` the text it prints.
+  imports every layer and the checks it runs; ``moments_cmd`` the
+  layers whose columns it prints side by side, ``weights_cmd`` only
+  ``codes``, and ``usage`` no package module.  No command module imports
+  the CLI back, which hands each command's rows to its renderer and
+  ``usage`` the text it prints.
 
-So no weight-side module can reach a K value, by any name.
+Every package module but ``__init__`` and ``cli`` has a rule, so a new
+module cannot escape them.  So no weight-side module can reach a K
+value, by any name.
 
 One rule looks inside a function: ``kloosterman_table`` reads nothing
 from ``gf2r`` but ``_unpack_slots``.  So the K table shares neither the
@@ -36,6 +41,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
 
 MAY_IMPORT = {
+    "gf2r": set(),
     "kloosterman": {"gf2r", "kloosterman_checks", "kloosterman_oracles"},
     "kloosterman_checks": {"gf2r"},
     "kloosterman_oracles": {"gf2r"},
@@ -46,8 +52,13 @@ MAY_IMPORT = {
     "moments_checks": {"gf2r", "codes", "codes_checks", "moments"},
     "moments_oracles": {"gf2r"},
     "verify": {"gf2r", "kloosterman", "kloosterman_checks", "codes", "codes_checks", "moments"},
+    "moments_cmd": {"kloosterman", "codes", "moments"},
+    "weights_cmd": {"codes"},
     "usage": set(),
 }
+
+# the modules that run one command, or --help: none may import the CLI back
+COMMAND_MODULES = ["moments_cmd", "weights_cmd", "verify", "usage"]
 
 # the modules that hold or read the weight counts and the dual weights
 WEIGHT_SIDE = ["codes", "codes_checks", "codes_oracles", "moments", "moments_checks", "moments_oracles"]
@@ -100,6 +111,11 @@ def test_import_graph_keeps_k_values_out_of_the_counts():
     assert _violations(_sources()) == []
 
 
+def test_every_module_has_an_import_rule():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+    assert modules == set(MAY_IMPORT)
+
+
 K_IMPORTS = [
     "from .kloosterman import kloosterman_table",
     "from . import kloosterman as kl",
@@ -130,7 +146,7 @@ def test_import_graph_rejects_the_package_and_the_cli(module, line, reached):
     assert _violations(_with_import(_sources(), module, line)) == [f"{module} imports {reached}"]
 
 
-@pytest.mark.parametrize("module", ["verify", "usage"])
+@pytest.mark.parametrize("module", COMMAND_MODULES)
 @pytest.mark.parametrize(
     "line", ["from . import cli", "from .cli import MISMATCH_ERROR", "import kmoments.cli"]
 )

@@ -328,13 +328,13 @@ def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
 
     real = kloosterman_checks.quadratic_char_sums
 
-    def neighbour(ctx, b):
+    def neighbour(ctx, b, phi=None):
         # the least nonzero t in theta becomes g t, its neighbour in exp order,
         # so the denominator b + t of the row moves to b + g t
         moved = copy.copy(ctx)
         t = ctx.theta[1]
         moved.theta = (0, ctx.exp[ctx.log[t] + 1], *ctx.theta[2:])
-        return real(moved, b)
+        return real(moved, b, phi)
 
     monkeypatch.setattr(kloosterman_checks, "quadratic_char_sums", neighbour)
     assert cli.main(["verify", "--r", "3..4", "--hmax", "2"]) == 2

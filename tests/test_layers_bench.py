@@ -31,6 +31,9 @@ def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
     assert set(side) == {"sha", "dirty"}
     passes = ("build_field", "exp_log", "trace_table", "rest")
     names = [f"field.r{r}.{p}" for r in (3, 4) for p in passes] + ["verify_rows.r3", "verify_rows.r4"]
+    stages = ["trace_map", "pless_sums"]
+    stages += [f"{stage}.code{i}" for stage in ("generator_rows", "dual_weights") for i in (1, 2, 3, 4)]
+    names += [f"stages.r{r}.{stage}" for r in (3, 4) for stage in stages]
     names += [f"cli.verify{k}.{part}" for part in ("wall", "shutdown") for k in ("_r3", "")]
     names += ["cli.import_source"] + [f"cli.ktable{k}.source_wall" for k in ("_r11", "_r12", "")]
     assert sorted(doc["metrics"]) == sorted(names)

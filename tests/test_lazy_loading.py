@@ -1,15 +1,17 @@
-"""A ``moments`` or ``weights`` run compiles only the package modules it runs.
+"""Each run compiles only the package modules it runs.
 
-What only ``verify`` runs lives in ``kloosterman_checks``,
-``codes_checks``, ``moments_checks`` and ``verify``, and what only the
-tests run in the ``*_oracles`` modules; each layer, and the CLI, loads
-them on first use.  The loading policy is read from
-``python -X importtime`` in child interpreters: a ``moments`` or
-``weights`` run loads no package module beyond the six below, ``verify``
-loads no oracle module, no run imports ``__future__``, and no ``verify``
-or ``--help`` run compiles ``kmoments.cli`` a second time beside the
-``__main__`` that ``-m`` runs.  perfbench's tracer, run unmodified, still wraps
-the checks that ``verify`` reads through their layer modules.
+Each command is a module of its own (``moments_cmd``, ``weights_cmd``,
+``verify``), and the ``--help`` text is ``usage``; what only ``verify``
+runs lives in ``kloosterman_checks``, ``codes_checks``,
+``moments_checks`` and ``verify``, and what only the tests run in the
+``*_oracles`` modules; each layer, and the CLI, loads them on first
+use.  The loading policy is read from ``python -X importtime`` in child
+interpreters: each run loads exactly the package and its four layers,
+its own command module and, for ``verify``, the checks modules; no run
+loads ``array`` or imports ``__future__``, and no run compiles
+``kmoments.cli`` a second time beside the ``__main__`` that ``-m`` runs.
+perfbench's tracer, run unmodified, still wraps the checks that
+``verify`` reads through their layer modules.
 """
 
 import importlib
@@ -26,14 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# every package module a moments or weights run may load
-EVERY_COMMAND = {
+# the package modules every run loads beside the CLI, which -m runs as __main__
+EVERY_RUN = {
     "kmoments",
     "kmoments.gf2r",
     "kmoments.kloosterman",
     "kmoments.codes",
     "kmoments.moments",
-    "kmoments.cli",
 }
 CHECKS = {
     "kmoments.kloosterman_checks",
@@ -45,6 +46,17 @@ ORACLES = {"kmoments.kloosterman_oracles", "kmoments.codes_oracles", "kmoments.m
 
 MOMENTS = ("moments", "--r", "4", "--code", "4", "--hmax", "1", "--format", "csv")
 WEIGHTS = ("weights", "--r", "4", "--code", "2", "--jmax", "3")
+VERIFY = ("verify", "--r", "3", "--hmax", "2")
+HELP = ("--help",)
+
+# argv -> the package modules its run loads beyond EVERY_RUN: its own command module,
+# verify's checks, or the --help text
+OWN_MODULES = {
+    MOMENTS: {"kmoments.moments_cmd"},
+    WEIGHTS: {"kmoments.weights_cmd"},
+    VERIFY: CHECKS,
+    HELP: {"kmoments.usage"},
+}
 
 
 def _imported(src: Path, argv) -> set[str]:
@@ -65,27 +77,27 @@ def _imported(src: Path, argv) -> set[str]:
     }
 
 
-def _beyond_every_command(src: Path) -> dict[str, set[str]]:
-    """Per command, the package modules a moments or weights run loads beyond the six."""
-    found = {}
-    for argv in (MOMENTS, WEIGHTS):
-        package = {m for m in _imported(src, argv) if m.split(".")[0] == "kmoments"}
-        found[argv[0]] = package - EVERY_COMMAND
-    return found
+def _package(imported: set[str]) -> set[str]:
+    return {m for m in imported if m.split(".")[0] == "kmoments"}
 
 
-def test_moments_and_weights_load_no_check_module():
-    assert _beyond_every_command(SRC) == {"moments": set(), "weights": set()}
+def _beyond_own_modules(src: Path) -> dict[str, set[str]]:
+    """Per command, the package modules a moments or weights run loads beyond its own."""
+    return {
+        argv[0]: _package(_imported(src, argv)) - EVERY_RUN - OWN_MODULES[argv] for argv in (MOMENTS, WEIGHTS)
+    }
 
 
-def test_verify_loads_the_check_modules_and_no_oracle_module():
-    imported = _imported(SRC, ("verify", "--r", "4"))
-    assert CHECKS <= imported
-    assert not ORACLES & imported
+def test_each_run_loads_exactly_its_own_modules():
+    for argv, own in OWN_MODULES.items():
+        imported = _imported(SRC, argv)
+        assert _package(imported) == EVERY_RUN | own, argv
+        assert not ORACLES & imported, argv
+        assert "array" not in imported, argv
 
 
 def test_no_run_imports_future():
-    for argv in (MOMENTS, WEIGHTS, ("verify", "--r", "4")):
+    for argv in (MOMENTS, WEIGHTS, VERIFY):
         assert "__future__" not in _imported(SRC, argv), argv
 
 
@@ -98,28 +110,39 @@ def test_the_policy_catches_a_check_module_imported_at_module_level(tmp_path):
     assert text.count(anchor) == 1
     codes.write_text(text.replace(anchor, "from . import codes_checks\n" + anchor))
     beyond = {"kmoments.codes_checks"}
-    assert _beyond_every_command(tmp_path) == {"moments": beyond, "weights": beyond}
+    assert _beyond_own_modules(tmp_path) == {"moments": beyond, "weights": beyond}
+
+
+def test_the_policy_catches_a_command_module_loaded_by_another_run(tmp_path):
+    # a copy of the package whose moments command imports the weights command
+    shutil.copytree(SRC / "kmoments", tmp_path / "kmoments", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "kmoments" / "moments_cmd.py"
+    text = path.read_text()
+    anchor = "__all__ = "
+    assert text.count(anchor) == 1
+    path.write_text(text.replace(anchor, "from . import weights_cmd\n\n" + anchor))
+    assert _beyond_own_modules(tmp_path) == {"moments": {"kmoments.weights_cmd"}, "weights": set()}
 
 
 # run by -m, the CLI is __main__: a package module that imported it back would compile a second copy
-VERIFY_AND_HELP = (("verify", "--r", "3", "--hmax", "2"), ("--help",))
+COMMAND_MODULES = {"moments_cmd": MOMENTS, "weights_cmd": WEIGHTS, "verify": VERIFY, "usage": HELP}
 
 
 def test_no_run_imports_the_cli_a_second_time():
-    for argv in VERIFY_AND_HELP:
+    for argv in COMMAND_MODULES.values():
         assert "kmoments.cli" not in _imported(SRC, argv), argv
 
 
-def test_a_check_module_that_imports_the_cli_back_loads_a_second_copy(tmp_path):
-    # a copy of the package whose verify and usage each import the CLI
+def test_a_command_module_that_imports_the_cli_back_loads_a_second_copy(tmp_path):
+    # a copy of the package whose command modules and usage each import the CLI
     shutil.copytree(SRC / "kmoments", tmp_path / "kmoments", ignore=shutil.ignore_patterns("__pycache__"))
-    for module in ("verify", "usage"):
+    for module in COMMAND_MODULES:
         path = tmp_path / "kmoments" / f"{module}.py"
         text = path.read_text()
         anchor = "__all__ = "
         assert text.count(anchor) == 1
         path.write_text(text.replace(anchor, "from . import cli\n\n" + anchor))
-    for argv in VERIFY_AND_HELP:
+    for argv in COMMAND_MODULES.values():
         assert "kmoments.cli" in _imported(tmp_path, argv), argv
 
 

@@ -3,8 +3,8 @@
 A check that nothing can fail shows nothing.  ``MUTANTS`` breaks one
 stage each, as a monkeypatch of one function where it is defined: the
 K table, the character-sum row, the row builder ``codes._bit_rows``, the
-generator rows G, the dual weights, the dual-weight histogram or the
-weight distribution.  ``REGISTRY`` maps every check name to the mutants
+generator rows G, the Gray-code walk behind the dual weights, the
+dual-weight histogram or the weight distribution.  ``REGISTRY`` maps every check name to the mutants
 that fail it.  At each r below, every check the clean run prints must
 FAIL under at least one of its mutants, and a check name with no entry
 fails the test, as a new public name does in ``test_no_orphans.py``.
@@ -14,18 +14,18 @@ import json
 
 import pytest
 
-from kmoments import cli, codes, codes_checks, kloosterman_checks
+from kmoments import cli, codes, codes_checks, kloosterman, kloosterman_checks
 
 
 def _edit_k_table(mp, edit):
-    real = cli.kl.kloosterman_table
+    real = kloosterman.kloosterman_table
 
     def mutant(ctx):
         table = list(real(ctx))
         edit(ctx, table)
         return tuple(table)
 
-    mp.setattr(cli.kl, "kloosterman_table", mutant)
+    mp.setattr(kloosterman, "kloosterman_table", mutant)
 
 
 def _shift_k1(shift):
@@ -92,8 +92,8 @@ def _more_zero_words(mp):
     # q more dual words of weight 0: every MacWilliams sum stays divisible by q
     real = codes._dual_weight_histogram
 
-    def mutant(ctx, i):
-        histogram = real(ctx, i)
+    def mutant(ctx, i, entries=None):
+        histogram = real(ctx, i, entries)
         histogram[0] += ctx.q
         return histogram
 
@@ -101,15 +101,16 @@ def _more_zero_words(mp):
 
 
 def _shift_dual_weight(shift):
+    # the weight of c(1) in the walk of a block, which both codes on the block read
     def apply(mp):
-        real = codes_checks.dual_weights
+        real = codes_checks._block_walk
 
-        def mutant(ctx, i):
-            weights = list(real(ctx, i))
+        def mutant(gens, m, q):
+            weights = list(real(gens, m, q))
             weights[1] += shift
             return tuple(weights)
 
-        mp.setattr(codes_checks, "dual_weights", mutant)
+        mp.setattr(codes_checks, "_block_walk", mutant)
 
     return apply
 
@@ -118,8 +119,8 @@ def _rotate_char_sum_row(mp):
     # entry g^s of every character-sum row takes the value of entry g^(s+1)
     real = kloosterman_checks.quadratic_char_sums
 
-    def mutant(ctx, b):
-        row = real(ctx, b)
+    def mutant(ctx, b, phi=None):
+        row = real(ctx, b, phi)
         return [None] + [row[ctx.exp[ctx.log[a] + 1]] for a in ctx.nonzero()]
 
     mp.setattr(kloosterman_checks, "quadratic_char_sums", mutant)
@@ -128,8 +129,8 @@ def _rotate_char_sum_row(mp):
 def _swap_c3_c4(mp):
     real = codes.weight_distribution
 
-    def mutant(ctx, i, j_max=None):
-        dist = list(real(ctx, i, j_max=j_max))
+    def mutant(ctx, i, j_max=None, histogram=None):
+        dist = list(real(ctx, i, j_max=j_max, histogram=histogram))
         if len(dist) > 4:
             dist[3], dist[4] = dist[4], dist[3]
         return tuple(dist)
