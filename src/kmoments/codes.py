@@ -112,7 +112,7 @@ def _vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
     return _base_entries(ctx, i) * code_shape(i)[1]
 
 
-def _bit_rows(values, r: int, copies: int = 1) -> list[int]:
+def _bit_rows(values, r: int, copies: int) -> list[int]:
     """r bitmasks of N = copies * len(values) bits: bit l of row k is bit k of entry l
     of ``values`` written ``copies`` times.
 
@@ -128,7 +128,7 @@ def _bit_rows(values, r: int, copies: int = 1) -> list[int]:
 
 
 def _dual_weight_histogram(ctx: FieldContext, i: int, block=None) -> Counter:
-    """How many of the q dual words c_i(a) have each Hamming weight (``block``, as given).
+    """How many of the q dual words c_i(a) have each Hamming weight.
 
     With f[beta] the multiplicity of beta in vector i, the integer
     Walsh-Hadamard transform F(u) = sum_beta f[beta] (-1)^popcount(u & beta)
@@ -140,6 +140,8 @@ def _dual_weight_histogram(ctx: FieldContext, i: int, block=None) -> Counter:
     The block's entries are distinct and nonzero, each listed ``copies``
     times, so F is ``gf2r._walsh_hadamard`` with n = N (a list butterfly
     in the tests is its oracle); each distinct F(u) maps to a weight once.
+    ``block``, the block's entries as ``_base_entries`` returns them, may
+    be passed in.
     """
     n = code_length(ctx, i)
     block = _base_entries(ctx, i) if block is None else block
@@ -158,9 +160,9 @@ def weight_distribution(
     C_j = q^-1 sum_w n_w K_j(w), where n_w counts the a with
     wt(c_i(a)) = w and K_j is the binary Krawtchouk polynomial of
     length N, evaluated exactly by its three-term recurrence.  No K(a)
-    value is read.  The cost is O(q r) for the transform plus O(j_max)
-    Krawtchouk terms per distinct weight, of which there are O(sqrt(q)),
-    none if the caller passes the histogram in.
+    value is read.  The cost is O(q r) for the transform, none if the
+    caller passes its ``histogram`` in, plus O(j_max) Krawtchouk terms per
+    distinct weight, of which there are O(sqrt(q)).
     """
     _check_code(ctx, i)
     n = code_length(ctx, i)

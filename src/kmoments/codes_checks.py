@@ -53,21 +53,21 @@ def _block_walk(gens: list[int], m: int, q: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def dual_weights(ctx: FieldContext, i: int, block=None) -> tuple[int, ...]:
+def dual_weights(ctx: FieldContext, i: int, walk=None) -> tuple[int, ...]:
     """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
 
     c_i(a) is GF(2)-linear in a, so one walk over the generator rows G
     gives every weight, ``copies`` times the weight of the block's word.
     Reads only the trace and exp/log tables, never a Kloosterman value or
     the Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
-    ``block``, the walk of code i's block as ``_block_walk`` returns it, may
-    be passed in: the other code on the block has the same one.
+    ``walk``, the block's weights as ``_block_walk`` returns them, may be
+    passed in: the other code on the block has the same walk.
     """
     codes._check_code(ctx, i)
     _, copies = codes.code_shape(i)
-    if block is None:
-        block = _block_walk(_generator_rows(ctx, i), codes.code_length(ctx, i) // copies, ctx.q)
-    return block if copies == 1 else tuple(copies * w for w in block)
+    if walk is None:
+        walk = _block_walk(_generator_rows(ctx, i), codes.code_length(ctx, i) // copies, ctx.q)
+    return walk if copies == 1 else tuple(copies * w for w in walk)
 
 
 def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:

@@ -92,8 +92,8 @@ def _more_zero_words(mp):
     # q more dual words of weight 0: every MacWilliams sum stays divisible by q
     real = codes._dual_weight_histogram
 
-    def mutant(ctx, i, entries=None):
-        histogram = real(ctx, i, entries)
+    def mutant(ctx, i, block=None):
+        histogram = real(ctx, i, block)
         histogram[0] += ctx.q
         return histogram
 
