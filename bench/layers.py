@@ -19,13 +19,15 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   also times, at each r, the stages that pass builds (``stages``): the
   trace map phi, the generator rows G of each code, each code's dual
   weights (the Gray-code walk with its G; codes 2 and 4 walk their
-  block alone) and the Pless sums of the four codes at h = 0..10 from
-  distributions built outside the timed call; each the median of a few
-  calls, and the walk one call per round from r = 14.  The calls,
-  ``gf2r._trace_map(ctx)``, ``codes_checks._generator_rows(ctx, i)``,
-  ``codes_checks.dual_weights(ctx, i)`` and ``moments._pless_sums(10, N,
-  counts)``, have kept their signatures since the package split, so
-  either tree of an A/B run takes them;
+  block alone), each code's dual-weight histogram (``transform``: the
+  Walsh-Hadamard transform it is read from) and the Pless sums of the
+  four codes at h = 0..10 from distributions built outside the timed
+  call; each the median of a few calls, and the walk one call per round
+  from r = 14.  The calls, ``gf2r._trace_map(ctx)``,
+  ``codes_checks._generator_rows(ctx, i)``, ``codes_checks.dual_weights(ctx,
+  i)``, ``codes._dual_weight_histogram(ctx, i)`` and
+  ``moments._pless_sums(10, N, counts)``, have kept their signatures
+  since the package split, so either tree of an A/B run takes them;
 - for each ``--verify-r`` k, two whole-process runs of ``verify --r k
   --hmax 10``, perfbench's ``verify`` job at that r.  The first is
   ``python -m kmoments.cli`` as is, timed from start to exit
@@ -46,11 +48,24 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   compile ``site`` and what it imports from source as well.)
 
 One warm-up run per tree first writes its bytecode cache, which every
-other row reads.  The JSON
-holds each tree's git SHA (with a ``dirty`` flag) and the Python
-version, then per metric each side's median, quartiles, extremes and
-count over the rounds, and with two trees the ratio of the medians.
-Nothing is gated; the figures are for a reader to compare.
+other row reads.
+
+The host's speed drifts between rounds, so every row is also given
+normalised, as perfbench does: after each timed call (in the child) or
+each whole-process child (in this process) the timing process runs one
+slice of ``perfbench/speed.py``'s fixed kernel, ``speed.probe()``, and a
+round's rows are multiplied by ``speed.REFERENCE_S`` over the mean slice
+of the process that timed them.  Each round's mean slices are rows of
+their own, ``slice.field_child`` and ``slice.processes``.  perfbench
+found slices between children less steadying than slices during them
+on a 6 s job; here each timed call or child lasts about a second at most.
+
+The JSON holds each tree's git SHA (with a ``dirty`` flag), the Python
+version and ``reference_s``, then per metric each side's median,
+quartiles, extremes and count over the rounds, raw (``sides``) and
+normalised (``normalised``), and with two trees the ratio of the
+medians of each (``ratio``, ``normalised_ratio``).  Nothing is gated;
+the figures are for a reader to compare.
 """
 
 import argparse
@@ -63,7 +78,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from statistics import median, quantiles
+from statistics import fmean, median, quantiles
+
+# perfbench's host-speed slice, imported as perfbench/run.py imports it
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import speed  # noqa: E402
 
 FIELD_R = (8, 12, 14, 16)
 VERIFY_R = tuple(range(3, 10))
@@ -97,12 +116,17 @@ print(time.perf_counter() - t0)
 """
 
 
+# the CPU seconds of each slice this process has run between its timed calls
+SLICES: list[float] = []
+
+
 def _median_s(call, calls: int) -> float:
     samples = []
     for _ in range(calls):
         t0 = time.perf_counter()
         call()
         samples.append(time.perf_counter() - t0)
+        SLICES.append(speed.probe())
     return median(samples)
 
 
@@ -120,6 +144,9 @@ def _stages(r: int) -> dict[str, float]:
     for i in lengths:
         walk = _median_s(lambda: codes_checks.dual_weights(ctx, i), 1 if r >= LARGE_R else calls)
         out[f"stages.r{r}.dual_weights.code{i}"] = walk
+    for i in lengths:
+        transform = _median_s(lambda: codes._dual_weight_histogram(ctx, i), calls)
+        out[f"stages.r{r}.transform.code{i}"] = transform
     dists = {i: codes.weight_distribution(ctx, i, j_max=min(n, HMAX)) for i, n in lengths.items()}
 
     def pless_sums():
@@ -129,9 +156,10 @@ def _stages(r: int) -> dict[str, float]:
     return out
 
 
-def _field_child(src: str, rs: list[int]) -> dict[str, float]:
+def _field_child(src: str, rs: list[int]) -> dict:
     """In this process: the median seconds of build_field and of each pass at each r,
-    of one verify rows pass and of each stage it builds."""
+    of one verify rows pass and of each stage it builds (``figures``), and the mean
+    seconds of the slices run between the timed calls (``slice``)."""
     sys.path.insert(0, src)
     from kmoments import verify
     from kmoments.gf2r import build_field
@@ -151,6 +179,7 @@ def _field_child(src: str, rs: list[int]) -> dict[str, float]:
             samples["build_field"].append(t1 - t0)
             samples["exp_log"].append(t2 - t1)
             samples["trace_table"].append(t3 - t2)
+            SLICES.append(speed.probe())
         medians = {name: median(values) for name, values in samples.items()}
         medians["rest"] = medians["build_field"] - medians["exp_log"] - medians["trace_table"]
         out.update((f"field.r{r}.{name}", value) for name, value in medians.items())
@@ -160,9 +189,10 @@ def _field_child(src: str, rs: list[int]) -> dict[str, float]:
             t0 = time.perf_counter()
             list(verify._verify_rows(ctx, (1, 2, 3, 4), HMAX))
             passes.append(time.perf_counter() - t0)
+            SLICES.append(speed.probe())
         out[f"verify_rows.r{r}"] = median(passes)
         out.update(_stages(r))
-    return out
+    return {"figures": out, "slice": fmean(SLICES)}
 
 
 def _env(src: str) -> dict[str, str]:
@@ -185,7 +215,9 @@ def _run(cmd: list[str], env: dict[str, str], **kwargs) -> None:
 def _timed_cli(argv: list[str], env: dict[str, str]) -> float:
     t0 = time.perf_counter()
     _run([sys.executable, "-m", "kmoments.cli", *argv], env)
-    return time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    SLICES.append(speed.probe())
+    return elapsed
 
 
 def _wall(src: str, k: int) -> float:
@@ -199,6 +231,7 @@ def _from_source(src: str) -> dict[str, float]:
         shutil.copytree(Path(src, "kmoments"), Path(copy, "kmoments"), ignore=ignore)
         env = {**os.environ, "PYTHONPATH": copy, "PYTHONDONTWRITEBYTECODE": "1"}
         done = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env, capture_output=True, check=True)
+        SLICES.append(speed.probe())
         figures = {"cli.import_source": float(done.stdout)}
         for k in KTABLE_R:
             argv = ["moments", "--r", str(k), "--code", "4", "--hmax", "1", "--format", "csv"]
@@ -216,22 +249,37 @@ def _shutdown(src: str, k: int) -> float:
             ended = time.monotonic()
         finally:
             os.close(write_end)
+        SLICES.append(speed.probe())
         return ended - float(reader.read())
 
 
-def _one_round(src: str, args) -> dict[str, float]:
-    figures = {}
+def _normalised(figures: dict[str, float], mean_slice: float) -> dict[str, float]:
+    return {name: value * speed.REFERENCE_S / mean_slice for name, value in figures.items()}
+
+
+def _one_round(src: str, args) -> tuple[dict[str, float], dict[str, float]]:
+    """Every row of one round of ``src``: its raw seconds (with each mean slice as a
+    ``slice.*`` row), and the rows normalised by the slices of the process that timed them."""
+    figures, normalised = {}, {}
     if args.field_r:
         cmd = [sys.executable, __file__, "--field-child", src, *map(str, args.field_r)]
         done = subprocess.run(cmd, capture_output=True, text=True, check=True)
-        figures.update(json.loads(done.stdout))
+        child = json.loads(done.stdout)
+        figures.update(child["figures"])
+        figures["slice.field_child"] = child["slice"]
+        normalised.update(_normalised(child["figures"], child["slice"]))
+    SLICES.clear()
+    processes = {}
     for part, timer in (("wall", _wall), ("shutdown", _shutdown)):
         per_k = {f"cli.verify_r{k}.{part}": timer(src, k) for k in args.verify_r}
-        figures.update(per_k)
+        processes.update(per_k)
         if per_k:
-            figures[f"cli.verify.{part}"] = sum(per_k.values())
-    figures.update(_from_source(src))
-    return figures
+            processes[f"cli.verify.{part}"] = sum(per_k.values())
+    processes.update(_from_source(src))
+    figures.update(processes)
+    figures["slice.processes"] = fmean(SLICES)
+    normalised.update(_normalised(processes, figures["slice.processes"]))
+    return figures, normalised
 
 
 def _spread(values: list[float]) -> dict:
@@ -261,23 +309,28 @@ def measure(args) -> dict:
     sides = [str(Path(src).resolve()) for src in args.src]
     for src in sides:
         _wall(src, 3)  # warm-up: write the bytecode cache
-    rounds: list[list[dict[str, float]]] = [[] for _ in sides]
+    rounds: list[list[tuple[dict[str, float], dict[str, float]]]] = [[] for _ in sides]
     for i in range(args.rounds):
         order = range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))
         for side in order:
             rounds[side].append(_one_round(sides[side], args))
     metrics = {}
-    for name in rounds[0][0]:
-        spreads = [_spread([figures[name] for figures in side_rounds]) for side_rounds in rounds]
-        metrics[name] = {"unit": "s", "sides": spreads}
-        if len(spreads) == 2:
-            metrics[name]["ratio"] = spreads[1]["median"] / spreads[0]["median"]
+    for name in rounds[0][0][0]:
+        metric = metrics[name] = {"unit": "s"}
+        for key, part in (("sides", 0), ("normalised", 1)):
+            if name in rounds[0][0][part]:
+                metric[key] = [_spread([rnd[part][name] for rnd in side_rounds]) for side_rounds in rounds]
+        if len(sides) == 2:
+            for key, ratio in (("sides", "ratio"), ("normalised", "normalised_ratio")):
+                if key in metric:
+                    metric[ratio] = metric[key][1]["median"] / metric[key][0]["median"]
     return {
         "sides": [_revision(src) for src in sides],
         "python": platform.python_version(),
         "rounds": args.rounds,
         "field_r": list(args.field_r),
         "verify_r": list(args.verify_r),
+        "reference_s": speed.REFERENCE_S,
         "metrics": metrics,
     }
 
@@ -299,9 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     doc = measure(args)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for name, metric in doc["metrics"].items():
-        medians = " / ".join(f"{side['median'] * 1e3:.2f}" for side in metric["sides"])
-        ratio = f"  x{metric['ratio']:.3f}" if "ratio" in metric else ""
-        print(f"{name:<32} {medians} ms{ratio}")
+        line = f"{name:<36}"
+        for key, ratio in (("sides", "ratio"), ("normalised", "normalised_ratio")):
+            if key in metric:
+                line += " / ".join(f"{side['median'] * 1e3:10.2f}" for side in metric[key]) + " ms"
+                line += f"  x{metric[ratio]:.3f}    " if ratio in metric else "    "
+        print(line.rstrip())
     return 0
 
 

@@ -23,9 +23,10 @@ byte plane rather than N bit reads.  The generator rows of the dual
 are built by it too, in :mod:`kmoments.codes_checks`.
 
 Weight distributions come from the dual side: one Walsh-Hadamard
-transform of vector i gives the weight of every c_i(a), and the
-MacWilliams identity turns that weight histogram into the codeword
-counts through Krawtchouk polynomials (``_dual_weight_histogram``).
+transform of the block (``_block_transform``), which the two codes on it
+share, gives the weight of every c_i(a); the MacWilliams identity turns
+that weight histogram into the codeword counts through Krawtchouk
+polynomials (``_dual_weight_histogram``, which alone applies ``copies``).
 The transform is ``gf2r._walsh_hadamard``, the packed one the
 character-sum row of :mod:`kmoments.kloosterman_checks` runs on too; no
 check has it on both sides, since the row is checked against the K table
@@ -127,26 +128,37 @@ def _bit_rows(values, r: int, copies: int) -> list[int]:
     return rows
 
 
-def _dual_weight_histogram(ctx: FieldContext, i: int, block=None) -> Counter:
+def _block_transform(ctx: FieldContext, i: int, block=None) -> Counter:
+    """The values F(u), u < q, of the Walsh-Hadamard transform of code i's block, counted.
+
+    f is the indicator of the block's entries, which are distinct and
+    nonzero, and n = N / copies, so the two codes on the block share F.
+    ``block``, as ``_base_entries`` returns it, may be passed in.
+    """
+    block = _base_entries(ctx, i) if block is None else block
+    return Counter(_walsh_hadamard(ctx.q, block, code_length(ctx, i) // code_shape(i)[1]))
+
+
+def _dual_weight_histogram(ctx: FieldContext, i: int, transform=None) -> Counter:
     """How many of the q dual words c_i(a) have each Hamming weight.
 
     With f[beta] the multiplicity of beta in vector i, the integer
-    Walsh-Hadamard transform F(u) = sum_beta f[beta] (-1)^popcount(u & beta)
+    Walsh-Hadamard transform sum_beta f[beta] (-1)^popcount(u & beta)
     is N - 2 wt(c), where c is the word with bit l = popcount(u & entry_l)
     mod 2.  The maps x -> popcount(u & x) mod 2 over all u are exactly the
     maps x -> tr(a x), so the q values of u give the dual words with
     multiplicity (twice each for codes 1 and 2 at r = 2).
 
-    The block's entries are distinct and nonzero, each listed ``copies``
-    times, so F is ``gf2r._walsh_hadamard`` with n = N (a list butterfly
-    in the tests is its oracle); each distinct F(u) maps to a weight once.
-    ``block``, the block's entries as ``_base_entries`` returns them, may
-    be passed in.
+    Vector i is its block written ``copies`` times, so that transform is
+    copies F, F the block's (``_block_transform``, with a list butterfly in
+    the tests as oracle): each distinct F maps once to (N - copies F) / 2.
+    ``transform``, the counted F, may be passed in by the other code on the block.
     """
-    n = code_length(ctx, i)
-    block = _base_entries(ctx, i) if block is None else block
-    values = _walsh_hadamard(ctx.q, block, code_shape(i)[1], n)
-    return Counter({(n - v) >> 1: c for v, c in Counter(values).items()})
+    n, copies = code_length(ctx, i), code_shape(i)[1]
+    transform = _block_transform(ctx, i) if transform is None else transform
+    if sum(transform.values()) != ctx.q:
+        raise ValueError(f"need the q = {ctx.q} transform values, got {sum(transform.values())}")
+    return Counter({(n - copies * v) >> 1: c for v, c in transform.items()})
 
 
 def weight_distribution(

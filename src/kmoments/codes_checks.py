@@ -67,6 +67,8 @@ def dual_weights(ctx: FieldContext, i: int, walk=None) -> tuple[int, ...]:
     _, copies = codes.code_shape(i)
     if walk is None:
         walk = _block_walk(_generator_rows(ctx, i), codes.code_length(ctx, i) // copies, ctx.q)
+    elif len(walk) != ctx.q:
+        raise ValueError(f"need the block's q = {ctx.q} walk weights, got {len(walk)}")
     return walk if copies == 1 else tuple(copies * w for w in walk)
 
 

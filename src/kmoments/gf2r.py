@@ -33,8 +33,8 @@ Three private helpers serve the layers above: ``_trace_map`` is the
 table phi with tr(x y) = parity(x & phi(y)), the one form in which the
 codes' generator rows and the character-sum row read the trace;
 ``_unpack_slots`` reads the fixed-width slots of an int back, and
-``_walsh_hadamard`` is the one Walsh-Hadamard transform, on q slots of
-one int, that the character-sum row and the codes' weights both run on.
+``_walsh_hadamard`` transforms a point set's indicator on q slots of one
+int, for the character-sum row and each code's block (never its copies).
 """
 
 import sys
@@ -97,11 +97,11 @@ def _wht_stages(q: int, width: int) -> list[tuple[int, int, int]]:
     return stages
 
 
-def _walsh_hadamard(q: int, points, copies: int, n: int) -> memoryview:
+def _walsh_hadamard(q: int, points, n: int) -> memoryview:
     """F(u) = sum_x f[x] (-1)^popcount(u & x) for every u < q, as a signed view.
 
-    f[x] is ``copies`` at each of the distinct nonzero ``points``, and n,
-    sum_x f[x], comes from a length the caller knows.  The q values live
+    f is the indicator of the distinct nonzero ``points``, and n, their
+    number, comes from a length the caller knows.  The q values live
     in one int, slot k holding F_k + B in ``width`` little-endian bytes,
     B = 2^(8 width - 1).  Every partial sum of the butterflies is bounded
     by n, so the narrowest width with n < B keeps every slot in
@@ -125,7 +125,7 @@ def _walsh_hadamard(q: int, points, copies: int, n: int) -> memoryview:
     # f[x] + B in every slot; B's low byte is 0 (or 0x80 in one-byte slots)
     f = bytearray(half * q)
     for p in points:
-        f[p * width] += copies
+        f[p * width] += 1
     x = int.from_bytes(f, "little")
     for shift, mask, stage_bias in _wht_stages(q, width):
         lo = x & mask

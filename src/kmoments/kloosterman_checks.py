@@ -50,5 +50,5 @@ def quadratic_char_sums(ctx: FieldContext, b: int, phi=None) -> list[int | None]
     _check_int("b", b, 0, ctx.q - 1)
     phi = _trace_map(ctx) if phi is None else phi
     points = [phi[ctx.inv_table[t ^ b]] for t in ctx.theta if t != b]
-    f = _walsh_hadamard(ctx.q, points, 1, ctx.q // 2 - 1 + ctx.trace_table[b])
+    f = _walsh_hadamard(ctx.q, points, ctx.q // 2 - 1 + ctx.trace_table[b])
     return [None] + [2 * x for x in f[1:]]

@@ -42,9 +42,10 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
     under each code (``quadratic_char_sums`` at b = 0 and at every
     trace-one b, or two above DIGEST_FULL_ROWS_MAX_R).  The field rows come
-    first, under code None.  Once per block: the Gray-code walk, shared by
-    the two codes on it (a word of a two-copy code is its block's word
-    twice, so its weights are twice the block's).  Once per code: the
+    first, under code None.  Once per block: the Gray-code walk and the
+    counted Walsh-Hadamard transform, shared by the two codes on it (a
+    word of a two-copy code is its block's word twice, so its weights are
+    twice the block's and its transform values too).  Once per code: the
     entries, H and G, the dual-weight histogram, the weight distribution
     (to h_max only above DIGEST_FULL_ROWS_MAX_R), the Pless sums and the
     dual-structure report; and one closed form per distinct K value.
@@ -77,7 +78,7 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
         char_sums.append(("irreducible_char_sum", all(map(char_sums_hold, bs)), note))
 
-    walks = {}  # trace -> the block's dual weights, from the first code on that block
+    blocks = {}  # trace -> the block's walk and counted transform, from the first code on it
     for i in codes:
         n = codes_mod.code_length(ctx, i)
         if not n:
@@ -87,10 +88,12 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
             yield i, name, ok, note
         block = codes_mod._base_entries(ctx, i)
         h_rows, g_rows = codes_mod._bit_rows(block, r, copies), codes_checks._generator_rows(ctx, i, phi, block)
-        if trace not in walks:
-            walks[trace] = codes_checks._block_walk(g_rows, n // copies, q)
-        weights = codes_checks.dual_weights(ctx, i, walks[trace])
-        histogram = codes_mod._dual_weight_histogram(ctx, i, block)
+        if trace not in blocks:
+            walk = codes_checks._block_walk(g_rows, n // copies, q)
+            blocks[trace] = walk, codes_mod._block_transform(ctx, i, block)
+        walk, transform = blocks[trace]
+        weights = codes_checks.dual_weights(ctx, i, walk)
+        histogram = codes_mod._dual_weight_histogram(ctx, i, transform)
         j_max = n if full_rows else min(n, h_max)
         dist = codes_mod.weight_distribution(ctx, i, j_max=j_max, histogram=histogram)
 

@@ -312,6 +312,7 @@ def test_verify_builds_each_stage_once(capsys, monkeypatch):
         (codes, "_bit_rows"),
         (codes_checks, "_generator_rows"),
         (codes_checks, "_block_walk"),
+        (codes, "_block_transform"),
         (codes, "_dual_weight_histogram"),
         (mo, "_pless_sums"),
     ]
@@ -319,14 +320,15 @@ def test_verify_builds_each_stage_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
     assert code == 0
     # phi once for the r, shared by the 33 character-sum rows and the four G; per code the
-    # entries, H and G, the histogram and the Pless sums once; one walk per block, which
-    # codes 1 and 2 (3 and 4) share
+    # entries, H and G, the histogram and the Pless sums once; one walk and one transform
+    # per block, which codes 1 and 2 (3 and 4) share
     assert calls == {
         "_trace_map": 1,
         "_base_entries": 4,
         "_bit_rows": 8,
         "_generator_rows": 4,
         "_block_walk": 2,
+        "_block_transform": 2,
         "_dual_weight_histogram": 4,
         "_pless_sums": 4,
     }

@@ -365,6 +365,12 @@ def test_dual_weights_read_no_kloosterman_value(monkeypatch):
         assert dual_weights(field, i) == expected[i]
 
 
+def test_dual_weights_refuse_a_walk_not_of_q_weights():
+    # a walk holds the block's weight at every a, as pless_check's weights hold the code's
+    with pytest.raises(ValueError, match=r"need the block's q = 8 walk weights, got 3"):
+        dual_weights(build_field(3), 1, walk=(1, 2, 3))
+
+
 def test_dual_weights_keep_one_word_at_a_time():
     # the q = 16384 stored words of 16384 bits each would peak near 35 MiB
     import tracemalloc
@@ -542,11 +548,30 @@ def test_packed_histogram_equals_list_butterfly(r, contexts):
         assert packed == oracle, i
 
 
-@pytest.mark.parametrize("r, i", [(15, 3), (16, 1), (16, 3)])
-def test_packed_histogram_four_byte_slots(r, i):
-    # N >= 2^15 leaves only the four-byte slots
+@pytest.mark.parametrize("r", range(2, 13))
+def test_the_two_codes_on_a_block_share_its_transform(r, contexts):
+    # a word of code 1 (3) is the block of code 2 (4) twice: one transform serves both
+    ctx = contexts[r] if r <= 8 else build_field(r)
+    for i in (1, 3):
+        shared = codes_mod._block_transform(ctx, i + 1)
+        assert codes_mod._block_transform(ctx, i) == shared, (r, i)
+        assert codes_mod._dual_weight_histogram(ctx, i, shared) == codes_mod._dual_weight_histogram(ctx, i), (r, i)
+
+
+def test_dual_weight_histogram_refuses_a_transform_not_of_q_values():
+    ctx = build_field(3)
+    transform = codes_mod._block_transform(ctx, 3)
+    transform[ctx.q // 2] -= 1
+    with pytest.raises(ValueError, match=r"need the q = 8 transform values, got 7"):
+        codes_mod._dual_weight_histogram(ctx, 3, transform)
+
+
+@pytest.mark.parametrize("r, i", [(15, 3), (16, 1), (16, 3), (16, 4)])
+def test_packed_histogram_at_r15_and_r16(r, i):
+    # the transform runs on the block, n = N / copies points: two-byte slots up to
+    # n = 2^15 - 1 (code 3 at r = 15, code 1 at r = 16), four-byte slots for the
+    # 2^15 points of codes 3 and 4 at r = 16
     ctx = build_field(r)
-    assert code_length(ctx, i) >= 1 << 15
     packed, oracle = _packed_and_oracle(ctx, i)
     assert packed == oracle
 

@@ -352,23 +352,20 @@ def test_build_deterministic():
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), r=st.integers(1, 10), copies=st.sampled_from([1, 2]))
-def test_walsh_hadamard_equals_list_butterfly(data, r, copies):
+@given(data=st.data(), r=st.integers(1, 10))
+def test_walsh_hadamard_equals_list_butterfly(data, r):
     q = 1 << r
     points = data.draw(st.lists(st.integers(1, q - 1), unique=True), label="points")
-    packed = _walsh_hadamard(q, points, copies, copies * len(points))
-    assert list(packed) == oracles.wht_values(points, copies, q)
+    packed = _walsh_hadamard(q, points, len(points))
+    assert list(packed) == oracles.wht_values(points, 1, q)
 
 
 # n odd points give F(0) = n and F(1) = -n, the extremes a slot must hold: one-byte
 # slots up to n = 127, two-byte slots up to n = 2^15 - 1, four-byte slots past it
-@pytest.mark.parametrize(
-    "r, count, copies",
-    [(8, 127, 1), (8, 128, 1), (8, 64, 2), (16, (1 << 15) - 1, 1), (16, 1 << 15, 1)],
-)
-def test_walsh_hadamard_at_each_slot_width_edge(r, count, copies):
+@pytest.mark.parametrize("r, count", [(8, 127), (8, 128), (16, (1 << 15) - 1), (16, 1 << 15)])
+def test_walsh_hadamard_at_each_slot_width_edge(r, count):
     q = 1 << r
     points = random.Random(count).sample(range(1, q, 2), count)
-    packed = _walsh_hadamard(q, points, copies, copies * count)
-    assert (packed[0], packed[1]) == (copies * count, -copies * count)
-    assert list(packed) == oracles.wht_values(points, copies, q)
+    packed = _walsh_hadamard(q, points, count)
+    assert (packed[0], packed[1]) == (count, -count)
+    assert list(packed) == oracles.wht_values(points, 1, q)

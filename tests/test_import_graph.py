@@ -255,8 +255,8 @@ def test_k_table_rule_rejects_a_read_of_the_trace_form(imported, read):
 @pytest.mark.parametrize(
     "imported, read, name",
     [
-        (None, "_walsh_hadamard(ctx.q, [], 1, 0)", "_walsh_hadamard"),
-        ("from . import gf2r", "gf2r._walsh_hadamard(ctx.q, [], 1, 0)", "_walsh_hadamard"),
+        (None, "_walsh_hadamard(ctx.q, [], 0)", "_walsh_hadamard"),
+        ("from . import gf2r", "gf2r._walsh_hadamard(ctx.q, [], 0)", "_walsh_hadamard"),
         ("from .gf2r import _wht_stages", "_wht_stages(ctx.q, 2)", "_wht_stages"),
         ("from .gf2r import _wht_stages as stages", "stages(ctx.q, 2)", "_wht_stages"),
         ("import kmoments.gf2r as g", "g._wht_stages(ctx.q, 2)", "_wht_stages"),

@@ -92,8 +92,8 @@ def _more_zero_words(mp):
     # q more dual words of weight 0: every MacWilliams sum stays divisible by q
     real = codes._dual_weight_histogram
 
-    def mutant(ctx, i, block=None):
-        histogram = real(ctx, i, block)
+    def mutant(ctx, i, transform=None):
+        histogram = real(ctx, i, transform)
         histogram[0] += ctx.q
         return histogram
 
