@@ -34,7 +34,7 @@ table phi with tr(x y) = parity(x & phi(y)), the one form in which the
 codes' generator rows and the character-sum row read the trace;
 ``_unpack_slots`` reads the fixed-width slots of an int back, and
 ``_walsh_hadamard`` transforms a point set's indicator on q slots of one
-int, for the character-sum row and each code's block (never its copies).
+int, for the character-sum row and for each code's block.
 """
 
 import sys
