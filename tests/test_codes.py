@@ -561,7 +561,7 @@ def test_the_two_codes_on_a_block_share_its_transform(r, contexts):
 def test_dual_weight_histogram_refuses_a_transform_not_of_q_values():
     ctx = build_field(3)
     transform = codes_mod._block_transform(ctx, 3)
-    transform[ctx.q // 2] -= 1
+    transform[ctx.q // 2] -= 1  # F(0) = n = q/2, the block's length
     with pytest.raises(ValueError, match=r"need the q = 8 transform values, got 7"):
         codes_mod._dual_weight_histogram(ctx, 3, transform)
 
