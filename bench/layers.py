@@ -16,18 +16,24 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   4), 10))`` at each r, every verify row of all four codes on a context
   built outside the timed call; the median of a few calls, or one call
   per round from r = 14, where a pass takes from 0.2 s to seconds.  It
-  also times, at each r, the stages that pass builds (``stages``): the
-  trace map phi, the generator rows G of each code, each code's dual
-  weights (the Gray-code walk with its G; codes 2 and 4 walk their
-  block alone), each code's dual-weight histogram (``transform``: the
-  Walsh-Hadamard transform it is read from) and the Pless sums of the
-  four codes at h = 0..10 from distributions built outside the timed
-  call; each the median of a few calls, and the walk one call per round
-  from r = 14.  The calls, ``gf2r._trace_map(ctx)``,
-  ``codes_checks._generator_rows(ctx, i)``, ``codes_checks.dual_weights(ctx,
-  i)``, ``codes._dual_weight_histogram(ctx, i)`` and
-  ``moments._pless_sums(10, N, counts)``, have kept their signatures
-  since the package split, so either tree of an A/B run takes them;
+  also times, at each r, the builders that pass's stage record calls
+  (``stages``), each on stage values built outside the timed call, as
+  the record hands them on: the trace map phi, the generator rows G of
+  each code from phi and its block, each code's dual weights (the
+  Gray-code walk over its G; codes 2 and 4 walk their block alone), each
+  code's dual-weight histogram (``transform``: the Walsh-Hadamard
+  transform of its block, which the histogram is read from) and the
+  Pless sums of the four codes at h = 0..10 from their distributions;
+  each the median of a few calls, and the walk one call per round from
+  r = 14.  The calls, ``gf2r._trace_map(ctx)``,
+  ``codes_checks._generator_rows(ctx, i, phi, block)``,
+  ``codes_checks.dual_weights(ctx, i, codes_checks._block_walk(G, m,
+  q))``, ``codes._dual_weight_histogram(ctx, i,
+  codes._block_transform(ctx, i, block))`` and ``moments._pless_sums(10,
+  N, counts)``, pass every stage value by position, which the optional
+  stage parameters of earlier trees take too, so either tree of an A/B
+  run takes them back to the one where ``_dual_weight_histogram`` first
+  took its ``transform`` (3bdaec2);
 - for each ``--verify-r`` k, two whole-process runs of ``verify --r k
   --hmax 10``, perfbench's ``verify`` job at that r.  The first is
   ``python -m kmoments.cli`` as is, timed from start to exit
@@ -41,14 +47,17 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   each of perfbench's two ``ktable`` jobs, ``moments --r k --code 4
   --hmax 1 --format csv`` at k = 11 and 12, its whole-process
   ``source_wall``.  These children run with ``PYTHONDONTWRITEBYTECODE=1``
-  on a copy of the tree's package without ``__pycache__``, so they read
-  no bytecode of kmoments and write none, while the standard library
+  on a fresh copy of the tree's package without ``__pycache__``, so they
+  read no bytecode of kmoments and write none, while the standard library
   still loads from its own cache.  (``PYTHONPYCACHEPREFIX`` would move
   the standard library's cache lookups too, and every child would
   compile ``site`` and what it imports from source as well.)
 
-One warm-up run per tree first writes its bytecode cache, which every
-other row reads.
+Every row runs on a temporary copy of each tree's package, made
+without ``__pycache__`` before the first round, so the bench writes no
+bytecode into a checkout it measures.  One warm-up run per copy first
+writes the copy's bytecode cache, which every other row but the three
+above reads.
 
 The host's speed drifts between rounds, so every row is also given
 normalised, as perfbench does: after each timed call (in the child) or
@@ -69,6 +78,7 @@ the figures are for a reader to compare.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -138,15 +148,25 @@ def _stages(r: int) -> dict[str, float]:
     calls = CALLS_LARGE_R if r >= LARGE_R else CALLS_SMALL_R
     lengths = {i: n for i in codes.CODE_INDICES if (n := codes.code_length(ctx, i))}
     out = {f"stages.r{r}.trace_map": _median_s(lambda: gf2r._trace_map(ctx), calls)}
+    phi = gf2r._trace_map(ctx)
+    blocks = {i: codes._base_entries(ctx, i) for i in lengths}
+    gens = {i: codes_checks._generator_rows(ctx, i, phi, blocks[i]) for i in lengths}
     for i in lengths:
-        gens = _median_s(lambda: codes_checks._generator_rows(ctx, i), calls)
-        out[f"stages.r{r}.generator_rows.code{i}"] = gens
+        rows = _median_s(lambda: codes_checks._generator_rows(ctx, i, phi, blocks[i]), calls)
+        out[f"stages.r{r}.generator_rows.code{i}"] = rows
+    for i, n in lengths.items():
+        m = n // codes.code_shape(i)[1]
+
+        def walk():
+            return codes_checks.dual_weights(ctx, i, codes_checks._block_walk(gens[i], m, ctx.q))
+
+        out[f"stages.r{r}.dual_weights.code{i}"] = _median_s(walk, 1 if r >= LARGE_R else calls)
     for i in lengths:
-        walk = _median_s(lambda: codes_checks.dual_weights(ctx, i), 1 if r >= LARGE_R else calls)
-        out[f"stages.r{r}.dual_weights.code{i}"] = walk
-    for i in lengths:
-        transform = _median_s(lambda: codes._dual_weight_histogram(ctx, i), calls)
-        out[f"stages.r{r}.transform.code{i}"] = transform
+
+        def transform():
+            return codes._dual_weight_histogram(ctx, i, codes._block_transform(ctx, i, blocks[i]))
+
+        out[f"stages.r{r}.transform.code{i}"] = _median_s(transform, calls)
     dists = {i: codes.weight_distribution(ctx, i, j_max=min(n, HMAX)) for i, n in lengths.items()}
 
     def pless_sums():
@@ -197,7 +217,7 @@ def _field_child(src: str, rs: list[int]) -> dict:
 
 def _env(src: str) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": src}
-    # both trees read their own bytecode cache, written by the warm-up run
+    # each copy reads its own bytecode cache, written by its warm-up run
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     return env
 
@@ -224,12 +244,17 @@ def _wall(src: str, k: int) -> float:
     return _timed_cli(_verify_argv(k), _env(src))
 
 
+def _copy(src: str, stack: contextlib.ExitStack) -> str:
+    """A temporary src directory holding a copy of the ``kmoments`` package of ``src``, without its bytecode."""
+    copy = stack.enter_context(tempfile.TemporaryDirectory())
+    shutil.copytree(Path(src, "kmoments"), Path(copy, "kmoments"), ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
 def _from_source(src: str) -> dict[str, float]:
     """``import kmoments.cli`` in a child, and each ktable job whole-process, compiled from source."""
-    with tempfile.TemporaryDirectory() as copy:
-        ignore = shutil.ignore_patterns("__pycache__")
-        shutil.copytree(Path(src, "kmoments"), Path(copy, "kmoments"), ignore=ignore)
-        env = {**os.environ, "PYTHONPATH": copy, "PYTHONDONTWRITEBYTECODE": "1"}
+    with contextlib.ExitStack() as stack:
+        env = {**os.environ, "PYTHONPATH": _copy(src, stack), "PYTHONDONTWRITEBYTECODE": "1"}
         done = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env, capture_output=True, check=True)
         SLICES.append(speed.probe())
         figures = {"cli.import_source": float(done.stdout)}
@@ -307,13 +332,15 @@ def _revision(src: str) -> dict:
 
 def measure(args) -> dict:
     sides = [str(Path(src).resolve()) for src in args.src]
-    for src in sides:
-        _wall(src, 3)  # warm-up: write the bytecode cache
     rounds: list[list[tuple[dict[str, float], dict[str, float]]]] = [[] for _ in sides]
-    for i in range(args.rounds):
-        order = range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))
-        for side in order:
-            rounds[side].append(_one_round(sides[side], args))
+    with contextlib.ExitStack() as stack:
+        copies = [_copy(src, stack) for src in sides]
+        for copy in copies:
+            _wall(copy, 3)  # warm-up: write the copy's bytecode cache
+        for i in range(args.rounds):
+            order = range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))
+            for side in order:
+                rounds[side].append(_one_round(copies[side], args))
     metrics = {}
     for name in rounds[0][0][0]:
         metric = metrics[name] = {"unit": "s"}

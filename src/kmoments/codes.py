@@ -25,8 +25,10 @@ are built by it too, in :mod:`kmoments.codes_checks`.
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of the block (``_block_transform``), which the two codes on it
 share, gives the weight of every c_i(a); the MacWilliams identity turns
-that weight histogram into the codeword counts through Krawtchouk
-polynomials (``_dual_weight_histogram``, which alone applies ``copies``).
+that weight histogram (``_dual_weight_histogram``, which alone applies
+``copies``) into the codeword counts through Krawtchouk polynomials
+(``_macwilliams``).  ``weight_distribution`` composes them from the
+context; ``verify``'s stage record calls each on the values it holds.
 The transform is ``gf2r._walsh_hadamard``, the packed one the
 character-sum row of :mod:`kmoments.kloosterman_checks` runs on too; no
 check has it on both sides, since the row is checked against the K table
@@ -109,10 +111,6 @@ def _base_entries(ctx: FieldContext, i: int) -> tuple[int, ...]:
     return tuple(ctx.inv_table[shift ^ g] for g in ctx.theta[1 - trace :])
 
 
-def _vector(ctx: FieldContext, i: int) -> tuple[int, ...]:
-    return _base_entries(ctx, i) * code_shape(i)[1]
-
-
 def _bit_rows(values, r: int, copies: int) -> list[int]:
     """r bitmasks of N = copies * len(values) bits: bit l of row k is bit k of entry l
     of ``values`` written ``copies`` times.
@@ -128,18 +126,17 @@ def _bit_rows(values, r: int, copies: int) -> list[int]:
     return rows
 
 
-def _block_transform(ctx: FieldContext, i: int, block=None) -> Counter:
+def _block_transform(ctx: FieldContext, i: int, block) -> Counter:
     """The values F(u), u < q, of the Walsh-Hadamard transform of code i's block, counted.
 
-    f is the indicator of the block's entries, which are distinct and
-    nonzero, and n = N / copies, so the two codes on the block share F.
-    ``block``, as ``_base_entries`` returns it, may be passed in.
+    f is the indicator of the block's entries, ``block`` as ``_base_entries``
+    returns it, which are distinct and nonzero, and n = N / copies, so the
+    two codes on the block share F.
     """
-    block = _base_entries(ctx, i) if block is None else block
     return Counter(_walsh_hadamard(ctx.q, block, code_length(ctx, i) // code_shape(i)[1]))
 
 
-def _dual_weight_histogram(ctx: FieldContext, i: int, transform=None) -> Counter:
+def _dual_weight_histogram(ctx: FieldContext, i: int, transform) -> Counter:
     """How many of the q dual words c_i(a) have each Hamming weight.
 
     With f[beta] the multiplicity of beta in vector i, the integer
@@ -150,39 +147,43 @@ def _dual_weight_histogram(ctx: FieldContext, i: int, transform=None) -> Counter
     multiplicity (twice each for codes 1 and 2 at r = 2).
 
     Vector i is its block written ``copies`` times, so that transform is
-    copies F, F the block's (``_block_transform``, with a list butterfly in
-    the tests as oracle): each distinct F maps once to (N - copies F) / 2.
-    ``transform``, the counted F, may be passed in by the other code on the block.
+    copies F, F the block's counted ``transform`` (``_block_transform``, with
+    a list butterfly in the tests as oracle): each distinct F maps once to
+    (N - copies F) / 2.
     """
     n, copies = code_length(ctx, i), code_shape(i)[1]
-    transform = _block_transform(ctx, i) if transform is None else transform
-    if sum(transform.values()) != ctx.q:
-        raise ValueError(f"need the q = {ctx.q} transform values, got {sum(transform.values())}")
     return Counter({(n - copies * v) >> 1: c for v, c in transform.items()})
 
 
-def weight_distribution(
-    ctx: FieldContext, i: int, j_max: int | None = None, histogram=None
-) -> tuple[int, ...]:
+def weight_distribution(ctx: FieldContext, i: int, j_max: int | None = None) -> tuple[int, ...]:
     """The exact counts C_0..C_j_max of codewords of weight j in code i.
 
     The dual of code i is the set of trace words c_i(a), whose weights
-    one Walsh-Hadamard transform of vector i gives (see
-    ``_dual_weight_histogram``).  The MacWilliams identity then yields
-    C_j = q^-1 sum_w n_w K_j(w), where n_w counts the a with
-    wt(c_i(a)) = w and K_j is the binary Krawtchouk polynomial of
-    length N, evaluated exactly by its three-term recurrence.  No K(a)
-    value is read.  The cost is O(q r) for the transform, none if the
-    caller passes its ``histogram`` in, plus O(j_max) Krawtchouk terms per
-    distinct weight, of which there are O(sqrt(q)).
+    one Walsh-Hadamard transform of the block gives (see
+    ``_dual_weight_histogram``), in O(q r); ``_macwilliams`` turns their
+    histogram into the counts.  No K(a) value is read.
     """
     _check_code(ctx, i)
     n = code_length(ctx, i)
     if j_max is None:
         j_max = n
     _check_int("j_max", j_max, 0, n)
+    transform = _block_transform(ctx, i, _base_entries(ctx, i))
+    return _macwilliams(ctx, i, _dual_weight_histogram(ctx, i, transform), j_max)
+
+
+def _macwilliams(ctx: FieldContext, i: int, histogram, j_max: int) -> tuple[int, ...]:
+    """C_0..C_j_max of code i from ``histogram``, the dual-weight histogram.
+
+    The MacWilliams identity gives C_j = q^-1 sum_w n_w K_j(w), where n_w
+    counts the a with wt(c_i(a)) = w and K_j is the binary Krawtchouk
+    polynomial of length N, evaluated exactly by its three-term
+    recurrence: O(j_max) terms per distinct weight, of which there are
+    O(sqrt(q)).
+    """
+    n = code_length(ctx, i)
     totals = [0] * (j_max + 1)
-    for w, count in (_dual_weight_histogram(ctx, i) if histogram is None else histogram).items():
+    for w, count in histogram.items():
         # (j+1) K_{j+1} = (N-2w) K_j - (N-j+1) K_{j-1}, K_0 = 1, K_1 = N-2w
         prev, cur = 0, 1
         totals[0] += count

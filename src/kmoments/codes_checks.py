@@ -9,19 +9,21 @@ there reaches both halves alike.
 The dual of code i is the set of trace words c_i(a) (see
 :mod:`kmoments.codes`).  The map a -> c_i(a) is GF(2)-linear, so one
 Gray-code walk over the r words of a = 2^k, one running word and one
-XOR per step, gives the weights of all q dual words (``dual_weights``);
-it reads one block, which codes 1 and 2 (3 and 4) share.  The r
+XOR per step, gives the weights of all q dual words (``_block_walk``,
+which ``dual_weights`` scales by ``copies``); it reads one block, which
+codes 1 and 2 (3 and 4) share.  The r
 generators c_i(2^k) come from ``codes._bit_rows``, the builder of the
 parity rows: generator k holds bit k of each phi(entry), phi the trace
 map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).  The dual
 structure is GF(2) ranks of these rows (``verify_dual_structure``), and
 the enumeration of the codewords walks a nullspace basis of the parity
-rows (``weight_distribution_exhaustive``).  Each takes the stage values
-a caller has built, so ``verify`` builds each once.
+rows (``weight_distribution_exhaustive``), which alone builds what it
+reads.  Every other function takes the stage values it reads as
+arguments, so ``verify`` builds each once.
 """
 
 from . import codes
-from .gf2r import FieldContext, _check_int, _trace_map
+from .gf2r import FieldContext, _check_int
 
 __all__ = [
     "dual_weights",
@@ -33,11 +35,9 @@ __all__ = [
 ]
 
 
-def _generator_rows(ctx: FieldContext, i: int, phi=None, block=None) -> list[int]:
-    # the r words c_i(2^k): tr(2^k x) is bit k of phi(x), phi the trace map; phi and the
-    # block's entries (as codes._base_entries returns them) may be passed in
-    phi = _trace_map(ctx) if phi is None else phi
-    block = codes._base_entries(ctx, i) if block is None else block
+def _generator_rows(ctx: FieldContext, i: int, phi, block) -> list[int]:
+    # the r words c_i(2^k) over the block's entries (as codes._base_entries returns them):
+    # tr(2^k x) is bit k of phi(x), phi the trace map gf2r._trace_map
     return codes._bit_rows([phi[e] for e in block], ctx.r, codes.code_shape(i)[1])
 
 
@@ -53,22 +53,18 @@ def _block_walk(gens: list[int], m: int, q: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def dual_weights(ctx: FieldContext, i: int, walk=None) -> tuple[int, ...]:
-    """wt(c_i(a)) for every a, indexed by a, in O(rN) memory.
+def dual_weights(ctx: FieldContext, i: int, walk) -> tuple[int, ...]:
+    """wt(c_i(a)) for every a, indexed by a, from ``walk``, the block's weights.
 
     c_i(a) is GF(2)-linear in a, so one walk over the generator rows G
-    gives every weight, ``copies`` times the weight of the block's word.
-    Reads only the trace and exp/log tables, never a Kloosterman value or
-    the Walsh-Hadamard weight histogram; ``dual_codeword`` is the per-a oracle.
-    ``walk``, the block's weights as ``_block_walk`` returns them, may be
-    passed in: the other code on the block has the same walk.
+    (``_block_walk``, in O(rN) memory) gives every weight of the block's
+    word, which the two codes on the block share; code i's weight is
+    ``copies`` times it.  The walk reads only the trace and exp/log
+    tables, never a Kloosterman value or the Walsh-Hadamard weight
+    histogram; ``dual_codeword`` is the per-a oracle.
     """
     codes._check_code(ctx, i)
     _, copies = codes.code_shape(i)
-    if walk is None:
-        walk = _block_walk(_generator_rows(ctx, i), codes.code_length(ctx, i) // copies, ctx.q)
-    elif len(walk) != ctx.q:
-        raise ValueError(f"need the block's q = {ctx.q} walk weights, got {len(walk)}")
     return walk if copies == 1 else tuple(copies * w for w in walk)
 
 
@@ -80,15 +76,15 @@ def dual_weight_fraction(q: int, i: int, k: int) -> tuple[int, int]:
     return (q + 1 + k if trace else q - 1 - k), 4 // copies
 
 
-def code_cardinality(ctx: FieldContext, i: int, histogram=None) -> int:
+def code_cardinality(ctx: FieldContext, i: int, histogram) -> int:
     """Total number of codewords, n_0 * 2^N / q by MacWilliams at z=1.
 
     n_0 is the number of a with c_i(a) = 0, the kernel of the dual map,
-    read from the same O(q r) transform as ``weight_distribution`` (or
-    passed in as ``histogram``).
+    read from ``histogram``, the dual-weight histogram that the weight
+    distribution is read from (``codes._dual_weight_histogram``).
     """
     codes._check_code(ctx, i)
-    n0 = (codes._dual_weight_histogram(ctx, i) if histogram is None else histogram)[0]
+    n0 = histogram[0]
     size, rem = divmod(n0 << codes.code_length(ctx, i), ctx.q)
     if rem:
         raise ArithmeticError(f"cardinality {n0}*2^N/q not integral")
@@ -131,7 +127,7 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]
     return tuple(counts)
 
 
-def verify_dual_structure(ctx: FieldContext, i: int, h_rows=None, g_rows=None) -> dict:
+def verify_dual_structure(ctx: FieldContext, i: int, h_rows, g_rows) -> dict:
     """Check that {c_i(a)} really is the dual of code i.
 
     Returns five facts: ``orthogonal`` (every c_i(a) is orthogonal to
@@ -148,12 +144,11 @@ def verify_dual_structure(ctx: FieldContext, i: int, h_rows=None, g_rows=None) -
     2^(r - rank G) zeros and 2^rank G images.  The code is ker H, of size
     2^(N - rank H), and its orthogonal complement is the row space of H;
     so every c_i(a) is orthogonal to every codeword iff
-    rank [H; G] = rank H.  H and G may be passed in.
+    rank [H; G] = rank H.  H is ``h_rows``, as ``codes.parity_check_rows``
+    returns it, and G is ``g_rows``, as ``_generator_rows`` returns it.
     """
     codes._check_code(ctx, i)
     n = codes.code_length(ctx, i)
-    h_rows = codes.parity_check_rows(ctx, i) if h_rows is None else h_rows
-    g_rows = _generator_rows(ctx, i) if g_rows is None else g_rows
     rank_h, rank_g = codes.gf2_rank(h_rows), codes.gf2_rank(g_rows)
     cardinality = 1 << (n - rank_h)
     return {

@@ -27,12 +27,12 @@ shares only the slot reader ``gf2r._unpack_slots`` with the K table;
 its oracles are the literal sums of :mod:`kmoments.kloosterman_oracles`.
 """
 
-from .gf2r import FieldContext, _check_int, _trace_map, _walsh_hadamard
+from .gf2r import FieldContext, _check_int, _walsh_hadamard
 
 __all__ = ["quadratic_char_sums"]
 
 
-def quadratic_char_sums(ctx: FieldContext, b: int, phi=None) -> list[int | None]:
+def quadratic_char_sums(ctx: FieldContext, b: int, phi) -> list[int | None]:
     """Sum of lambda(a/(alpha^2 + alpha + b)) over the alpha where it is defined, at every a.
 
     A list indexed by a, entry 0 None; any field element b is taken.
@@ -41,14 +41,13 @@ def quadratic_char_sums(ctx: FieldContext, b: int, phi=None) -> list[int | None]
     ``irreducible_quadratic_char_sum``, its oracles.  alpha and alpha + 1
     give the same denominator, and the denominators are the set D of
     nonzero d in b + theta, so entry a is twice the sum of lambda(a/d)
-    over D.  With phi(y) = sum_j tr(2^j y) 2^j, the table
-    ``gf2r._trace_map``, tr(a y) is the parity of a & phi(y); so the
-    sum is F(a) = sum_z f[z] (-1)^popcount(a & z), with f the indicator
-    of phi(1/d) over D: one ``gf2r._walsh_hadamard`` of f, with
-    n = |D| = q/2 - 1 + tr(b).  A caller that has built phi may pass it in.
+    over D.  With ``phi`` the table ``gf2r._trace_map``,
+    phi(y) = sum_j tr(2^j y) 2^j, tr(a y) is the parity of a & phi(y); so
+    the sum is F(a) = sum_z f[z] (-1)^popcount(a & z), with f the
+    indicator of phi(1/d) over D: one ``gf2r._walsh_hadamard`` of f, with
+    n = |D| = q/2 - 1 + tr(b).
     """
     _check_int("b", b, 0, ctx.q - 1)
-    phi = _trace_map(ctx) if phi is None else phi
     points = [phi[ctx.inv_table[t ^ b]] for t in ctx.theta if t != b]
     f = _walsh_hadamard(ctx.q, points, ctx.q // 2 - 1 + ctx.trace_table[b])
     return [None] + [2 * x for x in f[1:]]

@@ -63,13 +63,8 @@ def _pless_sums(h_max: int, n: int, dist) -> list[int]:
     return sums
 
 
-def _check_moment_args(ctx: FieldContext, i: int, h_max: int) -> None:
-    _check_code(ctx, i)
-    _check_int("h_max", h_max, 0)
-
-
-def _recursion_step(q: int, i: int, h: int, lower, pless: int) -> int:
-    """MK^h from MK^0..MK^(h-1) in ``lower`` and P_h of ``_pless_sums``.
+def _recursion(q: int, i: int, sums) -> tuple[int, ...]:
+    """MK^0..MK^h_max from the seed MK^0 = q - 1 and ``sums``, P_0..P_h_max of ``_pless_sums``.
 
     With s K(a) = d wt(c_i(a)) - c (s = -1, c = q - 1 for the trace-zero codes,
     s = 1, c = q + 1 for the trace-one codes, d = 4 / copies), the h-th powers
@@ -78,42 +73,23 @@ def _recursion_step(q: int, i: int, h: int, lower, pless: int) -> int:
     trace, copies = code_shape(i)
     s = 1 if trace else -1
     c = q + s
-    lower_terms = sum(comb(h, l) * c ** (h - l) * s**l * lower[l] for l in range(h))
-    return s**h * ((q * pless << (h if copies == 1 else 0)) - lower_terms)
+    mk = [q - 1]
+    for h in range(1, len(sums)):
+        lower_terms = sum(comb(h, l) * c ** (h - l) * s**l * mk[l] for l in range(h))
+        mk.append(s**h * ((q * sums[h] << (h if copies == 1 else 0)) - lower_terms))
+    return tuple(mk)
 
 
-def _counts(ctx: FieldContext, i: int, j_top: int, counts) -> tuple[int, ...]:
-    # the weight counts C_0..C_j_top at least: the given ones, or one distribution build
-    if counts is None:
-        return weight_distribution(ctx, i, j_max=j_top)
-    if len(counts) < j_top + 1:
-        raise ValueError(f"need weight counts up to j={j_top}, got {len(counts)}")
-    return counts
-
-
-def _sums(ctx: FieldContext, i: int, h_max: int, counts, sums) -> list[int]:
-    # P_0..P_h_max: the given ones, or _pless_sums over the counts of _counts
-    n = code_length(ctx, i)
-    sums = _pless_sums(h_max, n, _counts(ctx, i, min(n, h_max), counts)) if sums is None else sums
-    if len(sums) != h_max + 1:
-        raise ValueError(f"need the Pless sums P_0..P_{h_max}, got {len(sums)}")
-    return sums
-
-
-def moment_sequence(ctx: FieldContext, i: int, h_max: int, counts=None, sums=None) -> tuple[int, ...]:
+def moment_sequence(ctx: FieldContext, i: int, h_max: int) -> tuple[int, ...]:
     """MK^0..MK^h_max, iterating the code-i recursion from the seed MK^0 = q - 1.
 
-    ``counts``, the tuple ``weight_distribution`` returns, may give the
-    weight counts C_0..C_j of code i for some j >= min(N, h_max), or
-    ``sums`` their Pless sums P_0..P_h_max; without either the
-    distribution is built up to there.
+    The weight distribution is built up to weight min(N, h_max), and
+    ``_recursion`` runs on its Pless sums.
     """
-    _check_moment_args(ctx, i, h_max)
-    sums = _sums(ctx, i, h_max, counts, sums)
-    mk = [ctx.q - 1]
-    for h in range(1, h_max + 1):
-        mk.append(_recursion_step(ctx.q, i, h, mk, sums[h]))
-    return tuple(mk)
+    _check_code(ctx, i)
+    _check_int("h_max", h_max, 0)
+    n = code_length(ctx, i)
+    return _recursion(ctx.q, i, _pless_sums(h_max, n, weight_distribution(ctx, i, j_max=min(n, h_max))))
 
 
 def __getattr__(name: str):

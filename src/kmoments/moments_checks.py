@@ -2,9 +2,9 @@
 
 This module holds what ``verify`` runs of the moments layer:
 :mod:`kmoments.moments` lists ``pless_check`` in its ``__all__`` and
-compiles this module on its first read.  It reads the functions of
-``moments`` and ``codes_checks`` through their modules at call time, so
-that a function patched there reaches it too.
+compiles this module on its first read.  It reads the names of
+``moments`` through the module at call time, so that a function patched
+there reaches it too.
 
 ``pless_check`` compares the power sums of the q dual weights, from the
 Gray-code walk of :mod:`kmoments.codes_checks`, with the Pless right
@@ -13,39 +13,29 @@ side over the code's weight counts.
 
 from collections import Counter
 
-from . import codes_checks, moments
+from . import moments
 from .gf2r import FieldContext
 
 __all__ = ["pless_check"]
 
 
-def pless_check(ctx: FieldContext, i: int, h_max: int, counts=None, weights=None, sums=None) -> tuple:
+def pless_check(ctx: FieldContext, i: int, weights, sums) -> tuple:
     """Both sides of the Pless power moment identity for the dual of code i.
 
     Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
     Left side: sum of weight^h over the q dual codewords c_i(a), the
-    zero word counting 1 when h = 0 (0**0 == 1); the q weights come from
-    one walk over the trace words (``dual_weights``), never from the
-    Walsh-Hadamard weight histogram that the weight counts come from.
-    Right side: the Stirling-number expansion over the code's weight
-    counts, with alphabet size 2 and dual dimension r, as an int: its
-    terms t! S(h, t) 2^(r-t) are integers for any integer counts, since
+    zero word counting 1 when h = 0 (0**0 == 1); ``weights`` holds all q
+    of them, as ``codes_checks.dual_weights`` returns them from one walk
+    over the trace words, never from the Walsh-Hadamard weight histogram
+    that the weight counts come from.  Right side: the Stirling-number
+    expansion over the code's weight counts, with alphabet size 2 and
+    dual dimension r, as an int; ``sums`` holds it for h = 0..h_max with
+    the 2^r left out, as ``moments._pless_sums`` returns it.  Its terms
+    t! S(h, t) 2^(r-t) are integers for any integer counts, since
     C(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r and
     2^(t - popcount(t)) divides t!.  A remainder raises ArithmeticError.
-    The weight distribution is built once, up to weight min(N, h_max).
-
-    ``counts`` (C_0..C_j, j >= min(N, h_max), the tuple
-    ``weight_distribution`` returns), ``sums`` (the right sides over them,
-    as ``moments._pless_sums`` returns them) and ``weights`` (all q weights
-    as ``dual_weights`` returns them) may be passed in by a caller that has
-    already built them; they are then used as given.
     """
-    moments._check_moment_args(ctx, i, h_max)
-    sums = moments._sums(ctx, i, h_max, counts, sums)
-    if weights is None:
-        weights = codes_checks.dual_weights(ctx, i)
-    elif len(weights) != ctx.q:
-        raise ValueError(f"need the q = {ctx.q} dual weights, got {len(weights)}")
+    moments._check_code(ctx, i)
     histogram = Counter(weights)
     checks = []
     for h, pless in enumerate(sums):

@@ -6,13 +6,18 @@ or ``weights`` run compiles none of them.  ``run`` returns the rows and
 writes nothing; ``cli.main`` renders them.  This module imports no
 part of the CLI.
 
-Every function is read through a module at call time, so that a patched
-function reaches the suite.  A function that perfbench's tracer wraps
+The stage record ``_stages`` and the rows read every function through
+a module at call time, so that a patched function reaches the suite.
+The K table and the checks that perfbench's tracer wraps
 (``codes.verify_dual_structure``, ``codes.weight_distribution_exhaustive``,
-``codes.code_cardinality``, ``moments.pless_check``) is read through its
-layer module, where the tracer binds its wrapper; every other function
-through the module that defines it.  The two row scopes below are
-verify's; the CLI's run limits are in :mod:`kmoments.cli`.
+``codes.code_cardinality``, ``moments.pless_check``) are read through
+their layer modules, where the tracer binds its wrapper; every other
+function, the private stage builders and the two cores
+``codes._macwilliams`` and ``moments._recursion`` among them, through
+the module that defines it.  verify calls neither
+``codes.weight_distribution`` nor ``moments.moment_sequence``: the
+record calls the cores that those two wrap.  The two row scopes below
+are verify's; the CLI's run limits are in :mod:`kmoments.cli`.
 """
 
 from types import SimpleNamespace
@@ -32,27 +37,60 @@ DIGEST_ROWS_MAX_R = 8  # both char-sum rows, dual_weight_formula and _halving, c
 DIGEST_FULL_ROWS_MAX_R = 6  # irreducible_char_sum at every trace-one b (above, 2), full distribution
 
 
-def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
-    """Yield (code, check, passed, note) for every verify row of one r, in output order.
+def _stages(ctx: FieldContext, codes: tuple[int, ...], h_max: int) -> SimpleNamespace:
+    """The stage values of one r that verify's rows read, each built once, in dependency order.
 
-    Each stage value is built once and passed to every row that reads it.
-    Once per r: the K table, MK^0..MK^max(h_max, 1) from it (for
-    moment_first and every code's moment_recursion), the trace map phi
-    (for every G and every character-sum row), and up to
-    DIGEST_ROWS_MAX_R the two quadratic character sums, whose rows repeat
-    under each code (``quadratic_char_sums`` at b = 0 and at every
-    trace-one b, or two above DIGEST_FULL_ROWS_MAX_R).  The field rows come
-    first, under code None.  Once per block: the Gray-code walk and the
-    counted Walsh-Hadamard transform, shared by the two codes on it (a
-    word of a two-copy code is its block's word twice, so its weights are
-    twice the block's and its transform values too).  Once per code: the
-    entries, H and G, the dual-weight histogram, the weight distribution
-    (to h_max only above DIGEST_FULL_ROWS_MAX_R), the Pless sums and the
-    dual-structure report; and one closed form per distinct K value.
+    Per r: the trace map ``phi`` (for every G and character-sum row), the K
+    ``table`` and ``brute``, MK^0..MK^max(h_max, 1) from it.  Per block, from
+    the first code on it: the Gray-code walk and the counted Walsh-Hadamard
+    transform, which the two codes on it share (a word of a two-copy code is
+    its block's word twice, so its weights and transform values are twice the
+    block's).  In ``codes``, per code that exists at r: its length ``n``, H
+    and G (``h_rows``, ``g_rows``), the dual ``weights``, the ``histogram``,
+    the distribution ``dist`` (to min(N, h_max) only above
+    DIGEST_FULL_ROWS_MAX_R), the Pless ``sums`` and the ``moments`` of the
+    recursion to h_max, and the dual-structure ``report``.
     """
     r, q = ctx.r, ctx.q
     table = kl.kloosterman_table(ctx)
     brute = kl.moment_bruteforce(ctx, max(h_max, 1), table)
+    stages = SimpleNamespace(phi=gf2r._trace_map(ctx), table=table, brute=brute, codes={})
+    blocks = {}  # trace -> the block's walk and counted transform
+    for i in codes:
+        if not (n := codes_mod.code_length(ctx, i)):
+            continue
+        trace, copies = codes_mod.code_shape(i)
+        block = codes_mod._base_entries(ctx, i)
+        stage = stages.codes[i] = SimpleNamespace(n=n)
+        stage.h_rows = codes_mod._bit_rows(block, r, copies)
+        stage.g_rows = codes_checks._generator_rows(ctx, i, stages.phi, block)
+        if trace not in blocks:
+            walk = codes_checks._block_walk(stage.g_rows, n // copies, q)
+            blocks[trace] = walk, codes_mod._block_transform(ctx, i, block)
+        walk, transform = blocks[trace]
+        stage.weights = codes_checks.dual_weights(ctx, i, walk)
+        stage.histogram = codes_mod._dual_weight_histogram(ctx, i, transform)
+        j_max = n if r <= DIGEST_FULL_ROWS_MAX_R else min(n, h_max)
+        stage.dist = codes_mod._macwilliams(ctx, i, stage.histogram, j_max)
+        stage.sums = mo._pless_sums(h_max, n, stage.dist)
+        stage.moments = mo._recursion(q, i, stage.sums)
+        stage.report = codes_mod.verify_dual_structure(ctx, i, stage.h_rows, stage.g_rows)
+    return stages
+
+
+def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
+    """Yield (code, check, passed, note) for every verify row of one r, in output order.
+
+    Every row reads its stage values from one ``_stages`` record.  Up to
+    DIGEST_ROWS_MAX_R the rows add the two quadratic character sums, whose
+    rows repeat under each code (``quadratic_char_sums`` at b = 0 and at
+    every trace-one b, or two above DIGEST_FULL_ROWS_MAX_R), and one closed
+    form per code and distinct K value.  The field rows come first, under
+    code None.
+    """
+    r, q = ctx.r, ctx.q
+    stages = _stages(ctx, codes, h_max)
+    table, brute = stages.table, stages.brute
     values = table[1:]
     yield None, "kloosterman_weil_bound", all(k * k <= 4 * q for k in values), None
     if r >= 2:
@@ -62,11 +100,10 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
     frob = all(table[exp[2 * log[a]]] == table[a] for a in ctx.nonzero())
     yield None, "kloosterman_frobenius", frob, None
     yield None, "moment_first", brute[1] == 1, None
-    phi = gf2r._trace_map(ctx)
 
     def char_sums_hold(b: int) -> bool:
         # lambda(a/(alpha^2 + alpha + b)) summed over alpha is (-1)^tr(b) K(a) - 1
-        row, sign = kloosterman_checks.quadratic_char_sums(ctx, b, phi), 1 - 2 * ctx.trace_table[b]
+        row, sign = kloosterman_checks.quadratic_char_sums(ctx, b, stages.phi), 1 - 2 * ctx.trace_table[b]
         return all(row[a] == sign * table[a] - 1 for a in ctx.nonzero())
 
     full_rows = r <= DIGEST_FULL_ROWS_MAX_R
@@ -78,36 +115,22 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         note = None if bs == trace_one else f"sampled {len(bs)} of {len(trace_one)} b values"
         char_sums.append(("irreducible_char_sum", all(map(char_sums_hold, bs)), note))
 
-    blocks = {}  # trace -> the block's walk and counted transform, from the first code on it
-    for i in codes:
-        n = codes_mod.code_length(ctx, i)
-        if not n:
-            continue
+    for i, stage in stages.codes.items():
+        n, dist, report = stage.n, stage.dist, stage.report
         trace, copies = codes_mod.code_shape(i)
         for name, ok, note in char_sums:
             yield i, name, ok, note
-        block = codes_mod._base_entries(ctx, i)
-        h_rows, g_rows = codes_mod._bit_rows(block, r, copies), codes_checks._generator_rows(ctx, i, phi, block)
-        if trace not in blocks:
-            walk = codes_checks._block_walk(g_rows, n // copies, q)
-            blocks[trace] = walk, codes_mod._block_transform(ctx, i, block)
-        walk, transform = blocks[trace]
-        weights = codes_checks.dual_weights(ctx, i, walk)
-        histogram = codes_mod._dual_weight_histogram(ctx, i, transform)
-        j_max = n if full_rows else min(n, h_max)
-        dist = codes_mod.weight_distribution(ctx, i, j_max=j_max, histogram=histogram)
 
         if r <= DIGEST_ROWS_MAX_R:
             # the literal trace words' weights against the closed forms num / den in the table's K(a)
             fraction = {k: codes_checks.dual_weight_fraction(q, i, k) for k in set(values)}
-            ok = all(fraction[table[a]][0] == fraction[table[a]][1] * weights[a] for a in ctx.nonzero())
+            ok = all(fraction[table[a]][0] == fraction[table[a]][1] * stage.weights[a] for a in ctx.nonzero())
             yield i, "dual_weight_formula", ok, None
             if copies == 1:
                 # wt(c_i(a)) = num / 4 is half of wt(c_(i-1)(a)) = num / 2 iff 4 divides num
                 ok = all(num % 4 == 0 for num, _ in fraction.values())
                 yield i, "dual_weight_halving", ok, None
 
-        report = codes_mod.verify_dual_structure(ctx, i, h_rows, g_rows)
         yield i, "dual_orthogonality", report["orthogonal"], None
         if not trace and q == 4:
             ok = report["kernel_size"] == 2
@@ -131,14 +154,12 @@ def _verify_rows(ctx: FieldContext, codes: tuple[int, ...], h_max: int):
         elif r <= DIGEST_ROWS_MAX_R:
             # the note is kept for byte-identical output; the count is the
             # Walsh-Hadamard n_0 of code_cardinality, not the group algebra
-            ok = codes_mod.code_cardinality(ctx, i, histogram) == expected_total
+            ok = codes_mod.code_cardinality(ctx, i, stage.histogram) == expected_total
             yield i, "distribution_cardinality", ok, "via group-algebra count"
 
-        sums = mo._pless_sums(h_max, n, dist)
-        pless = mo.pless_check(ctx, i, h_max, weights=weights, sums=sums)
+        pless = mo.pless_check(ctx, i, stage.weights, stage.sums)
         yield i, "pless_identity", all(equal for _, _, equal in pless), None
-        seq = mo.moment_sequence(ctx, i, h_max, sums=sums)
-        yield i, "moment_recursion", seq == brute[: h_max + 1], None
+        yield i, "moment_recursion", stage.moments == brute[: h_max + 1], None
 
 
 def run(args: SimpleNamespace) -> tuple:

@@ -15,7 +15,6 @@ from kmoments.codes import (
     code_length,
     dual_codeword,
     dual_weight_closed_form,
-    verify_dual_structure,
     weight_distribution,
     weight_distribution_exhaustive,
 )
@@ -27,7 +26,9 @@ from kmoments.kloosterman import (
     moment_bruteforce,
     split_quadratic_char_sum,
 )
-from kmoments.moments import moment_sequence, pless_check
+from kmoments.moments import moment_sequence
+
+import stages
 
 ALL_CODES = (1, 2, 3, 4)
 
@@ -127,8 +128,7 @@ def test_07_pless_identity(contexts):
         for r in (1, 2, 3, 4, 5, 6):
             ctx = contexts[r]
             for i in [i for i in ALL_CODES if admissible(i, r)]:
-                for h in range(11):
-                    lhs, rhs, equal = pless_check(ctx, i, h)[h]
+                for h, (lhs, rhs, equal) in enumerate(stages.pless(ctx, i, 10)):
                     assert equal and lhs == rhs, (r, i, h)
 
 
@@ -137,14 +137,14 @@ def test_08_dual_map_and_cardinalities(contexts):
         for r in range(1, 9):
             ctx = contexts[r]
             for i in (3, 4):
-                assert verify_dual_structure(ctx, i)["injective"], (r, i)
+                assert stages.report(ctx, i)["injective"], (r, i)
         for r in range(3, 9):
             ctx = contexts[r]
             for i in (1, 2):
-                assert verify_dual_structure(ctx, i)["injective"], (r, i)
+                assert stages.report(ctx, i)["injective"], (r, i)
         ctx2 = contexts[2]
         for i in (1, 2):
-            assert verify_dual_structure(ctx2, i)["kernel_size"] == 2, i
+            assert stages.report(ctx2, i)["kernel_size"] == 2, i
         # wherever the dual map is injective the code has 2^(N-r) words
         for r in range(1, 9):
             ctx = contexts[r]

@@ -152,9 +152,7 @@ def test_verify_r2_kernel_reported_not_failed(capsys):
 def test_verify_detects_breakage(capsys, monkeypatch):
     import kmoments.moments as mo
 
-    monkeypatch.setattr(
-        mo, "pless_check", lambda ctx, i, h_max, counts=None, weights=None, sums=None: ((0, 1, False),)
-    )
+    monkeypatch.setattr(mo, "pless_check", lambda ctx, i, weights, sums: ((0, 1, False),))
     code, out, _ = run(capsys, "verify", "--r", "3", "--code", "3", "--hmax", "2", "--format", "json")
     assert code == 2
     assert json.loads(out)["all_passed"] is False
@@ -264,6 +262,7 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
 
     # moments binds weight_distribution by name, so a call from there is seen there
     shared = [
+        (codes, "_macwilliams"),
         (codes, "weight_distribution"),
         (mo, "weight_distribution"),
         (kl, "moment_bruteforce"),
@@ -275,7 +274,7 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     monkeypatch.setattr(
         kloosterman_checks,
         "quadratic_char_sums",
-        lambda ctx, b, phi=None: seen.append(b) or counted(ctx, b, phi),
+        lambda ctx, b, phi: seen.append(b) or counted(ctx, b, phi),
     )
     code, _, _ = run(capsys, "verify", "--r", "6", "--hmax", "4")
     assert code == 0
@@ -291,23 +290,21 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     assert calls["dual_codeword"] == 0
     # one build per code, shared by dual_weight_formula and pless_check
     assert calls["dual_weights"] == 4
-    # one distribution per code, shared by the distribution checks, pless_check
-    # and moment_sequence; the column MK^0..MK^4 once for the r, shared by the four codes
-    assert built == {"weight_distribution": 4, "moment_bruteforce": 1}
+    # one distribution per code, by the MacWilliams core, shared by the distribution checks
+    # and the Pless sums, and none by the wrapper weight_distribution; the column MK^0..MK^4
+    # once for the r, shared by the four codes
+    assert built == {"_macwilliams": 4, "weight_distribution": 0, "moment_bruteforce": 1}
 
 
 def test_verify_builds_each_stage_once(capsys, monkeypatch):
     import kmoments.codes as codes
     import kmoments.codes_checks as codes_checks
     import kmoments.gf2r as gf2r
-    import kmoments.kloosterman_checks as kloosterman_checks
     import kmoments.moments as mo
 
     # each module that binds a stage builder by name, where verify or a check reads it
     stages = [
         (gf2r, "_trace_map"),
-        (codes_checks, "_trace_map"),
-        (kloosterman_checks, "_trace_map"),
         (codes, "_base_entries"),
         (codes, "_bit_rows"),
         (codes_checks, "_generator_rows"),

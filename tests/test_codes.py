@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kmoments.codes as codes_mod
-import kmoments.codes_checks as codes_checks
 from kmoments import (
     build_field,
     kloosterman_sum,
@@ -34,6 +33,7 @@ from kmoments.codes import (
 from kmoments.gf2r import irreducible_polys
 
 import oracles
+import stages
 
 
 # -- defining vectors -----------------------------------------------------------
@@ -99,6 +99,22 @@ def test_code_table_matches_the_definition(r, non_canonical):
         assert build_vector(ctx, i) == vectors[i - 1], i
 
 
+def test_oracle_vectors_share_no_entry_builder(monkeypatch, contexts):
+    # the block of every code read backwards: the rows the checks read move, the oracles do not
+    ctx = contexts[4]
+
+    def oracle_words(i):
+        return build_vector(ctx, i), [dual_codeword(ctx, i, a) for a in ctx.elements()]
+
+    expected = {i: (oracle_words(i), parity_check_rows(ctx, i)) for i in CODE_INDICES}
+    real = codes_mod._base_entries
+    monkeypatch.setattr(codes_mod, "_base_entries", lambda ctx, i: real(ctx, i)[::-1])
+    for i in CODE_INDICES:
+        words, h_rows = expected[i]
+        assert parity_check_rows(ctx, i) != h_rows, i
+        assert oracle_words(i) == words, i
+
+
 # every public function taking a code index, with valid other arguments
 _BY_CODE = {
     "code_shape": lambda ctx, i: code_shape(i),
@@ -106,16 +122,16 @@ _BY_CODE = {
     "build_vector": lambda ctx, i: build_vector(ctx, i),
     "is_codeword": lambda ctx, i: is_codeword(ctx, i, []),
     "dual_codeword": lambda ctx, i: dual_codeword(ctx, i, 1),
-    "dual_weights": lambda ctx, i: dual_weights(ctx, i),
+    "dual_weights": lambda ctx, i: dual_weights(ctx, i, (0,) * ctx.q),
     "dual_weight_fraction": lambda ctx, i: dual_weight_fraction(ctx.q, i, -5),
     "dual_weight_closed_form": lambda ctx, i: dual_weight_closed_form(ctx.q, i, -5),
     "weight_distribution": lambda ctx, i: weight_distribution(ctx, i),
     "weight_distribution_exhaustive": lambda ctx, i: weight_distribution_exhaustive(ctx, i),
-    "code_cardinality": lambda ctx, i: code_cardinality(ctx, i),
+    "code_cardinality": lambda ctx, i: code_cardinality(ctx, i, {0: 1}),
     "parity_check_rows": lambda ctx, i: parity_check_rows(ctx, i),
-    "verify_dual_structure": lambda ctx, i: verify_dual_structure(ctx, i),
+    "verify_dual_structure": lambda ctx, i: verify_dual_structure(ctx, i, [], []),
     "moment_sequence": lambda ctx, i: moment_sequence(ctx, i, 2),
-    "pless_check": lambda ctx, i: pless_check(ctx, i, 2),
+    "pless_check": lambda ctx, i: pless_check(ctx, i, (0,) * ctx.q, [1]),
 }
 
 
@@ -281,7 +297,7 @@ def test_rows_equal_independent_builds(r):
                 continue
             # generator k is c_i(2^k), which dual_codeword builds from exp/log products
             gens = [oracles.bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(r)]
-            assert codes_checks._generator_rows(ctx, i) == gens, (ctx, i)
+            assert stages.g_rows(ctx, i) == gens, (ctx, i)
             # parity row k holds bit k of every entry of vector i
             v = build_vector(ctx, i)
             rows = [sum((entry >> k & 1) << l for l, entry in enumerate(v)) for k in range(r)]
@@ -298,7 +314,7 @@ def test_rows_equal_the_per_entry_oracle(r, contexts):
     for i in CODE_INDICES:
         if code_length(ctx, i):
             v = build_vector(ctx, i)
-            generators = codes_checks._generator_rows(ctx, i)
+            generators = stages.g_rows(ctx, i)
             for rows, masks in ((parity_check_rows(ctx, i), units), (generators, trace_forms)):
                 expected = oracles.rows_by_entry(v, masks)
                 assert rows == expected, (r, i, masks)
@@ -311,7 +327,7 @@ def test_rows_equal_the_per_entry_oracle(r, contexts):
 def _assert_dual_weights_match_oracles(ctx, i):
     # the stored words come from generators built bit by bit by dual_codeword
     words = oracles.dual_words([oracles.bitmask(dual_codeword(ctx, i, 1 << k)) for k in range(ctx.r)], ctx.q)
-    weights = dual_weights(ctx, i)
+    weights = stages.weights(ctx, i)
     assert len(weights) == ctx.q
     for a in ctx.elements():
         bits = dual_codeword(ctx, i, a)
@@ -345,9 +361,9 @@ def test_two_copy_dual_weights_equal_a_walk_of_the_whole_vector(r, contexts):
     # codes 1 and 3 walk their block and double its weights; the reference walks every bit
     ctx = contexts[r] if r <= 8 else build_field(r)
     for i in (1, 3):
-        whole = oracles.whole_word_walk(codes_checks._generator_rows(ctx, i), ctx.q)
-        assert dual_weights(ctx, i) == whole, (r, i)
-        assert whole == tuple(2 * w for w in dual_weights(ctx, i + 1)), (r, i)
+        whole = oracles.whole_word_walk(stages.g_rows(ctx, i), ctx.q)
+        assert stages.weights(ctx, i) == whole, (r, i)
+        assert whole == tuple(2 * w for w in stages.weights(ctx, i + 1)), (r, i)
 
 
 def test_dual_weights_read_no_kloosterman_value(monkeypatch):
@@ -359,16 +375,10 @@ def test_dual_weights_read_no_kloosterman_value(monkeypatch):
         raise AssertionError("dual_weights read the WHT histogram")
 
     field = build_field(5)
-    expected = {i: dual_weights(field, i) for i in CODE_INDICES}
+    expected = {i: stages.weights(field, i) for i in CODE_INDICES}
     monkeypatch.setattr(codes, "_dual_weight_histogram", forbidden)
     for i in CODE_INDICES:
-        assert dual_weights(field, i) == expected[i]
-
-
-def test_dual_weights_refuse_a_walk_not_of_q_weights():
-    # a walk holds the block's weight at every a, as pless_check's weights hold the code's
-    with pytest.raises(ValueError, match=r"need the block's q = 8 walk weights, got 3"):
-        dual_weights(build_field(3), 1, walk=(1, 2, 3))
+        assert stages.weights(field, i) == expected[i]
 
 
 def test_dual_weights_keep_one_word_at_a_time():
@@ -378,7 +388,7 @@ def test_dual_weights_keep_one_word_at_a_time():
     ctx = build_field(14)
     tracemalloc.start()
     try:
-        dual_weights(ctx, 3)
+        stages.weights(ctx, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -422,7 +432,7 @@ def test_full_distribution_equals_group_algebra_dp(r, i, contexts):
     n = code_length(ctx, i)
     dp = _group_algebra_counts(ctx, i, n)
     assert weight_distribution(ctx, i) == dp
-    assert code_cardinality(ctx, i) == sum(dp)
+    assert code_cardinality(ctx, i, stages.histogram(ctx, i)) == sum(dp)
 
 
 @pytest.mark.parametrize("r", [9, 10])
@@ -483,7 +493,7 @@ def test_distribution_total(r, i, contexts):
     counts = weight_distribution(ctx, i)
     assert counts[0] == 1
     assert sum(counts) == 1 << (n - r)
-    assert code_cardinality(ctx, i) == 1 << (n - r)
+    assert code_cardinality(ctx, i, stages.histogram(ctx, i)) == 1 << (n - r)
 
 
 @pytest.mark.parametrize("i", [3, 4])
@@ -517,10 +527,10 @@ def test_dual_structure_past_degree_12(r):
     table = kloosterman_table(ctx)
     assert dual_weight_closed_form(ctx.q, 3, table[1]) == sum(dual_codeword(ctx, 3, 1))
     for i in CODE_INDICES:
-        report = verify_dual_structure(ctx, i)
+        report = stages.report(ctx, i)
         assert report["orthogonal"] and report["injective"] and report["product_check"], i
         assert report["code_cardinality"] == 1 << (code_length(ctx, i) - r), i
-        assert code_cardinality(ctx, i) == 1 << (code_length(ctx, i) - r), i
+        assert code_cardinality(ctx, i, stages.histogram(ctx, i)) == 1 << (code_length(ctx, i) - r), i
         assert moment_sequence(ctx, i, 4) == moment_bruteforce(ctx, 4, table), i
 
 
@@ -534,7 +544,7 @@ def _packed_and_oracle(ctx, i):
     oracle = oracles.wht_weight_histogram(
         codes._base_entries(ctx, i), mult, ctx.q, code_length(ctx, i)
     )
-    return dict(codes._dual_weight_histogram(ctx, i)), oracle
+    return dict(stages.histogram(ctx, i)), oracle
 
 
 @pytest.mark.parametrize("r", range(1, 13))
@@ -553,17 +563,8 @@ def test_the_two_codes_on_a_block_share_its_transform(r, contexts):
     # a word of code 1 (3) is the block of code 2 (4) twice: one transform serves both
     ctx = contexts[r] if r <= 8 else build_field(r)
     for i in (1, 3):
-        shared = codes_mod._block_transform(ctx, i + 1)
-        assert codes_mod._block_transform(ctx, i) == shared, (r, i)
-        assert codes_mod._dual_weight_histogram(ctx, i, shared) == codes_mod._dual_weight_histogram(ctx, i), (r, i)
-
-
-def test_dual_weight_histogram_refuses_a_transform_not_of_q_values():
-    ctx = build_field(3)
-    transform = codes_mod._block_transform(ctx, 3)
-    transform[ctx.q // 2] -= 1  # F(0) = n = q/2, the block's length
-    with pytest.raises(ValueError, match=r"need the q = 8 transform values, got 7"):
-        codes_mod._dual_weight_histogram(ctx, 3, transform)
+        shared = codes_mod._block_transform(ctx, i + 1, codes_mod._base_entries(ctx, i + 1))
+        assert codes_mod._block_transform(ctx, i, codes_mod._base_entries(ctx, i)) == shared, (r, i)
 
 
 @pytest.mark.parametrize("r, i", [(15, 3), (16, 1), (16, 3), (16, 4)])
@@ -605,7 +606,7 @@ def _swap_first_two(stages, width):
 
 # name -> (mutation of the stage list, codes whose verify rows fail; None: the kernel raises)
 MASK_MUTANTS = {
-    # the split row's transform, the first to run, gives F(0) = 6 for |D| = 7
+    # the first transform to run, of code 1's block of n = 7 points, gives F(0) = 6
     "h1_slot3": (_extra_slot(0, 3), None),
     # slips past the kernel's invariants and the exact guards downstream
     "h4_slot15": (_extra_slot(2, 15), {1, 2}),
@@ -661,7 +662,7 @@ def test_kernel_vectors_are_codewords(r, i, contexts):
 
 
 def test_verify_dual_structure_r3(ctx3):
-    report = verify_dual_structure(ctx3, 1)
+    report = stages.report(ctx3, 1)
     assert report["injective"] and report["orthogonal"]
     assert report["kernel_size"] == 1
     assert 8 // report["kernel_size"] * report["code_cardinality"] == 1 << 6
@@ -683,7 +684,7 @@ def test_rank_report_equals_scan_oracle(r, contexts):
     for i in CODE_INDICES:
         if i in (1, 2) and ctx.q < 4:
             continue
-        assert verify_dual_structure(ctx, i) == _scan_report(ctx, i), i
+        assert stages.report(ctx, i) == _scan_report(ctx, i), i
 
 
 @settings(max_examples=20, deadline=None)
@@ -695,7 +696,7 @@ def test_rank_report_equals_scan_oracle_any_representation(data, r, i):
         st.sampled_from([x for x in field.elements() if field.trace_table[x] == 1]), label="b"
     )
     ctx = build_field(r, modulus=modulus, b=b)
-    assert verify_dual_structure(ctx, i) == _scan_report(ctx, i)
+    assert stages.report(ctx, i) == _scan_report(ctx, i)
 
 
 def _one_bit_mutants(rows, n):
@@ -707,36 +708,35 @@ def _one_bit_mutants(rows, n):
 
 
 @pytest.mark.parametrize("i", CODE_INDICES)
-def test_orthogonality_catches_one_flipped_generator_bit(i, contexts, monkeypatch):
+def test_orthogonality_catches_one_flipped_generator_bit(i, contexts):
     ctx = contexts[5]
-    assert verify_dual_structure(ctx, i)["orthogonal"] is True
-    assert all(equal for _, _, equal in pless_check(ctx, i, 10))
-    n, good = code_length(ctx, i), codes_checks._generator_rows(ctx, i)
+    h_rows, sums = parity_check_rows(ctx, i), stages.sums(ctx, i, 10)
+    n, good = code_length(ctx, i), stages.g_rows(ctx, i)
+    assert verify_dual_structure(ctx, i, h_rows, good)["orthogonal"] is True
+    assert all(equal for _, _, equal in pless_check(ctx, i, stages.walk_weights(ctx, i, good), sums))
     for bad in _one_bit_mutants(good, n):
-        monkeypatch.setattr(codes_checks, "_generator_rows", lambda ctx, i, bad=bad: bad)
-        assert verify_dual_structure(ctx, i)["orthogonal"] is False
+        assert verify_dual_structure(ctx, i, h_rows, bad)["orthogonal"] is False
         # the walk reads the same rows, so the Pless left side moves off the right; it reads
         # only the block, the low N / copies bits, so a flip in the second copy of codes 1
         # and 3 moves the rank alone
         in_block = all(row ^ kept < 1 << n // code_shape(i)[1] for row, kept in zip(bad, good))
-        assert all(equal for _, _, equal in pless_check(ctx, i, 10)) is not in_block
+        weights = stages.walk_weights(ctx, i, bad)
+        assert all(equal for _, _, equal in pless_check(ctx, i, weights, sums)) is not in_block
 
 
 @pytest.mark.parametrize("i", CODE_INDICES)
-def test_orthogonality_catches_one_flipped_parity_bit(i, contexts, monkeypatch):
-    import kmoments.codes as codes
-
+def test_orthogonality_catches_one_flipped_parity_bit(i, contexts):
     ctx = contexts[5]
-    assert verify_dual_structure(ctx, i)["orthogonal"] is True
-    for bad in _one_bit_mutants(parity_check_rows(ctx, i), code_length(ctx, i)):
-        monkeypatch.setattr(codes, "parity_check_rows", lambda ctx, i, bad=bad: bad)
-        assert verify_dual_structure(ctx, i)["orthogonal"] is False
+    good, g_rows = parity_check_rows(ctx, i), stages.g_rows(ctx, i)
+    assert verify_dual_structure(ctx, i, good, g_rows)["orthogonal"] is True
+    for bad in _one_bit_mutants(good, code_length(ctx, i)):
+        assert verify_dual_structure(ctx, i, bad, g_rows)["orthogonal"] is False
 
 
 def test_kernel_at_q4():
     ctx = build_field(2)
     for i in (1, 2):
-        report = verify_dual_structure(ctx, i)
+        report = stages.report(ctx, i)
         assert report["kernel_size"] == 2
         assert not report["injective"]
         assert report["product_check"]
@@ -745,12 +745,12 @@ def test_kernel_at_q4():
 @pytest.mark.parametrize("r", range(1, 7))
 @pytest.mark.parametrize("i", [3, 4])
 def test_dual_map_injective_codes_34(r, i, contexts):
-    report = verify_dual_structure(contexts[r], i)
+    report = stages.report(contexts[r], i)
     assert report["injective"] and report["orthogonal"] and report["product_check"]
 
 
 @pytest.mark.parametrize("r", range(3, 7))
 @pytest.mark.parametrize("i", [1, 2])
 def test_dual_map_injective_codes_12(r, i, contexts):
-    report = verify_dual_structure(contexts[r], i)
+    report = stages.report(contexts[r], i)
     assert report["injective"] and report["orthogonal"] and report["product_check"]

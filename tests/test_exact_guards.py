@@ -27,7 +27,7 @@ GUARDS = {
         "from collections import Counter\n"
         "from fractions import Fraction\n"
         "import kmoments.codes as codes\n"
-        "codes._dual_weight_histogram = lambda ctx, i: Counter({Fraction(1, 2): 8})\n"
+        "codes._dual_weight_histogram = lambda ctx, i, transform: Counter({Fraction(1, 2): 8})\n"
         "codes.weight_distribution(build_field(3), 3)\n",
         "Krawtchouk K_2(1/2) not integral",
     ),
@@ -35,7 +35,7 @@ GUARDS = {
     "macwilliams": (
         "from collections import Counter\n"
         "import kmoments.codes as codes\n"
-        "codes._dual_weight_histogram = lambda ctx, i: Counter({0: 1})\n"
+        "codes._dual_weight_histogram = lambda ctx, i, transform: Counter({0: 1})\n"
         "codes.weight_distribution(build_field(3), 3)\n",
         "MacWilliams sum for j=0 not divisible by q",
     ),
@@ -43,8 +43,7 @@ GUARDS = {
     "cardinality": (
         "from collections import Counter\n"
         "import kmoments.codes as codes\n"
-        "codes._dual_weight_histogram = lambda ctx, i: Counter({0: 1})\n"
-        "codes.code_cardinality(build_field(2), 2)\n",
+        "codes.code_cardinality(build_field(2), 2, Counter({0: 1}))\n",
         "cardinality 1*2^N/q not integral",
     ),
     # S(3, 2) = 6 / 2!; a wrong factorial leaves a remainder
@@ -82,7 +81,7 @@ GUARDS = {
         "import kmoments.codes as codes\n"
         "import kmoments.gf2r as gf2r\n"
         "gf2r._WHT_SLOT_BYTES = (3,)\n"
-        "codes.code_cardinality(build_field(3), 4)\n",
+        "codes.weight_distribution(build_field(3), 4)\n",
         "no array typecode has 3-byte items",
     ),
     # one entry of vector 4 lost: F(0) = sum f = N - 1
@@ -98,7 +97,7 @@ GUARDS = {
         "import kmoments.codes as codes\n"
         "real = codes._base_entries\n"
         "codes._base_entries = lambda ctx, i: (0,) + real(ctx, i)[1:]\n"
-        "codes.code_cardinality(build_field(3), 4)\n",
+        "codes.weight_distribution(build_field(3), 4)\n",
         "transform gives F(0) = 4 and sum F = 8, not 4 and 0",
     ),
     # the trace-one row at r = 8 sums over |D| = 128 points, past one-byte slots
@@ -107,24 +106,26 @@ GUARDS = {
         "import kmoments.kloosterman as kl\n"
         "gf2r._WHT_SLOT_BYTES = (1,)\n"
         "ctx = build_field(8)\n"
-        "kl.quadratic_char_sums(ctx, ctx.b)\n",
+        "kl.quadratic_char_sums(ctx, ctx.b, gf2r._trace_map(ctx))\n",
         "no slot of (1,) bytes holds transform values up to 128",
     ),
     # one trace-zero element lost: the split row sums over |D| - 1 points
     "char_sum_f0": (
+        "import kmoments.gf2r as gf2r\n"
         "import kmoments.kloosterman as kl\n"
         "ctx = build_field(3)\n"
         "ctx.theta = ctx.theta[:-1]\n"
-        "kl.quadratic_char_sums(ctx, 0)\n",
+        "kl.quadratic_char_sums(ctx, 0, gf2r._trace_map(ctx))\n",
         "transform gives F(0) = 2 and sum F = 0, not 3 and 0",
     ),
     # slots read in the wrong byte order: each two-byte value has its bytes swapped
     "char_sum_byte_order": (
         "import sys\n"
+        "import kmoments.gf2r as gf2r\n"
         "import kmoments.kloosterman as kl\n"
         "ctx = build_field(9)\n"
         "sys.byteorder = {'little': 'big', 'big': 'little'}[sys.byteorder]\n"
-        "kl.quadratic_char_sums(ctx, 0)\n",
+        "kl.quadratic_char_sums(ctx, 0, gf2r._trace_map(ctx))\n",
         "transform gives F(0) = -256 and sum F = -2551, not 255 and 0",
     ),
     # a field product that is always 0: x^2 + x = x takes all q values
@@ -166,10 +167,10 @@ GUARDS = {
     ),
     # a Pless sum off by one: P_4 * 2^3 leaves a remainder modulo 2^4
     "pless_scale": (
+        "import kmoments.codes as codes\n"
         "import kmoments.moments as mo\n"
-        "real = mo._pless_sums\n"
-        "mo._pless_sums = lambda h_max, n, dist: [p + 1 for p in real(h_max, n, dist)]\n"
-        "mo.pless_check(build_field(3), 3, 4)\n",
+        "sums = mo._pless_sums(4, 8, codes.weight_distribution(build_field(3), 3, 4))\n"
+        "mo.pless_check(build_field(3), 3, (0,) * 8, [p + 1 for p in sums])\n",
         "Pless sum P_4 * 2^3 not divisible by 2^4",
     ),
 }

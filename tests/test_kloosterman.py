@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kmoments import build_field
 from kmoments.codes import dual_codeword
-from kmoments.gf2r import irreducible_polys
+from kmoments.gf2r import _trace_map, irreducible_polys
 from kmoments.kloosterman import (
     irreducible_quadratic_char_sum,
     kloosterman_sum,
@@ -258,11 +258,12 @@ def test_char_sums_equal_mul_inverse_oracles(r, contexts):
 
 
 def _assert_rows_equal_per_a_sums(ctx, bs):
-    assert quadratic_char_sums(ctx, 0)[1:] == [
+    phi = _trace_map(ctx)
+    assert quadratic_char_sums(ctx, 0, phi)[1:] == [
         split_quadratic_char_sum(ctx, a) for a in ctx.nonzero()
     ]
     for b in bs:
-        assert quadratic_char_sums(ctx, b)[1:] == [
+        assert quadratic_char_sums(ctx, b, phi)[1:] == [
             irreducible_quadratic_char_sum(ctx, a, b) for a in ctx.nonzero()
         ], b
 
@@ -287,10 +288,10 @@ def test_char_sum_rows_equal_the_per_a_sums_any_representation(data, r):
 @pytest.mark.parametrize("r", range(1, 9))
 def test_char_sum_row_identity_at_every_b(r, contexts, tables):
     # the denominators alpha^2 + alpha + b, b of either trace, give (-1)^tr(b) K(a) - 1
-    ctx, table = contexts[r], tables[r]
+    ctx, table, phi = contexts[r], tables[r], _trace_map(contexts[r])
     for b in ctx.elements():
         sign = 1 - 2 * ctx.trace_table[b]
-        assert quadratic_char_sums(ctx, b) == [None] + [sign * table[a] - 1 for a in ctx.nonzero()], b
+        assert quadratic_char_sums(ctx, b, phi) == [None] + [sign * table[a] - 1 for a in ctx.nonzero()], b
 
 
 @pytest.mark.parametrize("r", range(1, 13))
@@ -299,25 +300,26 @@ def test_char_sum_rows_equal_the_lookup_oracle(r, contexts):
     ctx = contexts[r] if r <= 8 else build_field(r)
     trace_one = [b for b in ctx.elements() if ctx.trace_table[b] == 1]
     for b in dict.fromkeys((0, ctx.theta[-1], trace_one[0], trace_one[-1])):
-        assert quadratic_char_sums(ctx, b) == oracles.char_sum_row_by_lookup(ctx, b), b
+        assert quadratic_char_sums(ctx, b, _trace_map(ctx)) == oracles.char_sum_row_by_lookup(ctx, b), b
 
 
 @pytest.mark.parametrize("r", range(9, 17))
 def test_char_sum_row_identity_to_the_largest_field(r):
     # (-1)^tr(b) K(a) - 1 at b = 0 and one trace-one b, past the lookup oracle's reach
     ctx = build_field(r)
-    table = kloosterman_table(ctx)
+    table, phi = kloosterman_table(ctx), _trace_map(ctx)
     for b in (0, ctx.b):
         sign = 1 - 2 * ctx.trace_table[b]
-        assert quadratic_char_sums(ctx, b) == [None] + [sign * k - 1 for k in table[1:]], b
+        assert quadratic_char_sums(ctx, b, phi) == [None] + [sign * k - 1 for k in table[1:]], b
 
 
 def test_char_sum_rows_index_by_a_and_check_b(ctx3):
-    assert quadratic_char_sums(ctx3, 0)[:4] == [None, -6, split_quadratic_char_sum(ctx3, 2), 2]
-    assert quadratic_char_sums(ctx3, 1)[1] == 4
+    phi = _trace_map(ctx3)
+    assert quadratic_char_sums(ctx3, 0, phi)[:4] == [None, -6, split_quadratic_char_sum(ctx3, 2), 2]
+    assert quadratic_char_sums(ctx3, 1, phi)[1] == 4
     # tr(2) = 0 at r = 3: b + theta is theta, so the row is the split one
     assert ctx3.trace_table[2] == 0
-    assert quadratic_char_sums(ctx3, 2) == quadratic_char_sums(ctx3, 0)
+    assert quadratic_char_sums(ctx3, 2, phi) == quadratic_char_sums(ctx3, 0, phi)
 
 
 def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
@@ -328,7 +330,7 @@ def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
 
     real = kloosterman_checks.quadratic_char_sums
 
-    def neighbour(ctx, b, phi=None):
+    def neighbour(ctx, b, phi):
         # the least nonzero t in theta becomes g t, its neighbour in exp order,
         # so the denominator b + t of the row moves to b + g t
         moved = copy.copy(ctx)
@@ -364,7 +366,7 @@ _BY_ELEMENT = {
     "irreducible_quadratic_char_sum:b": (
         "b", 0, lambda ctx, x: irreducible_quadratic_char_sum(ctx, 1, x)
     ),
-    "quadratic_char_sums:b": ("b", 0, lambda ctx, x: quadratic_char_sums(ctx, x)),
+    "quadratic_char_sums:b": ("b", 0, lambda ctx, x: quadratic_char_sums(ctx, x, _trace_map(ctx))),
     "dual_codeword:a": ("a", 0, lambda ctx, x: dual_codeword(ctx, 1, x)),
 }
 

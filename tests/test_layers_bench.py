@@ -1,9 +1,10 @@
 """A smoke run of ``bench/layers.py`` at r <= 4, with its fixed ``ktable`` jobs at r = 11
-and 12: the JSON it writes has the shape its readers expect.  It sets no bound on any
-figure and gates nothing."""
+and 12: the JSON it writes has the shape its readers expect, and the tree it measures
+gains no bytecode.  It sets no bound on any figure and gates nothing."""
 
 import json
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,11 @@ import speed  # noqa: E402
 
 
 def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
+    # a copy of the package without bytecode, so that any __pycache__ in it is the bench's
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "kmoments", src / "kmoments", ignore=shutil.ignore_patterns("__pycache__"))
     out = tmp_path / "bench.json"
-    argv = ["--src", str(ROOT / "src"), "--out", str(out), "--rounds", "1"]
+    argv = ["--src", str(src), "--out", str(out), "--rounds", "1"]
     argv += ["--field-r", "3", "4", "--verify-r", "3"]
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "layers.py"), *argv],
@@ -26,6 +30,7 @@ def test_layer_bench_writes_each_side_s_medians_and_spreads(tmp_path):
         timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
+    assert list(src.rglob("__pycache__")) == []
     doc = json.loads(out.read_text())
     assert set(doc) == {"sides", "python", "rounds", "field_r", "verify_r", "reference_s", "metrics"}
     assert (doc["python"], doc["rounds"], doc["field_r"], doc["verify_r"], doc["reference_s"]) == (

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 from kmoments import build_field
 from kmoments.kloosterman import kloosterman_table, moment_bruteforce
+from kmoments.codes import weight_distribution
 from kmoments.moments import (
     _next_stirling2_row,
     _pless_sums,
+    _recursion,
     moment_sequence,
     pless_check,
     stirling2_explicit,
 )
 
 import oracles
+import stages
 
 
 # -- combinatorial helpers -------------------------------------------------------
@@ -52,19 +55,16 @@ def test_pless_sums_equal_the_order_by_order_oracle(data, n, h_max):
 # -- the four recursions ---------------------------------------------------------
 
 
-def test_recursion_hand_cases(ctx3):
+def test_recursion_hand_cases():
     # code 1, h=1: (q-1) MK^0 = 49, correction q * 6 = 48
-    assert moment_sequence(ctx3, 1, 1, counts=(1, 0)) == (7, 1)
+    assert _recursion(8, 1, _pless_sums(1, 6, (1, 0))) == (7, 1)
     # code 3, h=1: -(q+1) MK^0 = -63, correction q * 8 = 64
-    assert moment_sequence(ctx3, 3, 1, counts=(1, 0)) == (7, 1)
+    assert _recursion(8, 3, _pless_sums(1, 8, (1, 0))) == (7, 1)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_recursion_second_moment(i, ctx3):
-    from kmoments.codes import weight_distribution
-
-    dist = weight_distribution(ctx3, i, j_max=2)
-    assert moment_sequence(ctx3, i, 2, counts=dist) == (7, 1, 55)
+    assert moment_sequence(ctx3, i, 2) == (7, 1, 55)
 
 
 def test_sequence_r3(ctx3):
@@ -131,28 +131,25 @@ def test_codes_12_run_wherever_they_exist():
         brute = moment_bruteforce(ctx, 10, table)
         for i in (1, 2):
             assert moment_sequence(ctx, i, 10) == brute, (b, i)
-            assert all(equal for _, _, equal in pless_check(ctx, i, 10)), (b, i)
+            assert all(equal for _, _, equal in stages.pless(ctx, i, 10)), (b, i)
     # at r = 1 codes 1 and 2 have length 0: no code, no recursion
     for i in (1, 2):
         with pytest.raises(ValueError, match="needs q >= 4"):
             moment_sequence(build_field(1), i, 2)
         with pytest.raises(ValueError, match="needs q >= 4"):
-            pless_check(build_field(1), i, 1)
+            pless_check(build_field(1), i, (0, 0), [1, 0])
 
 
 def test_recursion_argument_validation(ctx3):
-    with pytest.raises(ValueError, match="weight counts"):
-        moment_sequence(ctx3, 1, 2, counts=(1, 0))
     with pytest.raises(ValueError):
         moment_sequence(ctx3, 6, 2)
 
 
 def test_longer_prefix_changes_nothing(ctx3):
-    from kmoments.codes import weight_distribution
-
+    # the Pless sums to h read the counts to min(N, h) only
     short = weight_distribution(ctx3, 1, j_max=2)
     full = weight_distribution(ctx3, 1)
-    assert moment_sequence(ctx3, 1, 2, counts=short) == moment_sequence(ctx3, 1, 2, counts=full)
+    assert _recursion(8, 1, _pless_sums(2, 6, short)) == _recursion(8, 1, _pless_sums(2, 6, full))
 
 
 def test_invariant_under_theta_reordering():
@@ -174,13 +171,13 @@ def test_moment_sequence_type(ctx3):
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_pless_h0_counts_codewords(i, ctx3):
-    lhs, rhs, equal = pless_check(ctx3, i, 0)[0]
+    lhs, rhs, equal = stages.pless(ctx3, i, 0)[0]
     assert (lhs, rhs, equal) == (8, 8, True)
 
 
 def test_pless_hand_values(ctx3):
-    assert pless_check(ctx3, 1, 1)[1] == (24, 24, True)
-    assert pless_check(ctx3, 4, 1)[1] == (16, 16, True)
+    assert stages.pless(ctx3, 1, 1)[1] == (24, 24, True)
+    assert stages.pless(ctx3, 4, 1)[1] == (16, 16, True)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -188,7 +185,7 @@ def test_pless_hand_values(ctx3):
 def test_pless_identity(r, i, contexts):
     ctx = contexts[r]
     for h in range(9):
-        lhs, rhs, equal = pless_check(ctx, i, h)[h]
+        lhs, rhs, equal = stages.pless(ctx, i, h)[h]
         assert equal and lhs == rhs
 
 
@@ -196,7 +193,7 @@ def test_pless_identity(r, i, contexts):
 def test_pless_small_fields(i, contexts):
     for r in (1, 2):
         for h in range(6):
-            assert pless_check(contexts[r], i, h)[h][2]
+            assert stages.pless(contexts[r], i, h)[h][2]
 
 
 def test_pless_one_pass(monkeypatch, contexts):
@@ -204,6 +201,8 @@ def test_pless_one_pass(monkeypatch, contexts):
     import kmoments.codes_oracles as codes_oracles
     import kmoments.moments as mo
 
+    ctx = contexts[5]
+    weights, sums = stages.weights(ctx, 3), stages.sums(ctx, 3, 10)
     calls = {"dual_weights": 0, "dual_codeword": 0, "weight_distribution": 0}
 
     def counting(module, name):
@@ -221,9 +220,9 @@ def test_pless_one_pass(monkeypatch, contexts):
         (codes_oracles, "dual_codeword"),
     ):
         monkeypatch.setattr(module, name, counting(module, name))
-    ctx = contexts[5]
-    checks = pless_check(ctx, 3, 10)
-    assert calls == {"dual_weights": 1, "dual_codeword": 0, "weight_distribution": 1}
+    # both sides from the values given, with nothing built again
+    checks = pless_check(ctx, 3, weights, sums)
+    assert calls == {"dual_weights": 0, "dual_codeword": 0, "weight_distribution": 0}
     assert len(checks) == 11
     assert all(equal for _, _, equal in checks)
     assert all(type(rhs) is int and rhs == lhs for lhs, rhs, _ in checks)
@@ -247,46 +246,12 @@ def test_pless_corrupted_count_is_exact_and_unequal(i, contexts):
     # one weight count off by one: from h = 2 on the right side is no longer
     # the left side, and it is still the exact literal sum, an int (every term
     # t! S(h, t) 2^(r-t) is one, since t <= N <= 2^r)
-    from kmoments.codes import weight_distribution
-
     ctx = contexts[4]
     counts = list(weight_distribution(ctx, i))
     counts[2] += 1
     n = len(counts) - 1
-    for h, (lhs, rhs, equal) in enumerate(pless_check(ctx, i, 10, counts=counts)):
+    checks = pless_check(ctx, i, stages.weights(ctx, i), _pless_sums(10, n, counts))
+    for h, (lhs, rhs, equal) in enumerate(checks):
         assert type(rhs) is int and rhs == _pless_right_side(ctx.r, n, counts, h)
         assert equal == (rhs == lhs) == (h < 2)
 
-
-def test_given_counts_and_weights_are_used_as_built(monkeypatch, contexts):
-    import kmoments.codes_checks as codes_checks
-    import kmoments.moments as mo
-    from kmoments.codes import dual_weights, weight_distribution
-
-    ctx = contexts[5]
-    counts = weight_distribution(ctx, 3)
-    weights = dual_weights(ctx, 3)
-    expected = (pless_check(ctx, 3, 10), moment_sequence(ctx, 3, 10))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("built again")
-
-    monkeypatch.setattr(codes_checks, "dual_weights", forbidden)
-    monkeypatch.setattr(mo, "weight_distribution", forbidden)
-    # the full distribution, or just the prefix up to min(N, h_max)
-    for given in (counts, counts[:11]):
-        assert pless_check(ctx, 3, 10, counts=given, weights=weights) == expected[0]
-        assert moment_sequence(ctx, 3, 10, counts=given) == expected[1]
-
-
-def test_given_counts_and_weights_are_length_checked(ctx3):
-    from kmoments.codes import dual_weights, weight_distribution
-
-    counts = weight_distribution(ctx3, 3)  # N = 8, so 9 counts
-    weights = dual_weights(ctx3, 3)
-    with pytest.raises(ValueError, match="weight counts up to j=4"):
-        moment_sequence(ctx3, 3, 4, counts=counts[:4])
-    with pytest.raises(ValueError, match="weight counts up to j=8"):
-        pless_check(ctx3, 3, 10, counts=counts[:8], weights=weights)
-    with pytest.raises(ValueError, match="q = 8 dual weights"):
-        pless_check(ctx3, 3, 2, counts=counts, weights=weights[:7])

@@ -11,6 +11,7 @@ import pytest
 
 import kmoments
 from kmoments.codes import dual_weight_fraction
+from kmoments.gf2r import _trace_map
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["kmoments"] + [f"kmoments.{p.stem}" for p in sorted((ROOT / "src" / "kmoments").glob("[!_]*.py"))]
@@ -60,6 +61,7 @@ def test_readme_library_example_shows_the_real_reprs():
 
 _F3 = kmoments.build_field(3)
 _TABLE3 = kmoments.kloosterman_table(_F3)
+_PHI3 = _trace_map(_F3)
 
 # argument -> (lo, hi, call) for every call that passes x as that argument: each refuses
 # any type but int, and an int outside the inclusive bounds lo..hi (None: no bound)
@@ -74,7 +76,7 @@ _INT_ARGUMENTS = {
     "f": [(0, None, lambda x: kmoments.poly_str(x))],
     "b": [
         (None, None, lambda x: kmoments.build_field(3, b=x)),
-        (0, 7, lambda x: kmoments.quadratic_char_sums(_F3, x)),
+        (0, 7, lambda x: kmoments.quadratic_char_sums(_F3, x, _PHI3)),
         (0, 7, lambda x: kmoments.irreducible_quadratic_char_sum(_F3, 1, x)),
     ],
     "a": [
@@ -88,7 +90,6 @@ _INT_ARGUMENTS = {
     "h_max": [
         (0, None, lambda x: kmoments.moment_bruteforce(_F3, x, _TABLE3)),
         (0, None, lambda x: kmoments.moment_sequence(_F3, 4, x)),
-        (0, None, lambda x: kmoments.pless_check(_F3, 4, x)),
     ],
     # S(h, t) has no meaning at h < 0, which once gave 0
     "h": [(0, None, lambda x: kmoments.stirling2_explicit(x, 1))],
