@@ -7,33 +7,22 @@ package; with two, the first is the base and the second the change.
 Every round runs each tree once, in alternating order, so a drift of
 the host's speed falls on both sides alike.  A round holds, per tree:
 
-- one child interpreter that times, in process, ``build_field`` and
-  its passes at each ``--field-r``: ``exp_log`` and ``trace_table``
-  (the context's two table builders) and ``rest``, what the build
-  spends outside them (the modulus, the inverses and the x^2 + x
-  guard).  Each figure is the median of a few calls.  The same child
-  times ``verify_rows``: one ``list(verify._verify_rows(ctx, (1, 2, 3,
-  4), 10))`` at each r, every verify row of all four codes on a context
-  built outside the timed call; the median of a few calls, or one call
-  per round from r = 14, where a pass takes from 0.2 s to seconds.  It
-  also times, at each r, the builders that pass's stage record calls
-  (``stages``), each on stage values built outside the timed call, as
-  the record hands them on: the trace map phi, the generator rows G of
-  each code from phi and its block, each code's dual weights (the
-  Gray-code walk over its G; codes 2 and 4 walk their block alone), each
-  code's dual-weight histogram (``transform``: the Walsh-Hadamard
-  transform of its block, which the histogram is read from) and the
-  Pless sums of the four codes at h = 0..10 from their distributions;
-  each the median of a few calls, and the walk one call per round from
-  r = 14.  The calls, ``gf2r._trace_map(ctx)``,
-  ``codes_checks._generator_rows(ctx, i, phi, block)``,
-  ``codes_checks.dual_weights(ctx, i, codes_checks._block_walk(G, m,
-  q))``, ``codes._dual_weight_histogram(ctx, i,
-  codes._block_transform(ctx, i, block))`` and ``moments._pless_sums(10,
-  N, counts)``, pass every stage value by position, which the optional
-  stage parameters of earlier trees take too, so either tree of an A/B
-  run takes them back to the one where ``_dual_weight_histogram`` first
-  took its ``transform`` (3bdaec2);
+- one child interpreter that times, in process, at each ``--field-r``:
+  ``build_field`` and its two table passes, ``exp_log`` and
+  ``trace_table`` (``FieldContext._build_exp_log`` and
+  ``_build_trace_table``, wrapped on the class), with ``rest`` the
+  build's own time outside them (the modulus, the inverses and the
+  x^2 + x guard); ``verify_rows``, one ``list(verify._verify_rows(ctx,
+  (1, 2, 3, 4), 10))``, every verify row of all four codes on a context
+  built outside the timed call; and ``stages``, the same pass again
+  with each function in ``STAGES`` wrapped at every binding in the
+  loaded kmoments modules, as perfbench's tracer wraps its functions:
+  each one's self time (``.self_s``: its calls less the wrapped calls
+  inside them) and number of calls (``.calls``).  The spans and their
+  arithmetic are perfbench's ``Tracer.spanned`` and ``layer_totals``;
+  a function that a tree lacks gets no row on that side.  Each figure
+  is the median of a few calls; from r = 14, where a verify rows pass
+  takes from 0.2 s to seconds, each pass runs once per round;
 - for each ``--verify-r`` k, two whole-process runs of ``verify --r k
   --hmax 10``, perfbench's ``verify`` job at that r.  The first is
   ``python -m kmoments.cli`` as is, timed from start to exit
@@ -59,26 +48,30 @@ bytecode into a checkout it measures.  One warm-up run per copy first
 writes the copy's bytecode cache, which every other row but the three
 above reads.
 
-The host's speed drifts between rounds, so every row is also given
-normalised, as perfbench does: after each timed call (in the child) or
-each whole-process child (in this process) the timing process runs one
-slice of ``perfbench/speed.py``'s fixed kernel, ``speed.probe()``, and a
-round's rows are multiplied by ``speed.REFERENCE_S`` over the mean slice
-of the process that timed them.  Each round's mean slices are rows of
+The host's speed drifts between rounds, so every row in seconds is
+also given normalised, as perfbench does: after each timed call (in
+the child) or each whole-process child (in this process) the timing
+process runs one slice of ``perfbench/speed.py``'s fixed kernel,
+``speed.probe()``, and a round's rows are multiplied by
+``speed.REFERENCE_S`` over the mean slice of the process that timed
+them.  Each round's mean slices are rows of
 their own, ``slice.field_child`` and ``slice.processes``.  perfbench
 found slices between children less steadying than slices during them
 on a 6 s job; here each timed call or child lasts about a second at most.
 
 The JSON holds each tree's git SHA (with a ``dirty`` flag), the Python
-version and ``reference_s``, then per metric each side's median,
-quartiles, extremes and count over the rounds, raw (``sides``) and
-normalised (``normalised``), and with two trees the ratio of the
-medians of each (``ratio``, ``normalised_ratio``).  Nothing is gated;
-the figures are for a reader to compare.
+version and ``reference_s``, then per metric its ``unit`` (``s``, or
+``count`` for the calls rows) and each side's median, quartiles,
+extremes and count over the rounds, raw (``sides``) and normalised
+(``normalised``), or null on a side without the row, and where both of
+two trees have it the ratio of the medians of each (``ratio``,
+``normalised_ratio``).  Nothing is gated; the figures are for a reader
+to compare.
 """
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import platform
@@ -87,12 +80,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import defaultdict
 from pathlib import Path
 from statistics import fmean, median, quantiles
 
-# perfbench's host-speed slice, imported as perfbench/run.py imports it
+# perfbench's host-speed slice and its tracer's spans, imported as perfbench/run.py imports them
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import speed  # noqa: E402
+from tracer import Tracer, layer_totals  # noqa: E402
 
 FIELD_R = (8, 12, 14, 16)
 VERIFY_R = tuple(range(3, 10))
@@ -102,6 +97,19 @@ KTABLE_R = (11, 12)
 
 # calls per child of build_field and of each table builder; fewer where one call is long
 CALLS_SMALL_R, CALLS_LARGE_R, LARGE_R = 9, 5, 14
+
+# the functions of kmoments, as module.function, that a verify rows pass is timed through
+STAGES = (
+    "gf2r._trace_map", "gf2r._walsh_hadamard",
+    "kloosterman.kloosterman_table", "kloosterman.moment_bruteforce", "kloosterman_checks.quadratic_char_sums",
+    "codes._bit_rows", "codes._block_transform", "codes._dual_weight_histogram", "codes._macwilliams",
+    "codes_checks._generator_rows", "codes_checks._block_walk", "codes_checks.dual_weights",
+    "codes_checks.verify_dual_structure", "codes_checks.code_cardinality",
+    "codes_checks.weight_distribution_exhaustive",
+    "moments._pless_sums", "moments._recursion", "moments_checks.pless_check",
+)
+# build_field's two table passes, methods of gf2r.FieldContext: the row name of each
+FIELD_PASSES = {"_build_exp_log": "exp_log", "_build_trace_table": "trace_table"}
 
 # run as `python -c`: what `python -m kmoments.cli ARGV` does, with sys.exit noting the clock
 SHUTDOWN_CHILD = """\
@@ -130,89 +138,70 @@ print(time.perf_counter() - t0)
 SLICES: list[float] = []
 
 
-def _median_s(call, calls: int) -> float:
-    samples = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        call()
-        samples.append(time.perf_counter() - t0)
-        SLICES.append(speed.probe())
-    return median(samples)
+@contextlib.contextmanager
+def _wrapped(tracer: Tracer, targets, spaces):
+    """Each function ``home.attr`` of ``targets`` (label, home, attr) that the tree has,
+    wrapped in a span named by its label at every binding in ``spaces``; put back on exit."""
+    swaps = [(fn, tracer.spanned(label, fn)) for label, home, attr in targets if (fn := vars(home).get(attr))]
+    _rebind(spaces, swaps)
+    try:
+        yield
+    finally:
+        _rebind(spaces, [(wrapper, fn) for fn, wrapper in swaps])
 
 
-def _stages(r: int) -> dict[str, float]:
-    """In this process: the median seconds of each stage a verify pass builds at r."""
-    from kmoments import codes, codes_checks, gf2r, moments
-
-    ctx = gf2r.build_field(r)
-    calls = CALLS_LARGE_R if r >= LARGE_R else CALLS_SMALL_R
-    lengths = {i: n for i in codes.CODE_INDICES if (n := codes.code_length(ctx, i))}
-    out = {f"stages.r{r}.trace_map": _median_s(lambda: gf2r._trace_map(ctx), calls)}
-    phi = gf2r._trace_map(ctx)
-    blocks = {i: codes._base_entries(ctx, i) for i in lengths}
-    gens = {i: codes_checks._generator_rows(ctx, i, phi, blocks[i]) for i in lengths}
-    for i in lengths:
-        rows = _median_s(lambda: codes_checks._generator_rows(ctx, i, phi, blocks[i]), calls)
-        out[f"stages.r{r}.generator_rows.code{i}"] = rows
-    for i, n in lengths.items():
-        m = n // codes.code_shape(i)[1]
-
-        def walk():
-            return codes_checks.dual_weights(ctx, i, codes_checks._block_walk(gens[i], m, ctx.q))
-
-        out[f"stages.r{r}.dual_weights.code{i}"] = _median_s(walk, 1 if r >= LARGE_R else calls)
-    for i in lengths:
-
-        def transform():
-            return codes._dual_weight_histogram(ctx, i, codes._block_transform(ctx, i, blocks[i]))
-
-        out[f"stages.r{r}.transform.code{i}"] = _median_s(transform, calls)
-    dists = {i: codes.weight_distribution(ctx, i, j_max=min(n, HMAX)) for i, n in lengths.items()}
-
-    def pless_sums():
-        return [moments._pless_sums(HMAX, n, dists[i]) for i, n in lengths.items()]
-
-    out[f"stages.r{r}.pless_sums"] = _median_s(pless_sums, calls)
-    return out
+def _rebind(spaces, swaps) -> None:
+    for space in spaces:
+        for attr, value in list(vars(space).items()):
+            for old, new in swaps:
+                if value is old:
+                    setattr(space, attr, new)
 
 
 def _field_child(src: str, rs: list[int]) -> dict:
-    """In this process: the median seconds of build_field and of each pass at each r,
-    of one verify rows pass and of each stage it builds (``figures``), and the mean
-    seconds of the slices run between the timed calls (``slice``)."""
+    """In this process: at each r, the median seconds of build_field and its passes, of
+    one verify rows pass, and of each STAGES function's self time within such a pass, and
+    its median calls (``figures``), and the mean seconds of the slices run between the
+    timed calls (``slice``)."""
     sys.path.insert(0, src)
     from kmoments import verify
-    from kmoments.gf2r import build_field
+    from kmoments.gf2r import FieldContext, build_field
 
-    out = {}
+    tracer = Tracer()
+    # build_field's own time, outside the two passes wrapped in it, is the row rest
+    build = tracer.spanned("rest", build_field)
+    field_targets = [(row, FieldContext, attr) for attr, row in FIELD_PASSES.items()]
+    stage_targets = [
+        (name, importlib.import_module(f"kmoments.{module}"), attr)
+        for name in STAGES
+        for module, attr in [name.split(".")]
+    ]
+    # every kmoments module, each layer's checks among them, is loaded by now
+    modules = [m for n, m in list(sys.modules.items()) if n == "kmoments" or n.startswith("kmoments.")]
+    samples = defaultdict(list)
     for r in rs:
-        calls = CALLS_LARGE_R if r >= LARGE_R else CALLS_SMALL_R
-        samples: dict[str, list[float]] = {"build_field": [], "exp_log": [], "trace_table": []}
-        for _ in range(calls):
-            t0 = time.perf_counter()
-            ctx = build_field(r)
-            t1 = time.perf_counter()
-            ctx._build_exp_log()
-            t2 = time.perf_counter()
-            ctx._build_trace_table()
-            t3 = time.perf_counter()
-            samples["build_field"].append(t1 - t0)
-            samples["exp_log"].append(t2 - t1)
-            samples["trace_table"].append(t3 - t2)
-            SLICES.append(speed.probe())
-        medians = {name: median(values) for name, values in samples.items()}
-        medians["rest"] = medians["build_field"] - medians["exp_log"] - medians["trace_table"]
-        out.update((f"field.r{r}.{name}", value) for name, value in medians.items())
-        passes = []
+        with _wrapped(tracer, field_targets, [FieldContext]):
+            for _ in range(CALLS_LARGE_R if r >= LARGE_R else CALLS_SMALL_R):
+                tracer.spans.clear()
+                build(r)
+                SLICES.append(speed.probe())
+                self_s = {row: entry["self_s"] for row, entry in layer_totals([tracer.document()]).items()}
+                for row, seconds in {"build_field": sum(self_s.values()), **self_s}.items():
+                    samples[f"field.r{r}.{row}"].append(seconds)
         for _ in range(1 if r >= LARGE_R else CALLS_SMALL_R):
             ctx = build_field(r)
             t0 = time.perf_counter()
             list(verify._verify_rows(ctx, (1, 2, 3, 4), HMAX))
-            passes.append(time.perf_counter() - t0)
+            samples[f"verify_rows.r{r}"].append(time.perf_counter() - t0)
             SLICES.append(speed.probe())
-        out[f"verify_rows.r{r}"] = median(passes)
-        out.update(_stages(r))
-    return {"figures": out, "slice": fmean(SLICES)}
+            tracer.spans.clear()
+            with _wrapped(tracer, stage_targets, modules):
+                list(verify._verify_rows(ctx, (1, 2, 3, 4), HMAX))
+            SLICES.append(speed.probe())
+            for name, entry in layer_totals([tracer.document()]).items():
+                samples[f"stages.r{r}.{name}.self_s"].append(entry["self_s"])
+                samples[f"stages.r{r}.{name}.calls"].append(entry["calls"])
+    return {"figures": {row: median(values) for row, values in samples.items()}, "slice": fmean(SLICES)}
 
 
 def _env(src: str) -> dict[str, str]:
@@ -279,12 +268,15 @@ def _shutdown(src: str, k: int) -> float:
 
 
 def _normalised(figures: dict[str, float], mean_slice: float) -> dict[str, float]:
-    return {name: value * speed.REFERENCE_S / mean_slice for name, value in figures.items()}
+    # every row but the counts of calls
+    scale = speed.REFERENCE_S / mean_slice
+    return {name: value * scale for name, value in figures.items() if not name.endswith(".calls")}
 
 
 def _one_round(src: str, args) -> tuple[dict[str, float], dict[str, float]]:
-    """Every row of one round of ``src``: its raw seconds (with each mean slice as a
-    ``slice.*`` row), and the rows normalised by the slices of the process that timed them."""
+    """Every row of one round of ``src``: its raw seconds and counts (with each mean slice
+    as a ``slice.*`` row), and the seconds normalised by the slices of the process that
+    timed them."""
     figures, normalised = {}, {}
     if args.field_r:
         cmd = [sys.executable, __file__, "--field-child", src, *map(str, args.field_r)]
@@ -342,15 +334,19 @@ def measure(args) -> dict:
             for side in order:
                 rounds[side].append(_one_round(copies[side], args))
     metrics = {}
-    for name in rounds[0][0][0]:
-        metric = metrics[name] = {"unit": "s"}
+    # every row of either side, in the order each side first gives it
+    for name in dict.fromkeys(name for side_rounds in rounds for name in side_rounds[0][0]):
+        metric = metrics[name] = {"unit": "count" if name.endswith(".calls") else "s"}
         for key, part in (("sides", 0), ("normalised", 1)):
-            if name in rounds[0][0][part]:
-                metric[key] = [_spread([rnd[part][name] for rnd in side_rounds]) for side_rounds in rounds]
-        if len(sides) == 2:
-            for key, ratio in (("sides", "ratio"), ("normalised", "normalised_ratio")):
-                if key in metric:
-                    metric[ratio] = metric[key][1]["median"] / metric[key][0]["median"]
+            spreads = [
+                _spread([rnd[part][name] for rnd in side_rounds]) if name in side_rounds[0][part] else None
+                for side_rounds in rounds
+            ]
+            if any(spreads):
+                metric[key] = spreads
+        for key, ratio in (("sides", "ratio"), ("normalised", "normalised_ratio")):
+            if len(sides) == 2 and all(metric.get(key, [None])):
+                metric[ratio] = metric[key][1]["median"] / metric[key][0]["median"]
     return {
         "sides": [_revision(src) for src in sides],
         "python": platform.python_version(),
@@ -379,10 +375,12 @@ def main(argv: list[str] | None = None) -> int:
     doc = measure(args)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for name, metric in doc["metrics"].items():
-        line = f"{name:<36}"
+        scale, digits, unit = (1, 0, "") if metric["unit"] == "count" else (1e3, 2, " ms")
+        line = f"{name:<60}"
         for key, ratio in (("sides", "ratio"), ("normalised", "normalised_ratio")):
             if key in metric:
-                line += " / ".join(f"{side['median'] * 1e3:10.2f}" for side in metric[key]) + " ms"
+                values = [f"{side['median'] * scale:10.{digits}f}" if side else f"{'-':>10}" for side in metric[key]]
+                line += " / ".join(values) + unit
                 line += f"  x{metric[ratio]:.3f}    " if ratio in metric else "    "
         print(line.rstrip())
     return 0

@@ -23,6 +23,7 @@ that raised); each error is one ``error:`` line.
 """
 
 import gc
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -112,13 +113,20 @@ def _build_config(args: SimpleNamespace) -> None:
     # surface bad overrides (reducible modulus, trace-zero b, ...) as usage
     # errors before any command runs
     args.contexts = {r: build_field(r, modulus=modulus, b=b) for r in r_values}
-    # a weights run that would reach weight N past FULL_DISTRIBUTION_MAX_R
+    # a weights run that would reach weight N past FULL_DISTRIBUTION_MAX_R, or print a count
+    # past the digits Python converts to str (none if 0, or before 3.10.7)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for ctx in args.contexts.values() if args.command == "weights" else ():
         for i in args.code:
             n = codes_mod.code_length(ctx, i)
             if n and ctx.r > FULL_DISTRIBUTION_MAX_R and (args.jmax is None or args.jmax >= n):
                 too_large = f"full distribution of code {i} at r={ctx.r} is too large (N = {n})"
                 raise ValueError(f"{too_large}; pass --jmax below {n}")
+            # C_j <= C(N, j) <= C(N, top) for j <= jmax, and every C(N, j) < 2^N
+            top = min(n // 2, n if args.jmax is None else args.jmax)
+            if digits and n * math.log10(2) >= digits and math.comb(n, top) >= 10**digits:
+                too_long = f"weight counts of code {i} at r={ctx.r} may pass {digits} digits (N = {n})"
+                raise ValueError(f"{too_long}, the most Python prints of an int; pass a smaller --jmax")
 
 
 def _csv_cell(value):

@@ -16,9 +16,9 @@ generators c_i(2^k) come from ``codes._bit_rows``, the builder of the
 parity rows: generator k holds bit k of each phi(entry), phi the trace
 map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).  The dual
 structure is GF(2) ranks of these rows (``verify_dual_structure``), and
-the enumeration of the codewords walks a nullspace basis of the parity
-rows (``weight_distribution_exhaustive``), which alone builds what it
-reads.  Every other function takes the stage values it reads as
+the enumeration of the codewords walks a nullspace basis of parity rows
+that it builds alone, one bit read per entry, not by ``_bit_rows``
+(``weight_distribution_exhaustive``).  Every other function takes the stage values it reads as
 arguments, so ``verify`` builds each once.
 """
 
@@ -117,7 +117,11 @@ def weight_distribution_exhaustive(ctx: FieldContext, i: int) -> tuple[int, ...]
         raise ValueError(
             f"enumeration would visit ~2^{n - ctx.r} codewords; budget is 2^{codes.ENUMERATION_BUDGET}"
         )
-    basis = kernel_basis(codes.parity_check_rows(ctx, i), n)
+    # H by one bit read per entry and row, as the block is written copies times: bit l of
+    # row k is bit k of entry l, so no row builder is shared with dual_orthogonality's H
+    entries = codes._base_entries(ctx, i) * codes.code_shape(i)[1]
+    h_rows = [sum((e >> k & 1) << l for l, e in enumerate(entries)) for k in range(ctx.r)]
+    basis = kernel_basis(h_rows, n)
     counts = [0] * (n + 1)
     counts[0] = 1
     word = 0

@@ -3,8 +3,9 @@
 :mod:`kmoments.cli` compiles this module on the first ``weights`` run
 only, and runs ``run``, which returns the rows and writes nothing;
 ``cli.main`` renders them.  The CLI's set-up has already refused a full
-distribution past its ``FULL_DISTRIBUTION_MAX_R``.  This module imports
-no part of the CLI.
+distribution past its ``FULL_DISTRIBUTION_MAX_R``, and counts that could
+pass the digits Python prints of an int.  This module imports no part
+of the CLI.
 """
 
 from types import SimpleNamespace

@@ -178,6 +178,25 @@ def test_enumeration_reads_the_library_budget(capsys, monkeypatch):
     assert "distribution_vs_enumeration" not in _verify_rows(capsys, 5, code=2)
 
 
+def test_weights_refuse_counts_past_the_int_str_limit_in_set_up(capsys, monkeypatch):
+    # past MAX_R: at r = 14 the middle counts of code 3 (N = 16384) have about 4900 digits,
+    # past Python's default 4300, and str() of one would end the run in a traceback
+    monkeypatch.setattr(cli, "MAX_R", 14)
+    real, calls = codes.weight_distribution, []
+
+    def recording(ctx, i, j_max=None):
+        calls.append((ctx.r, i, j_max))
+        return real(ctx, i, j_max)
+
+    monkeypatch.setattr(codes, "weight_distribution", recording)
+    code, out, err = _run(capsys, "weights", "--r", "14", "--code", "3", "--jmax", "16383")
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: weight counts of code 3 at r=14 may pass") and len(err.splitlines()) == 1
+    code, out, err = _run(capsys, "weights", "--r", "14", "--code", "3", "--jmax", "12", "--format", "csv")
+    assert (code, err, calls) == (0, "", [(14, 3, 12)])
+    assert len(out.splitlines()) == 14
+
+
 def test_readme_cost_table_matches_the_code():
     expected = {
         **_block(cli),

@@ -30,6 +30,14 @@ One rule looks inside a function: ``kloosterman_table`` reads nothing
 from ``gf2r`` but ``_unpack_slots``.  So the K table shares neither the
 trace form nor the Walsh-Hadamard transform, its stages or any other
 packing, with the character-sum row checked against it.
+
+One rule reads names across whole modules: the ``*_oracles`` modules
+read from ``gf2r`` only ``FieldContext`` and ``_check_int``, from
+``codes`` only ``_check_code``, ``code_shape`` and ``code_length``, and
+from ``codes_checks`` only ``dual_weight_fraction``.  So no oracle
+shares a stage builder (``_bit_rows``, ``_trace_map``,
+``_walsh_hadamard``, ``_unpack_slots``, ``_generator_rows``) with what
+it checks.
 """
 
 import ast
@@ -177,30 +185,34 @@ def test_import_graph_rejects_each_mutant():
 K_TABLE_MAY_READ = {"_unpack_slots"}
 
 
-def _gf2r_reads(text: str, function: str) -> list[str]:
-    """The gf2r name behind every read in the body of ``function`` in ``text``.
+def _reads(text: str, source: str, function: str | None = None) -> list[str]:
+    """The ``source`` name behind every read in ``text``, or in the body of ``function``.
 
-    A read is a name the module imports from gf2r, under any alias, or an
-    attribute of gf2r reached as a module (``gf2r.x``, ``kmoments.gf2r.x``).
+    A read is a name the module imports from the package module ``source``,
+    under any alias, or an attribute of ``source`` reached as a module
+    (``gf2r.x``, ``kmoments.gf2r.x``).
     """
     tree = ast.parse(text)
-    names, modules = {}, {"kmoments.gf2r"}
+    names, modules = {}, {f"kmoments.{source}"}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level == 0:
                 module = module.removeprefix("kmoments").lstrip(".")
             for alias in node.names:
-                if module == "gf2r":
+                if module == source:
                     names[alias.asname or alias.name] = alias.name
-                elif not module and alias.name == "gf2r":
+                elif not module and alias.name == source:
                     modules.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
-            modules |= {a.asname for a in node.names if a.name == "kmoments.gf2r" and a.asname}
-    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+            modules |= {a.asname for a in node.names if a.name == f"kmoments.{source}" and a.asname}
+    scope = tree.body
+    if function is not None:
+        (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+        scope = body.body
     return [
         names[node.id] if isinstance(node, ast.Name) else node.attr
-        for stmt in body.body
+        for stmt in scope
         for node in ast.walk(stmt)
         if isinstance(node, ast.Name) and node.id in names
         or isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules
@@ -208,7 +220,7 @@ def _gf2r_reads(text: str, function: str) -> list[str]:
 
 
 def _k_table_violations(sources: dict[str, str]) -> list[str]:
-    reads = _gf2r_reads(sources["kloosterman"], "kloosterman_table")
+    reads = _reads(sources["kloosterman"], "gf2r", "kloosterman_table")
     return [f"kloosterman_table reads gf2r.{name}" for name in reads if name not in K_TABLE_MAY_READ]
 
 
@@ -269,3 +281,51 @@ def test_k_table_rule_rejects_a_read_of_the_transform(imported, read, name):
         sources = _with_import(_sources(), "kloosterman", imported)
     mutant = _with_k_table_line(sources, f"values = {read}")
     assert _k_table_violations(mutant) == [f"kloosterman_table reads gf2r.{name}"]
+
+
+# the package names the oracles may read, per module they import: never a stage builder
+ORACLES = ["kloosterman_oracles", "codes_oracles", "moments_oracles"]
+ORACLES_MAY_READ = {
+    "gf2r": {"FieldContext", "_check_int"},
+    "codes": {"_check_code", "code_shape", "code_length"},
+    "codes_checks": {"dual_weight_fraction"},
+}
+
+
+def _oracle_violations(sources: dict[str, str]) -> list[str]:
+    return sorted(
+        {
+            f"{module} reads {source}.{name}"
+            for module in ORACLES
+            for source, allowed in ORACLES_MAY_READ.items()
+            for name in _reads(sources[module], source)
+            if name not in allowed
+        }
+    )
+
+
+def test_oracles_read_no_stage_builder():
+    assert _oracle_violations(_sources()) == []
+
+
+@pytest.mark.parametrize("module", ORACLES)
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("codes", "_bit_rows"),
+        ("gf2r", "_trace_map"),
+        ("gf2r", "_walsh_hadamard"),
+        ("gf2r", "_unpack_slots"),
+        ("codes_checks", "_generator_rows"),
+    ],
+)
+@pytest.mark.parametrize("form", ["by name", "aliased", "module attribute"])
+def test_oracle_rule_rejects_a_read_of_a_stage_builder(module, source, name, form):
+    imported, read = {
+        "by name": (f"from .{source} import {name}", name),
+        "aliased": (f"from .{source} import {name} as stage", "stage"),
+        "module attribute": (f"from . import {source}", f"{source}.{name}"),
+    }[form]
+    sources = _with_import(_sources(), module, imported)
+    mutant = {**sources, module: sources[module] + f"\n\ndef _stage(ctx):\n    return {read}(ctx)\n"}
+    assert _oracle_violations(mutant) == [f"{module} reads {source}.{name}"]

@@ -173,7 +173,7 @@ REGISTRY = {
     "dual_map_injective": ("flip a bit in G", "zero a row of G"),
     "dual_map_kernel": ("flip a bit in _bit_rows", "flip a bit in G"),
     "dual_cardinality_product": ("flip a bit in G", "zero a row of G"),
-    "distribution_vs_enumeration": ("flip a bit in _bit_rows", "swap C_3, C_4", "q more zero dual words"),
+    "distribution_vs_enumeration": ("swap C_3, C_4", "q more zero dual words"),
     "distribution_cardinality": ("flip a bit in _bit_rows", "q more zero dual words"),
     "distribution_palindrome": ("swap C_3, C_4",),
     "pless_identity": ("dual weight + 1", "dual weight - 1", "swap C_3, C_4"),
