@@ -18,8 +18,8 @@ map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).  The dual
 structure is GF(2) ranks of these rows (``verify_dual_structure``), and
 the enumeration of the codewords walks a nullspace basis of parity rows
 that it builds alone, one bit read per entry, not by ``_bit_rows``
-(``weight_distribution_exhaustive``).  Every other function takes the stage values it reads as
-arguments, so ``verify`` builds each once.
+(``weight_distribution_exhaustive``).  Every other function takes the
+stage values it reads as arguments, so ``verify`` builds each once.
 """
 
 from . import codes
