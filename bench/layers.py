@@ -106,7 +106,7 @@ STAGES = (
     "codes_checks._generator_rows", "codes_checks._block_walk", "codes_checks.dual_weights",
     "codes_checks.verify_dual_structure", "codes_checks.code_cardinality",
     "codes_checks.weight_distribution_exhaustive",
-    "moments._pless_sums", "moments._recursion", "moments_checks.pless_check",
+    "moments._pless_sums", "moments._recursion", "moments_checks.pless_check", "verify._char_sums_hold",
 )
 # build_field's two table passes, methods of gf2r.FieldContext: the row name of each
 FIELD_PASSES = {"_build_exp_log": "exp_log", "_build_trace_table": "trace_table"}

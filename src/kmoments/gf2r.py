@@ -25,9 +25,9 @@ element, and a g that an earlier, shorter walk visited is never walked, since it
 in a proper subgroup.  log is one pass over exp, and the inverses one
 pass over exp beside exp reversed.  The trace table doubles r times,
 since tr(y ^ x^k) = tr(y) ^ tr(x^k) for y < 2^k: each step appends a
-copy, or a copy with every entry flipped.  The x^2 + x image is then
-checked against the trace's kernel through ``mul``, one product per
-element.
+copy, or a copy with every entry flipped.  theta is the trace's kernel,
+read off the trace table, and the x^2 + x image, exp[2 log a] ^ a for
+each a, is checked against it.
 
 Three private helpers serve the layers above: ``_trace_map`` is the
 table phi with tr(x y) = parity(x & phi(y)), the one form in which the
@@ -38,6 +38,7 @@ int, for the character-sum row and for each code's block.
 """
 
 import sys
+from itertools import compress
 
 __all__ = [
     "FieldContext",
@@ -229,8 +230,8 @@ class FieldContext:
         holds two periods so ``exp[log[x] + log[y]]`` needs no reduction.
     inv_table : multiplicative inverses, index 0 unused.
     trace_table : bytes, entry a = tr(a) in {0, 1}.
-    theta : the image {a^2 + a}, sorted ascending (equals the trace-zero
-        set; exactly q/2 elements, starting with 0).
+    theta : the trace-zero set, ascending (equals the image {a^2 + a};
+        exactly q/2 elements, starting with 0).
     b : a fixed element outside theta, i.e. of trace 1.
     """
 
@@ -264,17 +265,16 @@ class FieldContext:
             inverses[x] = y
         self.inv_table = tuple(inverses)
         self.trace_table = tt = self._build_trace_table()
-        # x^2 + x maps onto the kernel of the trace: a wrong product or trace table breaks that;
-        # every a, 0 and then the walk's order, which reads the tables nearly in sequence
-        image = {self.mul(a, a) ^ a for a in (0, *walk)}
-        if len(image) != tt.count(0) or any(map(tt.__getitem__, image)):
-            zeros = {x for x, t in enumerate(tt) if not t}
-            x = min(image ^ zeros)
+        self.theta = tuple(compress(range(self.q), tt.translate(_FLIP)))
+        # x^2 + x maps onto the kernel of the trace: a wrong exp/log or trace table breaks that;
+        # a^2 + a is exp[2 log a] ^ a, over 0 and the walk, which reads the tables nearly in sequence
+        image = {0, *(self.exp[2 * self.log[a]] ^ a for a in walk)}
+        if len(image) != len(self.theta) or any(map(tt.__getitem__, image)):
+            x = min(image.symmetric_difference(self.theta))
             raise ArithmeticError(
                 f"the image of x^2 + x ({len(image)} values) is not the trace-zero set "
-                f"({len(zeros)} values): {x:#x} is {'in the image' if x in image else 'of trace 0'} only"
+                f"({len(self.theta)} values): {x:#x} is {'in the image' if x in image else 'of trace 0'} only"
             )
-        self.theta = tuple(sorted(image))
 
         if b is None:
             b = self.trace_table.index(1)

@@ -67,16 +67,21 @@ def test_moments_mismatch_exit_code(capsys, monkeypatch):
     assert not json.loads(out)["rows"][0]["match"]
 
 
-def test_a_guard_failing_while_fields_are_built_exits_2(capsys, monkeypatch):
+def _zero_log(patch):
+    """A log table of zeros: every a^2 = exp[2 log a] reads as 1, and x^2 + x as x + 1."""
     import kmoments.gf2r as gf2r
 
-    # a field product that is always 0: x^2 + x = x takes all 8 values
-    monkeypatch.setattr(gf2r.FieldContext, "mul", lambda self, x, y: 0)
+    real = gf2r.FieldContext._build_exp_log
+    patch.setattr(gf2r.FieldContext, "_build_exp_log", lambda self: (real(self)[0], (None,) + (0,) * (self.q - 1)))
+
+
+def test_a_guard_failing_while_fields_are_built_exits_2(capsys, monkeypatch):
+    _zero_log(monkeypatch)
     code, out, err = run(capsys, "moments", "--r", "3")
     assert (code, out) == (2, "")
     assert err.splitlines() == [
-        "error: ArithmeticError: the image of x^2 + x (8 values) is not the trace-zero set "
-        "(4 values): 0x1 is in the image only"
+        "error: ArithmeticError: the image of x^2 + x (7 values) is not the trace-zero set "
+        "(4 values): 0x3 is in the image only"
     ]
 
 
@@ -730,10 +735,14 @@ def test_an_empty_selection_is_one_usage_error(capsys, command):
 
 # -- the process entry ----------------------------------------------------------------
 
-# a field product that is always 0, as in test_a_guard_failing_while_fields_are_built_exits_2
-_ZERO_MUL = "import kmoments.gf2r as gf2r\ngf2r.FieldContext.mul = lambda self, x, y: 0\n"
+# _zero_log in a child
+_ZERO_LOG = (
+    "import kmoments.gf2r as gf2r\n"
+    "real = gf2r.FieldContext._build_exp_log\n"
+    "gf2r.FieldContext._build_exp_log = lambda self: (real(self)[0], (None,) + (0,) * (self.q - 1))\n"
+)
 
-# name -> (exit code, argv with OUT for an --out path, patch the field product to 0)
+# name -> (exit code, argv with OUT for an --out path, patch the log table to zeros)
 _ENTRY_CASES = {
     "passing_run": (0, ("verify", "--r", "3", "--hmax", "4"), False),
     "usage_error": (1, ("moments", "--r", "0"), False),
@@ -745,16 +754,14 @@ _ENTRY_CASES = {
 @pytest.mark.parametrize("name", _ENTRY_CASES)
 def test_the_process_entry_keeps_what_main_writes_and_returns(name, capsys, monkeypatch, tmp_path):
     # the entry freezes the heap after main returns: no exit code, stream or file may change
-    status, argv, zero_mul = _ENTRY_CASES[name]
+    status, argv, zero_log = _ENTRY_CASES[name]
     in_process, child = tmp_path / "in_process.csv", tmp_path / "child.csv"
     with monkeypatch.context() as patch:
-        if zero_mul:
-            import kmoments.gf2r as gf2r
-
-            patch.setattr(gf2r.FieldContext, "mul", lambda self, x, y: 0)
+        if zero_log:
+            _zero_log(patch)
         expected = run(capsys, *[str(in_process) if a == "OUT" else a for a in argv])
     code, out, err = run_process(
-        *[str(child) if a == "OUT" else a for a in argv], prelude=_ZERO_MUL if zero_mul else None
+        *[str(child) if a == "OUT" else a for a in argv], prelude=_ZERO_LOG if zero_log else None
     )
     assert expected[0] == status
     assert (code, out.decode(), err) == expected

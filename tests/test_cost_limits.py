@@ -5,7 +5,8 @@ table of both.
 Each limit is probed by the run it bounds: inside at its value, outside
 one above, and outside at its value once the constant is lowered by one
 in the module that holds it, so a literal left in a function body in
-place of the name fails here.
+place of the name fails here.  verify's limits are probed by every row
+that ``verify.ROWS`` bounds by them, and the README names those rows.
 """
 
 import json
@@ -44,10 +45,11 @@ def _block(module) -> dict[str, int]:
     return block
 
 
-def _readme_rows() -> list[tuple[str, int]]:
+def _readme_rows() -> list[tuple[str, int, str]]:
+    """(limit, value, bounds cell) of each row of the README's cost table."""
     text = README.read_text()
     section = text.split("## Cost limits", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^\| `([\w.]+)` \| (\d+) \|", section, flags=re.M)
+    return re.findall(r"^\| `([\w.]+)` \| (\d+) \| ([^|]*) \|", section, flags=re.M)
 
 
 def _run(capsys, *argv):
@@ -63,11 +65,10 @@ def _accepted(capsys, *argv) -> bool:
     return code == 0
 
 
-def _verify_rows(capsys, r: int, code: int = 3, h_max: int = 2) -> dict[str, str | None]:
-    status, out, err = _run(
-        capsys, "verify", "--r", str(r), "--code", str(code), "--hmax", str(h_max),
-        "--format", "json",
-    )
+def _verify_rows(capsys, r: int, *codes: str, h_max: int = 2) -> dict[str, str | None]:
+    """Each row name of ``verify --r r --hmax h_max`` over ``codes`` (default: all) -> its note."""
+    code = ("--code", ",".join(codes)) if codes else ()
+    status, out, err = _run(capsys, "verify", "--r", str(r), *code, "--hmax", str(h_max), "--format", "json")
     assert status == 0, err
     return {w["check"]: w["note"] for w in json.loads(out)["results"] if w["code"] is not None}
 
@@ -85,7 +86,7 @@ def _full_distribution(capsys, r):
 
 
 def _all_b(capsys, r):
-    note = _verify_rows(capsys, r)["irreducible_char_sum"]
+    note = _verify_rows(capsys, r, "3")["irreducible_char_sum"]
     assert note in (None, f"sampled 2 of {2 ** (r - 1)} b values"), note
     return note is None
 
@@ -99,50 +100,24 @@ def _pless_orders(capsys, monkeypatch, h_max):
         return real(ctx, i, weights, sums)
 
     monkeypatch.setattr(mo, "pless_check", recording)
-    _verify_rows(capsys, 3, h_max=h_max)
+    _verify_rows(capsys, 3, "3", h_max=h_max)
     return seen == [h_max]
 
 
-# case -> probe(capsys, monkeypatch, x): whether the run it bounds, at x, is inside the
-# limit; a case is named after its limit, unless LIMIT_OF names another
+# limit -> probe(capsys, monkeypatch, x): whether the run it bounds, at x, is inside the limit;
+# verify's rows are probed from verify.ROWS below
 PROBES = {
-    "MAX_R": lambda capsys, mp, r: _accepted(
-        capsys, "moments", "--r", str(r), "--code", "4", "--hmax", "1"
-    ),
-    "MAX_HMAX": lambda capsys, mp, h: _accepted(
-        capsys, "moments", "--r", "3", "--code", "3", "--hmax", str(h)
-    ),
+    "MAX_R": lambda capsys, mp, r: _accepted(capsys, "moments", "--r", str(r), "--code", "4", "--hmax", "1"),
+    "MAX_HMAX": lambda capsys, mp, h: _accepted(capsys, "moments", "--r", "3", "--code", "3", "--hmax", str(h)),
     "FULL_DISTRIBUTION_MAX_R": lambda capsys, mp, r: _full_distribution(capsys, r),
-    "CHAR_SUM_MAX_R": lambda capsys, mp, r: "split_char_sum" in _verify_rows(capsys, r),
-    "ALL_B_MAX_R": lambda capsys, mp, r: _all_b(capsys, r),
-    "VERIFY_DISTRIBUTION_MAX_R": lambda capsys, mp, r: (
-        "distribution_palindrome" in _verify_rows(capsys, r)
-    ),
-    "DUAL_WEIGHT_MAX_R": lambda capsys, mp, r: "dual_weight_formula" in _verify_rows(capsys, r),
-    "CARDINALITY_MAX_R": lambda capsys, mp, r: (
-        "distribution_cardinality" in _verify_rows(capsys, r)
-    ),
+    # the note "sampled 2 of ... b values", which the seed-0 digests hold at r = 7, 8
+    "DIGEST_FULL_ROWS_MAX_R": lambda capsys, mp, r: _all_b(capsys, r),
 }
 
-# verify's two digest limits each hold back the rows of several limits they replaced;
-# each row keeps its case under the name of the limit it had
-LIMIT_OF = {
-    "CHAR_SUM_MAX_R": "DIGEST_ROWS_MAX_R",
-    "DUAL_WEIGHT_MAX_R": "DIGEST_ROWS_MAX_R",
-    "CARDINALITY_MAX_R": "DIGEST_ROWS_MAX_R",
-    "ALL_B_MAX_R": "DIGEST_FULL_ROWS_MAX_R",
-    "VERIFY_DISTRIBUTION_MAX_R": "DIGEST_FULL_ROWS_MAX_R",
-}
-
-
-def _limit(case: str) -> str:
-    return LIMIT_OF.get(case, case)
-
-
-def _home(name: str):
-    """The module whose block holds the limit ``name``."""
-    (module,) = [module for module in BLOCKS if name in _block(module)]
-    return module
+# the rows that a verify limit bounds, each probed at the limit's value; at r = 6 no code has
+# distribution_vs_enumeration (N - r >= 25 > codes.ENUMERATION_BUDGET), so its limit is set to 5
+LIMITED_ROWS = [row for row in verify.ROWS if row.limit]
+PROBE_R = {"distribution_vs_enumeration": 5}
 
 
 def test_every_limit_is_in_the_block_and_probed():
@@ -151,18 +126,29 @@ def test_every_limit_is_in_the_block_and_probed():
         block = _block(module)
         assert ints - set(block) == not_limits, module
         assert all(getattr(module, name) == value for name, value in block.items())
-    assert {_limit(case) for case in PROBES} == {*_block(cli), *_block(verify)}
+    assert {*PROBES, *(row.limit for row in LIMITED_ROWS)} == {*_block(cli), *_block(verify)}
+    assert {row.limit for row in LIMITED_ROWS} == set(_block(verify))
 
 
-@pytest.mark.parametrize("case", sorted(PROBES))
-def test_limit_bounds_its_run(case, capsys, monkeypatch):
-    probe, name = PROBES[case], _limit(case)
-    module = _home(name)
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_limit_bounds_its_run(name, capsys, monkeypatch):
+    probe = PROBES[name]
+    (module,) = [module for module in BLOCKS if name in _block(module)]
     limit = getattr(module, name)
     assert probe(capsys, monkeypatch, limit)
     assert not probe(capsys, monkeypatch, limit + 1)
     monkeypatch.setattr(module, name, limit - 1)
     assert not probe(capsys, monkeypatch, limit)
+
+
+@pytest.mark.parametrize("row", LIMITED_ROWS, ids=lambda row: row.name)
+def test_row_stops_at_its_limit(row, capsys, monkeypatch):
+    at = PROBE_R.get(row.name, getattr(verify, row.limit))
+    monkeypatch.setattr(verify, row.limit, at)
+    assert row.name in _verify_rows(capsys, at)
+    assert row.name not in _verify_rows(capsys, at + 1)
+    monkeypatch.setattr(verify, row.limit, at - 1)
+    assert row.name not in _verify_rows(capsys, at)
 
 
 def test_verify_checks_pless_to_hmax(capsys, monkeypatch):
@@ -173,9 +159,9 @@ def test_verify_checks_pless_to_hmax(capsys, monkeypatch):
 def test_enumeration_reads_the_library_budget(capsys, monkeypatch):
     # code 2 at r = 5 has N - r = 15 - 5 = 10 free coordinates
     monkeypatch.setattr(codes, "ENUMERATION_BUDGET", 10)
-    assert "distribution_vs_enumeration" in _verify_rows(capsys, 5, code=2)
+    assert "distribution_vs_enumeration" in _verify_rows(capsys, 5, "2")
     monkeypatch.setattr(codes, "ENUMERATION_BUDGET", 9)
-    assert "distribution_vs_enumeration" not in _verify_rows(capsys, 5, code=2)
+    assert "distribution_vs_enumeration" not in _verify_rows(capsys, 5, "2")
 
 
 def test_weights_refuse_counts_past_the_int_str_limit_in_set_up(capsys, monkeypatch):
@@ -204,5 +190,15 @@ def test_readme_cost_table_matches_the_code():
         "codes.ENUMERATION_BUDGET": codes.ENUMERATION_BUDGET,
         "gf2r.MAX_DEGREE": gf2r.MAX_DEGREE,
     }
-    rows = [(name, int(value)) for name, value in _readme_rows()]
+    rows = [(name, int(value)) for name, value, _ in _readme_rows()]
     assert sorted(rows) == sorted(expected.items())
+
+
+def test_readme_names_the_rows_of_each_verify_limit():
+    # in a verify limit's bounds cell, a lowercase name in backticks is a row of verify.ROWS,
+    # and every row that the limit bounds is one of them
+    for limit, _, cell in _readme_rows():
+        if limit in _block(verify):
+            named = set(re.findall(r"`([a-z_0-9]+)`", cell))
+            assert named - {row.name for row in verify.ROWS} == set(), limit
+            assert {row.name for row in LIMITED_ROWS if row.limit == limit} - named == set(), limit

@@ -227,6 +227,22 @@ def test_theta_is_trace_zero_set(r):
     assert ctx.theta[0] == 0
     assert list(ctx.theta) == sorted(ctx.theta)
     assert set(ctx.theta) == {x for x in ctx.elements() if ctx.trace_table[x] == 0}
+    assert list(ctx.theta) == oracles.naive_theta_image(ctx.modulus, r)
+
+
+def test_one_flipped_trace_entry_fails_the_theta_guard(monkeypatch):
+    # at r = 4 (modulus x^4+x+1) the trace-zero set is 0..7: a flip below 8 leaves x^2 + x
+    # an image of 8 values and 7 of trace 0, a flip from 8 on 9 of trace 0
+    real = gf2r.FieldContext._build_trace_table
+    for x in range(16):
+        monkeypatch.setattr(
+            gf2r.FieldContext, "_build_trace_table", lambda self: bytes(t ^ (v == x) for v, t in enumerate(real(self)))
+        )
+        zeros, only = (7, "in the image") if x < 8 else (9, "of trace 0")
+        message = f"the image of x^2 + x (8 values) is not the trace-zero set ({zeros} values): {x:#x} is {only} only"
+        with pytest.raises(ArithmeticError) as raised:
+            build_field(4)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("r", range(1, 9))

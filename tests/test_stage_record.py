@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from kmoments import build_field, codes, verify
+from kmoments import build_field, codes, codes_checks, kloosterman_checks, verify
 from kmoments.codes import parity_check_rows, weight_distribution
+from kmoments.kloosterman import kloosterman_table
 from kmoments.moments import moment_sequence
 
 import stages
@@ -52,6 +53,21 @@ def test_record_gives_what_the_library_builders_give(r, h_max):
 def test_record_leaves_out_the_codes_that_do_not_exist():
     # codes 1 and 2 have length 0 at r = 1
     assert list(verify._stages(build_field(1), codes.CODE_INDICES, 4).codes) == [3, 4]
+
+
+def test_the_digest_rows_values_are_built_where_those_rows_run(monkeypatch):
+    # the character-sum results and the dual-weight fractions, on a record's first read: at
+    # r = 8 the split row and 2 sampled b, and 4 codes' fractions; at r = 9 no row reads them
+    calls = []
+    for module, name in ((kloosterman_checks, "quadratic_char_sums"), (codes_checks, "dual_weight_fraction")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for r in (8, 9):
+        ctx, calls[:] = build_field(r), []
+        list(verify._verify_rows(ctx, codes.CODE_INDICES, 3))
+        distinct = len(set(kloosterman_table(ctx)[1:]))
+        expected = {"quadratic_char_sums": 3, "dual_weight_fraction": 4 * distinct} if r == 8 else {}
+        assert {name: calls.count(name) for name in set(calls)} == expected, r
 
 
 def _defaulted_stage_values(text: str) -> list[str]:

@@ -7,16 +7,17 @@ generator rows G, the Gray-code walk behind the dual weights, the
 dual-weight histogram or the MacWilliams core of the weight
 distribution.  ``REGISTRY`` maps every check name to the mutants that
 fail it.  At each r below, every check the clean run prints must FAIL
-under at least one of its mutants, and a check name with no entry fails
-the test, as a new public name does in ``test_no_orphans.py``.  Up to
-r = 8, every mutant must also fail at least one row.
+under at least one of its mutants, and a check name with no entry, in
+the output or in ``verify.ROWS``, fails the test, as a new public name
+does in ``test_no_orphans.py``.  Up to r = 8, every mutant must also
+fail at least one row.
 """
 
 import json
 
 import pytest
 
-from kmoments import cli, codes, codes_checks, kloosterman, kloosterman_checks
+from kmoments import cli, codes, codes_checks, kloosterman, kloosterman_checks, verify
 
 
 def _edit_k_table(mp, edit):
@@ -195,6 +196,7 @@ def test_registry_names_known_mutants():
 
 
 def test_every_check_name_has_a_mutant(capsys):
+    assert set(REGISTRY) == {row.name for row in verify.ROWS}
     names = {row["check"] for row in _results(capsys, "1..8")}
     assert names - set(REGISTRY) == set(), "checks with no registered mutant"
     assert set(REGISTRY) - names == set(), "registered checks that verify never prints"
