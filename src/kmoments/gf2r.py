@@ -21,13 +21,14 @@ Each table is built in whole-table passes.  exp comes from one walk:
 the first g = 1, 2, .. whose powers return to 1 at step q - 1, not
 before, is primitive, and its walk is the table.  Each step multiplies
 by g through two tables of at most 256 entries, one per byte of the
-element, and a g that an earlier, shorter walk visited is never walked, since it lies
-in a proper subgroup.  log is one pass over exp, and the inverses one
-pass over exp beside exp reversed.  The trace table doubles r times,
-since tr(y ^ x^k) = tr(y) ^ tr(x^k) for y < 2^k: each step appends a
-copy, or a copy with every entry flipped.  theta is the trace's kernel,
-read off the trace table, and the x^2 + x image, exp[2 log a] ^ a for
-each a, is checked against it.
+element, and a g that an earlier, shorter walk visited is never
+walked, since it lies in a proper subgroup.  log is one pass over exp,
+and the inverses one pass over exp beside exp reversed.  tr(x^k) is
+the k-th power sum of the modulus's roots, the conjugates of x, which
+Newton's identities give from its coefficients; the trace table then
+doubles r times, by a copy or a flipped copy.  theta, the trace's
+kernel, is read off it and checked against the x^2 + x image,
+exp[2 log a] ^ a for each a, which shares no code with it.
 
 Three private helpers serve the layers above: ``_trace_map`` is the
 table phi with tr(x y) = parity(x & phi(y)), the one form in which the
@@ -284,18 +285,6 @@ class FieldContext:
 
     # -- construction helpers -------------------------------------------------
 
-    def _mul_raw(self, x: int, y: int) -> int:
-        # shift-and-xor product, reduced by the modulus; no tables needed
-        p = 0
-        while y:
-            if y & 1:
-                p ^= x
-            y >>= 1
-            x <<= 1
-            if x >> self.r:
-                x ^= self.modulus
-        return p
-
     def _times_tables(self, g: int) -> tuple[list[int], list[int]]:
         # v g = lo[v & 255] ^ hi[v >> 8] for every v < q (r <= 16): x -> x g is GF(2)-linear,
         # so each table is the span of the products x^k g of its byte's bits
@@ -336,17 +325,18 @@ class FieldContext:
         raise ArithmeticError(f"no g has order q - 1 = {qm1} modulo {poly_str(self.modulus)}")
 
     def _build_trace_table(self) -> bytes:
-        # tr is GF(2)-linear: tr(y ^ x^k) = tr(y) ^ tr(x^k) for y < 2^k, so the table
-        # doubles r times, by a copy or by a copy with every entry flipped
+        # tr(x^k) = p_k, the k-th power sum of the roots x^(2^j): with e_j the coefficient of
+        # x^(r-j), Newton's identities over GF(2) give p_0 = r and, for 0 < k < r,
+        # p_k = e_1 p_(k-1) + .. + e_(k-1) p_1 + k e_k
+        r, f = self.r, self.modulus
+        e = [f >> (r - j) & 1 for j in range(r)]
+        p = [r & 1]
+        for k in range(1, r):
+            p.append((sum(e[j] & p[k - j] for j in range(1, k)) + k * e[k]) & 1)
+        # tr(y ^ x^k) = tr(y) ^ tr(x^k) for y < 2^k: a copy, or a flipped copy, per p_k
         table = b"\0"
-        for k in range(self.r):
-            e = acc = 1 << k
-            for _ in range(self.r - 1):
-                e = self._mul_raw(e, e)
-                acc ^= e
-            if acc > 1:
-                raise ArithmeticError(f"tr(x^{k}) = {acc:#x}, not in GF(2)")
-            table += table.translate(_FLIP) if acc else table
+        for bit in p:
+            table += table.translate(_FLIP) if bit else table
         return table
 
     # -- field operations -----------------------------------------------------

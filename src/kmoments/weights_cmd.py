@@ -16,8 +16,9 @@ __all__ = ["run"]
 
 
 def run(args: SimpleNamespace) -> tuple:
-    """The distribution of every r and code of ``args``; return (payload, header, rows, lines, True)."""
-    blocks, lines = [], []
+    """The distribution of every r and code of ``args``; return (payload, header, rows, lines,
+    ok), ok False if a cardinality or palindrome check that the run prints fails."""
+    blocks, lines, ok = [], [], True
     for r, ctx in args.contexts.items():
         for i in args.code:
             n = codes_mod.code_length(ctx, i)
@@ -39,10 +40,11 @@ def run(args: SimpleNamespace) -> tuple:
                     checks["palindrome"] = all(dist[j] == dist[n - j] for j in range(n + 1))
                     extra += f" palindrome={checks['palindrome']}"
                 blocks[-1]["checks"] = checks
+                ok = ok and checks["cardinality_ok"] and checks.get("palindrome", True)
                 lines.append(extra)
     rows = [
         {"r": blk["r"], "code": blk["code"], "j": j, "count": c}
         for blk in blocks
         for j, c in enumerate(blk["counts"])
     ]
-    return {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines, True
+    return {"distributions": blocks}, ["r", "code", "j", "count"], rows, lines, ok

@@ -135,6 +135,28 @@ def test_weights_csv(capsys):
     assert out.splitlines() == ["r,code,j,count", "3,4,0,1", "3,4,1,0", "3,4,2,0", "3,4,3,1", "3,4,4,0"]
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_weights_exits_2_when_a_printed_check_fails(capsys, monkeypatch, fmt):
+    # the MacWilliams core with C_1 + 1: one word too many, and C_1 != C_(N-1)
+    import kmoments.codes as codes
+
+    real = codes._macwilliams
+
+    def mutant(ctx, i, histogram, j_max):
+        dist = list(real(ctx, i, histogram, j_max))
+        dist[1] += 1
+        return tuple(dist)
+
+    monkeypatch.setattr(codes, "_macwilliams", mutant)
+    code, out, _ = run(capsys, "weights", "--r", "3", "--code", "3,4", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        checks = [blk["checks"] for blk in json.loads(out)["distributions"]]
+        assert checks[0]["cardinality_ok"] is checks[0]["palindrome"] is checks[1]["cardinality_ok"] is False
+    else:
+        assert "  total=3 (2^(N-r): False)" in out.splitlines()
+
+
 # -- verify -----------------------------------------------------------------------
 
 

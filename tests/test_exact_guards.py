@@ -154,18 +154,6 @@ GUARDS = {
         "build_field(3, modulus=0b1111)\n",
         "no g has order q - 1 = 7 modulo x^3+x^2+x+1",
     ),
-    # squaring that XORs once the exp/log tables are built: x^2 reads as 0
-    "field_trace_mask": (
-        "import kmoments.gf2r as gf2r\n"
-        "real = gf2r.FieldContext._build_exp_log\n"
-        "def tables_then_wrong_mul(self):\n"
-        "    tables = real(self)\n"
-        "    self._mul_raw = lambda x, y: x ^ y\n"
-        "    return tables\n"
-        "gf2r.FieldContext._build_exp_log = tables_then_wrong_mul\n"
-        "build_field(3)\n",
-        "tr(x^1) = 0x2, not in GF(2)",
-    ),
     # a Pless sum off by one: P_4 * 2^3 leaves a remainder modulo 2^4
     "pless_scale": (
         "import kmoments.codes as codes\n"

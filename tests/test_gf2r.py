@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,15 @@ def test_tables_equal_the_per_element_builders(r):
         exp, log = oracles.exp_log_by_walk(modulus, r)
         assert (ctx.exp, ctx.log) == (exp, log), poly_str(modulus)
         assert ctx.inv_table == oracles.inverses_by_log(exp, log), poly_str(modulus)
+        assert ctx.trace_table == oracles.trace_table_by_mask(modulus, r), poly_str(modulus)
+
+
+@pytest.mark.parametrize("r", range(9, 17))
+def test_trace_table_equals_repeated_squaring_for_five_moduli(r):
+    # the trace reads every coefficient of the modulus, so more moduli than the canonical one;
+    # the trace only, since the exp/log oracle is too slow here
+    for modulus in islice(irreducible_polys(r), 5):
+        ctx = build_field(r, modulus=modulus)
         assert ctx.trace_table == oracles.trace_table_by_mask(modulus, r), poly_str(modulus)
 
 

@@ -1,8 +1,10 @@
 """Which package modules may read which: the weight counts and the Pless
 left side must never come from the K values they are checked against.
 
-Each rule lists every package module one module may import, read from
-the sources with ``ast``, a lazy import inside a function included.
+Each rule lists exactly the package modules one module imports, read
+from the sources with ``ast``, a lazy import inside a function
+included: an import outside its rule fails, and so does a permission
+that no import uses.
 Each layer imports, on first use, its ``*_checks`` module (what
 ``verify`` runs) and its ``*_oracles`` module (what only the tests
 run); beyond that:
@@ -13,8 +15,7 @@ run); beyond that:
 * ``codes`` imports only ``gf2r``, ``codes_checks`` ``gf2r`` and
   ``codes``, and ``codes_oracles`` those and ``codes_checks``;
 * ``moments`` imports only ``gf2r`` and ``codes``, ``moments_checks``
-  those, ``codes_checks`` and ``moments``, and ``moments_oracles`` only
-  ``gf2r``;
+  only ``gf2r`` and ``moments``, and ``moments_oracles`` only ``gf2r``;
 * ``verify``, the one module that sets the two sides beside each other,
   imports every layer and the checks it runs; ``moments_cmd`` the
   layers whose columns it prints side by side, ``weights_cmd`` only
@@ -57,7 +58,7 @@ MAY_IMPORT = {
     "codes_checks": {"gf2r", "codes"},
     "codes_oracles": {"gf2r", "codes", "codes_checks"},
     "moments": {"gf2r", "codes", "moments_checks", "moments_oracles"},
-    "moments_checks": {"gf2r", "codes", "codes_checks", "moments"},
+    "moments_checks": {"gf2r", "moments"},
     "moments_oracles": {"gf2r"},
     "verify": {"gf2r", "kloosterman", "kloosterman_checks", "codes", "codes_checks", "moments"},
     "moments_cmd": {"kloosterman", "codes", "moments"},
@@ -104,6 +105,15 @@ def _violations(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _unused_permissions(sources: dict[str, str]) -> list[str]:
+    """One line per module of ``sources`` that ``MAY_IMPORT`` lets import a module it does not."""
+    return [
+        f"{module} may import {source} but does not"
+        for module, text in sources.items()
+        for source in sorted(MAY_IMPORT[module] - set(_package_imports(ast.parse(text))))
+    ]
+
+
 def _sources() -> dict[str, str]:
     return {m: (PACKAGE / f"{m}.py").read_text() for m in MAY_IMPORT}
 
@@ -117,6 +127,15 @@ def _with_import(sources, module, line):
 
 def test_import_graph_keeps_k_values_out_of_the_counts():
     assert _violations(_sources()) == []
+
+
+def test_every_import_permission_is_used():
+    assert _unused_permissions(_sources()) == []
+
+
+def test_an_unused_import_permission_is_reported(monkeypatch):
+    monkeypatch.setitem(MAY_IMPORT, "moments_checks", MAY_IMPORT["moments_checks"] | {"codes"})
+    assert _unused_permissions(_sources()) == ["moments_checks may import codes but does not"]
 
 
 def test_every_module_has_an_import_rule():
