@@ -101,12 +101,11 @@ CALLS_SMALL_R, CALLS_LARGE_R, LARGE_R = 9, 5, 14
 # the functions of kmoments, as module.function, that a verify rows pass is timed through
 STAGES = (
     "gf2r._trace_map", "gf2r._walsh_hadamard",
-    "kloosterman.kloosterman_table", "kloosterman.moment_bruteforce", "kloosterman_checks.quadratic_char_sums",
+    "kloosterman.kloosterman_table", "kloosterman.moment_bruteforce", "checks.quadratic_char_sums",
     "codes._bit_rows", "codes._block_transform", "codes._dual_weight_histogram", "codes._macwilliams",
-    "codes_checks._generator_rows", "codes_checks._block_walk", "codes_checks.dual_weights",
-    "codes_checks.verify_dual_structure", "codes_checks.code_cardinality",
-    "codes_checks.weight_distribution_exhaustive",
-    "moments._pless_sums", "moments._recursion", "moments_checks.pless_check", "verify._char_sums_hold",
+    "checks._generator_rows", "checks._block_walk", "checks.dual_weights",
+    "checks.verify_dual_structure", "checks.code_cardinality", "checks.weight_distribution_exhaustive",
+    "moments._pless_sums", "moments._recursion", "checks.pless_check", "verify._char_sums_hold",
 )
 # build_field's two table passes, methods of gf2r.FieldContext: the row name of each
 FIELD_PASSES = {"_build_exp_log": "exp_log", "_build_trace_table": "trace_table"}
@@ -176,7 +175,7 @@ def _field_child(src: str, rs: list[int]) -> dict:
         for name in STAGES
         for module, attr in [name.split(".")]
     ]
-    # every kmoments module, each layer's checks among them, is loaded by now
+    # every kmoments module, checks among them, is loaded by now
     modules = [m for n, m in list(sys.modules.items()) if n == "kmoments" or n.startswith("kmoments.")]
     samples = defaultdict(list)
     for r in rs:

@@ -1,38 +1,92 @@
-"""The dual words of the four codes, and the checks that ``verify`` runs on them.
+"""What ``verify`` runs of the three layers: the character-sum row, the dual words' checks
+and the Pless identity.
 
-This module holds what ``verify`` runs of the codes layer:
-:mod:`kmoments.codes` lists every name here in its ``__all__`` and
-compiles this module on the first read of one.  It reads the names of
-``codes`` through the module at call time, so that a function patched
-there reaches both halves alike.
+Each layer, :mod:`kmoments.kloosterman`, :mod:`kmoments.codes` and
+:mod:`kmoments.moments`, lists the names defined here that belong to it
+in its ``__all__`` and compiles this module on the first read of one
+(PEP 562 ``__getattr__``); ``verify`` imports it.  No layer imports it at
+load, so a ``moments`` or ``weights`` run never compiles it.  It reads
+the names of ``codes`` and ``moments`` through the modules at call time,
+so that a function patched there reaches it too.  Every function but the
+enumeration takes the stage values it reads as arguments, so ``verify``
+builds each once.  Their oracles are in :mod:`kmoments.oracles`.
+
+The character-sum row (``quadratic_char_sums``) is checked against the
+K table, and like it reads the field's tables alone, never a code.  The
+two further character sums of the paper have quadratic denominators,
+split (x^2 + x over alpha outside {0, 1}) or irreducible (x^2 + x + b
+over every alpha, tr(b) = 1).  Both are one family in b: summed over the
+alpha with alpha^2 + alpha + b != 0, lambda(a/(alpha^2 + alpha + b))
+gives (-1)^tr(b) K(a) - 1 for every b, which is the identity underlying
+the dual-codeword weights in :mod:`kmoments.codes`.  The denominator
+takes each value d of D, the nonzero elements of b + theta, at exactly
+two alpha, alpha and alpha + 1, so the row gives every a at once as
+twice a sum over D: b = 0 is the split row, a trace-one b the
+irreducible row.  The row uses the additive characters, not the
+multiplicative convolution: lambda(a/d) = (-1)^tr(a y) with y = 1/d, so
+the sum over D is the Walsh-Hadamard transform of the inverses of D,
+after the linear map phi = ``gf2r._trace_map`` that turns tr(a y) into
+the parity of a & phi(y): ``gf2r._walsh_hadamard``, the packed transform
+behind the codes' dual weights, O(q r) per b.  A packed product of u
+with the indicator of log D would be no check: b + theta is theta or its
+complement, so that product is the K table's own square u * u, or sum u
+minus it.  The row reads no K value and shares only the slot reader
+``gf2r._unpack_slots`` with the K table.
 
 The dual of code i is the set of trace words c_i(a) (see
 :mod:`kmoments.codes`).  The map a -> c_i(a) is GF(2)-linear, so one
 Gray-code walk over the r words of a = 2^k, one running word and one
 XOR per step, gives the weights of all q dual words (``_block_walk``,
 which ``dual_weights`` scales by ``copies``); it reads one block, which
-codes 1 and 2 (3 and 4) share.  The r
-generators c_i(2^k) come from ``codes._bit_rows``, the builder of the
-parity rows: generator k holds bit k of each phi(entry), phi the trace
-map ``gf2r._trace_map`` (tr(2^k x) is bit k of phi(x)).  The dual
-structure is GF(2) ranks of these rows (``verify_dual_structure``), and
-the enumeration of the codewords walks a nullspace basis of parity rows
-that it builds alone, one bit read per entry, not by ``_bit_rows``
-(``weight_distribution_exhaustive``).  Every other function takes the
-stage values it reads as arguments, so ``verify`` builds each once.
+codes 1 and 2 (3 and 4) share.  The r generators c_i(2^k) come from
+``codes._bit_rows``, the builder of the parity rows: generator k holds
+bit k of each phi(entry), phi the trace map ``gf2r._trace_map``
+(tr(2^k x) is bit k of phi(x)).  The dual structure is GF(2) ranks of
+these rows (``verify_dual_structure``), and the enumeration of the
+codewords walks a nullspace basis of parity rows that it builds alone,
+one bit read per entry, not by ``_bit_rows``
+(``weight_distribution_exhaustive``).
+
+``pless_check`` compares the power sums of the q dual weights, from the
+Gray-code walk, with the Pless right side over the code's weight counts.
 """
 
-from . import codes
-from .gf2r import FieldContext, _check_int
+from collections import Counter
+
+from . import codes, moments
+from .gf2r import FieldContext, _check_int, _walsh_hadamard
 
 __all__ = [
+    "quadratic_char_sums",
     "dual_weights",
     "dual_weight_fraction",
     "weight_distribution_exhaustive",
     "code_cardinality",
     "kernel_basis",
     "verify_dual_structure",
+    "pless_check",
 ]
+
+
+def quadratic_char_sums(ctx: FieldContext, b: int, phi) -> list[int | None]:
+    """Sum of lambda(a/(alpha^2 + alpha + b)) over the alpha where it is defined, at every a.
+
+    A list indexed by a, entry 0 None; any field element b is taken.
+    Entry a is (-1)^tr(b) K(a) - 1: b = 0 gives
+    ``split_quadratic_char_sum`` and a trace-one b
+    ``irreducible_quadratic_char_sum``, its oracles.  alpha and alpha + 1
+    give the same denominator, and the denominators are the set D of
+    nonzero d in b + theta, so entry a is twice the sum of lambda(a/d)
+    over D.  With ``phi`` the table ``gf2r._trace_map``,
+    phi(y) = sum_j tr(2^j y) 2^j, tr(a y) is the parity of a & phi(y); so
+    the sum is F(a) = sum_z f[z] (-1)^popcount(a & z), with f the
+    indicator of phi(1/d) over D: one ``gf2r._walsh_hadamard`` of f, with
+    n = |D| = q/2 - 1 + tr(b).
+    """
+    _check_int("b", b, 0, ctx.q - 1)
+    points = [phi[ctx.inv_table[t ^ b]] for t in ctx.theta if t != b]
+    f = _walsh_hadamard(ctx.q, points, ctx.q // 2 - 1 + ctx.trace_table[b])
+    return [None] + [2 * x for x in f[1:]]
 
 
 def _generator_rows(ctx: FieldContext, i: int, phi, block) -> list[int]:
@@ -162,3 +216,32 @@ def verify_dual_structure(ctx: FieldContext, i: int, h_rows, g_rows) -> dict:
         "code_cardinality": cardinality,
         "product_check": (1 << rank_g) * cardinality == 1 << n,
     }
+
+
+def pless_check(ctx: FieldContext, i: int, weights, sums) -> tuple:
+    """Both sides of the Pless power moment identity for the dual of code i.
+
+    Returns one (lhs, rhs, equal) triple for each order h = 0..h_max.
+    Left side: sum of weight^h over the q dual codewords c_i(a), the
+    zero word counting 1 when h = 0 (0**0 == 1); ``weights`` holds all q
+    of them, as ``dual_weights`` returns them from one walk
+    over the trace words, never from the Walsh-Hadamard weight histogram
+    that the weight counts come from.  Right side: the Stirling-number
+    expansion over the code's weight counts, with alphabet size 2 and
+    dual dimension r, as an int; ``sums`` holds it for h = 0..h_max with
+    the 2^r left out, as ``moments._pless_sums`` returns it.  Its terms
+    t! S(h, t) 2^(r-t) are integers for any integer counts, since
+    C(N-j, N-t) vanishes past t = N <= 2^r, so popcount(t) <= r and
+    2^(t - popcount(t)) divides t!.  A remainder raises ArithmeticError.
+    """
+    moments._check_code(ctx, i)
+    histogram = Counter(weights)
+    checks = []
+    for h, pless in enumerate(sums):
+        lhs = sum(c * w**h for w, c in histogram.items())
+        # 2^(r-t) = 2^(h-t) 2^r / 2^h, so the integer sum scales exactly
+        rhs, rem = divmod(pless << ctx.r, 1 << h)
+        if rem:
+            raise ArithmeticError(f"Pless sum P_{h} * 2^{ctx.r} not divisible by 2^{h}")
+        checks.append((lhs, rhs, rhs == lhs))
+    return tuple(checks)

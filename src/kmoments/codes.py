@@ -20,7 +20,7 @@ i = 1, 2, 3, 4.
 The r parity rows of code i come from one row builder, ``_bit_rows``:
 row k holds bit k of each entry, and a row is one ``translate`` of a
 byte plane rather than N bit reads.  The generator rows of the dual
-are built by it too, in :mod:`kmoments.codes_checks`.
+are built by it too.
 
 Weight distributions come from the dual side: one Walsh-Hadamard
 transform of the block (``_block_transform``), which the two codes on it
@@ -30,22 +30,20 @@ that weight histogram (``_dual_weight_histogram``, which alone applies
 (``_macwilliams``).  ``weight_distribution`` composes them from the
 context; ``verify``'s stage record calls each on the values it holds.
 The transform is ``gf2r._walsh_hadamard``, the packed one the
-character-sum row of :mod:`kmoments.kloosterman_checks` runs on too; no
-check has it on both sides, since the row is checked against the K table
-and the counts against the K moments, the Gray-code walk and GF(2) ranks.
-No K(a) value is used, so the counts stay independent of the
-Kloosterman table they are checked against.
+character-sum row runs on too; no check has it on both sides, since the
+row is checked against the K table and the counts against the K moments,
+the Gray-code walk and GF(2) ranks.  No K(a) value is used, so the counts
+stay independent of the Kloosterman table they are checked against.
 
-Only ``verify`` and the tests run the rest of the layer.  What
-``verify`` runs, the dual weights, the dual-structure report, the
-cardinality count and the enumeration, lives in
-:mod:`kmoments.codes_checks`; the oracles that only the tests run, the
-defining vector, membership, the dual words one a at a time and their
-closed-form weight, which takes K(a) as an argument so that no
-weight-side module imports the Kloosterman layer, in
-:mod:`kmoments.codes_oracles`.  ``__all__`` still lists them, and each
-is read here by name and compiled on first use (PEP 562
-``__getattr__``).
+Only ``verify`` and the tests run the rest of the layer.  What ``verify``
+runs, the generator rows, the dual weights, the dual-structure report,
+the cardinality count and the enumeration, lives in
+:mod:`kmoments.checks`, beside the character-sum row; the oracles that
+only the tests run, the defining vector, membership, the dual words one
+a at a time and their closed-form weight, which takes K(a) as an
+argument so that no weight-side module imports the Kloosterman layer, in
+:mod:`kmoments.oracles`.  ``__all__`` still lists them, and each is read
+here by name and compiled on first use (PEP 562 ``__getattr__``).
 """
 
 from collections import Counter
@@ -229,13 +227,13 @@ def gf2_rank(rows) -> int:
 
 
 def __getattr__(name: str):
-    # PEP 562: an __all__ name defined in codes_checks (what verify runs) or in
-    # codes_oracles (what only the tests run), imported on first use and then bound here
+    # PEP 562: an __all__ name defined in checks (what verify runs) or in oracles (what only
+    # the tests run), imported on first use and then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import codes_checks as home
+    from . import checks as home
 
     if not hasattr(home, name):
-        from . import codes_oracles as home
+        from . import oracles as home
     value = globals()[name] = getattr(home, name)
     return value

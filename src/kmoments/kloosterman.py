@@ -23,11 +23,10 @@ nonzero trace-zero elements, so sum_t u(t) = q/2 - 1 and
 All c_s come from one exact bigint square (Kronecker substitution).
 
 The character-sum row that ``verify`` checks the table against lives in
-:mod:`kmoments.kloosterman_checks`, and the literal per-a sums, K(a)
-and the two character sums with quadratic denominators, in
-:mod:`kmoments.kloosterman_oracles`, which only the tests run.
-``__all__`` still lists them, and each is read here by name and
-compiled on first use (PEP 562 ``__getattr__``).
+:mod:`kmoments.checks`, and the literal per-a sums, K(a) and the two
+character sums with quadratic denominators, in :mod:`kmoments.oracles`,
+which only the tests run.  ``__all__`` still lists them, and each is
+read here by name and compiled on first use (PEP 562 ``__getattr__``).
 """
 
 from collections import Counter
@@ -99,13 +98,13 @@ def moment_bruteforce(ctx: FieldContext, h_max: int, table: tuple[int | None, ..
 
 
 def __getattr__(name: str):
-    # PEP 562: an __all__ name defined in kloosterman_checks (what verify runs) or in
-    # kloosterman_oracles (what only the tests run), imported on first use and then bound here
+    # PEP 562: an __all__ name defined in checks (what verify runs) or in oracles (what only
+    # the tests run), imported on first use and then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import kloosterman_checks as home
+    from . import checks as home
 
     if not hasattr(home, name):
-        from . import kloosterman_oracles as home
+        from . import oracles as home
     value = globals()[name] = getattr(home, name)
     return value

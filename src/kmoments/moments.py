@@ -16,11 +16,10 @@ approximate arithmetic would be useless.  MK^0 = q - 1 is the seed and
 is never produced by the recursion.
 
 ``pless_check``, both sides of the Pless identity, which ``verify``
-runs, lives in :mod:`kmoments.moments_checks`, and the explicit
-Stirling numbers ``stirling2_explicit``, an oracle only the tests run,
-in :mod:`kmoments.moments_oracles`.  ``__all__`` still lists both, and
-each is read here by name and compiled on first use (PEP 562
-``__getattr__``).
+runs, lives in :mod:`kmoments.checks`, and the explicit Stirling
+numbers ``stirling2_explicit``, an oracle only the tests run, in
+:mod:`kmoments.oracles`.  ``__all__`` still lists both, and each is
+read here by name and compiled on first use (PEP 562 ``__getattr__``).
 """
 
 from math import comb, factorial
@@ -93,13 +92,13 @@ def moment_sequence(ctx: FieldContext, i: int, h_max: int) -> tuple[int, ...]:
 
 
 def __getattr__(name: str):
-    # PEP 562: an __all__ name defined in moments_checks (what verify runs) or in
-    # moments_oracles (what only the tests run), imported on first use and then bound here
+    # PEP 562: an __all__ name defined in checks (what verify runs) or in oracles (what only
+    # the tests run), imported on first use and then bound here
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import moments_checks as home
+    from . import checks as home
 
     if not hasattr(home, name):
-        from . import moments_oracles as home
+        from . import oracles as home
     value = globals()[name] = getattr(home, name)
     return value

@@ -1,8 +1,9 @@
 """The ``verify`` command: the whole identity suite per (r, code), with pass/fail rows.
 
-``cli.main`` compiles this module, and through it the checks of every
-layer, on the first ``verify`` run only, and runs ``run``: a ``moments``
-or ``weights`` run compiles none of them.  ``run`` returns the rows and
+``cli.main`` compiles this module, and through it :mod:`kmoments.checks`,
+what it runs of every layer, on the first ``verify`` run only, and runs
+``run``: a ``moments`` or ``weights`` run compiles neither, and no run
+compiles the tests' :mod:`kmoments.oracles`.  ``run`` returns the rows and
 writes nothing; ``cli.main`` renders them.  This module imports no
 part of the CLI.
 
@@ -26,7 +27,7 @@ from collections import namedtuple
 from functools import cached_property
 from types import SimpleNamespace
 
-from . import codes_checks, gf2r, kloosterman_checks
+from . import checks, gf2r
 from . import codes as codes_mod
 from . import kloosterman as kl
 from . import moments as mo
@@ -44,7 +45,7 @@ DIGEST_FULL_ROWS_MAX_R = 6  # the rows of ROWS that name it, every trace-one b a
 def _char_sums_hold(rec, bs) -> bool:
     """Whether lambda(a/(alpha^2 + alpha + b)) summed over alpha is (-1)^tr(b) K(a) - 1 at each a, b in bs."""
     ctx = rec.ctx
-    rows = ((kloosterman_checks.quadratic_char_sums(ctx, b, rec.phi), 1 - 2 * ctx.trace_table[b]) for b in bs)
+    rows = ((checks.quadratic_char_sums(ctx, b, rec.phi), 1 - 2 * ctx.trace_table[b]) for b in bs)
     return all(row[a] == sign * rec.table[a] - 1 for row, sign in rows for a in ctx.nonzero())
 
 
@@ -62,7 +63,7 @@ class _Record(SimpleNamespace):
     @cached_property
     def fractions(self) -> dict:
         q, values = self.ctx.q, set(self.table[1:])
-        return {i: {k: codes_checks.dual_weight_fraction(q, i, k) for k in values} for i in self.codes}
+        return {i: {k: checks.dual_weight_fraction(q, i, k) for k in values} for i in self.codes}
 
 
 def _stages(ctx: FieldContext, codes: tuple[int, ...], h_max: int) -> _Record:
@@ -93,12 +94,12 @@ def _stages(ctx: FieldContext, codes: tuple[int, ...], h_max: int) -> _Record:
         block = codes_mod._base_entries(ctx, i)
         stage = stages.codes[i] = SimpleNamespace(n=n)
         stage.h_rows = codes_mod._bit_rows(block, r, copies)
-        stage.g_rows = codes_checks._generator_rows(ctx, i, stages.phi, block)
+        stage.g_rows = checks._generator_rows(ctx, i, stages.phi, block)
         if trace not in blocks:
-            walk = codes_checks._block_walk(stage.g_rows, n // copies, q)
+            walk = checks._block_walk(stage.g_rows, n // copies, q)
             blocks[trace] = walk, codes_mod._block_transform(ctx, i, block)
         walk, transform = blocks[trace]
-        stage.weights = codes_checks.dual_weights(ctx, i, walk)
+        stage.weights = checks.dual_weights(ctx, i, walk)
         stage.histogram = codes_mod._dual_weight_histogram(ctx, i, transform)
         stage.dist = codes_mod._macwilliams(ctx, i, stage.histogram, n if stages.full else min(n, h_max))
         stage.sums = mo._pless_sums(h_max, n, stage.dist)

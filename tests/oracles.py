@@ -303,7 +303,7 @@ def dual_words(generators, q: int) -> list[int]:
 def whole_word_walk(generators, q: int) -> tuple[int, ...]:
     """The weight of every word of a GF(2)-linear map a -> c(a), indexed by a, every bit counted.
 
-    The reference for ``codes_checks.dual_weights``, which walks only the
+    The reference for ``checks.dual_weights``, which walks only the
     block of a two-copy code and doubles its weights: a Gray-code walk over
     the whole words, whose step s XORs in c(2^k), k the lowest set bit of s,
     and lands on a = s ^ (s >> 1).

@@ -6,18 +6,18 @@ a test at r = 16 pays only for the stage it reads.
 ``tests/test_stage_record.py`` checks that both give the same values.
 """
 
-from kmoments import codes, codes_checks, gf2r, moments
+from kmoments import checks, codes, gf2r, moments
 
 
 def g_rows(ctx, i):
     """G, the r generators c_i(2^k) of the dual."""
-    return codes_checks._generator_rows(ctx, i, gf2r._trace_map(ctx), codes._base_entries(ctx, i))
+    return checks._generator_rows(ctx, i, gf2r._trace_map(ctx), codes._base_entries(ctx, i))
 
 
 def walk_weights(ctx, i, gens):
     """wt(c_i(a)) for every a, by the Gray-code walk over the generator rows ``gens``."""
     n, copies = codes.code_length(ctx, i), codes.code_shape(i)[1]
-    return codes_checks.dual_weights(ctx, i, codes_checks._block_walk(gens, n // copies, ctx.q))
+    return checks.dual_weights(ctx, i, checks._block_walk(gens, n // copies, ctx.q))
 
 
 def weights(ctx, i):

@@ -265,26 +265,24 @@ def _count_calls(monkeypatch, targets):
 
 
 def _per_a_targets():
-    import kmoments.codes_checks as codes_checks
-    import kmoments.codes_oracles as codes_oracles
-    import kmoments.kloosterman_checks as kloosterman_checks
-    import kmoments.kloosterman_oracles as kloosterman_oracles
+    import kmoments.checks as checks
+    import kmoments.oracles as package_oracles
 
     # each where it is defined, where verify and pless_check read it
     return [
-        (kloosterman_checks, "quadratic_char_sums"),
-        (kloosterman_oracles, "split_quadratic_char_sum"),
-        (kloosterman_oracles, "irreducible_quadratic_char_sum"),
-        (kloosterman_oracles, "kloosterman_sum"),
-        (codes_oracles, "dual_codeword"),
-        (codes_checks, "dual_weights"),
+        (checks, "quadratic_char_sums"),
+        (package_oracles, "split_quadratic_char_sum"),
+        (package_oracles, "irreducible_quadratic_char_sum"),
+        (package_oracles, "kloosterman_sum"),
+        (package_oracles, "dual_codeword"),
+        (checks, "dual_weights"),
     ]
 
 
 def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
+    import kmoments.checks as checks
     import kmoments.codes as codes
     import kmoments.kloosterman as kl
-    import kmoments.kloosterman_checks as kloosterman_checks
     import kmoments.moments as mo
 
     # moments binds weight_distribution by name, so a call from there is seen there
@@ -297,9 +295,9 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
     calls = _count_calls(monkeypatch, _per_a_targets())
     built = _count_calls(monkeypatch, shared)
     seen = []
-    counted = kloosterman_checks.quadratic_char_sums
+    counted = checks.quadratic_char_sums
     monkeypatch.setattr(
-        kloosterman_checks,
+        checks,
         "quadratic_char_sums",
         lambda ctx, b, phi: seen.append(b) or counted(ctx, b, phi),
     )
@@ -324,8 +322,8 @@ def test_verify_char_sums_once_per_r_and_no_per_a_oracles(capsys, monkeypatch):
 
 
 def test_verify_builds_each_stage_once(capsys, monkeypatch):
+    import kmoments.checks as checks
     import kmoments.codes as codes
-    import kmoments.codes_checks as codes_checks
     import kmoments.gf2r as gf2r
     import kmoments.moments as mo
 
@@ -334,8 +332,8 @@ def test_verify_builds_each_stage_once(capsys, monkeypatch):
         (gf2r, "_trace_map"),
         (codes, "_base_entries"),
         (codes, "_bit_rows"),
-        (codes_checks, "_generator_rows"),
-        (codes_checks, "_block_walk"),
+        (checks, "_generator_rows"),
+        (checks, "_block_walk"),
         (codes, "_block_transform"),
         (codes, "_dual_weight_histogram"),
         (mo, "_pless_sums"),
@@ -369,10 +367,10 @@ def test_moments_brute_force_column_once_per_r(capsys, monkeypatch):
 
 
 def test_verify_builds_no_kernel_basis(capsys, monkeypatch):
-    import kmoments.codes_checks as codes_checks
+    import kmoments.checks as checks
 
     # the dual-structure report works from ranks, and r = 7 is past the enumeration
-    calls = _count_calls(monkeypatch, [(codes_checks, "kernel_basis")])
+    calls = _count_calls(monkeypatch, [(checks, "kernel_basis")])
     code, _, _ = run(capsys, "verify", "--r", "7", "--hmax", "4")
     assert code == 0
     assert calls["kernel_basis"] == 0

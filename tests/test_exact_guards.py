@@ -48,7 +48,7 @@ GUARDS = {
     ),
     # S(3, 2) = 6 / 2!; a wrong factorial leaves a remainder
     "stirling2_explicit": (
-        "import kmoments.moments_oracles as mo\n"
+        "import kmoments.oracles as mo\n"
         "mo.factorial = lambda t: 7\n"
         "mo.stirling2_explicit(3, 2)\n",
         "alternating sum for S(3, 2) not divisible by 2!",

@@ -5,17 +5,15 @@ Each rule lists exactly the package modules one module imports, read
 from the sources with ``ast``, a lazy import inside a function
 included: an import outside its rule fails, and so does a permission
 that no import uses.
-Each layer imports, on first use, its ``*_checks`` module (what
-``verify`` runs) and its ``*_oracles`` module (what only the tests
-run); beyond that:
+Each layer imports, on first use, ``checks`` (what ``verify`` runs) and
+``oracles`` (what only the tests run); beyond that:
 
 * ``gf2r`` imports no package module;
-* ``kloosterman``, ``kloosterman_checks`` and ``kloosterman_oracles``
-  import only ``gf2r``;
-* ``codes`` imports only ``gf2r``, ``codes_checks`` ``gf2r`` and
-  ``codes``, and ``codes_oracles`` those and ``codes_checks``;
-* ``moments`` imports only ``gf2r`` and ``codes``, ``moments_checks``
-  only ``gf2r`` and ``moments``, and ``moments_oracles`` only ``gf2r``;
+* ``kloosterman`` and ``codes`` import only ``gf2r``, and ``moments``
+  only ``gf2r`` and ``codes``;
+* ``checks`` imports only ``gf2r``, ``codes`` and ``moments``, and
+  ``oracles`` only ``gf2r``, ``codes`` and ``checks``: neither imports
+  ``kloosterman``, and ``checks`` never imports ``oracles``;
 * ``verify``, the one module that sets the two sides beside each other,
   imports every layer and the checks it runs; ``moments_cmd`` the
   layers whose columns it prints side by side, ``weights_cmd`` only
@@ -27,18 +25,23 @@ Every package module but ``__init__`` and ``cli`` has a rule, so a new
 module cannot escape them.  So no weight-side module can reach a K
 value, by any name.
 
-One rule looks inside a function: ``kloosterman_table`` reads nothing
+Two rules look inside functions.  ``kloosterman_table`` reads nothing
 from ``gf2r`` but ``_unpack_slots``.  So the K table shares neither the
 trace form nor the Walsh-Hadamard transform, its stages or any other
-packing, with the character-sum row checked against it.
+packing, with the character-sum row checked against it.  And the
+functions of ``FIELD_SIDE`` read no name of the weight side that shares
+their module: the character-sum row ``quadratic_char_sums`` none of
+``codes`` or ``moments``, and the literal sums ``kloosterman_sum``,
+``split_quadratic_char_sum`` and ``irreducible_quadratic_char_sum`` and
+the Stirling numbers ``stirling2_explicit`` none of ``codes`` or
+``checks``.
 
-One rule reads names across whole modules: the ``*_oracles`` modules
-read from ``gf2r`` only ``FieldContext`` and ``_check_int``, from
-``codes`` only ``_check_code``, ``code_shape`` and ``code_length``, and
-from ``codes_checks`` only ``dual_weight_fraction``.  So no oracle
-shares a stage builder (``_bit_rows``, ``_trace_map``,
-``_walsh_hadamard``, ``_unpack_slots``, ``_generator_rows``) with what
-it checks.
+One rule reads names across the whole ``oracles`` module: it reads from
+``gf2r`` only ``FieldContext`` and ``_check_int``, from ``codes`` only
+``_check_code``, ``code_shape`` and ``code_length``, and from ``checks``
+only ``dual_weight_fraction``.  So no oracle shares a stage builder
+(``_bit_rows``, ``_trace_map``, ``_walsh_hadamard``, ``_unpack_slots``,
+``_generator_rows``) with what it checks.
 """
 
 import ast
@@ -51,16 +54,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmoments"
 
 MAY_IMPORT = {
     "gf2r": set(),
-    "kloosterman": {"gf2r", "kloosterman_checks", "kloosterman_oracles"},
-    "kloosterman_checks": {"gf2r"},
-    "kloosterman_oracles": {"gf2r"},
-    "codes": {"gf2r", "codes_checks", "codes_oracles"},
-    "codes_checks": {"gf2r", "codes"},
-    "codes_oracles": {"gf2r", "codes", "codes_checks"},
-    "moments": {"gf2r", "codes", "moments_checks", "moments_oracles"},
-    "moments_checks": {"gf2r", "moments"},
-    "moments_oracles": {"gf2r"},
-    "verify": {"gf2r", "kloosterman", "kloosterman_checks", "codes", "codes_checks", "moments"},
+    "kloosterman": {"gf2r", "checks", "oracles"},
+    "codes": {"gf2r", "checks", "oracles"},
+    "moments": {"gf2r", "codes", "checks", "oracles"},
+    "checks": {"gf2r", "codes", "moments"},
+    "oracles": {"gf2r", "codes", "checks"},
+    "verify": {"gf2r", "kloosterman", "checks", "codes", "moments"},
     "moments_cmd": {"kloosterman", "codes", "moments"},
     "weights_cmd": {"codes"},
     "usage": set(),
@@ -70,7 +69,7 @@ MAY_IMPORT = {
 COMMAND_MODULES = ["moments_cmd", "weights_cmd", "verify", "usage"]
 
 # the modules that hold or read the weight counts and the dual weights
-WEIGHT_SIDE = ["codes", "codes_checks", "codes_oracles", "moments", "moments_checks", "moments_oracles"]
+WEIGHT_SIDE = ["codes", "moments", "checks", "oracles"]
 
 
 def _package_imports(tree: ast.Module) -> list[str]:
@@ -134,8 +133,8 @@ def test_every_import_permission_is_used():
 
 
 def test_an_unused_import_permission_is_reported(monkeypatch):
-    monkeypatch.setitem(MAY_IMPORT, "moments_checks", MAY_IMPORT["moments_checks"] | {"codes"})
-    assert _unused_permissions(_sources()) == ["moments_checks may import codes but does not"]
+    monkeypatch.setitem(MAY_IMPORT, "oracles", MAY_IMPORT["oracles"] | {"moments"})
+    assert _unused_permissions(_sources()) == ["oracles may import moments but does not"]
 
 
 def test_every_module_has_an_import_rule():
@@ -192,12 +191,13 @@ def test_import_graph_rejects_each_mutant():
     assert _violations(codes) == ["codes imports moments"]
     kloosterman = _with_import(sources, "kloosterman", "from . import codes")
     assert _violations(kloosterman) == ["kloosterman imports codes"]
-    row = _with_import(sources, "kloosterman_checks", "from .codes_checks import dual_weights")
-    assert _violations(row) == ["kloosterman_checks imports codes_checks"]
-    per_a = _with_import(sources, "kloosterman_oracles", "from . import codes_oracles")
-    assert _violations(per_a) == ["kloosterman_oracles imports codes_oracles"]
-    codes_checks = _with_import(sources, "codes_checks", "from . import moments")
-    assert _violations(codes_checks) == ["codes_checks imports moments"]
+    # verify would compile the oracles, and the layers a command module
+    oracles = _with_import(sources, "checks", "from .oracles import dual_codeword")
+    assert _violations(oracles) == ["checks imports oracles"]
+    command = _with_import(sources, "checks", "from .verify import ROWS")
+    assert _violations(command) == ["checks imports verify"]
+    moments = _with_import(sources, "oracles", "from . import moments")
+    assert _violations(moments) == ["oracles imports moments"]
 
 
 # the gf2r names kloosterman_table may read
@@ -250,11 +250,11 @@ def _with_own_import(sources, name):
     return {**sources, "kloosterman": text.replace(anchor, anchor[:-1] + f", {name}\n")}
 
 
-def _with_k_table_line(sources, line):
-    # the line becomes the first statement of kloosterman_table's body
-    text = sources["kloosterman"]
-    (anchor,) = re.findall(r"^def kloosterman_table\(.*\n", text, flags=re.M)
-    return {**sources, "kloosterman": text.replace(anchor, anchor + f"    {line}\n")}
+def _with_line(sources, module, function, line):
+    # the line becomes the first statement of the body of function in module
+    text = sources[module]
+    (anchor,) = re.findall(rf"^def {function}\(.*\n", text, flags=re.M)
+    return {**sources, module: text.replace(anchor, anchor + f"    {line}\n")}
 
 
 def test_k_table_reads_no_gf2r_name_but_the_slot_reader():
@@ -279,7 +279,7 @@ def test_k_table_rule_rejects_a_read_of_the_trace_form(imported, read):
         sources = _with_own_import(_sources(), "_trace_map")
     else:
         sources = _with_import(_sources(), "kloosterman", imported)
-    mutant = _with_k_table_line(sources, f"phi = {read}")
+    mutant = _with_line(sources, "kloosterman", "kloosterman_table", f"phi = {read}")
     assert _k_table_violations(mutant) == ["kloosterman_table reads gf2r._trace_map"]
 
 
@@ -298,36 +298,48 @@ def test_k_table_rule_rejects_a_read_of_the_transform(imported, read, name):
         sources = _with_own_import(_sources(), name)
     else:
         sources = _with_import(_sources(), "kloosterman", imported)
-    mutant = _with_k_table_line(sources, f"values = {read}")
+    mutant = _with_line(sources, "kloosterman", "kloosterman_table", f"values = {read}")
     assert _k_table_violations(mutant) == [f"kloosterman_table reads gf2r.{name}"]
 
 
 # the package names the oracles may read, per module they import: never a stage builder
-ORACLES = ["kloosterman_oracles", "codes_oracles", "moments_oracles"]
 ORACLES_MAY_READ = {
     "gf2r": {"FieldContext", "_check_int"},
     "codes": {"_check_code", "code_shape", "code_length"},
-    "codes_checks": {"dual_weight_fraction"},
+    "checks": {"dual_weight_fraction"},
 }
 
 
 def _oracle_violations(sources: dict[str, str]) -> list[str]:
     return sorted(
         {
-            f"{module} reads {source}.{name}"
-            for module in ORACLES
+            f"oracles reads {source}.{name}"
             for source, allowed in ORACLES_MAY_READ.items()
-            for name in _reads(sources[module], source)
+            for name in _reads(sources["oracles"], source)
             if name not in allowed
         }
     )
+
+
+def _planted(sources, module, function, source, name, form):
+    """``sources`` with ``source``.``name`` read in ``form`` as the first statement of ``function``."""
+    imported, read = {
+        "by name": (f"from .{source} import {name}", name),
+        "aliased": (f"from .{source} import {name} as stage", "stage"),
+        "module attribute": (f"from . import {source}", f"{source}.{name}"),
+    }[form]
+    return _with_line(_with_import(sources, module, imported), module, function, f"_stage = {read}")
+
+
+FORMS = ["by name", "aliased", "module attribute"]
 
 
 def test_oracles_read_no_stage_builder():
     assert _oracle_violations(_sources()) == []
 
 
-@pytest.mark.parametrize("module", ORACLES)
+# one oracle of each layer
+@pytest.mark.parametrize("function", ["kloosterman_sum", "dual_codeword", "stirling2_explicit"])
 @pytest.mark.parametrize(
     "source, name",
     [
@@ -335,16 +347,54 @@ def test_oracles_read_no_stage_builder():
         ("gf2r", "_trace_map"),
         ("gf2r", "_walsh_hadamard"),
         ("gf2r", "_unpack_slots"),
-        ("codes_checks", "_generator_rows"),
+        ("checks", "_generator_rows"),
     ],
 )
-@pytest.mark.parametrize("form", ["by name", "aliased", "module attribute"])
-def test_oracle_rule_rejects_a_read_of_a_stage_builder(module, source, name, form):
-    imported, read = {
-        "by name": (f"from .{source} import {name}", name),
-        "aliased": (f"from .{source} import {name} as stage", "stage"),
-        "module attribute": (f"from . import {source}", f"{source}.{name}"),
-    }[form]
-    sources = _with_import(_sources(), module, imported)
-    mutant = {**sources, module: sources[module] + f"\n\ndef _stage(ctx):\n    return {read}(ctx)\n"}
-    assert _oracle_violations(mutant) == [f"{module} reads {source}.{name}"]
+@pytest.mark.parametrize("form", FORMS)
+def test_oracle_rule_rejects_a_read_of_a_stage_builder(function, source, name, form):
+    mutant = _planted(_sources(), "oracles", function, source, name, form)
+    assert _oracle_violations(mutant) == [f"oracles reads {source}.{name}"]
+
+
+# (module, function) -> the package modules none of whose names the function may read
+FIELD_SIDE = {
+    ("checks", "quadratic_char_sums"): ("codes", "moments"),
+    ("oracles", "kloosterman_sum"): ("codes", "checks"),
+    ("oracles", "split_quadratic_char_sum"): ("codes", "checks"),
+    ("oracles", "irreducible_quadratic_char_sum"): ("codes", "checks"),
+    ("oracles", "stirling2_explicit"): ("codes", "checks"),
+}
+
+
+def _field_side_violations(sources: dict[str, str]) -> list[str]:
+    return [
+        f"{function} reads {source}.{name}"
+        for (module, function), forbidden in FIELD_SIDE.items()
+        for source in forbidden
+        for name in _reads(sources[module], source, function)
+    ]
+
+
+def test_field_side_functions_read_no_weight_side_name():
+    assert _field_side_violations(_sources()) == []
+
+
+# a name each module may read elsewhere: codes' block is the row's D, and the oracles' module
+# rule lets them read _check_code and dual_weight_fraction
+@pytest.mark.parametrize(
+    "module, function, source, name",
+    [
+        ("checks", "quadratic_char_sums", "codes", "_base_entries"),
+        ("checks", "quadratic_char_sums", "moments", "_check_code"),
+    ]
+    + [
+        ("oracles", function, source, name)
+        for (module, function) in FIELD_SIDE
+        if module == "oracles"
+        for source, name in (("codes", "_check_code"), ("checks", "dual_weight_fraction"))
+    ],
+)
+@pytest.mark.parametrize("form", FORMS)
+def test_field_side_rule_rejects_a_planted_read(module, function, source, name, form):
+    mutant = _planted(_sources(), module, function, source, name, form)
+    assert _field_side_violations(mutant) == [f"{function} reads {source}.{name}"]

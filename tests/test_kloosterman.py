@@ -137,11 +137,10 @@ def test_value_set_lachaud_wolfmann(r, tables, wide_tables):
 
 
 def test_table_never_calls_the_per_a_sum(monkeypatch):
+    import kmoments.checks as checks
     import kmoments.codes as codes
-    import kmoments.codes_checks as codes_checks
-    import kmoments.codes_oracles as codes_oracles
     import kmoments.kloosterman as kl
-    import kmoments.kloosterman_oracles as kloosterman_oracles
+    import kmoments.oracles as package_oracles
 
     calls = {"kloosterman_sum": 0, "dual_codeword": 0, "dual_weights": 0, "_dual_weight_histogram": 0}
 
@@ -155,9 +154,9 @@ def test_table_never_calls_the_per_a_sum(monkeypatch):
         return wrapper
 
     for module, name in (
-        (kloosterman_oracles, "kloosterman_sum"),
-        (codes_oracles, "dual_codeword"),
-        (codes_checks, "dual_weights"),
+        (package_oracles, "kloosterman_sum"),
+        (package_oracles, "dual_codeword"),
+        (checks, "dual_weights"),
         (codes, "_dual_weight_histogram"),
     ):
         monkeypatch.setattr(module, name, counting(module, name))
@@ -325,10 +324,10 @@ def test_char_sum_rows_index_by_a_and_check_b(ctx3):
 def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
     import copy
 
+    import kmoments.checks as checks
     import kmoments.cli as cli
-    import kmoments.kloosterman_checks as kloosterman_checks
 
-    real = kloosterman_checks.quadratic_char_sums
+    real = checks.quadratic_char_sums
 
     def neighbour(ctx, b, phi):
         # the least nonzero t in theta becomes g t, its neighbour in exp order,
@@ -338,7 +337,7 @@ def test_verify_fails_when_a_char_sum_denominator_moves(capsys, monkeypatch):
         moved.theta = (0, ctx.exp[ctx.log[t] + 1], *ctx.theta[2:])
         return real(moved, b, phi)
 
-    monkeypatch.setattr(kloosterman_checks, "quadratic_char_sums", neighbour)
+    monkeypatch.setattr(checks, "quadratic_char_sums", neighbour)
     assert cli.main(["verify", "--r", "3..4", "--hmax", "2"]) == 2
     lines = capsys.readouterr().out.splitlines()
     for r in (3, 4):

@@ -27,7 +27,7 @@ layers = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layers)
 
 # the one wrapped function that verify calls at no r <= 4: its rows are at r = 7, 8
-NOT_CALLED = {"codes_checks.code_cardinality"}
+NOT_CALLED = {"checks.code_cardinality"}
 
 
 def test_every_wrapped_name_is_a_function_of_the_tree():
@@ -108,8 +108,8 @@ def test_calls_rows_show_the_record_s_sharing(bench):
         "gf2r._trace_map": 1,
         "kloosterman.kloosterman_table": 1,
         "codes._block_transform": 2,
-        "codes_checks._block_walk": 2,
-        "codes_checks._generator_rows": 4,
+        "checks._block_walk": 2,
+        "checks._generator_rows": 4,
         "codes._bit_rows": 8,
     }
     for r in (3, 4):
@@ -122,7 +122,7 @@ def test_calls_rows_show_the_record_s_sharing(bench):
 def test_a_function_one_tree_lacks_has_rows_on_the_other_side_only(bench):
     _, doc = bench
     for row, keys in (("calls", ("sides",)), ("self_s", ("sides", "normalised"))):
-        metric = doc["metrics"][f"stages.r3.codes_checks._block_walk.{row}"]
+        metric = doc["metrics"][f"stages.r3.checks._block_walk.{row}"]
         assert set(metric) == {"unit", *keys}, row
         for key in keys:
             base, change = metric[key]

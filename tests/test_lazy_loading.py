@@ -2,13 +2,12 @@
 
 Each command is a module of its own (``moments_cmd``, ``weights_cmd``,
 ``verify``), and the ``--help`` text is ``usage``; what only ``verify``
-runs lives in ``kloosterman_checks``, ``codes_checks``,
-``moments_checks`` and ``verify``, and what only the tests run in the
-``*_oracles`` modules; each layer, and the CLI, loads them on first
-use.  The loading policy is read from ``python -X importtime`` in child
+runs lives in ``checks`` and ``verify``, and what only the tests run in
+``oracles``; each layer, and the CLI, loads them on first use.  The
+loading policy is read from ``python -X importtime`` in child
 interpreters: each run loads exactly the package and its four layers,
-its own command module and, for ``verify``, the checks modules; no run
-loads ``array`` or imports ``__future__``, and no run compiles
+its own command module and, for ``verify``, ``checks``; no run loads
+``oracles`` or ``array`` or imports ``__future__``, and no run compiles
 ``kmoments.cli`` a second time beside the ``__main__`` that ``-m`` runs.
 perfbench's tracer, run unmodified, still wraps the checks that
 ``verify`` reads through their layer modules.
@@ -24,6 +23,8 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -36,13 +37,8 @@ EVERY_RUN = {
     "kmoments.codes",
     "kmoments.moments",
 }
-CHECKS = {
-    "kmoments.kloosterman_checks",
-    "kmoments.codes_checks",
-    "kmoments.moments_checks",
-    "kmoments.verify",
-}
-ORACLES = {"kmoments.kloosterman_oracles", "kmoments.codes_oracles", "kmoments.moments_oracles"}
+CHECKS = {"kmoments.checks", "kmoments.verify"}
+ORACLES = {"kmoments.oracles"}
 
 MOMENTS = ("moments", "--r", "4", "--code", "4", "--hmax", "1", "--format", "csv")
 WEIGHTS = ("weights", "--r", "4", "--code", "2", "--jmax", "3")
@@ -101,15 +97,14 @@ def test_no_run_imports_future():
         assert "__future__" not in _imported(SRC, argv), argv
 
 
-def test_the_policy_catches_a_check_module_imported_at_module_level(tmp_path):
-    # a copy of the package whose codes imports its checks half at the top
+@pytest.mark.parametrize("layer", ["kloosterman", "codes", "moments"])
+def test_the_policy_catches_the_checks_imported_at_module_level(tmp_path, layer):
+    # a copy of the package whose layer imports the checks at load, after its own definitions,
+    # which the checks read
     shutil.copytree(SRC / "kmoments", tmp_path / "kmoments", ignore=shutil.ignore_patterns("__pycache__"))
-    codes = tmp_path / "kmoments" / "codes.py"
-    text = codes.read_text()
-    anchor = "from .gf2r import "
-    assert text.count(anchor) == 1
-    codes.write_text(text.replace(anchor, "from . import codes_checks\n" + anchor))
-    beyond = {"kmoments.codes_checks"}
+    path = tmp_path / "kmoments" / f"{layer}.py"
+    path.write_text(path.read_text() + "\nfrom . import checks\n")
+    beyond = {"kmoments.checks"}
     assert _beyond_own_modules(tmp_path) == {"moments": beyond, "weights": beyond}
 
 
@@ -147,18 +142,17 @@ def test_a_command_module_that_imports_the_cli_back_loads_a_second_copy(tmp_path
 
 
 def test_every_moved_name_is_one_function_object():
-    # the package, the layer and the module that defines the name give the same object
+    # the package, the one layer that lists the name and the module that defines it give the same object
     import kmoments
 
-    for layer in ("kloosterman", "codes", "moments"):
-        module = importlib.import_module(f"kmoments.{layer}")
-        for half in ("checks", "oracles"):
-            home = importlib.import_module(f"kmoments.{layer}_{half}")
-            for name in home.__all__:
-                assert name in module.__all__, (layer, name)
-                assert getattr(module, name) is getattr(home, name), (layer, name)
-                if name in kmoments.__all__:
-                    assert getattr(kmoments, name) is getattr(home, name), name
+    layers = [importlib.import_module(f"kmoments.{layer}") for layer in ("kloosterman", "codes", "moments")]
+    for half in ("checks", "oracles"):
+        home = importlib.import_module(f"kmoments.{half}")
+        for name in home.__all__:
+            (layer,) = [layer for layer in layers if name in layer.__all__]
+            assert getattr(layer, name) is getattr(home, name), (half, name)
+            if name in kmoments.__all__:
+                assert getattr(kmoments, name) is getattr(home, name), name
 
 
 def test_the_unmodified_tracer_wraps_the_checks_verify_reads():

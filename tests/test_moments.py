@@ -197,9 +197,9 @@ def test_pless_small_fields(i, contexts):
 
 
 def test_pless_one_pass(monkeypatch, contexts):
-    import kmoments.codes_checks as codes_checks
-    import kmoments.codes_oracles as codes_oracles
+    import kmoments.checks as package_checks
     import kmoments.moments as mo
+    import kmoments.oracles as package_oracles
 
     ctx = contexts[5]
     weights, sums = stages.weights(ctx, 3), stages.sums(ctx, 3, 10)
@@ -215,9 +215,9 @@ def test_pless_one_pass(monkeypatch, contexts):
         return wrapper
 
     for module, name in (
-        (codes_checks, "dual_weights"),
+        (package_checks, "dual_weights"),
         (mo, "weight_distribution"),
-        (codes_oracles, "dual_codeword"),
+        (package_oracles, "dual_codeword"),
     ):
         monkeypatch.setattr(module, name, counting(module, name))
     # both sides from the values given, with nothing built again

@@ -6,10 +6,10 @@ A public name is an ``__all__`` entry defined in the module that lists
 it.  Either counts as used when some ``ast.Name`` or ``ast.Attribute``
 outside its own definition names it; a mention in a docstring or
 comment, an import or an ``__all__`` string does not.  A public name
-only the tests read is a second production path, unless an
-``*_oracles`` module defines it: the paper's definitions and the slow
-routes kept to check the fast ones, ``ORACLES``, read from those
-modules' ``__all__``.  So is a public method or property of a public class
+only the tests read is a second production path, unless the
+``oracles`` module defines it: the paper's definitions and the slow
+routes kept to check the fast ones, ``ORACLES``, read from that
+module's ``__all__``.  So is a public method or property of a public class
 that no ``ast.Attribute`` outside its own definition reads: a local
 variable of the same name is no use of the method.
 """
@@ -47,7 +47,7 @@ def _public(tree: ast.Module) -> set[str]:
     }
 
 
-ORACLES = {name for path in PACKAGE.glob("*_oracles.py") for name in _public(ast.parse(path.read_text()))}
+ORACLES = _public(ast.parse((PACKAGE / "oracles.py").read_text()))
 
 
 def _unread(sources: dict[str, str], wanted) -> list[str]:
@@ -102,9 +102,9 @@ def _orphans(sources: dict[str, str]) -> list[str]:
 
 
 def _test_only_public(sources: dict[str, str]) -> list[str]:
-    """'module:line name' of each public name, outside an ``*_oracles`` module, that nothing reads."""
+    """'module:line name' of each public name, outside the ``oracles`` module, that nothing reads."""
     unread = _unread(sources, lambda name, public: name in public)
-    return [entry for entry in unread if not entry.split(":")[0].endswith("_oracles.py")]
+    return [entry for entry in unread if entry.split(":")[0] != "oracles.py"]
 
 
 def test_every_private_helper_is_referenced():
@@ -194,8 +194,8 @@ def test_a_public_name_only_its_own_body_reads_is_flagged():
     )
     package = "from .m import sequence\n__all__ = ['sequence']\nx = m.sequence(3)\n"
     oracles = "__all__ = ['kloosterman_sum']\n\n\ndef kloosterman_sum(a):\n    return a\n"
-    # an oracle's name exempts no public name of the same name outside an *_oracles module
-    sources = {"m.py": source, "__init__.py": package, "m_oracles.py": oracles}
+    # an oracle's name exempts no public name of the same name outside the oracles module
+    sources = {"m.py": source, "__init__.py": package, "oracles.py": oracles}
     assert _test_only_public(sources) == ["m.py:5 step", "m.py:13 kloosterman_sum"]
 
 
@@ -233,11 +233,11 @@ def test_a_method_only_a_local_name_spells_is_flagged():
 
 
 def test_a_restored_trace_accessor_is_flagged():
-    # kloosterman_oracles names its local copy of ctx.trace_table ``trace``; that is no read of a method
+    # oracles names its local copy of ctx.trace_table ``trace``; that is no read of a method
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     anchor = "    def elements(self) -> range:\n"
     assert sources["gf2r.py"].count(anchor) == 1
     accessor = "    def trace(self, x: int) -> int:\n        return self.trace_table[x]\n\n"
     sources["gf2r.py"] = sources["gf2r.py"].replace(anchor, accessor + anchor)
-    assert "trace, exp, log = ctx.trace_table" in sources["kloosterman_oracles.py"]
+    assert "trace, exp, log = ctx.trace_table" in sources["oracles.py"]
     assert [o.split()[1] for o in _unread_methods(sources)] == ["FieldContext.trace"]

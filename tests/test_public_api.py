@@ -39,6 +39,25 @@ def test_a_stale_or_repeated_entry_is_reported():
     assert _all_problems(module) == ["kept listed 2 times", "dual_weight_from_k does not resolve"]
 
 
+def _layout_modules(readme: str) -> set[str]:
+    """The ``src/kmoments/*.py`` files that the README's "Layout" block names."""
+    (block,) = re.findall(r"## Layout\n\n```\n(.*?)```", readme, flags=re.S)
+    return set(re.findall(r"^src/kmoments/(\w+\.py)", block, flags=re.M))
+
+
+def test_readme_layout_names_exactly_the_package_modules():
+    modules = {path.name for path in (ROOT / "src" / "kmoments").glob("*.py")}
+    assert _layout_modules((ROOT / "README.md").read_text()) == modules
+
+
+def test_a_stale_layout_entry_is_seen():
+    readme = (ROOT / "README.md").read_text()
+    assert readme.count("\nsrc/kmoments/checks.py ") == 1
+    stale = readme.replace("\nsrc/kmoments/checks.py ", "\nsrc/kmoments/codes_checks.py ")
+    modules = _layout_modules(readme)
+    assert _layout_modules(stale) == modules - {"checks.py"} | {"codes_checks.py"}
+
+
 def _readme_example() -> str:
     text = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"## Library example\n\n```python\n(.*?)```", text, flags=re.S)

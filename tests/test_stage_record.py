@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from kmoments import build_field, codes, codes_checks, kloosterman_checks, verify
+from kmoments import build_field, checks, codes, verify
 from kmoments.codes import parity_check_rows, weight_distribution
 from kmoments.kloosterman import kloosterman_table
 from kmoments.moments import moment_sequence
@@ -59,7 +59,7 @@ def test_the_digest_rows_values_are_built_where_those_rows_run(monkeypatch):
     # the character-sum results and the dual-weight fractions, on a record's first read: at
     # r = 8 the split row and 2 sampled b, and 4 codes' fractions; at r = 9 no row reads them
     calls = []
-    for module, name in ((kloosterman_checks, "quadratic_char_sums"), (codes_checks, "dual_weight_fraction")):
+    for module, name in ((checks, "quadratic_char_sums"), (checks, "dual_weight_fraction")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     for r in (8, 9):

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from kmoments import cli, codes, codes_checks, kloosterman, kloosterman_checks, verify
+from kmoments import checks, cli, codes, kloosterman, verify
 
 
 def _edit_k_table(mp, edit):
@@ -106,27 +106,27 @@ def _more_zero_words(mp):
 def _shift_dual_weight(shift):
     # the weight of c(1) in the walk of a block, which both codes on the block read
     def apply(mp):
-        real = codes_checks._block_walk
+        real = checks._block_walk
 
         def mutant(gens, m, q):
             weights = list(real(gens, m, q))
             weights[1] += shift
             return tuple(weights)
 
-        mp.setattr(codes_checks, "_block_walk", mutant)
+        mp.setattr(checks, "_block_walk", mutant)
 
     return apply
 
 
 def _rotate_char_sum_row(mp):
     # entry g^s of every character-sum row takes the value of entry g^(s+1)
-    real = kloosterman_checks.quadratic_char_sums
+    real = checks.quadratic_char_sums
 
     def mutant(ctx, b, phi):
         row = real(ctx, b, phi)
         return [None] + [row[ctx.exp[ctx.log[a] + 1]] for a in ctx.nonzero()]
 
-    mp.setattr(kloosterman_checks, "quadratic_char_sums", mutant)
+    mp.setattr(checks, "quadratic_char_sums", mutant)
 
 
 def _swap_c3_c4(mp):
@@ -151,8 +151,8 @@ MUTANTS = {
     "K(1) past the Weil bound": _k1_past_weil,
     "swap K(1) and the first K(a) != K(1)": _swap_k1_first_other,
     "flip a bit in _bit_rows": _edit_rows(codes, "_bit_rows", _flip_bit),
-    "flip a bit in G": _edit_rows(codes_checks, "_generator_rows", _flip_bit),
-    "zero a row of G": _edit_rows(codes_checks, "_generator_rows", _zero_row),
+    "flip a bit in G": _edit_rows(checks, "_generator_rows", _flip_bit),
+    "zero a row of G": _edit_rows(checks, "_generator_rows", _zero_row),
     "q more zero dual words": _more_zero_words,
     "dual weight + 1": _shift_dual_weight(1),
     "dual weight - 1": _shift_dual_weight(-1),
