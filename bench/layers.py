@@ -20,7 +20,7 @@ the host's speed falls on both sides alike.  A round holds, per tree:
   each one's self time (``.self_s``: its calls less the wrapped calls
   inside them) and number of calls (``.calls``).  The spans and their
   arithmetic are perfbench's ``Tracer.spanned`` and ``layer_totals``;
-  a function that a tree lacks gets no row on that side.  Each figure
+  a function, or a module, that a tree lacks gets no row on that side.  Each figure
   is the median of a few calls; from r = 14, where a verify rows pass
   takes from 0.2 s to seconds, each pass runs once per round;
 - for each ``--verify-r`` k, two whole-process runs of ``verify --r k
@@ -72,6 +72,7 @@ to compare.
 import argparse
 import contextlib
 import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -157,6 +158,16 @@ def _rebind(spaces, swaps) -> None:
                     setattr(space, attr, new)
 
 
+def _stage_targets() -> list[tuple]:
+    """(name, module, attribute) of each ``STAGES`` function whose module the loaded tree has."""
+    return [
+        (name, importlib.import_module(f"kmoments.{module}"), attr)
+        for name in STAGES
+        for module, attr in [name.split(".")]
+        if importlib.util.find_spec(f"kmoments.{module}")
+    ]
+
+
 def _field_child(src: str, rs: list[int]) -> dict:
     """In this process: at each r, the median seconds of build_field and its passes, of
     one verify rows pass, and of each STAGES function's self time within such a pass, and
@@ -170,11 +181,7 @@ def _field_child(src: str, rs: list[int]) -> dict:
     # build_field's own time, outside the two passes wrapped in it, is the row rest
     build = tracer.spanned("rest", build_field)
     field_targets = [(row, FieldContext, attr) for attr, row in FIELD_PASSES.items()]
-    stage_targets = [
-        (name, importlib.import_module(f"kmoments.{module}"), attr)
-        for name in STAGES
-        for module, attr in [name.split(".")]
-    ]
+    stage_targets = _stage_targets()
     # every kmoments module, checks among them, is loaded by now
     modules = [m for n, m in list(sys.modules.items()) if n == "kmoments" or n.startswith("kmoments.")]
     samples = defaultdict(list)

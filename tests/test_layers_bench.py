@@ -1,9 +1,9 @@
 """A smoke run of ``bench/layers.py`` on two trees at r <= 4, with its fixed ``ktable`` jobs
 at r = 11 and 12: the JSON it writes has the shape its readers expect, its calls rows show
 the sharing of verify's stage record, a function that one tree lacks has rows on the other
-side only, and neither tree it measures gains bytecode.  Every function the bench wraps is
-one of the current tree, so a renamed builder fails here instead of dropping its rows.  It
-sets no bound on any figure and gates nothing."""
+side only, a module that a tree lacks is not wrapped, and neither tree it measures gains
+bytecode.  Every function the bench wraps is one of the current tree, so a renamed builder
+fails here instead of dropping its rows.  It sets no bound on any figure and gates nothing."""
 
 import importlib
 import importlib.util
@@ -36,6 +36,12 @@ def test_every_wrapped_name_is_a_function_of_the_tree():
         assert callable(vars(importlib.import_module(f"kmoments.{module}")).get(attr)), name
     for attr in layers.FIELD_PASSES:
         assert callable(vars(FieldContext).get(attr)), attr
+
+
+def test_a_module_the_tree_lacks_is_not_wrapped(monkeypatch):
+    # as a base tree that predates a module has none of its rows
+    monkeypatch.setattr(layers, "STAGES", ("no_such_module.f", "codes._bit_rows"))
+    assert [name for name, _, _ in layers._stage_targets()] == ["codes._bit_rows"]
 
 
 @pytest.fixture(scope="module")
